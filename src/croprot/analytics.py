@@ -182,25 +182,24 @@ def write_rotation_table_csv(path, rows, mean, class_names=None,
         w.writerow(["mean"] + [f"{m:.2f}" for m in mean])
 
 
-def export_embeddings(model, parcels, out_path, seed=0):
-    """One CSV row per parcel-year with the full descriptor; deterministic
-    for a given seed."""
-    from .data import sample_pixels
-    from .encoders import encode_batch
+# Encode batch of `export_embeddings`, smaller than predict's 256 because
+# peak memory grows with it: the benchmark's cli-obs-pipeline (README dims,
+# 600 parcel-years) peaks at 49 MB RSS with 32 and at 66 MB with 256.
+EMBED_BATCH = 32
 
+
+def export_embeddings(model, parcels, out_path, seed=0):
+    """One CSV row per parcel-year with the full descriptor, drawn with the
+    keyed (seed, parcel, year) pixel draws `predict` uses."""
+    from .training import encode_items, keyed_draws
+
+    items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
+    draw = keyed_draws(seed, model.dims.sample_pixels)
+    descriptors = encode_items(model, items, draw, EMBED_BATCH)
     d = model.dims.descriptor
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)])
-        for p in parcels:
-            for y in range(1, len(p.samples) + 1):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, p.parcel_id, y]))
-                drawn = sample_pixels(p.samples[y - 1], model.dims.sample_pixels, rng)
-                e = np.asarray(
-                    encode_batch(
-                        drawn[None], np.asarray(p.samples[y - 1].days), model.pse, model.ltae
-                    ).data
-                )[0]
-                w.writerow(
-                    [p.parcel_id, y, p.labels[y - 1]] + [f"{v:.6e}" for v in e]
-                )
+        for p, y in items:
+            e = descriptors[(p.parcel_id, y)]
+            w.writerow([p.parcel_id, y, p.labels[y - 1]] + [f"{v:.6e}" for v in e])

@@ -149,14 +149,22 @@ def _synthetic_config(section):
     return SyntheticConfig(**cfg)
 
 
-def _load_folds(path):
+def _load_folds(path, dataset):
+    """The fold assignment in `path`; it must cover every dataset parcel."""
     with open(path) as fh:
         doc = json.load(fh)
-    return FoldAssignment(
+    folds = FoldAssignment(
         k=doc["k"],
         folds={int(pid): f for pid, f in doc["folds"].items()},
         block_size=doc["block_size"],
     )
+    missing = [p.parcel_id for p in dataset.parcels if p.parcel_id not in folds.folds]
+    if missing:
+        raise DataFormatError(
+            f"folds file {path} assigns no fold to {len(missing)} dataset "
+            f"parcel(s), first {missing[0]}"
+        )
+    return folds
 
 
 def _model_dims(config, dataset):
@@ -240,7 +248,7 @@ def cmd_train(args):
 
     config = load_run_config(args.config)
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds)
+    folds = _load_folds(args.folds, dataset)
     cfg = _train_config(config, args)
     dims = _model_dims(config, dataset)
     folds_to_run = [args.fold] if args.fold is not None else None
@@ -271,7 +279,7 @@ def cmd_eval(args):
     import os
 
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds)
+    folds = _load_folds(args.folds, dataset)
     model = load_checkpoint(args.checkpoint)
     test_parcels = [
         p for p in dataset.parcels if folds.folds[p.parcel_id] == args.fold
@@ -357,7 +365,7 @@ def cmd_crf(args):
 
     meta, val_records, test_records = _load_predictions(args.predictions)
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds)
+    folds = _load_folds(args.folds, dataset)
     held_out = {meta["fold"], meta["val_fold"]}
     triplets = [
         tuple(p.labels[i : i + 3])
@@ -449,7 +457,6 @@ def build_parser():
         prog="croprot",
         description="Multi-year crop-type classification experiments.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate and save a synthetic dataset")
@@ -497,7 +504,6 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--folds", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=calibration.DEFAULT_BINS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_crf)
 

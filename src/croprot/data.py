@@ -81,9 +81,6 @@ class FoldAssignment:
     folds: dict  # parcel_id -> fold index
     block_size: float
 
-    def members(self, fold):
-        return [pid for pid, f in self.folds.items() if f == fold]
-
 
 # ---------------------------------------------------------------------------
 # synthetic generation
@@ -297,6 +294,13 @@ def save_dataset(path, parcels, num_classes, manifest=None):
         raise DataFormatError("dataset dimensions overflow the header fields")
     if channels > 0xFFFF or num_classes > 0xFFFF:
         raise DataFormatError("dataset dimensions overflow the header fields")
+    for p in parcels:
+        for s in p.samples:
+            if not 0 <= s.label < num_classes:
+                raise DataFormatError(
+                    f"parcel {p.parcel_id}, year {s.year_index}: label {s.label} "
+                    f"outside [0, {num_classes})"
+                )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIBHH", FORMAT_VERSION, len(parcels), num_years, channels, num_classes))
@@ -373,6 +377,11 @@ def load_dataset(path):
                 raw = r.read(4 * channels * n_p * t, "pixels")
                 pix = np.frombuffer(raw, dtype="<f4").reshape(channels, n_p, t)
                 (label,) = r.unpack("<H", "label")
+                if label >= num_classes:
+                    raise DataFormatError(
+                        f"parcel {pid}, year {i + 1}: label {label} >= "
+                        f"num_classes {num_classes} at offset {r.offset}"
+                    )
                 sample = PixelSetSample(
                     parcel_id=pid,
                     year_index=i + 1,

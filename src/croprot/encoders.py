@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import sample_pixels
 from .errors import ConfigError, ContractError
 
 POSENC_TAU = 1000.0
@@ -79,13 +78,6 @@ class LtaeWeights:
 
     def parameters(self):
         return [self.wk, self.bk, self.query, self.wo1, self.bo1, self.wo2, self.bo2]
-
-
-@dataclass
-class YearDescriptor:
-    e: np.ndarray
-    parcel_id: int
-    year_index: int
 
 
 def positional_encoding(day, d, tau=POSENC_TAU):
@@ -199,12 +191,3 @@ def encode_batch(pixels, days, pse: PseWeights, ltae: LtaeWeights):
     e = ad.add(e, ad.Tensor(pe))
     ctx, _ = _attention(e, b, t, ltae)
     return _out_mlp(ctx, ltae)
-
-
-def encode_year(sample, s, pse: PseWeights, ltae: LtaeWeights, rng) -> YearDescriptor:
-    """Sample S pixels, encode each date, attend over the year."""
-    drawn = sample_pixels(sample, s, rng)  # (C, S, T)
-    out = encode_batch(drawn[None], np.asarray(sample.days), pse, ltae)
-    return YearDescriptor(
-        e=np.array(out.data[0]), parcel_id=sample.parcel_id, year_index=sample.year_index
-    )

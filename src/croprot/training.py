@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -141,49 +140,70 @@ def ground_truth_history(parcel, year_index, num_classes):
     return heads.LabelHistory.from_labels(prev1, prev2, num_classes)
 
 
-def _encode_items(model, items, draws):
-    """Inference-mode descriptors for (parcel, year) items with given pixel
-    draws; returns a (B, descriptor) array."""
+def _buckets(items):
+    """Group (parcel, year) items by (year, T), in a fixed key order: one
+    batch must share its year and its number of dates."""
+    buckets = defaultdict(list)
+    for parcel, year in items:
+        buckets[(year, parcel.samples[year - 1].pixels.shape[2])].append((parcel, year))
+    return [buckets[key] for key in sorted(buckets, key=str)]
+
+
+def keyed_draws(seed, s):
+    """Pixel draws fixed by (seed, parcel, year), whatever else is drawn."""
+
+    def draw(parcel, year):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, parcel.parcel_id, year]))
+        return sample_pixels(parcel.samples[year - 1], s, rng)
+
+    return draw
+
+
+def _encode(model, items, draws):
+    """Descriptor Tensor (B, descriptor) of a same-(year, T) batch."""
     pixels = np.stack(draws)
     days = np.stack([p.samples[y - 1].days for p, y in items])
-    return np.array(encode_batch(pixels, days, model.pse, model.ltae).data)
+    return encode_batch(pixels, days, model.pse, model.ltae)
 
 
-def _obs_features(model, items, rng):
-    """Detached average-of-past-descriptors features for "obs" batches."""
-    dims = model.dims
-    need = []
-    for parcel, year in items:
-        for back in (1, 2):
-            if year - back >= 1:
-                need.append((parcel, year - back))
-    feats = np.zeros((len(items), dims.descriptor), dtype=np.float32)
-    if need:
-        by_key = {}
-        groups = defaultdict(list)
-        for parcel, y in need:
-            groups[(y, parcel.samples[y - 1].pixels.shape[2])].append((parcel, y))
-        for group in groups.values():
-            draws = [
-                sample_pixels(p.samples[y - 1], dims.sample_pixels, rng)
-                for p, y in group
-            ]
-            enc = _encode_items(model, group, draws)
-            for (p, y), e in zip(group, enc):
-                by_key[(p.parcel_id, y)] = e
-        for j, (parcel, year) in enumerate(items):
-            e1 = by_key.get((parcel.parcel_id, year - 1))
-            e2 = by_key.get((parcel.parcel_id, year - 2))
-            feats[j] = heads.obs_feature(e1, e2, year, dims.descriptor)
-    return feats
+def encode_items(model, items, draw, batch_size=256):
+    """{(parcel_id, year): descriptor} of the items, each encoded once from
+    the pixels `draw(parcel, year)` returns.  Callers run it outside
+    `ad.recording`, so it records nothing on a tape."""
+    unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
+    out = {}
+    for group in _buckets(unique):
+        for i in range(0, len(group), batch_size):
+            chunk = group[i : i + batch_size]
+            e = _encode(model, chunk, [draw(p, y) for p, y in chunk]).data
+            for (p, y), row in zip(chunk, e):
+                out[(p.parcel_id, y)] = row
+    return out
 
 
-def _batch_features(model, items, rng, histories=None):
+def _past_items(items):
+    return [(p, y - back) for p, y in items for back in (1, 2) if y - back >= 1]
+
+
+def _batch_features(model, items, rng, histories=None, descriptors=None):
+    """Head features of a same-year batch: None on "single", label-history
+    vectors on the dec family, averaged past-year descriptors on "obs".
+
+    "obs" looks past years up in `descriptors`; without them it encodes
+    the past years with pixel draws from `rng`."""
     variant = model.variant
     if variant == "single":
         return None
     if variant == "obs":
-        return _obs_features(model, items, rng)
+        dims = model.dims
+        if descriptors is None:
+            draw = lambda p, y: sample_pixels(p.samples[y - 1], dims.sample_pixels, rng)
+            descriptors = encode_items(model, _past_items(items), draw)
+        past = lambda p, y: descriptors.get((p.parcel_id, y))
+        return np.stack(
+            [heads.obs_feature(past(p, y - 1), past(p, y - 2), y, dims.descriptor)
+             for p, y in items]
+        )
     rows = []
     for parcel, year in items:
         if histories is not None:
@@ -203,13 +223,10 @@ def _batch_features(model, items, rng, histories=None):
     return np.stack(rows)
 
 
-def batch_logits(model, items, draws, rng, histories=None):
-    """Forward pass for a same-year batch; returns the logits Tensor."""
-    pixels = np.stack(draws)
-    days = np.stack([p.samples[y - 1].days for p, y in items])
-    features = _batch_features(model, items, rng, histories)
-    e = encode_batch(pixels, days, model.pse, model.ltae)
-    return heads.decode(e, model.head, features)
+def batch_logits(model, items, draws, features):
+    """Forward pass for a same-year batch and its head features; returns
+    the logits Tensor."""
+    return heads.decode(_encode(model, items, draws), model.head, features)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +242,8 @@ def _training_items(parcels, cfg: TrainConfig, num_years):
 
 
 def _epoch_batches(items, batch_size, rng):
-    buckets = defaultdict(list)
-    for it in items:
-        parcel, year = it
-        buckets[(year, parcel.samples[year - 1].pixels.shape[2])].append(it)
     batches = []
-    for key in sorted(buckets, key=str):
-        group = buckets[key]
+    for group in _buckets(items):
         order = rng.permutation(len(group))
         group = [group[i] for i in order]
         for i in range(0, len(group), batch_size):
@@ -284,8 +296,10 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
                 for p, y in batch
             ]
             labels = np.asarray([p.labels[y - 1] for p, y in batch], dtype=np.int64)
+            # "obs" encodes past years here, before the tape is attached
+            features = _batch_features(model, batch, rng)
             with ad.recording(params) as tape:
-                z = batch_logits(model, batch, draws, rng)
+                z = batch_logits(model, batch, draws, features)
                 loss = cross_entropy(z, labels)
                 grads_map = ad.backward(tape, loss, params=params)
             optimizer_step(params, [grads_map[p] for p in params], state, cfg)
@@ -344,35 +358,30 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 
 def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
     """One PredictionRecord per requested parcel-year; pixel draws are fixed
-    by (seed, parcel, year), so repeated calls are identical.
+    by (seed, parcel, year), so repeated calls are identical and a parcel's
+    records do not depend on the other parcels in the call (but for BLAS
+    rounding, about 1e-7, where a batch shrinks to one row).
 
     Label-history variants consume ground-truth declarations of previous
     years unless explicit `histories` (keyed by (parcel_id, year)) are
-    given."""
+    given.  "obs" averages the descriptors of the previous two years,
+    encoded with the same keyed draws."""
     if not parcels:
         return []
     num_years = len(parcels[0].samples)
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
     items = [(p, y) for p in parcels for y in wanted]
-    buckets = defaultdict(list)
-    for it in items:
-        parcel, year = it
-        buckets[(year, parcel.samples[year - 1].pixels.shape[2])].append(it)
+    needed = items + _past_items(items) if model.variant == "obs" else items
+    descriptors = encode_items(
+        model, needed, keyed_draws(seed, model.dims.sample_pixels), batch_size
+    )
     records = []
-    feature_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B5]))
-    for key in sorted(buckets, key=str):
-        group = buckets[key]
+    for group in _buckets(items):
         for i in range(0, len(group), batch_size):
             batch = group[i : i + batch_size]
-            draws = []
-            for p, y in batch:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, p.parcel_id, y])
-                )
-                draws.append(
-                    sample_pixels(p.samples[y - 1], model.dims.sample_pixels, rng)
-                )
-            z = batch_logits(model, batch, draws, feature_rng, histories)
+            e = np.stack([descriptors[(p.parcel_id, y)] for p, y in batch])
+            features = _batch_features(model, batch, None, histories, descriptors)
+            z = heads.decode(e, model.head, features)
             for (p, y), logits in zip(batch, np.asarray(z.data)):
                 records.append(
                     PredictionRecord(
@@ -383,11 +392,3 @@ def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
                     )
                 )
     return records
-
-
-def throughput(model, parcels, seed=0):
-    """Parcel-years per second for batched inference."""
-    t0 = time.perf_counter()
-    records = predict(model, parcels, seed=seed)
-    dt = time.perf_counter() - t0
-    return len(records) / dt, records

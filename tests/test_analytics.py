@@ -7,7 +7,7 @@ import pytest
 from croprot import analytics
 from croprot.errors import ContractError
 from croprot.model import CropModel
-from croprot.training import PredictionRecord
+from croprot.training import PredictionRecord, encode_items, keyed_draws
 
 from conftest import tiny_dims
 
@@ -233,3 +233,22 @@ class TestExports:
         path3 = tmp_path / "emb3.csv"
         analytics.export_embeddings(model, parcels, path3, seed=4)
         assert path.read_text() != path3.read_text()
+
+    def test_embeddings_match_encoded_descriptors(self, tmp_path, small_dataset):
+        # the CSV rows are the descriptors `predict` decodes, up to the
+        # 7 significant digits the CSV prints; 40 parcels split into
+        # several export batches but one predict batch per year
+        ds, cfg = small_dataset
+        dims = tiny_dims(num_classes=cfg.num_classes)
+        dims.channels = cfg.channels
+        model = CropModel(dims, "single", seed=0)
+        parcels = ds.parcels[:40]
+        path = tmp_path / "emb.csv"
+        analytics.export_embeddings(model, parcels, path, seed=3)
+        items = [(p, y) for p in parcels for y in (1, 2, 3)]
+        want = encode_items(model, items, keyed_draws(3, dims.sample_pixels))
+        rows = list(csv.reader(open(path)))[1:]
+        assert len(rows) == len(want)
+        for row in rows:
+            e = np.asarray(row[3:], dtype=np.float64)
+            np.testing.assert_allclose(e, want[(int(row[0]), int(row[1]))], rtol=1e-6)

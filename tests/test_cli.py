@@ -194,6 +194,26 @@ class TestPipeline:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "crf"])
+    def test_folds_missing_a_parcel(self, workdir, tmp_path, capsys, command):
+        _, cfg, dataset, folds, train_out, eval_out = workdir
+        doc = json.loads(folds.read_text())
+        del doc["folds"]["5"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(doc))
+        common = ["--dataset", str(dataset), "--folds", str(partial),
+                  "--out", str(tmp_path / "o")]
+        argv = {
+            "train": ["train", "--config", str(cfg), "--fold", "0"],
+            "eval": ["eval", "--checkpoint", str(train_out / "checkpoint_fold0.bin"),
+                     "--fold", "0"],
+            "crf": ["crf", "--predictions", str(eval_out / "predictions.json")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + common) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "parcel" in err
+
     def test_train_rejects_crf_variant(self, workdir, tmp_path):
         _, cfg, dataset, folds, _, _ = workdir
         code = main([

@@ -1,4 +1,5 @@
 import collections
+import struct
 
 import numpy as np
 import pytest
@@ -211,3 +212,27 @@ class TestFileFormat:
         save_dataset(path, [], 8)
         ds = load_dataset(path)
         assert ds.parcels == []
+
+    def test_label_out_of_range_rejected_on_load(self, tmp_path):
+        # written by hand: a 3-class header with a label 7, which the
+        # writer refuses to produce
+        raw = b"RCDS" + struct.pack("<IIBHH", 1, 1, 1, 1, 3)
+        raw += struct.pack("<Qdd", 0, 10.0, 20.0)
+        raw += struct.pack("<H", 4) + np.array([10, 20, 30, 40], dtype="<u2").tobytes()
+        raw += struct.pack("<I", 1) + np.zeros(4, dtype="<f4").tobytes()
+        raw += struct.pack("<H", 7)
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="label 7"):
+            load_dataset(path)
+        # the same file with label 2 loads
+        path.write_bytes(raw[:-2] + struct.pack("<H", 2))
+        assert load_dataset(path).parcels[0].labels == [2]
+
+    def test_label_out_of_range_rejected_on_save(self, tmp_path):
+        parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
+        parcels[1].samples[2].label = 8
+        path = tmp_path / "ds.rcds"
+        with pytest.raises(DataFormatError, match="label 8"):
+            save_dataset(path, parcels, 8)
+        assert not path.exists()

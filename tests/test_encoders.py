@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad
-from croprot.data import SyntheticConfig, generate_synthetic
 from croprot.encoders import (
     EncoderDims,
     LtaeWeights,
     PseWeights,
     encode_batch,
-    encode_year,
     ltae_forward,
     positional_encoding,
     positional_encoding_matrix,
@@ -226,35 +224,6 @@ class TestEncodeBatch:
         a = encode_batch(pixels, np.array([10, 20, 30]), pse, ltae).data
         b = encode_batch(pixels, np.array([100, 200, 300]), pse, ltae).data
         assert not np.allclose(a, b)
-
-
-class TestEncodeYear:
-    @pytest.fixture()
-    def sample(self):
-        cfg = SyntheticConfig(
-            num_classes=4, cycles=((2, 3),), channels=3, timesteps=5, parcels=1,
-            pixels_min=10, pixels_max=10, seed=17,
-        )
-        return generate_synthetic(cfg)[0].samples[0]
-
-    def test_shape_and_identity(self, sample):
-        dims, pse, ltae = _weights()
-        d = encode_year(sample, 4, pse, ltae, np.random.default_rng(0))
-        assert d.e.shape == (dims.descriptor,)
-        assert d.parcel_id == sample.parcel_id
-        assert d.year_index == sample.year_index
-
-    def test_deterministic_given_rng_seed(self, sample):
-        _, pse, ltae = _weights()
-        a = encode_year(sample, 4, pse, ltae, np.random.default_rng(42))
-        b = encode_year(sample, 4, pse, ltae, np.random.default_rng(42))
-        assert np.array_equal(a.e, b.e)
-
-    def test_different_draws_differ(self, sample):
-        _, pse, ltae = _weights()
-        a = encode_year(sample, 4, pse, ltae, np.random.default_rng(0))
-        b = encode_year(sample, 4, pse, ltae, np.random.default_rng(1))
-        assert not np.array_equal(a.e, b.e)
 
 
 def test_encoder_gradients_match_finite_differences():

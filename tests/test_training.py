@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from croprot import autodiff as ad
+from croprot import autodiff as ad, heads
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic, make_folds
 from croprot.errors import ContractError
+from croprot.model import CropModel
 from croprot.training import (
     AdamState,
     PredictionRecord,
@@ -11,6 +12,8 @@ from croprot.training import (
     _epoch_batches,
     _training_items,
     cross_entropy,
+    encode_items,
+    keyed_draws,
     optimizer_step,
     predict,
     train,
@@ -195,6 +198,111 @@ class TestPredict:
     def test_empty_parcel_list(self, trained):
         _, model = trained
         assert predict(model, []) == []
+
+
+class TestEncodeItems:
+    @pytest.fixture()
+    def setup(self, small_dataset):
+        ds, cfg = small_dataset
+        model = CropModel(_dims(cfg), "single", seed=2)
+        items = [(p, y) for p in ds.parcels[:6] for y in (1, 2, 3)]
+        return model, items
+
+    def test_keys_and_shape(self, setup):
+        model, items = setup
+        out = encode_items(model, items, keyed_draws(0, model.dims.sample_pixels))
+        assert set(out) == {(p.parcel_id, y) for p, y in items}
+        for e in out.values():
+            assert e.shape == (model.dims.descriptor,)
+
+    def test_keyed_draws_repeat_bitwise(self, setup):
+        model, items = setup
+        draw = keyed_draws(42, model.dims.sample_pixels)
+        a = encode_items(model, items, draw)
+        # another call order and batch size give the same draws and rows
+        b = encode_items(model, items[::-1], draw, batch_size=4)
+        for key in a:
+            assert np.array_equal(a[key], b[key])
+
+    def test_different_seeds_differ(self, setup):
+        model, items = setup
+        a = encode_items(model, items, keyed_draws(0, model.dims.sample_pixels))
+        b = encode_items(model, items, keyed_draws(1, model.dims.sample_pixels))
+        assert any(not np.array_equal(a[k], b[k]) for k in a)
+
+    def test_each_item_encoded_once(self, setup):
+        model, items = setup
+        draw = keyed_draws(0, model.dims.sample_pixels)
+        calls = []
+
+        def counting(p, y):
+            calls.append((p.parcel_id, y))
+            return draw(p, y)
+
+        encode_items(model, items + items[:5], counting)
+        assert sorted(calls) == sorted((p.parcel_id, y) for p, y in items)
+
+
+def _by_key(records):
+    return {(r.parcel_id, r.year_index): r.logits for r in records}
+
+
+@pytest.mark.parametrize("variant", heads.VARIANTS)
+class TestSubsetInvariance:
+    """A parcel-year's logits do not depend on the other parcels or years
+    of the predict call."""
+
+    @pytest.fixture()
+    def full(self, small_dataset, variant):
+        ds, cfg = small_dataset
+        model = CropModel(small_dims(cfg.num_classes), variant, seed=4)
+        return ds.parcels, model, _by_key(predict(model, ds.parcels, seed=9))
+
+    def test_every_fifth_parcel(self, full, variant):
+        parcels, model, want = full
+        got = _by_key(predict(model, parcels[::5], seed=9))
+        assert len(got) == 3 * len(parcels[::5])
+        for key, logits in got.items():
+            assert np.array_equal(logits, want[key])
+
+    def test_one_year(self, full, variant):
+        parcels, model, want = full
+        got = _by_key(predict(model, parcels, years=[3], seed=9))
+        assert len(got) == len(parcels)
+        for key, logits in got.items():
+            assert np.array_equal(logits, want[key])
+
+    def test_one_parcel(self, full, variant):
+        # not bitwise: OpenBLAS runs a 1-row matmul (the single-item batch
+        # of the output MLP and the head) as gemv, whose rounding differs
+        # from the gemm of a full batch by 1e-8 to 1e-7
+        parcels, model, want = full
+        got = _by_key(predict(model, parcels[7:8], seed=9))
+        assert len(got) == 3
+        for key, logits in got.items():
+            np.testing.assert_allclose(logits, want[key], rtol=0, atol=1e-6)
+
+
+def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
+    # "obs" encodes past years before the tape is attached, so its training
+    # steps record only the head's extra feature input, like "dec"
+    ds, cfg = small_dataset
+    ops = []
+    backward = ad.backward
+
+    def counting(tape, loss, params=None):
+        ops[-1].append(len(tape.ops))
+        return backward(tape, loss, params=params)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    for variant in ("dec", "obs"):
+        ops.append([])
+        train_single_split(
+            ds, ds.parcels[:20], [],
+            TrainConfig(epochs=1, batch_size=16, seed=0, variant=variant), _dims(cfg),
+        )
+    assert len(ops[0]) > 0
+    assert ops[1] == ops[0]
 
 
 class TestTraining:
