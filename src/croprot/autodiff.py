@@ -151,12 +151,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # derivative at 0 is 0
+    """max(x, 0); NaN propagates.  The backward's mask is built only when
+    it runs: out > 0 exactly where x > 0, and the derivative at 0 is 0."""
+    out = np.maximum(x.data, 0)
 
     def bwd(g):
-        return [g * mask]
+        return [g * (out > 0)]
 
-    return _result(np.where(mask, x.data, 0), [x], bwd)
+    return _result(out, [x], bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

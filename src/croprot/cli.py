@@ -152,12 +152,23 @@ def _synthetic_config(section):
 def _load_folds(path, dataset):
     """The fold assignment in `path`; it must cover every dataset parcel."""
     with open(path) as fh:
-        doc = json.load(fh)
-    folds = FoldAssignment(
-        k=doc["k"],
-        folds={int(pid): f for pid, f in doc["folds"].items()},
-        block_size=doc["block_size"],
-    )
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"folds file {path} is not JSON: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("folds"), dict)
+            and "k" in doc and "block_size" in doc):
+        raise DataFormatError(
+            f"folds file {path} needs the keys k, folds (an object) and block_size"
+        )
+    try:
+        folds = FoldAssignment(
+            k=doc["k"],
+            folds={int(pid): f for pid, f in doc["folds"].items()},
+            block_size=doc["block_size"],
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"folds file {path}: bad parcel id ({exc})") from None
     missing = [p.parcel_id for p in dataset.parcels if p.parcel_id not in folds.folds]
     if missing:
         raise DataFormatError(

@@ -301,6 +301,10 @@ def save_dataset(path, parcels, num_classes, manifest=None):
                     f"parcel {p.parcel_id}, year {s.year_index}: label {s.label} "
                     f"outside [0, {num_classes})"
                 )
+            if not np.isfinite(s.pixels).all():
+                raise DataFormatError(
+                    f"parcel {p.parcel_id}, year {s.year_index}: non-finite pixel value"
+                )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIBHH", FORMAT_VERSION, len(parcels), num_years, channels, num_classes))
@@ -376,6 +380,11 @@ def load_dataset(path):
                     )
                 raw = r.read(4 * channels * n_p * t, "pixels")
                 pix = np.frombuffer(raw, dtype="<f4").reshape(channels, n_p, t)
+                if not np.isfinite(pix).all():
+                    raise DataFormatError(
+                        f"parcel {pid}, year {i + 1}: non-finite pixel value "
+                        f"before offset {r.offset}"
+                    )
                 (label,) = r.unpack("<H", "label")
                 if label >= num_classes:
                     raise DataFormatError(
@@ -389,7 +398,12 @@ def load_dataset(path):
                     days=days,
                     label=int(label),
                 )
-                sample.validate()
+                try:
+                    sample.validate()
+                except ContractError as exc:
+                    raise DataFormatError(
+                        f"parcel {pid}, year {i + 1}: {exc} (before offset {r.offset})"
+                    ) from None
                 samples.append(sample)
             parcels.append(MultiYearParcel(int(pid), (cx, cy), samples))
     manifest = None

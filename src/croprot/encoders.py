@@ -9,6 +9,7 @@ weighted sum to the final year descriptor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from . import autodiff as ad
 from .errors import ConfigError, ContractError
 
 POSENC_TAU = 1000.0
+MAX_DAY = 366
 
 
 @dataclass
@@ -92,8 +94,24 @@ def positional_encoding(day, d, tau=POSENC_TAU):
     return pe.astype(np.float32)
 
 
+@functools.lru_cache(maxsize=16)
+def _day_table(d, tau):
+    """Read-only (MAX_DAY + 1, d) float32 table: row t is
+    positional_encoding(t, d, tau)."""
+    table = np.stack([positional_encoding(t, d, tau) for t in range(MAX_DAY + 1)])
+    table.setflags(write=False)
+    return table
+
+
 def positional_encoding_matrix(days, d, tau=POSENC_TAU):
-    return np.stack([positional_encoding(int(t), d, tau) for t in days])
+    """Encodings of integer days in [0, MAX_DAY], one row per day."""
+    days = np.asarray(days)
+    if days.dtype.kind not in "iu":
+        raise ContractError(f"day-of-year encoding: days of dtype {days.dtype}, not integers")
+    # a negative day would index from the end of the table
+    if days.size and (days.min() < 0 or days.max() > MAX_DAY):
+        raise ContractError(f"day-of-year encoding: days outside [0, {MAX_DAY}]")
+    return _day_table(d, tau)[days]
 
 
 def _pixel_mlp(flat: ad.Tensor, pse: PseWeights) -> ad.Tensor:
@@ -185,9 +203,7 @@ def encode_batch(pixels, days, pse: PseWeights, ltae: LtaeWeights):
     e = ad.relu(
         ad.add_bias(ad.matmul(ad.reshape(pooled, (b * t, 2 * pse.dims.d1)), pse.w3), pse.b3)
     )
-    pe = np.concatenate(
-        [positional_encoding_matrix(dd, pse.dims.d2) for dd in days]
-    ).astype(dtype)
+    pe = positional_encoding_matrix(days.reshape(-1), pse.dims.d2).astype(dtype)
     e = ad.add(e, ad.Tensor(pe))
     ctx, _ = _attention(e, b, t, ltae)
     return _out_mlp(ctx, ltae)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -103,6 +103,20 @@ def load_checkpoint(path):
             sidecar = json.load(fh)
     except FileNotFoundError:
         raise DataFormatError(f"missing checkpoint sidecar {path}.json")
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(
+            f"checkpoint sidecar {path}.json is not JSON: {exc}"
+        ) from None
+    if not (isinstance(sidecar, dict) and isinstance(sidecar.get("dims"), dict)
+            and "variant" in sidecar):
+        raise DataFormatError(
+            f"checkpoint sidecar {path}.json needs the keys dims (an object) and variant"
+        )
+    unknown = sorted(set(sidecar["dims"]) - {f.name for f in fields(ModelDims)})
+    if unknown:
+        raise DataFormatError(
+            f"checkpoint sidecar {path}.json: unknown dims keys {', '.join(unknown)}"
+        )
     dims = ModelDims(**sidecar["dims"])
     model = CropModel(dims, sidecar["variant"])
     arrays = []

@@ -302,6 +302,11 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
                 z = batch_logits(model, batch, draws, features)
                 loss = cross_entropy(z, labels)
                 grads_map = ad.backward(tape, loss, params=params)
+            if not np.isfinite(loss.data):
+                raise ContractError(
+                    f"fold {fold}, epoch {epoch}: non-finite training loss "
+                    f"{float(loss.data)}"
+                )
             optimizer_step(params, [grads_map[p] for p in params], state, cfg)
             losses.append(float(loss.data))
         if val_parcels:

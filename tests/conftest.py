@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def small_dims(num_classes=8):
         num_classes=num_classes,
         head_hidden=32,
     )
+
+
+def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):
+    """Bytes of a hand-written one-parcel, one-year, one-channel, 3-class
+    .rcds file with a single pixel."""
+    pixels = np.zeros(len(days)) if pixels is None else pixels
+    raw = b"RCDS" + struct.pack("<IIBHH", 1, 1, 1, 1, 3)
+    raw += struct.pack("<Qdd", 0, 10.0, 20.0)
+    raw += struct.pack("<H", len(days)) + np.array(days, dtype="<u2").tobytes()
+    raw += struct.pack("<I", 1) + np.asarray(pixels, dtype="<f4").tobytes()
+    return raw + struct.pack("<H", label)
 
 
 @pytest.fixture(scope="session")

@@ -109,6 +109,28 @@ class TestBackward:
         assert run() == run()
 
 
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bitwise_equal_to_masked_select(self, dtype):
+        x = np.random.default_rng(4).normal(0, 1, 1000).astype(dtype)
+        x[::7] = -0.0
+        x[::11] = 0.0
+        out = ad.relu(ad.Tensor(x, dtype=dtype)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0, x, 0).tobytes()
+
+    def test_gradient_is_zero_at_and_below_zero(self):
+        x = params_on_tape([np.array([-1.0, -0.0, 0.0, 2.0])])[0]
+        with ad.recording([x]) as tape:
+            loss = ad.mean_all(ad.relu(x))
+        grads = ad.backward(tape, loss)
+        assert np.array_equal(grads[x], [0.0, 0.0, 0.0, 0.25])
+
+    def test_nan_propagates(self):
+        out = ad.relu(ad.Tensor(np.array([np.nan, -1.0], dtype=np.float32))).data
+        assert np.isnan(out[0]) and out[1] == 0.0
+
+
 class TestFiniteDiffCheck:
     def test_linear_exact(self):
         c = np.array([1.0, -2.0, 0.5])

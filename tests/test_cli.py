@@ -1,8 +1,13 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from croprot.cli import main
+from croprot.data import load_dataset, save_dataset
+
+from conftest import one_sample_file
 
 
 RUN_CONFIG = {
@@ -62,6 +67,20 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "extra.json"
     cfg.write_text(json.dumps({"dataset": {"synthetic": {"bogus_key": 1}}}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.rcds")]) == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"pixels": [0.5, np.nan, 0.1, 0.2]},
+    {"days": (10, 30, 20, 40)},
+    {"days": (10, 20, 30, 400)},
+])
+def test_malformed_dataset_is_data_error(tmp_path, capsys, kwargs):
+    path = tmp_path / "bad.rcds"
+    path.write_bytes(one_sample_file(**kwargs))
+    code = main(["split", "--dataset", str(path), "--out", str(tmp_path / "f.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "data format error" in err
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +241,59 @@ class TestPipeline:
             "--out", str(tmp_path / "t"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        '{"folds": {"0": 0}, "block_size": 2500}',
+        '{"k": 3, "folds": [0, 1], "block_size": 2500}',
+        '{"k": 3, "folds": {"p0": 0}, "block_size": 2500}',
+    ])
+    def test_malformed_folds_file(self, workdir, tmp_path, capsys, text):
+        _, _, dataset, _, train_out, _ = workdir
+        bad = tmp_path / "folds.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(train_out / "checkpoint_fold0.bin"),
+            "--dataset", str(dataset), "--folds", str(bad),
+            "--fold", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "folds file" in err
+
+    def test_checkpoint_sidecar_unknown_dims_key(self, workdir, tmp_path, capsys):
+        _, _, dataset, folds, train_out, _ = workdir
+        ckpt = tmp_path / "ckpt.bin"
+        shutil.copy(train_out / "checkpoint_fold0.bin", ckpt)
+        doc = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
+        doc["dims"]["width"] = 3
+        (tmp_path / "ckpt.bin.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+            "--folds", str(folds), "--fold", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "width" in err
+
+    def test_non_finite_loss_is_contract_error(self, workdir, tmp_path, capsys):
+        # finite pixels large enough that the encoder overflows to inf/NaN
+        _, cfg, dataset, folds, _, _ = workdir
+        ds = load_dataset(dataset)
+        for p in ds.parcels:
+            for s in p.samples:
+                s.pixels = s.pixels * np.float32(1e37)
+        huge = tmp_path / "huge.rcds"
+        save_dataset(huge, ds.parcels, ds.num_classes)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "train", "--config", str(cfg), "--dataset", str(huge),
+                "--folds", str(folds), "--fold", "0", "--out", str(tmp_path / "t"),
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite training loss" in err

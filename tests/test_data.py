@@ -16,6 +16,8 @@ from croprot.data import (
 )
 from croprot.errors import ConfigError, ContractError, DataFormatError
 
+from conftest import one_sample_file
+
 
 class TestGenerator:
     def test_permanent_only_labels_constant(self):
@@ -216,11 +218,7 @@ class TestFileFormat:
     def test_label_out_of_range_rejected_on_load(self, tmp_path):
         # written by hand: a 3-class header with a label 7, which the
         # writer refuses to produce
-        raw = b"RCDS" + struct.pack("<IIBHH", 1, 1, 1, 1, 3)
-        raw += struct.pack("<Qdd", 0, 10.0, 20.0)
-        raw += struct.pack("<H", 4) + np.array([10, 20, 30, 40], dtype="<u2").tobytes()
-        raw += struct.pack("<I", 1) + np.zeros(4, dtype="<f4").tobytes()
-        raw += struct.pack("<H", 7)
+        raw = one_sample_file(label=7)
         path = tmp_path / "ds.rcds"
         path.write_bytes(raw)
         with pytest.raises(DataFormatError, match="label 7"):
@@ -236,3 +234,25 @@ class TestFileFormat:
         with pytest.raises(DataFormatError, match="label 8"):
             save_dataset(path, parcels, 8)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected_on_load(self, tmp_path, value):
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(one_sample_file(pixels=[0.5, value, 0.1, 0.2]))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_dataset(path)
+
+    def test_non_finite_pixel_rejected_on_save(self, tmp_path):
+        parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
+        parcels[2].samples[1].pixels[0, 0, 3] = np.inf
+        path = tmp_path / "ds.rcds"
+        with pytest.raises(DataFormatError, match="non-finite"):
+            save_dataset(path, parcels, 8)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("days", [(0, 20, 30, 40), (10, 20, 30, 367), (10, 30, 20, 40)])
+    def test_bad_days_are_a_data_error_on_load(self, tmp_path, days):
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(one_sample_file(days=days))
+        with pytest.raises(DataFormatError, match="days"):
+            load_dataset(path)

@@ -102,6 +102,22 @@ class TestPositionalEncoding:
         for row, day in zip(m, days):
             assert np.allclose(row, positional_encoding(day, 8))
 
+    @pytest.mark.parametrize("d", [8, 7])
+    def test_matrix_bitwise_equal_to_rows_for_every_day(self, d):
+        days = np.arange(0, 367)
+        rows = np.stack([positional_encoding(day, d) for day in days])
+        m = positional_encoding_matrix(days, d)
+        assert m.dtype == np.float32
+        assert m.tobytes() == rows.tobytes()
+        # any index shape: the rows of a (2, 3) day array
+        grid = days[[[0, 1, 366], [200, 5, 1]]]
+        assert positional_encoding_matrix(grid, d).tobytes() == rows[grid].tobytes()
+
+    @pytest.mark.parametrize("days", [[-1], [10, 367], [[1, 2], [3, -5]], [1.0, 2.0]])
+    def test_matrix_rejects_days_outside_table(self, days):
+        with pytest.raises(ContractError):
+            positional_encoding_matrix(np.array(days), 8)
+
 
 class TestPixelSetEncoder:
     def test_output_shape(self):
@@ -202,6 +218,21 @@ class TestEncodeBatch:
         for i in range(4):
             single = encode_batch(pixels[i : i + 1], days, pse, ltae).data[0]
             assert np.allclose(batched[i], single, atol=1e-10)
+
+    def test_per_row_days_equal_row_by_row(self):
+        dims, pse, ltae = _weights(seed=14)
+        pixels = np.random.default_rng(12).normal(0, 1, (3, dims.channels, 4, 3))
+        days = np.array([[30, 120, 250], [1, 2, 366], [100, 101, 300]])
+        batched = encode_batch(pixels, days, pse, ltae).data
+        for i in range(3):
+            single = encode_batch(pixels[i : i + 1], days[i], pse, ltae).data[0]
+            assert np.allclose(batched[i], single, atol=1e-10)
+
+    def test_out_of_range_days_rejected(self):
+        dims, pse, ltae = _weights()
+        pixels = np.zeros((1, dims.channels, 2, 3))
+        with pytest.raises(ContractError):
+            encode_batch(pixels, np.array([0, 10, 367]), pse, ltae)
 
     def test_matches_componentwise_path(self):
         # batched forward == per-date pse_forward + posenc + ltae_forward

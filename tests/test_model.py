@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,4 +72,27 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model)
         (tmp_path / "model.bin.json").unlink()
         with pytest.raises(DataFormatError, match="sidecar"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        "{not json",
+        "[]",
+        '{"variant": "single"}',
+        '{"dims": {"d1": 4}}',
+    ])
+    def test_malformed_sidecar(self, tiny_model, tmp_path, sidecar):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, tiny_model)
+        (tmp_path / "model.bin.json").write_text(sidecar)
+        with pytest.raises(DataFormatError, match="sidecar"):
+            load_checkpoint(path)
+
+    def test_unknown_dims_key(self, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, tiny_model)
+        side = tmp_path / "model.bin.json"
+        doc = json.loads(side.read_text())
+        doc["dims"]["width"] = 3
+        side.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="width"):
             load_checkpoint(path)
