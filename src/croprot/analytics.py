@@ -197,9 +197,12 @@ def export_embeddings(model, parcels, out_path, seed=0):
     draw = keyed_draws(seed, model.dims.sample_pixels)
     descriptors = encode_items(model, items, draw, EMBED_BATCH)
     d = model.dims.descriptor
+    # the bytes csv.writer (excel dialect) would write: "," between fields,
+    # "\r\n" after each row, and no field here needs quoting
+    header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
+    row = ",".join(["%d"] * 3 + ["%.6e"] * d) + "\r\n"
     with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)])
+        fh.write(",".join(header) + "\r\n")
         for p, y in items:
-            e = descriptors[(p.parcel_id, y)]
-            w.writerow([p.parcel_id, y, p.labels[y - 1]] + [f"{v:.6e}" for v in e])
+            fh.write(row % (p.parcel_id, y, p.labels[y - 1],
+                            *descriptors[(p.parcel_id, y)].tolist()))

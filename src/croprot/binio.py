@@ -1,0 +1,75 @@
+"""Little-endian reader shared by the three binary formats: `.rcds`
+datasets, `RCWT` checkpoints and `RCTT` transition tensors.
+
+The whole file is read into one writable buffer; fields are decoded with
+precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
+of that buffer (writable, native float32/float64 on little-endian hosts).
+Every read is bounds-checked and a malformed file raises `DataFormatError`
+naming the format and the offset.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+
+import numpy as np
+
+from .errors import DataFormatError
+
+U8 = struct.Struct("<B")
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
+_DTYPES = {code: np.dtype(code) for code in ("<u2", "<u4", "<f4", "<f8")}
+
+
+class Reader:
+    def __init__(self, path, kind):
+        self.kind = kind
+        self.offset = 0
+        with open(path, "rb") as fh:
+            self.size = os.fstat(fh.fileno()).st_size
+            self.buf = bytearray(self.size)
+            got = fh.readinto(self.buf)
+        if got != self.size:
+            raise DataFormatError(f"{kind} file {path} changed size while being read")
+
+    def _take(self, n, what):
+        """Start offset of the next `n` bytes; moves past them."""
+        start = self.offset
+        if start + n > self.size:
+            raise DataFormatError(
+                f"truncated {self.kind} file while reading {what} at offset "
+                f"{start}: {n} bytes needed, {self.size - start} left"
+            )
+        self.offset = start + n
+        return start
+
+    def raw(self, n, what):
+        start = self._take(n, what)
+        return bytes(self.buf[start:start + n])
+
+    def magic(self, expected, what="magic"):
+        got = self.raw(len(expected), what)
+        if got != expected:
+            raise DataFormatError(
+                f"bad {what} {got!r} at offset 0; expected {expected!r}"
+            )
+
+    def unpack(self, st, what):
+        return st.unpack_from(self.buf, self._take(st.size, what))
+
+    def array(self, code, count, what):
+        """`count` items of dtype `code` ("<u2", "<u4", "<f4", "<f8") as a
+        view of the buffer."""
+        dtype = _DTYPES[code]
+        return np.frombuffer(self.buf, dtype, count, self._take(dtype.itemsize * count, what))
+
+    def finish(self):
+        """Refuse bytes after the last record."""
+        extra = self.size - self.offset
+        if extra:
+            raise DataFormatError(
+                f"{extra} trailing bytes after the last record of the {self.kind} "
+                f"file at offset {self.offset}"
+            )

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataFormatError
+from .binio import U32, Reader
+from .errors import ContractError
 
 TENSOR_MAGIC = b"RCTT"
 
@@ -82,17 +83,11 @@ def load_transitions(path):
     path = str(path)
     with open(path + ".json") as fh:
         meta = json.load(fh)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TENSOR_MAGIC:
-            raise DataFormatError(
-                f"bad transition-tensor magic {magic!r}; expected {TENSOR_MAGIC!r}"
-            )
-        (L,) = struct.unpack("<I", fh.read(4))
-        buf = fh.read(8 * L * L * L)
-        if len(buf) != 8 * L * L * L:
-            raise DataFormatError("truncated transition tensor")
-        t = np.frombuffer(buf, dtype="<f8").reshape(L, L, L)
+    r = Reader(path, "RCTT")
+    r.magic(TENSOR_MAGIC, "transition-tensor magic")
+    (L,) = r.unpack(U32, "class count")
+    t = r.array("<f8", L * L * L, "transition tensor").reshape(L, L, L)
+    r.finish()
     return TransitionTensor(
-        t=t.copy(), alpha=meta["alpha"], triplet_count=meta["triplet_count"]
+        t=t, alpha=meta["alpha"], triplet_count=meta["triplet_count"]
     )

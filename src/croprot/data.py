@@ -9,11 +9,13 @@ plus a per-year global shift and i.i.d. noise.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .binio import U16, U32, Reader
 from .errors import ConfigError, ContractError, DataFormatError
 
 MAGIC = b"RCDS"
@@ -241,7 +243,9 @@ def sample_pixels(sample: PixelSetSample, s: int, rng) -> np.ndarray:
     if n_p >= s:
         idx = rng.choice(n_p, size=s, replace=False)
     else:
-        idx = rng.choice(n_p, size=s, replace=True)
+        # must draw what rng.choice(n_p, size=s, replace=True) draws, which
+        # is slower
+        idx = rng.integers(0, n_p, size=s)
     return sample.pixels[:, idx, :]
 
 
@@ -295,6 +299,8 @@ def save_dataset(path, parcels, num_classes, manifest=None):
     if channels > 0xFFFF or num_classes > 0xFFFF:
         raise DataFormatError("dataset dimensions overflow the header fields")
     for p in parcels:
+        if not np.isfinite(p.centroid).all():
+            raise DataFormatError(f"parcel {p.parcel_id}: non-finite centroid {p.centroid}")
         for s in p.samples:
             if not 0 <= s.label < num_classes:
                 raise DataFormatError(
@@ -331,81 +337,102 @@ def save_dataset(path, parcels, num_classes, manifest=None):
         fh.write("\n")
 
 
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-        self.offset = 0
+_HEADER = struct.Struct("<IIBHH")
+_PARCEL = struct.Struct("<Qdd")
 
-    def read(self, n, what):
-        buf = self.fh.read(n)
-        self.offset += len(buf)
-        if len(buf) != n:
-            raise DataFormatError(
-                f"truncated file while reading {what} at offset {self.offset}"
-            )
-        return buf
 
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+def _first_fault(headers, pixels, rows, days, num_years, num_classes):
+    """Message of the first fault among the walked samples, in file order,
+    or None.  `days` is every walked sample's days, concatenated.  Within a
+    sample the checks run in the order: finite pixels, label, days range,
+    days increasing."""
+    faults = []  # (sample index, rank of the check, message)
+    if pixels:
+        finite = np.isfinite(np.concatenate([p for p, _ in pixels], axis=None))
+        if not finite.all():
+            sizes = np.cumsum([p.size for p, _ in pixels])
+            k = int(np.searchsorted(sizes, np.argmin(finite), side="right"))
+            faults.append((k, 0, f"non-finite pixel value before offset {pixels[k][1]}"))
+    if rows:
+        labels = np.array([label for _, label, _ in rows])
+        if labels.max() >= num_classes:
+            k = int(np.argmax(labels >= num_classes))
+            faults.append((k, 1, f"label {labels[k]} >= num_classes {num_classes} "
+                                  f"at offset {rows[k][2]}"))
+        sample = np.repeat(np.arange(len(rows)), [d.size for d, _, _ in rows])
+        out = (days < 1) | (days > 366)
+        if out.any():
+            faults.append((int(sample[np.argmax(out)]), 2, "days must lie in [1, 366]"))
+        steps = (np.diff(days) <= 0) & (sample[1:] == sample[:-1])
+        if steps.any():
+            faults.append((int(sample[np.argmax(steps)]), 3,
+                           "days must be strictly increasing"))
+    if not faults:
+        return None
+    k, rank, msg = min(faults)
+    if rank >= 2:
+        msg = f"{msg} (before offset {rows[k][2]})"
+    return f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg}"
 
 
 def load_dataset(path):
     path = str(path)
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.read(4, "magic")
-        if magic != MAGIC:
-            raise DataFormatError(
-                f"bad magic {magic!r} at offset 0; expected {MAGIC!r}"
-            )
-        version, n_parcels, num_years, channels, num_classes = r.unpack(
-            "<IIBHH", "header"
-        )
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"unsupported format version {version}")
-        parcels = []
+    r = Reader(path, "RCDS")
+    r.magic(MAGIC)
+    version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"unsupported format version {version}")
+    # One walk over the records collects the parcel headers, each sample's
+    # (pixels, end offset) and (days, label, end offset); one vectorised
+    # pass then checks the values.  When the walk stops on a malformed
+    # record, a fault in an earlier sample is still the one reported, as a
+    # record-by-record check would.
+    headers, pixels, rows = [], [], []
+    walk_fault = None
+    try:
         for _ in range(n_parcels):
-            pid, cx, cy = r.unpack("<Qdd", "parcel header")
-            samples = []
-            for i in range(num_years):
-                (t,) = r.unpack("<H", "timestep count")
-                days = np.frombuffer(r.read(2 * t, "days"), dtype="<u2").astype(
-                    np.int64
-                )
-                (n_p,) = r.unpack("<I", "pixel count")
+            headers.append(r.unpack(_PARCEL, "parcel header"))
+            for _ in range(num_years):
+                (t,) = r.unpack(U16, "timestep count")
+                days = r.array("<u2", t, "days")
+                (n_p,) = r.unpack(U32, "pixel count")
                 if n_p < 1:
                     raise DataFormatError(
-                        f"degenerate parcel {pid} with no pixels "
+                        f"degenerate parcel {headers[-1][0]} with no pixels "
                         f"at offset {r.offset}"
                     )
-                raw = r.read(4 * channels * n_p * t, "pixels")
-                pix = np.frombuffer(raw, dtype="<f4").reshape(channels, n_p, t)
-                if not np.isfinite(pix).all():
-                    raise DataFormatError(
-                        f"parcel {pid}, year {i + 1}: non-finite pixel value "
-                        f"before offset {r.offset}"
-                    )
-                (label,) = r.unpack("<H", "label")
-                if label >= num_classes:
-                    raise DataFormatError(
-                        f"parcel {pid}, year {i + 1}: label {label} >= "
-                        f"num_classes {num_classes} at offset {r.offset}"
-                    )
-                sample = PixelSetSample(
-                    parcel_id=pid,
-                    year_index=i + 1,
-                    pixels=pix.copy(),
-                    days=days,
-                    label=int(label),
-                )
-                try:
-                    sample.validate()
-                except ContractError as exc:
-                    raise DataFormatError(
-                        f"parcel {pid}, year {i + 1}: {exc} (before offset {r.offset})"
-                    ) from None
-                samples.append(sample)
-            parcels.append(MultiYearParcel(int(pid), (cx, cy), samples))
+                pix = r.array("<f4", channels * n_p * t, "pixels")
+                pixels.append((pix.reshape(channels, n_p, t), r.offset))
+                (label,) = r.unpack(U16, "label")
+                rows.append((days, label, r.offset))
+    except DataFormatError as exc:
+        walk_fault = exc
+    all_days = np.concatenate([np.empty(0, "<u2")] + [d for d, _, _ in rows]).astype(np.int64)
+    fault = _first_fault(headers, pixels, rows, all_days, num_years, num_classes)
+    if fault:
+        raise DataFormatError(fault)
+    if walk_fault:
+        raise walk_fault
+    r.finish()
+    for pid, cx, cy in headers:
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
+    parcels = []
+    k = start = 0
+    for pid, cx, cy in headers:
+        samples = []
+        for i in range(num_years):
+            days, label, _ = rows[k]
+            samples.append(PixelSetSample(
+                parcel_id=pid,
+                year_index=i + 1,
+                pixels=pixels[k][0],
+                days=all_days[start:start + days.size],
+                label=label,
+            ))
+            start += days.size
+            k += 1
+        parcels.append(MultiYearParcel(pid, (cx, cy), samples))
     manifest = None
     try:
         with open(path + ".json") as fh:

@@ -8,17 +8,20 @@ little-endian float32 data.  A JSON sidecar records the architecture.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .binio import U8, U16, Reader
 from .encoders import EncoderDims, LtaeWeights, PseWeights
 from .errors import DataFormatError
 from .heads import HeadWeights
 
 CKPT_MAGIC = b"RCWT"
 CKPT_VERSION = 1
+_CKPT_HEADER = struct.Struct("<II")
 
 
 @dataclass
@@ -119,30 +122,31 @@ def load_checkpoint(path):
         )
     dims = ModelDims(**sidecar["dims"])
     model = CropModel(dims, sidecar["variant"])
+    r = Reader(path, "RCWT")
+    r.magic(CKPT_MAGIC, "checkpoint magic")
+    version, count = r.unpack(_CKPT_HEADER, "header")
+    if version != CKPT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint version {version}")
+    names = [name.encode() for name, _ in model.named_parameters()]
+    if count != len(names):
+        raise DataFormatError(
+            f"RCWT file holds {count} parameters; a {model.variant!r} model has {len(names)}"
+        )
     arrays = []
-    with open(path, "rb") as fh:
-        def read(n):
-            buf = fh.read(n)
-            if len(buf) != n:
-                raise DataFormatError("truncated checkpoint")
-            return buf
-
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
+    for want in names:
+        at = r.offset
+        (nlen,) = r.unpack(U16, "parameter name length")
+        name = r.raw(nlen, "parameter name")
+        if name != want:
             raise DataFormatError(
-                f"bad checkpoint magic {magic!r}; expected {CKPT_MAGIC!r}"
+                f"RCWT parameter name {name!r} at offset {at}; expected {want!r}"
             )
-        version, count = struct.unpack("<II", read(8))
-        if version != CKPT_VERSION:
-            raise DataFormatError(f"unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            read(nlen)  # name; order is canonical
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            arrays.append(
-                np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
-            )
+        (ndim,) = r.unpack(U8, "parameter rank")
+        shape = tuple(int(d) for d in r.array("<u4", ndim, "parameter shape"))
+        values = r.array("<f4", math.prod(shape), "parameter values")
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"RCWT parameter {want.decode()} holds non-finite values")
+        arrays.append(values.reshape(shape))
+    r.finish()
     model.load_state_arrays(arrays)
     return model

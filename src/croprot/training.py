@@ -153,7 +153,10 @@ def keyed_draws(seed, s):
     """Pixel draws fixed by (seed, parcel, year), whatever else is drawn."""
 
     def draw(parcel, year):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, parcel.parcel_id, year]))
+        # the generator np.random.default_rng returns, without its overhead
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([seed, parcel.parcel_id, year]))
+        )
         return sample_pixels(parcel.samples[year - 1], s, rng)
 
     return draw
@@ -166,16 +169,26 @@ def _encode(model, items, draws):
     return encode_batch(pixels, days, model.pse, model.ltae)
 
 
+def _refuse_non_finite(rows, items, what):
+    """ContractError naming the first item whose row is not all finite."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        p, y = items[int(np.argmax(bad))]
+        raise ContractError(f"non-finite {what} for parcel {p.parcel_id}, year {y}")
+
+
 def encode_items(model, items, draw, batch_size=256):
     """{(parcel_id, year): descriptor} of the items, each encoded once from
-    the pixels `draw(parcel, year)` returns.  Callers run it outside
-    `ad.recording`, so it records nothing on a tape."""
+    the pixels `draw(parcel, year)` returns; a non-finite descriptor is a
+    ContractError.  Callers run it outside `ad.recording`, so it records
+    nothing on a tape."""
     unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
     out = {}
     for group in _buckets(unique):
         for i in range(0, len(group), batch_size):
             chunk = group[i : i + batch_size]
             e = _encode(model, chunk, [draw(p, y) for p, y in chunk]).data
+            _refuse_non_finite(e, chunk, "descriptor")
             for (p, y), row in zip(chunk, e):
                 out[(p.parcel_id, y)] = row
     return out
@@ -370,7 +383,8 @@ def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
     Label-history variants consume ground-truth declarations of previous
     years unless explicit `histories` (keyed by (parcel_id, year)) are
     given.  "obs" averages the descriptors of the previous two years,
-    encoded with the same keyed draws."""
+    encoded with the same keyed draws.  Non-finite descriptors or logits
+    are a ContractError."""
     if not parcels:
         return []
     num_years = len(parcels[0].samples)
@@ -386,8 +400,9 @@ def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
             batch = group[i : i + batch_size]
             e = np.stack([descriptors[(p.parcel_id, y)] for p, y in batch])
             features = _batch_features(model, batch, None, histories, descriptors)
-            z = heads.decode(e, model.head, features)
-            for (p, y), logits in zip(batch, np.asarray(z.data)):
+            z = np.asarray(heads.decode(e, model.head, features).data)
+            _refuse_non_finite(z, batch, "logits")
+            for (p, y), logits in zip(batch, z):
                 records.append(
                     PredictionRecord(
                         parcel_id=p.parcel_id,

@@ -2,9 +2,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
 from croprot.model import CropModel, ModelDims
+
+
+# Property tests draw the same examples on every run; a test's own
+# @settings still override these.
+settings.register_profile("croprot", derandomize=True, max_examples=100, deadline=None)
+settings.load_profile("croprot")
 
 
 def tiny_dims(num_classes=4, variant_descriptor=8):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from croprot import analytics
+from croprot.data import SyntheticConfig, generate_synthetic
 from croprot.errors import ContractError
 from croprot.model import CropModel
 from croprot.training import PredictionRecord, encode_items, keyed_draws
@@ -233,6 +234,44 @@ class TestExports:
         path3 = tmp_path / "emb3.csv"
         analytics.export_embeddings(model, parcels, path3, seed=4)
         assert path.read_text() != path3.read_text()
+
+    def test_embedding_bytes(self, tmp_path):
+        # zero output weights make every descriptor the output bias, so the
+        # exact bytes are known: csv's excel dialect ("," and "\r\n") with
+        # each value printed as "%.6e"
+        dims = tiny_dims(num_classes=8)
+        model = CropModel(dims, "single", seed=0)
+        model.ltae.wo2.data[:] = 0
+        model.ltae.bo2.data[:] = [0.0, 1.0, -2.5, 1 / 3, 1e-30, 3.0e38, 123456.789, 1e-40]
+        parcels = generate_synthetic(SyntheticConfig(parcels=2, channels=3, seed=1))
+        path = tmp_path / "emb.csv"
+        analytics.export_embeddings(model, parcels, path, seed=3)
+        values = ("0.000000e+00,1.000000e+00,-2.500000e+00,3.333333e-01,"
+                  "1.000000e-30,3.000000e+38,1.234568e+05,9.999946e-41\r\n")
+        assert path.read_bytes().decode() == (
+            "parcel_id,year,label,e0,e1,e2,e3,e4,e5,e6,e7\r\n"
+            + "".join(f"{pid},{y},{label},{values}" for pid, y, label in
+                      [(0, 1, 6), (0, 2, 5), (0, 3, 7), (1, 1, 2), (1, 2, 3), (1, 3, 4)])
+        )
+
+    def test_embedding_rows_as_csv_writer_prints_them(self, tmp_path, small_dataset):
+        ds, cfg = small_dataset
+        dims = tiny_dims(num_classes=cfg.num_classes)
+        dims.channels = cfg.channels
+        model = CropModel(dims, "single", seed=0)
+        parcels = ds.parcels[:10]
+        path = tmp_path / "emb.csv"
+        analytics.export_embeddings(model, parcels, path, seed=3)
+        items = [(p, y) for p in parcels for y in (1, 2, 3)]
+        want = encode_items(model, items, keyed_draws(3, dims.sample_pixels))
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["parcel_id", "year", "label"] + [f"e{i}" for i in range(dims.descriptor)])
+            for p, y in items:
+                w.writerow([p.parcel_id, y, p.labels[y - 1]]
+                           + [f"{v:.6e}" for v in want[(p.parcel_id, y)]])
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_embeddings_match_encoded_descriptors(self, tmp_path, small_dataset):
         # the CSV rows are the descriptors `predict` decodes, up to the

@@ -279,15 +279,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "width" in err
 
-    def test_non_finite_loss_is_contract_error(self, workdir, tmp_path, capsys):
-        # finite pixels large enough that the encoder overflows to inf/NaN
-        _, cfg, dataset, folds, _, _ = workdir
+    @staticmethod
+    def _huge_dataset(dataset, tmp_path):
+        """The dataset with finite pixels large enough that the encoder
+        overflows to inf/NaN."""
         ds = load_dataset(dataset)
         for p in ds.parcels:
             for s in p.samples:
                 s.pixels = s.pixels * np.float32(1e37)
         huge = tmp_path / "huge.rcds"
         save_dataset(huge, ds.parcels, ds.num_classes)
+        return huge
+
+    def test_non_finite_loss_is_contract_error(self, workdir, tmp_path, capsys):
+        _, cfg, dataset, folds, _, _ = workdir
+        huge = self._huge_dataset(dataset, tmp_path)
         capsys.readouterr()
         with np.errstate(over="ignore", invalid="ignore"):
             code = main([
@@ -297,3 +303,18 @@ class TestPipeline:
         assert code == 4
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "non-finite training loss" in err
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_non_finite_inference_is_contract_error(self, workdir, tmp_path, capsys, command):
+        _, _, dataset, folds, train_out, _ = workdir
+        huge = self._huge_dataset(dataset, tmp_path)
+        argv = [command, "--checkpoint", str(train_out / "checkpoint_fold0.bin"),
+                "--dataset", str(huge), "--out", str(tmp_path / "o")]
+        if command == "eval":
+            argv += ["--folds", str(folds), "--fold", "0"]
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite descriptor for parcel" in err
+        assert not (tmp_path / "o").exists()

@@ -136,3 +136,18 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(DataFormatError, match="truncated"):
             load_transitions(path)
+
+    def test_truncated_class_count(self, tmp_path):
+        # a file cut inside the 4-byte class count
+        path = tmp_path / "trans.bin"
+        save_transitions(path, estimate_transitions([], 2))
+        path.write_bytes(b"RCTT\x02")
+        with pytest.raises(DataFormatError, match="truncated RCTT file.*class count"):
+            load_transitions(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "trans.bin"
+        save_transitions(path, estimate_transitions([], 2))
+        path.write_bytes(path.read_bytes() + b"\x01" * 8)
+        with pytest.raises(DataFormatError, match="8 trailing bytes.*RCTT"):
+            load_transitions(path)

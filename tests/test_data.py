@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from croprot.data import (
+    PixelSetSample,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -118,6 +119,20 @@ class TestSamplePixels:
         source = {s.pixels[:, i, :].tobytes() for i in range(7)}
         for i in range(3):
             assert drawn[:, i, :].tobytes() in source
+
+    @pytest.mark.parametrize("s", [4, 8, 16, 32])
+    def test_with_replacement_draws_are_choices(self, s):
+        # the with-replacement branch must keep rng.choice(..., replace=True)'s
+        # stream: the same columns and the same generator state afterwards
+        for n_p in range(1, s):
+            sample = PixelSetSample(0, 1, np.arange(2 * n_p * 3, dtype=np.float32)
+                                    .reshape(2, n_p, 3), np.array([1, 2, 3]), 0)
+            got_rng, want_rng = np.random.default_rng(n_p), np.random.default_rng(n_p)
+            for _ in range(3):
+                idx = want_rng.choice(n_p, size=s, replace=True)
+                drawn = sample_pixels(sample, s, got_rng)
+                assert np.array_equal(drawn, sample.pixels[:, idx, :])
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_draw_means_converge(self):
         s = self._sample(n_p=10, seed=4)
@@ -255,4 +270,64 @@ class TestFileFormat:
         path = tmp_path / "ds.rcds"
         path.write_bytes(one_sample_file(days=days))
         with pytest.raises(DataFormatError, match="days"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ds.rcds"
+        save_dataset(path, generate_synthetic(SyntheticConfig(parcels=2, seed=0)), 8)
+        path.write_bytes(path.read_bytes() + b"junk!!!")
+        with pytest.raises(DataFormatError, match="7 trailing bytes.*RCDS"):
+            load_dataset(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(b"RCDS\x01")
+        with pytest.raises(DataFormatError, match="truncated RCDS file.*header.*offset 4"):
+            load_dataset(path)
+
+    def test_non_finite_centroid_rejected(self, tmp_path):
+        raw = bytearray(one_sample_file())
+        raw[25:33] = struct.pack("<d", np.nan)  # the centroid's x
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="centroid"):
+            load_dataset(path)
+        parcels = generate_synthetic(SyntheticConfig(parcels=2, seed=0))
+        parcels[1].centroid = (np.inf, 3.0)
+        with pytest.raises(DataFormatError, match="centroid"):
+            save_dataset(path, parcels, 8)
+
+    def test_loaded_arrays(self, tmp_path):
+        path = tmp_path / "ds.rcds"
+        save_dataset(path, generate_synthetic(SyntheticConfig(parcels=3, seed=2)), 8)
+        for p in load_dataset(path).parcels:
+            for s in p.samples:
+                assert s.pixels.dtype == np.float32 and s.pixels.flags.c_contiguous
+                assert s.days.dtype == np.int64
+                assert isinstance(s.label, int) and isinstance(s.parcel_id, int)
+
+    @staticmethod
+    def _two_samples(first, second):
+        """A one-parcel, two-year file from two one_sample_file records."""
+        head = 4 + struct.calcsize("<IIBHH") + struct.calcsize("<Qdd")
+        raw = bytearray(one_sample_file(**first))
+        raw[12] = 2  # num_years
+        return bytes(raw) + one_sample_file(**second)[head:]
+
+    @pytest.mark.parametrize("first, cut, match", [
+        # a fault of the first year wins over a truncated second year
+        ({"days": (10, 30, 20, 40)}, 1, "year 1: days must be strictly increasing"),
+        ({"label": 5}, 3, "year 1: label 5"),
+        # within a year, non-finite pixels are reported before a truncated label
+        ({}, 1, "year 2: non-finite"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, first, cut, match):
+        raw = self._two_samples(first, {"pixels": [0.0, np.nan, 0.0, 0.0]})
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(raw[:len(raw) - cut])
+        with pytest.raises(DataFormatError, match=match):
+            load_dataset(path)
+        # without the other faults, the truncation is reported
+        path.write_bytes(self._two_samples({}, {})[:-cut])
+        with pytest.raises(DataFormatError, match="truncated RCDS file"):
             load_dataset(path)

@@ -96,3 +96,35 @@ class TestCheckpoint:
         side.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="width"):
             load_checkpoint(path)
+
+    def test_trailing_bytes(self, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, tiny_model)
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(DataFormatError, match="3 trailing bytes.*RCWT"):
+            load_checkpoint(path)
+
+    def test_parameter_names_checked(self, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, tiny_model)
+        raw = path.read_bytes()
+        # same length, so the rest of the file still parses
+        path.write_bytes(raw.replace(b"ltae.wo1", b"ltae.wo9"))
+        with pytest.raises(DataFormatError, match="RCWT parameter name b'ltae.wo9'.*ltae.wo1"):
+            load_checkpoint(path)
+
+    def test_parameter_count_checked(self, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, tiny_model)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (len(tiny_model.parameters()) - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="RCWT file holds 16 parameters"):
+            load_checkpoint(path)
+
+    def test_non_finite_weights_refused(self, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        tiny_model.head.b2.data[0] = np.inf  # the last parameter
+        save_checkpoint(path, tiny_model)
+        with pytest.raises(DataFormatError, match="RCWT parameter head.b2 holds non-finite"):
+            load_checkpoint(path)

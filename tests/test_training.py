@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad, heads
-from croprot.data import Dataset, SyntheticConfig, generate_synthetic, make_folds
+from croprot.data import (
+    Dataset,
+    MultiYearParcel,
+    PixelSetSample,
+    SyntheticConfig,
+    generate_synthetic,
+    make_folds,
+    sample_pixels,
+)
 from croprot.errors import ContractError
 from croprot.model import CropModel
 from croprot.training import (
@@ -199,6 +207,25 @@ class TestPredict:
         _, model = trained
         assert predict(model, []) == []
 
+    def test_non_finite_descriptor_refused(self, trained):
+        # finite pixels large enough that the pixel MLP overflows
+        ds, model = trained
+        p = ds.parcels[3]
+        huge = MultiYearParcel(p.parcel_id, p.centroid, [
+            PixelSetSample(s.parcel_id, s.year_index, s.pixels * np.float32(1e37),
+                           s.days, s.label) for s in p.samples])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractError, match=f"non-finite descriptor for parcel {p.parcel_id}"):
+                predict(model, ds.parcels[:3] + [huge])
+
+    def test_non_finite_logits_refused(self, trained):
+        ds, model = trained
+        broken = CropModel(model.dims, model.variant)
+        broken.load_state_arrays(model.state_arrays())
+        broken.head.b2.data[1] = np.nan
+        with pytest.raises(ContractError, match="non-finite logits for parcel"):
+            predict(broken, ds.parcels[:4])
+
 
 class TestEncodeItems:
     @pytest.fixture()
@@ -229,6 +256,14 @@ class TestEncodeItems:
         a = encode_items(model, items, keyed_draws(0, model.dims.sample_pixels))
         b = encode_items(model, items, keyed_draws(1, model.dims.sample_pixels))
         assert any(not np.array_equal(a[k], b[k]) for k in a)
+
+    def test_keyed_draws_are_default_rng_draws(self, setup):
+        _, items = setup
+        for s in (4, 16):  # without and with replacement
+            draw = keyed_draws(9, s)
+            for p, y in items:
+                rng = np.random.default_rng(np.random.SeedSequence([9, p.parcel_id, y]))
+                assert np.array_equal(draw(p, y), sample_pixels(p.samples[y - 1], s, rng))
 
     def test_each_item_encoded_once(self, setup):
         model, items = setup
