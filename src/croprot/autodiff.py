@@ -60,6 +60,16 @@ def parameter(data, tape, dtype=None):
     return Tensor(data, tape=tape, param=True, dtype=dtype)
 
 
+class Parameters:
+    """A group of parameter Tensors held as attributes; NAMES lists the
+    attributes in parameter order."""
+
+    NAMES = ()
+
+    def parameters(self):
+        return [getattr(self, name) for name in self.NAMES]
+
+
 def _result(data, inputs, backward_fn):
     tape = None
     for t in inputs:
@@ -161,6 +171,29 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, [x], bwd)
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu=False) -> Tensor:
+    """x @ w + b, then max(., 0) if `relu`, in one buffer; bitwise equal to
+    relu(add_bias(matmul(x, w), b)) forward and backward."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, {b.data.shape}"
+        )
+    if x.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(f"dense: inner dims {x.data.shape[1]} != {w.data.shape[0]}")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.maximum(out, 0, out=out)
+    dtype = out.dtype
+
+    def bwd(g):
+        if relu:
+            g = g * (out > 0)
+        return [g @ w.data.T, x.data.T @ g, g.sum(axis=0, dtype=np.float64).astype(dtype)]
+
+    return _result(out, [x, w, b], bwd)
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     orig = x.data.shape
@@ -238,25 +271,69 @@ def mean_all(x: Tensor) -> Tensor:
     return _result(out, [x], bwd)
 
 
-def mean_std_pool(x: Tensor, axis) -> Tensor:
-    """Pool (mean || std) over one axis; the two halves concatenate on the
-    pooled axis' position.  Population std; zero-variance slices pool to 0
-    with a zero gradient."""
-    n = x.data.shape[axis]
-    dtype = x.data.dtype
-    mean = x.data.mean(axis=axis, dtype=np.float64)
-    centered = x.data - np.expand_dims(mean.astype(dtype), axis)
-    var = np.square(centered).mean(axis=axis, dtype=np.float64)
+def _runs(sizes):
+    """(segment slice, row slice, segment size) of each run of consecutive
+    equal-size segments."""
+    edges = np.flatnonzero(np.diff(sizes)) + 1
+    r0 = 0
+    for g0, g1 in zip([0, *edges], [*edges, sizes.size]):
+        k = int(sizes[g0])
+        r1 = r0 + (g1 - g0) * k
+        yield slice(g0, g1), slice(r0, r1), k
+        r0 = r1
+
+
+def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
+    """Pool (mean || std) over segments of rows: x is (R, d), segment g is
+    the next `sizes[g]` rows, and row r stands for `counts[r]` copies of
+    itself.  Returns (G, 2d): each segment pooled as if its rows were
+    repeated by their counts.  Population std; a zero-variance segment
+    pools to 0 with a zero gradient for its std half.
+
+    Sums accumulate in float64, each segment adding its weighted rows one
+    by one in row order: a run of equal-size segments is one (n, k, d)
+    einsum, which reduces its middle axis in that order."""
+    data = x.data
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if data.ndim != 2 or sizes.ndim != 1 or counts.shape != data.shape[:1]:
+        raise DimensionError(
+            f"mean_std_pool: x {data.shape}, sizes {sizes.shape}, counts {counts.shape}"
+        )
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != data.shape[0]:
+        raise DimensionError("mean_std_pool: segment sizes must be positive and cover x")
+    if counts.min() < 1:
+        raise ContractError("mean_std_pool: row counts must be positive")
+    dtype = data.dtype
+    d = data.shape[1]
+    runs = list(_runs(sizes))
+    weights = counts.astype(np.float64)
+    n = np.add.reduceat(counts, np.cumsum(sizes) - sizes)[:, None]
+    mean = np.empty((sizes.size, d))
+    var = np.empty((sizes.size, d))
+    centered = np.empty_like(data)
+    for segs, rows, k in runs:
+        block = data[rows].reshape(-1, k, d)
+        w = weights[rows].reshape(-1, k)
+        mean[segs] = np.einsum("gkd,gk->gd", block, w) / n[segs]
+        c = centered[rows].reshape(-1, k, d)
+        np.subtract(block, mean[segs].astype(dtype)[:, None, :], out=c)
+        var[segs] = np.einsum("gkd,gk->gd", np.square(c), w) / n[segs]
     std = np.sqrt(var)
     out = np.concatenate([mean, std], axis=-1).astype(dtype)
     safe = np.where(std > 0, std, 1.0).astype(dtype)
-    mean = mean.astype(dtype)
-    std32 = std.astype(dtype)
+    n = n.astype(dtype)
 
     def bwd(g):
         gm, gs = np.split(g, 2, axis=-1)
-        gx = np.broadcast_to(np.expand_dims(gm / n, axis), x.data.shape).copy()
-        gx += np.expand_dims(gs / (n * safe), axis) * centered
+        gm = gm / n
+        gs = gs / (n * safe)
+        gx = np.empty_like(centered)
+        for segs, rows, k in runs:
+            block = gx[rows].reshape(-1, k, d)
+            block[...] = gm[segs, None, :]
+            block += gs[segs, None, :] * centered[rows].reshape(-1, k, d)
+        gx *= counts[:, None].astype(dtype)
         return [gx]
 
     return _result(out, [x], bwd)

@@ -279,6 +279,10 @@ def cmd_train(args):
             per_year[str(year)] = {"oa": oa, "miou": miou}
         report["folds"][str(fr.fold)] = {
             "best_epoch": fr.best_epoch,
+            "epoch_log": [
+                {"epoch": epoch, "train_loss": loss, "val_miou": miou}
+                for epoch, loss, miou in fr.epoch_log
+            ],
             "test_by_year": per_year,
         }
     _write_json(os.path.join(args.out, "run_report.json"), report)

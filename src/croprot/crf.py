@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import U32, Reader
-from .errors import ContractError
+from .errors import ContractError, DataFormatError
 
 TENSOR_MAGIC = b"RCTT"
 
@@ -80,14 +80,37 @@ def save_transitions(path, transitions: TransitionTensor):
 
 
 def load_transitions(path):
+    """Read a transition tensor and its sidecar; a sidecar that is not JSON
+    or lacks alpha/triplet_count, or a tensor that is not a probability
+    table (finite, non-negative, each (a, b) row summing to 1 within 1e-9),
+    is a DataFormatError."""
     path = str(path)
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
+    try:
+        with open(path + ".json") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise DataFormatError(f"missing transition-tensor sidecar {path}.json")
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(
+            f"transition-tensor sidecar {path}.json is not JSON: {exc}"
+        ) from None
+    if not (isinstance(meta, dict) and "alpha" in meta and "triplet_count" in meta):
+        raise DataFormatError(
+            f"transition-tensor sidecar {path}.json needs the keys alpha and triplet_count"
+        )
     r = Reader(path, "RCTT")
     r.magic(TENSOR_MAGIC, "transition-tensor magic")
     (L,) = r.unpack(U32, "class count")
     t = r.array("<f8", L * L * L, "transition tensor").reshape(L, L, L)
     r.finish()
+    if not np.isfinite(t).all() or (t < 0).any():
+        raise DataFormatError(f"RCTT tensor {path} holds non-finite or negative entries")
+    off = np.abs(t.sum(axis=2) - 1.0) > 1e-9
+    if off.any():
+        a, b = np.argwhere(off)[0]
+        raise DataFormatError(
+            f"RCTT tensor {path}: row ({a}, {b}) sums to {t[a, b].sum()!r}, not 1"
+        )
     return TransitionTensor(
         t=t, alpha=meta["alpha"], triplet_count=meta["triplet_count"]
     )

@@ -236,17 +236,27 @@ def generate_synthetic(config: SyntheticConfig):
 
 def sample_pixels(sample: PixelSetSample, s: int, rng) -> np.ndarray:
     """Draw S pixel columns, shared across all dates; with replacement only
-    when the parcel has fewer than S pixels.  Returns (C, S, T)."""
+    when the parcel has fewer than S pixels.  Returns the (S,) column
+    indices into `sample.pixels`, in draw order."""
     if s < 1:
         raise ContractError("need at least one sampled pixel")
     n_p = sample.n_pixels
     if n_p >= s:
-        idx = rng.choice(n_p, size=s, replace=False)
-    else:
-        # must draw what rng.choice(n_p, size=s, replace=True) draws, which
-        # is slower
-        idx = rng.integers(0, n_p, size=s)
-    return sample.pixels[:, idx, :]
+        return rng.choice(n_p, size=s, replace=False)
+    # must draw what rng.choice(n_p, size=s, replace=True) draws, which
+    # is slower
+    return rng.integers(0, n_p, size=s)
+
+
+def distinct_columns(columns):
+    """(columns, counts): each drawn column once and how often it was
+    drawn.  A draw without repeats comes back as drawn, in draw order;
+    otherwise the columns are in increasing order."""
+    tally = np.bincount(columns)
+    if tally.max() == 1:
+        return columns, np.ones(len(columns), dtype=np.int64)
+    kept = np.flatnonzero(tally)
+    return kept, tally[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +321,18 @@ def save_dataset(path, parcels, num_classes, manifest=None):
                 raise DataFormatError(
                     f"parcel {p.parcel_id}, year {s.year_index}: non-finite pixel value"
                 )
+            s.validate()
+            if s.pixels.shape[1] > 0xFFFFFFFF:
+                raise DataFormatError("sample dimensions overflow the format")
+    # every check runs before the file is opened: a refused dataset leaves
+    # no partial file behind
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIBHH", FORMAT_VERSION, len(parcels), num_years, channels, num_classes))
         for p in parcels:
             fh.write(struct.pack("<Qdd", p.parcel_id, p.centroid[0], p.centroid[1]))
             for s in p.samples:
-                s.validate()
                 c, n_p, t = s.pixels.shape
-                if t > 0xFFFF or n_p > 0xFFFFFFFF or s.label > 0xFFFF:
-                    raise DataFormatError("sample dimensions overflow the format")
                 fh.write(struct.pack("<H", t))
                 fh.write(np.asarray(s.days, dtype="<u2").tobytes())
                 fh.write(struct.pack("<I", n_p))

@@ -2,6 +2,9 @@
 
 The pixel-set encoder maps a (C, S) spectral pixel set through a shared
 per-pixel MLP, pools (mean || std) over pixels, and applies a second MLP.
+A drawn set is given as columns of the parcel's pixels with draw counts,
+so a column drawn several times runs through the MLP once and is
+weighted by its count in the pool.
 The temporal encoder attends over the dated sequence of pooled vectors
 with per-head learned queries and channel-grouped values, then maps the
 weighted sum to the final year descriptor.
@@ -51,8 +54,10 @@ def _affine(rng, fan_in, fan_out, dtype):
     return ad.parameter(w, None, dtype=dtype), ad.parameter(b, None, dtype=dtype)
 
 
-class PseWeights:
+class PseWeights(ad.Parameters):
     """Per-pixel MLP (C -> d1, two layers) + post-pooling MLP (2*d1 -> d2)."""
+
+    NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
     def __init__(self, dims: EncoderDims, rng, dtype=np.float32):
         self.dims = dims
@@ -60,12 +65,11 @@ class PseWeights:
         self.w2, self.b2 = _affine(rng, dims.d1, dims.d1, dtype)
         self.w3, self.b3 = _affine(rng, 2 * dims.d1, dims.d2, dtype)
 
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-
-class LtaeWeights:
+class LtaeWeights(ad.Parameters):
     """Key projection, per-head master queries, output MLP (d2 -> descriptor)."""
+
+    NAMES = ("wk", "bk", "query", "wo1", "bo1", "wo2", "bo2")
 
     def __init__(self, dims: EncoderDims, rng, dtype=np.float32):
         dims.validate()
@@ -77,9 +81,6 @@ class LtaeWeights:
         )
         self.wo1, self.bo1 = _affine(rng, dims.d2, dims.out_hidden, dtype)
         self.wo2, self.bo2 = _affine(rng, dims.out_hidden, dims.descriptor, dtype)
-
-    def parameters(self):
-        return [self.wk, self.bk, self.query, self.wo1, self.bo1, self.wo2, self.bo2]
 
 
 def positional_encoding(day, d, tau=POSENC_TAU):
@@ -115,33 +116,14 @@ def positional_encoding_matrix(days, d, tau=POSENC_TAU):
 
 
 def _pixel_mlp(flat: ad.Tensor, pse: PseWeights) -> ad.Tensor:
-    h = ad.relu(ad.add_bias(ad.matmul(flat, pse.w1), pse.b1))
-    return ad.relu(ad.add_bias(ad.matmul(h, pse.w2), pse.b2))
-
-
-def pse_forward(x_t, pse: PseWeights) -> ad.Tensor:
-    """Encode one (C, S) pixel set into a d2 vector; invariant to any
-    permutation of the S pixels."""
-    x = np.asarray(x_t.data if isinstance(x_t, ad.Tensor) else x_t)
-    if not np.all(np.isfinite(x)):
-        raise ContractError("pse_forward: non-finite input")
-    c, s = x.shape
-    flat = ad.Tensor(np.ascontiguousarray(x.T), dtype=pse.w1.data.dtype)  # (S, C)
-    per_pixel = _pixel_mlp(flat, pse)
-    pooled = ad.mean_std_pool(per_pixel, axis=0)  # (2*d1,)
-    out = ad.relu(
-        ad.add_bias(ad.matmul(ad.reshape(pooled, (1, 2 * pse.dims.d1)), pse.w3), pse.b3)
-    )
-    return ad.reshape(out, (pse.dims.d2,))
+    h = ad.dense(flat, pse.w1, pse.b1, relu=True)
+    return ad.dense(h, pse.w2, pse.b2, relu=True)
 
 
 def _attention(e_flat: ad.Tensor, b, t, ltae: LtaeWeights):
     """e_flat is (B*T, d2); returns context (B, d2) and weights (B, H, T)."""
     dims = ltae.dims
-    keys = ad.reshape(
-        ad.add_bias(ad.matmul(e_flat, ltae.wk), ltae.bk),
-        (b, t, dims.heads, dims.d_k),
-    )
+    keys = ad.reshape(ad.dense(e_flat, ltae.wk, ltae.bk), (b, t, dims.heads, dims.d_k))
     scores = ad.scale(
         ad.einsum2("bthk,hk->bht", keys, ltae.query), 1.0 / math.sqrt(dims.d_k)
     )
@@ -152,57 +134,51 @@ def _attention(e_flat: ad.Tensor, b, t, ltae: LtaeWeights):
 
 
 def _out_mlp(ctx: ad.Tensor, ltae: LtaeWeights) -> ad.Tensor:
-    h = ad.relu(ad.add_bias(ad.matmul(ctx, ltae.wo1), ltae.bo1))
-    return ad.add_bias(ad.matmul(h, ltae.wo2), ltae.bo2)
+    return ad.dense(ad.dense(ctx, ltae.wo1, ltae.bo1, relu=True), ltae.wo2, ltae.bo2)
 
 
-def ltae_forward(seq, days, ltae: LtaeWeights, return_attention=False):
-    """Summarize a sequence of T vectors (d2 each) into one descriptor.
+def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights):
+    """Encode a batch of B pixel-set draws into the (B, descriptor) Tensor
+    of year descriptors.
 
-    `seq` entries are d2-dim Tensors or arrays that already include any
-    positional information; per head the attention weights over the T
-    entries sum to 1.
+    sets: B pixel arrays (C, N_b, T).  columns, counts: (B, S) integer
+    arrays; item b drew column columns[b, j] of sets[b] counts[b, j] times
+    (a count of 0 marks padding), and each row of counts sums to the draw
+    size S.  days: (B, T) or (T,) day-of-year array.  The per-pixel MLP
+    runs once per kept column and date, and the pool weights each row by
+    its count, so the result is the encoding of the S drawn pixels.
     """
-    if len(seq) == 0:
-        raise ContractError("ltae_forward: empty sequence")
-    if len(seq) != len(days):
-        raise ContractError("ltae_forward: len(seq) != len(days)")
-    t = len(seq)
-    rows = [
-        ad.reshape(s if isinstance(s, ad.Tensor) else ad.Tensor(s), (1, ltae.dims.d2))
-        for s in seq
-    ]
-    e_flat = ad.concat(rows, axis=0)  # (T, d2)
-    ctx, attn = _attention(e_flat, 1, t, ltae)
-    out = ad.reshape(_out_mlp(ctx, ltae), (ltae.dims.descriptor,))
-    if return_attention:
-        return out, ad.reshape(attn, (ltae.dims.heads, t))
-    return out
-
-
-def encode_batch(pixels, days, pse: PseWeights, ltae: LtaeWeights):
-    """Encode a batch of sampled pixel sets.
-
-    pixels: (B, C, S, T) array; days: (B, T) or (T,) day-of-year array.
-    Returns the (B, descriptor) Tensor of year descriptors.
-    """
-    b, c, s, t = pixels.shape
+    columns = np.asarray(columns)
+    counts = np.asarray(counts)
+    b, s = columns.shape
+    if counts.shape != (b, s) or len(sets) != b:
+        raise ContractError(
+            f"encode_batch: columns {columns.shape}, counts {counts.shape}, "
+            f"{len(sets)} pixel sets"
+        )
+    if counts.min(initial=0) < 0 or np.any(counts.sum(axis=1) != s):
+        raise ContractError(f"encode_batch: counts must be >= 0 and sum to {s} per item")
     days = np.asarray(days)
+    t = days.shape[-1]
     if days.ndim == 1:
         days = np.broadcast_to(days, (b, t))
+    c = pse.dims.channels
+    keep = counts > 0
+    blocks = []
+    for x, cols, kept in zip(sets, columns, keep):
+        if x.shape[0] != c or x.shape[2] != t:
+            raise ContractError(f"encode_batch: pixel set {x.shape}, expected ({c}, N, {t})")
+        # (T, N, C) -> the kept columns of every date: (T * k_b, C)
+        blocks.append(np.take(x.T, cols[kept], axis=1).reshape(-1, c))
     dtype = pse.w1.data.dtype
-    # (B, C, S, T) -> (B*T*S, C)
-    flat = ad.Tensor(
-        np.ascontiguousarray(np.transpose(pixels, (0, 3, 2, 1))).reshape(-1, c),
-        dtype=dtype,
-    )
-    per_pixel = _pixel_mlp(flat, pse)
-    pooled = ad.mean_std_pool(
-        ad.reshape(per_pixel, (b, t, s, pse.dims.d1)), axis=2
-    )  # (B, T, 2*d1)
-    e = ad.relu(
-        ad.add_bias(ad.matmul(ad.reshape(pooled, (b * t, 2 * pse.dims.d1)), pse.w3), pse.b3)
-    )
+    flat = ad.Tensor(np.concatenate(blocks).astype(dtype, copy=False))
+    # one segment of k_b rows per (item, date), each row weighted by its count
+    weights = np.broadcast_to(counts[:, None, :], (b, t, s))[
+        np.broadcast_to(keep[:, None, :], (b, t, s))
+    ]
+    sizes = np.repeat(keep.sum(axis=1), t)
+    pooled = ad.mean_std_pool(_pixel_mlp(flat, pse), sizes, weights)  # (B*T, 2*d1)
+    e = ad.dense(pooled, pse.w3, pse.b3, relu=True)
     pe = positional_encoding_matrix(days.reshape(-1), pse.dims.d2).astype(dtype)
     e = ad.add(e, ad.Tensor(pe))
     ctx, _ = _attention(e, b, t, ltae)

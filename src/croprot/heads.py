@@ -90,8 +90,10 @@ def history_feature(variant, h: LabelHistory):
     raise ConfigError(f"variant {variant!r} takes no label history")
 
 
-class HeadWeights:
+class HeadWeights(ad.Parameters):
     """Two-layer decoder MLP: (descriptor + feature) -> hidden -> L."""
+
+    NAMES = ("w1", "b1", "w2", "b2")
 
     def __init__(self, variant, num_classes, descriptor_dim, hidden, rng, dtype=np.float32):
         if variant not in VARIANTS:
@@ -105,9 +107,6 @@ class HeadWeights:
         self.b1 = ad.parameter(rng.uniform(-lim1, lim1, hidden), None, dtype=dtype)
         self.w2 = ad.parameter(rng.uniform(-lim2, lim2, (hidden, num_classes)), None, dtype=dtype)
         self.b2 = ad.parameter(rng.uniform(-lim2, lim2, num_classes), None, dtype=dtype)
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 def decode(e, head: HeadWeights, feature=None):
@@ -136,8 +135,7 @@ def decode(e, head: HeadWeights, feature=None):
         raise ContractError(
             f"decoder input dim {x.data.shape[1]} != expected {head.input_dim}"
         )
-    h = ad.relu(ad.add_bias(ad.matmul(x, head.w1), head.b1))
-    z = ad.add_bias(ad.matmul(h, head.w2), head.b2)
+    z = ad.dense(ad.dense(x, head.w1, head.b1, relu=True), head.w2, head.b2)
     if single_input:
         return ad.reshape(z, (head.num_classes,))
     return z

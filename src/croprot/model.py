@@ -54,15 +54,17 @@ class CropModel:
             variant, dims.num_classes, dims.descriptor, dims.head_hidden, rng, dtype=dtype
         )
 
-    def parameters(self):
-        return self.pse.parameters() + self.ltae.parameters() + self.head.parameters()
-
     def named_parameters(self):
-        names = ["pse.w1", "pse.b1", "pse.w2", "pse.b2", "pse.w3", "pse.b3",
-                 "ltae.wk", "ltae.bk", "ltae.query", "ltae.wo1", "ltae.bo1",
-                 "ltae.wo2", "ltae.bo2",
-                 "head.w1", "head.b1", "head.w2", "head.b2"]
-        return list(zip(names, self.parameters()))
+        """(name, Tensor) pairs in checkpoint order: "<part>.<attribute>"
+        for the parts pse, ltae and head, each in its NAMES order."""
+        return [
+            (f"{prefix}.{name}", getattr(part, name))
+            for prefix, part in (("pse", self.pse), ("ltae", self.ltae), ("head", self.head))
+            for name in part.NAMES
+        ]
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
 
     def state_arrays(self):
         return [np.array(p.data) for p in self.parameters()]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, autodiff as ad, heads
-from .data import sample_pixels
+from .data import distinct_columns, sample_pixels
 from .encoders import encode_batch
 from .errors import ContractError
 from .model import CropModel, ModelDims
@@ -150,7 +150,8 @@ def _buckets(items):
 
 
 def keyed_draws(seed, s):
-    """Pixel draws fixed by (seed, parcel, year), whatever else is drawn."""
+    """Pixel draws fixed by (seed, parcel, year), whatever else is drawn:
+    `draw(parcel, year)` returns the drawn columns."""
 
     def draw(parcel, year):
         # the generator np.random.default_rng returns, without its overhead
@@ -162,11 +163,14 @@ def keyed_draws(seed, s):
     return draw
 
 
-def _encode(model, items, draws):
-    """Descriptor Tensor (B, descriptor) of a same-(year, T) batch."""
-    pixels = np.stack(draws)
-    days = np.stack([p.samples[y - 1].days for p, y in items])
-    return encode_batch(pixels, days, model.pse, model.ltae)
+def _encode(model, items, columns, counts):
+    """Descriptor Tensor (B, descriptor) of a same-(year, T) batch drawn
+    as `encode_batch` takes it."""
+    samples = [p.samples[y - 1] for p, y in items]
+    days = np.stack([s.days for s in samples])
+    return encode_batch(
+        columns, counts, [s.pixels for s in samples], days, model.pse, model.ltae
+    )
 
 
 def _refuse_non_finite(rows, items, what):
@@ -179,15 +183,26 @@ def _refuse_non_finite(rows, items, what):
 
 def encode_items(model, items, draw, batch_size=256):
     """{(parcel_id, year): descriptor} of the items, each encoded once from
-    the pixels `draw(parcel, year)` returns; a non-finite descriptor is a
-    ContractError.  Callers run it outside `ad.recording`, so it records
-    nothing on a tape."""
+    the columns `draw(parcel, year)` returns, each distinct column once; a
+    non-finite descriptor is a ContractError.  Callers run it outside
+    `ad.recording`, so it records nothing on a tape."""
     unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
     out = {}
     for group in _buckets(unique):
         for i in range(0, len(group), batch_size):
             chunk = group[i : i + batch_size]
-            e = _encode(model, chunk, [draw(p, y) for p, y in chunk]).data
+            tallies = [distinct_columns(draw(p, y)) for p, y in chunk]
+            # most distinct columns first: the pool reduces each run of
+            # equal-size segments at once
+            order = sorted(range(len(chunk)), key=lambda j: -len(tallies[j][0]))
+            chunk = [chunk[j] for j in order]
+            columns = np.zeros((len(chunk), tallies[0][1].sum()), dtype=np.int64)
+            counts = np.zeros_like(columns)
+            for row, j in enumerate(order):
+                kept, n = tallies[j]
+                columns[row, : len(kept)] = kept
+                counts[row, : len(n)] = n
+            e = _encode(model, chunk, columns, counts).data
             _refuse_non_finite(e, chunk, "descriptor")
             for (p, y), row in zip(chunk, e):
                 out[(p.parcel_id, y)] = row
@@ -237,9 +252,13 @@ def _batch_features(model, items, rng, histories=None, descriptors=None):
 
 
 def batch_logits(model, items, draws, features):
-    """Forward pass for a same-year batch and its head features; returns
-    the logits Tensor."""
-    return heads.decode(_encode(model, items, draws), model.head, features)
+    """Forward pass for a same-year batch, its drawn columns and its head
+    features; returns the logits Tensor.  Every draw is encoded as drawn,
+    duplicates included, in draw order."""
+    columns = np.stack(draws)
+    return heads.decode(
+        _encode(model, items, columns, np.ones_like(columns)), model.head, features
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
+from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
 
 
@@ -42,6 +43,14 @@ def small_dims(num_classes=8):
         num_classes=num_classes,
         head_hidden=32,
     )
+
+
+def encode_drawn(pixels, days, pse, ltae):
+    """`encode_batch` of already-drawn pixels (B, C, S, T): item b's pixel
+    set is pixels[b], every column drawn once, in order."""
+    b, _, s, _ = pixels.shape
+    columns = np.tile(np.arange(s), (b, 1))
+    return encode_batch(columns, np.ones_like(columns), list(pixels), days, pse, ltae)
 
 
 def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):

@@ -27,7 +27,7 @@ from croprot.data import (
     sample_pixels,
     save_dataset,
 )
-from croprot.encoders import EncoderDims, LtaeWeights, PseWeights, encode_batch, ltae_forward, pse_forward
+from croprot.encoders import EncoderDims, LtaeWeights, PseWeights, encode_batch
 from croprot.model import CropModel, ModelDims
 from croprot.training import (
     PredictionRecord,
@@ -39,6 +39,7 @@ from croprot.training import (
 )
 
 from conftest import tiny_dims
+from oracles import ltae_forward, pse_forward
 
 
 def report(num, name, ok, detail=""):
@@ -64,7 +65,8 @@ def test_criterion_01_gradient_fidelity():
     draws = [sample_pixels(p.samples[2], 4, rng) for p, _ in items]
     dims = tiny_dims(num_classes=L)
     labels = np.asarray([p.labels[2] for p, _ in items], dtype=np.int64)
-    pixels = np.stack(draws)
+    columns = np.stack(draws)
+    sets = [p.samples[2].pixels for p, _ in items]
     days = np.stack([p.samples[2].days for p, _ in items])
     worst = {}
     for variant in heads.VARIANTS:
@@ -81,7 +83,8 @@ def test_criterion_01_gradient_fidelity():
             for t, a in zip(tensors, arrs):
                 t.data = a
             with ad.recording(tensors):
-                e = encode_batch(pixels, days, model.pse, model.ltae)
+                e = encode_batch(columns, np.ones_like(columns), sets, days,
+                                 model.pse, model.ltae)
                 z = heads.decode(e, model.head, features)
                 loss = cross_entropy(z, labels)
             return loss, tensors

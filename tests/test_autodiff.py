@@ -191,8 +191,142 @@ def test_randomized_network_matches_finite_differences(seed):
 
 
 def test_mean_std_pool_zero_variance_gradient_finite():
-    x = params_on_tape([np.ones((1, 3, 2))])[0]
+    x = params_on_tape([np.ones((3, 2))])[0]
     with ad.recording([x]) as tape:
-        loss = ad.mean_all(ad.mean_std_pool(x, axis=1))
+        loss = ad.mean_all(ad.mean_std_pool(x, [3], np.ones(3, dtype=np.int64)))
     grads = ad.backward(tape, loss)
     assert np.all(np.isfinite(grads[x]))
+
+
+def _wide_rows(rng, shape):
+    """float32 rows spanning many binades, so that float64 sums round and
+    their order shows."""
+    return (rng.normal(0, 1, shape) * np.exp(rng.normal(0, 6, shape))).astype(np.float32)
+
+
+class TestSegmentPool:
+    def _expanded(self, x, sizes, counts):
+        """The pool of the same segments with row r repeated counts[r] times."""
+        rows = np.repeat(x, counts, axis=0)
+        expanded = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+        return ad.mean_std_pool(ad.Tensor(rows), expanded, np.ones(len(rows), np.int64)).data
+
+    def test_counts_equal_repeated_rows(self):
+        rng = np.random.default_rng(0)
+        sizes = np.array([3, 3, 1, 5, 2])
+        x = rng.normal(0, 1, (sizes.sum(), 4))
+        counts = rng.integers(1, 5, sizes.sum())
+        got = ad.mean_std_pool(ad.Tensor(x), sizes, counts).data
+        assert got.shape == (5, 8)
+        assert np.allclose(got, self._expanded(x, sizes, counts), atol=1e-12)
+
+    def test_unit_counts_bitwise_equal_to_axis_mean(self):
+        # equal segments with counts of 1 pool as the (G, S, d) mean || std
+        # over axis 1 does: float64 sums added row by row
+        rng = np.random.default_rng(1)
+        for g, s, d in ((12, 8, 16), (36, 32, 64), (5, 1, 3)):
+            x = _wide_rows(rng, (g * s, d))
+            got = ad.mean_std_pool(ad.Tensor(x), np.full(g, s), np.ones(g * s, np.int64)).data
+            blocks = x.reshape(g, s, d)
+            mean = blocks.mean(axis=1, dtype=np.float64)
+            centered = blocks - mean.astype(np.float32)[:, None, :]
+            std = np.sqrt(np.square(centered).mean(axis=1, dtype=np.float64))
+            want = np.concatenate([mean, std], axis=-1).astype(np.float32)
+            assert got.tobytes() == want.tobytes()
+
+    def test_sums_run_in_row_order(self):
+        rng = np.random.default_rng(2)
+        sizes = np.array([4, 4, 4, 7, 7, 2, 4])
+        x = _wide_rows(rng, (sizes.sum(), 5))
+        counts = rng.integers(1, 4, sizes.sum())
+        got = ad.mean_std_pool(ad.Tensor(x), sizes, counts).data
+        want, start = [], 0
+        for size in sizes:
+            acc = np.zeros(5)
+            for r in range(start, start + size):
+                acc += counts[r] * x[r].astype(np.float64)
+            want.append(acc / counts[start:start + size].sum())
+            start += size
+        assert got[:, :5].tobytes() == np.array(want).astype(np.float32).tobytes()
+
+    def test_gradient_with_counts_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        # a one-row segment keeps count 1: in float64, (c * x) / c need not
+        # round back to x, which would leave a spurious std of about 1e-16
+        sizes = [2, 3, 1, 3]
+        counts = np.array([1, 3, 2, 1, 4, 1, 2, 2, 5])
+        x0 = rng.normal(0, 1, (9, 3))
+        mix = rng.normal(0, 1, (4, 6))
+
+        def f(arrs):
+            (x,) = params_on_tape(arrs)
+            with ad.recording([x]):
+                pooled = ad.mean_std_pool(x, sizes, counts)
+                loss = ad.mean_all(ad.mul(pooled, ad.Tensor(mix, dtype=np.float64)))
+            return loss, [x]
+
+        assert ad.finite_diff_check(f, [x0], eps=1e-6) < 1e-5
+
+    def test_zero_variance_segment_zero_std_gradient(self):
+        x0 = np.array([[1.5, -2.0], [1.5, -2.0], [0.3, 0.1], [0.7, 0.4]])
+        (x,) = params_on_tape([x0])
+        with ad.recording([x]) as tape:
+            pooled = ad.mean_std_pool(x, [2, 2], np.array([2, 3, 1, 2]))
+            std_half = ad.mul(pooled, ad.Tensor(np.repeat([[0.0, 1.0]], [2, 2], axis=1)
+                                                .repeat(2, axis=0)))
+            loss = ad.mean_all(std_half)
+        g = ad.backward(tape, loss)[x]
+        assert pooled.data[0, 2:].tolist() == [0.0, 0.0]
+        assert np.all(g[:2] == 0.0)
+        assert np.all(np.isfinite(g)) and np.any(g[2:] != 0.0)
+
+    @pytest.mark.parametrize("sizes, counts", [
+        ([2, 2], [1, 1, 1]),      # counts do not match the rows
+        ([2, 1], [1, 1, 1, 1]),   # sizes do not cover the rows
+        ([4, 0], [1, 1, 1, 1]),   # empty segment
+    ])
+    def test_shape_errors(self, sizes, counts):
+        with pytest.raises(DimensionError):
+            ad.mean_std_pool(ad.Tensor(np.ones((4, 2))), sizes, counts)
+
+    def test_non_positive_count_refused(self):
+        with pytest.raises(ContractError):
+            ad.mean_std_pool(ad.Tensor(np.ones((2, 2))), [2], [1, 0])
+
+
+class TestDense:
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_unfused_layer(self, relu, dtype):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(0, 1, (37, 9)), rng.normal(0, 1, (9, 5)), rng.normal(0, 1, 5)]
+        upstream = rng.normal(0, 1, (37, 5)).astype(dtype)
+
+        def run(layer):
+            x, w, b = params_on_tape(arrays, dtype=dtype)
+            with ad.recording([x, w, b]) as tape:
+                z = layer(x, w, b)
+                loss = ad.mean_all(ad.mul(z, ad.Tensor(upstream)))
+            grads = ad.backward(tape, loss)
+            return [z.data] + [grads[t] for t in (x, w, b)]
+
+        def unfused(x, w, b):
+            z = ad.add_bias(ad.matmul(x, w), b)
+            return ad.relu(z) if relu else z
+
+        got = run(lambda x, w, b: ad.dense(x, w, b, relu=relu))
+        want = run(unfused)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_one_tape_op(self):
+        x, w, b = params_on_tape([np.ones((2, 3)), np.ones((3, 4)), np.zeros(4)])
+        with ad.recording([x, w, b]) as tape:
+            ad.dense(x, w, b, relu=True)
+        assert len(tape.ops) == 1
+
+    @pytest.mark.parametrize("shapes", [[(2, 3), (4, 5), (5,)], [(2, 3), (3, 5), (4,)]])
+    def test_shape_mismatch(self, shapes):
+        x, w, b = (ad.Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            ad.dense(x, w, b)

@@ -118,7 +118,7 @@ class TestPipeline:
         assert doc["k"] == 3 and len(doc["folds"]) == 120
 
     def test_train_outputs(self, workdir):
-        _, _, _, _, train_out, _ = workdir
+        root, cfg, dataset, folds, train_out, _ = workdir
         assert (train_out / "checkpoint_fold0.bin").exists()
         report = json.loads((train_out / "run_report.json").read_text())
         assert report["variant"] == "dec"
@@ -127,6 +127,22 @@ class TestPipeline:
         assert set(by_year) == {"1", "2", "3"}
         for stats in by_year.values():
             assert 0.0 <= stats["oa"] <= 1.0
+        # one entry per epoch, no wall times: the report stays deterministic
+        fold = report["folds"]["0"]
+        log = fold["epoch_log"]
+        assert [row["epoch"] for row in log] == list(range(len(log))) and log
+        for row in log:
+            assert set(row) == {"epoch", "train_loss", "val_miou"}
+            assert np.isfinite(row["train_loss"]) and 0.0 <= row["val_miou"] <= 1.0
+        assert 0 <= fold["best_epoch"] < len(log)
+        best = max(row["val_miou"] for row in log)
+        assert log[fold["best_epoch"]]["val_miou"] == best
+        again = root / "train_again"
+        assert main([
+            "train", "--config", str(cfg), "--dataset", str(dataset),
+            "--folds", str(folds), "--fold", "0", "--out", str(again),
+        ]) == 0
+        assert (again / "run_report.json").read_bytes() == (train_out / "run_report.json").read_bytes()
 
     def test_eval_outputs(self, workdir):
         _, _, _, _, _, eval_out = workdir

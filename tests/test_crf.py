@@ -151,3 +151,33 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"\x01" * 8)
         with pytest.raises(DataFormatError, match="8 trailing bytes.*RCTT"):
             load_transitions(path)
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[]", '{"alpha": 1.0}',
+                                         '{"triplet_count": 3}'])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "trans.bin"
+        save_transitions(path, estimate_transitions([], 2))
+        (tmp_path / "trans.bin.json").write_text(sidecar)
+        with pytest.raises(DataFormatError, match="sidecar"):
+            load_transitions(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+    def test_non_finite_or_negative_entry(self, tmp_path, value):
+        t = estimate_transitions([(0, 1, 1)], 2)
+        t.t[1, 0, 1] = value
+        path = tmp_path / "trans.bin"
+        save_transitions(path, t)
+        with pytest.raises(DataFormatError, match="non-finite or negative"):
+            load_transitions(path)
+
+    def test_row_not_summing_to_one(self, tmp_path):
+        t = estimate_transitions([(0, 1, 1)], 3)
+        t.t[2, 1] = [0.5, 0.25, 0.25 + 2e-9]
+        path = tmp_path / "trans.bin"
+        save_transitions(path, t)
+        with pytest.raises(DataFormatError, match=r"row \(2, 1\) sums to"):
+            load_transitions(path)
+        # within 1e-9 it loads
+        t.t[2, 1] = [0.5, 0.25, 0.25 + 5e-10]
+        save_transitions(path, t)
+        assert load_transitions(path).t[2, 1, 2] == 0.25 + 5e-10

@@ -8,6 +8,7 @@ from scipy import stats
 from croprot.data import (
     PixelSetSample,
     SyntheticConfig,
+    distinct_columns,
     generate_synthetic,
     load_dataset,
     make_folds,
@@ -101,7 +102,7 @@ class TestSamplePixels:
 
     def test_exhaustive_draw_is_permutation(self):
         s = self._sample(n_p=5)
-        drawn = sample_pixels(s, 5, np.random.default_rng(0))
+        drawn = s.pixels[:, sample_pixels(s, 5, np.random.default_rng(0)), :]
         # column multiset must match exactly
         got = sorted(drawn[:, i, :].tobytes() for i in range(5))
         want = sorted(s.pixels[:, i, :].tobytes() for i in range(5))
@@ -109,13 +110,13 @@ class TestSamplePixels:
 
     def test_single_pixel_repeated(self):
         s = self._sample(n_p=1)
-        drawn = sample_pixels(s, 4, np.random.default_rng(0))
+        drawn = s.pixels[:, sample_pixels(s, 4, np.random.default_rng(0)), :]
         for i in range(4):
             assert np.array_equal(drawn[:, i, :], s.pixels[:, 0, :])
 
     def test_never_fabricates_values(self):
         s = self._sample(n_p=7)
-        drawn = sample_pixels(s, 3, np.random.default_rng(1))
+        drawn = s.pixels[:, sample_pixels(s, 3, np.random.default_rng(1)), :]
         source = {s.pixels[:, i, :].tobytes() for i in range(7)}
         for i in range(3):
             assert drawn[:, i, :].tobytes() in source
@@ -130,16 +131,24 @@ class TestSamplePixels:
             got_rng, want_rng = np.random.default_rng(n_p), np.random.default_rng(n_p)
             for _ in range(3):
                 idx = want_rng.choice(n_p, size=s, replace=True)
-                drawn = sample_pixels(sample, s, got_rng)
-                assert np.array_equal(drawn, sample.pixels[:, idx, :])
+                assert np.array_equal(sample_pixels(sample, s, got_rng), idx)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("columns, kept, counts", [
+        ([4, 0, 2], [4, 0, 2], [1, 1, 1]),        # no repeats: draw order
+        ([3, 1, 3, 3, 0], [0, 1, 3], [1, 1, 3]),  # repeats: increasing order
+        ([0, 0, 0, 0], [0], [4]),
+    ])
+    def test_distinct_columns(self, columns, kept, counts):
+        got_kept, got_counts = distinct_columns(np.array(columns))
+        assert got_kept.tolist() == kept and got_counts.tolist() == counts
 
     def test_draw_means_converge(self):
         s = self._sample(n_p=10, seed=4)
         rng = np.random.default_rng(2)
         parcel_mean = s.pixels.mean(axis=(1, 2))
         draws = np.stack(
-            [sample_pixels(s, 4, rng).mean(axis=(1, 2)) for _ in range(1000)]
+            [s.pixels[:, sample_pixels(s, 4, rng), :].mean(axis=(1, 2)) for _ in range(1000)]
         )
         overall = draws.mean(axis=0)
         sem = draws.std(axis=0) / np.sqrt(len(draws))
@@ -247,6 +256,15 @@ class TestFileFormat:
         parcels[1].samples[2].label = 8
         path = tmp_path / "ds.rcds"
         with pytest.raises(DataFormatError, match="label 8"):
+            save_dataset(path, parcels, 8)
+        assert not path.exists()
+
+    def test_reversed_days_rejected_before_writing(self, tmp_path):
+        # the bad sample is the last one written: no partial file is left
+        parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
+        parcels[2].samples[2].days = parcels[2].samples[2].days[::-1].copy()
+        path = tmp_path / "ds.rcds"
+        with pytest.raises(ContractError, match="strictly increasing"):
             save_dataset(path, parcels, 8)
         assert not path.exists()
 

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad
+from croprot.data import PixelSetSample, distinct_columns, sample_pixels
 from croprot.encoders import (
     EncoderDims,
     LtaeWeights,
     PseWeights,
     encode_batch,
-    ltae_forward,
     positional_encoding,
     positional_encoding_matrix,
-    pse_forward,
 )
 from croprot.errors import ConfigError, ContractError
 
-from conftest import tiny_dims
+from conftest import encode_drawn, tiny_dims
+from oracles import ltae_forward, pse_forward
 
 
 def _enc_dims():
@@ -206,7 +206,7 @@ class TestEncodeBatch:
         dims, pse, ltae = _weights()
         pixels = np.random.default_rng(8).normal(0, 1, (3, dims.channels, 4, 6))
         days = np.linspace(20, 300, 6).astype(int)
-        out = encode_batch(pixels, days, pse, ltae)
+        out = encode_drawn(pixels, days, pse, ltae)
         assert out.data.shape == (3, dims.descriptor)
 
     def test_batched_equals_single(self):
@@ -214,25 +214,25 @@ class TestEncodeBatch:
         rng = np.random.default_rng(9)
         pixels = rng.normal(0, 1, (4, dims.channels, 5, 3))
         days = np.array([30, 120, 250])
-        batched = encode_batch(pixels, days, pse, ltae).data
+        batched = encode_drawn(pixels, days, pse, ltae).data
         for i in range(4):
-            single = encode_batch(pixels[i : i + 1], days, pse, ltae).data[0]
+            single = encode_drawn(pixels[i : i + 1], days, pse, ltae).data[0]
             assert np.allclose(batched[i], single, atol=1e-10)
 
     def test_per_row_days_equal_row_by_row(self):
         dims, pse, ltae = _weights(seed=14)
         pixels = np.random.default_rng(12).normal(0, 1, (3, dims.channels, 4, 3))
         days = np.array([[30, 120, 250], [1, 2, 366], [100, 101, 300]])
-        batched = encode_batch(pixels, days, pse, ltae).data
+        batched = encode_drawn(pixels, days, pse, ltae).data
         for i in range(3):
-            single = encode_batch(pixels[i : i + 1], days[i], pse, ltae).data[0]
+            single = encode_drawn(pixels[i : i + 1], days[i], pse, ltae).data[0]
             assert np.allclose(batched[i], single, atol=1e-10)
 
     def test_out_of_range_days_rejected(self):
         dims, pse, ltae = _weights()
         pixels = np.zeros((1, dims.channels, 2, 3))
         with pytest.raises(ContractError):
-            encode_batch(pixels, np.array([0, 10, 367]), pse, ltae)
+            encode_drawn(pixels, np.array([0, 10, 367]), pse, ltae)
 
     def test_matches_componentwise_path(self):
         # batched forward == per-date pse_forward + posenc + ltae_forward
@@ -240,7 +240,7 @@ class TestEncodeBatch:
         rng = np.random.default_rng(10)
         pixels = rng.normal(0, 1, (1, dims.channels, 6, 4))
         days = np.array([15, 90, 180, 330])
-        batched = encode_batch(pixels, days, pse, ltae).data[0]
+        batched = encode_drawn(pixels, days, pse, ltae).data[0]
         seq = [
             pse_forward(pixels[0, :, :, t], pse).data
             + positional_encoding(int(days[t]), dims.d2)
@@ -252,8 +252,8 @@ class TestEncodeBatch:
     def test_days_change_output(self):
         dims, pse, ltae = _weights(seed=12)
         pixels = np.random.default_rng(11).normal(0, 1, (1, dims.channels, 4, 3))
-        a = encode_batch(pixels, np.array([10, 20, 30]), pse, ltae).data
-        b = encode_batch(pixels, np.array([100, 200, 300]), pse, ltae).data
+        a = encode_drawn(pixels, np.array([10, 20, 30]), pse, ltae).data
+        b = encode_drawn(pixels, np.array([100, 200, 300]), pse, ltae).data
         assert not np.allclose(a, b)
 
 
@@ -271,8 +271,76 @@ def test_encoder_gradients_match_finite_differences():
         for t, a in zip(tensors, arrs):
             t.data = a
         with ad.recording(tensors):
-            out = encode_batch(pixels, days, pse, ltae)
+            out = encode_drawn(pixels, days, pse, ltae)
             loss = ad.mean_all(out)
         return loss, tensors
 
     assert ad.finite_diff_check(f, arrays, eps=1e-5) < 1e-4
+
+
+class TestDistinctColumns:
+    """Encoding each distinct drawn column once, weighted by its count,
+    gives the descriptors of encoding every draw (counts of 1), bitwise."""
+
+    DIMS = EncoderDims(channels=4, sample_pixels=16, d1=16, d2=32, heads=4, d_k=8,
+                       out_hidden=32, descriptor=32)
+
+    def _batch(self, pixel_counts, seed):
+        rng = np.random.default_rng(seed)
+        pse = PseWeights(self.DIMS, rng)
+        ltae = LtaeWeights(self.DIMS, rng)
+        days = np.array([20, 60, 100, 180, 250, 330])
+        samples = [
+            PixelSetSample(0, 1, rng.normal(0, 1, (4, n_p, 6)).astype(np.float32), days, 0)
+            for n_p in pixel_counts
+        ]
+        s = self.DIMS.sample_pixels
+        drawn = np.stack([sample_pixels(x, s, rng) for x in samples])
+        return pse, ltae, [x.pixels for x in samples], days, drawn
+
+    @staticmethod
+    def _distinct(drawn):
+        columns, counts = np.zeros_like(drawn), np.zeros_like(drawn)
+        for row, draw in enumerate(drawn):
+            kept, n = distinct_columns(draw)
+            columns[row, : len(kept)], counts[row, : len(n)] = kept, n
+        return columns, counts
+
+    @pytest.mark.parametrize("pixel_counts", [
+        [16, 20, 40],    # n_p >= S: drawn without repeats
+        [3, 9, 15, 5],   # n_p < S: repeats
+        [1, 1],          # one pixel drawn S times
+        [1, 40, 6, 16, 2, 9, 9],
+    ])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_equals_drawn_encode(self, pixel_counts, seed):
+        pse, ltae, sets, days, drawn = self._batch(pixel_counts, seed)
+        want = encode_batch(drawn, np.ones_like(drawn), sets, days, pse, ltae).data
+        columns, counts = self._distinct(drawn)
+        assert counts.sum(axis=1).tolist() == [16] * len(sets)
+        got = encode_batch(columns, counts, sets, days, pse, ltae).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_padding_position_is_free(self):
+        pse, ltae, sets, days, drawn = self._batch([3, 5], 4)
+        columns, counts = self._distinct(drawn)
+        want = encode_batch(columns, counts, sets, days, pse, ltae).data
+        got = encode_batch(columns[:, ::-1], counts[:, ::-1], sets, days, pse, ltae).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", ["short_counts", "negative", "shape", "sets", "dates"])
+    def test_malformed_draws_refused(self, change):
+        pse, ltae, sets, days, drawn = self._batch([3, 20], 5)
+        counts = np.ones_like(drawn)
+        if change == "short_counts":
+            counts[0, 0] = 0
+        elif change == "negative":
+            counts[0, :2] = [-1, 3]
+        elif change == "shape":
+            counts = counts[:, :-1]
+        elif change == "sets":
+            sets = sets[:1]
+        else:
+            sets = [sets[0], sets[1][:, :, :5]]
+        with pytest.raises(ContractError):
+            encode_batch(drawn, counts, sets, days, pse, ltae)

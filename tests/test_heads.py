@@ -169,7 +169,8 @@ def test_full_model_gradients_match_finite_differences(variant, grad_items):
     # the "obs" features are detached from the graph by design, so they
     # must stay fixed while the parameters are perturbed; compute them once
     features = _batch_features(base, items, np.random.default_rng(7))
-    pixels = np.stack(draws)
+    columns = np.stack(draws)
+    sets = [p.samples[y - 1].pixels for p, y in items]
     days = np.stack([p.samples[y - 1].days for p, y in items])
 
     def f(arrs):
@@ -178,7 +179,7 @@ def test_full_model_gradients_match_finite_differences(variant, grad_items):
         for t, a in zip(tensors, arrs):
             t.data = a
         with ad.recording(tensors):
-            e = encode_batch(pixels, days, model.pse, model.ltae)
+            e = encode_batch(columns, np.ones_like(columns), sets, days, model.pse, model.ltae)
             z = heads.decode(e, model.head, features)
             loss = cross_entropy(z, labels)
         return loss, tensors

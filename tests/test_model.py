@@ -16,6 +16,16 @@ class TestParameters:
         assert [p for _, p in named] == tiny_model.parameters()
         assert named[0][0] == "pse.w1" and named[-1][0] == "head.b2"
 
+    def test_name_order(self):
+        for variant in ("single", "obs"):
+            names = [n for n, _ in CropModel(tiny_dims(), variant).named_parameters()]
+            assert names == [
+                "pse.w1", "pse.b1", "pse.w2", "pse.b2", "pse.w3", "pse.b3",
+                "ltae.wk", "ltae.bk", "ltae.query", "ltae.wo1", "ltae.bo1",
+                "ltae.wo2", "ltae.bo2",
+                "head.w1", "head.b1", "head.w2", "head.b2",
+            ]
+
     def test_same_seed_same_weights(self):
         a = CropModel(tiny_dims(), "single", seed=9)
         b = CropModel(tiny_dims(), "single", seed=9)
@@ -50,6 +60,14 @@ class TestCheckpoint:
         assert back.dims == tiny_model.dims
         for pa, pb in zip(tiny_model.parameters(), back.parameters()):
             assert np.array_equal(pa.data, pb.data)
+
+    @pytest.mark.parametrize("variant", ["single", "dec-concat", "obs"])
+    def test_save_load_save_same_bytes(self, tmp_path, variant):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(first, CropModel(tiny_dims(), variant, seed=5))
+        save_checkpoint(second, load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
+        assert (tmp_path / "a.bin.json").read_bytes() == (tmp_path / "b.bin.json").read_bytes()
 
     def test_bad_magic(self, tiny_model, tmp_path):
         path = tmp_path / "model.bin"

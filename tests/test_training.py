@@ -11,6 +11,7 @@ from croprot.data import (
     make_folds,
     sample_pixels,
 )
+from croprot.encoders import encode_batch
 from croprot.errors import ContractError
 from croprot.model import CropModel
 from croprot.training import (
@@ -265,6 +266,26 @@ class TestEncodeItems:
                 rng = np.random.default_rng(np.random.SeedSequence([9, p.parcel_id, y]))
                 assert np.array_equal(draw(p, y), sample_pixels(p.samples[y - 1], s, rng))
 
+    def test_equals_drawn_encode(self, small_dataset):
+        # each distinct column encoded once, weighted by its count, gives the
+        # descriptors of encoding every draw (parcels of 4 to 16 pixels, S = 8)
+        ds, cfg = small_dataset
+        model = CropModel(small_dims(cfg.num_classes), "single", seed=2)
+        items = [(p, y) for p in ds.parcels[:24] for y in (1, 2, 3)]
+        draw = keyed_draws(5, model.dims.sample_pixels)
+        got = encode_items(model, items, draw)
+        assert any(p.samples[y - 1].n_pixels < 8 for p, y in items)
+        assert any(p.samples[y - 1].n_pixels >= 8 for p, y in items)
+        for year in (1, 2, 3):
+            batch = [(p, y) for p, y in items if y == year]
+            columns = np.stack([draw(p, y) for p, y in batch])
+            want = encode_batch(columns, np.ones_like(columns),
+                                [p.samples[y - 1].pixels for p, y in batch],
+                                np.stack([p.samples[y - 1].days for p, y in batch]),
+                                model.pse, model.ltae).data
+            for (p, y), row in zip(batch, want):
+                assert got[(p.parcel_id, y)].tobytes() == row.tobytes()
+
     def test_each_item_encoded_once(self, setup):
         model, items = setup
         draw = keyed_draws(0, model.dims.sample_pixels)
@@ -338,6 +359,23 @@ def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
         )
     assert len(ops[0]) > 0
     assert ops[1] == ops[0]
+
+
+def test_dec_step_tape_ops(small_dataset, monkeypatch):
+    # fused dense layers and the flat segment pool: 22 ops per "dec" step
+    # (37 with separate matmul, add_bias and relu ops and pool reshapes)
+    ds, cfg = small_dataset
+    ops = []
+    backward = ad.backward
+
+    def counting(tape, loss, params=None):
+        ops.append(len(tape.ops))
+        return backward(tape, loss, params=params)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    train_single_split(ds, ds.parcels[:20], [],
+                       TrainConfig(epochs=1, batch_size=16, seed=0, variant="dec"), _dims(cfg))
+    assert ops and set(ops) == {22}
 
 
 class TestTraining:
