@@ -315,7 +315,12 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
     for segs, rows, k in runs:
         block = data[rows].reshape(-1, k, d)
         w = weights[rows].reshape(-1, k)
-        mean[segs] = np.einsum("gkd,gk->gd", block, w) / n[segs]
+        if k == 1:
+            # a one-row segment is its own mean, whatever its count: in
+            # float64, (c * x) / c need not round back to x
+            mean[segs] = block[:, 0]
+        else:
+            mean[segs] = np.einsum("gkd,gk->gd", block, w) / n[segs]
         c = centered[rows].reshape(-1, k, d)
         np.subtract(block, mean[segs].astype(dtype)[:, None, :], out=c)
         var[segs] = np.einsum("gkd,gk->gd", np.square(c), w) / n[segs]

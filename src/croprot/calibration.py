@@ -95,6 +95,8 @@ def _bin_index(confidence, n_bins):
 
 
 def reliability(records, n_bins=DEFAULT_BINS) -> ReliabilityBins:
+    if n_bins < 1:
+        raise ContractError(f"need at least one bin, got {n_bins}")
     counts = np.zeros(n_bins, dtype=np.int64)
     conf_sum = np.zeros(n_bins)
     correct = np.zeros(n_bins)

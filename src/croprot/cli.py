@@ -21,6 +21,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError
+from .heads import VARIANTS
 from .model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 
 EXIT_CONFIG = 2
@@ -63,21 +64,11 @@ RUN_CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "path": {"type": "string"},
                 "synthetic": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": _SYNTH_PROPS,
                 },
-            },
-        },
-        "folds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k": {"type": "integer", "minimum": 2},
-                "block_size": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
             },
         },
         "model": {
@@ -89,9 +80,7 @@ RUN_CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "properties": _DIMS_PROPS,
                 },
-                "variant": {
-                    "enum": ["single", "dec", "dec-concat", "dec-one-year", "obs", "crf"]
-                },
+                "variant": {"enum": list(VARIANTS)},
             },
         },
         "train": {
@@ -104,19 +93,6 @@ RUN_CONFIG_SCHEMA = {
                 "protocol": {"enum": ["mixed", "specialized"]},
                 "protocol_year": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "eval": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "years": {
-                    "anyOf": [
-                        {"enum": ["all"]},
-                        {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                    ]
-                },
-                "calibration": {"type": "boolean"},
             },
         },
     },
@@ -154,7 +130,7 @@ def _load_folds(path, dataset):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataFormatError(f"folds file {path} is not JSON: {exc}") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("folds"), dict)
             and "k" in doc and "block_size" in doc):
@@ -202,10 +178,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _year_filter(records, year):
-    if year in (None, "all"):
-        return records
-    return [r for r in records if r.year_index == int(year)]
+def _eval_year(year, num_years):
+    """`eval --year`: None for "all", else the year, which must lie in
+    1..num_years."""
+    if year == "all":
+        return None
+    if not (year.isdigit() and 1 <= int(year) <= num_years):
+        raise ContractError(f"--year must be all or a year in 1..{num_years}, got {year!r}")
+    return int(year)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +226,6 @@ def cmd_split(args):
 def _train_config(config, args):
     section = dict(config.get("train", {}))
     variant = args.variant or config.get("model", {}).get("variant", "single")
-    if variant == "crf":
-        raise ConfigError("the CRF baseline is not trained; use the crf subcommand")
     cfg = training.TrainConfig(variant=variant, **section)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -295,17 +273,18 @@ def cmd_eval(args):
 
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
+    val_fold = folds.val_fold(args.fold)
+    year = _eval_year(args.year, dataset.num_years)
     model = load_checkpoint(args.checkpoint)
     test_parcels = [
         p for p in dataset.parcels if folds.folds[p.parcel_id] == args.fold
     ]
-    val_fold = (args.fold + 1) % folds.k
     val_parcels = [
         p for p in dataset.parcels if folds.folds[p.parcel_id] == val_fold
     ]
     val_records = training.predict(model, val_parcels, seed=args.seed or 0)
     test_records = training.predict(model, test_parcels, seed=args.seed or 0)
-    test_scored = _year_filter(test_records, args.year)
+    test_scored = [r for r in test_records if year is None or r.year_index == year]
     cm = analytics.confusion(test_scored, model.dims.num_classes)
     oa, iou, miou = analytics.metrics(cm)
     os.makedirs(args.out, exist_ok=True)
@@ -315,7 +294,7 @@ def cmd_eval(args):
         "val_fold": val_fold,
         "seed": args.seed or 0,
         "num_classes": model.dims.num_classes,
-        "year": args.year or "all",
+        "year": args.year,
     }
     _write_json(
         os.path.join(args.out, "predictions.json"),
@@ -336,10 +315,22 @@ def cmd_eval(args):
 
 
 def _load_predictions(path):
+    """(meta, val records, test records) of an `eval` predictions file."""
     with open(path) as fh:
-        doc = json.load(fh)
-    val = [training.PredictionRecord.from_dict(d) for d in doc["val"]]
-    test = [training.PredictionRecord.from_dict(d) for d in doc["test"]]
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"predictions file {path} is not JSON: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+            and isinstance(doc.get("val"), list) and isinstance(doc.get("test"), list)):
+        raise DataFormatError(
+            f"predictions file {path} needs the keys meta (an object), val and test (lists)"
+        )
+    try:
+        val = [training.PredictionRecord.from_dict(d) for d in doc["val"]]
+        test = [training.PredictionRecord.from_dict(d) for d in doc["test"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"predictions file {path}: bad record ({exc!r})") from None
     return doc["meta"], val, test
 
 
@@ -379,6 +370,8 @@ def cmd_crf(args):
     import os
 
     meta, val_records, test_records = _load_predictions(args.predictions)
+    if not {"fold", "val_fold"} <= meta.keys():
+        raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
     held_out = {meta["fold"], meta["val_fold"]}

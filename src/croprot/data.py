@@ -83,6 +83,13 @@ class FoldAssignment:
     folds: dict  # parcel_id -> fold index
     block_size: float
 
+    def val_fold(self, fold):
+        """The validation fold paired with test fold `fold`: the next one,
+        cyclically.  A fold outside [0, k) is a ContractError."""
+        if not 0 <= fold < self.k:
+            raise ContractError(f"fold {fold} outside [0, {self.k})")
+        return (fold + 1) % self.k
+
 
 # ---------------------------------------------------------------------------
 # synthetic generation
@@ -275,6 +282,8 @@ def make_folds(parcels, k, block_size, salt=0):
     never split across folds."""
     if k < 2:
         raise ContractError("need k >= 2 folds")
+    if not block_size > 0:
+        raise ContractError(f"block size must be positive, got {block_size}")
     blocks = {}
     for p in parcels:
         bx = int(np.floor(p.centroid[0] / block_size))

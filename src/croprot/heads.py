@@ -10,7 +10,6 @@ previous two year descriptors.  Missing history years are zero-padded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,37 +19,26 @@ from .errors import ConfigError, ContractError
 VARIANTS = ("single", "dec", "dec-concat", "dec-one-year", "obs")
 
 
-@dataclass
-class LabelHistory:
-    """One-hot (or zero, for padded years) vectors for years i-1 and i-2."""
-
-    prev1: np.ndarray
-    prev2: np.ndarray
-
-    @classmethod
-    def from_labels(cls, prev1, prev2, num_classes):
-        def onehot(label):
-            v = np.zeros(num_classes, dtype=np.float32)
-            if label is not None:
-                v[label] = 1.0
-            return v
-
-        return cls(prev1=onehot(prev1), prev2=onehot(prev2))
-
-
-def history_feature_dec(h: LabelHistory) -> np.ndarray:
-    """Sum of the two one-hot declarations; order-free."""
-    return h.prev1 + h.prev2
-
-
-def history_feature_concat(h: LabelHistory) -> np.ndarray:
-    """[prev1 || prev2]; order preserved."""
-    return np.concatenate([h.prev1, h.prev2])
-
-
-def history_feature_one_year(h: LabelHistory) -> np.ndarray:
-    """Only the last declaration."""
-    return h.prev1.copy()
+def history_features(variant, prev1, prev2, num_classes):
+    """(B, F) float32 features of the dec family from (B,) integer labels
+    of years i-1 and i-2, where -1 marks a year before the first: "dec"
+    sums the two one-hot declarations (order-free), "dec-concat" joins
+    them as [prev1 || prev2] and "dec-one-year" keeps prev1 alone.  A
+    missing year contributes a zero vector."""
+    prev1 = np.asarray(prev1, dtype=np.int64)
+    prev2 = np.asarray(prev2, dtype=np.int64)
+    labels = np.concatenate([prev1, prev2])
+    if labels.size and (labels.min() < -1 or labels.max() >= num_classes):
+        raise ContractError(f"declared labels must lie in [-1, {num_classes})")
+    # identity rows for the classes, then a zero row that label -1 indexes
+    onehot = np.eye(num_classes + 1, num_classes, dtype=np.float32)
+    if variant == "dec":
+        return onehot[prev1] + onehot[prev2]
+    if variant == "dec-concat":
+        return np.concatenate([onehot[prev1], onehot[prev2]], axis=1)
+    if variant == "dec-one-year":
+        return onehot[prev1]
+    raise ConfigError(f"variant {variant!r} takes no label history")
 
 
 def obs_feature(e_prev1, e_prev2, year_index, descriptor_dim):
@@ -78,16 +66,6 @@ def feature_dim(variant, num_classes, descriptor_dim):
     if variant == "obs":
         return descriptor_dim
     raise ConfigError(f"unknown head variant {variant!r}")
-
-
-def history_feature(variant, h: LabelHistory):
-    if variant == "dec":
-        return history_feature_dec(h)
-    if variant == "dec-concat":
-        return history_feature_concat(h)
-    if variant == "dec-one-year":
-        return history_feature_one_year(h)
-    raise ConfigError(f"variant {variant!r} takes no label history")
 
 
 class HeadWeights(ad.Parameters):

@@ -29,27 +29,14 @@ class ModelDims(EncoderDims):
     num_classes: int = 20
     head_hidden: int = 64
 
-    def encoder(self):
-        return EncoderDims(
-            channels=self.channels,
-            sample_pixels=self.sample_pixels,
-            d1=self.d1,
-            d2=self.d2,
-            heads=self.heads,
-            d_k=self.d_k,
-            out_hidden=self.out_hidden,
-            descriptor=self.descriptor,
-        )
-
 
 class CropModel:
     def __init__(self, dims: ModelDims, variant: str, seed: int = 0, dtype=np.float32):
         self.dims = dims
         self.variant = variant
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-        enc = dims.encoder()
-        self.pse = PseWeights(enc, rng, dtype=dtype)
-        self.ltae = LtaeWeights(enc, rng, dtype=dtype)
+        self.pse = PseWeights(dims, rng, dtype=dtype)
+        self.ltae = LtaeWeights(dims, rng, dtype=dtype)
         self.head = HeadWeights(
             variant, dims.num_classes, dims.descriptor, dims.head_hidden, rng, dtype=dtype
         )

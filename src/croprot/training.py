@@ -19,9 +19,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     variant: str = "single"
     protocol: str = "mixed"  # "mixed" | "specialized"
@@ -101,6 +98,11 @@ def cross_entropy(z, label):
     return ad.scale(ad.mean_all(ad.pick(logp, labels)), -1.0)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     step: int = 0
@@ -115,7 +117,7 @@ def optimizer_step(params, grads, state: AdamState, cfg: TrainConfig):
         state.v = [np.zeros_like(p.data) for p in params]
     state.step += 1
     t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=p.data.dtype)
         m *= b1
@@ -125,19 +127,12 @@ def optimizer_step(params, grads, state: AdamState, cfg: TrainConfig):
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
         p.data = p.data - p.data.dtype.type(cfg.learning_rate) * mhat / (
-            np.sqrt(vhat) + cfg.adam_eps
+            np.sqrt(vhat) + ADAM_EPS
         )
 
 
 # ---------------------------------------------------------------------------
 # batched forward
-
-
-def ground_truth_history(parcel, year_index, num_classes):
-    labels = parcel.labels
-    prev1 = labels[year_index - 2] if year_index >= 2 else None
-    prev2 = labels[year_index - 3] if year_index >= 3 else None
-    return heads.LabelHistory.from_labels(prev1, prev2, num_classes)
 
 
 def _buckets(items):
@@ -213,9 +208,10 @@ def _past_items(items):
     return [(p, y - back) for p, y in items for back in (1, 2) if y - back >= 1]
 
 
-def _batch_features(model, items, rng, histories=None, descriptors=None):
-    """Head features of a same-year batch: None on "single", label-history
-    vectors on the dec family, averaged past-year descriptors on "obs".
+def _batch_features(model, items, rng, descriptors=None):
+    """Head features of a same-year batch: None on "single", the one-hot
+    declarations of the two previous years on the dec family, averaged
+    past-year descriptors on "obs".
 
     "obs" looks past years up in `descriptors`; without them it encodes
     the past years with pixel draws from `rng`."""
@@ -232,23 +228,14 @@ def _batch_features(model, items, rng, histories=None, descriptors=None):
             [heads.obs_feature(past(p, y - 1), past(p, y - 2), y, dims.descriptor)
              for p, y in items]
         )
-    rows = []
-    for parcel, year in items:
-        if histories is not None:
-            key = (parcel.parcel_id, year)
-            if key not in histories:
-                if year > 1:
-                    raise ContractError(
-                        f"missing label history for parcel {parcel.parcel_id}, "
-                        f"year {year}"
-                    )
-                h = heads.LabelHistory.from_labels(None, None, model.dims.num_classes)
-            else:
-                h = histories[key]
-        else:
-            h = ground_truth_history(parcel, year, model.dims.num_classes)
-        rows.append(heads.history_feature(variant, h))
-    return np.stack(rows)
+    # two -1 columns for the years before the first: column y holds the
+    # label of year y - 1
+    labels = np.array([[-1, -1] + p.labels for p, _ in items])
+    rows = np.arange(len(items))
+    years = np.array([y for _, y in items])
+    return heads.history_features(
+        variant, labels[rows, years], labels[rows, years - 1], model.dims.num_classes
+    )
 
 
 def batch_logits(model, items, draws, features):
@@ -362,9 +349,11 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
     by_fold = defaultdict(list)
     for p in dataset.parcels:
         by_fold[folds.folds[p.parcel_id]].append(p)
+    # every requested fold is checked before any is trained
+    runs = [(f, folds.val_fold(f))
+            for f in (folds_to_run if folds_to_run is not None else range(folds.k))]
     results = []
-    for f in folds_to_run if folds_to_run is not None else range(folds.k):
-        val_f = (f + 1) % folds.k
+    for f, val_f in runs:
         train_parcels = [
             p
             for ff in range(folds.k)
@@ -393,15 +382,14 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 # inference
 
 
-def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
+def predict(model, parcels, years=None, seed=0, batch_size=256):
     """One PredictionRecord per requested parcel-year; pixel draws are fixed
     by (seed, parcel, year), so repeated calls are identical and a parcel's
     records do not depend on the other parcels in the call (but for BLAS
     rounding, about 1e-7, where a batch shrinks to one row).
 
-    Label-history variants consume ground-truth declarations of previous
-    years unless explicit `histories` (keyed by (parcel_id, year)) are
-    given.  "obs" averages the descriptors of the previous two years,
+    Label-history variants consume the ground-truth declarations of the
+    previous years.  "obs" averages the descriptors of the previous two years,
     encoded with the same keyed draws.  Non-finite descriptors or logits
     are a ContractError."""
     if not parcels:
@@ -418,7 +406,7 @@ def predict(model, parcels, years=None, seed=0, histories=None, batch_size=256):
         for i in range(0, len(group), batch_size):
             batch = group[i : i + batch_size]
             e = np.stack([descriptors[(p.parcel_id, y)] for p, y in batch])
-            features = _batch_features(model, batch, None, histories, descriptors)
+            features = _batch_features(model, batch, None, descriptors)
             z = np.asarray(heads.decode(e, model.head, features).data)
             _refuse_non_finite(z, batch, "logits")
             for (p, y), logits in zip(batch, z):

@@ -123,19 +123,12 @@ def test_criterion_02_structural_invariants():
         if np.abs(np.asarray(attn.data).sum(axis=-1) - 1.0).max() > 1e-6:
             ok, detail = False, "attention weights do not sum to 1"
     # declaration-history symmetry and zero padding, exact
-    h12 = heads.LabelHistory.from_labels(1, 2, 4)
-    h21 = heads.LabelHistory.from_labels(2, 1, 4)
-    if not np.array_equal(
-        heads.history_feature_dec(h12), heads.history_feature_dec(h21)
-    ):
+    dec = lambda prev1, prev2: heads.history_features("dec", [prev1], [prev2], 4)[0]
+    if not np.array_equal(dec(1, 2), dec(2, 1)):
         ok, detail = False, "dec history not symmetric"
-    empty = heads.LabelHistory.from_labels(None, None, 4)
-    if heads.history_feature_dec(empty).any():
+    if dec(-1, -1).any():
         ok, detail = False, "zero padding not exact"
-    if not np.array_equal(
-        heads.history_feature_dec(heads.LabelHistory.from_labels(3, None, 4)),
-        np.array([0, 0, 0, 1], dtype=np.float32),
-    ):
+    if not np.array_equal(dec(3, -1), np.array([0, 0, 0, 1], dtype=np.float32)):
         ok, detail = False, "single-year padding not exact"
     report(2, "structural invariants", ok, detail)
 

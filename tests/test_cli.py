@@ -23,7 +23,6 @@ RUN_CONFIG = {
             "seed": 42,
         }
     },
-    "folds": {"k": 3, "block_size": 2500},
     "model": {
         "dims": {
             "sample_pixels": 4,
@@ -334,3 +333,99 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "non-finite descriptor for parcel" in err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def malformed(workdir, tmp_path_factory):
+    """Placeholder -> path of the pipeline's files and of malformed inputs."""
+    _, cfg, dataset, folds, train_out, eval_out = workdir
+    bad = tmp_path_factory.mktemp("malformed")
+    files = {
+        "config_not_json": "{not json",
+        "config_unknown_key": json.dumps({"dataset": {"synthetic": {"bogus_key": 1}}}),
+        "folds_not_json": "{not json",
+        "preds_not_json": "{not json",
+        "preds_not_object": "[]",
+        "preds_no_test": json.dumps({"meta": {"fold": 0, "val_fold": 1}, "val": []}),
+        "preds_no_fold": json.dumps({"meta": {}, "val": [], "test": []}),
+        "preds_bad_record": json.dumps({"meta": {}, "val": [{"logits": [0.0]}], "test": []}),
+    }
+    paths = {name: bad / f"{name}.json" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["dataset_nan"] = bad / "nan.rcds"
+    paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
+    paths["ckpt_bad_sidecar"] = bad / "ckpt.bin"
+    shutil.copy(train_out / "checkpoint_fold0.bin", paths["ckpt_bad_sidecar"])
+    sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
+    sidecar["dims"]["width"] = 3
+    (bad / "ckpt.bin.json").write_text(json.dumps(sidecar))
+    paths.update(cfg=cfg, dataset=dataset, folds=folds, out=bad / "out",
+                 ckpt=train_out / "checkpoint_fold0.bin", preds=eval_out / "predictions.json")
+    return {name: str(path) for name, path in paths.items()}
+
+
+_TRAIN = "train --config {cfg} --dataset {dataset} --folds {folds} --out {out} --fold 0"
+_EVAL = "eval --checkpoint {ckpt} --dataset {dataset} --folds {folds} --out {out} --fold 0"
+_CRF = "crf --predictions {preds} --dataset {dataset} --folds {folds} --out {out}"
+_EMBED = "embed --checkpoint {ckpt} --dataset {dataset} --out {out}"
+_CALIBRATE = "calibrate --predictions {preds} --out {out}"
+
+
+CLI_MATRIX = {
+    # malformed run config: exit 2
+    "synth-config-not-json": ("synth --config {config_not_json} --out {out}", 2),
+    "synth-config-unknown-key": ("synth --config {config_unknown_key} --out {out}", 2),
+    "train-config-not-json": (_TRAIN.replace("{cfg}", "{config_not_json}"), 2),
+    "train-unknown-variant": (_TRAIN + " --variant crf", 2),
+    # malformed dataset, folds, checkpoint or predictions file: exit 3
+    "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
+    "train-dataset": (_TRAIN.replace("{dataset}", "{dataset_nan}"), 3),
+    "train-folds": (_TRAIN.replace("{folds}", "{folds_not_json}"), 3),
+    "eval-dataset": (_EVAL.replace("{dataset}", "{dataset_nan}"), 3),
+    "eval-folds": (_EVAL.replace("{folds}", "{folds_not_json}"), 3),
+    "eval-checkpoint": (_EVAL.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),
+    "calibrate-not-json": (_CALIBRATE.replace("{preds}", "{preds_not_json}"), 3),
+    "calibrate-not-object": (_CALIBRATE.replace("{preds}", "{preds_not_object}"), 3),
+    "calibrate-no-test": (_CALIBRATE.replace("{preds}", "{preds_no_test}"), 3),
+    "calibrate-bad-record": (_CALIBRATE.replace("{preds}", "{preds_bad_record}"), 3),
+    "crf-not-json": (_CRF.replace("{preds}", "{preds_not_json}"), 3),
+    "crf-not-object": (_CRF.replace("{preds}", "{preds_not_object}"), 3),
+    "crf-no-test": (_CRF.replace("{preds}", "{preds_no_test}"), 3),
+    "crf-meta-no-fold": (_CRF.replace("{preds}", "{preds_no_fold}"), 3),
+    "crf-dataset": (_CRF.replace("{dataset}", "{dataset_nan}"), 3),
+    "crf-folds": (_CRF.replace("{folds}", "{folds_not_json}"), 3),
+    "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
+    "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
+    "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),
+    # arguments out of range: exit 4
+    "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
+    "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),
+    "split-block-size-negative": ("split --dataset {dataset} --out {out} --block-size -5", 4),
+    "train-fold-7": (_TRAIN.replace("--fold 0", "--fold 7"), 4),
+    "train-fold-negative": (_TRAIN.replace("--fold 0", "--fold -1"), 4),
+    "eval-fold-7": (_EVAL.replace("--fold 0", "--fold 7"), 4),
+    "eval-year-foo": (_EVAL + " --year foo", 4),
+    "eval-year-0": (_EVAL + " --year 0", 4),
+    "eval-year-4": (_EVAL + " --year 4", 4),
+    "calibrate-bins-0": (_CALIBRATE + " --bins 0", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_MATRIX))
+def test_cli_matrix_exits_with_one_line(malformed, capsys, case):
+    command, code = CLI_MATRIX[case]
+    argv = [arg.format(**malformed) for arg in command.split()]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [_TRAIN, _EVAL], ids=["train", "eval"])
+def test_fold_outside_folds_file_refused(malformed, tmp_path, capsys, command):
+    argv = [arg.format(**{**malformed, "out": str(tmp_path / "o")})
+            for arg in command.replace("--fold 0", "--fold 7").split()]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "contract violation: fold 7 outside [0, 3)\n"
+    assert not (tmp_path / "o").exists()

@@ -17,12 +17,8 @@ from conftest import encode_drawn, tiny_dims
 from oracles import ltae_forward, pse_forward
 
 
-def _enc_dims():
-    return tiny_dims().encoder()
-
-
 def _weights(dtype=np.float64, seed=0):
-    dims = _enc_dims()
+    dims = tiny_dims()
     rng = np.random.default_rng(seed)
     return dims, PseWeights(dims, rng, dtype=dtype), LtaeWeights(dims, rng, dtype=dtype)
 
@@ -258,7 +254,7 @@ class TestEncodeBatch:
 
 
 def test_encoder_gradients_match_finite_differences():
-    dims = _enc_dims()
+    dims = tiny_dims()
     rng = np.random.default_rng(13)
     pixels = rng.normal(0, 1, (2, dims.channels, 4, 3))
     days = np.array([40, 150, 260])

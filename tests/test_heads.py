@@ -13,52 +13,76 @@ from conftest import tiny_dims
 L = 4
 
 
-def hist(prev1, prev2):
-    return heads.LabelHistory.from_labels(prev1, prev2, L)
+def feats(variant, prev1, prev2):
+    """`history_features` of one parcel-year; -1 marks a missing year."""
+    return heads.history_features(variant, [prev1], [prev2], L)[0]
 
 
 class TestLabelHistory:
     def test_one_hot(self):
-        h = hist(2, 0)
-        assert np.array_equal(h.prev1, [0, 0, 1, 0])
-        assert np.array_equal(h.prev2, [1, 0, 0, 0])
+        f = feats("dec-concat", 2, 0)
+        assert np.array_equal(f[:L], [0, 0, 1, 0])
+        assert np.array_equal(f[L:], [1, 0, 0, 0])
 
     def test_none_becomes_zero_vector(self):
-        h = hist(None, None)
-        assert not h.prev1.any() and not h.prev2.any()
+        f = feats("dec-concat", -1, -1)
+        assert not f[:L].any() and not f[L:].any()
 
 
 class TestHistoryFeatures:
     def test_dec_is_sum(self):
-        assert np.array_equal(heads.history_feature_dec(hist(1, 3)), [0, 1, 0, 1])
+        assert np.array_equal(feats("dec", 1, 3), [0, 1, 0, 1])
 
     def test_dec_repeated_label_counts_twice(self):
-        assert np.array_equal(heads.history_feature_dec(hist(2, 2)), [0, 0, 2, 0])
+        assert np.array_equal(feats("dec", 2, 2), [0, 0, 2, 0])
 
     def test_dec_order_free(self):
-        a = heads.history_feature_dec(hist(1, 3))
-        b = heads.history_feature_dec(hist(3, 1))
+        a = feats("dec", 1, 3)
+        b = feats("dec", 3, 1)
         assert np.array_equal(a, b)
 
     def test_concat_preserves_order(self):
-        a = heads.history_feature_concat(hist(1, 3))
-        b = heads.history_feature_concat(hist(3, 1))
+        a = feats("dec-concat", 1, 3)
+        b = feats("dec-concat", 3, 1)
         assert a.shape == (2 * L,)
         assert not np.array_equal(a, b)
-        assert np.array_equal(a[:L], hist(1, 3).prev1)
+        assert np.array_equal(a[:L], feats("dec-one-year", 1, 3))
 
     def test_one_year_ignores_prev2(self):
-        a = heads.history_feature_one_year(hist(1, 3))
-        b = heads.history_feature_one_year(hist(1, 0))
+        a = feats("dec-one-year", 1, 3)
+        b = feats("dec-one-year", 1, 0)
         assert np.array_equal(a, b) and np.array_equal(a, [0, 1, 0, 0])
 
     def test_dispatcher(self):
-        h = hist(1, 2)
-        assert np.array_equal(
-            heads.history_feature("dec", h), heads.history_feature_dec(h)
-        )
+        prev1, prev2 = [1, -1, 3], [2, -1, -1]
+        batch = heads.history_features("dec", prev1, prev2, L)
+        assert np.array_equal(batch, np.stack([feats("dec", a, b) for a, b in zip(prev1, prev2)]))
         with pytest.raises(ConfigError):
-            heads.history_feature("single", h)
+            heads.history_features("single", prev1, prev2, L)
+
+    @pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year"])
+    def test_matches_one_hot_oracle(self, variant):
+        def onehot(label):
+            v = np.zeros(L, dtype=np.float32)
+            if label >= 0:
+                v[label] = 1.0
+            return v
+
+        labels = np.arange(-1, L)
+        prev1, prev2 = np.repeat(labels, L + 1), np.tile(labels, L + 1)
+        want = {
+            "dec": lambda a, b: onehot(a) + onehot(b),
+            "dec-concat": lambda a, b: np.concatenate([onehot(a), onehot(b)]),
+            "dec-one-year": lambda a, b: onehot(a),
+        }[variant]
+        got = heads.history_features(variant, prev1, prev2, L)
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.stack([want(a, b) for a, b in zip(prev1, prev2)]).tobytes()
+
+    @pytest.mark.parametrize("prev1, prev2", [([L], [0]), ([0], [-2])])
+    def test_labels_out_of_range_refused(self, prev1, prev2):
+        with pytest.raises(ContractError):
+            heads.history_features("dec", prev1, prev2, L)
 
     def test_feature_dims(self):
         assert heads.feature_dim("single", L, 16) == 0
@@ -126,20 +150,33 @@ class TestDecode:
     def test_dec_head_order_free_concat_is_not(self):
         e = np.random.default_rng(2).normal(0, 1, 8).astype(np.float32)
         dec = self._head("dec")
-        a = heads.decode(e, dec, heads.history_feature_dec(hist(1, 3))).data
-        b = heads.decode(e, dec, heads.history_feature_dec(hist(3, 1))).data
+        a = heads.decode(e, dec, feats("dec", 1, 3)).data
+        b = heads.decode(e, dec, feats("dec", 3, 1)).data
         assert np.array_equal(a, b)
         cc = self._head("dec-concat")
-        a = heads.decode(e, cc, heads.history_feature_concat(hist(1, 3))).data
-        b = heads.decode(e, cc, heads.history_feature_concat(hist(3, 1))).data
+        a = heads.decode(e, cc, feats("dec-concat", 1, 3)).data
+        b = heads.decode(e, cc, feats("dec-concat", 3, 1)).data
         assert not np.array_equal(a, b)
 
     def test_history_changes_logits(self):
         e = np.random.default_rng(3).normal(0, 1, 8).astype(np.float32)
         head = self._head("dec")
-        a = heads.decode(e, head, heads.history_feature_dec(hist(0, 0))).data
-        b = heads.decode(e, head, heads.history_feature_dec(hist(2, 2))).data
+        a = heads.decode(e, head, feats("dec", 0, 0)).data
+        b = heads.decode(e, head, feats("dec", 2, 2)).data
         assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year"])
+def test_batch_features_read_the_two_previous_labels(variant):
+    cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), num_years=4, parcels=6, seed=5)
+    parcels = generate_synthetic(cfg)
+    items = [(p, 1 + i % 4) for i, p in enumerate(parcels)]
+    model = CropModel(tiny_dims(num_classes=L), variant)
+    prev = lambda p, y: p.labels[y - 1] if y >= 1 else -1
+    want = heads.history_features(
+        variant, [prev(p, y - 1) for p, y in items], [prev(p, y - 2) for p, y in items], L
+    )
+    assert np.array_equal(_batch_features(model, items, None), want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,84 @@
+"""Print one sha256 per head variant and artifact, to check that a change
+leaves training and inference bitwise unchanged.
+
+Run it in two checkouts and diff the output:
+
+    python3 tools/fingerprint.py > after.txt
+    (cd ../parent && python3 tools/fingerprint.py) > before.txt
+    diff before.txt after.txt
+
+It imports croprot from the `src` directory next to this file.  The data
+are 80 synthetic parcels, half with 6 dates and half with 8, and the
+model dims are small (S = 8), so a run takes a few seconds.  Per variant
+it hashes the trained weights, the best epoch and the epoch log of a
+2-epoch training run, the `predict` logits for all years, for
+`years=[3]` and with `batch_size=16`, and the bytes `export_embeddings`
+writes.
+"""
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from croprot import analytics, heads, training  # noqa: E402
+from croprot.data import Dataset, SyntheticConfig, generate_synthetic  # noqa: E402
+from croprot.model import ModelDims  # noqa: E402
+
+DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
+            out_hidden=32, descriptor=32, num_classes=8, head_hidden=32)
+
+
+def _dataset():
+    short = generate_synthetic(SyntheticConfig(parcels=40, timesteps=6, seed=3))
+    long = generate_synthetic(SyntheticConfig(parcels=40, timesteps=8, seed=4))
+    long = [dataclasses.replace(p, parcel_id=p.parcel_id + 40) for p in long]
+    return Dataset(parcels=short + long, num_classes=8)
+
+
+def _sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _logits_sha(records):
+    return _sha(*[(r.parcel_id, r.year_index, r.logits.tobytes()) for r in records])
+
+
+def fingerprint(variant, dataset):
+    """(artifact, sha256) pairs of one variant."""
+    dims = ModelDims(**DIMS)
+    parcels = dataset.parcels
+    train, val = parcels[::2], parcels[1::4]
+    cfg = training.TrainConfig(epochs=2, batch_size=16, seed=5, variant=variant)
+    model, best_epoch, epoch_log = training.train_single_split(dataset, train, val, cfg, dims)
+    out = [
+        ("weights", _sha(*[a.tobytes() for a in model.state_arrays()])),
+        ("best_epoch", _sha(best_epoch)),
+        ("epoch_log", _sha(epoch_log)),
+        ("logits", _logits_sha(training.predict(model, parcels, seed=7))),
+        ("logits_year3", _logits_sha(training.predict(model, parcels, years=[3], seed=7))),
+        ("logits_batch16", _logits_sha(training.predict(model, parcels, seed=7, batch_size=16))),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "embeddings.csv")
+        analytics.export_embeddings(model, parcels, path, seed=7)
+        with open(path, "rb") as fh:
+            out.append(("embeddings", _sha(fh.read())))
+    return out
+
+
+def main():
+    dataset = _dataset()
+    for variant in heads.VARIANTS:
+        for artifact, digest in fingerprint(variant, dataset):
+            print(f"{variant:13s} {artifact:15s} {digest}")
+
+
+if __name__ == "__main__":
+    main()
