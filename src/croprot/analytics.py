@@ -191,11 +191,10 @@ EMBED_BATCH = 32
 def export_embeddings(model, parcels, out_path, seed=0):
     """One CSV row per parcel-year with the full descriptor, drawn with the
     keyed (seed, parcel, year) pixel draws `predict` uses."""
-    from .training import encode_items, keyed_draws
+    from .training import encode_items
 
     items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
-    draw = keyed_draws(seed, model.dims.sample_pixels)
-    descriptors = encode_items(model, items, draw, EMBED_BATCH)
+    descriptors = encode_items(model, items, (seed,), EMBED_BATCH)
     d = model.dims.descriptor
     # the bytes csv.writer (excel dialect) would write: "," between fields,
     # "\r\n" after each row, and no field here needs quoting

@@ -172,15 +172,22 @@ def relu(x: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu=False) -> Tensor:
-    """x @ w + b, then max(., 0) if `relu`, in one buffer; bitwise equal to
-    relu(add_bias(matmul(x, w), b)) forward and backward."""
+    """x @ w + b, then max(., 0) if `relu`, in one buffer.  A row's output
+    does not depend on the other rows of x: a one-row x is multiplied as
+    two rows.  Other inputs give relu(add_bias(matmul(x, w), b)) bitwise,
+    forward and backward."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
             f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, {b.data.shape}"
         )
     if x.data.shape[1] != w.data.shape[0]:
         raise DimensionError(f"dense: inner dims {x.data.shape[1]} != {w.data.shape[0]}")
-    out = x.data @ w.data
+    if x.data.shape[0] == 1:
+        # OpenBLAS runs a one-row product as gemv, whose rounding differs
+        # from the gemm of a larger batch; a two-row product runs as gemm
+        out = (np.repeat(x.data, 2, axis=0) @ w.data)[:1]
+    else:
+        out = x.data @ w.data
     out += b.data
     if relu:
         np.maximum(out, 0, out=out)

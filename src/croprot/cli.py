@@ -338,6 +338,12 @@ def cmd_calibrate(args):
     import os
 
     meta, val_records, test_records = _load_predictions(args.predictions)
+    # an empty test list would report an ECE of 0 before and after
+    for name, records in (("val", val_records), ("test", test_records)):
+        if not records:
+            raise DataFormatError(
+                f"predictions file {args.predictions}: no {name} records to calibrate on"
+            )
     scaler = calibration.fit_temperature(val_records)
     calibration.calibrate_records(test_records, 1.0)
     ece_before = calibration.ece(test_records, args.bins)

@@ -241,40 +241,78 @@ def generate_synthetic(config: SyntheticConfig):
     return parcels
 
 
-def sample_pixels(sample: PixelSetSample, s: int, rng) -> np.ndarray:
-    """Draw S pixel columns, shared across all dates; with replacement only
-    when the parcel has fewer than S pixels.  Returns the (S,) column
-    indices into `sample.pixels`, in draw order."""
+# ---------------------------------------------------------------------------
+# keyed pixel draws
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(x):
+    """splitmix64's finaliser of a Python int or a uint64 array (which
+    wraps modulo 2**64 by itself)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def draw_keys(stream, parcel_ids, years):
+    """(B,) uint64 pixel-draw keys: the splitmix64 chain of the integer
+    words of `stream`, then of each item's parcel id and year."""
+    h = 0
+    for word in stream:
+        h = _splitmix64(h ^ (word & _MASK64))
+    k = _splitmix64(np.uint64(h) ^ np.asarray(parcel_ids).astype(np.uint64))
+    return _splitmix64(k ^ np.asarray(years).astype(np.uint64))
+
+
+def sample_pixels(keys, n_pixels, s):
+    """Draw S pixel columns, shared across all dates, for each of B items:
+    item b draws from its n_pixels[b] columns, with replacement only when
+    it has fewer than S, and its draw depends on keys[b] alone.
+
+    Column j of item b has the key splitmix64(keys[b] ^ j).  Without
+    replacement the draw is the S columns of smallest key, in key order;
+    with replacement, draw j < S is column (key_j >> 32) * n_p >> 32.
+
+    Returns (columns, counts), (B, S) int64 each: row b lists each drawn
+    column once with its draw count, left-packed, and pads with column 0
+    and count 0.  Repeated columns come in increasing column order."""
     if s < 1:
         raise ContractError("need at least one sampled pixel")
-    n_p = sample.n_pixels
-    if n_p >= s:
-        return rng.choice(n_p, size=s, replace=False)
-    # must draw what rng.choice(n_p, size=s, replace=True) draws, which
-    # is slower
-    return rng.integers(0, n_p, size=s)
-
-
-def distinct_columns(columns):
-    """(columns, counts): each drawn column once and how often it was
-    drawn.  A draw without repeats comes back as drawn, in draw order;
-    otherwise the columns are in increasing order."""
-    tally = np.bincount(columns)
-    if tally.max() == 1:
-        return columns, np.ones(len(columns), dtype=np.int64)
-    kept = np.flatnonzero(tally)
-    return kept, tally[kept]
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = np.asarray(n_pixels, dtype=np.int64)
+    if keys.ndim != 1 or n.shape != keys.shape:
+        raise ContractError(f"sample_pixels: keys {keys.shape}, pixel counts {n.shape}")
+    if n.min(initial=1) < 1:
+        raise ContractError("parcel with no pixels")
+    width = max(s, int(n.max(initial=0)))
+    col = np.arange(width, dtype=np.uint64)
+    col_keys = _splitmix64(keys[:, None] ^ col)
+    columns = np.zeros((len(keys), s), dtype=np.int64)
+    counts = np.zeros_like(columns)
+    few = n < s
+    many = ~few
+    if many.any():
+        k = col_keys[many]
+        k[col >= n[many, None].astype(np.uint64)] = _MASK64  # pad columns sort last
+        columns[many] = np.argsort(k, axis=1, kind="stable")[:, :s]
+        counts[many] = 1
+    if few.any():
+        drawn = (col_keys[few, :s] >> 32) * n[few, None].astype(np.uint64) >> 32
+        # one tally of all rows: row r's column c is bin r * S + c
+        bins = drawn.astype(np.int64) + np.arange(0, drawn.size, s)[:, None]
+        tally = np.bincount(bins.ravel(), minlength=drawn.size).reshape(drawn.shape)
+        order = np.argsort(tally == 0, axis=1, kind="stable")  # drawn columns first
+        packed = np.take_along_axis(tally, order, axis=1)
+        columns[few] = np.where(packed > 0, order, 0)
+        counts[few] = packed
+    return columns, counts
 
 
 # ---------------------------------------------------------------------------
 # spatially separated folds
-
-
-def _splitmix64(x):
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
 
 
 def make_folds(parcels, k, block_size, salt=0):

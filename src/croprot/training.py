@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, autodiff as ad, heads
-from .data import distinct_columns, sample_pixels
+from .data import draw_keys, sample_pixels
 from .encoders import encode_batch
 from .errors import ContractError
 from .model import CropModel, ModelDims
@@ -144,18 +144,20 @@ def _buckets(items):
     return [buckets[key] for key in sorted(buckets, key=str)]
 
 
-def keyed_draws(seed, s):
-    """Pixel draws fixed by (seed, parcel, year), whatever else is drawn:
-    `draw(parcel, year)` returns the drawn columns."""
+# first key word of training draws, so that they never share a key with
+# inference draws, keyed by (seed, parcel, year)
+TRAIN_DRAWS = 0x747261696E  # "train"
 
-    def draw(parcel, year):
-        # the generator np.random.default_rng returns, without its overhead
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, parcel.parcel_id, year]))
-        )
-        return sample_pixels(parcel.samples[year - 1], s, rng)
 
-    return draw
+def _draw(items, stream, s):
+    """Pixel draws of a same-(year, T) chunk, keyed by the words of
+    `stream`, then parcel id and year: (items, columns, counts), with the
+    rows reordered by distinct count, most first, so the pool reduces each
+    run of equal-size segments at once."""
+    keys = draw_keys(stream, [p.parcel_id for p, _ in items], [y for _, y in items])
+    columns, counts = sample_pixels(keys, [p.samples[y - 1].n_pixels for p, y in items], s)
+    order = np.argsort(-np.count_nonzero(counts, axis=1), kind="stable")
+    return [items[i] for i in order], columns[order], counts[order]
 
 
 def _encode(model, items, columns, counts):
@@ -176,27 +178,18 @@ def _refuse_non_finite(rows, items, what):
         raise ContractError(f"non-finite {what} for parcel {p.parcel_id}, year {y}")
 
 
-def encode_items(model, items, draw, batch_size=256):
+def encode_items(model, items, stream, batch_size=256):
     """{(parcel_id, year): descriptor} of the items, each encoded once from
-    the columns `draw(parcel, year)` returns, each distinct column once; a
-    non-finite descriptor is a ContractError.  Callers run it outside
-    `ad.recording`, so it records nothing on a tape."""
+    the pixel draw keyed by (*stream, parcel id, year), each distinct
+    column once; a non-finite descriptor is a ContractError.  Callers run
+    it outside `ad.recording`, so it records nothing on a tape."""
     unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
     out = {}
     for group in _buckets(unique):
         for i in range(0, len(group), batch_size):
-            chunk = group[i : i + batch_size]
-            tallies = [distinct_columns(draw(p, y)) for p, y in chunk]
-            # most distinct columns first: the pool reduces each run of
-            # equal-size segments at once
-            order = sorted(range(len(chunk)), key=lambda j: -len(tallies[j][0]))
-            chunk = [chunk[j] for j in order]
-            columns = np.zeros((len(chunk), tallies[0][1].sum()), dtype=np.int64)
-            counts = np.zeros_like(columns)
-            for row, j in enumerate(order):
-                kept, n = tallies[j]
-                columns[row, : len(kept)] = kept
-                counts[row, : len(n)] = n
+            chunk, columns, counts = _draw(
+                group[i : i + batch_size], stream, model.dims.sample_pixels
+            )
             e = _encode(model, chunk, columns, counts).data
             _refuse_non_finite(e, chunk, "descriptor")
             for (p, y), row in zip(chunk, e):
@@ -208,24 +201,22 @@ def _past_items(items):
     return [(p, y - back) for p, y in items for back in (1, 2) if y - back >= 1]
 
 
-def _batch_features(model, items, rng, descriptors=None):
+def _batch_features(model, items, stream, descriptors=None):
     """Head features of a same-year batch: None on "single", the one-hot
     declarations of the two previous years on the dec family, averaged
     past-year descriptors on "obs".
 
     "obs" looks past years up in `descriptors`; without them it encodes
-    the past years with pixel draws from `rng`."""
+    the past years with the pixel draws keyed by `stream`."""
     variant = model.variant
     if variant == "single":
         return None
     if variant == "obs":
-        dims = model.dims
         if descriptors is None:
-            draw = lambda p, y: sample_pixels(p.samples[y - 1], dims.sample_pixels, rng)
-            descriptors = encode_items(model, _past_items(items), draw)
+            descriptors = encode_items(model, _past_items(items), stream)
         past = lambda p, y: descriptors.get((p.parcel_id, y))
         return np.stack(
-            [heads.obs_feature(past(p, y - 1), past(p, y - 2), y, dims.descriptor)
+            [heads.obs_feature(past(p, y - 1), past(p, y - 2), y, model.dims.descriptor)
              for p, y in items]
         )
     # two -1 columns for the years before the first: column y holds the
@@ -238,14 +229,10 @@ def _batch_features(model, items, rng, descriptors=None):
     )
 
 
-def batch_logits(model, items, draws, features):
-    """Forward pass for a same-year batch, its drawn columns and its head
-    features; returns the logits Tensor.  Every draw is encoded as drawn,
-    duplicates included, in draw order."""
-    columns = np.stack(draws)
-    return heads.decode(
-        _encode(model, items, columns, np.ones_like(columns)), model.head, features
-    )
+def batch_logits(model, items, columns, counts, features):
+    """Forward pass for a same-year batch, its pixel draws as `encode_batch`
+    takes them and its head features; returns the logits Tensor."""
+    return heads.decode(_encode(model, items, columns, counts), model.head, features)
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +292,20 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     best = (-1.0, 0, model.state_arrays())
     epoch_log = []
     for epoch in range(cfg.epochs):
+        # the epoch's generator only orders the batches: each pixel draw is
+        # keyed by (seed, fold, epoch, parcel, year)
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, fold, epoch, 0xE9])
         )
+        stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
         losses = []
         for batch in _epoch_batches(items, cfg.batch_size, rng):
-            draws = [
-                sample_pixels(p.samples[y - 1], dims.sample_pixels, rng)
-                for p, y in batch
-            ]
+            batch, columns, counts = _draw(batch, stream, dims.sample_pixels)
             labels = np.asarray([p.labels[y - 1] for p, y in batch], dtype=np.int64)
             # "obs" encodes past years here, before the tape is attached
-            features = _batch_features(model, batch, rng)
+            features = _batch_features(model, batch, stream)
             with ad.recording(params) as tape:
-                z = batch_logits(model, batch, draws, features)
+                z = batch_logits(model, batch, columns, counts, features)
                 loss = cross_entropy(z, labels)
                 grads_map = ad.backward(tape, loss, params=params)
             if not np.isfinite(loss.data):
@@ -385,8 +372,7 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 def predict(model, parcels, years=None, seed=0, batch_size=256):
     """One PredictionRecord per requested parcel-year; pixel draws are fixed
     by (seed, parcel, year), so repeated calls are identical and a parcel's
-    records do not depend on the other parcels in the call (but for BLAS
-    rounding, about 1e-7, where a batch shrinks to one row).
+    records do not depend, bit for bit, on the other parcels in the call.
 
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
@@ -398,9 +384,7 @@ def predict(model, parcels, years=None, seed=0, batch_size=256):
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
     items = [(p, y) for p in parcels for y in wanted]
     needed = items + _past_items(items) if model.variant == "obs" else items
-    descriptors = encode_items(
-        model, needed, keyed_draws(seed, model.dims.sample_pixels), batch_size
-    )
+    descriptors = encode_items(model, needed, (seed,), batch_size)
     records = []
     for group in _buckets(items):
         for i in range(0, len(group), batch_size):

@@ -53,6 +53,12 @@ def encode_drawn(pixels, days, pse, ltae):
     return encode_batch(columns, np.ones_like(columns), list(pixels), days, pse, ltae)
 
 
+def expand_draws(columns, counts):
+    """(B, S) draws of `sample_pixels` output: each column repeated its
+    count times, in the order listed."""
+    return np.stack([np.repeat(c, n) for c, n in zip(columns, counts)])
+
+
 def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):
     """Bytes of a hand-written one-parcel, one-year, one-channel, 3-class
     .rcds file with a single pixel."""

@@ -21,6 +21,7 @@ from croprot.crf import TransitionTensor, crf_score, estimate_transitions
 from croprot.data import (
     Dataset,
     SyntheticConfig,
+    draw_keys,
     generate_synthetic,
     load_dataset,
     make_folds,
@@ -61,11 +62,10 @@ def test_criterion_01_gradient_fidelity():
     )
     parcels = generate_synthetic(cfg)
     items = [(p, 3) for p in parcels]
-    rng = np.random.default_rng(0)
-    draws = [sample_pixels(p.samples[2], 4, rng) for p, _ in items]
+    keys = draw_keys((0,), [p.parcel_id for p, _ in items], [3] * len(items))
+    columns, counts = sample_pixels(keys, [p.samples[2].n_pixels for p, _ in items], 4)
     dims = tiny_dims(num_classes=L)
     labels = np.asarray([p.labels[2] for p, _ in items], dtype=np.int64)
-    columns = np.stack(draws)
     sets = [p.samples[2].pixels for p, _ in items]
     days = np.stack([p.samples[2].days for p, _ in items])
     worst = {}
@@ -75,7 +75,7 @@ def test_criterion_01_gradient_fidelity():
         assert sum(a.size for a in arrays) <= 2_000
         # the "obs" features are detached by design: hold them fixed so the
         # difference quotient matches the analytic (detached) gradient
-        features = _batch_features(base, items, np.random.default_rng(7))
+        features = _batch_features(base, items, (7,))
 
         def f(arrs):
             model = CropModel(dims, variant, seed=2, dtype=np.float64)
@@ -83,8 +83,7 @@ def test_criterion_01_gradient_fidelity():
             for t, a in zip(tensors, arrs):
                 t.data = a
             with ad.recording(tensors):
-                e = encode_batch(columns, np.ones_like(columns), sets, days,
-                                 model.pse, model.ltae)
+                e = encode_batch(columns, counts, sets, days, model.pse, model.ltae)
                 z = heads.decode(e, model.head, features)
                 loss = cross_entropy(z, labels)
             return loss, tensors

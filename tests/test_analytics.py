@@ -8,7 +8,7 @@ from croprot import analytics
 from croprot.data import SyntheticConfig, generate_synthetic
 from croprot.errors import ContractError
 from croprot.model import CropModel
-from croprot.training import PredictionRecord, encode_items, keyed_draws
+from croprot.training import PredictionRecord, encode_items
 
 from conftest import tiny_dims
 
@@ -263,7 +263,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = encode_items(model, items, keyed_draws(3, dims.sample_pixels))
+        want = encode_items(model, items, (3,))
         oracle = tmp_path / "oracle.csv"
         with open(oracle, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -285,7 +285,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = encode_items(model, items, keyed_draws(3, dims.sample_pixels))
+        want = encode_items(model, items, (3,))
         rows = list(csv.reader(open(path)))[1:]
         assert len(rows) == len(want)
         for row in rows:

@@ -317,6 +317,17 @@ class TestDense:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_does_not_depend_on_batch(self, dtype):
+        # a one-row input runs as gemm like a larger batch, not as gemv
+        rng = np.random.default_rng(5)
+        x, w, b = (ad.Tensor(rng.normal(0, 1, shape), dtype=dtype)
+                   for shape in [(40, 64), (64, 48), (48,)])
+        batch = ad.dense(x, w, b, relu=True).data
+        for i in range(len(batch)):
+            one = ad.dense(ad.Tensor(x.data[i : i + 1]), w, b, relu=True).data
+            assert one.shape == (1, 48) and one.tobytes() == batch[i].tobytes()
+
     def test_one_tape_op(self):
         x, w, b = params_on_tape([np.ones((2, 3)), np.ones((3, 4)), np.zeros(4)])
         with ad.recording([x, w, b]) as tape:

@@ -335,6 +335,10 @@ class TestPipeline:
         assert not (tmp_path / "o").exists()
 
 
+# a well-formed predictions record
+_RECORD = {"parcel_id": 0, "year_index": 1, "logits": [0.5, -0.5], "true_label": 0}
+
+
 @pytest.fixture(scope="module")
 def malformed(workdir, tmp_path_factory):
     """Placeholder -> path of the pipeline's files and of malformed inputs."""
@@ -349,6 +353,8 @@ def malformed(workdir, tmp_path_factory):
         "preds_no_test": json.dumps({"meta": {"fold": 0, "val_fold": 1}, "val": []}),
         "preds_no_fold": json.dumps({"meta": {}, "val": [], "test": []}),
         "preds_bad_record": json.dumps({"meta": {}, "val": [{"logits": [0.0]}], "test": []}),
+        "preds_empty_test": json.dumps({"meta": {}, "val": [_RECORD], "test": []}),
+        "preds_empty_val": json.dumps({"meta": {}, "val": [], "test": [_RECORD]}),
     }
     paths = {name: bad / f"{name}.json" for name in files}
     for name, text in files.items():
@@ -389,6 +395,8 @@ CLI_MATRIX = {
     "calibrate-not-object": (_CALIBRATE.replace("{preds}", "{preds_not_object}"), 3),
     "calibrate-no-test": (_CALIBRATE.replace("{preds}", "{preds_no_test}"), 3),
     "calibrate-bad-record": (_CALIBRATE.replace("{preds}", "{preds_bad_record}"), 3),
+    "calibrate-empty-test": (_CALIBRATE.replace("{preds}", "{preds_empty_test}"), 3),
+    "calibrate-empty-val": (_CALIBRATE.replace("{preds}", "{preds_empty_val}"), 3),
     "crf-not-json": (_CRF.replace("{preds}", "{preds_not_json}"), 3),
     "crf-not-object": (_CRF.replace("{preds}", "{preds_not_object}"), 3),
     "crf-no-test": (_CRF.replace("{preds}", "{preds_no_test}"), 3),

@@ -1,4 +1,5 @@
 import collections
+import math
 import struct
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from scipy import stats
 
 from croprot.data import (
-    PixelSetSample,
     SyntheticConfig,
-    distinct_columns,
+    _splitmix64,
+    draw_keys,
     generate_synthetic,
     load_dataset,
     make_folds,
@@ -18,7 +19,7 @@ from croprot.data import (
 )
 from croprot.errors import ConfigError, ContractError, DataFormatError
 
-from conftest import one_sample_file
+from conftest import expand_draws, one_sample_file
 
 
 class TestGenerator:
@@ -95,14 +96,42 @@ class TestGenerator:
         assert pvalue > 0.01, f"transition counts deviate from the kernel (p={pvalue:.4g})"
 
 
+# draw_keys((0,), [0, 1, 7], [1, 2, 3]) and the draws of S = 6 from 3, 8
+# and 20 pixels under those keys
+GOLDEN_KEYS = [3400964856525257824, 6768782832058643234, 1377067358039863116]
+GOLDEN_COLUMNS = [[0, 1, 2, 0, 0, 0], [3, 2, 7, 1, 5, 0], [3, 4, 11, 7, 13, 6]]
+GOLDEN_COUNTS = [[2, 2, 2, 0, 0, 0], [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]
+
+
+def _keys(n, seed=0):
+    return draw_keys((seed,), np.arange(n), np.ones(n, dtype=np.int64))
+
+
+def _reference_draw(key, n_p, s):
+    """Scalar restatement of the draw rule: (columns, counts) of one item."""
+    col_key = [_splitmix64(key ^ j) for j in range(max(n_p, s))]
+    if n_p >= s:
+        kept = sorted(range(n_p), key=lambda j: (col_key[j], j))[:s]
+        return kept, [1] * s
+    tally = collections.Counter((col_key[j] >> 32) * n_p >> 32 for j in range(s))
+    kept = sorted(tally)
+    return kept, [tally[c] for c in kept]
+
+
 class TestSamplePixels:
     def _sample(self, n_p=6, seed=0):
         cfg = SyntheticConfig(parcels=1, pixels_min=n_p, pixels_max=n_p, seed=seed)
         return generate_synthetic(cfg)[0].samples[0]
 
+    @staticmethod
+    def _drawn(sample, s, seed):
+        """The sample's (C, S, T) drawn pixels, every draw as drawn."""
+        columns, counts = sample_pixels(_keys(1, seed), [sample.n_pixels], s)
+        return sample.pixels[:, expand_draws(columns, counts)[0], :]
+
     def test_exhaustive_draw_is_permutation(self):
         s = self._sample(n_p=5)
-        drawn = s.pixels[:, sample_pixels(s, 5, np.random.default_rng(0)), :]
+        drawn = self._drawn(s, 5, 0)
         # column multiset must match exactly
         got = sorted(drawn[:, i, :].tobytes() for i in range(5))
         want = sorted(s.pixels[:, i, :].tobytes() for i in range(5))
@@ -110,45 +139,102 @@ class TestSamplePixels:
 
     def test_single_pixel_repeated(self):
         s = self._sample(n_p=1)
-        drawn = s.pixels[:, sample_pixels(s, 4, np.random.default_rng(0)), :]
+        drawn = self._drawn(s, 4, 0)
         for i in range(4):
             assert np.array_equal(drawn[:, i, :], s.pixels[:, 0, :])
 
     def test_never_fabricates_values(self):
         s = self._sample(n_p=7)
-        drawn = s.pixels[:, sample_pixels(s, 3, np.random.default_rng(1)), :]
+        drawn = self._drawn(s, 3, 1)
         source = {s.pixels[:, i, :].tobytes() for i in range(7)}
         for i in range(3):
             assert drawn[:, i, :].tobytes() in source
 
     @pytest.mark.parametrize("s", [4, 8, 16, 32])
-    def test_with_replacement_draws_are_choices(self, s):
-        # the with-replacement branch must keep rng.choice(..., replace=True)'s
-        # stream: the same columns and the same generator state afterwards
-        for n_p in range(1, s):
-            sample = PixelSetSample(0, 1, np.arange(2 * n_p * 3, dtype=np.float32)
-                                    .reshape(2, n_p, 3), np.array([1, 2, 3]), 0)
-            got_rng, want_rng = np.random.default_rng(n_p), np.random.default_rng(n_p)
-            for _ in range(3):
-                idx = want_rng.choice(n_p, size=s, replace=True)
-                assert np.array_equal(sample_pixels(sample, s, got_rng), idx)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    def test_draws_match_scalar_reference(self, s):
+        # one batched call over pixel counts on both sides of S equals the
+        # rule applied to each item alone, with Python integers
+        n_pixels = np.tile(np.arange(1, 2 * s + 2), 3)
+        keys = _keys(len(n_pixels), seed=s)
+        columns, counts = sample_pixels(keys, n_pixels, s)
+        for key, n_p, cols, cnts in zip(keys, n_pixels, columns, counts):
+            kept, n = _reference_draw(int(key), int(n_p), s)
+            assert cols[: len(kept)].tolist() == kept and cnts[: len(n)].tolist() == n
+            assert not cols[len(kept):].any() and not cnts[len(n):].any()
 
-    @pytest.mark.parametrize("columns, kept, counts", [
-        ([4, 0, 2], [4, 0, 2], [1, 1, 1]),        # no repeats: draw order
-        ([3, 1, 3, 3, 0], [0, 1, 3], [1, 1, 3]),  # repeats: increasing order
-        ([0, 0, 0, 0], [0], [4]),
-    ])
-    def test_distinct_columns(self, columns, kept, counts):
-        got_kept, got_counts = distinct_columns(np.array(columns))
-        assert got_kept.tolist() == kept and got_counts.tolist() == counts
+    def test_golden_draws(self):
+        # pins the draw stream: a change here changes every descriptor
+        keys = draw_keys((0,), [0, 1, 7], [1, 2, 3])
+        assert keys.tolist() == GOLDEN_KEYS
+        columns, counts = sample_pixels(keys, [3, 8, 20], 6)
+        assert columns.tolist() == GOLDEN_COLUMNS
+        assert counts.tolist() == GOLDEN_COUNTS
+
+    def test_no_repeats_without_replacement(self):
+        n_pixels = np.random.default_rng(3).integers(8, 60, size=500)
+        columns, counts = sample_pixels(_keys(500), n_pixels, 8)
+        assert np.all(counts == 1)
+        assert np.all(columns < n_pixels[:, None])
+        assert all(len(set(row)) == 8 for row in columns.tolist())
+
+    def test_counts_sum_to_s_and_padding_is_zero(self):
+        n_pixels = np.random.default_rng(4).integers(1, 24, size=500)
+        columns, counts = sample_pixels(_keys(500), n_pixels, 16)
+        assert np.all(counts.sum(axis=1) == 16) and counts.min() >= 0
+        kept = counts > 0
+        # left-packed: no kept column after a pad, and a pad is column 0
+        assert np.all(kept[:, :-1] | ~kept[:, 1:])
+        assert not columns[~kept].any()
+        assert np.all(columns < n_pixels[:, None])
+        for cols, k, n_p in zip(columns, kept, n_pixels):
+            if n_p < 16:  # with replacement: distinct, increasing columns
+                assert np.all(np.diff(cols[k]) > 0)
+
+    def test_batch_composition_does_not_matter(self):
+        n_pixels = np.random.default_rng(5).integers(1, 40, size=64)
+        keys = _keys(64)
+        columns, counts = sample_pixels(keys, n_pixels, 8)
+        perm = np.random.default_rng(6).permutation(64)
+        got = sample_pixels(keys[perm], n_pixels[perm], 8)
+        assert np.array_equal(got[0], columns[perm]) and np.array_equal(got[1], counts[perm])
+        for i in range(0, 64, 7):
+            one = sample_pixels(keys[i : i + 1], n_pixels[i : i + 1], 8)
+            assert np.array_equal(one[0][0], columns[i]) and np.array_equal(one[1][0], counts[i])
+
+    @pytest.mark.parametrize("n_p, s", [(3, 2), (5, 4), (3, 8), (7, 16)])
+    def test_single_column_frequencies_uniform(self, n_p, s):
+        columns, counts = sample_pixels(_keys(20000, seed=n_p), [n_p] * 20000, s)
+        freq = np.bincount(columns.ravel(), weights=counts.ravel(), minlength=n_p)
+        assert freq.sum() == 20000 * s
+        _, pvalue = stats.chisquare(freq)
+        assert pvalue > 1e-3, f"column frequencies {freq} (p={pvalue:.3g})"
+
+    @pytest.mark.parametrize("n_p, s, ordered", [(4, 2, True), (6, 3, False), (5, 5, True)])
+    def test_subset_frequencies_uniform(self, n_p, s, ordered):
+        # without replacement every ordered draw (or S-subset) is equally likely
+        columns, _ = sample_pixels(_keys(30000, seed=s), [n_p] * 30000, s)
+        seen = collections.Counter(
+            tuple(row) if ordered else tuple(sorted(row)) for row in columns.tolist()
+        )
+        outcomes = math.perm(n_p, s) if ordered else math.comb(n_p, s)
+        assert len(seen) == outcomes
+        _, pvalue = stats.chisquare(list(seen.values()))
+        assert pvalue > 1e-3, f"{outcomes} outcomes (p={pvalue:.3g})"
+
+    def test_refusals(self):
+        with pytest.raises(ContractError):
+            sample_pixels(_keys(2), [3, 4], 0)
+        with pytest.raises(ContractError):
+            sample_pixels(_keys(2), [3, 0], 4)
+        with pytest.raises(ContractError):
+            sample_pixels(_keys(2), [3], 4)
 
     def test_draw_means_converge(self):
         s = self._sample(n_p=10, seed=4)
-        rng = np.random.default_rng(2)
+        columns, counts = sample_pixels(_keys(1000, seed=2), [10] * 1000, 4)
         parcel_mean = s.pixels.mean(axis=(1, 2))
         draws = np.stack(
-            [s.pixels[:, sample_pixels(s, 4, rng), :].mean(axis=(1, 2)) for _ in range(1000)]
+            [s.pixels[:, row, :].mean(axis=(1, 2)) for row in expand_draws(columns, counts)]
         )
         overall = draws.mean(axis=0)
         sem = draws.std(axis=0) / np.sqrt(len(draws))

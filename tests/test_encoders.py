@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad
-from croprot.data import PixelSetSample, distinct_columns, sample_pixels
+from croprot.data import PixelSetSample, draw_keys, sample_pixels
 from croprot.encoders import (
     EncoderDims,
     LtaeWeights,
@@ -13,7 +13,7 @@ from croprot.encoders import (
 )
 from croprot.errors import ConfigError, ContractError
 
-from conftest import encode_drawn, tiny_dims
+from conftest import encode_drawn, expand_draws, tiny_dims
 from oracles import ltae_forward, pse_forward
 
 
@@ -290,17 +290,9 @@ class TestDistinctColumns:
             PixelSetSample(0, 1, rng.normal(0, 1, (4, n_p, 6)).astype(np.float32), days, 0)
             for n_p in pixel_counts
         ]
-        s = self.DIMS.sample_pixels
-        drawn = np.stack([sample_pixels(x, s, rng) for x in samples])
-        return pse, ltae, [x.pixels for x in samples], days, drawn
-
-    @staticmethod
-    def _distinct(drawn):
-        columns, counts = np.zeros_like(drawn), np.zeros_like(drawn)
-        for row, draw in enumerate(drawn):
-            kept, n = distinct_columns(draw)
-            columns[row, : len(kept)], counts[row, : len(n)] = kept, n
-        return columns, counts
+        keys = draw_keys((seed,), np.arange(len(samples)), np.ones(len(samples), dtype=int))
+        columns, counts = sample_pixels(keys, pixel_counts, self.DIMS.sample_pixels)
+        return pse, ltae, [x.pixels for x in samples], days, columns, counts
 
     @pytest.mark.parametrize("pixel_counts", [
         [16, 20, 40],    # n_p >= S: drawn without repeats
@@ -310,23 +302,23 @@ class TestDistinctColumns:
     ])
     @pytest.mark.parametrize("seed", [2, 3])
     def test_equals_drawn_encode(self, pixel_counts, seed):
-        pse, ltae, sets, days, drawn = self._batch(pixel_counts, seed)
+        pse, ltae, sets, days, columns, counts = self._batch(pixel_counts, seed)
+        drawn = expand_draws(columns, counts)
         want = encode_batch(drawn, np.ones_like(drawn), sets, days, pse, ltae).data
-        columns, counts = self._distinct(drawn)
         assert counts.sum(axis=1).tolist() == [16] * len(sets)
         got = encode_batch(columns, counts, sets, days, pse, ltae).data
         assert got.tobytes() == want.tobytes()
 
     def test_padding_position_is_free(self):
-        pse, ltae, sets, days, drawn = self._batch([3, 5], 4)
-        columns, counts = self._distinct(drawn)
+        pse, ltae, sets, days, columns, counts = self._batch([3, 5], 4)
         want = encode_batch(columns, counts, sets, days, pse, ltae).data
         got = encode_batch(columns[:, ::-1], counts[:, ::-1], sets, days, pse, ltae).data
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("change", ["short_counts", "negative", "shape", "sets", "dates"])
     def test_malformed_draws_refused(self, change):
-        pse, ltae, sets, days, drawn = self._batch([3, 20], 5)
+        pse, ltae, sets, days, columns, counts = self._batch([3, 20], 5)
+        drawn = expand_draws(columns, counts)
         counts = np.ones_like(drawn)
         if change == "short_counts":
             counts[0, 0] = 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad, heads
-from croprot.data import SyntheticConfig, generate_synthetic, sample_pixels
+from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_pixels
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
@@ -191,22 +191,20 @@ def grad_items():
     )
     parcels = generate_synthetic(cfg)
     items = [(p, 3) for p in parcels]  # year 3: full history available
-    rng = np.random.default_rng(0)
-    draws = [sample_pixels(p.samples[2], 4, rng) for p, _ in items]
-    return items, draws
+    keys = draw_keys((0,), [p.parcel_id for p, _ in items], [3] * len(items))
+    return items, sample_pixels(keys, [p.samples[2].n_pixels for p, _ in items], 4)
 
 
 @pytest.mark.parametrize("variant", heads.VARIANTS)
 def test_full_model_gradients_match_finite_differences(variant, grad_items):
-    items, draws = grad_items
+    items, (columns, counts) = grad_items
     dims = tiny_dims(num_classes=L)
     labels = np.asarray([p.labels[2] for p, _ in items], dtype=np.int64)
     base = CropModel(dims, variant, seed=2, dtype=np.float64)
     arrays = [np.array(p.data) for p in base.parameters()]
     # the "obs" features are detached from the graph by design, so they
     # must stay fixed while the parameters are perturbed; compute them once
-    features = _batch_features(base, items, np.random.default_rng(7))
-    columns = np.stack(draws)
+    features = _batch_features(base, items, (7,))
     sets = [p.samples[y - 1].pixels for p, y in items]
     days = np.stack([p.samples[y - 1].days for p, y in items])
 
@@ -216,7 +214,7 @@ def test_full_model_gradients_match_finite_differences(variant, grad_items):
         for t, a in zip(tensors, arrs):
             t.data = a
         with ad.recording(tensors):
-            e = encode_batch(columns, np.ones_like(columns), sets, days, model.pse, model.ltae)
+            e = encode_batch(columns, counts, sets, days, model.pse, model.ltae)
             z = heads.decode(e, model.head, features)
             loss = cross_entropy(z, labels)
         return loss, tensors

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from croprot import autodiff as ad, heads
+from croprot import analytics, autodiff as ad, heads, training
 from croprot.data import (
     Dataset,
     MultiYearParcel,
     PixelSetSample,
     SyntheticConfig,
     generate_synthetic,
+    draw_keys,
     make_folds,
     sample_pixels,
 )
@@ -22,14 +23,13 @@ from croprot.training import (
     _training_items,
     cross_entropy,
     encode_items,
-    keyed_draws,
     optimizer_step,
     predict,
     train,
     train_single_split,
 )
 
-from conftest import small_dims, tiny_dims
+from conftest import expand_draws, small_dims, tiny_dims
 
 
 def _dims(cfg):
@@ -238,33 +238,46 @@ class TestEncodeItems:
 
     def test_keys_and_shape(self, setup):
         model, items = setup
-        out = encode_items(model, items, keyed_draws(0, model.dims.sample_pixels))
+        out = encode_items(model, items, (0,))
         assert set(out) == {(p.parcel_id, y) for p, y in items}
         for e in out.values():
             assert e.shape == (model.dims.descriptor,)
 
     def test_keyed_draws_repeat_bitwise(self, setup):
         model, items = setup
-        draw = keyed_draws(42, model.dims.sample_pixels)
-        a = encode_items(model, items, draw)
+        a = encode_items(model, items, (42,))
         # another call order and batch size give the same draws and rows
-        b = encode_items(model, items[::-1], draw, batch_size=4)
+        b = encode_items(model, items[::-1], (42,), batch_size=4)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
     def test_different_seeds_differ(self, setup):
         model, items = setup
-        a = encode_items(model, items, keyed_draws(0, model.dims.sample_pixels))
-        b = encode_items(model, items, keyed_draws(1, model.dims.sample_pixels))
+        a = encode_items(model, items, (0,))
+        b = encode_items(model, items, (1,))
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
-    def test_keyed_draws_are_default_rng_draws(self, setup):
-        _, items = setup
-        for s in (4, 16):  # without and with replacement
-            draw = keyed_draws(9, s)
-            for p, y in items:
-                rng = np.random.default_rng(np.random.SeedSequence([9, p.parcel_id, y]))
-                assert np.array_equal(draw(p, y), sample_pixels(p.samples[y - 1], s, rng))
+    def test_draws_are_keyed_by_stream_parcel_year(self, setup, monkeypatch):
+        # each chunk row is the item's own sample_pixels draw under the key
+        # (*stream, parcel id, year), whatever else is in the chunk
+        model, items = setup
+        s = model.dims.sample_pixels
+        calls = _record_draws(monkeypatch)
+        encode_items(model, items, (9,))
+        rows = {(pid, y): (columns, counts) for _, pid, y, columns, counts in calls}
+        assert len(calls) == len(rows) == len(items)
+        for p, y in items:
+            key = draw_keys((9,), [p.parcel_id], [y])
+            columns, counts = sample_pixels(key, [p.samples[y - 1].n_pixels], s)
+            got = rows[(p.parcel_id, y)]
+            assert np.array_equal(got[0], columns[0]) and np.array_equal(got[1], counts[0])
+
+    def test_rows_ordered_by_distinct_count(self, small_dataset):
+        ds, cfg = small_dataset
+        items = [(p, 1) for p in ds.parcels[:40]]
+        _, columns, counts = training._draw(items, (0,), 8)
+        distinct = np.count_nonzero(counts, axis=1)
+        assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
     def test_equals_drawn_encode(self, small_dataset):
         # each distinct column encoded once, weighted by its count, gives the
@@ -272,13 +285,14 @@ class TestEncodeItems:
         ds, cfg = small_dataset
         model = CropModel(small_dims(cfg.num_classes), "single", seed=2)
         items = [(p, y) for p in ds.parcels[:24] for y in (1, 2, 3)]
-        draw = keyed_draws(5, model.dims.sample_pixels)
-        got = encode_items(model, items, draw)
+        got = encode_items(model, items, (5,))
         assert any(p.samples[y - 1].n_pixels < 8 for p, y in items)
         assert any(p.samples[y - 1].n_pixels >= 8 for p, y in items)
         for year in (1, 2, 3):
             batch = [(p, y) for p, y in items if y == year]
-            columns = np.stack([draw(p, y) for p, y in batch])
+            keys = draw_keys((5,), [p.parcel_id for p, _ in batch], [year] * len(batch))
+            columns = expand_draws(*sample_pixels(
+                keys, [p.samples[y - 1].n_pixels for p, y in batch], 8))
             want = encode_batch(columns, np.ones_like(columns),
                                 [p.samples[y - 1].pixels for p, y in batch],
                                 np.stack([p.samples[y - 1].days for p, y in batch]),
@@ -286,17 +300,70 @@ class TestEncodeItems:
             for (p, y), row in zip(batch, want):
                 assert got[(p.parcel_id, y)].tobytes() == row.tobytes()
 
-    def test_each_item_encoded_once(self, setup):
+    def test_each_item_encoded_once(self, setup, monkeypatch):
         model, items = setup
-        draw = keyed_draws(0, model.dims.sample_pixels)
-        calls = []
+        calls = _record_draws(monkeypatch)
+        encode_items(model, items + items[:5], (0,))
+        assert sorted(c[1:3] for c in calls) == sorted((p.parcel_id, y) for p, y in items)
 
-        def counting(p, y):
-            calls.append((p.parcel_id, y))
-            return draw(p, y)
 
-        encode_items(model, items + items[:5], counting)
-        assert sorted(calls) == sorted((p.parcel_id, y) for p, y in items)
+def _record_draws(monkeypatch):
+    """List that `training._draw` appends each row it returns to, as
+    (stream, parcel id, year, columns, counts)."""
+    calls = []
+    draw = training._draw
+
+    def recording(items, stream, s):
+        out = draw(items, stream, s)
+        for (p, y), columns, counts in zip(*out):
+            calls.append((stream, p.parcel_id, y, columns, counts))
+        return out
+
+    monkeypatch.setattr(training, "_draw", recording)
+    return calls
+
+
+def test_inference_draws_shared_by_predict_obs_and_embed(small_dataset, monkeypatch, tmp_path):
+    # a parcel-year's draw is the same in predict, in the obs head's
+    # past-year features and in embed, whatever the batch size
+    ds, cfg = small_dataset
+    dims = small_dims(cfg.num_classes)
+    parcels = ds.parcels[:30]
+    calls = _record_draws(monkeypatch)
+    predict(CropModel(dims, "single", seed=1), parcels, seed=4)
+    predict(CropModel(dims, "obs", seed=1), parcels, years=[3], seed=4, batch_size=7)
+    analytics.export_embeddings(CropModel(dims, "dec", seed=1), parcels,
+                                tmp_path / "e.csv", seed=4)
+    seen = {}
+    for stream, pid, y, columns, counts in calls:
+        assert stream == (4,)
+        want = seen.setdefault((pid, y), (columns, counts))
+        assert np.array_equal(columns, want[0]) and np.array_equal(counts, want[1])
+    # every parcel-year drawn three times: predict, obs (years 1-3) and embed
+    assert len(calls) == 3 * len(seen) == 9 * len(parcels)
+
+
+@pytest.mark.parametrize("variant", ["dec", "obs"])
+def test_training_draws_do_not_depend_on_batches(small_dataset, monkeypatch, variant):
+    # the epoch generator only orders the batches: another batch size and
+    # the reversed batch order draw the same pixels for every epoch and item
+    ds, cfg = small_dataset
+    epoch_batches = training._epoch_batches
+    runs = []
+    for batch_size, reverse in [(16, False), (5, True)]:
+        calls = _record_draws(monkeypatch)
+        monkeypatch.setattr(
+            training, "_epoch_batches",
+            lambda *a: epoch_batches(*a)[:: -1 if reverse else 1],
+        )
+        train_single_split(ds, ds.parcels[:20], [],
+                           TrainConfig(epochs=2, batch_size=batch_size, seed=3,
+                                       variant=variant), _dims(cfg))
+        runs.append({(stream, pid, y): (c.tolist(), n.tolist())
+                     for stream, pid, y, c, n in calls})
+    assert runs[0] == runs[1] and len(runs[0]) == 2 * 20 * 3  # epochs, parcels, years
+    streams = {key[0] for key in runs[0]}
+    assert streams == {(training.TRAIN_DRAWS, 3, 0, 0), (training.TRAIN_DRAWS, 3, 0, 1)}
 
 
 def _by_key(records):
@@ -329,14 +396,11 @@ class TestSubsetInvariance:
             assert np.array_equal(logits, want[key])
 
     def test_one_parcel(self, full, variant):
-        # not bitwise: OpenBLAS runs a 1-row matmul (the single-item batch
-        # of the output MLP and the head) as gemv, whose rounding differs
-        # from the gemm of a full batch by 1e-8 to 1e-7
         parcels, model, want = full
         got = _by_key(predict(model, parcels[7:8], seed=9))
         assert len(got) == 3
         for key, logits in got.items():
-            np.testing.assert_allclose(logits, want[key], rtol=0, atol=1e-6)
+            assert np.array_equal(logits, want[key])
 
 
 def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):

@@ -13,7 +13,10 @@ model dims are small (S = 8), so a run takes a few seconds.  Per variant
 it hashes the trained weights, the best epoch and the epoch log of a
 2-epoch training run, the `predict` logits for all years, for
 `years=[3]` and with `batch_size=16`, and the bytes `export_embeddings`
-writes.
+writes.  Two `draws` lines hash the `sample_pixels` output for every
+parcel-year under an inference key (seed, parcel, year) and a training
+key (seed, fold, epoch, parcel, year), so a change of the pixel-draw
+stream shows on its own line.
 """
 
 import dataclasses
@@ -25,7 +28,9 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from croprot import analytics, heads, training  # noqa: E402
-from croprot.data import Dataset, SyntheticConfig, generate_synthetic  # noqa: E402
+from croprot.data import (  # noqa: E402
+    Dataset, SyntheticConfig, draw_keys, generate_synthetic, sample_pixels,
+)
 from croprot.model import ModelDims  # noqa: E402
 
 DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
@@ -73,8 +78,24 @@ def fingerprint(variant, dataset):
     return out
 
 
+def draws(dataset):
+    """(key kind, sha256) pairs of the pixel draws of every parcel-year."""
+    items = [(p, y) for p in dataset.parcels for y in range(1, dataset.num_years + 1)]
+    ids = [p.parcel_id for p, _ in items]
+    years = [y for _, y in items]
+    n_pixels = [p.samples[y - 1].n_pixels for p, y in items]
+    out = []
+    for kind, stream in [("inference", (7,)), ("training", (training.TRAIN_DRAWS, 5, 0, 1))]:
+        columns, counts = sample_pixels(draw_keys(stream, ids, years), n_pixels,
+                                        DIMS["sample_pixels"])
+        out.append((kind, _sha(columns.tobytes(), counts.tobytes())))
+    return out
+
+
 def main():
     dataset = _dataset()
+    for kind, digest in draws(dataset):
+        print(f"{'draws':13s} {kind:15s} {digest}")
     for variant in heads.VARIANTS:
         for artifact, digest in fingerprint(variant, dataset):
             print(f"{variant:13s} {artifact:15s} {digest}")
