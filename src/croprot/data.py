@@ -301,14 +301,23 @@ def sample_pixels(keys, n_pixels, s):
         counts[many] = 1
     if few.any():
         drawn = (col_keys[few, :s] >> 32) * n[few, None].astype(np.uint64) >> 32
-        # one tally of all rows: row r's column c is bin r * S + c
-        bins = drawn.astype(np.int64) + np.arange(0, drawn.size, s)[:, None]
-        tally = np.bincount(bins.ravel(), minlength=drawn.size).reshape(drawn.shape)
-        order = np.argsort(tally == 0, axis=1, kind="stable")  # drawn columns first
-        packed = np.take_along_axis(tally, order, axis=1)
-        columns[few] = np.where(packed > 0, order, 0)
-        counts[few] = packed
+        columns[few], counts[few] = distinct_columns(drawn.astype(np.int64))
     return columns, counts
+
+
+def distinct_columns(drawn):
+    """Pack (B, S) drawn column indices row by row: each distinct column
+    once, in increasing order, with its draw count, left-packed and padded
+    with column 0 and count 0.  Returns (columns, counts), (B, S) int64."""
+    drawn = np.asarray(drawn, dtype=np.int64)
+    b, s = drawn.shape
+    width = max(s, int(drawn.max(initial=-1)) + 1)
+    # one tally of all rows: row r's column c is bin r * width + c
+    bins = drawn + np.arange(0, b * width, width)[:, None]
+    tally = np.bincount(bins.ravel(), minlength=b * width).reshape(b, width)
+    order = np.argsort(tally == 0, axis=1, kind="stable")[:, :s]  # drawn columns first
+    packed = np.take_along_axis(tally, order, axis=1)
+    return np.where(packed > 0, order, 0), packed
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy import stats
 from croprot.data import (
     SyntheticConfig,
     _splitmix64,
+    distinct_columns,
     draw_keys,
     generate_synthetic,
     load_dataset,
@@ -161,6 +162,17 @@ class TestSamplePixels:
             kept, n = _reference_draw(int(key), int(n_p), s)
             assert cols[: len(kept)].tolist() == kept and cnts[: len(n)].tolist() == n
             assert not cols[len(kept):].any() and not cnts[len(n):].any()
+
+    @pytest.mark.parametrize("columns, kept, counts", [
+        ([4, 0, 2], [0, 2, 4], [1, 1, 1]),        # no repeats: increasing order
+        ([3, 1, 3, 3, 0], [0, 1, 3], [1, 1, 3]),  # repeats: increasing order
+        ([0, 0, 0, 0], [0], [4]),
+    ])
+    def test_distinct_columns(self, columns, kept, counts):
+        pad = [0] * (len(columns) - len(kept))
+        got_kept, got_counts = distinct_columns(np.array([columns, columns[::-1]]))
+        assert got_kept.tolist() == [kept + pad] * 2
+        assert got_counts.tolist() == [counts + pad] * 2
 
     def test_golden_draws(self):
         # pins the draw stream: a change here changes every descriptor
