@@ -31,18 +31,16 @@ class Tape:
 class Tensor:
     """Immutable n-d array of reals, optionally attached to a tape."""
 
-    __slots__ = ("data", "tape", "grad", "param")
+    __slots__ = ("data", "tape")
 
-    def __init__(self, data, tape=None, param=False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.tape = tape
-        self.param = param
-        self.grad = None
+        self.tape = None
 
     @property
     def shape(self):
@@ -54,10 +52,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def parameter(data, tape, dtype=None):
-    return Tensor(data, tape=tape, param=True, dtype=dtype)
 
 
 class Parameters:
@@ -79,8 +73,6 @@ def _result(data, inputs, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape = tape
-    out.param = False
-    out.grad = None
     if tape is not None:
         tape.record(out, inputs, backward_fn)
     return out
@@ -387,7 +379,7 @@ def backward(tape: Tape, loss: Tensor, params=None):
     """Reverse sweep over the tape; returns {tensor: gradient}.
 
     Parameters not reachable from the loss get zero gradients when listed
-    in `params`.  Also populates `.grad` on parameter tensors.
+    in `params`.
     """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be scalar")
@@ -409,9 +401,6 @@ def backward(tape: Tape, loss: Tensor, params=None):
         for p in params:
             if p not in result:
                 result[p] = np.zeros_like(p.data)
-    for t, g in result.items():
-        if t.param:
-            t.grad = g
     return result
 
 

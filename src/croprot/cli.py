@@ -114,17 +114,6 @@ def load_run_config(path):
     return doc
 
 
-def _synthetic_config(section):
-    cfg = dict(section)
-    for key in ("permanent_classes", "cycles", "curve_groups"):
-        if key in cfg:
-            value = cfg[key]
-            cfg[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in value
-            )
-    return SyntheticConfig(**cfg)
-
-
 def _load_folds(path, dataset):
     """The fold assignment in `path`; it must cover every dataset parcel."""
     with open(path) as fh:
@@ -197,7 +186,7 @@ def cmd_synth(args):
     section = config.get("dataset", {}).get("synthetic")
     if section is None:
         raise ConfigError("run config has no dataset.synthetic section")
-    synth = _synthetic_config(section)
+    synth = SyntheticConfig(**section)
     if args.seed is not None:
         synth.seed = args.seed
     parcels = generate_synthetic(synth)
@@ -315,7 +304,8 @@ def cmd_eval(args):
 
 
 def _load_predictions(path):
-    """(meta, val records, test records) of an `eval` predictions file."""
+    """(meta, val records, test records) of an `eval` predictions file;
+    both lists must be non-empty."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -331,6 +321,11 @@ def _load_predictions(path):
         test = [training.PredictionRecord.from_dict(d) for d in doc["test"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"predictions file {path}: bad record ({exc!r})") from None
+    # temperature fitting needs val records; an empty test list would score
+    # nothing (an ECE of 0 before and after)
+    for name, records in (("val", val), ("test", test)):
+        if not records:
+            raise DataFormatError(f"predictions file {path}: no {name} records")
     return doc["meta"], val, test
 
 
@@ -338,12 +333,6 @@ def cmd_calibrate(args):
     import os
 
     meta, val_records, test_records = _load_predictions(args.predictions)
-    # an empty test list would report an ECE of 0 before and after
-    for name, records in (("val", val_records), ("test", test_records)):
-        if not records:
-            raise DataFormatError(
-                f"predictions file {args.predictions}: no {name} records to calibrate on"
-            )
     scaler = calibration.fit_temperature(val_records)
     calibration.calibrate_records(test_records, 1.0)
     ece_before = calibration.ece(test_records, args.bins)
@@ -395,6 +384,16 @@ def cmd_crf(args):
     labels_by_parcel = {p.parcel_id: p.labels for p in dataset.parcels}
     rescored = []
     for r in test_records:
+        if r.parcel_id not in labels_by_parcel:
+            raise DataFormatError(
+                f"predictions file {args.predictions}: parcel {r.parcel_id} "
+                "is not in the dataset"
+            )
+        if not 1 <= r.year_index <= dataset.num_years:
+            raise DataFormatError(
+                f"predictions file {args.predictions}: parcel {r.parcel_id} year "
+                f"{r.year_index} outside 1..{dataset.num_years}"
+            )
         if r.year_index <= 2:  # CRF applies to years with two known past labels
             continue
         labels = labels_by_parcel[r.parcel_id]

@@ -511,8 +511,5 @@ def load_dataset(path):
 
 
 def config_to_manifest(config: SyntheticConfig):
-    echo = asdict(config)
-    echo["cycles"] = [list(c) for c in config.cycles]
-    echo["permanent_classes"] = list(config.permanent_classes)
-    echo["curve_groups"] = [list(g) for g in config.curve_groups]
-    return {"generator": echo}
+    """Dataset manifest recording the generator settings."""
+    return {"generator": asdict(config)}

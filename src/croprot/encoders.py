@@ -51,7 +51,7 @@ def _affine(rng, fan_in, fan_out, dtype):
     lim = 1.0 / math.sqrt(fan_in)
     w = rng.uniform(-lim, lim, (fan_in, fan_out))
     b = rng.uniform(-lim, lim, fan_out)
-    return ad.parameter(w, None, dtype=dtype), ad.parameter(b, None, dtype=dtype)
+    return ad.Tensor(w, dtype=dtype), ad.Tensor(b, dtype=dtype)
 
 
 class PseWeights(ad.Parameters):
@@ -76,9 +76,7 @@ class LtaeWeights(ad.Parameters):
         self.dims = dims
         self.wk, self.bk = _affine(rng, dims.d2, dims.heads * dims.d_k, dtype)
         lim = 1.0 / math.sqrt(dims.d_k)
-        self.query = ad.parameter(
-            rng.uniform(-lim, lim, (dims.heads, dims.d_k)), None, dtype=dtype
-        )
+        self.query = ad.Tensor(rng.uniform(-lim, lim, (dims.heads, dims.d_k)), dtype=dtype)
         self.wo1, self.bo1 = _affine(rng, dims.d2, dims.out_hidden, dtype)
         self.wo2, self.bo2 = _affine(rng, dims.out_hidden, dims.descriptor, dtype)
 
@@ -144,24 +142,22 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     sets: B pixel arrays (C, N_b, T).  columns, counts: (B, S) integer
     arrays; item b drew column columns[b, j] of sets[b] counts[b, j] times
     (a count of 0 marks padding), and each row of counts sums to the draw
-    size S.  days: (B, T) or (T,) day-of-year array.  The per-pixel MLP
+    size S.  days: (B, T) day-of-year array.  The per-pixel MLP
     runs once per kept column and date, and the pool weights each row by
     its count, so the result is the encoding of the S drawn pixels.
     """
     columns = np.asarray(columns)
     counts = np.asarray(counts)
+    days = np.asarray(days)
     b, s = columns.shape
-    if counts.shape != (b, s) or len(sets) != b:
+    if counts.shape != (b, s) or len(sets) != b or days.ndim != 2 or len(days) != b:
         raise ContractError(
             f"encode_batch: columns {columns.shape}, counts {counts.shape}, "
-            f"{len(sets)} pixel sets"
+            f"{len(sets)} pixel sets, days {days.shape}"
         )
     if counts.min(initial=0) < 0 or np.any(counts.sum(axis=1) != s):
         raise ContractError(f"encode_batch: counts must be >= 0 and sum to {s} per item")
-    days = np.asarray(days)
-    t = days.shape[-1]
-    if days.ndim == 1:
-        days = np.broadcast_to(days, (b, t))
+    t = days.shape[1]
     c = pse.dims.channels
     keep = counts > 0
     blocks = []

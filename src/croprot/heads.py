@@ -81,20 +81,17 @@ class HeadWeights(ad.Parameters):
         self.input_dim = descriptor_dim + feature_dim(variant, num_classes, descriptor_dim)
         lim1 = 1.0 / math.sqrt(self.input_dim)
         lim2 = 1.0 / math.sqrt(hidden)
-        self.w1 = ad.parameter(rng.uniform(-lim1, lim1, (self.input_dim, hidden)), None, dtype=dtype)
-        self.b1 = ad.parameter(rng.uniform(-lim1, lim1, hidden), None, dtype=dtype)
-        self.w2 = ad.parameter(rng.uniform(-lim2, lim2, (hidden, num_classes)), None, dtype=dtype)
-        self.b2 = ad.parameter(rng.uniform(-lim2, lim2, num_classes), None, dtype=dtype)
+        self.w1 = ad.Tensor(rng.uniform(-lim1, lim1, (self.input_dim, hidden)), dtype=dtype)
+        self.b1 = ad.Tensor(rng.uniform(-lim1, lim1, hidden), dtype=dtype)
+        self.w2 = ad.Tensor(rng.uniform(-lim2, lim2, (hidden, num_classes)), dtype=dtype)
+        self.b2 = ad.Tensor(rng.uniform(-lim2, lim2, num_classes), dtype=dtype)
 
 
 def decode(e, head: HeadWeights, feature=None):
-    """Map descriptors (B, D) or (D,) plus the variant's feature to logits.
+    """Map descriptors (B, D) plus the variant's feature to (B, L) logits.
 
-    `feature` is a (B, F) or (F,) constant array; None for "single"."""
+    `feature` is a (B, F) constant array; None for "single"."""
     x = e if isinstance(e, ad.Tensor) else ad.Tensor(e, dtype=head.w1.data.dtype)
-    single_input = x.data.ndim == 1
-    if x.data.ndim == 1:
-        x = ad.reshape(x, (1, x.data.shape[0]))
     if head.variant == "single":
         if feature is not None and np.asarray(feature).size:
             raise ContractError("single head takes no feature input")
@@ -102,8 +99,6 @@ def decode(e, head: HeadWeights, feature=None):
         if feature is None:
             raise ContractError(f"{head.variant} head requires a feature input")
         f = np.asarray(feature, dtype=head.w1.data.dtype)
-        if f.ndim == 1:
-            f = f[None, :]
         if f.shape != (x.data.shape[0], head.input_dim - x.data.shape[1]):
             raise ContractError(
                 f"feature shape {f.shape} incompatible with variant {head.variant}"
@@ -113,7 +108,4 @@ def decode(e, head: HeadWeights, feature=None):
         raise ContractError(
             f"decoder input dim {x.data.shape[1]} != expected {head.input_dim}"
         )
-    z = ad.dense(ad.dense(x, head.w1, head.b1, relu=True), head.w2, head.b2)
-    if single_input:
-        return ad.reshape(z, (head.num_classes,))
-    return z
+    return ad.dense(ad.dense(x, head.w1, head.b1, relu=True), head.w2, head.b2)

@@ -85,17 +85,11 @@ class PredictionRecord:
 # loss and optimizer
 
 
-def cross_entropy(z, label):
-    """Mean negative log-likelihood; z is (L,) with an int label, or (B, L)
-    with a label sequence."""
+def cross_entropy(z, labels):
+    """Mean negative log-likelihood of (B, L) logits and B int labels."""
     t = z if isinstance(z, ad.Tensor) else ad.Tensor(z)
-    if t.data.ndim == 1:
-        t = ad.reshape(t, (1, t.data.shape[0]))
-        labels = np.asarray([label], dtype=np.int64)
-    else:
-        labels = np.asarray(label, dtype=np.int64)
     logp = ad.log_softmax(t, axis=-1)
-    return ad.scale(ad.mean_all(ad.pick(logp, labels)), -1.0)
+    return ad.scale(ad.mean_all(ad.pick(logp, np.asarray(labels, dtype=np.int64))), -1.0)
 
 
 ADAM_BETA1 = 0.9
@@ -135,13 +129,23 @@ def optimizer_step(params, grads, state: AdamState, cfg: TrainConfig):
 # batched forward
 
 
-def _buckets(items):
-    """Group (parcel, year) items by (year, T), in a fixed key order: one
-    batch must share its year and its number of dates."""
+def _batches(items, batch_size, rng=None):
+    """Batches of at most `batch_size` (parcel, year) items that share
+    their year and their number of dates T, as one encoder batch must,
+    bucket by bucket in a fixed (year, T) key order.  With `rng`, each
+    bucket is shuffled and then the order of the batches."""
     buckets = defaultdict(list)
     for parcel, year in items:
         buckets[(year, parcel.samples[year - 1].pixels.shape[2])].append((parcel, year))
-    return [buckets[key] for key in sorted(buckets, key=str)]
+    batches = []
+    for key in sorted(buckets, key=str):
+        group = buckets[key]
+        if rng is not None:
+            group = [group[i] for i in rng.permutation(len(group))]
+        batches += [group[i : i + batch_size] for i in range(0, len(group), batch_size)]
+    if rng is not None:
+        batches = [batches[i] for i in rng.permutation(len(batches))]
+    return batches
 
 
 # first key word of training draws, so that they never share a key with
@@ -185,15 +189,12 @@ def encode_items(model, items, stream, batch_size=256):
     it outside `ad.recording`, so it records nothing on a tape."""
     unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
     out = {}
-    for group in _buckets(unique):
-        for i in range(0, len(group), batch_size):
-            chunk, columns, counts = _draw(
-                group[i : i + batch_size], stream, model.dims.sample_pixels
-            )
-            e = _encode(model, chunk, columns, counts).data
-            _refuse_non_finite(e, chunk, "descriptor")
-            for (p, y), row in zip(chunk, e):
-                out[(p.parcel_id, y)] = row
+    for batch in _batches(unique, batch_size):
+        batch, columns, counts = _draw(batch, stream, model.dims.sample_pixels)
+        e = _encode(model, batch, columns, counts).data
+        _refuse_non_finite(e, batch, "descriptor")
+        for (p, y), row in zip(batch, e):
+            out[(p.parcel_id, y)] = row
     return out
 
 
@@ -202,7 +203,7 @@ def _past_items(items):
 
 
 def _batch_features(model, items, stream, descriptors=None):
-    """Head features of a same-year batch: None on "single", the one-hot
+    """Head features of the items: None on "single", the one-hot
     declarations of the two previous years on the dec family, averaged
     past-year descriptors on "obs".
 
@@ -247,22 +248,10 @@ def _training_items(parcels, cfg: TrainConfig, num_years):
     return [(p, y) for p in parcels for y in years]
 
 
-def _epoch_batches(items, batch_size, rng):
-    batches = []
-    for group in _buckets(items):
-        order = rng.permutation(len(group))
-        group = [group[i] for i in order]
-        for i in range(0, len(group), batch_size):
-            batches.append(group[i : i + batch_size])
-    order = rng.permutation(len(batches))
-    return [batches[i] for i in order]
-
-
 @dataclass
 class FoldResult:
     fold: int
     model: CropModel
-    val_records: list
     test_records: list
     best_epoch: int
     epoch_log: list  # (epoch, mean train loss, val mIoU)
@@ -299,7 +288,7 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
         losses = []
-        for batch in _epoch_batches(items, cfg.batch_size, rng):
+        for batch in _batches(items, cfg.batch_size, rng):
             batch, columns, counts = _draw(batch, stream, dims.sample_pixels)
             labels = np.asarray([p.labels[y - 1] for p, y in batch], dtype=np.int64)
             # "obs" encodes past years here, before the tape is attached
@@ -350,13 +339,11 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
         model, best_epoch, epoch_log = train_single_split(
             dataset, train_parcels, by_fold[val_f], cfg, dims, fold=f
         )
-        val_records = predict(model, by_fold[val_f], seed=cfg.seed)
         test_records = predict(model, by_fold[f], seed=cfg.seed)
         results.append(
             FoldResult(
                 fold=f,
                 model=model,
-                val_records=val_records,
                 test_records=test_records,
                 best_epoch=best_epoch,
                 epoch_log=epoch_log,
@@ -370,36 +357,34 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 
 
 def predict(model, parcels, years=None, seed=0, batch_size=256):
-    """One PredictionRecord per requested parcel-year; pixel draws are fixed
-    by (seed, parcel, year), so repeated calls are identical and a parcel's
-    records do not depend, bit for bit, on the other parcels in the call.
+    """One PredictionRecord per requested parcel-year, parcel by parcel and
+    each parcel's years in the requested order.  Pixel draws are fixed by
+    (seed, parcel, year), so repeated calls are identical and a parcel's
+    records do not depend, bit for bit, on the other parcels in the call:
+    `batch_size` only cuts the encoder's batches, and the head decodes
+    every item in one call, one row independent of the others.
 
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
     encoded with the same keyed draws.  Non-finite descriptors or logits
     are a ContractError."""
-    if not parcels:
-        return []
-    num_years = len(parcels[0].samples)
+    num_years = len(parcels[0].samples) if parcels else 0
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
     items = [(p, y) for p in parcels for y in wanted]
+    if not items:
+        return []
     needed = items + _past_items(items) if model.variant == "obs" else items
     descriptors = encode_items(model, needed, (seed,), batch_size)
-    records = []
-    for group in _buckets(items):
-        for i in range(0, len(group), batch_size):
-            batch = group[i : i + batch_size]
-            e = np.stack([descriptors[(p.parcel_id, y)] for p, y in batch])
-            features = _batch_features(model, batch, None, descriptors)
-            z = np.asarray(heads.decode(e, model.head, features).data)
-            _refuse_non_finite(z, batch, "logits")
-            for (p, y), logits in zip(batch, z):
-                records.append(
-                    PredictionRecord(
-                        parcel_id=p.parcel_id,
-                        year_index=y,
-                        logits=np.array(logits),
-                        true_label=p.labels[y - 1],
-                    )
-                )
-    return records
+    e = np.stack([descriptors[(p.parcel_id, y)] for p, y in items])
+    features = _batch_features(model, items, None, descriptors)
+    z = np.asarray(heads.decode(e, model.head, features).data)
+    _refuse_non_finite(z, items, "logits")
+    return [
+        PredictionRecord(
+            parcel_id=p.parcel_id,
+            year_index=y,
+            logits=np.array(logits),
+            true_label=p.labels[y - 1],
+        )
+        for (p, y), logits in zip(items, z)
+    ]

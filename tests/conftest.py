@@ -47,9 +47,11 @@ def small_dims(num_classes=8):
 
 def encode_drawn(pixels, days, pse, ltae):
     """`encode_batch` of already-drawn pixels (B, C, S, T): item b's pixel
-    set is pixels[b], every column drawn once, in order."""
-    b, _, s, _ = pixels.shape
+    set is pixels[b], every column drawn once, in order.  days is (B, T),
+    or (T,) for dates shared by every item."""
+    b, _, s, t = pixels.shape
     columns = np.tile(np.arange(s), (b, 1))
+    days = np.broadcast_to(days, (b, t))
     return encode_batch(columns, np.ones_like(columns), list(pixels), days, pse, ltae)
 
 

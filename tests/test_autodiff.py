@@ -7,7 +7,7 @@ from croprot.errors import ContractError, DimensionError
 
 
 def params_on_tape(arrays, dtype=np.float64):
-    return [ad.parameter(a, None, dtype=dtype) for a in arrays]
+    return [ad.Tensor(a, dtype=dtype) for a in arrays]
 
 
 class TestMatmul:

@@ -335,8 +335,15 @@ class TestPipeline:
         assert not (tmp_path / "o").exists()
 
 
-# a well-formed predictions record
+# a well-formed predictions record, and the meta of a fold-0 eval
 _RECORD = {"parcel_id": 0, "year_index": 1, "logits": [0.5, -0.5], "true_label": 0}
+_META = {"fold": 0, "val_fold": 1}
+
+
+def _preds(**test_record):
+    """Predictions file text with one val record and one test record,
+    `test_record` replacing fields of the well-formed one."""
+    return json.dumps({"meta": _META, "val": [_RECORD], "test": [{**_RECORD, **test_record}]})
 
 
 @pytest.fixture(scope="module")
@@ -353,8 +360,11 @@ def malformed(workdir, tmp_path_factory):
         "preds_no_test": json.dumps({"meta": {"fold": 0, "val_fold": 1}, "val": []}),
         "preds_no_fold": json.dumps({"meta": {}, "val": [], "test": []}),
         "preds_bad_record": json.dumps({"meta": {}, "val": [{"logits": [0.0]}], "test": []}),
-        "preds_empty_test": json.dumps({"meta": {}, "val": [_RECORD], "test": []}),
-        "preds_empty_val": json.dumps({"meta": {}, "val": [], "test": [_RECORD]}),
+        "preds_empty_test": json.dumps({"meta": _META, "val": [_RECORD], "test": []}),
+        "preds_empty_val": json.dumps({"meta": _META, "val": [], "test": [_RECORD]}),
+        "preds_unknown_parcel": _preds(parcel_id=10**6),
+        "preds_year_0": _preds(year_index=0),
+        "preds_year_4": _preds(year_index=4),
     }
     paths = {name: bad / f"{name}.json" for name in files}
     for name, text in files.items():
@@ -403,6 +413,11 @@ CLI_MATRIX = {
     "crf-meta-no-fold": (_CRF.replace("{preds}", "{preds_no_fold}"), 3),
     "crf-dataset": (_CRF.replace("{dataset}", "{dataset_nan}"), 3),
     "crf-folds": (_CRF.replace("{folds}", "{folds_not_json}"), 3),
+    "crf-empty-test": (_CRF.replace("{preds}", "{preds_empty_test}"), 3),
+    "crf-empty-val": (_CRF.replace("{preds}", "{preds_empty_val}"), 3),
+    "crf-unknown-parcel": (_CRF.replace("{preds}", "{preds_unknown_parcel}"), 3),
+    "crf-year-0": (_CRF.replace("{preds}", "{preds_year_0}"), 3),
+    "crf-year-4": (_CRF.replace("{preds}", "{preds_year_4}"), 3),
     "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
     "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
     "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),

@@ -292,6 +292,7 @@ class TestDistinctColumns:
         ]
         keys = draw_keys((seed,), np.arange(len(samples)), np.ones(len(samples), dtype=int))
         columns, counts = sample_pixels(keys, pixel_counts, self.DIMS.sample_pixels)
+        days = np.tile(days, (len(samples), 1))
         return pse, ltae, [x.pixels for x in samples], days, columns, counts
 
     @pytest.mark.parametrize("pixel_counts", [

@@ -125,44 +125,44 @@ class TestDecode:
 
     def test_single_output_shapes(self):
         head = self._head("single")
-        e1 = np.random.default_rng(1).normal(0, 1, 8).astype(np.float32)
+        e1 = np.random.default_rng(1).normal(0, 1, (1, 8)).astype(np.float32)
         z1 = heads.decode(e1, head)
-        assert z1.data.shape == (L,)
-        z2 = heads.decode(np.stack([e1, e1]), head)
+        assert z1.data.shape == (1, L)
+        z2 = heads.decode(np.concatenate([e1, e1]), head)
         assert z2.data.shape == (2, L)
-        assert np.allclose(z2.data[0], z1.data, atol=1e-6)
+        assert np.allclose(z2.data[0], z1.data[0], atol=1e-6)
 
     def test_single_rejects_feature(self):
         head = self._head("single")
         with pytest.raises(ContractError):
-            heads.decode(np.zeros(8, dtype=np.float32), head, np.ones(L))
+            heads.decode(np.zeros((1, 8), dtype=np.float32), head, np.ones((1, L)))
 
     def test_variant_requires_feature(self):
         head = self._head("dec")
         with pytest.raises(ContractError):
-            heads.decode(np.zeros(8, dtype=np.float32), head)
+            heads.decode(np.zeros((1, 8), dtype=np.float32), head)
 
     def test_feature_shape_checked(self):
         head = self._head("dec")
         with pytest.raises(ContractError):
-            heads.decode(np.zeros(8, dtype=np.float32), head, np.zeros(2 * L))
+            heads.decode(np.zeros((1, 8), dtype=np.float32), head, np.zeros((1, 2 * L)))
 
     def test_dec_head_order_free_concat_is_not(self):
-        e = np.random.default_rng(2).normal(0, 1, 8).astype(np.float32)
+        e = np.random.default_rng(2).normal(0, 1, (1, 8)).astype(np.float32)
         dec = self._head("dec")
-        a = heads.decode(e, dec, feats("dec", 1, 3)).data
-        b = heads.decode(e, dec, feats("dec", 3, 1)).data
+        a = heads.decode(e, dec, feats("dec", 1, 3)[None]).data
+        b = heads.decode(e, dec, feats("dec", 3, 1)[None]).data
         assert np.array_equal(a, b)
         cc = self._head("dec-concat")
-        a = heads.decode(e, cc, feats("dec-concat", 1, 3)).data
-        b = heads.decode(e, cc, feats("dec-concat", 3, 1)).data
+        a = heads.decode(e, cc, feats("dec-concat", 1, 3)[None]).data
+        b = heads.decode(e, cc, feats("dec-concat", 3, 1)[None]).data
         assert not np.array_equal(a, b)
 
     def test_history_changes_logits(self):
-        e = np.random.default_rng(3).normal(0, 1, 8).astype(np.float32)
+        e = np.random.default_rng(3).normal(0, 1, (1, 8)).astype(np.float32)
         head = self._head("dec")
-        a = heads.decode(e, head, feats("dec", 0, 0)).data
-        b = heads.decode(e, head, feats("dec", 2, 2)).data
+        a = heads.decode(e, head, feats("dec", 0, 0)[None]).data
+        b = heads.decode(e, head, feats("dec", 2, 2)[None]).data
         assert not np.allclose(a, b)
 
 

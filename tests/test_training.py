@@ -19,7 +19,7 @@ from croprot.training import (
     AdamState,
     PredictionRecord,
     TrainConfig,
-    _epoch_batches,
+    _batches,
     _training_items,
     cross_entropy,
     encode_items,
@@ -41,16 +41,16 @@ def _dims(cfg):
 class TestCrossEntropy:
     def test_uniform_logits_give_log_l(self):
         for l in (2, 5, 20):
-            loss = cross_entropy(np.zeros(l, dtype=np.float32), 0)
+            loss = cross_entropy(np.zeros((1, l), dtype=np.float32), [0])
             assert float(loss.data) == pytest.approx(np.log(l), abs=1e-6)
 
     def test_confident_correct_is_near_zero(self):
-        z = np.array([50.0, 0.0, 0.0], dtype=np.float32)
-        assert float(cross_entropy(z, 0).data) < 1e-6
+        z = np.array([[50.0, 0.0, 0.0]], dtype=np.float32)
+        assert float(cross_entropy(z, [0]).data) < 1e-6
 
     def test_confident_wrong_is_large(self):
-        z = np.array([50.0, 0.0, 0.0], dtype=np.float32)
-        assert float(cross_entropy(z, 1).data) > 40
+        z = np.array([[50.0, 0.0, 0.0]], dtype=np.float32)
+        assert float(cross_entropy(z, [1]).data) > 40
 
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(0)
@@ -67,7 +67,7 @@ class TestAdam:
         return TrainConfig(learning_rate=lr)
 
     def test_zero_gradient_no_move(self):
-        p = ad.parameter(np.array([1.0, 2.0]), None)
+        p = ad.Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
         optimizer_step([p], [np.zeros(2)], AdamState(), self._cfg())
         assert np.array_equal(p.data, before)
@@ -75,18 +75,18 @@ class TestAdam:
     def test_first_step_magnitude_near_lr(self):
         # with bias correction the first step is ~lr regardless of gradient scale
         for g in (1e-3, 1.0, 1e3):
-            p = ad.parameter(np.array([0.0]), None)
+            p = ad.Tensor(np.array([0.0]))
             optimizer_step([p], [np.array([g])], AdamState(), self._cfg(lr=0.1))
             assert p.data[0] == pytest.approx(-0.1, rel=1e-3)
 
     def test_step_opposes_gradient(self):
-        p = ad.parameter(np.array([0.0, 0.0]), None)
+        p = ad.Tensor(np.array([0.0, 0.0]))
         optimizer_step([p], [np.array([1.0, -1.0])], AdamState(), self._cfg())
         assert p.data[0] < 0 < p.data[1]
 
     def test_quadratic_bowl_converges(self):
         # minimize (x - 3)^2 + (y + 1)^2
-        p = ad.parameter(np.array([10.0, 10.0]), None, dtype=np.float64)
+        p = ad.Tensor(np.array([10.0, 10.0]), dtype=np.float64)
         target = np.array([3.0, -1.0])
         state = AdamState()
         cfg = self._cfg(lr=0.05)
@@ -146,7 +146,7 @@ class TestItemSelection:
     def test_epoch_batches_partition_items(self, small_dataset):
         ds, _ = small_dataset
         items = _training_items(ds.parcels, TrainConfig(), 3)
-        batches = _epoch_batches(items, 16, np.random.default_rng(0))
+        batches = _batches(items, 16, np.random.default_rng(0))
         flat = [it for b in batches for it in b]
         assert len(flat) == len(items)
         assert {(p.parcel_id, y) for p, y in flat} == {
@@ -159,8 +159,8 @@ class TestItemSelection:
     def test_epoch_batches_reshuffled_per_epoch(self, small_dataset):
         ds, _ = small_dataset
         items = _training_items(ds.parcels, TrainConfig(), 3)
-        a = _epoch_batches(items, 16, np.random.default_rng(1))
-        b = _epoch_batches(items, 16, np.random.default_rng(2))
+        a = _batches(items, 16, np.random.default_rng(1))
+        b = _batches(items, 16, np.random.default_rng(2))
         key = lambda bs: [[(p.parcel_id, y) for p, y in batch] for batch in bs]
         assert key(a) != key(b)
 
@@ -348,13 +348,13 @@ def test_training_draws_do_not_depend_on_batches(small_dataset, monkeypatch, var
     # the epoch generator only orders the batches: another batch size and
     # the reversed batch order draw the same pixels for every epoch and item
     ds, cfg = small_dataset
-    epoch_batches = training._epoch_batches
+    batches = training._batches
     runs = []
     for batch_size, reverse in [(16, False), (5, True)]:
         calls = _record_draws(monkeypatch)
         monkeypatch.setattr(
-            training, "_epoch_batches",
-            lambda *a: epoch_batches(*a)[:: -1 if reverse else 1],
+            training, "_batches",
+            lambda *a: batches(*a)[:: -1 if reverse else 1],
         )
         train_single_split(ds, ds.parcels[:20], [],
                            TrainConfig(epochs=2, batch_size=batch_size, seed=3,
@@ -401,6 +401,16 @@ class TestSubsetInvariance:
         assert len(got) == 3
         for key, logits in got.items():
             assert np.array_equal(logits, want[key])
+
+    def test_records_in_request_order(self, full, variant):
+        # parcel by parcel as passed, each parcel's years as requested
+        parcels, model, want = full
+        records = predict(model, parcels[::-1], years=[3, 1], seed=9)
+        assert [(r.parcel_id, r.year_index) for r in records] == [
+            (p.parcel_id, y) for p in parcels[::-1] for y in (3, 1)
+        ]
+        for r in records:
+            assert np.array_equal(r.logits, want[(r.parcel_id, r.year_index)])
 
 
 def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
@@ -479,6 +489,8 @@ class TestTraining:
         result = train(ds, folds, TrainConfig(epochs=1, seed=0), dims)
         assert [f.fold for f in result.folds] == [0, 1, 2]
         for fr in result.folds:
+            # the validation fold only selects the epoch; no records are kept
+            assert not hasattr(fr, "val_records")
             test_ids = {r.parcel_id for r in fr.test_records}
             assert test_ids == {
                 pid for pid, f in folds.folds.items() if f == fr.fold

@@ -12,11 +12,12 @@ are 80 synthetic parcels, half with 6 dates and half with 8, and the
 model dims are small (S = 8), so a run takes a few seconds.  Per variant
 it hashes the trained weights, the best epoch and the epoch log of a
 2-epoch training run, the `predict` logits for all years, for
-`years=[3]` and with `batch_size=16`, and the bytes `export_embeddings`
-writes.  Two `draws` lines hash the `sample_pixels` output for every
-parcel-year under an inference key (seed, parcel, year) and a training
-key (seed, fold, epoch, parcel, year), so a change of the pixel-draw
-stream shows on its own line.
+`years=[3]` and with `batch_size=16` (records sorted by parcel and year,
+so the digest does not depend on their order), and the bytes
+`export_embeddings` writes.  Two `draws` lines hash the `sample_pixels`
+output for every parcel-year under an inference key (seed, parcel, year)
+and a training key (seed, fold, epoch, parcel, year), so a change of the
+pixel-draw stream shows on its own line.
 """
 
 import dataclasses
@@ -52,6 +53,9 @@ def _sha(*parts):
 
 
 def _logits_sha(records):
+    """Hash of the records sorted by (parcel_id, year_index), so that the
+    order `predict` returns them in does not change the digest."""
+    records = sorted(records, key=lambda r: (r.parcel_id, r.year_index))
     return _sha(*[(r.parcel_id, r.year_index, r.logits.tobytes()) for r in records])
 
 
