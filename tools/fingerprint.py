@@ -17,7 +17,11 @@ so the digest does not depend on their order), and the bytes
 `export_embeddings` writes.  Two `draws` lines hash the `sample_pixels`
 output for every parcel-year under an inference key (seed, parcel, year)
 and a training key (seed, fold, epoch, parcel, year), so a change of the
-pixel-draw stream shows on its own line.
+pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
+`save_dataset` writes for the data (`.rcds` and sidecar) and that
+`save_transitions` writes for its label triplets; per variant, a
+`checkpoint` line hashes the bytes `save_checkpoint` writes for the
+trained model.
 """
 
 import dataclasses
@@ -29,10 +33,12 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from croprot import analytics, heads, training  # noqa: E402
+from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
-    Dataset, SyntheticConfig, draw_keys, generate_synthetic, sample_pixels,
+    Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
+    sample_pixels, save_dataset,
 )
-from croprot.model import ModelDims  # noqa: E402
+from croprot.model import ModelDims, save_checkpoint  # noqa: E402
 
 DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
             out_hidden=32, descriptor=32, num_classes=8, head_hidden=32)
@@ -50,6 +56,18 @@ def _sha(*parts):
     for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
     return h.hexdigest()
+
+
+def _saved_sha(save):
+    """Hash of the bytes `save(path)` writes to `path` and `path + ".json"`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.bin")
+        save(path)
+        parts = []
+        for name in (path, path + ".json"):
+            with open(name, "rb") as fh:
+                parts.append(fh.read())
+    return _sha(*parts)
 
 
 def _logits_sha(records):
@@ -74,6 +92,7 @@ def fingerprint(variant, dataset):
         ("logits_year3", _logits_sha(training.predict(model, parcels, years=[3], seed=7))),
         ("logits_batch16", _logits_sha(training.predict(model, parcels, seed=7, batch_size=16))),
     ]
+    out.append(("checkpoint", _saved_sha(lambda path: save_checkpoint(path, model))))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "embeddings.csv")
         analytics.export_embeddings(model, parcels, path, seed=7)
@@ -96,10 +115,25 @@ def draws(dataset):
     return out
 
 
+def files(dataset):
+    """(file kind, sha256) pairs of the dataset and transition-tensor files."""
+    manifest = config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
+    triplets = [tuple(p.labels[i:i + 3]) for p in dataset.parcels
+                for i in range(dataset.num_years - 2)]
+    transitions = estimate_transitions(triplets, dataset.num_classes)
+    return [
+        ("dataset", _saved_sha(
+            lambda path: save_dataset(path, dataset.parcels, dataset.num_classes, manifest))),
+        ("transitions", _saved_sha(lambda path: save_transitions(path, transitions))),
+    ]
+
+
 def main():
     dataset = _dataset()
     for kind, digest in draws(dataset):
         print(f"{'draws':13s} {kind:15s} {digest}")
+    for kind, digest in files(dataset):
+        print(f"{'files':13s} {kind:15s} {digest}")
     for variant in heads.VARIANTS:
         for artifact, digest in fingerprint(variant, dataset):
             print(f"{variant:13s} {artifact:15s} {digest}")
