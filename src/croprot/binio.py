@@ -1,5 +1,6 @@
-"""Little-endian reader shared by the three binary formats: `.rcds`
-datasets, `RCWT` checkpoints and `RCTT` transition tensors.
+"""Little-endian reader shared by the three binary formats (`.rcds`
+datasets, `RCWT` checkpoints, `RCTT` transition tensors), and the reader
+and writer of every JSON file but the run config.
 
 The whole file is read into one writable buffer; fields are decoded with
 precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
@@ -10,6 +11,7 @@ naming the format and the offset.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
@@ -73,3 +75,27 @@ class Reader:
                 f"{extra} trailing bytes after the last record of the {self.kind} "
                 f"file at offset {self.offset}"
             )
+
+
+def read_json(path, what):
+    """The JSON object in `path`.  A missing file, one that is not UTF-8
+    JSON, or one that does not hold an object raises DataFormatError naming
+    `what` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise DataFormatError(f"missing {what} {path}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataFormatError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{what} {path} does not hold a JSON object")
+    return doc
+
+
+def write_json(path, doc):
+    """Write `doc` to `path` as indented JSON with sorted keys and a final
+    newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

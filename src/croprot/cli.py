@@ -11,6 +11,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytics, calibration, crf as crf_mod, training
+from .binio import read_json, write_json
 from .data import (
     FoldAssignment,
     SyntheticConfig,
@@ -103,10 +104,10 @@ def load_run_config(path):
     import jsonschema
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     try:
         jsonschema.validate(doc, RUN_CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -116,13 +117,8 @@ def load_run_config(path):
 
 def _load_folds(path, dataset):
     """The fold assignment in `path`; it must cover every dataset parcel."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DataFormatError(f"folds file {path} is not JSON: {exc}") from None
-    if not (isinstance(doc, dict) and isinstance(doc.get("folds"), dict)
-            and "k" in doc and "block_size" in doc):
+    doc = read_json(path, "folds file")
+    if not (isinstance(doc.get("folds"), dict) and "k" in doc and "block_size" in doc):
         raise DataFormatError(
             f"folds file {path} needs the keys k, folds (an object) and block_size"
         )
@@ -161,12 +157,6 @@ def _records_payload(meta, val_records, test_records):
     }
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _eval_year(year, num_years):
     """`eval --year`: None for "all", else the year, which must lie in
     1..num_years."""
@@ -200,7 +190,7 @@ def cmd_split(args):
     assignment = make_folds(
         dataset.parcels, args.k, args.block_size, salt=args.seed or 0
     )
-    _write_json(
+    write_json(
         args.out,
         {
             "k": assignment.k,
@@ -252,7 +242,7 @@ def cmd_train(args):
             ],
             "test_by_year": per_year,
         }
-    _write_json(os.path.join(args.out, "run_report.json"), report)
+    write_json(os.path.join(args.out, "run_report.json"), report)
     print(f"trained {len(result.folds)} fold(s); report in {args.out}")
     return 0
 
@@ -285,11 +275,11 @@ def cmd_eval(args):
         "num_classes": model.dims.num_classes,
         "year": args.year,
     }
-    _write_json(
+    write_json(
         os.path.join(args.out, "predictions.json"),
         _records_payload(meta, val_records, test_records),
     )
-    _write_json(
+    write_json(
         os.path.join(args.out, "metrics.json"),
         {
             "oa": oa,
@@ -304,14 +294,12 @@ def cmd_eval(args):
 
 
 def _load_predictions(path):
-    """(meta, val records, test records) of an `eval` predictions file;
-    both lists must be non-empty."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DataFormatError(f"predictions file {path} is not JSON: {exc}") from None
-    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+    """(meta, val records, test records) of an `eval` predictions file.
+    Both lists must be non-empty, and every record needs integer ids and
+    true label, and finite logits of the first record's length L, with
+    the true label in [0, L)."""
+    doc = read_json(path, "predictions file")
+    if not (isinstance(doc.get("meta"), dict)
             and isinstance(doc.get("val"), list) and isinstance(doc.get("test"), list)):
         raise DataFormatError(
             f"predictions file {path} needs the keys meta (an object), val and test (lists)"
@@ -326,6 +314,13 @@ def _load_predictions(path):
     for name, records in (("val", val), ("test", test)):
         if not records:
             raise DataFormatError(f"predictions file {path}: no {name} records")
+    num_classes = val[0].logits.size
+    for r in val + test:
+        ids = (r.parcel_id, r.year_index, r.true_label)
+        if not (all(type(v) is int for v in ids) and r.logits.shape == (num_classes,)
+                and np.isfinite(r.logits).all() and 0 <= r.true_label < num_classes):
+            raise DataFormatError(f"predictions file {path}: record {ids!r} needs integer ids, "
+                                  f"{num_classes} finite logits, a label in [0, {num_classes})")
     return doc["meta"], val, test
 
 
@@ -344,7 +339,7 @@ def cmd_calibrate(args):
         calibration.reliability(test_records, args.bins),
     )
     calibration.calibrate_records(val_records, scaler.tau)
-    _write_json(
+    write_json(
         os.path.join(args.out, "calibration.json"),
         {
             "tau": scaler.tau,
@@ -353,7 +348,7 @@ def cmd_calibrate(args):
             "ece_after": ece_after,
         },
     )
-    _write_json(
+    write_json(
         os.path.join(args.out, "predictions_calibrated.json"),
         _records_payload(meta, val_records, test_records),
     )
@@ -369,6 +364,9 @@ def cmd_crf(args):
         raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
+    if val_records[0].logits.size != dataset.num_classes:
+        raise DataFormatError(f"predictions file {args.predictions}: {val_records[0].logits.size} "
+                              f"logits per record; the dataset has {dataset.num_classes} classes")
     held_out = {meta["fold"], meta["val_fold"]}
     triplets = [
         tuple(p.labels[i : i + 3])
@@ -413,7 +411,7 @@ def cmd_crf(args):
     oa, iou, miou = analytics.metrics(cm)
     os.makedirs(args.out, exist_ok=True)
     crf_mod.save_transitions(os.path.join(args.out, "transitions.bin"), transitions)
-    _write_json(
+    write_json(
         os.path.join(args.out, "crf_metrics.json"),
         {
             "alpha": args.alpha,
@@ -439,7 +437,7 @@ def cmd_rotations(args):
     analytics.write_rotation_table_csv(
         os.path.join(args.out, "rotation_table.csv"), rows, mean, class_names
     )
-    _write_json(
+    write_json(
         os.path.join(args.out, "rotations.json"),
         {
             "observed_rotations": analytics.count_observed_rotations(seqs),

@@ -3,13 +3,12 @@ combined with calibrated posteriors for the current year."""
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import U32, Reader
+from .binio import U32, Reader, read_json, write_json
 from .errors import ContractError, DataFormatError
 
 TENSOR_MAGIC = b"RCTT"
@@ -69,32 +68,21 @@ def save_transitions(path, transitions: TransitionTensor):
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", transitions.num_classes))
         fh.write(np.ascontiguousarray(transitions.t, dtype="<f8").tobytes())
-    meta = {
+    write_json(path + ".json", {
         "num_classes": transitions.num_classes,
         "alpha": transitions.alpha,
         "triplet_count": transitions.triplet_count,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_transitions(path):
-    """Read a transition tensor and its sidecar; a sidecar that is not JSON
-    or lacks alpha/triplet_count, or a tensor that is not a probability
-    table (finite, non-negative, each (a, b) row summing to 1 within 1e-9),
-    is a DataFormatError."""
+    """Read a transition tensor and its sidecar; a sidecar that is not a
+    JSON object with alpha and triplet_count, or a tensor that is not a
+    probability table (finite, non-negative, each (a, b) row summing to 1
+    within 1e-9), is a DataFormatError."""
     path = str(path)
-    try:
-        with open(path + ".json") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"missing transition-tensor sidecar {path}.json")
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(
-            f"transition-tensor sidecar {path}.json is not JSON: {exc}"
-        ) from None
-    if not (isinstance(meta, dict) and "alpha" in meta and "triplet_count" in meta):
+    meta = read_json(path + ".json", "transition-tensor sidecar")
+    if not ("alpha" in meta and "triplet_count" in meta):
         raise DataFormatError(
             f"transition-tensor sidecar {path}.json needs the keys alpha and triplet_count"
         )

@@ -8,14 +8,15 @@ plus a per-year global shift and i.i.d. noise.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .binio import U16, U32, Reader
+from .binio import U16, U32, Reader, read_json, write_json
 from .errors import ConfigError, ContractError, DataFormatError
 
 MAGIC = b"RCDS"
@@ -31,20 +32,6 @@ class PixelSetSample:
     pixels: np.ndarray
     days: np.ndarray  # (T,) day-of-year, strictly increasing
     label: int
-
-    def validate(self):
-        if self.pixels.ndim != 3:
-            raise ContractError("pixels must be (C, N_p, T)")
-        c, n_p, t = self.pixels.shape
-        if n_p < 1:
-            raise ContractError("parcel with no pixels")
-        days = np.asarray(self.days)
-        if days.shape != (t,):
-            raise ContractError("days length must match T")
-        if np.any(days < 1) or np.any(days > 366):
-            raise ContractError("days must lie in [1, 366]")
-        if np.any(np.diff(days) <= 0):
-            raise ContractError("days must be strictly increasing")
 
     @property
     def n_pixels(self):
@@ -356,113 +343,130 @@ def make_folds(parcels, k, block_size, salt=0):
 # on-disk format (little-endian binary + JSON sidecar manifest)
 
 
-def save_dataset(path, parcels, num_classes, manifest=None):
-    path = str(path)
-    num_years = len(parcels[0].samples) if parcels else 0
-    channels = parcels[0].samples[0].pixels.shape[0] if parcels else 0
-    if len(parcels) > 0xFFFFFFFF or num_years > 0xFF:
-        raise DataFormatError("dataset dimensions overflow the header fields")
-    if channels > 0xFFFF or num_classes > 0xFFFF:
-        raise DataFormatError("dataset dimensions overflow the header fields")
-    for p in parcels:
-        if not np.isfinite(p.centroid).all():
-            raise DataFormatError(f"parcel {p.parcel_id}: non-finite centroid {p.centroid}")
-        for s in p.samples:
-            if not 0 <= s.label < num_classes:
-                raise DataFormatError(
-                    f"parcel {p.parcel_id}, year {s.year_index}: label {s.label} "
-                    f"outside [0, {num_classes})"
-                )
-            if not np.isfinite(s.pixels).all():
-                raise DataFormatError(
-                    f"parcel {p.parcel_id}, year {s.year_index}: non-finite pixel value"
-                )
-            s.validate()
-            if s.pixels.shape[1] > 0xFFFFFFFF:
-                raise DataFormatError("sample dimensions overflow the format")
-    # every check runs before the file is opened: a refused dataset leaves
-    # no partial file behind
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIBHH", FORMAT_VERSION, len(parcels), num_years, channels, num_classes))
-        for p in parcels:
-            fh.write(struct.pack("<Qdd", p.parcel_id, p.centroid[0], p.centroid[1]))
-            for s in p.samples:
-                c, n_p, t = s.pixels.shape
-                fh.write(struct.pack("<H", t))
-                fh.write(np.asarray(s.days, dtype="<u2").tobytes())
-                fh.write(struct.pack("<I", n_p))
-                fh.write(np.ascontiguousarray(s.pixels, dtype="<f4").tobytes())
-                fh.write(struct.pack("<H", s.label))
-    sidecar = {
-        "class_names": [f"class_{i:02d}" for i in range(num_classes)],
-        "year_labels": [f"year_{i}" for i in range(1, num_years + 1)],
-    }
-    if manifest:
-        sidecar.update(manifest)
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 _HEADER = struct.Struct("<IIBHH")
 _PARCEL = struct.Struct("<Qdd")
 
 
-def _first_fault(headers, pixels, rows, days, num_years, num_classes):
-    """Message of the first fault among the walked samples, in file order,
-    or None.  `days` is every walked sample's days, concatenated.  Within a
-    sample the checks run in the order: finite pixels, label, days range,
-    days increasing."""
+def _first_fault(pixels, days, labels, num_classes):
+    """(index, message) of the first sample whose values a `.rcds` file may
+    not hold, or None.  The lists hold each sample's (C, N_p, T) pixels,
+    (T,) integer days and label; in a truncated file one may stop early.
+    Within a sample the checks run in the order: finite pixels, label in
+    [0, L), days in [1, 366], days strictly increasing."""
     faults = []  # (sample index, rank of the check, message)
     if pixels:
-        finite = np.isfinite(np.concatenate([p for p, _ in pixels], axis=None))
+        finite = np.isfinite(np.concatenate(pixels, axis=None))
         if not finite.all():
-            sizes = np.cumsum([p.size for p, _ in pixels])
+            sizes = np.cumsum([p.size for p in pixels])
             k = int(np.searchsorted(sizes, np.argmin(finite), side="right"))
-            faults.append((k, 0, f"non-finite pixel value before offset {pixels[k][1]}"))
-    if rows:
-        labels = np.array([label for _, label, _ in rows])
-        if labels.max() >= num_classes:
-            k = int(np.argmax(labels >= num_classes))
-            faults.append((k, 1, f"label {labels[k]} >= num_classes {num_classes} "
-                                  f"at offset {rows[k][2]}"))
-        sample = np.repeat(np.arange(len(rows)), [d.size for d, _, _ in rows])
-        out = (days < 1) | (days > 366)
+            faults.append((k, 0, "non-finite pixel value"))
+    if labels:
+        out = np.array([not 0 <= label < num_classes for label in labels])
+        if out.any():
+            k = int(np.argmax(out))
+            faults.append((k, 1, f"label {labels[k]} outside [0, {num_classes})"))
+    if days:
+        flat = np.concatenate(days).astype(np.int64)
+        sample = np.repeat(np.arange(len(days)), [d.size for d in days])
+        out = (flat < 1) | (flat > 366)
         if out.any():
             faults.append((int(sample[np.argmax(out)]), 2, "days must lie in [1, 366]"))
-        steps = (np.diff(days) <= 0) & (sample[1:] == sample[:-1])
+        steps = (np.diff(flat) <= 0) & (sample[1:] == sample[:-1])
         if steps.any():
             faults.append((int(sample[np.argmax(steps)]), 3,
                            "days must be strictly increasing"))
     if not faults:
         return None
-    k, rank, msg = min(faults)
-    if rank >= 2:
-        msg = f"{msg} (before offset {rows[k][2]})"
-    return f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg}"
+    k, _, msg = min(faults)
+    return k, msg
+
+
+def _check_class_names(sidecar, num_classes, path):
+    names = sidecar.get("class_names")
+    if names is not None and not (isinstance(names, list) and len(names) == num_classes
+                                  and all(isinstance(n, str) for n in names)):
+        raise DataFormatError(
+            f"dataset sidecar {path}: class_names must be a list of {num_classes} strings"
+        )
+
+
+def save_dataset(path, parcels, num_classes, manifest=None):
+    """Write `parcels` to the `.rcds` file `path` and its JSON sidecar.
+    What `load_dataset` would refuse, or the header cannot describe, raises
+    DataFormatError before the file is opened: no partial file is left."""
+    path = str(path)
+    num_years = len(parcels[0].samples) if parcels else 0
+    channels = parcels[0].samples[0].pixels.shape[0] if num_years else 0
+    try:
+        header = _HEADER.pack(FORMAT_VERSION, len(parcels), num_years, channels, num_classes)
+    except struct.error as exc:
+        raise DataFormatError(f"dataset dimensions overflow the header fields: {exc}") from None
+    heads, pixels, days, labels = [], [], [], []
+    for p in parcels:
+        try:
+            heads.append(_PARCEL.pack(p.parcel_id, *p.centroid))
+        except struct.error as exc:
+            raise DataFormatError(f"parcel {p.parcel_id}: id or centroid: {exc}") from None
+        if len(p.samples) != num_years or not all(map(math.isfinite, p.centroid)):
+            raise DataFormatError(f"parcel {p.parcel_id}: {len(p.samples)} years, centroid "
+                                  f"{p.centroid}; need {num_years} years, a finite centroid")
+        for i, s in enumerate(p.samples):
+            with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
+                pix = np.ascontiguousarray(s.pixels, dtype="<f4")
+            d = np.asarray(s.days)
+            if not (pix.ndim == 3 and pix.shape[0] == channels and pix.shape[1] >= 1
+                    and d.shape == pix.shape[2:] and d.dtype.kind in "iu"
+                    and isinstance(s.label, (int, np.integer))):
+                raise DataFormatError(f"parcel {p.parcel_id}, year {i + 1}: pixels {pix.shape}, "
+                                      f"{d.dtype} days {d.shape}, label {s.label!r}; need "
+                                      f"({channels}, N_p >= 1, T), T integers, an integer")
+            pixels.append(pix)
+            days.append(d)
+            labels.append(s.label)
+    fault = _first_fault(pixels, days, labels, num_classes)
+    if fault:
+        k, msg = fault
+        raise DataFormatError(
+            f"parcel {parcels[k // num_years].parcel_id}, year {k % num_years + 1}: {msg}"
+        )
+    sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
+               "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
+    _check_class_names(sidecar, num_classes, path + ".json")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + header)
+        records = zip(days, pixels, labels)
+        for head in heads:
+            fh.write(head)
+            for d, pix, label in itertools.islice(records, num_years):
+                fh.write(U16.pack(d.size) + d.astype("<u2").tobytes() + U32.pack(pix.shape[1]))
+                fh.write(pix.tobytes())
+                fh.write(U16.pack(label))
+    write_json(path + ".json", sidecar)
 
 
 def load_dataset(path):
+    """The dataset in the `.rcds` file `path`, with the manifest in its
+    optional JSON sidecar.  A malformed file raises DataFormatError naming
+    its first fault in file order."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
     version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"unsupported format version {version}")
-    # One walk over the records collects the parcel headers, each sample's
-    # (pixels, end offset) and (days, label, end offset); one vectorised
-    # pass then checks the values.  When the walk stops on a malformed
-    # record, a fault in an earlier sample is still the one reported, as a
-    # record-by-record check would.
-    headers, pixels, rows = [], [], []
+    # One walk over the records collects the parcel headers and each
+    # sample's offset, days, pixels and label; one vectorised pass then checks
+    # the values.  When the walk stops on a malformed record, a fault in an
+    # earlier sample is still the one reported.
+    headers, starts, days, pixels, labels = [], [], [], [], []
     walk_fault = None
     try:
         for _ in range(n_parcels):
             headers.append(r.unpack(_PARCEL, "parcel header"))
             for _ in range(num_years):
+                starts.append(r.offset)
                 (t,) = r.unpack(U16, "timestep count")
-                days = r.array("<u2", t, "days")
+                days.append(r.array("<u2", t, "days"))
                 (n_p,) = r.unpack(U32, "pixel count")
                 if n_p < 1:
                     raise DataFormatError(
@@ -470,43 +474,36 @@ def load_dataset(path):
                         f"at offset {r.offset}"
                     )
                 pix = r.array("<f4", channels * n_p * t, "pixels")
-                pixels.append((pix.reshape(channels, n_p, t), r.offset))
-                (label,) = r.unpack(U16, "label")
-                rows.append((days, label, r.offset))
+                pixels.append(pix.reshape(channels, n_p, t))
+                labels.append(r.unpack(U16, "label")[0])
     except DataFormatError as exc:
         walk_fault = exc
-    all_days = np.concatenate([np.empty(0, "<u2")] + [d for d, _, _ in rows]).astype(np.int64)
-    fault = _first_fault(headers, pixels, rows, all_days, num_years, num_classes)
+    fault = _first_fault(pixels, days, labels, num_classes)
     if fault:
-        raise DataFormatError(fault)
+        k, msg = fault
+        raise DataFormatError(
+            f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg} "
+            f"(sample record at offset {starts[k]})"
+        )
     if walk_fault:
         raise walk_fault
     r.finish()
     for pid, cx, cy in headers:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
-    parcels = []
-    k = start = 0
-    for pid, cx, cy in headers:
-        samples = []
-        for i in range(num_years):
-            days, label, _ = rows[k]
-            samples.append(PixelSetSample(
-                parcel_id=pid,
-                year_index=i + 1,
-                pixels=pixels[k][0],
-                days=all_days[start:start + days.size],
-                label=label,
-            ))
-            start += days.size
-            k += 1
-        parcels.append(MultiYearParcel(pid, (cx, cy), samples))
+    all_days = np.concatenate([np.empty(0, "<u2")] + days).astype(np.int64)
+    ends = np.cumsum([d.size for d in days], dtype=np.int64).tolist()
+    samples = [
+        PixelSetSample(headers[k // num_years][0], k % num_years + 1, pixels[k],
+                       all_days[end - days[k].size:end], labels[k])
+        for k, end in enumerate(ends)
+    ]
+    parcels = [MultiYearParcel(pid, (cx, cy), samples[i * num_years:(i + 1) * num_years])
+               for i, (pid, cx, cy) in enumerate(headers)]
     manifest = None
-    try:
-        with open(path + ".json") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        pass
+    if os.path.exists(path + ".json"):
+        manifest = read_json(path + ".json", "dataset sidecar")
+        _check_class_names(manifest, num_classes, path + ".json")
     return Dataset(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
 
 

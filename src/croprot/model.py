@@ -7,14 +7,13 @@ little-endian float32 data.  A JSON sidecar records the architecture.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .binio import U8, U16, Reader
+from .binio import U8, U16, Reader, read_json, write_json
 from .encoders import EncoderDims, LtaeWeights, PseWeights
 from .errors import DataFormatError
 from .heads import HeadWeights
@@ -82,25 +81,13 @@ def save_checkpoint(path, model: CropModel):
             for d in p.data.shape:
                 fh.write(struct.pack("<I", d))
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    sidecar = {"dims": asdict(model.dims), "variant": model.variant}
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", {"dims": asdict(model.dims), "variant": model.variant})
 
 
 def load_checkpoint(path):
     path = str(path)
-    try:
-        with open(path + ".json") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"missing checkpoint sidecar {path}.json")
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(
-            f"checkpoint sidecar {path}.json is not JSON: {exc}"
-        ) from None
-    if not (isinstance(sidecar, dict) and isinstance(sidecar.get("dims"), dict)
-            and "variant" in sidecar):
+    sidecar = read_json(path + ".json", "checkpoint sidecar")
+    if not (isinstance(sidecar.get("dims"), dict) and "variant" in sidecar):
         raise DataFormatError(
             f"checkpoint sidecar {path}.json needs the keys dims (an object) and variant"
         )

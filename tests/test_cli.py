@@ -335,8 +335,9 @@ class TestPipeline:
         assert not (tmp_path / "o").exists()
 
 
-# a well-formed predictions record, and the meta of a fold-0 eval
-_RECORD = {"parcel_id": 0, "year_index": 1, "logits": [0.5, -0.5], "true_label": 0}
+# a well-formed predictions record of the 8-class pipeline dataset, and the
+# meta of a fold-0 eval
+_RECORD = {"parcel_id": 0, "year_index": 1, "logits": [0.5, -0.5] * 4, "true_label": 0}
 _META = {"fold": 0, "val_fold": 1}
 
 
@@ -358,17 +359,44 @@ def malformed(workdir, tmp_path_factory):
         "preds_not_json": "{not json",
         "preds_not_object": "[]",
         "preds_no_test": json.dumps({"meta": {"fold": 0, "val_fold": 1}, "val": []}),
-        "preds_no_fold": json.dumps({"meta": {}, "val": [], "test": []}),
+        "preds_no_fold": json.dumps({"meta": {}, "val": [_RECORD], "test": [_RECORD]}),
         "preds_bad_record": json.dumps({"meta": {}, "val": [{"logits": [0.0]}], "test": []}),
         "preds_empty_test": json.dumps({"meta": _META, "val": [_RECORD], "test": []}),
         "preds_empty_val": json.dumps({"meta": _META, "val": [], "test": [_RECORD]}),
         "preds_unknown_parcel": _preds(parcel_id=10**6),
         "preds_year_0": _preds(year_index=0),
         "preds_year_4": _preds(year_index=4),
+        "preds_year_string": _preds(year_index="3"),
+        "preds_parcel_float": _preds(parcel_id=1.5),
+        "preds_parcel_bool": _preds(parcel_id=True),
+        "preds_label_99": _preds(true_label=99),
+        "preds_label_string": _preds(true_label="1"),
+        "preds_ragged_logits": _preds(logits=[0.5, -0.5]),
+        "preds_nan_logit": _preds(logits=[float("nan")] + _RECORD["logits"][1:]),
+        "preds_2_classes": json.dumps({"meta": _META, "val": [{**_RECORD, "logits": [0.5, -0.5]}],
+                                       "test": [{**_RECORD, "logits": [0.5, -0.5]}]}),
+        "config_not_utf8": b'{"train": {"\xff": 1}}',
+        "folds_not_utf8": b'{"k": 3, "\xff": 1}',
+        "preds_not_utf8": b'{"meta": "\xff"}',
     }
     paths = {name: bad / f"{name}.json" for name in files}
     for name, text in files.items():
-        paths[name].write_text(text)
+        if isinstance(text, bytes):
+            paths[name].write_bytes(text)
+        else:
+            paths[name].write_text(text)
+    # copies of the pipeline's dataset and checkpoint beside a malformed sidecar
+    sidecars = {
+        "dataset_sidecar_not_utf8": (dataset, b'{"class_names": "\xff"}'),
+        "dataset_sidecar_not_json": (dataset, b"{not json"),
+        "dataset_sidecar_not_object": (dataset, b"[1]"),
+        "dataset_class_names": (dataset, b'{"class_names": ["a"]}'),
+        "ckpt_sidecar_not_utf8": (train_out / "checkpoint_fold0.bin", b'{"variant": "\xff"}'),
+    }
+    for name, (source, sidecar) in sidecars.items():
+        paths[name] = bad / f"{name}.bin"
+        shutil.copy(source, paths[name])
+        (bad / f"{name}.bin.json").write_bytes(sidecar)
     paths["dataset_nan"] = bad / "nan.rcds"
     paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
     paths["ckpt_bad_sidecar"] = bad / "ckpt.bin"
@@ -394,6 +422,8 @@ CLI_MATRIX = {
     "synth-config-unknown-key": ("synth --config {config_unknown_key} --out {out}", 2),
     "train-config-not-json": (_TRAIN.replace("{cfg}", "{config_not_json}"), 2),
     "train-unknown-variant": (_TRAIN + " --variant crf", 2),
+    "synth-config-not-utf8": ("synth --config {config_not_utf8} --out {out}", 2),
+    "train-config-not-utf8": (_TRAIN.replace("{cfg}", "{config_not_utf8}"), 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
     "train-dataset": (_TRAIN.replace("{dataset}", "{dataset_nan}"), 3),
@@ -421,6 +451,29 @@ CLI_MATRIX = {
     "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
     "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
     "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),
+    "train-folds-not-utf8": (_TRAIN.replace("{folds}", "{folds_not_utf8}"), 3),
+    "calibrate-not-utf8": (_CALIBRATE.replace("{preds}", "{preds_not_utf8}"), 3),
+    "crf-not-utf8": (_CRF.replace("{preds}", "{preds_not_utf8}"), 3),
+    "eval-checkpoint-not-utf8": (_EVAL.replace("{ckpt}", "{ckpt_sidecar_not_utf8}"), 3),
+    "split-dataset-sidecar-not-utf8":
+        ("split --dataset {dataset_sidecar_not_utf8} --out {out}", 3),
+    "eval-dataset-sidecar-not-json": (_EVAL.replace("{dataset}", "{dataset_sidecar_not_json}"), 3),
+    "eval-dataset-sidecar-not-object":
+        (_EVAL.replace("{dataset}", "{dataset_sidecar_not_object}"), 3),
+    "rotations-dataset-sidecar-not-object":
+        ("rotations --dataset {dataset_sidecar_not_object} --out {out}", 3),
+    "eval-class-names": (_EVAL.replace("{dataset}", "{dataset_class_names}"), 3),
+    "rotations-class-names": ("rotations --dataset {dataset_class_names} --out {out}", 3),
+    "crf-year-string": (_CRF.replace("{preds}", "{preds_year_string}"), 3),
+    "crf-2-classes": (_CRF.replace("{preds}", "{preds_2_classes}"), 3),
+    "crf-label-99": (_CRF.replace("{preds}", "{preds_label_99}"), 3),
+    "crf-ragged-logits": (_CRF.replace("{preds}", "{preds_ragged_logits}"), 3),
+    "calibrate-parcel-float": (_CALIBRATE.replace("{preds}", "{preds_parcel_float}"), 3),
+    "calibrate-parcel-bool": (_CALIBRATE.replace("{preds}", "{preds_parcel_bool}"), 3),
+    "calibrate-label-99": (_CALIBRATE.replace("{preds}", "{preds_label_99}"), 3),
+    "calibrate-label-string": (_CALIBRATE.replace("{preds}", "{preds_label_string}"), 3),
+    "calibrate-ragged-logits": (_CALIBRATE.replace("{preds}", "{preds_ragged_logits}"), 3),
+    "calibrate-nan-logit": (_CALIBRATE.replace("{preds}", "{preds_nan_logit}"), 3),
     # arguments out of range: exit 4
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),

@@ -4,9 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from croprot.data import (
+    MultiYearParcel,
+    PixelSetSample,
     SyntheticConfig,
     _splitmix64,
     distinct_columns,
@@ -362,7 +366,7 @@ class TestFileFormat:
         parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
         parcels[2].samples[2].days = parcels[2].samples[2].days[::-1].copy()
         path = tmp_path / "ds.rcds"
-        with pytest.raises(ContractError, match="strictly increasing"):
+        with pytest.raises(DataFormatError, match="strictly increasing"):
             save_dataset(path, parcels, 8)
         assert not path.exists()
 
@@ -447,3 +451,128 @@ class TestFileFormat:
         path.write_bytes(self._two_samples({}, {})[:-cut])
         with pytest.raises(DataFormatError, match="truncated RCDS file"):
             load_dataset(path)
+
+
+def _drop_year(parcels):
+    parcels[1].samples = parcels[1].samples[:2]
+
+
+def _drop_channel(parcels):
+    parcels[2].samples[1].pixels = parcels[2].samples[1].pixels[:3]
+
+
+def _drop_day(parcels):
+    parcels[0].samples[2].days = parcels[0].samples[2].days[:-1]
+
+
+def _drop_pixels(parcels):
+    parcels[1].samples[0].pixels = parcels[1].samples[0].pixels[:, :0]
+
+
+def _negative_id(parcels):
+    parcels[2].parcel_id = -1
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_drop_year, "parcel 1: 2 years"),
+    (_drop_channel, r"parcel 2, year 2: pixels \(3, "),
+    (_drop_day, "parcel 0, year 3: .* int64 days"),
+    (_drop_pixels, r"parcel 1, year 1: pixels \(4, 0, "),
+    (_negative_id, "parcel -1: id or centroid"),
+])
+def test_save_refuses_what_the_header_cannot_describe(tmp_path, mutate, match):
+    parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
+    mutate(parcels)
+    path = tmp_path / "ds.rcds"
+    with pytest.raises(DataFormatError, match=match):
+        save_dataset(path, parcels, 8)
+    assert not path.exists()
+
+
+def test_save_refuses_sidecar_class_names(tmp_path):
+    path = tmp_path / "ds.rcds"
+    parcels = generate_synthetic(SyntheticConfig(parcels=2, seed=0))
+    with pytest.raises(DataFormatError, match="class_names must be a list of 8 strings"):
+        save_dataset(path, parcels, 8, {"class_names": ["a"]})
+    assert not path.exists()
+
+
+def _encode(parcels, num_classes):
+    """Bytes of a `.rcds` file written field by field, without any check."""
+    num_years = len(parcels[0].samples) if parcels else 0
+    channels = parcels[0].samples[0].pixels.shape[0] if num_years else 0
+    raw = [b"RCDS", struct.pack("<IIBHH", 1, len(parcels), num_years, channels, num_classes)]
+    for p in parcels:
+        raw.append(struct.pack("<Qdd", p.parcel_id, *p.centroid))
+        for s in p.samples:
+            _, n_p, t = s.pixels.shape
+            raw += [struct.pack("<H", t), np.asarray(s.days, "<u2").tobytes(),
+                    struct.pack("<I", n_p), np.asarray(s.pixels, "<f4").tobytes(),
+                    struct.pack("<H", s.label)]
+    return b"".join(raw)
+
+
+@st.composite
+def _datasets(draw, min_parcels=0):
+    """(parcels, num_classes) that a `.rcds` file can hold."""
+    num_classes = draw(st.integers(1, 5))
+    num_years = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, 3))
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    parcels = []
+    for pid in draw(st.lists(st.integers(0, 2**64 - 1), min_size=min_parcels, max_size=4)):
+        samples = []
+        for year in range(1, num_years + 1):
+            t = draw(st.integers(1, 4))
+            days = sorted(draw(st.sets(st.integers(1, 366), min_size=t, max_size=t)))
+            pixels = draw(hnp.arrays(np.float32, (channels, draw(st.integers(1, 3)), t),
+                                     elements=st.floats(-1e6, 1e6, width=32)))
+            samples.append(PixelSetSample(pid, year, pixels, np.array(days),
+                                          draw(st.integers(0, num_classes - 1))))
+        parcels.append(MultiYearParcel(pid, (draw(coord), draw(coord)), samples))
+    return parcels, num_classes
+
+
+@pytest.fixture(scope="module")
+def rcds_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("rcds") / "ds.rcds"
+
+
+@given(dataset=_datasets())
+def test_saved_datasets_load_back(rcds_path, dataset):
+    parcels, num_classes = dataset
+    save_dataset(rcds_path, parcels, num_classes)
+    assert rcds_path.read_bytes() == _encode(parcels, num_classes)
+    loaded = load_dataset(rcds_path)
+    assert loaded.num_classes == num_classes and len(loaded.parcels) == len(parcels)
+    for orig, back in zip(parcels, loaded.parcels):
+        assert (back.parcel_id, back.centroid) == (orig.parcel_id, orig.centroid)
+        for so, sb in zip(orig.samples, back.samples):
+            assert np.array_equal(so.pixels, sb.pixels) and np.array_equal(so.days, sb.days)
+            assert sb.label == so.label
+
+
+@given(dataset=_datasets(min_parcels=1), data=st.data())
+def test_one_bad_sample_refused_by_save_and_load(rcds_path, dataset, data):
+    parcels, num_classes = dataset
+    p = data.draw(st.sampled_from(parcels), "parcel")
+    s = data.draw(st.sampled_from(p.samples), "sample")
+    j = data.draw(st.integers(0, s.days.size - 1), "index")
+    fault = data.draw(st.sampled_from(["pixel", "label", "day", "order"]), "fault")
+    if fault == "pixel":
+        s.pixels.reshape(-1)[data.draw(st.integers(0, s.pixels.size - 1), "pixel")] = np.nan
+    elif fault == "label":
+        s.label = data.draw(st.integers(num_classes, 0xFFFF), "label")
+    elif fault == "day":
+        s.days[j] = data.draw(st.sampled_from([0, 367, 0xFFFF]), "day")
+    else:  # a repeated day; the first day has none before it, so it becomes 0
+        s.days[j] = s.days[j - 1] if j else 0
+    rcds_path.unlink(missing_ok=True)
+    with pytest.raises(DataFormatError) as saved:
+        save_dataset(rcds_path, parcels, num_classes)
+    assert not rcds_path.exists()
+    assert str(saved.value).startswith(f"parcel {p.parcel_id}, year {s.year_index}: ")
+    rcds_path.write_bytes(_encode(parcels, num_classes))
+    with pytest.raises(DataFormatError) as loaded:
+        load_dataset(rcds_path)
+    assert str(loaded.value).startswith(f"{saved.value} (sample record at offset ")

@@ -1,13 +1,17 @@
 """Fuzzing the three binary readers: a truncated `.rcds`, `RCWT` or `RCTT`
 file raises DataFormatError, and one with a single byte changed either
-loads or raises DataFormatError, never another exception."""
+loads or raises DataFormatError, never another exception.  The JSON reader
+and writer: `write_json`'s exact bytes, and `read_json`'s refusals."""
 
+import io
+import json
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from croprot.binio import read_json, write_json
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from croprot.errors import DataFormatError
@@ -77,3 +81,30 @@ def test_single_byte_change(saved, data):
         load(path)
     except DataFormatError:
         pass
+
+
+@given(doc=st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=10)))
+def test_write_json_bytes_and_round_trip(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    write_json(path, doc)
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2, sort_keys=True)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+    assert read_json(path, "document") == doc
+
+
+@pytest.mark.parametrize("raw, match", [
+    (None, "missing document"),
+    (b'{"a": "\xff"}', "not UTF-8 JSON"),
+    (b"{not json", "not UTF-8 JSON"),
+    (b"[1]", "does not hold a JSON object"),
+])
+def test_read_json_refusals(tmp_path, raw, match):
+    path = tmp_path / "doc.json"
+    if raw is not None:
+        path.write_bytes(raw)
+    with pytest.raises(DataFormatError, match=match) as exc:
+        read_json(path, "document")
+    assert str(path) in str(exc.value)
