@@ -317,10 +317,12 @@ def _load_predictions(path):
     num_classes = val[0].logits.size
     for r in val + test:
         ids = (r.parcel_id, r.year_index, r.true_label)
-        if not (all(type(v) is int for v in ids) and r.logits.shape == (num_classes,)
-                and np.isfinite(r.logits).all() and 0 <= r.true_label < num_classes):
+        if not (list(map(type, ids)) == [int] * 3 and r.logits.shape == (num_classes,)
+                and 0 <= r.true_label < num_classes):
             raise DataFormatError(f"predictions file {path}: record {ids!r} needs integer ids, "
-                                  f"{num_classes} finite logits, a label in [0, {num_classes})")
+                                  f"{num_classes} logits, a label in [0, {num_classes})")
+    if not np.isfinite(np.concatenate([r.logits for r in val + test])).all():
+        raise DataFormatError(f"predictions file {path}: non-finite logit")
     return doc["meta"], val, test
 
 

@@ -381,10 +381,7 @@ def malformed(workdir, tmp_path_factory):
     }
     paths = {name: bad / f"{name}.json" for name in files}
     for name, text in files.items():
-        if isinstance(text, bytes):
-            paths[name].write_bytes(text)
-        else:
-            paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
     # copies of the pipeline's dataset and checkpoint beside a malformed sidecar
     sidecars = {
         "dataset_sidecar_not_utf8": (dataset, b'{"class_names": "\xff"}'),
@@ -465,7 +462,7 @@ CLI_MATRIX = {
     "eval-class-names": (_EVAL.replace("{dataset}", "{dataset_class_names}"), 3),
     "rotations-class-names": ("rotations --dataset {dataset_class_names} --out {out}", 3),
     "crf-year-string": (_CRF.replace("{preds}", "{preds_year_string}"), 3),
-    "crf-2-classes": (_CRF.replace("{preds}", "{preds_2_classes}"), 3),
+    "crf-logits-not-class-count": (_CRF.replace("{preds}", "{preds_2_classes}"), 3),
     "crf-label-99": (_CRF.replace("{preds}", "{preds_label_99}"), 3),
     "crf-ragged-logits": (_CRF.replace("{preds}", "{preds_ragged_logits}"), 3),
     "calibrate-parcel-float": (_CALIBRATE.replace("{preds}", "{preds_parcel_float}"), 3),
