@@ -110,15 +110,16 @@ def possible_rotations(num_classes, num_years):
     return num_classes**num_years
 
 
-def rotation_table(label_seqs, num_classes, percentages=COVERAGE_PERCENTAGES):
+def rotation_table(label_seqs, num_classes):
     """Per-class minimum rotation counts at each coverage percentage, plus
     an unweighted mean row over observed classes."""
     rows = {}
     for k in range(num_classes):
-        counts = [rotation_coverage(label_seqs, k, p) for p in percentages]
+        counts = [rotation_coverage(label_seqs, k, p) for p in COVERAGE_PERCENTAGES]
         if counts[0] is not None:
             rows[k] = counts
-    mean = [float(np.mean([rows[k][j] for k in rows])) for j in range(len(percentages))]
+    mean = [float(np.mean([rows[k][j] for k in rows]))
+            for j in range(len(COVERAGE_PERCENTAGES))]
     return rows, mean
 
 
@@ -171,14 +172,13 @@ def write_confusion_csv(path, cm, class_names=None):
             w.writerow([names[i]] + [int(v) for v in row])
 
 
-def write_rotation_table_csv(path, rows, mean, class_names=None,
-                             percentages=COVERAGE_PERCENTAGES):
+def write_rotation_table_csv(path, rows, mean, class_names=None):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["class"] + [str(p) for p in percentages])
+        w.writerow(["class"] + [str(p) for p in COVERAGE_PERCENTAGES])
         for k in sorted(rows):
             name = class_names[k] if class_names else f"class_{k:02d}"
-            w.writerow([name] + [rows[k][j] for j in range(len(percentages))])
+            w.writerow([name, *rows[k]])
         w.writerow(["mean"] + [f"{m:.2f}" for m in mean])
 
 

@@ -1,6 +1,6 @@
 """Little-endian reader shared by the three binary formats (`.rcds`
 datasets, `RCWT` checkpoints, `RCTT` transition tensors), and the reader
-and writer of every JSON file but the run config.
+and writer of every JSON file.
 
 The whole file is read into one writable buffer; fields are decoded with
 precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
@@ -77,19 +77,19 @@ class Reader:
             )
 
 
-def read_json(path, what):
-    """The JSON object in `path`.  A missing file, one that is not UTF-8
-    JSON, or one that does not hold an object raises DataFormatError naming
-    `what` and the path."""
+def read_json(path, what, error=DataFormatError):
+    """The JSON object in `path`.  A missing file raises DataFormatError,
+    and one that is not UTF-8 JSON or does not hold an object raises
+    `error`; both name `what` and the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise DataFormatError(f"missing {what} {path}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataFormatError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+        raise error(f"{what} {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise DataFormatError(f"{what} {path} does not hold a JSON object")
+        raise error(f"{what} {path} does not hold a JSON object")
     return doc
 
 

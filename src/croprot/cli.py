@@ -4,7 +4,7 @@ evaluation, calibration, CRF rescoring, rotation analytics, embeddings."""
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -103,11 +103,7 @@ RUN_CONFIG_SCHEMA = {
 def load_run_config(path):
     import jsonschema
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    doc = read_json(path, "run config", ConfigError)
     try:
         jsonschema.validate(doc, RUN_CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -116,20 +112,31 @@ def load_run_config(path):
 
 
 def _load_folds(path, dataset):
-    """The fold assignment in `path`; it must cover every dataset parcel."""
+    """The fold assignment in `path`: an integer k >= 2, a positive finite
+    block_size and an integer fold in [0, k) for each parcel listed; it
+    must list every dataset parcel."""
     doc = read_json(path, "folds file")
     if not (isinstance(doc.get("folds"), dict) and "k" in doc and "block_size" in doc):
         raise DataFormatError(
             f"folds file {path} needs the keys k, folds (an object) and block_size"
         )
-    try:
-        folds = FoldAssignment(
-            k=doc["k"],
-            folds={int(pid): f for pid, f in doc["folds"].items()},
-            block_size=doc["block_size"],
+    k, block_size = doc["k"], doc["block_size"]
+    # type() is not isinstance(): JSON true and false are not numbers here
+    if not (type(k) is int and k >= 2):
+        raise DataFormatError(f"folds file {path}: k {k!r} is not an integer >= 2")
+    if not (type(block_size) in (int, float) and 0 < block_size < np.inf):
+        raise DataFormatError(
+            f"folds file {path}: block_size {block_size!r} is not a positive finite number"
         )
+    try:
+        folds = FoldAssignment(k, {int(pid): f for pid, f in doc["folds"].items()}, block_size)
     except ValueError as exc:
         raise DataFormatError(f"folds file {path}: bad parcel id ({exc})") from None
+    for pid, f in folds.folds.items():
+        if not (type(f) is int and 0 <= f < k):
+            raise DataFormatError(
+                f"folds file {path}: parcel {pid} has fold {f!r}, not an integer in [0, {k})"
+            )
     missing = [p.parcel_id for p in dataset.parcels if p.parcel_id not in folds.folds]
     if missing:
         raise DataFormatError(
@@ -212,8 +219,6 @@ def _train_config(config, args):
 
 
 def cmd_train(args):
-    import os
-
     config = load_run_config(args.config)
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
@@ -248,8 +253,6 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    import os
-
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
     val_fold = folds.val_fold(args.fold)
@@ -327,8 +330,6 @@ def _load_predictions(path):
 
 
 def cmd_calibrate(args):
-    import os
-
     meta, val_records, test_records = _load_predictions(args.predictions)
     scaler = calibration.fit_temperature(val_records)
     calibration.calibrate_records(test_records, 1.0)
@@ -359,8 +360,6 @@ def cmd_calibrate(args):
 
 
 def cmd_crf(args):
-    import os
-
     meta, val_records, test_records = _load_predictions(args.predictions)
     if not {"fold", "val_fold"} <= meta.keys():
         raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
@@ -428,8 +427,6 @@ def cmd_crf(args):
 
 
 def cmd_rotations(args):
-    import os
-
     dataset = load_dataset(args.dataset)
     seqs = [p.labels for p in dataset.parcels]
     rows, mean = analytics.rotation_table(seqs, dataset.num_classes)

@@ -94,15 +94,15 @@ def positional_encoding(day, d, tau=POSENC_TAU):
 
 
 @functools.lru_cache(maxsize=16)
-def _day_table(d, tau):
+def _day_table(d):
     """Read-only (MAX_DAY + 1, d) float32 table: row t is
-    positional_encoding(t, d, tau)."""
-    table = np.stack([positional_encoding(t, d, tau) for t in range(MAX_DAY + 1)])
+    positional_encoding(t, d)."""
+    table = np.stack([positional_encoding(t, d) for t in range(MAX_DAY + 1)])
     table.setflags(write=False)
     return table
 
 
-def positional_encoding_matrix(days, d, tau=POSENC_TAU):
+def positional_encoding_matrix(days, d):
     """Encodings of integer days in [0, MAX_DAY], one row per day."""
     days = np.asarray(days)
     if days.dtype.kind not in "iu":
@@ -110,7 +110,7 @@ def positional_encoding_matrix(days, d, tau=POSENC_TAU):
     # a negative day would index from the end of the table
     if days.size and (days.min() < 0 or days.max() > MAX_DAY):
         raise ContractError(f"day-of-year encoding: days outside [0, {MAX_DAY}]")
-    return _day_table(d, tau)[days]
+    return _day_table(d)[days]
 
 
 def _pixel_mlp(flat: ad.Tensor, pse: PseWeights) -> ad.Tensor:

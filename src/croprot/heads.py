@@ -4,7 +4,8 @@ class scores.
 Five variants: "single" ignores history, "dec" consumes the sum of the
 previous two one-hot declarations, "dec-concat" their concatenation,
 "dec-one-year" only the last declaration, and "obs" the average of the
-previous two year descriptors.  Missing history years are zero-padded.
+previous two year descriptors, or the one past descriptor at year 2.
+`history_features` builds them all; a year before the first reads zeros.
 """
 
 from __future__ import annotations
@@ -19,41 +20,31 @@ from .errors import ConfigError, ContractError
 VARIANTS = ("single", "dec", "dec-concat", "dec-one-year", "obs")
 
 
-def history_features(variant, prev1, prev2, num_classes):
-    """(B, F) float32 features of the dec family from (B,) integer labels
-    of years i-1 and i-2, where -1 marks a year before the first: "dec"
-    sums the two one-hot declarations (order-free), "dec-concat" joins
-    them as [prev1 || prev2] and "dec-one-year" keeps prev1 alone.  A
-    missing year contributes a zero vector."""
+def history_features(variant, prev1, prev2, table):
+    """(B, F) float32 head features from (B,) rows of years i-1 and i-2 in
+    the (N, F) float32 `table`; -1 marks a year before the first and reads
+    a zero row.  The dec family indexes an identity table by label: "dec"
+    sums the two one-hot declarations (order-free), "dec-concat" joins them
+    and "dec-one-year" keeps prev1.  "obs" indexes past descriptors: their
+    average, prev1 alone when prev2 is -1 (year 2), zeros at year 1."""
     prev1 = np.asarray(prev1, dtype=np.int64)
     prev2 = np.asarray(prev2, dtype=np.int64)
-    labels = np.concatenate([prev1, prev2])
-    if labels.size and (labels.min() < -1 or labels.max() >= num_classes):
-        raise ContractError(f"declared labels must lie in [-1, {num_classes})")
-    # identity rows for the classes, then a zero row that label -1 indexes
-    onehot = np.eye(num_classes + 1, num_classes, dtype=np.float32)
+    table = np.asarray(table, dtype=np.float32)
+    rows = np.concatenate([prev1, prev2])
+    if rows.size and (rows.min() < -1 or rows.max() >= len(table)):
+        raise ContractError(f"history rows must lie in [-1, {len(table)})")
+    # the table's rows, then a zero row that index -1 reads
+    padded = np.concatenate([table, np.zeros((1, table.shape[1]), dtype=np.float32)])
+    a, b = padded[prev1], padded[prev2]
     if variant == "dec":
-        return onehot[prev1] + onehot[prev2]
+        return a + b
     if variant == "dec-concat":
-        return np.concatenate([onehot[prev1], onehot[prev2]], axis=1)
+        return np.concatenate([a, b], axis=1)
     if variant == "dec-one-year":
-        return onehot[prev1]
-    raise ConfigError(f"variant {variant!r} takes no label history")
-
-
-def obs_feature(e_prev1, e_prev2, year_index, descriptor_dim):
-    """Average of the previous two year descriptors, with mirror padding at
-    year 2 and zero padding at year 1.  The inputs are plain arrays: no
-    gradient flows into previous years."""
-    if year_index == 1:
-        return np.zeros(descriptor_dim, dtype=np.float32)
-    if year_index == 2:
-        if e_prev1 is None:
-            raise ContractError("obs_feature: year 2 requires the year-1 descriptor")
-        return np.asarray(e_prev1, dtype=np.float32).copy()
-    if e_prev1 is None or e_prev2 is None:
-        raise ContractError("obs_feature: years > 2 require both past descriptors")
-    return ((np.asarray(e_prev1) + np.asarray(e_prev2)) / 2).astype(np.float32)
+        return a
+    if variant == "obs":
+        return np.where(prev2[:, None] < 0, a, (a + b) / 2)
+    raise ConfigError(f"variant {variant!r} takes no history")
 
 
 def feature_dim(variant, num_classes, descriptor_dim):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .binio import U8, U16, Reader, read_json, write_json
 from .encoders import EncoderDims, LtaeWeights, PseWeights
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .heads import HeadWeights
 
 CKPT_MAGIC = b"RCWT"
@@ -96,8 +96,17 @@ def load_checkpoint(path):
         raise DataFormatError(
             f"checkpoint sidecar {path}.json: unknown dims keys {', '.join(unknown)}"
         )
-    dims = ModelDims(**sidecar["dims"])
-    model = CropModel(dims, sidecar["variant"])
+    # type() is not isinstance(): JSON true and false are not integers here
+    bad = sorted(k for k, v in sidecar["dims"].items() if not (type(v) is int and v >= 1))
+    if bad:
+        raise DataFormatError(
+            f"checkpoint sidecar {path}.json: dims {', '.join(bad)} must be integers >= 1"
+        )
+    try:
+        model = CropModel(ModelDims(**sidecar["dims"]), sidecar["variant"])
+    except ConfigError as exc:
+        # a sidecar that describes no model is a malformed data file
+        raise DataFormatError(f"checkpoint sidecar {path}.json: {exc}") from None
     r = Reader(path, "RCWT")
     r.magic(CKPT_MAGIC, "checkpoint magic")
     version, count = r.unpack(_CKPT_HEADER, "header")

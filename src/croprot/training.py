@@ -208,26 +208,32 @@ def _batch_features(model, items, stream, descriptors=None):
     past-year descriptors on "obs".
 
     "obs" looks past years up in `descriptors`; without them it encodes
-    the past years with the pixel draws keyed by `stream`."""
+    the past years with the pixel draws keyed by `stream`.  A past year
+    missing from `descriptors` is a ContractError."""
     variant = model.variant
     if variant == "single":
         return None
     if variant == "obs":
         if descriptors is None:
             descriptors = encode_items(model, _past_items(items), stream)
-        past = lambda p, y: descriptors.get((p.parcel_id, y))
-        return np.stack(
-            [heads.obs_feature(past(p, y - 1), past(p, y - 2), y, model.dims.descriptor)
-             for p, y in items]
-        )
+        index = {key: i for i, key in enumerate(descriptors)}
+        table = np.array(list(descriptors.values()), np.float32).reshape(-1, model.dims.descriptor)
+        past = [[index.get((p.parcel_id, t), -1) for t in range(1, len(p.labels) + 1)]
+                for p, _ in items]
+    else:
+        table = np.eye(model.dims.num_classes, dtype=np.float32)
+        past = [p.labels for p, _ in items]
     # two -1 columns for the years before the first: column y holds the
-    # label of year y - 1
-    labels = np.array([[-1, -1] + p.labels for p, _ in items])
+    # row of year y - 1
+    grid = np.array([[-1, -1] + row for row in past])
     rows = np.arange(len(items))
     years = np.array([y for _, y in items])
-    return heads.history_features(
-        variant, labels[rows, years], labels[rows, years - 1], model.dims.num_classes
-    )
+    prev1, prev2 = grid[rows, years], grid[rows, years - 1]
+    missing = (prev1 < 0) & (years > 1) | (prev2 < 0) & (years > 2)
+    if missing.any():
+        p, y = items[int(np.argmax(missing))]
+        raise ContractError(f"no past-year input for parcel {p.parcel_id}, year {y}")
+    return heads.history_features(variant, prev1, prev2, table)
 
 
 def batch_logits(model, items, columns, counts, features):

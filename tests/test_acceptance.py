@@ -122,7 +122,8 @@ def test_criterion_02_structural_invariants():
         if np.abs(np.asarray(attn.data).sum(axis=-1) - 1.0).max() > 1e-6:
             ok, detail = False, "attention weights do not sum to 1"
     # declaration-history symmetry and zero padding, exact
-    dec = lambda prev1, prev2: heads.history_features("dec", [prev1], [prev2], 4)[0]
+    identity = np.eye(4, dtype=np.float32)
+    dec = lambda prev1, prev2: heads.history_features("dec", [prev1], [prev2], identity)[0]
     if not np.array_equal(dec(1, 2), dec(2, 1)):
         ok, detail = False, "dec history not symmetric"
     if dec(-1, -1).any():

@@ -355,6 +355,7 @@ def malformed(workdir, tmp_path_factory):
     files = {
         "config_not_json": "{not json",
         "config_unknown_key": json.dumps({"dataset": {"synthetic": {"bogus_key": 1}}}),
+        "config_not_object": "[1]",
         "folds_not_json": "{not json",
         "preds_not_json": "{not json",
         "preds_not_object": "[]",
@@ -379,6 +380,20 @@ def malformed(workdir, tmp_path_factory):
         "folds_not_utf8": b'{"k": 3, "\xff": 1}',
         "preds_not_utf8": b'{"meta": "\xff"}',
     }
+    # the pipeline's folds file with one value replaced
+    pipeline_folds = json.loads(folds.read_text())
+    for name, edit in {
+        "folds_k_string": {"k": "3"},
+        "folds_k_bool": {"k": True},
+        "folds_k_1": {"k": 1},
+        "folds_block_size_0": {"block_size": 0},
+        "folds_block_size_string": {"block_size": "2500"},
+        "folds_block_size_inf": {"block_size": float("inf")},
+        "folds_fold_9": {"folds": {**pipeline_folds["folds"], "5": 9}},
+        "folds_fold_negative": {"folds": {**pipeline_folds["folds"], "5": -1}},
+        "folds_fold_float": {"folds": {**pipeline_folds["folds"], "5": 1.0}},
+    }.items():
+        files[name] = json.dumps({**pipeline_folds, **edit})
     paths = {name: bad / f"{name}.json" for name in files}
     for name, text in files.items():
         paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -390,6 +405,17 @@ def malformed(workdir, tmp_path_factory):
         "dataset_class_names": (dataset, b'{"class_names": ["a"]}'),
         "ckpt_sidecar_not_utf8": (train_out / "checkpoint_fold0.bin", b'{"variant": "\xff"}'),
     }
+    # the pipeline's checkpoint sidecar with one value replaced
+    ckpt_sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
+    for name, edit in {
+        "ckpt_d1_string": {"dims": {**ckpt_sidecar["dims"], "d1": "x"}},
+        "ckpt_d1_bool": {"dims": {**ckpt_sidecar["dims"], "d1": True}},
+        "ckpt_d1_0": {"dims": {**ckpt_sidecar["dims"], "d1": 0}},
+        "ckpt_heads_3": {"dims": {**ckpt_sidecar["dims"], "heads": 3}},  # d2 is 8
+        "ckpt_variant_bogus": {"variant": "bogus"},
+    }.items():
+        sidecars[name] = (train_out / "checkpoint_fold0.bin",
+                          json.dumps({**ckpt_sidecar, **edit}).encode())
     for name, (source, sidecar) in sidecars.items():
         paths[name] = bad / f"{name}.bin"
         shutil.copy(source, paths[name])
@@ -420,6 +446,8 @@ CLI_MATRIX = {
     "train-config-not-json": (_TRAIN.replace("{cfg}", "{config_not_json}"), 2),
     "train-unknown-variant": (_TRAIN + " --variant crf", 2),
     "synth-config-not-utf8": ("synth --config {config_not_utf8} --out {out}", 2),
+    "synth-config-not-object": ("synth --config {config_not_object} --out {out}", 2),
+    "synth-config-missing": ("synth --config {cfg}.missing --out {out}", 3),
     "train-config-not-utf8": (_TRAIN.replace("{cfg}", "{config_not_utf8}"), 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
@@ -471,6 +499,20 @@ CLI_MATRIX = {
     "calibrate-label-string": (_CALIBRATE.replace("{preds}", "{preds_label_string}"), 3),
     "calibrate-ragged-logits": (_CALIBRATE.replace("{preds}", "{preds_ragged_logits}"), 3),
     "calibrate-nan-logit": (_CALIBRATE.replace("{preds}", "{preds_nan_logit}"), 3),
+    "eval-folds-k-string": (_EVAL.replace("{folds}", "{folds_k_string}"), 3),
+    "train-folds-k-bool": (_TRAIN.replace("{folds}", "{folds_k_bool}"), 3),
+    "eval-folds-k-1": (_EVAL.replace("{folds}", "{folds_k_1}"), 3),
+    "eval-folds-block-size-0": (_EVAL.replace("{folds}", "{folds_block_size_0}"), 3),
+    "train-folds-block-size-string": (_TRAIN.replace("{folds}", "{folds_block_size_string}"), 3),
+    "crf-folds-block-size-inf": (_CRF.replace("{folds}", "{folds_block_size_inf}"), 3),
+    "eval-folds-fold-9": (_EVAL.replace("{folds}", "{folds_fold_9}"), 3),
+    "eval-folds-fold-negative": (_EVAL.replace("{folds}", "{folds_fold_negative}"), 3),
+    "train-folds-fold-float": (_TRAIN.replace("{folds}", "{folds_fold_float}"), 3),
+    "eval-checkpoint-d1-string": (_EVAL.replace("{ckpt}", "{ckpt_d1_string}"), 3),
+    "embed-checkpoint-d1-bool": (_EMBED.replace("{ckpt}", "{ckpt_d1_bool}"), 3),
+    "embed-checkpoint-d1-0": (_EMBED.replace("{ckpt}", "{ckpt_d1_0}"), 3),
+    "eval-checkpoint-heads-3": (_EVAL.replace("{ckpt}", "{ckpt_heads_3}"), 3),
+    "embed-checkpoint-variant-bogus": (_EMBED.replace("{ckpt}", "{ckpt_variant_bogus}"), 3),
     # arguments out of range: exit 4
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),

@@ -6,16 +6,17 @@ from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _batch_features, cross_entropy
+from croprot.training import _batch_features, cross_entropy, encode_items
 
 from conftest import tiny_dims
 
 L = 4
+IDENTITY = np.eye(L, dtype=np.float32)
 
 
 def feats(variant, prev1, prev2):
     """`history_features` of one parcel-year; -1 marks a missing year."""
-    return heads.history_features(variant, [prev1], [prev2], L)[0]
+    return heads.history_features(variant, [prev1], [prev2], IDENTITY)[0]
 
 
 class TestLabelHistory:
@@ -55,10 +56,10 @@ class TestHistoryFeatures:
 
     def test_dispatcher(self):
         prev1, prev2 = [1, -1, 3], [2, -1, -1]
-        batch = heads.history_features("dec", prev1, prev2, L)
+        batch = heads.history_features("dec", prev1, prev2, IDENTITY)
         assert np.array_equal(batch, np.stack([feats("dec", a, b) for a, b in zip(prev1, prev2)]))
         with pytest.raises(ConfigError):
-            heads.history_features("single", prev1, prev2, L)
+            heads.history_features("single", prev1, prev2, IDENTITY)
 
     @pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year"])
     def test_matches_one_hot_oracle(self, variant):
@@ -75,14 +76,14 @@ class TestHistoryFeatures:
             "dec-concat": lambda a, b: np.concatenate([onehot(a), onehot(b)]),
             "dec-one-year": lambda a, b: onehot(a),
         }[variant]
-        got = heads.history_features(variant, prev1, prev2, L)
+        got = heads.history_features(variant, prev1, prev2, IDENTITY)
         assert got.dtype == np.float32
         assert got.tobytes() == np.stack([want(a, b) for a, b in zip(prev1, prev2)]).tobytes()
 
     @pytest.mark.parametrize("prev1, prev2", [([L], [0]), ([0], [-2])])
     def test_labels_out_of_range_refused(self, prev1, prev2):
         with pytest.raises(ContractError):
-            heads.history_features("dec", prev1, prev2, L)
+            heads.history_features("dec", prev1, prev2, IDENTITY)
 
     def test_feature_dims(self):
         assert heads.feature_dim("single", L, 16) == 0
@@ -95,24 +96,44 @@ class TestHistoryFeatures:
 
 
 class TestObsFeature:
+    """The "obs" rows of `history_features`: past-year descriptors indexed
+    in a table, -1 for a year before the first."""
+
+    TABLE = np.arange(18, dtype=np.float32).reshape(3, 6) / 7
+
+    def obs(self, prev1, prev2):
+        return heads.history_features("obs", [prev1], [prev2], self.TABLE)[0]
+
     def test_year_one_zero_padded(self):
-        f = heads.obs_feature(None, None, 1, 6)
-        assert np.array_equal(f, np.zeros(6))
+        f = self.obs(-1, -1)
+        assert f.dtype == np.float32 and np.array_equal(f, np.zeros(6))
 
     def test_year_two_mirrors_single_past_year(self):
-        e1 = np.arange(6, dtype=np.float32)
-        assert np.array_equal(heads.obs_feature(e1, None, 2, 6), e1)
+        assert self.obs(2, -1).tobytes() == self.TABLE[2].tobytes()
 
     def test_later_years_average(self):
-        e1 = np.full(6, 2.0, dtype=np.float32)
-        e2 = np.full(6, 4.0, dtype=np.float32)
-        assert np.allclose(heads.obs_feature(e1, e2, 3, 6), 3.0)
+        want = (self.TABLE[0] + self.TABLE[2]) / 2
+        assert self.obs(0, 2).tobytes() == want.tobytes()
+        assert np.array_equal(self.obs(2, 0), want)
+
+    @pytest.mark.parametrize("prev1, prev2", [([3], [0]), ([0], [-2]), ([-2], [-1])])
+    def test_rows_out_of_range_refused(self, prev1, prev2):
+        with pytest.raises(ContractError):
+            heads.history_features("obs", prev1, prev2, self.TABLE)
 
     def test_missing_descriptors_rejected(self):
-        with pytest.raises(ContractError):
-            heads.obs_feature(None, None, 2, 6)
-        with pytest.raises(ContractError):
-            heads.obs_feature(np.zeros(6), None, 3, 6)
+        """A past year absent from the descriptors is refused, never read
+        as padding; year 1 needs none."""
+        cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), parcels=2, seed=5)
+        p = generate_synthetic(cfg)[0]
+        model = CropModel(tiny_dims(num_classes=L), "obs")
+        assert not _batch_features(model, [(p, 1)], None, {}).any()
+        for y in (2, 3):
+            with pytest.raises(ContractError, match="past-year"):
+                _batch_features(model, [(p, 1), (p, y)], None, {})
+        only_year_1 = {(p.parcel_id, 1): np.ones(model.dims.descriptor, np.float32)}
+        with pytest.raises(ContractError, match=f"parcel {p.parcel_id}, year 3"):
+            _batch_features(model, [(p, 2), (p, 3)], None, only_year_1)
 
 
 class TestDecode:
@@ -166,15 +187,34 @@ class TestDecode:
         assert not np.allclose(a, b)
 
 
-@pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year"])
+@pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year", "obs"])
 def test_batch_features_read_the_two_previous_labels(variant):
-    cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), num_years=4, parcels=6, seed=5)
+    cfg = SyntheticConfig(
+        num_classes=L, cycles=((2, 3),), num_years=4, channels=3, parcels=6, seed=5
+    )
     parcels = generate_synthetic(cfg)
     items = [(p, 1 + i % 4) for i, p in enumerate(parcels)]
     model = CropModel(tiny_dims(num_classes=L), variant)
+    if variant == "obs":
+        # past years read the descriptors `encode_items` gives for the same
+        # draw keys: zeros at year 1, the one past year at year 2 (mirror
+        # padding), the average of the two after
+        e = encode_items(model, [(p, y) for p in parcels for y in range(1, 5)], (7,))
+
+        def row(p, y):
+            if y == 1:
+                return np.zeros(model.dims.descriptor, np.float32)
+            if y == 2:
+                return e[(p.parcel_id, 1)]
+            return (e[(p.parcel_id, y - 1)] + e[(p.parcel_id, y - 2)]) / 2
+
+        rows = [row(p, y) for p, y in items]
+        assert np.array_equal(_batch_features(model, items, (7,)), np.stack(rows))
+        assert np.array_equal(_batch_features(model, items, None, e), np.stack(rows))
+        return
     prev = lambda p, y: p.labels[y - 1] if y >= 1 else -1
     want = heads.history_features(
-        variant, [prev(p, y - 1) for p, y in items], [prev(p, y - 2) for p, y in items], L
+        variant, [prev(p, y - 1) for p, y in items], [prev(p, y - 2) for p, y in items], IDENTITY
     )
     assert np.array_equal(_batch_features(model, items, None), want)
 

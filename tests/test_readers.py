@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from croprot.binio import read_json, write_json
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
-from croprot.errors import DataFormatError
+from croprot.errors import ConfigError, CropRotError, DataFormatError
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
 
 from conftest import tiny_dims
@@ -108,3 +108,19 @@ def test_read_json_refusals(tmp_path, raw, match):
     with pytest.raises(DataFormatError, match=match) as exc:
         read_json(path, "document")
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("raw, error", [
+    (None, DataFormatError),
+    (b"{not json", ConfigError),
+    (b"[1]", ConfigError),
+])
+def test_read_json_raises_the_callers_error(tmp_path, raw, error):
+    """A missing file is always a DataFormatError; the caller's class covers
+    a file that is there but holds no JSON object."""
+    path = tmp_path / "doc.json"
+    if raw is not None:
+        path.write_bytes(raw)
+    with pytest.raises(CropRotError) as exc:
+        read_json(path, "run config", ConfigError)
+    assert type(exc.value) is error
