@@ -39,6 +39,16 @@ class CropModel:
         self.head = HeadWeights(
             variant, dims.num_classes, dims.descriptor, dims.head_hidden, rng, dtype=dtype
         )
+        # one vector holds every parameter, in parameter order; each
+        # parameter's data is a view into it, so Adam updates all of them
+        # with a few vector operations.  Rebinding a parameter's data
+        # detaches it from the vector.
+        params = self.parameters()
+        self.vector = np.concatenate([p.data.reshape(-1) for p in params])
+        start = 0
+        for p in params:
+            p.data = self.vector[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
     def named_parameters(self):
         """(name, Tensor) pairs in checkpoint order: "<part>.<attribute>"
@@ -56,6 +66,7 @@ class CropModel:
         return [np.array(p.data) for p in self.parameters()]
 
     def load_state_arrays(self, arrays):
+        """Copy `arrays`, one per parameter, into the parameter views."""
         params = self.parameters()
         if len(arrays) != len(params):
             raise DataFormatError("parameter count mismatch")
@@ -64,7 +75,8 @@ class CropModel:
                 raise DataFormatError(
                     f"parameter shape mismatch: {p.data.shape} vs {a.shape}"
                 )
-            p.data = a.astype(p.data.dtype)
+        for p, a in zip(params, arrays):
+            p.data[...] = a
 
 
 def save_checkpoint(path, model: CropModel):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,17 +69,22 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, d):
+        """The record of a JSON object; logits and posterior that are not
+        lists of numbers (strings, booleans, nulls) are a ValueError."""
         return cls(
             parcel_id=d["parcel_id"],
             year_index=d["year_index"],
-            logits=np.asarray(d["logits"], dtype=np.float32),
+            logits=_numbers(d["logits"], "logits"),
             true_label=d["true_label"],
-            posterior=(
-                np.asarray(d["posterior"], dtype=np.float32)
-                if "posterior" in d
-                else None
-            ),
+            posterior=_numbers(d["posterior"], "posterior") if "posterior" in d else None,
         )
+
+
+def _numbers(values, what):
+    # type() is not isinstance(): JSON true and false are not numbers here
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"{what} must be a list of numbers")
+    return np.asarray(values, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -100,48 +106,96 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def optimizer_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """One Adam update with bias correction; mutates params and state."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
+def optimizer_step(vector, grad, state: AdamState, cfg: TrainConfig):
+    """One Adam update with bias correction of the flat parameter `vector`
+    by its flat gradient; updates `vector` in place and mutates state."""
+    if state.m is None:
+        state.m = np.zeros_like(vector)
+        state.v = np.zeros_like(vector)
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=p.data.dtype)
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data = p.data - p.data.dtype.type(cfg.learning_rate) * mhat / (
-            np.sqrt(vhat) + ADAM_EPS
-        )
+    g = np.asarray(grad, dtype=vector.dtype)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    vector -= vector.dtype.type(cfg.learning_rate) * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # batched forward
 
 
+class _Items(NamedTuple):
+    """(parcel, year) items as arrays, built once and sliced per batch:
+    parcels, parcel ids, years, labels, pixel counts, dates T, pixel sets,
+    days padded to the longest T, and the (items, Y + 2) history grid of
+    labels whose column y holds the label of year y - 1 (two -1 columns
+    for the years before the first)."""
+
+    parcels: np.ndarray
+    ids: np.ndarray
+    years: np.ndarray
+    labels: np.ndarray
+    n_pixels: np.ndarray
+    ts: np.ndarray
+    pixels: np.ndarray
+    days: np.ndarray
+    grid: np.ndarray
+
+    @classmethod
+    def of(cls, items):
+        """The _Items of a list of (parcel, year) pairs."""
+        n = len(items)
+        num_years = len(items[0][0].samples) if items else 0
+        samples = [p.samples[y - 1] for p, y in items]
+        parcels = np.fromiter((p for p, _ in items), object, n)
+        ts = np.fromiter((s.days.size for s in samples), np.int64, n)
+        days = np.zeros((n, ts.max(initial=0)), dtype=np.int64)
+        days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
+            [np.empty(0, np.int64)] + [s.days for s in samples])
+        grid = np.full((n, 2 + num_years), -1, dtype=np.int64)
+        grid[:, 2:] = np.fromiter(
+            (s.label for p in parcels for s in p.samples), np.int64).reshape(n, num_years)
+        return cls(
+            parcels,
+            np.fromiter((p.parcel_id for p in parcels), np.int64, n),
+            np.fromiter((y for _, y in items), np.int64, n),
+            np.fromiter((s.label for s in samples), np.int64, n),
+            np.fromiter((s.pixels.shape[1] for s in samples), np.int64, n),
+            ts,
+            np.fromiter((s.pixels for s in samples), object, n),
+            days,
+            grid,
+        )
+
+    def take(self, rows):
+        """The items at `rows`, an index array."""
+        return _Items._make(column[rows] for column in self)
+
+    def keys(self):
+        """(parcel id, year) of each item."""
+        return list(zip(self.ids.tolist(), self.years.tolist()))
+
+
 def _batches(items, batch_size, rng=None):
-    """Batches of at most `batch_size` (parcel, year) items that share
-    their year and their number of dates T, as one encoder batch must,
-    bucket by bucket in a fixed (year, T) key order.  With `rng`, each
-    bucket is shuffled and then the order of the batches."""
-    buckets = defaultdict(list)
-    for parcel, year in items:
-        buckets[(year, parcel.samples[year - 1].pixels.shape[2])].append((parcel, year))
+    """Row arrays of batches of at most `batch_size` of the _Items `items`
+    that share their year and their number of dates T, as one encoder
+    batch must, bucket by bucket in a fixed (year, T) key order.  With
+    `rng`, each bucket is shuffled and then the order of the batches."""
     batches = []
-    for key in sorted(buckets, key=str):
-        group = buckets[key]
+    for year, t in sorted(set(zip(items.years.tolist(), items.ts.tolist())), key=str):
+        group = np.flatnonzero((items.years == year) & (items.ts == t))
         if rng is not None:
-            group = [group[i] for i in rng.permutation(len(group))]
+            group = group[rng.permutation(len(group))]
         batches += [group[i : i + batch_size] for i in range(0, len(group), batch_size)]
     if rng is not None:
         batches = [batches[i] for i in rng.permutation(len(batches))]
@@ -154,91 +208,93 @@ TRAIN_DRAWS = 0x747261696E  # "train"
 
 
 def _draw(items, stream, s):
-    """Pixel draws of a same-(year, T) chunk, keyed by the words of
-    `stream`, then parcel id and year: (items, columns, counts), with the
-    rows reordered by distinct count, most first, so the pool reduces each
-    run of equal-size segments at once."""
-    keys = draw_keys(stream, [p.parcel_id for p, _ in items], [y for _, y in items])
-    columns, counts = sample_pixels(keys, [p.samples[y - 1].n_pixels for p, y in items], s)
+    """Pixel draws of a same-(year, T) chunk of _Items, keyed by the words
+    of `stream`, then parcel id and year: (items, columns, counts), with
+    the rows reordered by distinct count, most first, so the pool reduces
+    each run of equal-size segments at once."""
+    keys = draw_keys(stream, items.ids, items.years)
+    columns, counts = sample_pixels(keys, items.n_pixels, s)
     order = np.argsort(-np.count_nonzero(counts, axis=1), kind="stable")
-    return [items[i] for i in order], columns[order], counts[order]
+    return items.take(order), columns[order], counts[order]
 
 
 def _encode(model, items, columns, counts):
-    """Descriptor Tensor (B, descriptor) of a same-(year, T) batch drawn
-    as `encode_batch` takes it."""
-    samples = [p.samples[y - 1] for p, y in items]
-    days = np.stack([s.days for s in samples])
-    return encode_batch(
-        columns, counts, [s.pixels for s in samples], days, model.pse, model.ltae
-    )
+    """Descriptor Tensor (B, descriptor) of a same-(year, T) batch of
+    _Items drawn as `encode_batch` takes it."""
+    days = items.days[:, : items.ts.max(initial=0)]
+    return encode_batch(columns, counts, items.pixels, days, model.pse, model.ltae)
 
 
 def _refuse_non_finite(rows, items, what):
     """ContractError naming the first item whose row is not all finite."""
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
-        p, y = items[int(np.argmax(bad))]
-        raise ContractError(f"non-finite {what} for parcel {p.parcel_id}, year {y}")
+        i = int(np.argmax(bad))
+        raise ContractError(f"non-finite {what} for parcel {items.ids[i]}, year {items.years[i]}")
 
 
 def encode_items(model, items, stream, batch_size=256):
-    """{(parcel_id, year): descriptor} of the items, each encoded once from
-    the pixel draw keyed by (*stream, parcel id, year), each distinct
-    column once; a non-finite descriptor is a ContractError.  Callers run
-    it outside `ad.recording`, so it records nothing on a tape."""
-    unique = list({(p.parcel_id, y): (p, y) for p, y in items}.values())
+    """{(parcel_id, year): descriptor} of the (parcel, year) items, each
+    encoded once from the pixel draw keyed by (*stream, parcel id, year),
+    each distinct column once; a non-finite descriptor is a ContractError.
+    Callers run it outside `ad.recording`, so it records nothing on a
+    tape."""
+    unique = _Items.of(list({(p.parcel_id, y): (p, y) for p, y in items}.values()))
     out = {}
-    for batch in _batches(unique, batch_size):
-        batch, columns, counts = _draw(batch, stream, model.dims.sample_pixels)
+    for rows in _batches(unique, batch_size):
+        batch, columns, counts = _draw(unique.take(rows), stream, model.dims.sample_pixels)
         e = _encode(model, batch, columns, counts).data
         _refuse_non_finite(e, batch, "descriptor")
-        for (p, y), row in zip(batch, e):
-            out[(p.parcel_id, y)] = row
+        out.update(zip(batch.keys(), e))
     return out
 
 
 def _past_items(items):
-    return [(p, y - back) for p, y in items for back in (1, 2) if y - back >= 1]
+    """(parcel, year) pairs of the two years before each of the _Items."""
+    return [(p, y - back) for p, y in zip(items.parcels, items.years.tolist())
+            for back in (1, 2) if y - back >= 1]
 
 
 def _batch_features(model, items, stream, descriptors=None):
-    """Head features of the items: None on "single", the one-hot
+    """Head features of the _Items: None on "single", the one-hot
     declarations of the two previous years on the dec family, averaged
     past-year descriptors on "obs".
 
-    "obs" looks past years up in `descriptors`; without them it encodes
-    the past years with the pixel draws keyed by `stream`.  A past year
-    missing from `descriptors` is a ContractError."""
+    "obs" looks past years up in `descriptors`, reading only the rows the
+    items need; without them it encodes the past years with the pixel
+    draws keyed by `stream`.  A past year missing from `descriptors` is a
+    ContractError."""
     variant = model.variant
     if variant == "single":
         return None
+    years = items.years
     if variant == "obs":
         if descriptors is None:
             descriptors = encode_items(model, _past_items(items), stream)
-        index = {key: i for i, key in enumerate(descriptors)}
-        table = np.array(list(descriptors.values()), np.float32).reshape(-1, model.dims.descriptor)
-        past = [[index.get((p.parcel_id, t), -1) for t in range(1, len(p.labels) + 1)]
-                for p, _ in items]
+        # rows of years i-1, then of years i-2; -1 where there is none
+        found = [descriptors.get(key) for back in (1, 2)
+                 for key in zip(items.ids.tolist(), (years - back).tolist())]
+        have = np.array([row is not None for row in found], dtype=bool)
+        table = np.array([row for row in found if row is not None], np.float32).reshape(
+            -1, model.dims.descriptor)
+        past = np.full(have.size, -1, dtype=np.int64)
+        past[have] = np.arange(len(table))
+        prev1, prev2 = past[: years.size], past[years.size :]
     else:
         table = np.eye(model.dims.num_classes, dtype=np.float32)
-        past = [p.labels for p, _ in items]
-    # two -1 columns for the years before the first: column y holds the
-    # row of year y - 1
-    grid = np.array([[-1, -1] + row for row in past])
-    rows = np.arange(len(items))
-    years = np.array([y for _, y in items])
-    prev1, prev2 = grid[rows, years], grid[rows, years - 1]
+        rows = np.arange(years.size)
+        prev1, prev2 = items.grid[rows, years], items.grid[rows, years - 1]
     missing = (prev1 < 0) & (years > 1) | (prev2 < 0) & (years > 2)
     if missing.any():
-        p, y = items[int(np.argmax(missing))]
-        raise ContractError(f"no past-year input for parcel {p.parcel_id}, year {y}")
+        i = int(np.argmax(missing))
+        raise ContractError(f"no past-year input for parcel {items.ids[i]}, year {years[i]}")
     return heads.history_features(variant, prev1, prev2, table)
 
 
 def batch_logits(model, items, columns, counts, features):
-    """Forward pass for a same-year batch, its pixel draws as `encode_batch`
-    takes them and its head features; returns the logits Tensor."""
+    """Forward pass for a same-year batch of _Items, its pixel draws as
+    `encode_batch` takes them and its head features; returns the logits
+    Tensor."""
     return heads.decode(_encode(model, items, columns, counts), model.head, features)
 
 
@@ -248,6 +304,10 @@ def batch_logits(model, items, columns, counts, features):
 
 def _training_items(parcels, cfg: TrainConfig, num_years):
     if cfg.protocol == "specialized":
+        if not 1 <= cfg.protocol_year <= num_years:
+            raise ContractError(
+                f"protocol year {cfg.protocol_year} outside the dataset's years [1, {num_years}]"
+            )
         years = [cfg.protocol_year]
     else:
         years = range(1, num_years + 1)
@@ -281,10 +341,11 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     model = CropModel(dims, cfg.variant, seed=cfg.seed + fold)
     params = model.parameters()
     state = AdamState()
-    items = _training_items(train_parcels, cfg, dataset.num_years)
-    if not items:
+    items = _Items.of(_training_items(train_parcels, cfg, dataset.num_years))
+    if not items.ids.size:
         raise ContractError("no training samples under this protocol")
-    best = (-1.0, 0, model.state_arrays())
+    # the best epoch's weights: a copy, as the vector is updated in place
+    best = (-1.0, 0, model.vector.copy())
     epoch_log = []
     for epoch in range(cfg.epochs):
         # the epoch's generator only orders the batches: each pixel draw is
@@ -294,33 +355,36 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
         losses = []
-        for batch in _batches(items, cfg.batch_size, rng):
-            batch, columns, counts = _draw(batch, stream, dims.sample_pixels)
-            labels = np.asarray([p.labels[y - 1] for p, y in batch], dtype=np.int64)
+        for rows in _batches(items, cfg.batch_size, rng):
+            batch, columns, counts = _draw(items.take(rows), stream, dims.sample_pixels)
             # "obs" encodes past years here, before the tape is attached
             features = _batch_features(model, batch, stream)
             with ad.recording(params) as tape:
                 z = batch_logits(model, batch, columns, counts, features)
-                loss = cross_entropy(z, labels)
-                grads_map = ad.backward(tape, loss, params=params)
+                loss = cross_entropy(z, batch.labels)
+                grads = ad.backward(tape, loss, params=params)
+            # the tape and the step's activations reference each other:
+            # free them now, not at the next cyclic garbage collection
+            tape.ops.clear()
             if not np.isfinite(loss.data):
                 raise ContractError(
                     f"fold {fold}, epoch {epoch}: non-finite training loss "
                     f"{float(loss.data)}"
                 )
-            optimizer_step(params, [grads_map[p] for p in params], state, cfg)
+            grad = np.concatenate([grads[p].reshape(-1) for p in params])
+            optimizer_step(model.vector, grad, state, cfg)
             losses.append(float(loss.data))
         if val_parcels:
             val_records = predict(model, val_parcels, seed=cfg.seed)
             miou = analytics.metrics(analytics.confusion(val_records, dims.num_classes))[2]
             if miou > best[0]:
-                best = (miou, epoch, model.state_arrays())
+                best = (miou, epoch, model.vector.copy())
         else:
             # no validation split: keep the final epoch
             miou = 0.0
-            best = (miou, epoch, model.state_arrays())
+            best = (miou, epoch, model.vector.copy())
         epoch_log.append((epoch, float(np.mean(losses)), miou))
-    model.load_state_arrays(best[2])
+    model.vector[:] = best[2]
     return model, best[1], epoch_log
 
 
@@ -376,21 +440,23 @@ def predict(model, parcels, years=None, seed=0, batch_size=256):
     are a ContractError."""
     num_years = len(parcels[0].samples) if parcels else 0
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
-    items = [(p, y) for p in parcels for y in wanted]
-    if not items:
+    pairs = [(p, y) for p in parcels for y in wanted]
+    if not pairs:
         return []
-    needed = items + _past_items(items) if model.variant == "obs" else items
+    items = _Items.of(pairs)
+    needed = pairs + _past_items(items) if model.variant == "obs" else pairs
     descriptors = encode_items(model, needed, (seed,), batch_size)
-    e = np.stack([descriptors[(p.parcel_id, y)] for p, y in items])
+    keys = items.keys()
+    e = np.stack([descriptors[key] for key in keys])
     features = _batch_features(model, items, None, descriptors)
     z = np.asarray(heads.decode(e, model.head, features).data)
     _refuse_non_finite(z, items, "logits")
     return [
         PredictionRecord(
-            parcel_id=p.parcel_id,
+            parcel_id=pid,
             year_index=y,
             logits=np.array(logits),
-            true_label=p.labels[y - 1],
+            true_label=label,
         )
-        for (p, y), logits in zip(items, z)
+        for (pid, y), label, logits in zip(keys, items.labels.tolist(), z)
     ]

@@ -61,6 +61,17 @@ def expand_draws(columns, counts):
     return np.stack([np.repeat(c, n) for c, n in zip(columns, counts)])
 
 
+def assert_parameter_views(model):
+    """Every parameter's data is a view of `model.vector`, in parameter
+    order, and together they cover the vector."""
+    start = 0
+    for p in model.parameters():
+        assert p.data.base is model.vector
+        assert p.data.ctypes.data == model.vector.ctypes.data + start * model.vector.itemsize
+        start += p.data.size
+    assert start == model.vector.size
+
+
 def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):
     """Bytes of a hand-written one-parcel, one-year, one-channel, 3-class
     .rcds file with a single pixel."""

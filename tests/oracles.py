@@ -1,14 +1,17 @@
-"""Per-sample reference encoders, built from the unfused autodiff
-primitives (matmul, add_bias, relu): one (C, S) pixel set at a time and one
-date sequence at a time.  Tests compare the batched `encode_batch` with
-them."""
+"""Reference implementations that tests compare the library with:
+per-sample encoders built from the unfused autodiff primitives (matmul,
+add_bias, relu), one (C, S) pixel set and one date sequence at a time,
+against the batched `encode_batch`; and Adam one parameter array at a
+time, against `optimizer_step` over the flat parameter vector."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from croprot import autodiff as ad
 from croprot.errors import ContractError
+from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def _mlp_layer(x, w, b, relu=True):
@@ -57,3 +60,29 @@ def ltae_forward(seq, days, ltae, return_attention=False):
     if return_attention:
         return out, attn
     return out
+
+
+def adam_state():
+    return SimpleNamespace(step=0, m=[], v=[])
+
+
+def adam_step(params, grads, state, cfg):
+    """One Adam update with bias correction, parameter by parameter: each
+    Tensor's data is replaced by its updated array; mutates `state`."""
+    if not state.m:
+        state.m = [np.zeros_like(p.data) for p in params]
+        state.v = [np.zeros_like(p.data) for p in params]
+    state.step += 1
+    t = state.step
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        g = np.asarray(g, dtype=p.data.dtype)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        p.data = p.data - p.data.dtype.type(cfg.learning_rate) * mhat / (
+            np.sqrt(vhat) + ADAM_EPS
+        )

@@ -34,6 +34,7 @@ from croprot.training import (
     PredictionRecord,
     TrainConfig,
     _batch_features,
+    _Items,
     cross_entropy,
     predict,
     train,
@@ -75,7 +76,7 @@ def test_criterion_01_gradient_fidelity():
         assert sum(a.size for a in arrays) <= 2_000
         # the "obs" features are detached by design: hold them fixed so the
         # difference quotient matches the analytic (detached) gradient
-        features = _batch_features(base, items, (7,))
+        features = _batch_features(base, _Items.of(items), (7,))
 
         def f(arrs):
             model = CropModel(dims, variant, seed=2, dtype=np.float64)

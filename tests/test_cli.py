@@ -374,6 +374,13 @@ def malformed(workdir, tmp_path_factory):
         "preds_label_string": _preds(true_label="1"),
         "preds_ragged_logits": _preds(logits=[0.5, -0.5]),
         "preds_nan_logit": _preds(logits=[float("nan")] + _RECORD["logits"][1:]),
+        "preds_logit_string": _preds(logits=["0.5"] + _RECORD["logits"][1:]),
+        "preds_logit_bool": _preds(logits=[True] + _RECORD["logits"][1:]),
+        "preds_logit_null": _preds(logits=[None] + _RECORD["logits"][1:]),
+        "preds_posterior_string": _preds(posterior=["0.5"] + [0.5 / 7] * 7),
+        "config_protocol_year_5": json.dumps(
+            {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "protocol": "specialized",
+                                     "protocol_year": 5}}),
         "preds_2_classes": json.dumps({"meta": _META, "val": [{**_RECORD, "logits": [0.5, -0.5]}],
                                        "test": [{**_RECORD, "logits": [0.5, -0.5]}]}),
         "config_not_utf8": b'{"train": {"\xff": 1}}',
@@ -513,7 +520,13 @@ CLI_MATRIX = {
     "embed-checkpoint-d1-0": (_EMBED.replace("{ckpt}", "{ckpt_d1_0}"), 3),
     "eval-checkpoint-heads-3": (_EVAL.replace("{ckpt}", "{ckpt_heads_3}"), 3),
     "embed-checkpoint-variant-bogus": (_EMBED.replace("{ckpt}", "{ckpt_variant_bogus}"), 3),
+    "calibrate-logit-string": (_CALIBRATE.replace("{preds}", "{preds_logit_string}"), 3),
+    "calibrate-logit-bool": (_CALIBRATE.replace("{preds}", "{preds_logit_bool}"), 3),
+    "crf-logit-null": (_CRF.replace("{preds}", "{preds_logit_null}"), 3),
+    "crf-logit-bool": (_CRF.replace("{preds}", "{preds_logit_bool}"), 3),
+    "crf-posterior-string": (_CRF.replace("{preds}", "{preds_posterior_string}"), 3),
     # arguments out of range: exit 4
+    "train-protocol-year-5": (_TRAIN.replace("{cfg}", "{config_protocol_year_5}"), 4),
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),
     "split-block-size-negative": ("split --dataset {dataset} --out {out} --block-size -5", 4),

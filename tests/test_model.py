@@ -6,7 +6,7 @@ import pytest
 from croprot.errors import DataFormatError
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
 
-from conftest import tiny_dims
+from conftest import assert_parameter_views, tiny_dims
 
 
 class TestParameters:
@@ -44,6 +44,16 @@ class TestParameters:
         for pa, pb in zip(tiny_model.parameters(), other.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_are_views_of_one_vector(self, dtype):
+        model = CropModel(tiny_dims(), "dec", seed=3, dtype=dtype)
+        assert model.vector.dtype == dtype
+        assert_parameter_views(model)
+        model.load_state_arrays(CropModel(tiny_dims(), "dec", seed=4).state_arrays())
+        assert_parameter_views(model)
+        # the vector is the parameters joined in order
+        assert model.vector.tobytes() == b"".join(a.tobytes() for a in model.state_arrays())
+
     def test_shape_mismatch_rejected(self, tiny_model):
         arrays = tiny_model.state_arrays()
         arrays[0] = arrays[0][:, :-1]
@@ -60,6 +70,7 @@ class TestCheckpoint:
         assert back.dims == tiny_model.dims
         for pa, pb in zip(tiny_model.parameters(), back.parameters()):
             assert np.array_equal(pa.data, pb.data)
+        assert_parameter_views(back)
 
     @pytest.mark.parametrize("variant", ["single", "dec-concat", "obs"])
     def test_save_load_save_same_bytes(self, tmp_path, variant):

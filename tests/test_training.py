@@ -19,6 +19,7 @@ from croprot.training import (
     AdamState,
     PredictionRecord,
     TrainConfig,
+    _Items,
     _batches,
     _training_items,
     cross_entropy,
@@ -29,7 +30,8 @@ from croprot.training import (
     train_single_split,
 )
 
-from conftest import expand_draws, small_dims, tiny_dims
+import oracles
+from conftest import assert_parameter_views, expand_draws, small_dims, tiny_dims
 
 
 def _dims(cfg):
@@ -69,19 +71,19 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         p = ad.Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
-        optimizer_step([p], [np.zeros(2)], AdamState(), self._cfg())
+        optimizer_step(p.data, np.zeros(2), AdamState(), self._cfg())
         assert np.array_equal(p.data, before)
 
     def test_first_step_magnitude_near_lr(self):
         # with bias correction the first step is ~lr regardless of gradient scale
         for g in (1e-3, 1.0, 1e3):
             p = ad.Tensor(np.array([0.0]))
-            optimizer_step([p], [np.array([g])], AdamState(), self._cfg(lr=0.1))
+            optimizer_step(p.data, np.array([g]), AdamState(), self._cfg(lr=0.1))
             assert p.data[0] == pytest.approx(-0.1, rel=1e-3)
 
     def test_step_opposes_gradient(self):
         p = ad.Tensor(np.array([0.0, 0.0]))
-        optimizer_step([p], [np.array([1.0, -1.0])], AdamState(), self._cfg())
+        optimizer_step(p.data, np.array([1.0, -1.0]), AdamState(), self._cfg())
         assert p.data[0] < 0 < p.data[1]
 
     def test_quadratic_bowl_converges(self):
@@ -92,10 +94,28 @@ class TestAdam:
         cfg = self._cfg(lr=0.05)
         for _ in range(5000):
             grad = 2 * (p.data - target)
-            optimizer_step([p], [grad], state, cfg)
+            optimizer_step(p.data, grad, state, cfg)
             if np.max(np.abs(p.data - target)) < 1e-6:
                 break
         assert np.max(np.abs(p.data - target)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_equals_per_parameter_oracle(self, dtype):
+        # the flat vector's update is bitwise the per-parameter loop's, the
+        # float64 gradients cast to the model's dtype in both
+        model = CropModel(tiny_dims(), "dec", seed=1, dtype=dtype)
+        reference = [ad.Tensor(p.data.copy()) for p in model.parameters()]
+        state, reference_state = AdamState(), oracles.adam_state()
+        cfg = self._cfg(lr=0.01)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            grads = [rng.normal(0, 10.0 ** rng.integers(-4, 3), p.data.shape) for p in reference]
+            optimizer_step(model.vector, np.concatenate([g.reshape(-1) for g in grads]),
+                           state, cfg)
+            oracles.adam_step(reference, grads, reference_state, cfg)
+        for p, want in zip(model.parameters(), reference):
+            assert p.data.dtype == dtype and p.data.tobytes() == want.data.tobytes()
+        assert_parameter_views(model)
 
 
 class TestConfigAndRecords:
@@ -130,6 +150,11 @@ class TestConfigAndRecords:
             r.confidence
 
 
+def _item_batches(items, batch_size, rng):
+    """`_batches` of a list of (parcel, year) items, as lists of items."""
+    return [[items[i] for i in rows] for rows in _batches(_Items.of(items), batch_size, rng)]
+
+
 class TestItemSelection:
     def test_mixed_pools_every_year(self, small_dataset):
         ds, _ = small_dataset
@@ -146,7 +171,7 @@ class TestItemSelection:
     def test_epoch_batches_partition_items(self, small_dataset):
         ds, _ = small_dataset
         items = _training_items(ds.parcels, TrainConfig(), 3)
-        batches = _batches(items, 16, np.random.default_rng(0))
+        batches = _item_batches(items, 16, np.random.default_rng(0))
         flat = [it for b in batches for it in b]
         assert len(flat) == len(items)
         assert {(p.parcel_id, y) for p, y in flat} == {
@@ -159,8 +184,8 @@ class TestItemSelection:
     def test_epoch_batches_reshuffled_per_epoch(self, small_dataset):
         ds, _ = small_dataset
         items = _training_items(ds.parcels, TrainConfig(), 3)
-        a = _batches(items, 16, np.random.default_rng(1))
-        b = _batches(items, 16, np.random.default_rng(2))
+        a = _item_batches(items, 16, np.random.default_rng(1))
+        b = _item_batches(items, 16, np.random.default_rng(2))
         key = lambda bs: [[(p.parcel_id, y) for p, y in batch] for batch in bs]
         assert key(a) != key(b)
 
@@ -275,7 +300,7 @@ class TestEncodeItems:
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, cfg = small_dataset
         items = [(p, 1) for p in ds.parcels[:40]]
-        _, columns, counts = training._draw(items, (0,), 8)
+        _, columns, counts = training._draw(_Items.of(items), (0,), 8)
         distinct = np.count_nonzero(counts, axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
@@ -315,8 +340,8 @@ def _record_draws(monkeypatch):
 
     def recording(items, stream, s):
         out = draw(items, stream, s)
-        for (p, y), columns, counts in zip(*out):
-            calls.append((stream, p.parcel_id, y, columns, counts))
+        for (pid, y), columns, counts in zip(out[0].keys(), *out[1:]):
+            calls.append((stream, pid, y, columns, counts))
         return out
 
     monkeypatch.setattr(training, "_draw", recording)
@@ -452,6 +477,23 @@ def test_dec_step_tape_ops(small_dataset, monkeypatch):
     assert ops and set(ops) == {22}
 
 
+def test_step_tapes_are_emptied(small_dataset, monkeypatch):
+    # a step's tape and its activations reference each other; emptying the
+    # tape after backward frees them without waiting for the cyclic collector
+    ds, cfg = small_dataset
+    tapes = []
+    backward = ad.backward
+
+    def keeping(tape, loss, params=None):
+        tapes.append(tape)
+        return backward(tape, loss, params=params)
+
+    monkeypatch.setattr(ad, "backward", keeping)
+    train_single_split(ds, ds.parcels[:20], [],
+                       TrainConfig(epochs=1, batch_size=16, seed=0, variant="dec"), _dims(cfg))
+    assert tapes and not any(tape.ops for tape in tapes)
+
+
 class TestTraining:
     def test_deterministic_given_seed(self, small_dataset):
         ds, cfg = small_dataset
@@ -466,6 +508,34 @@ class TestTraining:
 
         for a, b in zip(run(), run()):
             assert np.array_equal(a, b)
+
+    def test_parameters_stay_views_of_the_vector(self, small_dataset):
+        ds, cfg = small_dataset
+        model, _, _ = train_single_split(
+            ds, ds.parcels[:20], ds.parcels[40:], TrainConfig(epochs=2, seed=3), _dims(cfg)
+        )
+        assert_parameter_views(model)
+
+    def test_selected_epoch_is_a_snapshot(self, small_dataset):
+        # the best epoch's weights are copied, not a view of the vector that
+        # later epochs update: they equal a run stopped after that epoch
+        ds, cfg = small_dataset
+        dims = _dims(cfg)
+        model, best, _ = train_single_split(
+            ds, ds.parcels[:40], ds.parcels[40:], TrainConfig(epochs=3, seed=3), dims
+        )
+        assert best < 2
+        stopped, _, _ = train_single_split(
+            ds, ds.parcels[:40], [], TrainConfig(epochs=best + 1, seed=3), dims
+        )
+        assert model.vector.tobytes() == stopped.vector.tobytes()
+
+    def test_protocol_year_outside_dataset_refused(self, small_dataset):
+        ds, cfg = small_dataset
+        for year in (0, 4):
+            tc = TrainConfig(epochs=1, protocol="specialized", protocol_year=year)
+            with pytest.raises(ContractError, match=f"protocol year {year} outside"):
+                train_single_split(ds, ds.parcels[:10], [], tc, _dims(cfg))
 
     def test_empty_train_split_rejected(self, small_dataset):
         ds, cfg = small_dataset
