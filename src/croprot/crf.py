@@ -30,8 +30,8 @@ class TransitionTensor:
 def estimate_transitions(triplets, num_classes, alpha=1.0) -> TransitionTensor:
     """Add-alpha estimate of the transition tensor from (a, b, c) label
     triplets; unseen (a, b) contexts fall back to the uniform prior."""
-    if alpha <= 0:
-        raise ContractError("Laplace constant alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ContractError(f"Laplace constant alpha must be finite and positive, not {alpha}")
     L = num_classes
     counts = np.zeros((L, L, L), dtype=np.float64)
     n = 0

@@ -116,7 +116,10 @@ class SyntheticConfig:
         special = set(self.permanent_classes) | set(cyclic)
         if set(self.permanent_classes) & set(cyclic):
             raise ConfigError("permanent and cyclic classes overlap")
-        for c in special:
+        if self.pixels_min > self.pixels_max:
+            raise ConfigError(
+                f"pixels_min {self.pixels_min} exceeds pixels_max {self.pixels_max}")
+        for c in special | {c for group in self.curve_groups for c in group}:
             if not 0 <= c < self.num_classes:
                 raise ConfigError(f"class index {c} out of range")
 

@@ -142,15 +142,19 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     sets: B pixel arrays (C, N_b, T).  columns, counts: (B, S) integer
     arrays; item b drew column columns[b, j] of sets[b] counts[b, j] times
     (a count of 0 marks padding), and each row of counts sums to the draw
-    size S.  days: (B, T) day-of-year array.  The per-pixel MLP
-    runs once per kept column and date, and the pool weights each row by
-    its count, so the result is the encoding of the S drawn pixels.
+    size S.  days: (B, T) day-of-year array.  The sets are joined along
+    the pixel axis and every kept (item, date, column) row is gathered in
+    one index, so the per-pixel MLP runs once per kept column and date,
+    and the pool weights each row by its count: the result is the
+    encoding of the S drawn pixels.  An empty batch, a kept column
+    outside [0, N_b) of its own set, or a set of another channel or date
+    count is a ContractError.
     """
     columns = np.asarray(columns)
     counts = np.asarray(counts)
     days = np.asarray(days)
     b, s = columns.shape
-    if counts.shape != (b, s) or len(sets) != b or days.ndim != 2 or len(days) != b:
+    if not b or counts.shape != (b, s) or len(sets) != b or days.ndim != 2 or len(days) != b:
         raise ContractError(
             f"encode_batch: columns {columns.shape}, counts {counts.shape}, "
             f"{len(sets)} pixel sets, days {days.shape}"
@@ -159,19 +163,25 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
         raise ContractError(f"encode_batch: counts must be >= 0 and sum to {s} per item")
     t = days.shape[1]
     c = pse.dims.channels
-    keep = counts > 0
-    blocks = []
-    for x, cols, kept in zip(sets, columns, keep):
-        if x.shape[0] != c or x.shape[2] != t:
+    for x in sets:
+        if x.ndim != 3 or x.shape[0] != c or x.shape[2] != t:
             raise ContractError(f"encode_batch: pixel set {x.shape}, expected ({c}, N, {t})")
-        # (T, N, C) -> the kept columns of every date: (T * k_b, C)
-        blocks.append(np.take(x.T, cols[kept], axis=1).reshape(-1, c))
+    n = np.fromiter((x.shape[1] for x in sets), np.int64, b)
+    keep = counts > 0
+    if np.any(keep & ((columns < 0) | (columns >= n[:, None]))):
+        raise ContractError("encode_batch: a drawn column lies outside its pixel set")
+    # every kept (item, date, column), item by item, date by date, column
+    # by column: one segment of k_b rows per (item, date).  The joined
+    # sets hold item b's pixels from offset[b], and read as
+    # (C, sum N_b * T) they hold pixel p's date d at p * T + d.
+    kept = np.broadcast_to(keep[:, None, :], (b, t, s))
+    offset = np.cumsum(n) - n
+    rows = ((columns + offset[:, None])[:, None, :] * t + np.arange(t)[None, :, None])[kept]
+    joined = np.concatenate(sets, axis=1).reshape(c, -1)
     dtype = pse.w1.data.dtype
-    flat = ad.Tensor(np.concatenate(blocks).astype(dtype, copy=False))
-    # one segment of k_b rows per (item, date), each row weighted by its count
-    weights = np.broadcast_to(counts[:, None, :], (b, t, s))[
-        np.broadcast_to(keep[:, None, :], (b, t, s))
-    ]
+    flat = ad.Tensor(np.take(joined, rows, axis=1).T.astype(dtype, order="C"))
+    # each row weighted by its count
+    weights = np.broadcast_to(counts[:, None, :], (b, t, s))[kept]
     sizes = np.repeat(keep.sum(axis=1), t)
     pooled = ad.mean_std_pool(_pixel_mlp(flat, pse), sizes, weights)  # (B*T, 2*d1)
     e = ad.dense(pooled, pse.w3, pse.b3, relu=True)

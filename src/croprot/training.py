@@ -208,14 +208,19 @@ TRAIN_DRAWS = 0x747261696E  # "train"
 
 
 def _draw(items, stream, s):
-    """Pixel draws of a same-(year, T) chunk of _Items, keyed by the words
-    of `stream`, then parcel id and year: (items, columns, counts), with
-    the rows reordered by distinct count, most first, so the pool reduces
-    each run of equal-size segments at once."""
-    keys = draw_keys(stream, items.ids, items.years)
-    columns, counts = sample_pixels(keys, items.n_pixels, s)
-    order = np.argsort(-np.count_nonzero(counts, axis=1), kind="stable")
-    return items.take(order), columns[order], counts[order]
+    """(columns, counts) of the pixel draws of all the _Items, as
+    `sample_pixels` gives them, keyed by the words of `stream`, then
+    parcel id and year.  A row depends on its key, pixel count and S
+    alone, so one call serves every batch of an epoch or of an inference
+    call."""
+    return sample_pixels(draw_keys(stream, items.ids, items.years), items.n_pixels, s)
+
+
+def _by_distinct(counts, rows):
+    """The batch `rows` reordered by their number of distinct drawn
+    columns, most first, stable, so the pool reduces each run of
+    equal-size segments at once."""
+    return rows[np.argsort(-np.count_nonzero(counts[rows], axis=1), kind="stable")]
 
 
 def _encode(model, items, columns, counts):
@@ -233,26 +238,38 @@ def _refuse_non_finite(rows, items, what):
         raise ContractError(f"non-finite {what} for parcel {items.ids[i]}, year {items.years[i]}")
 
 
-def encode_items(model, items, stream, batch_size=256):
-    """{(parcel_id, year): descriptor} of the (parcel, year) items, each
-    encoded once from the pixel draw keyed by (*stream, parcel id, year),
-    each distinct column once; a non-finite descriptor is a ContractError.
-    Callers run it outside `ad.recording`, so it records nothing on a
-    tape."""
-    unique = _Items.of(list({(p.parcel_id, y): (p, y) for p, y in items}.values()))
-    out = {}
-    for rows in _batches(unique, batch_size):
-        batch, columns, counts = _draw(unique.take(rows), stream, model.dims.sample_pixels)
-        e = _encode(model, batch, columns, counts).data
+def _descriptors(model, items, stream, batch_size):
+    """(items, descriptor) array of the distinct _Items, each encoded once
+    from the pixel draw keyed by (*stream, parcel id, year), each distinct
+    column once; a non-finite descriptor is a ContractError."""
+    columns, counts = _draw(items, stream, model.dims.sample_pixels)
+    out = np.empty((items.ids.size, model.dims.descriptor), dtype=model.vector.dtype)
+    for rows in _batches(items, batch_size):
+        rows = _by_distinct(counts, rows)
+        batch = items.take(rows)
+        e = _encode(model, batch, columns[rows], counts[rows]).data
         _refuse_non_finite(e, batch, "descriptor")
-        out.update(zip(batch.keys(), e))
+        out[rows] = e
     return out
 
 
-def _past_items(items):
-    """(parcel, year) pairs of the two years before each of the _Items."""
-    return [(p, y - back) for p, y in zip(items.parcels, items.years.tolist())
-            for back in (1, 2) if y - back >= 1]
+def _distinct(pairs):
+    """{(parcel_id, year): (parcel, year)} of the (parcel, year) pairs, in
+    the order of first appearance."""
+    return {(p.parcel_id, y): (p, y) for p, y in pairs}
+
+
+def encode_items(model, items, stream, batch_size=256):
+    """{(parcel_id, year): descriptor} of the (parcel, year) items, each
+    encoded once (see `_descriptors`).  Callers run it outside
+    `ad.recording`, so it records nothing on a tape."""
+    unique = _Items.of(list(_distinct(items).values()))
+    return dict(zip(unique.keys(), _descriptors(model, unique, stream, batch_size)))
+
+
+def _past_items(pairs):
+    """(parcel, year) pairs of the two years before each (parcel, year)."""
+    return [(p, y - back) for p, y in pairs for back in (1, 2) if y - back >= 1]
 
 
 def _batch_features(model, items, stream, descriptors=None):
@@ -270,7 +287,8 @@ def _batch_features(model, items, stream, descriptors=None):
     years = items.years
     if variant == "obs":
         if descriptors is None:
-            descriptors = encode_items(model, _past_items(items), stream)
+            descriptors = encode_items(
+                model, _past_items(zip(items.parcels, years.tolist())), stream)
         # rows of years i-1, then of years i-2; -1 where there is none
         found = [descriptors.get(key) for back in (1, 2)
                  for key in zip(items.ids.tolist(), (years - back).tolist())]
@@ -354,13 +372,15 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
             np.random.SeedSequence([cfg.seed, fold, epoch, 0xE9])
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
+        columns, counts = _draw(items, stream, dims.sample_pixels)
         losses = []
         for rows in _batches(items, cfg.batch_size, rng):
-            batch, columns, counts = _draw(items.take(rows), stream, dims.sample_pixels)
+            rows = _by_distinct(counts, rows)
+            batch = items.take(rows)
             # "obs" encodes past years here, before the tape is attached
             features = _batch_features(model, batch, stream)
             with ad.recording(params) as tape:
-                z = batch_logits(model, batch, columns, counts, features)
+                z = batch_logits(model, batch, columns[rows], counts[rows], features)
                 loss = cross_entropy(z, batch.labels)
                 grads = ad.backward(tape, loss, params=params)
             # the tape and the step's activations reference each other:
@@ -443,13 +463,16 @@ def predict(model, parcels, years=None, seed=0, batch_size=256):
     pairs = [(p, y) for p in parcels for y in wanted]
     if not pairs:
         return []
-    items = _Items.of(pairs)
-    needed = pairs + _past_items(items) if model.variant == "obs" else pairs
-    descriptors = encode_items(model, needed, (seed,), batch_size)
-    keys = items.keys()
-    e = np.stack([descriptors[key] for key in keys])
+    # one _Items of the distinct requested and, for "obs", past items
+    unique = _distinct(pairs + _past_items(pairs) if model.variant == "obs" else pairs)
+    everything = _Items.of(list(unique.values()))
+    row = {key: i for i, key in enumerate(unique)}
+    rows = np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
+    items = everything.take(rows)
+    table = _descriptors(model, everything, (seed,), batch_size)
+    descriptors = dict(zip(unique, table)) if model.variant == "obs" else None
     features = _batch_features(model, items, None, descriptors)
-    z = np.asarray(heads.decode(e, model.head, features).data)
+    z = np.asarray(heads.decode(table[rows], model.head, features).data)
     _refuse_non_finite(z, items, "logits")
     return [
         PredictionRecord(
@@ -458,5 +481,5 @@ def predict(model, parcels, years=None, seed=0, batch_size=256):
             logits=np.array(logits),
             true_label=label,
         )
-        for (pid, y), label, logits in zip(keys, items.labels.tolist(), z)
+        for (pid, y), label, logits in zip(items.keys(), items.labels.tolist(), z)
     ]

@@ -356,6 +356,10 @@ def malformed(workdir, tmp_path_factory):
         "config_not_json": "{not json",
         "config_unknown_key": json.dumps({"dataset": {"synthetic": {"bogus_key": 1}}}),
         "config_not_object": "[1]",
+        "config_pixels_min_above_max": json.dumps({"dataset": {"synthetic": {
+            **RUN_CONFIG["dataset"]["synthetic"], "pixels_min": 7, "pixels_max": 6}}}),
+        "config_curve_group_class_8": json.dumps({"dataset": {"synthetic": {
+            **RUN_CONFIG["dataset"]["synthetic"], "curve_groups": [[2, 8]]}}}),
         "folds_not_json": "{not json",
         "preds_not_json": "{not json",
         "preds_not_object": "[]",
@@ -455,6 +459,8 @@ CLI_MATRIX = {
     "synth-config-not-utf8": ("synth --config {config_not_utf8} --out {out}", 2),
     "synth-config-not-object": ("synth --config {config_not_object} --out {out}", 2),
     "synth-config-missing": ("synth --config {cfg}.missing --out {out}", 3),
+    "synth-pixels-min-above-max": ("synth --config {config_pixels_min_above_max} --out {out}", 2),
+    "synth-curve-group-class-8": ("synth --config {config_curve_group_class_8} --out {out}", 2),
     "train-config-not-utf8": (_TRAIN.replace("{cfg}", "{config_not_utf8}"), 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
@@ -537,6 +543,8 @@ CLI_MATRIX = {
     "eval-year-0": (_EVAL + " --year 0", 4),
     "eval-year-4": (_EVAL + " --year 4", 4),
     "calibrate-bins-0": (_CALIBRATE + " --bins 0", 4),
+    "crf-alpha-nan": (_CRF + " --alpha nan", 4),
+    "crf-alpha-inf": (_CRF + " --alpha inf", 4),
 }
 
 

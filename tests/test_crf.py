@@ -58,6 +58,12 @@ class TestEstimate:
         with pytest.raises(ContractError):
             estimate_transitions([], 3, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        # NaN passes an `alpha <= 0` check and would reach the tensor
+        with pytest.raises(ContractError):
+            estimate_transitions([(0, 1, 0)], 3, alpha=alpha)
+
 
 class TestScore:
     def _uniformish(self, L=2):

@@ -64,6 +64,15 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             SyntheticConfig(permanent_stay=1.5).validate()
 
+    @pytest.mark.parametrize("change", [
+        {"pixels_min": 9, "pixels_max": 8},
+        {"curve_groups": ((5, 8),)},
+        {"curve_groups": ((-1, 2),)},
+    ])
+    def test_pixel_range_and_curve_groups_checked(self, change):
+        with pytest.raises(ConfigError):
+            generate_synthetic(SyntheticConfig(parcels=5, **change))
+
     def test_kernel_rows_normalized(self):
         m = SyntheticConfig(seed=1).transition_matrix()
         assert np.all(m >= 0) and np.all(m <= 1)

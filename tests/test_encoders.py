@@ -316,12 +316,22 @@ class TestDistinctColumns:
         got = encode_batch(columns[:, ::-1], counts[:, ::-1], sets, days, pse, ltae).data
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("change", ["short_counts", "negative", "shape", "sets", "dates"])
+    @pytest.mark.parametrize(
+        "change",
+        ["short_counts", "negative", "shape", "sets", "dates", "column", "channels", "empty"])
     def test_malformed_draws_refused(self, change):
         pse, ltae, sets, days, columns, counts = self._batch([3, 20], 5)
         drawn = expand_draws(columns, counts)
         counts = np.ones_like(drawn)
-        if change == "short_counts":
+        if change == "column":
+            # column 3 of the 3-pixel set: pixels that the joined sets hold,
+            # as column 0 of the next set
+            drawn[0, 0] = 3
+        elif change == "channels":
+            sets = [sets[0], sets[1][:3]]
+        elif change == "empty":
+            drawn, counts, sets, days = drawn[:0], counts[:0], sets[:0], days[:0]
+        elif change == "short_counts":
             counts[0, 0] = 0
         elif change == "negative":
             counts[0, :2] = [-1, 3]

@@ -244,6 +244,21 @@ class TestPredict:
             with pytest.raises(ContractError, match=f"non-finite descriptor for parcel {p.parcel_id}"):
                 predict(model, ds.parcels[:3] + [huge])
 
+    @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
+    @pytest.mark.parametrize("years", [None, [3], [2, 2]])
+    def test_items_built_once(self, small_dataset, monkeypatch, variant, years):
+        # requested and past-year items come from one _Items; a year asked
+        # twice gives two equal records
+        ds, cfg = small_dataset
+        model = CropModel(_dims(cfg), variant, seed=1)
+        calls = []
+        of = _Items.of
+        monkeypatch.setattr(_Items, "of", lambda pairs: calls.append(len(pairs)) or of(pairs))
+        records = predict(model, ds.parcels[:10], years=years)
+        assert len(calls) == 1
+        if years == [2, 2]:
+            assert all(np.array_equal(a.logits, b.logits) for a, b in zip(records[::2], records[1::2]))
+
     def test_non_finite_logits_refused(self, trained):
         ds, model = trained
         broken = CropModel(model.dims, model.variant)
@@ -300,8 +315,8 @@ class TestEncodeItems:
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, cfg = small_dataset
         items = [(p, 1) for p in ds.parcels[:40]]
-        _, columns, counts = training._draw(_Items.of(items), (0,), 8)
-        distinct = np.count_nonzero(counts, axis=1)
+        _, counts = training._draw(_Items.of(items), (0,), 8)
+        distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
     def test_equals_drawn_encode(self, small_dataset):
@@ -333,14 +348,14 @@ class TestEncodeItems:
 
 
 def _record_draws(monkeypatch):
-    """List that `training._draw` appends each row it returns to, as
+    """List that `training._draw` appends each row it draws to, as
     (stream, parcel id, year, columns, counts)."""
     calls = []
     draw = training._draw
 
     def recording(items, stream, s):
         out = draw(items, stream, s)
-        for (pid, y), columns, counts in zip(out[0].keys(), *out[1:]):
+        for (pid, y), columns, counts in zip(items.keys(), *out):
             calls.append((stream, pid, y, columns, counts))
         return out
 
