@@ -21,25 +21,34 @@ pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
 `save_dataset` writes for the data (`.rcds` and sidecar) and that
 `save_transitions` writes for its label triplets; per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
-trained model.
+trained model.  For the trained `dec` and `obs` models, `cli` lines run
+`eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
+`croprot.cli.main` in-process on the saved data, a 5-fold split and the
+saved checkpoint, and hash every file the five commands write and their
+standard output.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from croprot import analytics, heads, training  # noqa: E402
+from croprot import analytics, cli, heads, training  # noqa: E402
+from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
     Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
-    sample_pixels, save_dataset,
+    make_folds, sample_pixels, save_dataset,
 )
 from croprot.model import ModelDims, save_checkpoint  # noqa: E402
 
+# the head variants whose trained checkpoints the `cli` lines run
+CLI_VARIANTS = ("dec", "obs")
 DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
             out_hidden=32, descriptor=32, num_classes=8, head_hidden=32)
 
@@ -78,7 +87,7 @@ def _logits_sha(records):
 
 
 def fingerprint(variant, dataset):
-    """(artifact, sha256) pairs of one variant."""
+    """(trained model, (artifact, sha256) pairs) of one variant."""
     dims = ModelDims(**DIMS)
     parcels = dataset.parcels
     train, val = parcels[::2], parcels[1::4]
@@ -98,7 +107,7 @@ def fingerprint(variant, dataset):
         analytics.export_embeddings(model, parcels, path, seed=7)
         with open(path, "rb") as fh:
             out.append(("embeddings", _sha(fh.read())))
-    return out
+    return model, out
 
 
 def draws(dataset):
@@ -117,7 +126,7 @@ def draws(dataset):
 
 def files(dataset):
     """(file kind, sha256) pairs of the dataset and transition-tensor files."""
-    manifest = config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
+    manifest = _manifest()
     triplets = [tuple(p.labels[i:i + 3]) for p in dataset.parcels
                 for i in range(dataset.num_years - 2)]
     transitions = estimate_transitions(triplets, dataset.num_classes)
@@ -128,6 +137,51 @@ def files(dataset):
     ]
 
 
+def _manifest():
+    return config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
+
+
+def cli_files(model, dataset):
+    """(file, sha256) pairs of every file that `eval` -> `calibrate` ->
+    `crf` -> `rotations` -> `embed` write for `model`'s checkpoint, in path
+    order, then of their standard output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path = os.path.join(tmp, "data.rcds")
+        save_dataset(data_path, dataset.parcels, dataset.num_classes, _manifest())
+        folds = make_folds(dataset.parcels, 5, 1000.0)
+        folds_path = os.path.join(tmp, "folds.json")
+        write_json(folds_path, {"k": folds.k, "block_size": folds.block_size,
+                                "folds": {str(pid): f for pid, f in folds.folds.items()}})
+        ckpt = os.path.join(tmp, "checkpoint.bin")
+        save_checkpoint(ckpt, model)
+        out = os.path.join(tmp, "out")
+        preds = os.path.join(out, "eval", "predictions.json")
+        commands = [
+            ["eval", "--checkpoint", ckpt, "--dataset", data_path, "--folds", folds_path,
+             "--fold", "0", "--seed", "7", "--out", os.path.join(out, "eval")],
+            ["calibrate", "--predictions", preds, "--out", os.path.join(out, "calibrate")],
+            ["crf", "--predictions", preds, "--dataset", data_path, "--folds", folds_path,
+             "--out", os.path.join(out, "crf")],
+            ["rotations", "--dataset", data_path, "--out", os.path.join(out, "rotations")],
+            ["embed", "--checkpoint", ckpt, "--dataset", data_path, "--seed", "7",
+             "--out", os.path.join(out, "embeddings.csv")],
+        ]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            codes = [cli.main(argv) for argv in commands]
+        if codes != [0] * len(commands):
+            raise SystemExit(f"cli pipeline exit codes {codes}")
+        written = sorted(os.path.relpath(os.path.join(root, name), out)
+                         for root, _, names in os.walk(out) for name in names)
+        result = []
+        for name in written:
+            with open(os.path.join(out, name), "rb") as fh:
+                result.append((name, _sha(fh.read())))
+        # the summaries name output paths: hash them relative to `tmp`
+        result.append(("stdout", _sha(stdout.getvalue().replace(tmp, "."))))
+    return result
+
+
 def main():
     dataset = _dataset()
     for kind, digest in draws(dataset):
@@ -135,8 +189,12 @@ def main():
     for kind, digest in files(dataset):
         print(f"{'files':13s} {kind:15s} {digest}")
     for variant in heads.VARIANTS:
-        for artifact, digest in fingerprint(variant, dataset):
+        model, digests = fingerprint(variant, dataset)
+        for artifact, digest in digests:
             print(f"{variant:13s} {artifact:15s} {digest}")
+        if variant in CLI_VARIANTS:
+            for name, digest in cli_files(model, dataset):
+                print(f"{'cli-' + variant:13s} {name:37s} {digest}")
 
 
 if __name__ == "__main__":
