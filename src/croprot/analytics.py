@@ -19,10 +19,13 @@ OTHER = "Other"
 
 
 def confusion(records, num_classes):
-    """(L, L) count matrix, rows = ground truth, columns = prediction."""
+    """(L, L) count matrix, rows = ground truth, columns = prediction
+    (the argmax of the logits, ties to the lowest class)."""
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for r in records:
-        cm[r.true_label, r.predicted] += 1
+    if records:
+        truth = np.fromiter((r.true_label for r in records), np.int64, len(records))
+        predicted = np.stack([r.logits for r in records]).argmax(axis=1)
+        np.add.at(cm, (truth, predicted), 1)
     return cm
 
 
@@ -194,14 +197,14 @@ def export_embeddings(model, parcels, out_path, seed=0):
     from .training import encode_items
 
     items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
-    descriptors = encode_items(model, items, (seed,), EMBED_BATCH)
+    unique, rows, table = encode_items(model, items, (seed,), EMBED_BATCH)
     d = model.dims.descriptor
     # the bytes csv.writer (excel dialect) would write: "," between fields,
     # "\r\n" after each row, and no field here needs quoting
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
     row = ",".join(["%d"] * 3 + ["%.6e"] * d) + "\r\n"
+    fields = zip(unique.ids[rows].tolist(), unique.years[rows].tolist(),
+                 unique.labels[rows].tolist(), table[rows].tolist())
     with open(out_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for p, y in items:
-            fh.write(row % (p.parcel_id, y, p.labels[y - 1],
-                            *descriptors[(p.parcel_id, y)].tolist()))
+        fh.write("".join(row % (pid, y, label, *values) for pid, y, label, values in fields))

@@ -95,7 +95,7 @@ def read_json(path, what, error=DataFormatError):
 
 def write_json(path, doc):
     """Write `doc` to `path` as indented JSON with sorted keys and a final
-    newline."""
+    newline, in one write."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -38,23 +38,35 @@ def _softmax(z, tau=1.0):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def nll(records, tau):
-    """Mean negative log-likelihood of softmax(z / tau)."""
-    z = np.stack([r.logits for r in records]).astype(np.float64) / tau
+def _logits_labels(records):
+    """(N, L) float64 logits and (N,) int64 true labels of the records."""
+    z = np.stack([r.logits for r in records]).astype(np.float64)
+    labels = np.fromiter((r.true_label for r in records), np.int64, len(records))
+    return z, labels
+
+
+def _nll(z, labels, tau):
+    z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
-    labels = np.asarray([r.true_label for r in records])
-    return float(np.mean(lse - z[np.arange(len(records)), labels]))
+    return float(np.mean(lse - z[np.arange(len(z)), labels]))
+
+
+def nll(records, tau):
+    """Mean negative log-likelihood of softmax(z / tau)."""
+    return _nll(*_logits_labels(records), tau)
 
 
 def fit_temperature(records) -> TemperatureScaler:
     """Golden-section search for the tau minimizing validation NLL, over
-    log-tau in [-3, 3] to tolerance 1e-4; never worse than tau = 1."""
+    log-tau in [-3, 3] to tolerance 1e-4; never worse than tau = 1.  The
+    logits are stacked once and every step scores the whole array."""
     if not records:
         raise ContractError("fit_temperature needs at least one record")
+    z, labels = _logits_labels(records)
 
     def objective(log_tau):
-        return nll(records, math.exp(log_tau))
+        return _nll(z, labels, math.exp(log_tau))
 
     a, b = -3.0, 3.0
     c = b - _GOLDEN * (b - a)
@@ -70,43 +82,57 @@ def fit_temperature(records) -> TemperatureScaler:
             d = a + _GOLDEN * (b - a)
             fd = objective(d)
     tau = math.exp((a + b) / 2)
-    if nll(records, tau) > nll(records, 1.0):
+    if _nll(z, labels, tau) > _nll(z, labels, 1.0):
         tau = 1.0
     return TemperatureScaler(tau=tau)
 
 
 def apply_temperature(z, tau):
-    """softmax(z / tau); preserves the argmax for every tau > 0."""
+    """softmax(z / tau) along the last axis; preserves the argmax for every
+    tau > 0.  Each row of a (N, L) array is bitwise the row alone gives."""
     if tau <= 0:
         raise ContractError("temperature must be positive")
     return _softmax(np.asarray(z), tau)
 
 
 def calibrate_records(records, tau):
-    """Attach softmax(z / tau) posteriors; mutates and returns records."""
-    for r in records:
-        r.posterior = apply_temperature(r.logits, tau).astype(np.float32)
+    """Attach softmax(z / tau) posteriors, rows of one (N, L) float32
+    array; mutates and returns records."""
+    if records:
+        posteriors = apply_temperature(np.stack([r.logits for r in records]), tau)
+        for r, p in zip(records, posteriors.astype(np.float32)):
+            r.posterior = p
     return records
 
 
 def _bin_index(confidence, n_bins):
-    # bins partition (0, 1]; a confidence exactly on an edge goes low
-    return min(max(int(math.ceil(confidence * n_bins)) - 1, 0), n_bins - 1)
+    """Bin of each confidence: bins partition (0, 1], and a confidence
+    exactly on an edge goes low."""
+    return np.clip(np.ceil(np.asarray(confidence, np.float64) * n_bins) - 1,
+                   0, n_bins - 1).astype(np.int64)
 
 
 def reliability(records, n_bins=DEFAULT_BINS) -> ReliabilityBins:
+    """Count, mean confidence and accuracy per bin of the records'
+    max-posterior confidence, all records binned at once; `np.bincount`
+    adds the weights in record order, so each sum is the one a loop over
+    the records gives."""
     if n_bins < 1:
         raise ContractError(f"need at least one bin, got {n_bins}")
+    if any(r.posterior is None for r in records):
+        raise ContractError("records must carry posteriors; calibrate first")
     counts = np.zeros(n_bins, dtype=np.int64)
     conf_sum = np.zeros(n_bins)
     correct = np.zeros(n_bins)
-    for r in records:
-        if r.posterior is None:
-            raise ContractError("records must carry posteriors; calibrate first")
-        b = _bin_index(r.confidence, n_bins)
-        counts[b] += 1
-        conf_sum[b] += r.confidence
-        correct[b] += r.predicted == r.true_label
+    if records:
+        predicted = np.stack([r.logits for r in records]).argmax(axis=1)
+        posteriors = np.stack([r.posterior for r in records])
+        confidence = posteriors[np.arange(len(records)), predicted].astype(np.float64)
+        hit = predicted == np.fromiter((r.true_label for r in records), np.int64, len(records))
+        b = _bin_index(confidence, n_bins)
+        counts = np.bincount(b, minlength=n_bins)
+        conf_sum = np.bincount(b, weights=confidence, minlength=n_bins)
+        correct = np.bincount(b, weights=hit, minlength=n_bins)
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), 0.0)
         acc = np.where(counts > 0, correct / np.maximum(counts, 1), 0.0)

@@ -264,8 +264,10 @@ def cmd_eval(args):
     val_parcels = [
         p for p in dataset.parcels if folds.folds[p.parcel_id] == val_fold
     ]
-    val_records = training.predict(model, val_parcels, seed=args.seed or 0)
-    test_records = training.predict(model, test_parcels, seed=args.seed or 0)
+    # one call: each parcel's records do not depend on the others in it
+    records = training.predict(model, val_parcels + test_parcels, seed=args.seed or 0)
+    split = len(val_parcels) * dataset.num_years
+    val_records, test_records = records[:split], records[split:]
     test_scored = [r for r in test_records if year is None or r.year_index == year]
     cm = analytics.confusion(test_scored, model.dims.num_classes)
     oa, iou, miou = analytics.metrics(cm)
@@ -317,14 +319,22 @@ def _load_predictions(path):
     for name, records in (("val", val), ("test", test)):
         if not records:
             raise DataFormatError(f"predictions file {path}: no {name} records")
+    records = val + test
     num_classes = val[0].logits.size
-    for r in val + test:
-        ids = (r.parcel_id, r.year_index, r.true_label)
-        if not (list(map(type, ids)) == [int] * 3 and r.logits.shape == (num_classes,)
-                and 0 <= r.true_label < num_classes):
-            raise DataFormatError(f"predictions file {path}: record {ids!r} needs integer ids, "
-                                  f"{num_classes} logits, a label in [0, {num_classes})")
-    if not np.isfinite(np.concatenate([r.logits for r in val + test])).all():
+    ids = [(r.parcel_id, r.year_index, r.true_label) for r in records]
+    labels = [t[2] for t in ids]
+    # checks over all the records at once; the loop only names the first
+    # bad record
+    if not ({type(v) for t in ids for v in t} == {int}
+            and {r.logits.shape for r in records} == {(num_classes,)}
+            and 0 <= min(labels) and max(labels) < num_classes):
+        for r, t in zip(records, ids):
+            if not (list(map(type, t)) == [int] * 3 and r.logits.shape == (num_classes,)
+                    and 0 <= r.true_label < num_classes):
+                raise DataFormatError(
+                    f"predictions file {path}: record {t!r} needs integer ids, "
+                    f"{num_classes} logits, a label in [0, {num_classes})")
+    if not np.isfinite(np.stack([r.logits for r in records])).all():
         raise DataFormatError(f"predictions file {path}: non-finite logit")
     return doc["meta"], val, test
 
@@ -368,20 +378,7 @@ def cmd_crf(args):
     if val_records[0].logits.size != dataset.num_classes:
         raise DataFormatError(f"predictions file {args.predictions}: {val_records[0].logits.size} "
                               f"logits per record; the dataset has {dataset.num_classes} classes")
-    held_out = {meta["fold"], meta["val_fold"]}
-    triplets = [
-        tuple(p.labels[i : i + 3])
-        for p in dataset.parcels
-        if folds.folds[p.parcel_id] not in held_out
-        for i in range(len(p.labels) - 2)
-    ]
-    transitions = crf_mod.estimate_transitions(
-        triplets, dataset.num_classes, alpha=args.alpha
-    )
-    scaler = calibration.fit_temperature(val_records)
-    calibration.calibrate_records(test_records, scaler.tau)
     labels_by_parcel = {p.parcel_id: p.labels for p in dataset.parcels}
-    rescored = []
     for r in test_records:
         if r.parcel_id not in labels_by_parcel:
             raise DataFormatError(
@@ -393,8 +390,27 @@ def cmd_crf(args):
                 f"predictions file {args.predictions}: parcel {r.parcel_id} year "
                 f"{r.year_index} outside 1..{dataset.num_years}"
             )
-        if r.year_index <= 2:  # CRF applies to years with two known past labels
-            continue
+    # the CRF applies to years with two known past labels
+    scored = [r for r in test_records if r.year_index >= 3]
+    if not scored:
+        raise DataFormatError(
+            f"predictions file {args.predictions}: no test record of year 3 or later "
+            f"can be rescored (the dataset has {dataset.num_years} years)"
+        )
+    held_out = {meta["fold"], meta["val_fold"]}
+    triplets = [
+        tuple(p.labels[i : i + 3])
+        for p in dataset.parcels
+        if folds.folds[p.parcel_id] not in held_out
+        for i in range(len(p.labels) - 2)
+    ]
+    transitions = crf_mod.estimate_transitions(
+        triplets, dataset.num_classes, alpha=args.alpha
+    )
+    scaler = calibration.fit_temperature(val_records)
+    calibration.calibrate_records(scored, scaler.tau)
+    rescored = []
+    for r in scored:
         labels = labels_by_parcel[r.parcel_id]
         a = labels[r.year_index - 3]
         b = labels[r.year_index - 2]

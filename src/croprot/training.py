@@ -60,11 +60,11 @@ class PredictionRecord:
         d = {
             "parcel_id": self.parcel_id,
             "year_index": self.year_index,
-            "logits": [float(v) for v in self.logits],
+            "logits": self.logits.tolist(),
             "true_label": self.true_label,
         }
         if self.posterior is not None:
-            d["posterior"] = [float(v) for v in self.posterior]
+            d["posterior"] = self.posterior.tolist()
         return d
 
     @classmethod
@@ -82,7 +82,7 @@ class PredictionRecord:
 
 def _numbers(values, what):
     # type() is not isinstance(): JSON true and false are not numbers here
-    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
         raise ValueError(f"{what} must be a list of numbers")
     return np.asarray(values, dtype=np.float32)
 
@@ -238,11 +238,10 @@ def _refuse_non_finite(rows, items, what):
         raise ContractError(f"non-finite {what} for parcel {items.ids[i]}, year {items.years[i]}")
 
 
-def _descriptors(model, items, stream, batch_size):
-    """(items, descriptor) array of the distinct _Items, each encoded once
-    from the pixel draw keyed by (*stream, parcel id, year), each distinct
-    column once; a non-finite descriptor is a ContractError."""
-    columns, counts = _draw(items, stream, model.dims.sample_pixels)
+def _descriptors(model, items, columns, counts, batch_size):
+    """(items, descriptor) array of the _Items, each encoded from its row
+    of the (columns, counts) pixel draws, each distinct column once; a
+    non-finite descriptor is a ContractError."""
     out = np.empty((items.ids.size, model.dims.descriptor), dtype=model.vector.dtype)
     for rows in _batches(items, batch_size):
         rows = _by_distinct(counts, rows)
@@ -253,18 +252,28 @@ def _descriptors(model, items, stream, batch_size):
     return out
 
 
-def _distinct(pairs):
-    """{(parcel_id, year): (parcel, year)} of the (parcel, year) pairs, in
-    the order of first appearance."""
-    return {(p.parcel_id, y): (p, y) for p, y in pairs}
+# encoder batch of inference and of "obs" past years
+ENCODE_BATCH = 256
 
 
-def encode_items(model, items, stream, batch_size=256):
-    """{(parcel_id, year): descriptor} of the (parcel, year) items, each
-    encoded once (see `_descriptors`).  Callers run it outside
-    `ad.recording`, so it records nothing on a tape."""
-    unique = _Items.of(list(_distinct(items).values()))
-    return dict(zip(unique.keys(), _descriptors(model, unique, stream, batch_size)))
+def _unique(pairs):
+    """(_Items of the distinct (parcel, year) pairs in the order of first
+    appearance, the row of each pair in them)."""
+    unique = {(p.parcel_id, y): (p, y) for p, y in pairs}
+    row = {key: i for i, key in enumerate(unique)}
+    rows = np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
+    return _Items.of(list(unique.values())), rows
+
+
+def encode_items(model, items, stream, batch_size=ENCODE_BATCH):
+    """(distinct _Items, the row of each item in them, their (distinct,
+    descriptor) array) of the (parcel, year) items, each distinct item
+    encoded once from the pixel draw keyed by (*stream, parcel id, year).
+    Callers run it outside `ad.recording`, so it records nothing on a
+    tape."""
+    unique, rows = _unique(items)
+    columns, counts = _draw(unique, stream, model.dims.sample_pixels)
+    return unique, rows, _descriptors(model, unique, columns, counts, batch_size)
 
 
 def _past_items(pairs):
@@ -272,23 +281,44 @@ def _past_items(pairs):
     return [(p, y - back) for p, y in pairs for back in (1, 2) if y - back >= 1]
 
 
-def _batch_features(model, items, stream, descriptors=None):
+def _past_table(items):
+    """(_Items of the distinct past years of the _Items, the (items, 2)
+    rows of each item's years i-1 and i-2 in them, -1 where there is
+    none)."""
+    pairs = list(zip(items.parcels, items.years.tolist()))
+    past, rows = _unique(_past_items(pairs))
+    grid = np.full((len(pairs), 2), -1, dtype=np.int64)
+    grid[np.stack([items.years > 1, items.years > 2], axis=1)] = rows
+    return past, grid
+
+
+def _past_descriptors(model, past, draws, grid):
+    """{(parcel_id, year): descriptor} of the _Items `past` at the rows of
+    `grid` (a batch's rows of `_past_table`), each encoded once from its
+    row of the (columns, counts) `draws`, in the order of first appearance
+    that `encode_items` of the batch's past years gives."""
+    order = grid[grid >= 0]
+    needed = order[np.sort(np.unique(order, return_index=True)[1])]
+    batch = past.take(needed)
+    columns, counts = draws
+    table = _descriptors(model, batch, columns[needed], counts[needed], ENCODE_BATCH)
+    return dict(zip(batch.keys(), table))
+
+
+def _batch_features(model, items, descriptors=None):
     """Head features of the _Items: None on "single", the one-hot
     declarations of the two previous years on the dec family, averaged
     past-year descriptors on "obs".
 
-    "obs" looks past years up in `descriptors`, reading only the rows the
-    items need; without them it encodes the past years with the pixel
-    draws keyed by `stream`.  A past year missing from `descriptors` is a
-    ContractError."""
+    "obs" looks past years up in the {(parcel_id, year): descriptor}
+    `descriptors`, reading only the rows the items need.  A past year
+    missing from them is a ContractError."""
     variant = model.variant
     if variant == "single":
         return None
     years = items.years
     if variant == "obs":
-        if descriptors is None:
-            descriptors = encode_items(
-                model, _past_items(zip(items.parcels, years.tolist())), stream)
+        descriptors = descriptors or {}
         # rows of years i-1, then of years i-2; -1 where there is none
         found = [descriptors.get(key) for back in (1, 2)
                  for key in zip(items.ids.tolist(), (years - back).tolist())]
@@ -362,6 +392,8 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     items = _Items.of(_training_items(train_parcels, cfg, dataset.num_years))
     if not items.ids.size:
         raise ContractError("no training samples under this protocol")
+    if cfg.variant == "obs":
+        past, past_rows = _past_table(items)
     # the best epoch's weights: a copy, as the vector is updated in place
     best = (-1.0, 0, model.vector.copy())
     epoch_log = []
@@ -373,12 +405,16 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
         columns, counts = _draw(items, stream, dims.sample_pixels)
+        if cfg.variant == "obs":
+            past_draws = _draw(past, stream, dims.sample_pixels)
         losses = []
         for rows in _batches(items, cfg.batch_size, rng):
             rows = _by_distinct(counts, rows)
             batch = items.take(rows)
             # "obs" encodes past years here, before the tape is attached
-            features = _batch_features(model, batch, stream)
+            descriptors = (_past_descriptors(model, past, past_draws, past_rows[rows])
+                           if cfg.variant == "obs" else None)
+            features = _batch_features(model, batch, descriptors)
             with ad.recording(params) as tape:
                 z = batch_logits(model, batch, columns[rows], counts[rows], features)
                 loss = cross_entropy(z, batch.labels)
@@ -446,7 +482,7 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 # inference
 
 
-def predict(model, parcels, years=None, seed=0, batch_size=256):
+def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     """One PredictionRecord per requested parcel-year, parcel by parcel and
     each parcel's years in the requested order.  Pixel draws are fixed by
     (seed, parcel, year), so repeated calls are identical and a parcel's
@@ -464,14 +500,13 @@ def predict(model, parcels, years=None, seed=0, batch_size=256):
     if not pairs:
         return []
     # one _Items of the distinct requested and, for "obs", past items
-    unique = _distinct(pairs + _past_items(pairs) if model.variant == "obs" else pairs)
-    everything = _Items.of(list(unique.values()))
-    row = {key: i for i, key in enumerate(unique)}
-    rows = np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
+    everything, rows, table = encode_items(
+        model, pairs + _past_items(pairs) if model.variant == "obs" else pairs,
+        (seed,), batch_size)
+    rows = rows[: len(pairs)]
     items = everything.take(rows)
-    table = _descriptors(model, everything, (seed,), batch_size)
-    descriptors = dict(zip(unique, table)) if model.variant == "obs" else None
-    features = _batch_features(model, items, None, descriptors)
+    descriptors = dict(zip(everything.keys(), table)) if model.variant == "obs" else None
+    features = _batch_features(model, items, descriptors)
     z = np.asarray(heads.decode(table[rows], model.head, features).data)
     _refuse_non_finite(z, items, "logits")
     return [

@@ -7,12 +7,20 @@ from hypothesis import settings
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
+from croprot.training import encode_items
 
 
 # Property tests draw the same examples on every run; a test's own
 # @settings still override these.
 settings.register_profile("croprot", derandomize=True, max_examples=100, deadline=None)
 settings.load_profile("croprot")
+
+
+def descriptors_of(model, items, stream, batch_size=256):
+    """{(parcel_id, year): descriptor} of the (parcel, year) items, from one
+    `encode_items` call."""
+    unique, _, table = encode_items(model, items, stream, batch_size)
+    return dict(zip(unique.keys(), table))
 
 
 def tiny_dims(num_classes=4, variant_descriptor=8):

@@ -1,8 +1,10 @@
 """Reference implementations that tests compare the library with:
 per-sample encoders built from the unfused autodiff primitives (matmul,
 add_bias, relu), one (C, S) pixel set and one date sequence at a time,
-against the batched `encode_batch`; and Adam one parameter array at a
-time, against `optimizer_step` over the flat parameter vector."""
+against the batched `encode_batch`; Adam one parameter array at a time,
+against `optimizer_step` over the flat parameter vector; and temperature
+fitting, calibration, reliability bins and the confusion matrix one
+prediction record at a time, against the library's stacked arrays."""
 
 import math
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from croprot import autodiff as ad
+from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
 from croprot.errors import ContractError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -86,3 +89,78 @@ def adam_step(params, grads, state, cfg):
         p.data = p.data - p.data.dtype.type(cfg.learning_rate) * mhat / (
             np.sqrt(vhat) + ADAM_EPS
         )
+
+
+def nll(records, tau):
+    """Mean negative log-likelihood of softmax(z / tau), the logits stacked
+    anew at each call."""
+    z = np.stack([r.logits for r in records]).astype(np.float64) / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    labels = np.asarray([r.true_label for r in records])
+    return float(np.mean(lse - z[np.arange(len(records)), labels]))
+
+
+def fit_temperature(records):
+    """tau of the golden-section search over log-tau in [-3, 3], each step
+    scoring the records through `nll`; never worse than tau = 1."""
+
+    def objective(log_tau):
+        return nll(records, math.exp(log_tau))
+
+    a, b = -3.0, 3.0
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = objective(d)
+    tau = math.exp((a + b) / 2)
+    return 1.0 if nll(records, tau) > nll(records, 1.0) else tau
+
+
+def posteriors(records, tau):
+    """softmax(z / tau) of each record's logits alone, as float32."""
+    return [apply_temperature(r.logits, tau).astype(np.float32) for r in records]
+
+
+def reliability(records, n_bins):
+    """(ReliabilityBins, per-bin confidence sums) with each record binned and
+    added in turn."""
+    counts = np.zeros(n_bins, dtype=np.int64)
+    conf_sum = np.zeros(n_bins)
+    correct = np.zeros(n_bins)
+    for r in records:
+        # bins partition (0, 1]; a confidence exactly on an edge goes low
+        b = min(max(int(math.ceil(r.confidence * n_bins)) - 1, 0), n_bins - 1)
+        counts[b] += 1
+        conf_sum[b] += r.confidence
+        correct[b] += r.predicted == r.true_label
+    with np.errstate(invalid="ignore"):
+        mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), 0.0)
+        acc = np.where(counts > 0, correct / np.maximum(counts, 1), 0.0)
+    return ReliabilityBins(n_bins, counts, mean_conf, acc), conf_sum
+
+
+def ece(records, n_bins):
+    bins, _ = reliability(records, n_bins)
+    n = bins.counts.sum()
+    if n == 0:
+        return 0.0
+    weights = bins.counts / n
+    return float(np.sum(weights * np.abs(bins.accuracy - bins.mean_confidence)))
+
+
+def confusion(records, num_classes):
+    """(L, L) counts, rows = ground truth, columns = prediction, one record
+    at a time."""
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for r in records:
+        cm[r.true_label, r.predicted] += 1
+    return cm

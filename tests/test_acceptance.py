@@ -35,12 +35,13 @@ from croprot.training import (
     TrainConfig,
     _batch_features,
     _Items,
+    _past_items,
     cross_entropy,
     predict,
     train,
 )
 
-from conftest import tiny_dims
+from conftest import descriptors_of, tiny_dims
 from oracles import ltae_forward, pse_forward
 
 
@@ -76,7 +77,8 @@ def test_criterion_01_gradient_fidelity():
         assert sum(a.size for a in arrays) <= 2_000
         # the "obs" features are detached by design: hold them fixed so the
         # difference quotient matches the analytic (detached) gradient
-        features = _batch_features(base, _Items.of(items), (7,))
+        features = _batch_features(base, _Items.of(items),
+                                   descriptors_of(base, _past_items(items), (7,)))
 
         def f(arrs):
             model = CropModel(dims, variant, seed=2, dtype=np.float64)

@@ -8,9 +8,10 @@ from croprot import analytics
 from croprot.data import SyntheticConfig, generate_synthetic
 from croprot.errors import ContractError
 from croprot.model import CropModel
-from croprot.training import PredictionRecord, encode_items
+from croprot.training import PredictionRecord
 
-from conftest import tiny_dims
+import oracles
+from conftest import descriptors_of, tiny_dims
 
 
 def rec(true, pred, L=4):
@@ -29,6 +30,22 @@ class TestConfusion:
     def test_rows_are_truth(self):
         cm = analytics.confusion([rec(2, 0)], 4)
         assert cm[2, 0] == 1 and cm[0, 2] == 0
+
+    @pytest.mark.parametrize("num_classes", [2, 8, 20])
+    @pytest.mark.parametrize("n, tied", [(1, False), (200, False), (200, True)])
+    def test_matches_per_record_oracle(self, num_classes, n, tied):
+        # tied logits (drawn from {-1, 0, 1}) predict the lowest tied class
+        rng = np.random.default_rng(num_classes + n)
+        logits = (rng.integers(-1, 2, (n, num_classes)) if tied
+                  else rng.normal(0, 3, (n, num_classes))).astype(np.float32)
+        records = [PredictionRecord(i, 1, z, int(label)) for i, (z, label)
+                   in enumerate(zip(logits, rng.integers(0, num_classes, n)))]
+        cm = analytics.confusion(records, num_classes)
+        assert np.array_equal(cm, oracles.confusion(records, num_classes))
+        assert cm.dtype == np.int64 and cm.sum() == n
+
+    def test_no_records(self):
+        assert not analytics.confusion([], 3).any()
 
 
 class TestMetrics:
@@ -263,7 +280,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = encode_items(model, items, (3,))
+        want = descriptors_of(model, items, (3,))
         oracle = tmp_path / "oracle.csv"
         with open(oracle, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -285,7 +302,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = encode_items(model, items, (3,))
+        want = descriptors_of(model, items, (3,))
         rows = list(csv.reader(open(path)))[1:]
         assert len(rows) == len(want)
         for row in rows:

@@ -16,6 +16,8 @@ from croprot.calibration import (
 from croprot.errors import ContractError
 from croprot.training import PredictionRecord
 
+import oracles
+
 
 def make_records(logits, labels):
     return [
@@ -160,3 +162,73 @@ def test_reliability_csv(tmp_path):
     assert len(lines) == 11
     total = sum(int(line.split(",")[1]) for line in lines[1:])
     assert total == 100
+
+
+def random_records(num_classes, n, seed, tied=False):
+    """n records of L = num_classes; `tied` draws logits from {-1, 0, 1},
+    so that most rows hold a tie for the maximum."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        logits = rng.integers(-1, 2, (n, num_classes)).astype(np.float32)
+    else:
+        logits = rng.normal(0, 3, (n, num_classes)).astype(np.float32)
+    return make_records(logits, rng.integers(0, num_classes, n))
+
+
+# (L, record count, tied logits)
+SCORING_CASES = [(L, n, tied) for L in (2, 8, 20)
+                 for n, tied in ((1, False), (120, False), (120, True))]
+
+
+@pytest.mark.parametrize("num_classes, n, tied", SCORING_CASES)
+class TestStackedMatchesPerRecord:
+    """Scoring on stacked arrays is bitwise the per-record loop of
+    `oracles`."""
+
+    def test_tau(self, num_classes, n, tied):
+        records = random_records(num_classes, n, seed=n + num_classes, tied=tied)
+        assert fit_temperature(records).tau == oracles.fit_temperature(records)
+
+    def test_posteriors(self, num_classes, n, tied):
+        records = random_records(num_classes, n, seed=1, tied=tied)
+        want = oracles.posteriors(records, 0.7)
+        calibrate_records(records, 0.7)
+        for r, p in zip(records, want):
+            assert r.posterior.dtype == np.float32
+            assert r.posterior.tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("n_bins", [1, 4, 10, DEFAULT_BINS])
+    def test_reliability_and_ece(self, num_classes, n, tied, n_bins):
+        records = calibrate_records(random_records(num_classes, n, seed=2, tied=tied), 1.3)
+        bins = reliability(records, n_bins)
+        want, _ = oracles.reliability(records, n_bins)
+        assert np.array_equal(bins.counts, want.counts)
+        assert bins.mean_confidence.tobytes() == want.mean_confidence.tobytes()
+        assert bins.accuracy.tobytes() == want.accuracy.tobytes()
+        assert ece(records, n_bins) == oracles.ece(records, n_bins)
+
+
+def test_confidence_on_a_bin_edge_goes_low():
+    # tied two-class logits give confidence 0.5 exactly, and the posterior
+    # (0.75, 0.25) gives 0.75: with 4 bins both lie on a top edge
+    records = make_records([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [0, 0, 1])
+    calibrate_records(records[:1], 1.0)
+    for r in records[1:]:
+        r.posterior = np.array([0.75, 0.25], dtype=np.float32)
+    bins = reliability(records, 4)
+    want, sums = oracles.reliability(records, 4)
+    assert bins.counts.tolist() == want.counts.tolist() == [0, 1, 2, 0]
+    assert bins.mean_confidence.tobytes() == want.mean_confidence.tobytes()
+    assert sums.tolist() == [0.0, 0.5, 1.5, 0.0]
+    assert bins.accuracy.tolist() == [0.0, 1.0, 0.5, 0.0]
+
+
+def test_bincount_adds_weights_in_input_order():
+    # what `reliability` relies on for sums equal to the per-record loop's
+    rng = np.random.default_rng(5)
+    index = rng.integers(0, 3, 1000)
+    weights = rng.random(1000)
+    want = np.zeros(3)
+    for i, w in zip(index, weights):
+        want[i] += w
+    assert np.bincount(index, weights=weights, minlength=3).tobytes() == want.tobytes()

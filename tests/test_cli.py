@@ -6,6 +6,8 @@ import pytest
 
 from croprot.cli import main
 from croprot.data import load_dataset, save_dataset
+from croprot.model import CropModel, load_checkpoint, save_checkpoint
+from croprot.training import predict
 
 from conftest import one_sample_file
 
@@ -152,6 +154,28 @@ class TestPipeline:
         assert 0.0 <= metrics["oa"] <= 1.0
         assert len(metrics["per_class_iou"]) == 8
         assert (eval_out / "confusion.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["dec", "obs"])
+    def test_eval_records_equal_two_predict_calls(self, workdir, tmp_path, variant):
+        # eval predicts the val and test parcels in one call; each parcel's
+        # records are those of a call on its fold alone, bit for bit
+        _, _, dataset, folds, train_out, _ = workdir
+        ckpt = train_out / "checkpoint_fold0.bin"
+        model = load_checkpoint(ckpt)
+        if variant == "obs":
+            model = CropModel(model.dims, "obs", seed=3)
+            ckpt = tmp_path / "obs.bin"
+            save_checkpoint(ckpt, model)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                     "--folds", str(folds), "--fold", "0", "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "predictions.json").read_text())
+        fold_of = json.loads(folds.read_text())["folds"]
+        parcels = load_dataset(dataset).parcels
+        for name, fold in (("val", 1), ("test", 0)):
+            records = predict(model, [p for p in parcels if fold_of[str(p.parcel_id)] == fold],
+                              seed=5)
+            assert doc[name] == [r.to_dict() for r in records]
 
     def test_calibrate(self, workdir):
         root, _, _, _, _, eval_out = workdir
@@ -371,6 +395,7 @@ def malformed(workdir, tmp_path_factory):
         "preds_unknown_parcel": _preds(parcel_id=10**6),
         "preds_year_0": _preds(year_index=0),
         "preds_year_4": _preds(year_index=4),
+        "preds_year_1": _preds(),
         "preds_year_string": _preds(year_index="3"),
         "preds_parcel_float": _preds(parcel_id=1.5),
         "preds_parcel_bool": _preds(parcel_id=True),
@@ -438,6 +463,20 @@ def malformed(workdir, tmp_path_factory):
     sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
     sidecar["dims"]["width"] = 3
     (bad / "ckpt.bin.json").write_text(json.dumps(sidecar))
+    # a two-year dataset, its folds and the pipeline checkpoint's predictions
+    two_years = bad / "two_years.json"
+    two_years.write_text(json.dumps({"dataset": {"synthetic": {
+        **RUN_CONFIG["dataset"]["synthetic"], "num_years": 2, "parcels": 40}}}))
+    paths["dataset_2_years"] = bad / "two_years.rcds"
+    paths["folds_2_years"] = bad / "two_years_folds.json"
+    paths["preds_2_years"] = bad / "two_years_eval" / "predictions.json"
+    assert main(["synth", "--config", str(two_years), "--out", str(paths["dataset_2_years"])]) == 0
+    assert main(["split", "--dataset", str(paths["dataset_2_years"]), "--k", "3",
+                 "--block-size", "2500", "--out", str(paths["folds_2_years"])]) == 0
+    assert main(["eval", "--checkpoint", str(train_out / "checkpoint_fold0.bin"),
+                 "--dataset", str(paths["dataset_2_years"]),
+                 "--folds", str(paths["folds_2_years"]),
+                 "--fold", "0", "--out", str(paths["preds_2_years"].parent)]) == 0
     paths.update(cfg=cfg, dataset=dataset, folds=folds, out=bad / "out",
                  ckpt=train_out / "checkpoint_fold0.bin", preds=eval_out / "predictions.json")
     return {name: str(path) for name, path in paths.items()}
@@ -531,6 +570,10 @@ CLI_MATRIX = {
     "crf-logit-null": (_CRF.replace("{preds}", "{preds_logit_null}"), 3),
     "crf-logit-bool": (_CRF.replace("{preds}", "{preds_logit_bool}"), 3),
     "crf-posterior-string": (_CRF.replace("{preds}", "{preds_posterior_string}"), 3),
+    "crf-two-years": (_CRF.replace("{preds}", "{preds_2_years}")
+                      .replace("{dataset}", "{dataset_2_years}")
+                      .replace("{folds}", "{folds_2_years}"), 3),
+    "crf-no-year-3": (_CRF.replace("{preds}", "{preds_year_1}"), 3),
     # arguments out of range: exit 4
     "train-protocol-year-5": (_TRAIN.replace("{cfg}", "{config_protocol_year_5}"), 4),
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),

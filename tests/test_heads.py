@@ -6,9 +6,9 @@ from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _Items, _batch_features, cross_entropy, encode_items
+from croprot.training import _Items, _batch_features, _past_items, cross_entropy
 
-from conftest import tiny_dims
+from conftest import descriptors_of, tiny_dims
 
 L = 4
 IDENTITY = np.eye(L, dtype=np.float32)
@@ -127,13 +127,13 @@ class TestObsFeature:
         cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), parcels=2, seed=5)
         p = generate_synthetic(cfg)[0]
         model = CropModel(tiny_dims(num_classes=L), "obs")
-        assert not _batch_features(model, _Items.of([(p, 1)]), None, {}).any()
+        assert not _batch_features(model, _Items.of([(p, 1)]), {}).any()
         for y in (2, 3):
             with pytest.raises(ContractError, match="past-year"):
-                _batch_features(model, _Items.of([(p, 1), (p, y)]), None, {})
+                _batch_features(model, _Items.of([(p, 1), (p, y)]), {})
         only_year_1 = {(p.parcel_id, 1): np.ones(model.dims.descriptor, np.float32)}
         with pytest.raises(ContractError, match=f"parcel {p.parcel_id}, year 3"):
-            _batch_features(model, _Items.of([(p, 2), (p, 3)]), None, only_year_1)
+            _batch_features(model, _Items.of([(p, 2), (p, 3)]), only_year_1)
 
 
 class TestDecode:
@@ -199,7 +199,7 @@ def test_batch_features_read_the_two_previous_labels(variant):
         # past years read the descriptors `encode_items` gives for the same
         # draw keys: zeros at year 1, the one past year at year 2 (mirror
         # padding), the average of the two after
-        e = encode_items(model, [(p, y) for p in parcels for y in range(1, 5)], (7,))
+        e = descriptors_of(model, [(p, y) for p in parcels for y in range(1, 5)], (7,))
 
         def row(p, y):
             if y == 1:
@@ -209,14 +209,15 @@ def test_batch_features_read_the_two_previous_labels(variant):
             return (e[(p.parcel_id, y - 1)] + e[(p.parcel_id, y - 2)]) / 2
 
         rows = [row(p, y) for p, y in items]
-        assert np.array_equal(_batch_features(model, _Items.of(items), (7,)), np.stack(rows))
-        assert np.array_equal(_batch_features(model, _Items.of(items), None, e), np.stack(rows))
+        past = descriptors_of(model, _past_items(items), (7,))
+        assert np.array_equal(_batch_features(model, _Items.of(items), past), np.stack(rows))
+        assert np.array_equal(_batch_features(model, _Items.of(items), e), np.stack(rows))
         return
     prev = lambda p, y: p.labels[y - 1] if y >= 1 else -1
     want = heads.history_features(
         variant, [prev(p, y - 1) for p, y in items], [prev(p, y - 2) for p, y in items], IDENTITY
     )
-    assert np.array_equal(_batch_features(model, _Items.of(items), None), want)
+    assert np.array_equal(_batch_features(model, _Items.of(items)), want)
 
 
 def test_obs_features_read_only_the_rows_they_need():
@@ -225,13 +226,13 @@ def test_obs_features_read_only_the_rows_they_need():
     cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), channels=3, parcels=40, seed=5)
     parcels = generate_synthetic(cfg)
     model = CropModel(tiny_dims(num_classes=L), "obs")
-    every = encode_items(model, [(p, y) for p in parcels for y in (1, 2, 3)], (7,))
+    every = descriptors_of(model, [(p, y) for p in parcels for y in (1, 2, 3)], (7,))
     items = _Items.of([(p, 1 + i % 3) for i, p in enumerate(parcels[:32])])
     needed = {(pid, y - back): every[(pid, y - back)]
               for pid, y in items.keys() for back in (1, 2) if y - back >= 1}
     assert len(needed) < len(every)
-    want = _batch_features(model, items, None, needed)
-    assert _batch_features(model, items, None, every).tobytes() == want.tobytes()
+    want = _batch_features(model, items, needed)
+    assert _batch_features(model, items, every).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,8 @@ def test_full_model_gradients_match_finite_differences(variant, grad_items):
     arrays = [np.array(p.data) for p in base.parameters()]
     # the "obs" features are detached from the graph by design, so they
     # must stay fixed while the parameters are perturbed; compute them once
-    features = _batch_features(base, _Items.of(items), (7,))
+    features = _batch_features(base, _Items.of(items),
+                               descriptors_of(base, _past_items(items), (7,)))
     sets = [p.samples[y - 1].pixels for p, y in items]
     days = np.stack([p.samples[y - 1].days for p, y in items])
 

@@ -31,7 +31,9 @@ from croprot.training import (
 )
 
 import oracles
-from conftest import assert_parameter_views, expand_draws, small_dims, tiny_dims
+from conftest import (
+    assert_parameter_views, descriptors_of, expand_draws, small_dims, tiny_dims,
+)
 
 
 def _dims(cfg):
@@ -278,23 +280,23 @@ class TestEncodeItems:
 
     def test_keys_and_shape(self, setup):
         model, items = setup
-        out = encode_items(model, items, (0,))
-        assert set(out) == {(p.parcel_id, y) for p, y in items}
-        for e in out.values():
-            assert e.shape == (model.dims.descriptor,)
+        unique, rows, table = encode_items(model, items + items[:2], (0,))
+        assert unique.keys() == [(p.parcel_id, y) for p, y in items]
+        assert rows.tolist() == list(range(len(items))) + [0, 1]
+        assert table.shape == (len(items), model.dims.descriptor)
 
     def test_keyed_draws_repeat_bitwise(self, setup):
         model, items = setup
-        a = encode_items(model, items, (42,))
+        a = descriptors_of(model, items, (42,))
         # another call order and batch size give the same draws and rows
-        b = encode_items(model, items[::-1], (42,), batch_size=4)
+        b = descriptors_of(model, items[::-1], (42,), batch_size=4)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
     def test_different_seeds_differ(self, setup):
         model, items = setup
-        a = encode_items(model, items, (0,))
-        b = encode_items(model, items, (1,))
+        a = descriptors_of(model, items, (0,))
+        b = descriptors_of(model, items, (1,))
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_draws_are_keyed_by_stream_parcel_year(self, setup, monkeypatch):
@@ -303,7 +305,7 @@ class TestEncodeItems:
         model, items = setup
         s = model.dims.sample_pixels
         calls = _record_draws(monkeypatch)
-        encode_items(model, items, (9,))
+        descriptors_of(model, items, (9,))
         rows = {(pid, y): (columns, counts) for _, pid, y, columns, counts in calls}
         assert len(calls) == len(rows) == len(items)
         for p, y in items:
@@ -325,7 +327,7 @@ class TestEncodeItems:
         ds, cfg = small_dataset
         model = CropModel(small_dims(cfg.num_classes), "single", seed=2)
         items = [(p, y) for p in ds.parcels[:24] for y in (1, 2, 3)]
-        got = encode_items(model, items, (5,))
+        got = descriptors_of(model, items, (5,))
         assert any(p.samples[y - 1].n_pixels < 8 for p, y in items)
         assert any(p.samples[y - 1].n_pixels >= 8 for p, y in items)
         for year in (1, 2, 3):
@@ -343,7 +345,7 @@ class TestEncodeItems:
     def test_each_item_encoded_once(self, setup, monkeypatch):
         model, items = setup
         calls = _record_draws(monkeypatch)
-        encode_items(model, items + items[:5], (0,))
+        descriptors_of(model, items + items[:5], (0,))
         assert sorted(c[1:3] for c in calls) == sorted((p.parcel_id, y) for p, y in items)
 
 
@@ -544,6 +546,19 @@ class TestTraining:
             ds, ds.parcels[:40], [], TrainConfig(epochs=best + 1, seed=3), dims
         )
         assert model.vector.tobytes() == stopped.vector.tobytes()
+
+    def test_obs_draws_each_past_year_once_per_epoch(self, small_dataset, monkeypatch):
+        # an epoch's stream draws every training item and every past year
+        # the "obs" features read once, not again in each batch that reads it
+        ds, cfg = small_dataset
+        calls = _record_draws(monkeypatch)
+        tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant="obs")
+        train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
+        items = [(p.parcel_id, y) for p in ds.parcels[:20] for y in (1, 2, 3)]
+        past = [(pid, y) for pid, y in items if y < 3]
+        for epoch in range(2):
+            stream = (training.TRAIN_DRAWS, 3, 0, epoch)
+            assert sorted(c[1:3] for c in calls if c[0] == stream) == sorted(items + past)
 
     def test_protocol_year_outside_dataset_refused(self, small_dataset):
         ds, cfg = small_dataset
