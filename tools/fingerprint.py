@@ -21,7 +21,10 @@ pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
 `save_dataset` writes for the data (`.rcds` and sidecar) and that
 `save_transitions` writes for its label triplets; per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
-trained model.  For the trained `dec` and `obs` models, `cli` lines run
+trained model.  For `dec` and `obs`, a `specialized` line hashes the
+weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
+run trained on year 3 alone, whose training items lack the past years
+the head reads.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
 `croprot.cli.main` in-process on the saved data, a 5-fold split and the
 saved checkpoint, and hash every file the five commands write and their
@@ -47,7 +50,8 @@ from croprot.data import (  # noqa: E402
 )
 from croprot.model import ModelDims, save_checkpoint  # noqa: E402
 
-# the head variants whose trained checkpoints the `cli` lines run
+# the head variants whose trained checkpoints the `cli` lines run, and
+# that a `specialized` line trains on year 3 alone
 CLI_VARIANTS = ("dec", "obs")
 DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
             out_hidden=32, descriptor=32, num_classes=8, head_hidden=32)
@@ -108,6 +112,19 @@ def fingerprint(variant, dataset):
         with open(path, "rb") as fh:
             out.append(("embeddings", _sha(fh.read())))
     return model, out
+
+
+def specialized(variant, dataset):
+    """sha256 of a run trained on year 3 alone: its weights, best epoch,
+    epoch log and year-3 logits."""
+    parcels = dataset.parcels
+    cfg = training.TrainConfig(epochs=2, batch_size=16, seed=5, variant=variant,
+                               protocol="specialized", protocol_year=3)
+    model, best_epoch, epoch_log = training.train_single_split(
+        dataset, parcels[::2], parcels[1::4], cfg, ModelDims(**DIMS))
+    records = training.predict(model, parcels, years=[3], seed=7)
+    return _sha(*[a.tobytes() for a in model.state_arrays()], best_epoch, epoch_log,
+                _logits_sha(records))
 
 
 def draws(dataset):
@@ -193,6 +210,7 @@ def main():
         for artifact, digest in digests:
             print(f"{variant:13s} {artifact:15s} {digest}")
         if variant in CLI_VARIANTS:
+            print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset)}")
             for name, digest in cli_files(model, dataset):
                 print(f"{'cli-' + variant:13s} {name:37s} {digest}")
 
