@@ -384,6 +384,16 @@ def _first_fault(pixels, days, labels, num_classes):
     return k, msg
 
 
+def _refuse_repeated_ids(ids):
+    """DataFormatError naming the first parcel id, in file order, that an
+    earlier parcel already has: a parcel-year is keyed by (id, year)."""
+    seen = set()
+    for pid in ids:
+        if pid in seen:
+            raise DataFormatError(f"parcel id {pid} appears more than once")
+        seen.add(pid)
+
+
 def _check_class_names(sidecar, num_classes, path):
     names = sidecar.get("class_names")
     if names is not None and not (isinstance(names, list) and len(names) == num_classes
@@ -432,6 +442,7 @@ def save_dataset(path, parcels, num_classes, manifest=None):
         raise DataFormatError(
             f"parcel {parcels[k // num_years].parcel_id}, year {k % num_years + 1}: {msg}"
         )
+    _refuse_repeated_ids(p.parcel_id for p in parcels)
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
@@ -494,6 +505,7 @@ def load_dataset(path):
     for pid, cx, cy in headers:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
+    _refuse_repeated_ids(pid for pid, _, _ in headers)
     all_days = np.concatenate([np.empty(0, "<u2")] + days).astype(np.int64)
     ends = np.cumsum([d.size for d in days], dtype=np.int64).tolist()
     samples = [

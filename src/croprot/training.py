@@ -28,6 +28,8 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ContractError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ContractError("learning rate must be positive")
         if self.protocol not in ("mixed", "specialized"):
@@ -135,13 +137,11 @@ def optimizer_step(vector, grad, state: AdamState, cfg: TrainConfig):
 
 
 class _Items(NamedTuple):
-    """(parcel, year) items as arrays, built once and sliced per batch:
-    parcels, parcel ids, years, labels, pixel counts, dates T, pixel sets,
-    days padded to the longest T, and the (items, Y + 2) history grid of
-    labels whose column y holds the label of year y - 1 (two -1 columns
-    for the years before the first)."""
+    """(parcel, year) items as arrays, built once per call and sliced per
+    batch: parcel ids, years, labels, pixel counts, dates T, pixel sets,
+    days padded to the longest T, and `past`, the (items, 2) rows of each
+    item's years i-1 and i-2 among them, -1 where there is none."""
 
-    parcels: np.ndarray
     ids: np.ndarray
     years: np.ndarray
     labels: np.ndarray
@@ -149,41 +149,45 @@ class _Items(NamedTuple):
     ts: np.ndarray
     pixels: np.ndarray
     days: np.ndarray
-    grid: np.ndarray
+    past: np.ndarray
 
     @classmethod
-    def of(cls, items):
-        """The _Items of a list of (parcel, year) pairs."""
-        n = len(items)
-        num_years = len(items[0][0].samples) if items else 0
-        samples = [p.samples[y - 1] for p, y in items]
-        parcels = np.fromiter((p for p, _ in items), object, n)
+    def of(cls, pairs):
+        """(_Items, the row of each pair in them) of a list of (parcel,
+        year) pairs: the distinct pairs in the order of first appearance,
+        then the years i-1 and i-2 they lack, so that every distinct pair's
+        `past` is -1 only before year 1."""
+        chosen = {}
+        for p, y in pairs:
+            chosen.setdefault((p.parcel_id, y), (p, y))
+        for p, y in list(chosen.values()):
+            for back in (1, 2):
+                if y > back:
+                    chosen.setdefault((p.parcel_id, y - back), (p, y - back))
+        row = {key: i for i, key in enumerate(chosen)}
+        n = len(row)
+        samples = [p.samples[y - 1] for p, y in chosen.values()]
         ts = np.fromiter((s.days.size for s in samples), np.int64, n)
         days = np.zeros((n, ts.max(initial=0)), dtype=np.int64)
         days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
             [np.empty(0, np.int64)] + [s.days for s in samples])
-        grid = np.full((n, 2 + num_years), -1, dtype=np.int64)
-        grid[:, 2:] = np.fromiter(
-            (s.label for p in parcels for s in p.samples), np.int64).reshape(n, num_years)
-        return cls(
-            parcels,
-            np.fromiter((p.parcel_id for p in parcels), np.int64, n),
-            np.fromiter((y for _, y in items), np.int64, n),
+        past = np.fromiter((row.get((pid, y - back), -1) for pid, y in row for back in (1, 2)),
+                           np.int64, 2 * n)
+        items = cls(
+            np.fromiter((pid for pid, _ in row), np.int64, n),
+            np.fromiter((y for _, y in row), np.int64, n),
             np.fromiter((s.label for s in samples), np.int64, n),
             np.fromiter((s.pixels.shape[1] for s in samples), np.int64, n),
             ts,
             np.fromiter((s.pixels for s in samples), object, n),
             days,
-            grid,
+            past.reshape(n, 2),
         )
+        return items, np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
 
     def take(self, rows):
-        """The items at `rows`, an index array."""
+        """The items at `rows`, an index array or a slice."""
         return _Items._make(column[rows] for column in self)
-
-    def keys(self):
-        """(parcel id, year) of each item."""
-        return list(zip(self.ids.tolist(), self.years.tolist()))
 
 
 def _batches(items, batch_size, rng=None):
@@ -256,87 +260,38 @@ def _descriptors(model, items, columns, counts, batch_size):
 ENCODE_BATCH = 256
 
 
-def _unique(pairs):
-    """(_Items of the distinct (parcel, year) pairs in the order of first
-    appearance, the row of each pair in them)."""
-    unique = {(p.parcel_id, y): (p, y) for p, y in pairs}
-    row = {key: i for i, key in enumerate(unique)}
-    rows = np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
-    return _Items.of(list(unique.values())), rows
+def _read(model, items, rows):
+    """The leading _Items that the model's head reads for the items at
+    `rows`: those items, which `_Items.of` puts first, and on "obs" also
+    the past years it appends after them."""
+    return items if model.variant == "obs" else items.take(slice(0, rows.max(initial=-1) + 1))
 
 
 def encode_items(model, items, stream, batch_size=ENCODE_BATCH):
-    """(distinct _Items, the row of each item in them, their (distinct,
-    descriptor) array) of the (parcel, year) items, each distinct item
-    encoded once from the pixel draw keyed by (*stream, parcel id, year).
-    Callers run it outside `ad.recording`, so it records nothing on a
-    tape."""
-    unique, rows = _unique(items)
-    columns, counts = _draw(unique, stream, model.dims.sample_pixels)
-    return unique, rows, _descriptors(model, unique, columns, counts, batch_size)
+    """(the _Items of the (parcel, year) items, the row of each item in
+    them, the descriptors of the first rows, those the model's head reads)
+    with each distinct item encoded once from the pixel draw keyed by
+    (*stream, parcel id, year).  Callers run it outside `ad.recording`, so
+    it records nothing on a tape."""
+    everything, rows = _Items.of(items)
+    read = _read(model, everything, rows)
+    columns, counts = _draw(read, stream, model.dims.sample_pixels)
+    return everything, rows, _descriptors(model, read, columns, counts, batch_size)
 
 
-def _past_items(pairs):
-    """(parcel, year) pairs of the two years before each (parcel, year)."""
-    return [(p, y - back) for p, y in pairs for back in (1, 2) if y - back >= 1]
-
-
-def _past_table(items):
-    """(_Items of the distinct past years of the _Items, the (items, 2)
-    rows of each item's years i-1 and i-2 in them, -1 where there is
-    none)."""
-    pairs = list(zip(items.parcels, items.years.tolist()))
-    past, rows = _unique(_past_items(pairs))
-    grid = np.full((len(pairs), 2), -1, dtype=np.int64)
-    grid[np.stack([items.years > 1, items.years > 2], axis=1)] = rows
-    return past, grid
-
-
-def _past_descriptors(model, past, draws, grid):
-    """{(parcel_id, year): descriptor} of the _Items `past` at the rows of
-    `grid` (a batch's rows of `_past_table`), each encoded once from its
-    row of the (columns, counts) `draws`, in the order of first appearance
-    that `encode_items` of the batch's past years gives."""
-    order = grid[grid >= 0]
-    needed = order[np.sort(np.unique(order, return_index=True)[1])]
-    batch = past.take(needed)
-    columns, counts = draws
-    table = _descriptors(model, batch, columns[needed], counts[needed], ENCODE_BATCH)
-    return dict(zip(batch.keys(), table))
-
-
-def _batch_features(model, items, descriptors=None):
-    """Head features of the _Items: None on "single", the one-hot
-    declarations of the two previous years on the dec family, averaged
-    past-year descriptors on "obs".
-
-    "obs" looks past years up in the {(parcel_id, year): descriptor}
-    `descriptors`, reading only the rows the items need.  A past year
-    missing from them is a ContractError."""
-    variant = model.variant
-    if variant == "single":
+def _features(model, items, prev, descriptors=None):
+    """Head features of a batch whose years i-1 and i-2 are at the (B, 2)
+    rows `prev`, -1 before year 1: None on "single", the one-hot labels
+    of those rows of the _Items on the dec family, the average of those
+    rows of the `descriptors` array on "obs"."""
+    if model.variant == "single":
         return None
-    years = items.years
-    if variant == "obs":
-        descriptors = descriptors or {}
-        # rows of years i-1, then of years i-2; -1 where there is none
-        found = [descriptors.get(key) for back in (1, 2)
-                 for key in zip(items.ids.tolist(), (years - back).tolist())]
-        have = np.array([row is not None for row in found], dtype=bool)
-        table = np.array([row for row in found if row is not None], np.float32).reshape(
-            -1, model.dims.descriptor)
-        past = np.full(have.size, -1, dtype=np.int64)
-        past[have] = np.arange(len(table))
-        prev1, prev2 = past[: years.size], past[years.size :]
+    if model.variant == "obs":
+        table = descriptors
     else:
+        prev = np.append(items.labels, -1)[prev]
         table = np.eye(model.dims.num_classes, dtype=np.float32)
-        rows = np.arange(years.size)
-        prev1, prev2 = items.grid[rows, years], items.grid[rows, years - 1]
-    missing = (prev1 < 0) & (years > 1) | (prev2 < 0) & (years > 2)
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise ContractError(f"no past-year input for parcel {items.ids[i]}, year {years[i]}")
-    return heads.history_features(variant, prev1, prev2, table)
+    return heads.history_features(model.variant, prev[:, 0], prev[:, 1], table)
 
 
 def batch_logits(model, items, columns, counts, features):
@@ -389,11 +344,12 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     model = CropModel(dims, cfg.variant, seed=cfg.seed + fold)
     params = model.parameters()
     state = AdamState()
-    items = _Items.of(_training_items(train_parcels, cfg, dataset.num_years))
-    if not items.ids.size:
+    items, rows = _Items.of(_training_items(train_parcels, cfg, dataset.num_years))
+    if not rows.size:
         raise ContractError("no training samples under this protocol")
-    if cfg.variant == "obs":
-        past, past_rows = _past_table(items)
+    # the trained rows come first; "obs" also draws the past years after them
+    trained = items.take(slice(0, rows.max() + 1))
+    drawn = _read(model, items, rows)
     # the best epoch's weights: a copy, as the vector is updated in place
     best = (-1.0, 0, model.vector.copy())
     epoch_log = []
@@ -404,17 +360,20 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
             np.random.SeedSequence([cfg.seed, fold, epoch, 0xE9])
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
-        columns, counts = _draw(items, stream, dims.sample_pixels)
-        if cfg.variant == "obs":
-            past_draws = _draw(past, stream, dims.sample_pixels)
+        columns, counts = _draw(drawn, stream, dims.sample_pixels)
         losses = []
-        for rows in _batches(items, cfg.batch_size, rng):
+        for rows in _batches(trained, cfg.batch_size, rng):
             rows = _by_distinct(counts, rows)
             batch = items.take(rows)
-            # "obs" encodes past years here, before the tape is attached
-            descriptors = (_past_descriptors(model, past, past_draws, past_rows[rows])
-                           if cfg.variant == "obs" else None)
-            features = _batch_features(model, batch, descriptors)
+            prev, descriptors = items.past[rows], None
+            if cfg.variant == "obs":
+                # the batch's past years, each encoded once before the tape
+                # is attached, and their rows among them
+                needed = np.unique(prev[prev >= 0])
+                descriptors = _descriptors(model, items.take(needed), columns[needed],
+                                           counts[needed], ENCODE_BATCH)
+                prev = np.where(prev >= 0, np.searchsorted(needed, prev), -1)
+            features = _features(model, items, prev, descriptors)
             with ad.recording(params) as tape:
                 z = batch_logits(model, batch, columns[rows], counts[rows], features)
                 loss = cross_entropy(z, batch.labels)
@@ -499,16 +458,14 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     pairs = [(p, y) for p in parcels for y in wanted]
     if not pairs:
         return []
-    # one _Items of the distinct requested and, for "obs", past items
-    everything, rows, table = encode_items(
-        model, pairs + _past_items(pairs) if model.variant == "obs" else pairs,
-        (seed,), batch_size)
-    rows = rows[: len(pairs)]
-    items = everything.take(rows)
-    descriptors = dict(zip(everything.keys(), table)) if model.variant == "obs" else None
-    features = _batch_features(model, items, descriptors)
+    outside = [y for y in wanted if not 1 <= y <= num_years]
+    if outside:
+        raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
+    items, rows, table = encode_items(model, pairs, (seed,), batch_size)
+    features = _features(model, items, items.past[rows], table)
     z = np.asarray(heads.decode(table[rows], model.head, features).data)
-    _refuse_non_finite(z, items, "logits")
+    asked = items.take(rows)
+    _refuse_non_finite(z, asked, "logits")
     return [
         PredictionRecord(
             parcel_id=pid,
@@ -516,5 +473,6 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
             logits=np.array(logits),
             true_label=label,
         )
-        for (pid, y), label, logits in zip(items.keys(), items.labels.tolist(), z)
+        for pid, y, label, logits in zip(
+            asked.ids.tolist(), asked.years.tolist(), asked.labels.tolist(), z)
     ]

@@ -7,7 +7,7 @@ from hypothesis import settings
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
-from croprot.training import encode_items
+from croprot.training import _features, encode_items
 
 
 # Property tests draw the same examples on every run; a test's own
@@ -17,10 +17,17 @@ settings.load_profile("croprot")
 
 
 def descriptors_of(model, items, stream, batch_size=256):
-    """{(parcel_id, year): descriptor} of the (parcel, year) items, from one
-    `encode_items` call."""
-    unique, _, table = encode_items(model, items, stream, batch_size)
-    return dict(zip(unique.keys(), table))
+    """{(parcel_id, year): descriptor} of the rows one `encode_items` call
+    encodes for the (parcel, year) items."""
+    encoded, _, table = encode_items(model, items, stream, batch_size)
+    return dict(zip(zip(encoded.ids.tolist(), encoded.years.tolist()), table))
+
+
+def features_of(model, items, stream=(7,)):
+    """Head features of the (parcel, year) items, read from the rows of one
+    `encode_items` call as `predict` reads them."""
+    encoded, rows, table = encode_items(model, items, stream)
+    return _features(model, encoded, encoded.past[rows], table)
 
 
 def tiny_dims(num_classes=4, variant_descriptor=8):

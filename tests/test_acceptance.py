@@ -33,15 +33,12 @@ from croprot.model import CropModel, ModelDims
 from croprot.training import (
     PredictionRecord,
     TrainConfig,
-    _batch_features,
-    _Items,
-    _past_items,
     cross_entropy,
     predict,
     train,
 )
 
-from conftest import descriptors_of, tiny_dims
+from conftest import features_of, tiny_dims
 from oracles import ltae_forward, pse_forward
 
 
@@ -77,8 +74,7 @@ def test_criterion_01_gradient_fidelity():
         assert sum(a.size for a in arrays) <= 2_000
         # the "obs" features are detached by design: hold them fixed so the
         # difference quotient matches the analytic (detached) gradient
-        features = _batch_features(base, _Items.of(items),
-                                   descriptors_of(base, _past_items(items), (7,)))
+        features = features_of(base, items)
 
         def f(arrs):
             model = CropModel(dims, variant, seed=2, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -458,6 +459,11 @@ def malformed(workdir, tmp_path_factory):
         (bad / f"{name}.bin.json").write_bytes(sidecar)
     paths["dataset_nan"] = bad / "nan.rcds"
     paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
+    # two parcels with id 0: the one-sample file with its parcel record twice
+    one, head = one_sample_file(), 4 + struct.calcsize("<IIBHH")
+    paths["dataset_repeated_id"] = bad / "repeated_id.rcds"
+    paths["dataset_repeated_id"].write_bytes(
+        one[:8] + struct.pack("<I", 2) + one[12:head] + one[head:] * 2)
     paths["ckpt_bad_sidecar"] = bad / "ckpt.bin"
     shutil.copy(train_out / "checkpoint_fold0.bin", paths["ckpt_bad_sidecar"])
     sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
@@ -526,6 +532,7 @@ CLI_MATRIX = {
     "crf-year-0": (_CRF.replace("{preds}", "{preds_year_0}"), 3),
     "crf-year-4": (_CRF.replace("{preds}", "{preds_year_4}"), 3),
     "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
+    "split-dataset-repeated-id": ("split --dataset {dataset_repeated_id} --out {out}", 3),
     "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
     "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),
     "train-folds-not-utf8": (_TRAIN.replace("{folds}", "{folds_not_utf8}"), 3),

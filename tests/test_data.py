@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import struct
 
@@ -521,6 +522,20 @@ def _encode(parcels, num_classes):
     return b"".join(raw)
 
 
+def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
+    # a parcel-year is keyed by (id, year): a second parcel 0 would stand
+    # in for the first in predict and embed
+    path = tmp_path / "ds.rcds"
+    parcels = generate_synthetic(SyntheticConfig(parcels=4, seed=0))
+    parcels[1] = dataclasses.replace(parcels[1], parcel_id=0)
+    with pytest.raises(DataFormatError, match="parcel id 0 appears more than once"):
+        save_dataset(path, parcels, 8)
+    assert not path.exists()
+    path.write_bytes(_encode(parcels, 8))
+    with pytest.raises(DataFormatError, match="parcel id 0 appears more than once"):
+        load_dataset(path)
+
+
 @st.composite
 def _datasets(draw, min_parcels=0):
     """(parcels, num_classes) that a `.rcds` file can hold."""
@@ -529,7 +544,8 @@ def _datasets(draw, min_parcels=0):
     channels = draw(st.integers(1, 3))
     coord = st.floats(allow_nan=False, allow_infinity=False)
     parcels = []
-    for pid in draw(st.lists(st.integers(0, 2**64 - 1), min_size=min_parcels, max_size=4)):
+    for pid in draw(st.lists(st.integers(0, 2**64 - 1), min_size=min_parcels, max_size=4,
+                             unique=True)):
         samples = []
         for year in range(1, num_years + 1):
             t = draw(st.integers(1, 4))

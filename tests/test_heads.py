@@ -6,9 +6,9 @@ from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _Items, _batch_features, _past_items, cross_entropy
+from croprot.training import _Items, _features, cross_entropy, encode_items
 
-from conftest import descriptors_of, tiny_dims
+from conftest import descriptors_of, features_of, tiny_dims
 
 L = 4
 IDENTITY = np.eye(L, dtype=np.float32)
@@ -121,19 +121,19 @@ class TestObsFeature:
         with pytest.raises(ContractError):
             heads.history_features("obs", prev1, prev2, self.TABLE)
 
-    def test_missing_descriptors_rejected(self):
-        """A past year absent from the descriptors is refused, never read
-        as padding; year 1 needs none."""
+    def test_past_years_are_built_in(self):
+        """`_Items.of` appends the past years its pairs lack, so that every
+        asked pair's past row is -1 only before year 1."""
         cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), parcels=2, seed=5)
-        p = generate_synthetic(cfg)[0]
-        model = CropModel(tiny_dims(num_classes=L), "obs")
-        assert not _batch_features(model, _Items.of([(p, 1)]), {}).any()
-        for y in (2, 3):
-            with pytest.raises(ContractError, match="past-year"):
-                _batch_features(model, _Items.of([(p, 1), (p, y)]), {})
-        only_year_1 = {(p.parcel_id, 1): np.ones(model.dims.descriptor, np.float32)}
-        with pytest.raises(ContractError, match=f"parcel {p.parcel_id}, year 3"):
-            _batch_features(model, _Items.of([(p, 2), (p, 3)]), only_year_1)
+        p, q = generate_synthetic(cfg)
+        items, rows = _Items.of([(p, 3), (q, 2), (p, 3), (p, 1)])
+        assert rows.tolist() == [0, 1, 0, 2]
+        assert list(zip(items.ids.tolist(), items.years.tolist())) == [
+            (p.parcel_id, 3), (q.parcel_id, 2), (p.parcel_id, 1), (p.parcel_id, 2),
+            (q.parcel_id, 1)]
+        assert items.past.tolist() == [[3, 2], [4, -1], [-1, -1], [2, -1], [-1, -1]]
+        assert items.labels.tolist() == [p.labels[2], q.labels[1], p.labels[0], p.labels[1],
+                                         q.labels[0]]
 
 
 class TestDecode:
@@ -209,30 +209,29 @@ def test_batch_features_read_the_two_previous_labels(variant):
             return (e[(p.parcel_id, y - 1)] + e[(p.parcel_id, y - 2)]) / 2
 
         rows = [row(p, y) for p, y in items]
-        past = descriptors_of(model, _past_items(items), (7,))
-        assert np.array_equal(_batch_features(model, _Items.of(items), past), np.stack(rows))
-        assert np.array_equal(_batch_features(model, _Items.of(items), e), np.stack(rows))
+        assert np.array_equal(features_of(model, items), np.stack(rows))
         return
     prev = lambda p, y: p.labels[y - 1] if y >= 1 else -1
     want = heads.history_features(
         variant, [prev(p, y - 1) for p, y in items], [prev(p, y - 2) for p, y in items], IDENTITY
     )
-    assert np.array_equal(_batch_features(model, _Items.of(items)), want)
+    assert np.array_equal(features_of(model, items), want)
 
 
 def test_obs_features_read_only_the_rows_they_need():
-    # descriptors of every parcel-year give the same features, bit for
-    # bit, as the past-year rows of the items alone
+    # the rows of every parcel-year give the same features, bit for bit,
+    # as the items' own rows and their past years alone
     cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), channels=3, parcels=40, seed=5)
     parcels = generate_synthetic(cfg)
     model = CropModel(tiny_dims(num_classes=L), "obs")
-    every = descriptors_of(model, [(p, y) for p in parcels for y in (1, 2, 3)], (7,))
-    items = _Items.of([(p, 1 + i % 3) for i, p in enumerate(parcels[:32])])
-    needed = {(pid, y - back): every[(pid, y - back)]
-              for pid, y in items.keys() for back in (1, 2) if y - back >= 1}
-    assert len(needed) < len(every)
-    want = _batch_features(model, items, needed)
-    assert _batch_features(model, items, every).tobytes() == want.tobytes()
+    pairs = [(p, 1 + i % 3) for i, p in enumerate(parcels[:32])]
+    every, rows, table = encode_items(model, pairs + [(p, y) for p in parcels for y in (1, 2, 3)],
+                                      (7,))
+    rows = rows[: len(pairs)]
+    needed, _, _ = encode_items(model, pairs, (7,))
+    assert needed.ids.size < every.ids.size
+    want = features_of(model, pairs)
+    assert _features(model, every, every.past[rows], table).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,7 @@ def test_full_model_gradients_match_finite_differences(variant, grad_items):
     arrays = [np.array(p.data) for p in base.parameters()]
     # the "obs" features are detached from the graph by design, so they
     # must stay fixed while the parameters are perturbed; compute them once
-    features = _batch_features(base, _Items.of(items),
-                               descriptors_of(base, _past_items(items), (7,)))
+    features = features_of(base, items)
     sets = [p.samples[y - 1].pixels for p, y in items]
     days = np.stack([p.samples[y - 1].days for p, y in items])
 

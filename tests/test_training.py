@@ -154,7 +154,7 @@ class TestConfigAndRecords:
 
 def _item_batches(items, batch_size, rng):
     """`_batches` of a list of (parcel, year) items, as lists of items."""
-    return [[items[i] for i in rows] for rows in _batches(_Items.of(items), batch_size, rng)]
+    return [[items[i] for i in rows] for rows in _batches(_Items.of(items)[0], batch_size, rng)]
 
 
 class TestItemSelection:
@@ -235,6 +235,13 @@ class TestPredict:
         _, model = trained
         assert predict(model, []) == []
 
+    @pytest.mark.parametrize("year", [0, 4])
+    def test_year_outside_dataset_refused(self, trained, year):
+        # year 0 would read the last year's sample, year 4 none at all
+        ds, model = trained
+        with pytest.raises(ContractError, match=f"year {year} outside the dataset's years"):
+            predict(model, ds.parcels[:3], years=[2, year])
+
     def test_non_finite_descriptor_refused(self, trained):
         # finite pixels large enough that the pixel MLP overflows
         ds, model = trained
@@ -281,9 +288,23 @@ class TestEncodeItems:
     def test_keys_and_shape(self, setup):
         model, items = setup
         unique, rows, table = encode_items(model, items + items[:2], (0,))
-        assert unique.keys() == [(p.parcel_id, y) for p, y in items]
+        assert list(zip(unique.ids.tolist(), unique.years.tolist())) == [
+            (p.parcel_id, y) for p, y in items]
         assert rows.tolist() == list(range(len(items))) + [0, 1]
         assert table.shape == (len(items), model.dims.descriptor)
+
+    @pytest.mark.parametrize("variant, encoded", [("single", 6), ("dec", 6), ("obs", 18)])
+    def test_encodes_only_the_rows_the_head_reads(self, small_dataset, monkeypatch, variant,
+                                                  encoded):
+        # year 3 of 6 parcels appends their years 1 and 2, which only the
+        # "obs" head reads; the dec family reads their labels alone
+        ds, cfg = small_dataset
+        model = CropModel(_dims(cfg), variant, seed=2)
+        calls = _record_draws(monkeypatch)
+        items, rows, table = encode_items(model, [(p, 3) for p in ds.parcels[:6]], (0,))
+        assert items.ids.size == 18 and rows.tolist() == list(range(6))
+        assert len(table) == len(calls) == encoded
+        assert np.isfinite(table).all()
 
     def test_keyed_draws_repeat_bitwise(self, setup):
         model, items = setup
@@ -317,7 +338,7 @@ class TestEncodeItems:
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, cfg = small_dataset
         items = [(p, 1) for p in ds.parcels[:40]]
-        _, counts = training._draw(_Items.of(items), (0,), 8)
+        _, counts = training._draw(_Items.of(items)[0], (0,), 8)
         distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
@@ -357,7 +378,7 @@ def _record_draws(monkeypatch):
 
     def recording(items, stream, s):
         out = draw(items, stream, s)
-        for (pid, y), columns, counts in zip(items.keys(), *out):
+        for pid, y, columns, counts in zip(items.ids.tolist(), items.years.tolist(), *out):
             calls.append((stream, pid, y, columns, counts))
         return out
 
@@ -548,17 +569,56 @@ class TestTraining:
         assert model.vector.tobytes() == stopped.vector.tobytes()
 
     def test_obs_draws_each_past_year_once_per_epoch(self, small_dataset, monkeypatch):
-        # an epoch's stream draws every training item and every past year
-        # the "obs" features read once, not again in each batch that reads it
+        # an epoch's stream draws each distinct row once: a past year that
+        # is also a training item, or that only the "obs" features read, is
+        # not drawn again for each batch that reads it
         ds, cfg = small_dataset
-        calls = _record_draws(monkeypatch)
-        tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant="obs")
-        train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
         items = [(p.parcel_id, y) for p in ds.parcels[:20] for y in (1, 2, 3)]
-        past = [(pid, y) for pid, y in items if y < 3]
-        for epoch in range(2):
-            stream = (training.TRAIN_DRAWS, 3, 0, epoch)
-            assert sorted(c[1:3] for c in calls if c[0] == stream) == sorted(items + past)
+        for protocol, year in [("mixed", None), ("specialized", 3)]:
+            calls = _record_draws(monkeypatch)
+            tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant="obs",
+                             protocol=protocol, protocol_year=year)
+            train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
+            for epoch in range(2):
+                stream = (training.TRAIN_DRAWS, 3, 0, epoch)
+                assert sorted(c[1:3] for c in calls if c[0] == stream) == sorted(items)
+
+    @pytest.mark.parametrize("variant", ["dec", "obs"])
+    def test_specialized_batches_partition_the_trained_rows(self, small_dataset, monkeypatch,
+                                                           variant):
+        # year-3 training appends each parcel's years 1 and 2 after the
+        # trained rows; the epoch's batches cover every trained row once
+        # and never an appended past-year row
+        ds, cfg = small_dataset
+        cut, forwarded = [], []
+        batches, logits = training._batches, training.batch_logits
+
+        def cutting(items, batch_size, rng=None):
+            out = batches(items, batch_size, rng)
+            if rng is not None:
+                cut.append((items.years, out))
+            return out
+
+        def forwarding(model, items, *args):
+            forwarded.extend(items.years.tolist())
+            return logits(model, items, *args)
+
+        monkeypatch.setattr(training, "_batches", cutting)
+        monkeypatch.setattr(training, "batch_logits", forwarding)
+        tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant=variant,
+                         protocol="specialized", protocol_year=3)
+        train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
+        assert len(cut) == 2
+        for years, rows in cut:
+            assert years.tolist() == [3] * 20
+            assert sorted(np.concatenate(rows).tolist()) == list(range(20))
+        assert forwarded == [3] * 40
+
+    def test_batch_size_below_one_refused(self, small_dataset):
+        ds, cfg = small_dataset
+        with pytest.raises(ContractError, match="batch size must be >= 1"):
+            train_single_split(ds, ds.parcels[:10], [], TrainConfig(epochs=1, batch_size=0),
+                               _dims(cfg))
 
     def test_protocol_year_outside_dataset_refused(self, small_dataset):
         ds, cfg = small_dataset
