@@ -32,7 +32,7 @@ from croprot.training import (
 
 import oracles
 from conftest import (
-    assert_parameter_views, descriptors_of, expand_draws, small_dims, tiny_dims,
+    assert_parameter_views, descriptors_of, expand_draws, features_of, small_dims, tiny_dims,
 )
 
 
@@ -474,6 +474,31 @@ class TestSubsetInvariance:
         ]
         for r in records:
             assert np.array_equal(r.logits, want[(r.parcel_id, r.year_index)])
+
+
+@pytest.mark.parametrize("protocol, year", [("mixed", None), ("specialized", 3)])
+def test_obs_training_features_read_the_past_rows(small_dataset, monkeypatch, protocol, year):
+    # a first step's features are the past-year descriptors of the initial
+    # weights under the epoch's draw keys, as `predict` reads them
+    ds, cfg = small_dataset
+    dims = _dims(cfg)
+    seen = []
+    logits = training.batch_logits
+
+    def forwarding(model, items, columns, counts, features):
+        seen.append((items.ids.tolist(), items.years.tolist(), np.array(features)))
+        return logits(model, items, columns, counts, features)
+
+    monkeypatch.setattr(training, "batch_logits", forwarding)
+    tc = TrainConfig(epochs=1, batch_size=8, seed=3, variant="obs", protocol=protocol,
+                     protocol_year=year)
+    train_single_split(ds, ds.parcels[:20], [], tc, dims)
+    ids, years, features = seen[0]
+    by_id = {p.parcel_id: p for p in ds.parcels}
+    want = features_of(CropModel(dims, "obs", seed=3),
+                       [(by_id[pid], y) for pid, y in zip(ids, years)],
+                       (training.TRAIN_DRAWS, 3, 0, 0))
+    assert features.tobytes() == want.tobytes() and features.any()
 
 
 def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
