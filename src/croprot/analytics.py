@@ -187,7 +187,10 @@ def write_rotation_table_csv(path, rows, mean, class_names=None):
 
 # Encode batch of `export_embeddings`, smaller than predict's 256 because
 # peak memory grows with it: the benchmark's cli-obs-pipeline (README dims,
-# 600 parcel-years) peaks at 49 MB RSS with 32 and at 66 MB with 256.
+# 600 parcel-years) peaks at 48.7-49.0 MB RSS with 32 and at 50.2-50.4 MB
+# with 256 (10 s runs, seeds 1-3).  The encoder's pixel stage runs in
+# blocks of `encoders.PIXEL_BLOCK_ROWS` rows, so only its per-batch
+# arrays grow with the batch.
 EMBED_BATCH = 32
 
 

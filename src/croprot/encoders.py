@@ -135,6 +135,24 @@ def _out_mlp(ctx: ad.Tensor, ltae: LtaeWeights) -> ad.Tensor:
     return ad.dense(ad.dense(ctx, ltae.wo1, ltae.bo1, relu=True), ltae.wo2, ltae.bo2)
 
 
+# Kept pixel rows per pixel-stage block of a tape-free `encode_batch`:
+# 1 MB per (rows, d1) float32 buffer at the default d1 = 64.
+PIXEL_BLOCK_ROWS = 4096
+
+
+def _blocks(sizes, bound):
+    """(segment slice, row slice) of consecutive blocks of whole segments,
+    segment g being the next sizes[g] rows: each block holds at most
+    `bound` rows, or one segment larger than that."""
+    ends = np.cumsum(sizes)
+    g0 = r0 = 0
+    while g0 < sizes.size:
+        g1 = max(int(np.searchsorted(ends, r0 + bound, side="right")), g0 + 1)
+        r1 = int(ends[g1 - 1])
+        yield slice(g0, g1), slice(r0, r1)
+        g0, r0 = g1, r1
+
+
 def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights):
     """Encode a batch of B pixel-set draws into the (B, descriptor) Tensor
     of year descriptors.
@@ -146,9 +164,12 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     the pixel axis and every kept (item, date, column) row is gathered in
     one index, so the per-pixel MLP runs once per kept column and date,
     and the pool weights each row by its count: the result is the
-    encoding of the S drawn pixels.  An empty batch, a kept column
-    outside [0, N_b) of its own set, or a set of another channel or date
-    count is a ContractError.
+    encoding of the S drawn pixels.  Off the tape, gather, MLP and pool
+    run over `_blocks` of whole (item, date) segments, so their buffers
+    do not grow with the batch; no MLP row or pooled segment depends on
+    the others, so the blocks do not change the result.  An empty batch,
+    a kept column outside [0, N_b) of its own set, or a set of another
+    channel or date count is a ContractError.
     """
     columns = np.asarray(columns)
     counts = np.asarray(counts)
@@ -179,12 +200,27 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     rows = ((columns + offset[:, None])[:, None, :] * t + np.arange(t)[None, :, None])[kept]
     joined = np.concatenate(sets, axis=1).reshape(c, -1)
     dtype = pse.w1.data.dtype
-    flat = ad.Tensor(np.take(joined, rows, axis=1).T.astype(dtype, order="C"))
     # each row weighted by its count
     weights = np.broadcast_to(counts[:, None, :], (b, t, s))[kept]
     sizes = np.repeat(keep.sum(axis=1), t)
-    pooled = ad.mean_std_pool(_pixel_mlp(flat, pse), sizes, weights)  # (B*T, 2*d1)
-    e = ad.dense(pooled, pse.w3, pse.b3, relu=True)
+
+    def pool(segs, part):
+        flat = ad.Tensor(np.take(joined, rows[part], axis=1).T.astype(dtype, order="C"))
+        return ad.mean_std_pool(_pixel_mlp(flat, pse), sizes[segs], weights[part])
+
+    if any(w.tape is not None for w in pse.parameters()):
+        # backward keeps every block's buffers alive anyway, and one block
+        # keeps the weight-gradient sums in one order
+        pooled = pool(slice(None), slice(None))
+    else:
+        # joined at the end: each block's small output, kept until then,
+        # stays above that block's freed buffers on the heap, so glibc
+        # reuses them rather than trimming the heap after every block
+        # (5 028 against 7 026 minor faults per predict-default unit
+        # with the rows written into one preallocated array)
+        pooled = ad.Tensor(np.concatenate(
+            [pool(segs, part).data for segs, part in _blocks(sizes, PIXEL_BLOCK_ROWS)]))
+    e = ad.dense(pooled, pse.w3, pse.b3, relu=True)  # (B*T, d2)
     pe = positional_encoding_matrix(days.reshape(-1), pse.dims.d2).astype(dtype)
     e = ad.add(e, ad.Tensor(pe))
     ctx, _ = _attention(e, b, t, ltae)

@@ -156,10 +156,17 @@ class _Items(NamedTuple):
         """(_Items, the row of each pair in them) of a list of (parcel,
         year) pairs: the distinct pairs in the order of first appearance,
         then the years i-1 and i-2 they lack, so that every distinct pair's
-        `past` is -1 only before year 1."""
-        chosen = {}
+        `past` is -1 only before year 1.  Two parcels with one id, whose
+        rows would share a key, and an id outside [0, 2^64) are a
+        ContractError."""
+        chosen, owner = {}, {}
         for p, y in pairs:
+            if owner.setdefault(p.parcel_id, p) is not p:
+                raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
             chosen.setdefault((p.parcel_id, y), (p, y))
+        for pid in owner:
+            if not 0 <= pid < 1 << 64:
+                raise ContractError(f"parcel id {pid} outside [0, 2^64)")
         for p, y in list(chosen.values()):
             for back in (1, 2):
                 if y > back:
@@ -174,7 +181,7 @@ class _Items(NamedTuple):
         past = np.fromiter((row.get((pid, y - back), -1) for pid, y in row for back in (1, 2)),
                            np.int64, 2 * n)
         items = cls(
-            np.fromiter((pid for pid, _ in row), np.int64, n),
+            np.fromiter((pid for pid, _ in row), np.uint64, n),
             np.fromiter((y for _, y in row), np.int64, n),
             np.fromiter((s.label for s in samples), np.int64, n),
             np.fromiter((s.pixels.shape[1] for s in samples), np.int64, n),

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from croprot.cli import main
-from croprot.data import load_dataset, save_dataset
+from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
 from croprot.training import predict
 
-from conftest import one_sample_file
+from conftest import one_sample_file, tiny_dims
 
 
 RUN_CONFIG = {
@@ -41,6 +41,28 @@ RUN_CONFIG = {
     },
     "train": {"epochs": 2, "batch_size": 32, "seed": 0},
 }
+
+
+@pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
+def test_eval_and_embed_take_ids_up_to_two_to_the_64(tmp_path, pid):
+    # .rcds ids are uint64: the largest reach predictions.json and the CSV
+    parcels = generate_synthetic(SyntheticConfig(parcels=6, channels=3, seed=1))
+    parcels[0].parcel_id = pid
+    dataset, folds = str(tmp_path / "d.rcds"), str(tmp_path / "folds.json")
+    save_dataset(dataset, parcels, 8)
+    assert main(["split", "--dataset", dataset, "--k", "3", "--out", folds]) == 0
+    ckpt = str(tmp_path / "c.bin")
+    save_checkpoint(ckpt, CropModel(tiny_dims(8), "dec", seed=1))
+    fold = json.loads((tmp_path / "folds.json").read_text())["folds"][str(pid)]
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", dataset, "--folds", folds,
+                 "--fold", str(fold), "--out", str(out)]) == 0
+    test = json.loads((out / "predictions.json").read_text())["test"]
+    assert [r["year_index"] for r in test if r["parcel_id"] == pid] == [1, 2, 3]
+    csv = tmp_path / "e.csv"
+    assert main(["embed", "--checkpoint", ckpt, "--dataset", dataset, "--out", str(csv)]) == 0
+    rows = csv.read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows[:3]] == [[str(pid), str(y)] for y in (1, 2, 3)]
 
 
 def test_help_exits_zero(capsys):

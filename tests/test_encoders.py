@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from croprot import autodiff as ad
+from croprot import autodiff as ad, encoders
 from croprot.data import PixelSetSample, draw_keys, sample_pixels
 from croprot.encoders import (
     EncoderDims,
     LtaeWeights,
     PseWeights,
+    _blocks,
     encode_batch,
     positional_encoding,
     positional_encoding_matrix,
@@ -274,26 +277,32 @@ def test_encoder_gradients_match_finite_differences():
     assert ad.finite_diff_check(f, arrays, eps=1e-5) < 1e-4
 
 
+DRAWN_DIMS = EncoderDims(channels=4, sample_pixels=16, d1=16, d2=32, heads=4, d_k=8,
+                         out_hidden=32, descriptor=32)
+
+
+def _drawn_batch(pixel_counts, seed, dims=DRAWN_DIMS):
+    """(pse, ltae, sets, days, columns, counts) of one encoder batch of
+    6-date, 4-channel pixel sets of the given pixel counts, drawn by
+    `sample_pixels` with S = dims.sample_pixels."""
+    rng = np.random.default_rng(seed)
+    pse = PseWeights(dims, rng)
+    ltae = LtaeWeights(dims, rng)
+    days = np.array([20, 60, 100, 180, 250, 330])
+    samples = [
+        PixelSetSample(0, 1, rng.normal(0, 1, (4, n_p, 6)).astype(np.float32), days, 0)
+        for n_p in pixel_counts
+    ]
+    keys = draw_keys((seed,), np.arange(len(samples)), np.ones(len(samples), dtype=int))
+    columns, counts = sample_pixels(keys, pixel_counts, dims.sample_pixels)
+    days = np.tile(days, (len(samples), 1))
+    return pse, ltae, [x.pixels for x in samples], days, columns, counts
+
+
 class TestDistinctColumns:
     """Encoding each distinct drawn column once, weighted by its count,
     gives the descriptors of encoding every draw (counts of 1), bitwise."""
 
-    DIMS = EncoderDims(channels=4, sample_pixels=16, d1=16, d2=32, heads=4, d_k=8,
-                       out_hidden=32, descriptor=32)
-
-    def _batch(self, pixel_counts, seed):
-        rng = np.random.default_rng(seed)
-        pse = PseWeights(self.DIMS, rng)
-        ltae = LtaeWeights(self.DIMS, rng)
-        days = np.array([20, 60, 100, 180, 250, 330])
-        samples = [
-            PixelSetSample(0, 1, rng.normal(0, 1, (4, n_p, 6)).astype(np.float32), days, 0)
-            for n_p in pixel_counts
-        ]
-        keys = draw_keys((seed,), np.arange(len(samples)), np.ones(len(samples), dtype=int))
-        columns, counts = sample_pixels(keys, pixel_counts, self.DIMS.sample_pixels)
-        days = np.tile(days, (len(samples), 1))
-        return pse, ltae, [x.pixels for x in samples], days, columns, counts
 
     @pytest.mark.parametrize("pixel_counts", [
         [16, 20, 40],    # n_p >= S: drawn without repeats
@@ -303,7 +312,7 @@ class TestDistinctColumns:
     ])
     @pytest.mark.parametrize("seed", [2, 3])
     def test_equals_drawn_encode(self, pixel_counts, seed):
-        pse, ltae, sets, days, columns, counts = self._batch(pixel_counts, seed)
+        pse, ltae, sets, days, columns, counts = _drawn_batch(pixel_counts, seed)
         drawn = expand_draws(columns, counts)
         want = encode_batch(drawn, np.ones_like(drawn), sets, days, pse, ltae).data
         assert counts.sum(axis=1).tolist() == [16] * len(sets)
@@ -311,7 +320,7 @@ class TestDistinctColumns:
         assert got.tobytes() == want.tobytes()
 
     def test_padding_position_is_free(self):
-        pse, ltae, sets, days, columns, counts = self._batch([3, 5], 4)
+        pse, ltae, sets, days, columns, counts = _drawn_batch([3, 5], 4)
         want = encode_batch(columns, counts, sets, days, pse, ltae).data
         got = encode_batch(columns[:, ::-1], counts[:, ::-1], sets, days, pse, ltae).data
         assert got.tobytes() == want.tobytes()
@@ -320,7 +329,7 @@ class TestDistinctColumns:
         "change",
         ["short_counts", "negative", "shape", "sets", "dates", "column", "channels", "empty"])
     def test_malformed_draws_refused(self, change):
-        pse, ltae, sets, days, columns, counts = self._batch([3, 20], 5)
+        pse, ltae, sets, days, columns, counts = _drawn_batch([3, 20], 5)
         drawn = expand_draws(columns, counts)
         counts = np.ones_like(drawn)
         if change == "column":
@@ -343,3 +352,72 @@ class TestDistinctColumns:
             sets = [sets[0], sets[1][:, :, :5]]
         with pytest.raises(ContractError):
             encode_batch(drawn, counts, sets, days, pse, ltae)
+
+
+class TestPixelBlocks:
+    """Off the tape, the pixel stage runs in blocks of whole (item, date)
+    segments; the descriptors are those of one block, bit for bit."""
+
+    # 1 pixel: one-row segments; 3, 9 and 15 pixels: draw counts above 1;
+    # 40 pixels: 16-row segments, larger than the bounds below 16
+    PIXEL_COUNTS = [1, 40, 3, 16, 9, 1, 15]
+    ONE_BLOCK = 10**9
+    # the default d1, at which a one-row gemv rounds unlike gemm
+    DIMS = dataclasses.replace(DRAWN_DIMS, d1=64)
+
+    def _encode(self, monkeypatch, bound, batch):
+        monkeypatch.setattr(encoders, "PIXEL_BLOCK_ROWS", bound)
+        pse, ltae, sets, days, columns, counts = batch
+        return encode_batch(columns, counts, sets, days, pse, ltae).data
+
+    @pytest.mark.parametrize("sizes, bound, want", [
+        ([3, 1, 5, 2, 2], 4, [(0, 2), (2, 3), (3, 5)]),
+        ([3, 1, 5, 2, 2], 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        ([3, 1, 5, 2, 2], 13, [(0, 5)]),
+        ([6], 2, [(0, 1)]),
+    ])
+    def test_blocks_cover_whole_segments(self, sizes, bound, want):
+        sizes = np.array(sizes)
+        ends = np.cumsum(sizes) - sizes
+        got = list(_blocks(sizes, bound))
+        assert [(segs.start, segs.stop) for segs, _ in got] == want
+        for segs, rows in got:
+            assert rows.start == ends[segs.start]
+            assert rows.stop - rows.start == sizes[segs].sum()
+
+    # 1: every segment is its own block, one-row segments one-row blocks;
+    # 5: below one 16-row segment, and one-row segments share blocks;
+    # 40 and 200: a few segments, a few items
+    @pytest.mark.parametrize("bound", [1, 5, 40, 200])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_equals_one_block(self, monkeypatch, bound, seed):
+        batch = _drawn_batch(self.PIXEL_COUNTS, seed, self.DIMS)
+        counts = batch[-1]
+        assert counts.max() > 1 and (np.count_nonzero(counts, axis=1) == 1).any()
+        pools = []
+        pool = ad.mean_std_pool
+        monkeypatch.setattr(ad, "mean_std_pool",
+                            lambda x, *a: pools.append(len(x.data)) or pool(x, *a))
+        want = self._encode(monkeypatch, self.ONE_BLOCK, batch)
+        assert len(pools) == 1
+        got = self._encode(monkeypatch, bound, batch)
+        assert len(pools) > 2 and max(pools[1:]) <= max(bound, 16)
+        if bound < 16:
+            assert 1 in pools[1:]
+        assert got.tobytes() == want.tobytes()
+
+    def test_taped_batch_is_one_block(self, monkeypatch):
+        # backward needs every block's activations, so a taped batch records
+        # the same ops, and computes the same values, whatever the bound
+        pse, ltae, sets, days, columns, counts = _drawn_batch(self.PIXEL_COUNTS, 4, self.DIMS)
+        recorded = []
+        for bound in (self.ONE_BLOCK, 1):
+            monkeypatch.setattr(encoders, "PIXEL_BLOCK_ROWS", bound)
+            with ad.recording(pse.parameters() + ltae.parameters()) as tape:
+                out = encode_batch(columns, counts, sets, days, pse, ltae)
+                loss = ad.mean_all(out)
+                grads = ad.backward(tape, loss, params=pse.parameters())
+            ops = [(fn.__qualname__, o.data.shape) for o, _, fn in tape.ops]
+            grads = [grads[p].tobytes() for p in pse.parameters()]
+            recorded.append((ops, out.data.tobytes(), grads))
+        assert recorded[0] == recorded[1]

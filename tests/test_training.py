@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from croprot import analytics, autodiff as ad, heads, training
+from croprot import analytics, autodiff as ad, encoders, heads, training
 from croprot.data import (
     Dataset,
     MultiYearParcel,
@@ -268,6 +270,29 @@ class TestPredict:
         if years == [2, 2]:
             assert all(np.array_equal(a.logits, b.logits) for a, b in zip(records[::2], records[1::2]))
 
+    @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
+    def test_ids_up_to_two_to_the_64(self, trained, pid):
+        # a .rcds id is a uint64: the largest ones reach the records, and
+        # leave the other parcels' records as they are
+        ds, model = trained
+        big = dataclasses.replace(ds.parcels[0], parcel_id=pid)
+        other = ds.parcels[1]
+        records = predict(model, [big, other], seed=3)
+        assert [r.parcel_id for r in records] == [pid] * 3 + [other.parcel_id] * 3
+        assert all(np.isfinite(r.logits).all() for r in records)
+        alone = predict(model, [other], seed=3)
+        assert all(np.array_equal(a.logits, b.logits) for a, b in zip(records[3:], alone))
+
+    def test_negative_id_refused(self, trained):
+        ds, model = trained
+        with pytest.raises(ContractError, match=r"parcel id -1 outside \[0, 2\^64\)"):
+            predict(model, [dataclasses.replace(ds.parcels[0], parcel_id=-1)])
+
+    def test_same_parcel_twice_gives_equal_records(self, trained):
+        ds, model = trained
+        a, b = predict(model, [ds.parcels[2]] * 2, years=[3])
+        assert a.parcel_id == b.parcel_id and np.array_equal(a.logits, b.logits)
+
     def test_non_finite_logits_refused(self, trained):
         ds, model = trained
         broken = CropModel(model.dims, model.variant)
@@ -474,6 +499,46 @@ class TestSubsetInvariance:
         ]
         for r in records:
             assert np.array_equal(r.logits, want[(r.parcel_id, r.year_index)])
+
+
+@pytest.mark.parametrize("call", ["predict", "train_single_split", "export_embeddings"])
+def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
+    # their (id, year) rows would share labels and descriptors
+    ds, cfg = small_dataset
+    first = ds.parcels[0]
+    parcels = [first, dataclasses.replace(ds.parcels[1], parcel_id=first.parcel_id)]
+    model = CropModel(_dims(cfg), "dec", seed=1)
+    with pytest.raises(ContractError, match=f"parcel id {first.parcel_id} names more than one"):
+        if call == "predict":
+            predict(model, parcels)
+        elif call == "train_single_split":
+            train_single_split(ds, parcels, [], TrainConfig(epochs=1, variant="dec"), _dims(cfg))
+        else:
+            analytics.export_embeddings(model, parcels, tmp_path / "e.csv")
+
+
+@pytest.fixture(scope="module")
+def few_pixels():
+    # 1 to 12 pixels against S = 8: one-row (item, date) segments, and
+    # columns drawn more than once
+    return generate_synthetic(SyntheticConfig(parcels=24, pixels_min=1, pixels_max=12, seed=11))
+
+
+@pytest.mark.parametrize("variant", ["single", "dec", "obs"])
+# 1: one-row blocks; 30: below one item's 12 dates of up to 8 rows each;
+# 300: a few items
+@pytest.mark.parametrize("bound", [1, 30, 300])
+def test_predict_in_pixel_blocks_equals_one_block(few_pixels, monkeypatch, variant, bound):
+    # the default d1, at which a one-row gemv rounds unlike gemm
+    model = CropModel(dataclasses.replace(small_dims(), d1=64), variant, seed=6)
+    monkeypatch.setattr(encoders, "PIXEL_BLOCK_ROWS", 10**9)
+    want = predict(model, few_pixels, seed=2)
+    monkeypatch.setattr(encoders, "PIXEL_BLOCK_ROWS", bound)
+    got = predict(model, few_pixels, seed=2)
+    assert [(r.parcel_id, r.year_index) for r in got] == [
+        (r.parcel_id, r.year_index) for r in want]
+    assert np.stack([r.logits for r in got]).tobytes() == np.stack(
+        [r.logits for r in want]).tobytes()
 
 
 @pytest.mark.parametrize("protocol, year", [("mixed", None), ("specialized", 3)])

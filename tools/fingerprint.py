@@ -28,7 +28,10 @@ the head reads.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
 `croprot.cli.main` in-process on the saved data, a 5-fold split and the
 saved checkpoint, and hash every file the five commands write and their
-standard output.
+standard output.  A last `default-dims` line hashes the `predict` logits
+and `export_embeddings` bytes of an untrained `single` model at default
+`ModelDims` on 100 parcels of 16 to 48 pixels, whose encoder batches
+hold several pixel-stage blocks each.
 """
 
 import contextlib
@@ -48,7 +51,7 @@ from croprot.data import (  # noqa: E402
     Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
     make_folds, sample_pixels, save_dataset,
 )
-from croprot.model import ModelDims, save_checkpoint  # noqa: E402
+from croprot.model import CropModel, ModelDims, save_checkpoint  # noqa: E402
 
 # the head variants whose trained checkpoints the `cli` lines run, and
 # that a `specialized` line trains on year 3 alone
@@ -125,6 +128,20 @@ def specialized(variant, dataset):
     records = training.predict(model, parcels, years=[3], seed=7)
     return _sha(*[a.tobytes() for a in model.state_arrays()], best_epoch, epoch_log,
                 _logits_sha(records))
+
+
+def default_dims():
+    """sha256 of the `predict` logits and the `export_embeddings` bytes of
+    an untrained `single` model at default ModelDims."""
+    parcels = generate_synthetic(SyntheticConfig(
+        num_classes=20, channels=10, parcels=100, pixels_min=16, pixels_max=48, seed=6))
+    model = CropModel(ModelDims(), "single", seed=6)
+    records = training.predict(model, parcels, seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "embeddings.csv")
+        analytics.export_embeddings(model, parcels, path, seed=7)
+        with open(path, "rb") as fh:
+            return _sha(_logits_sha(records), fh.read())
 
 
 def draws(dataset):
@@ -213,6 +230,7 @@ def main():
             print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset)}")
             for name, digest in cli_files(model, dataset):
                 print(f"{'cli-' + variant:13s} {name:37s} {digest}")
+    print(f"{'default-dims':13s} {'single':15s} {default_dims()}")
 
 
 if __name__ == "__main__":
