@@ -28,10 +28,14 @@ the head reads.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
 `croprot.cli.main` in-process on the saved data, a 5-fold split and the
 saved checkpoint, and hash every file the five commands write and their
-standard output.  A last `default-dims` line hashes the `predict` logits
-and `export_embeddings` bytes of an untrained `single` model at default
-`ModelDims` on 100 parcels of 16 to 48 pixels, whose encoder batches
-hold several pixel-stage blocks each.
+standard output.  A `default-dims single` line hashes the `predict`
+logits and `export_embeddings` bytes of an untrained `single` model at
+default `ModelDims` on 100 parcels of 16 to 48 pixels, whose encoder
+batches hold several pixel-stage blocks each.  A last `default-dims
+wide-range` line hashes the `export_embeddings` bytes of that model with
+column j of the output layer (`ltae.wo2` and `ltae.bo2`) scaled by a
+power of ten that rises from 1e-44 to 1e30 across the columns, so the
+CSV's `%.6e` cells run from float32 subnormals to about 1e30.
 """
 
 import contextlib
@@ -41,6 +45,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
@@ -109,12 +115,17 @@ def fingerprint(variant, dataset):
         ("logits_batch16", _logits_sha(training.predict(model, parcels, seed=7, batch_size=16))),
     ]
     out.append(("checkpoint", _saved_sha(lambda path: save_checkpoint(path, model))))
+    out.append(("embeddings", _sha(_embeddings(model, parcels))))
+    return model, out
+
+
+def _embeddings(model, parcels):
+    """The bytes `export_embeddings` writes for `parcels` with seed 7."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "embeddings.csv")
         analytics.export_embeddings(model, parcels, path, seed=7)
         with open(path, "rb") as fh:
-            out.append(("embeddings", _sha(fh.read())))
-    return model, out
+            return fh.read()
 
 
 def specialized(variant, dataset):
@@ -131,17 +142,20 @@ def specialized(variant, dataset):
 
 
 def default_dims():
-    """sha256 of the `predict` logits and the `export_embeddings` bytes of
-    an untrained `single` model at default ModelDims."""
+    """(kind, sha256) pairs of an untrained `single` model at default
+    ModelDims: its `predict` logits and `export_embeddings` bytes, then the
+    `export_embeddings` bytes with the output layer's columns scaled from
+    1e-44 to 1e30."""
     parcels = generate_synthetic(SyntheticConfig(
         num_classes=20, channels=10, parcels=100, pixels_min=16, pixels_max=48, seed=6))
     model = CropModel(ModelDims(), "single", seed=6)
     records = training.predict(model, parcels, seed=7)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "embeddings.csv")
-        analytics.export_embeddings(model, parcels, path, seed=7)
-        with open(path, "rb") as fh:
-            return _sha(_logits_sha(records), fh.read())
+    out = [("single", _sha(_logits_sha(records), _embeddings(model, parcels)))]
+    scale = 10.0 ** np.linspace(-44, 30, model.dims.descriptor).round()
+    for p in (model.ltae.wo2, model.ltae.bo2):
+        p.data[...] = (p.data * scale).astype(np.float32)
+    out.append(("wide-range", _sha(_embeddings(model, parcels))))
+    return out
 
 
 def draws(dataset):
@@ -230,7 +244,8 @@ def main():
             print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset)}")
             for name, digest in cli_files(model, dataset):
                 print(f"{'cli-' + variant:13s} {name:37s} {digest}")
-    print(f"{'default-dims':13s} {'single':15s} {default_dims()}")
+    for kind, digest in default_dims():
+        print(f"{'default-dims':13s} {kind:15s} {digest}")
 
 
 if __name__ == "__main__":
