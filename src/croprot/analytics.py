@@ -185,29 +185,116 @@ def write_rotation_table_csv(path, rows, mean, class_names=None):
         w.writerow(["mean"] + [f"{m:.2f}" for m in mean])
 
 
-# Encode batch of `export_embeddings`, smaller than predict's 256 because
-# peak memory grows with it: the benchmark's cli-obs-pipeline (README dims,
-# 600 parcel-years) peaks at 48.7-49.0 MB RSS with 32 and at 50.2-50.4 MB
-# with 256 (10 s runs, seeds 1-3).  The encoder's pixel stage runs in
-# blocks of `encoders.PIXEL_BLOCK_ROWS` rows, so only its per-batch
-# arrays grow with the batch.
-EMBED_BATCH = 32
+# 10**k for k in 0..22, each exact in float64 (5**22 < 2**53)
+_POW10 = np.array([float(10**k) for k in range(23)])
+# cells formatted per block of `export_embeddings` rows: the block's
+# float64 temporaries stay near 128 KB each whatever the row count
+_CSV_BLOCK_CELLS = 1 << 14
+
+
+def _words(texts):
+    """Each 4-byte text as one native uint32, so a lookup writes 4 bytes."""
+    return np.frombuffer(b"".join(texts), np.uint32)
+
+
+# A `'%.6e'` cell is 4 words: [0, 0, sign or 0, d0] [".", d1, d2, d3]
+# [d4, d5, d6, "e"] [exponent sign, 2 exponent digits, ","].  Its 0 bytes
+# drop out when a block is compacted.
+_LEAD = _words(b"\0\0%s%d" % (sign, d) for sign in (b"\0", b"-") for d in range(10))
+_MID = _words(b".%03d" % i for i in range(1000))
+_LOW = _words(b"%03de" % i for i in range(1000))
+_EXP = _words(b"%+03d," % e for e in range(-99, 100))
+
+
+def _e6_cells(values):
+    """The 4-word cells of the (rows, d) float `values`, as a (rows, d, 4)
+    uint32 array: each the text of `'%.6e' % float(v)` and ",", with 0
+    bytes where the text is shorter than the cell's 16 bytes.
+
+    The digits are computed in float64.  The exponent e comes from
+    `log10`; one multiplication (or division) by an exact power of ten
+    10**|6 - e| (at most 10**22) scales |v| to m in [1e6, 1e7) with one
+    rounding, so m lies within 1.2e-9 of the exact scaled value, and
+    `np.rint` (half-even) of m gives printf's 7 digits unless m lies within
+    1e-6 of a half.  Those values, any m outside [1e6, 1e7) (a `log10` one
+    off), exponents outside [-16, 28] (float32 subnormals among them) and
+    non-finite values are formatted by Python's `%`."""
+    with np.errstate(invalid="ignore"):  # a signalling NaN raises it in the cast
+        v = values.astype(np.float64).ravel()
+    finite = np.isfinite(v)
+    a = np.abs(v)
+    a[~finite] = 0.0
+    zero = a == 0
+    e = np.floor(np.log10(a + zero)).astype(np.int64)
+    k = 6 - e
+    power = _POW10.take(np.minimum(np.abs(k), 22))
+    down = k < 0
+    m = np.empty_like(a)
+    np.multiply(a, power, out=m, where=~down)
+    np.divide(a, power, out=m, where=down)
+    n = np.rint(m)
+    exact = finite & (zero | ((m >= 1e6) & (m < 1e7) & (np.abs(k) <= 22)
+                              & (np.abs(m - n) < 0.5 - 1e-6)))
+    # from 9 999 999.5 up, m rounds to the next power of ten
+    carry = n == 1e7
+    n[carry] = 1e6
+    e[carry] += 1
+    n[~exact] = 0.0
+    # n = lead * 10**6 + mid * 10**3 + low, each division exact after floor
+    lead = np.floor(n / 1e6)
+    n -= lead * 1e6
+    mid = np.floor(n / 1e3)
+    low = n - mid * 1e3
+    cells = np.empty((v.size, 4), np.uint32)
+    cells[:, 0] = _LEAD.take(lead.astype(np.intp) + 10 * np.signbit(v))
+    cells[:, 1] = _MID.take(mid.astype(np.intp))
+    cells[:, 2] = _LOW.take(low.astype(np.intp))
+    # a 3-digit exponent (float64 only) is formatted by `%`; its "," stays
+    cells[:, 3] = _EXP.take(e + 99, mode="clip")
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        # at most 14 bytes: "-1.797693e+308"
+        text = np.array([b"%.6e" % x for x in v[slow].tolist()], dtype="S15")
+        cells.view(np.uint8)[slow, :15] = text.view(np.uint8).reshape(-1, 15)
+    return cells.reshape(*values.shape, 4)
+
+
+def _csv_rows(prefixes, values):
+    """The CSV bytes of one row per prefix: the prefix (ASCII bytes, e.g.
+    b"7,1,3,"), then the row of the (rows, d) float `values`, each as
+    `'%.6e' % v`, with "," between them and "\r\n" after the last."""
+    rows, d = values.shape
+    head = np.array(prefixes, dtype=bytes).reshape(rows)
+    width = head.dtype.itemsize
+    lead = -(-width // 4)  # prefix words
+    # per row: the prefix, d cells, and a word holding "\n"
+    out = np.zeros((rows, lead + 4 * d + 1), np.uint32)
+    out.view(np.uint8)[:, :width] = head.view(np.uint8).reshape(rows, width)
+    out[:, lead:-1] = _e6_cells(values).reshape(rows, 4 * d)
+    text = out.view(np.uint8)
+    text[:, -5] = ord("\r")  # the last cell's ","
+    text[:, -4] = ord("\n")
+    # one compaction: the 0 padding of prefixes and cells drops out
+    return text[text != 0].tobytes()
 
 
 def export_embeddings(model, parcels, out_path, seed=0):
     """One CSV row per parcel-year with the full descriptor, drawn with the
-    keyed (seed, parcel, year) pixel draws `predict` uses."""
+    keyed (seed, parcel, year) pixel draws `predict` uses.  The bytes are
+    those `csv.writer` (excel dialect: "," between fields, "\r\n" after
+    each row) writes for the `%d` parcel id, year and label and each
+    descriptor value as printf's `%.6e`."""
     from .training import encode_items
 
     items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
-    unique, rows, table = encode_items(model, items, (seed,), EMBED_BATCH)
+    unique, rows, table = encode_items(model, items, (seed,))
     d = model.dims.descriptor
-    # the bytes csv.writer (excel dialect) would write: "," between fields,
-    # "\r\n" after each row, and no field here needs quoting
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
-    row = ",".join(["%d"] * 3 + ["%.6e"] * d) + "\r\n"
-    fields = zip(unique.ids[rows].tolist(), unique.years[rows].tolist(),
-                 unique.labels[rows].tolist(), table[rows].tolist())
-    with open(out_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(row % (pid, y, label, *values) for pid, y, label, values in fields))
+    block = max(1, _CSV_BLOCK_CELLS // d)
+    with open(out_path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(rows), block):
+            r = rows[start:start + block]
+            prefixes = [b"%d,%d,%d," % t for t in zip(
+                unique.ids[r].tolist(), unique.years[r].tolist(), unique.labels[r].tolist())]
+            fh.write(_csv_rows(prefixes, table[r]))

@@ -1,6 +1,6 @@
 """Little-endian reader shared by the three binary formats (`.rcds`
-datasets, `RCWT` checkpoints, `RCTT` transition tensors), and the reader
-and writer of every JSON file.
+datasets, `RCWT` checkpoints, `RCTT` transition tensors), the reader and
+writer of every JSON file, and the predictions-file writer.
 
 The whole file is read into one writable buffer; fields are decoded with
 precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
@@ -99,3 +99,44 @@ def write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _number_lists(a):
+    """The text `json.dumps(indent=2)` gives each row of the (N, L) array
+    `a`, L >= 1, as a list inside a record of a predictions file; one
+    `.tolist()`."""
+    sep, end = ",\n        ", "\n      ]"
+    texts = ["[\n        " + sep.join(map(repr, row)) + end for row in a.tolist()]
+    if not np.isfinite(a).all():
+        # repr gives nan, inf and -inf; json writes NaN, Infinity, -Infinity
+        texts = [t.replace("nan", "NaN").replace("inf", "Infinity") for t in texts]
+    return texts
+
+
+def write_predictions(path, meta, splits):
+    """Write a predictions file: the object `meta` and, under each name of
+    `splits` ("val", "test"), one record per row of that split's (ids,
+    years, labels, logits, posterior): (N,) integer arrays, (N, L) logits
+    and (N, L) posteriors or None, L >= 1.  The bytes are exactly those of
+    `write_json(path, {"meta": meta, name: records, ...})` with each record
+    the object {"logits", "parcel_id", "posterior" (when given),
+    "true_label", "year_index"}; each array is read with one `.tolist()`
+    and the records are filled into a fixed template."""
+    head = '    {\n      "logits": %s,\n      "parcel_id": %d,\n'
+    tail = '      "true_label": %d,\n      "year_index": %d\n    }'
+    docs = {"meta": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")}
+    for name, (ids, years, labels, logits, posterior) in splits.items():
+        if not len(ids):
+            docs[name] = "[]"
+            continue
+        columns = [_number_lists(logits), ids.tolist()]
+        template = head
+        if posterior is not None:
+            columns.append(_number_lists(posterior))
+            template += '      "posterior": %s,\n'
+        columns += [labels.tolist(), years.tolist()]
+        template += tail
+        docs[name] = "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n  ]"
+    text = ",\n".join(f"  {json.dumps(key)}: {docs[key]}" for key in sorted(docs))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + text + "\n}\n")

@@ -11,6 +11,9 @@ import numpy as np
 from .errors import ContractError
 
 DEFAULT_BINS = 15
+# the most reliability bins: 10 000 bins of (0, 1] are 1e-4 wide, finer
+# than any ECE needs, and a count far above it would only exhaust memory
+MAX_BINS = 10_000
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
@@ -117,8 +120,8 @@ def reliability(records, n_bins=DEFAULT_BINS) -> ReliabilityBins:
     max-posterior confidence, all records binned at once; `np.bincount`
     adds the weights in record order, so each sum is the one a loop over
     the records gives."""
-    if n_bins < 1:
-        raise ContractError(f"need at least one bin, got {n_bins}")
+    if not 1 <= n_bins <= MAX_BINS:
+        raise ContractError(f"need 1 to {MAX_BINS} bins, got {n_bins}")
     if any(r.posterior is None for r in records):
         raise ContractError("records must carry posteriors; calibrate first")
     counts = np.zeros(n_bins, dtype=np.int64)

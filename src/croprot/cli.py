@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytics, calibration, crf as crf_mod, training
-from .binio import read_json, write_json
+from .binio import read_json, write_json, write_predictions
 from .data import (
     FoldAssignment,
     SyntheticConfig,
@@ -156,12 +156,23 @@ def _model_dims(config, dataset):
     return dims
 
 
-def _records_payload(meta, val_records, test_records):
-    return {
-        "meta": meta,
-        "val": [r.to_dict() for r in val_records],
-        "test": [r.to_dict() for r in test_records],
-    }
+def _write_predictions(path, meta, val_records, test_records):
+    """Write the val and test records as a predictions file, one stacked
+    array per field.  The integer fields are object arrays, so a
+    predictions file's ids of any size are written back unchanged."""
+    splits = {}
+    for name, records in (("val", val_records), ("test", test_records)):
+        ints = np.array([(r.parcel_id, r.year_index, r.true_label) for r in records],
+                        dtype=object).reshape(-1, 3).T
+        if records:
+            logits = np.stack([r.logits for r in records])
+        else:
+            logits = np.zeros((0, 0), np.float32)
+        posterior = None
+        if records and records[0].posterior is not None:
+            posterior = np.stack([r.posterior for r in records])
+        splits[name] = (*ints, logits, posterior)
+    write_predictions(path, meta, splits)
 
 
 def _eval_year(year, num_years):
@@ -280,10 +291,8 @@ def cmd_eval(args):
         "num_classes": model.dims.num_classes,
         "year": args.year,
     }
-    write_json(
-        os.path.join(args.out, "predictions.json"),
-        _records_payload(meta, val_records, test_records),
-    )
+    _write_predictions(os.path.join(args.out, "predictions.json"), meta,
+                       val_records, test_records)
     write_json(
         os.path.join(args.out, "metrics.json"),
         {
@@ -361,10 +370,8 @@ def cmd_calibrate(args):
             "ece_after": ece_after,
         },
     )
-    write_json(
-        os.path.join(args.out, "predictions_calibrated.json"),
-        _records_payload(meta, val_records, test_records),
-    )
+    _write_predictions(os.path.join(args.out, "predictions_calibrated.json"), meta,
+                       val_records, test_records)
     print(f"tau {scaler.tau:.4f}  ECE {ece_before:.4f} -> {ece_after:.4f}")
     return 0
 
@@ -557,6 +564,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # a directory given for a file, an existing file for --out, ...
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)

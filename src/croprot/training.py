@@ -58,17 +58,6 @@ class PredictionRecord:
             raise ContractError("record has no calibrated posterior")
         return float(p[self.predicted])
 
-    def to_dict(self):
-        d = {
-            "parcel_id": self.parcel_id,
-            "year_index": self.year_index,
-            "logits": self.logits.tolist(),
-            "true_label": self.true_label,
-        }
-        if self.posterior is not None:
-            d["posterior"] = self.posterior.tolist()
-        return d
-
     @classmethod
     def from_dict(cls, d):
         """The record of a JSON object; logits and posterior that are not

@@ -4,7 +4,9 @@ add_bias, relu), one (C, S) pixel set and one date sequence at a time,
 against the batched `encode_batch`; Adam one parameter array at a time,
 against `optimizer_step` over the flat parameter vector; and temperature
 fitting, calibration, reliability bins and the confusion matrix one
-prediction record at a time, against the library's stacked arrays."""
+prediction record at a time, against the library's stacked arrays; and
+the JSON object of one prediction record, against the predictions-file
+writer's fixed layout."""
 
 import math
 from types import SimpleNamespace
@@ -164,3 +166,16 @@ def confusion(records, num_classes):
     for r in records:
         cm[r.true_label, r.predicted] += 1
     return cm
+
+
+def record_dict(r):
+    """The JSON object of one prediction record in a predictions file."""
+    d = {
+        "parcel_id": r.parcel_id,
+        "year_index": r.year_index,
+        "logits": r.logits.tolist(),
+        "true_label": r.true_label,
+    }
+    if r.posterior is not None:
+        d["posterior"] = r.posterior.tolist()
+    return d

@@ -1,8 +1,10 @@
 import csv
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from croprot import analytics
 from croprot.data import SyntheticConfig, generate_synthetic
@@ -308,3 +310,91 @@ class TestExports:
         for row in rows:
             e = np.asarray(row[3:], dtype=np.float64)
             np.testing.assert_allclose(e, want[(int(row[0]), int(row[1]))], rtol=1e-6)
+
+
+def _printf(values):
+    return "".join("%.6e\r\n" % float(v) for v in values).encode()
+
+
+def _formatted(values, dtype=np.float32):
+    """The embedding CSV writer's rows of one value each, with every numpy
+    warning an error."""
+    values = np.asarray(values, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return analytics._csv_rows([b""] * values.size, values.reshape(-1, 1))
+
+
+def _neighbours(values):
+    """Each float64 value as the nearest float32 and the float32 on
+    either side of it, dropping those beyond the float32 range."""
+    f = np.asarray(values, np.float64)
+    f = f[np.abs(f) < np.finfo(np.float32).max].astype(np.float32)
+    return np.concatenate([f, np.nextafter(f, np.float32(np.inf)),
+                           np.nextafter(f, np.float32(-np.inf))])
+
+
+class TestE6Format:
+    """The embedding CSV's cells are exactly `'%.6e' % float(v)`."""
+
+    @given(st.lists(st.floats(width=32), min_size=1, max_size=64))
+    def test_hypothesis_floats(self, values):
+        assert _formatted(values) == _printf(np.asarray(values, np.float32))
+
+    def test_random_bit_patterns(self):
+        # every float32 class: subnormals, NaNs (signalling too), infinities
+        bits = np.random.default_rng(0).integers(0, 2**32, 200_000, dtype=np.uint64)
+        values = bits.astype(np.uint32).view(np.float32)
+        assert _formatted(values) == _printf(values)
+
+    def test_float64_bit_patterns(self):
+        # a float64 descriptor table (a float64 model) prints the same way,
+        # 3-digit exponents included
+        bits = np.random.default_rng(3).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), [1e-300, -1.7976931348623157e308]])
+        assert _formatted(values, np.float64) == _printf(values)
+
+    def test_rounding_midpoints(self):
+        # the float32 values nearest (n + 0.5) * 10**(e - 6): printf's 7th
+        # digit is decided within float32 spacing of the half
+        rng = np.random.default_rng(1)
+        n = rng.integers(10**6, 10**7, 50_000)
+        e = rng.integers(-45, 39, 50_000)
+        values = _neighbours((n + 0.5) * 10.0 ** (e - 6))
+        assert _formatted(values) == _printf(values)
+        assert _formatted(-values) == _printf(-values)
+
+    def test_exponent_boundaries(self):
+        # 9.9999995 * 10**e rounds up to 1.000000e(e + 1) or not
+        e = np.arange(-46, 39)
+        values = _neighbours(np.concatenate([9.9999995 * 10.0**e, 10.0**e]))
+        assert _formatted(values) == _printf(values)
+
+    def test_special_values(self):
+        values = np.array([0.0, -0.0, 1e-45, np.finfo(np.float32).max, 9.9999995,
+                           12345675.0, 2**-11, -(2**-11), np.nan, np.inf, -np.inf],
+                          np.float32)
+        assert _formatted(values) == _printf(values)
+        # 2**-11 = 0.00048828125 is an exact tie: printf rounds it to even
+        assert _formatted([2**-11, -(2**-11)]) == b"4.882812e-04\r\n-4.882812e-04\r\n"
+
+    def test_rows_with_prefixes(self):
+        rng = np.random.default_rng(2)
+        values = (rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-20, 20, (7, 5)))
+        values = values.astype(np.float32)
+        prefixes = [b"%d,%d,%d," % (2**64 - 1 - i, i % 3 + 1, i) for i in range(7)]
+        want = b"".join(p + ",".join("%.6e" % v for v in row).encode() + b"\r\n"
+                        for p, row in zip(prefixes, values.tolist()))
+        assert analytics._csv_rows(prefixes, values) == want
+
+    def test_export_blocks(self, tmp_path, small_dataset, monkeypatch):
+        # rows are formatted in blocks; a block of 2 rows writes the same bytes
+        ds, cfg = small_dataset
+        dims = tiny_dims(num_classes=cfg.num_classes)
+        dims.channels = cfg.channels
+        model = CropModel(dims, "single", seed=0)
+        whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+        analytics.export_embeddings(model, ds.parcels[:5], whole, seed=3)
+        monkeypatch.setattr(analytics, "_CSV_BLOCK_CELLS", 2 * dims.descriptor)
+        analytics.export_embeddings(model, ds.parcels[:5], blocks, seed=3)
+        assert blocks.read_bytes() == whole.read_bytes()

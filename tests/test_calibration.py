@@ -3,6 +3,7 @@ import pytest
 
 from croprot.calibration import (
     DEFAULT_BINS,
+    MAX_BINS,
     TemperatureScaler,
     _bin_index,
     apply_temperature,
@@ -118,6 +119,13 @@ class TestBinning:
     def test_requires_posteriors(self):
         with pytest.raises(ContractError):
             reliability(make_records([[1.0, 0.0]], [0]))
+
+    def test_bin_count_limits(self):
+        records = calibrate_records(synthetic_records(1.0, n=50, seed=3), 1.0)
+        assert reliability(records, MAX_BINS).counts.sum() == 50
+        for n_bins in (0, MAX_BINS + 1, 10**11):
+            with pytest.raises(ContractError, match=f"got {n_bins}"):
+                reliability(records, n_bins)
 
 
 class TestEce:

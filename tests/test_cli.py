@@ -10,6 +10,7 @@ from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
 from croprot.training import predict
 
+import oracles
 from conftest import one_sample_file, tiny_dims
 
 
@@ -198,7 +199,7 @@ class TestPipeline:
         for name, fold in (("val", 1), ("test", 0)):
             records = predict(model, [p for p in parcels if fold_of[str(p.parcel_id)] == fold],
                               seed=5)
-            assert doc[name] == [r.to_dict() for r in records]
+            assert doc[name] == [oracles.record_dict(r) for r in records]
 
     def test_calibrate(self, workdir):
         root, _, _, _, _, eval_out = workdir
@@ -505,6 +506,11 @@ def malformed(workdir, tmp_path_factory):
                  "--dataset", str(paths["dataset_2_years"]),
                  "--folds", str(paths["folds_2_years"]),
                  "--fold", "0", "--out", str(paths["preds_2_years"].parent)]) == 0
+    # a directory where a file is named, and a file where --out names a directory
+    paths["directory"] = bad / "a_directory"
+    paths["directory"].mkdir()
+    paths["existing_file"] = bad / "existing_file.txt"
+    paths["existing_file"].write_text("not a directory")
     paths.update(cfg=cfg, dataset=dataset, folds=folds, out=bad / "out",
                  ckpt=train_out / "checkpoint_fold0.bin", preds=eval_out / "predictions.json")
     return {name: str(path) for name, path in paths.items()}
@@ -603,6 +609,12 @@ CLI_MATRIX = {
                       .replace("{dataset}", "{dataset_2_years}")
                       .replace("{folds}", "{folds_2_years}"), 3),
     "crf-no-year-3": (_CRF.replace("{preds}", "{preds_year_1}"), 3),
+    # a path of the wrong kind: exit 3
+    "eval-out-existing-file": (_EVAL.replace("{out}", "{existing_file}"), 3),
+    "embed-out-directory": (_EMBED.replace("{out}", "{directory}"), 3),
+    "split-out-directory": ("split --dataset {dataset} --out {directory}", 3),
+    "calibrate-predictions-directory": (_CALIBRATE.replace("{preds}", "{directory}"), 3),
+    "eval-dataset-directory": (_EVAL.replace("{dataset}", "{directory}"), 3),
     # arguments out of range: exit 4
     "train-protocol-year-5": (_TRAIN.replace("{cfg}", "{config_protocol_year_5}"), 4),
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
@@ -615,6 +627,7 @@ CLI_MATRIX = {
     "eval-year-0": (_EVAL + " --year 0", 4),
     "eval-year-4": (_EVAL + " --year 4", 4),
     "calibrate-bins-0": (_CALIBRATE + " --bins 0", 4),
+    "calibrate-bins-huge": (_CALIBRATE + " --bins 100000000000", 4),
     "crf-alpha-nan": (_CRF + " --alpha nan", 4),
     "crf-alpha-inf": (_CRF + " --alpha inf", 4),
 }
@@ -627,6 +640,19 @@ def test_cli_matrix_exits_with_one_line(malformed, capsys, case):
     capsys.readouterr()
     assert main(argv) == code
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["eval-out-existing-file", "embed-out-directory",
+                                  "split-out-directory", "calibrate-predictions-directory",
+                                  "eval-dataset-directory"])
+def test_path_error_names_the_path(malformed, capsys, case):
+    command, _ = CLI_MATRIX[case]
+    argv = [arg.format(**malformed) for arg in command.split()]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ")
+    assert malformed["existing_file" if "existing" in case else "directory"] in err
 
 
 @pytest.mark.parametrize("command", [_TRAIN, _EVAL], ids=["train", "eval"])

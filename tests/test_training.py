@@ -137,7 +137,7 @@ class TestConfigAndRecords:
     def test_record_round_trip(self):
         r = PredictionRecord(5, 2, np.array([0.1, 0.9], dtype=np.float32), 1,
                              posterior=np.array([0.3, 0.7], dtype=np.float32))
-        back = PredictionRecord.from_dict(r.to_dict())
+        back = PredictionRecord.from_dict(oracles.record_dict(r))
         assert back.parcel_id == 5 and back.year_index == 2
         assert np.allclose(back.logits, r.logits)
         assert np.allclose(back.posterior, r.posterior)
