@@ -96,7 +96,8 @@ def _logits_sha(records):
     """Hash of the records sorted by (parcel_id, year_index), so that the
     order `predict` returns them in does not change the digest."""
     records = sorted(records, key=lambda r: (r.parcel_id, r.year_index))
-    return _sha(*[(r.parcel_id, r.year_index, r.logits.tobytes()) for r in records])
+    # int(): the repr of a numpy integer names its type, that of an int does not
+    return _sha(*[(int(r.parcel_id), int(r.year_index), r.logits.tobytes()) for r in records])
 
 
 def fingerprint(variant, dataset):
