@@ -18,14 +18,12 @@ STRUCTURED = "Structured"
 OTHER = "Other"
 
 
-def confusion(records, num_classes):
-    """(L, L) count matrix, rows = ground truth, columns = prediction
-    (the argmax of the logits, ties to the lowest class)."""
+def confusion(preds, num_classes):
+    """(L, L) count matrix of a `binio.predictions` array, rows = ground
+    truth, columns = prediction (the argmax of the logits, ties to the
+    lowest class)."""
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    if records:
-        truth = np.fromiter((r.true_label for r in records), np.int64, len(records))
-        predicted = np.stack([r.logits for r in records]).argmax(axis=1)
-        np.add.at(cm, (truth, predicted), 1)
+    np.add.at(cm, (preds.true_label, preds.logits.argmax(axis=1)), 1)
     return cm
 
 

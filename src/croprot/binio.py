@@ -1,6 +1,7 @@
 """Little-endian reader shared by the three binary formats (`.rcds`
 datasets, `RCWT` checkpoints, `RCTT` transition tensors), the reader and
-writer of every JSON file, and the predictions-file writer.
+writer of every JSON file, and the predictions record array with the
+reader and writer of its file.
 
 The whole file is read into one writable buffer; fields are decoded with
 precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
@@ -113,30 +114,104 @@ def _number_lists(a):
     return texts
 
 
+def predictions(ids, years, labels, logits):
+    """The predictions of N parcel-years as one record array with the
+    fields of a predictions file's records: `parcel_id` (uint64),
+    `year_index` and `true_label` (int64) and `logits` (float32, shape
+    (L,)), from (N,) ids, years and true labels and (N, L) logits."""
+    logits = np.asarray(logits)
+    out = np.recarray(len(logits), [
+        ("parcel_id", np.uint64), ("year_index", np.int64), ("true_label", np.int64),
+        ("logits", np.float32, logits.shape[1:]),
+    ])
+    out["parcel_id"], out["year_index"], out["true_label"] = ids, years, labels
+    out["logits"] = logits
+    return out
+
+
 def write_predictions(path, meta, splits):
     """Write a predictions file: the object `meta` and, under each name of
-    `splits` ("val", "test"), one record per row of that split's (ids,
-    years, labels, logits, posterior): (N,) integer arrays, (N, L) logits
-    and (N, L) posteriors or None, L >= 1.  The bytes are exactly those of
-    `write_json(path, {"meta": meta, name: records, ...})` with each record
-    the object {"logits", "parcel_id", "posterior" (when given),
-    "true_label", "year_index"}; each array is read with one `.tolist()`
-    and the records are filled into a fixed template."""
+    `splits` ("val", "test"), one record per row of that split's (preds,
+    posterior): a `predictions` array and its (N, L) posteriors or None.
+    The bytes are exactly those of `write_json(path, {"meta": meta, name:
+    records, ...})` with each record the object {"logits", "parcel_id",
+    "posterior" (when given), "true_label", "year_index"}; each column is
+    read with one `.tolist()` and the records are filled into a fixed
+    template."""
     head = '    {\n      "logits": %s,\n      "parcel_id": %d,\n'
     tail = '      "true_label": %d,\n      "year_index": %d\n    }'
     docs = {"meta": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")}
-    for name, (ids, years, labels, logits, posterior) in splits.items():
-        if not len(ids):
+    for name, (preds, posterior) in splits.items():
+        if not len(preds):
             docs[name] = "[]"
             continue
-        columns = [_number_lists(logits), ids.tolist()]
+        columns = [_number_lists(preds.logits), preds.parcel_id.tolist()]
         template = head
         if posterior is not None:
             columns.append(_number_lists(posterior))
             template += '      "posterior": %s,\n'
-        columns += [labels.tolist(), years.tolist()]
+        columns += [preds.true_label.tolist(), preds.year_index.tolist()]
         template += tail
         docs[name] = "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n  ]"
     text = ",\n".join(f"  {json.dumps(key)}: {docs[key]}" for key in sorted(docs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + text + "\n}\n")
+
+
+def _record_ok(ints, logits, num_classes):
+    """Whether a record's (parcel_id, year_index, true_label) are integers,
+    the id in [0, 2^64), the year in the int64 range and the label in
+    [0, num_classes), and its logits list has num_classes entries."""
+    pid, year, label = ints
+    # type() is not isinstance(): JSON true and false are not numbers here
+    return (list(map(type, ints)) == [int] * 3 and len(logits) == num_classes
+            and 0 <= pid < 2**64 and -2**63 <= year < 2**63 and 0 <= label < num_classes)
+
+
+def read_predictions(path):
+    """(meta, val, test) of a predictions file, val and test as
+    `predictions` arrays.  Both splits must hold records.  Every record
+    needs integer ids and true label, the parcel id in [0, 2^64), and
+    finite logits, as many as the first val record's L, with the true
+    label in [0, L); a posterior, when present, must be a list of numbers
+    (it is checked, not returned)."""
+    doc = read_json(path, "predictions file")
+    if not (isinstance(doc.get("meta"), dict)
+            and isinstance(doc.get("val"), list) and isinstance(doc.get("test"), list)):
+        raise DataFormatError(
+            f"predictions file {path} needs the keys meta (an object), val and test (lists)"
+        )
+    records = doc["val"] + doc["test"]
+    try:
+        ints = [(d["parcel_id"], d["year_index"], d["true_label"]) for d in records]
+        lists = [d["logits"] for d in records]
+        numbers = lists + [d["posterior"] for d in records if "posterior" in d]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"predictions file {path}: bad record ({exc!r})") from None
+    if not all(type(v) is list and set(map(type, v)) <= {int, float} for v in numbers):
+        raise DataFormatError(
+            f"predictions file {path}: bad record (logits and posterior must be lists of numbers)"
+        )
+    # temperature fitting needs val records; an empty test list would score
+    # nothing (an ECE of 0 before and after)
+    for name in ("val", "test"):
+        if not doc[name]:
+            raise DataFormatError(f"predictions file {path}: no {name} records")
+    num_classes = len(lists[0])
+    for t, v in zip(ints, lists):
+        if not _record_ok(t, v, num_classes):
+            raise DataFormatError(
+                f"predictions file {path}: record {t!r} needs integer ids, a parcel id "
+                f"in [0, 2^64), {num_classes} logits, a label in [0, {num_classes})")
+    try:
+        with np.errstate(over="ignore"):
+            logits = np.array(lists, np.float32)
+        finite = np.isfinite(logits).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise DataFormatError(f"predictions file {path}: non-finite logit")
+    ids, years, labels = zip(*ints)
+    preds = predictions(ids, years, labels, logits)
+    split = len(doc["val"])
+    return doc["meta"], preds[:split], preds[split:]

@@ -41,13 +41,6 @@ def _softmax(z, tau=1.0):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logits_labels(records):
-    """(N, L) float64 logits and (N,) int64 true labels of the records."""
-    z = np.stack([r.logits for r in records]).astype(np.float64)
-    labels = np.fromiter((r.true_label for r in records), np.int64, len(records))
-    return z, labels
-
-
 def _nll(z, labels, tau):
     z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
@@ -55,18 +48,20 @@ def _nll(z, labels, tau):
     return float(np.mean(lse - z[np.arange(len(z)), labels]))
 
 
-def nll(records, tau):
-    """Mean negative log-likelihood of softmax(z / tau)."""
-    return _nll(*_logits_labels(records), tau)
+def nll(preds, tau):
+    """Mean negative log-likelihood of softmax(z / tau) over a
+    `binio.predictions` array."""
+    return _nll(preds.logits.astype(np.float64), preds.true_label, tau)
 
 
-def fit_temperature(records) -> TemperatureScaler:
-    """Golden-section search for the tau minimizing validation NLL, over
-    log-tau in [-3, 3] to tolerance 1e-4; never worse than tau = 1.  The
-    logits are stacked once and every step scores the whole array."""
-    if not records:
+def fit_temperature(preds) -> TemperatureScaler:
+    """Golden-section search for the tau minimizing the validation NLL of a
+    `binio.predictions` array, over log-tau in [-3, 3] to tolerance 1e-4;
+    never worse than tau = 1.  The logits are converted once and every step
+    scores the whole array."""
+    if not len(preds):
         raise ContractError("fit_temperature needs at least one record")
-    z, labels = _logits_labels(records)
+    z, labels = preds.logits.astype(np.float64), preds.true_label
 
     def objective(log_tau):
         return _nll(z, labels, math.exp(log_tau))
@@ -98,16 +93,6 @@ def apply_temperature(z, tau):
     return _softmax(np.asarray(z), tau)
 
 
-def calibrate_records(records, tau):
-    """Attach softmax(z / tau) posteriors, rows of one (N, L) float32
-    array; mutates and returns records."""
-    if records:
-        posteriors = apply_temperature(np.stack([r.logits for r in records]), tau)
-        for r, p in zip(records, posteriors.astype(np.float32)):
-            r.posterior = p
-    return records
-
-
 def _bin_index(confidence, n_bins):
     """Bin of each confidence: bins partition (0, 1], and a confidence
     exactly on an edge goes low."""
@@ -115,27 +100,24 @@ def _bin_index(confidence, n_bins):
                    0, n_bins - 1).astype(np.int64)
 
 
-def reliability(records, n_bins=DEFAULT_BINS) -> ReliabilityBins:
-    """Count, mean confidence and accuracy per bin of the records'
-    max-posterior confidence, all records binned at once; `np.bincount`
-    adds the weights in record order, so each sum is the one a loop over
-    the records gives."""
+def reliability(preds, posterior, n_bins=DEFAULT_BINS) -> ReliabilityBins:
+    """Count, mean confidence and accuracy per bin of the max-posterior
+    confidence of a `binio.predictions` array with its (N, L) posteriors,
+    the prediction being the argmax of the logits; all rows are binned at
+    once, and `np.bincount` adds the weights in row order, so each sum is
+    the one a loop over the rows gives."""
     if not 1 <= n_bins <= MAX_BINS:
         raise ContractError(f"need 1 to {MAX_BINS} bins, got {n_bins}")
-    if any(r.posterior is None for r in records):
-        raise ContractError("records must carry posteriors; calibrate first")
-    counts = np.zeros(n_bins, dtype=np.int64)
-    conf_sum = np.zeros(n_bins)
-    correct = np.zeros(n_bins)
-    if records:
-        predicted = np.stack([r.logits for r in records]).argmax(axis=1)
-        posteriors = np.stack([r.posterior for r in records])
-        confidence = posteriors[np.arange(len(records)), predicted].astype(np.float64)
-        hit = predicted == np.fromiter((r.true_label for r in records), np.int64, len(records))
-        b = _bin_index(confidence, n_bins)
-        counts = np.bincount(b, minlength=n_bins)
-        conf_sum = np.bincount(b, weights=confidence, minlength=n_bins)
-        correct = np.bincount(b, weights=hit, minlength=n_bins)
+    if np.shape(posterior) != preds.logits.shape:
+        raise ContractError(
+            f"need one posterior per logit, {preds.logits.shape}; got {np.shape(posterior)}")
+    predicted = preds.logits.argmax(axis=1)
+    confidence = posterior[np.arange(len(preds)), predicted].astype(np.float64)
+    hit = predicted == preds.true_label
+    b = _bin_index(confidence, n_bins)
+    counts = np.bincount(b, minlength=n_bins)
+    conf_sum = np.bincount(b, weights=confidence, minlength=n_bins)
+    correct = np.bincount(b, weights=hit, minlength=n_bins)
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), 0.0)
         acc = np.where(counts > 0, correct / np.maximum(counts, 1), 0.0)
@@ -144,9 +126,9 @@ def reliability(records, n_bins=DEFAULT_BINS) -> ReliabilityBins:
     )
 
 
-def ece(records, n_bins=DEFAULT_BINS):
+def ece(preds, posterior, n_bins=DEFAULT_BINS):
     """Expected calibration error over max-confidence bins."""
-    bins = reliability(records, n_bins)
+    bins = reliability(preds, posterior, n_bins)
     n = bins.counts.sum()
     if n == 0:
         return 0.0

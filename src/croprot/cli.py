@@ -4,6 +4,8 @@ evaluation, calibration, CRF rescoring, rotation analytics, embeddings."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -11,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytics, calibration, crf as crf_mod, training
-from .binio import read_json, write_json, write_predictions
+from .binio import predictions, read_json, read_predictions, write_json, write_predictions
 from .data import (
     FoldAssignment,
     SyntheticConfig,
@@ -156,33 +158,35 @@ def _model_dims(config, dataset):
     return dims
 
 
-def _write_predictions(path, meta, val_records, test_records):
-    """Write the val and test records as a predictions file, one stacked
-    array per field.  The integer fields are object arrays, so a
-    predictions file's ids of any size are written back unchanged."""
-    splits = {}
-    for name, records in (("val", val_records), ("test", test_records)):
-        ints = np.array([(r.parcel_id, r.year_index, r.true_label) for r in records],
-                        dtype=object).reshape(-1, 3).T
-        if records:
-            logits = np.stack([r.logits for r in records])
-        else:
-            logits = np.zeros((0, 0), np.float32)
-        posterior = None
-        if records and records[0].posterior is not None:
-            posterior = np.stack([r.posterior for r in records])
-        splits[name] = (*ints, logits, posterior)
-    write_predictions(path, meta, splits)
-
-
 def _eval_year(year, num_years):
     """`eval --year`: None for "all", else the year, which must lie in
     1..num_years."""
     if year == "all":
         return None
-    if not (year.isdigit() and 1 <= int(year) <= num_years):
+    if not (year.isdecimal() and 1 <= int(year) <= num_years):
         raise ContractError(f"--year must be all or a year in 1..{num_years}, got {year!r}")
     return int(year)
+
+
+def _out_dir(cmd):
+    """`cmd` with its --out directory made before its work, so that an
+    --out that cannot be a directory is refused before any work is done.
+    A directory that `cmd` made is removed again, if still empty, when the
+    command fails."""
+
+    @functools.wraps(cmd)
+    def run(args):
+        made = not os.path.isdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
+        try:
+            return cmd(args)
+        except BaseException:
+            if made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(args.out)
+            raise
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,7 @@ def _train_config(config, args):
     return cfg
 
 
+@_out_dir
 def cmd_train(args):
     config = load_run_config(args.config)
     dataset = load_dataset(args.dataset)
@@ -237,17 +242,14 @@ def cmd_train(args):
     dims = _model_dims(config, dataset)
     folds_to_run = [args.fold] if args.fold is not None else None
     result = training.train(dataset, folds, cfg, dims, folds_to_run=folds_to_run)
-    os.makedirs(args.out, exist_ok=True)
     report = {"config": config, "seed": cfg.seed, "variant": cfg.variant, "folds": {}}
     for fr in result.folds:
         ckpt = os.path.join(args.out, f"checkpoint_fold{fr.fold}.bin")
         save_checkpoint(ckpt, fr.model)
         per_year = {}
-        for year in sorted({r.year_index for r in fr.test_records}):
-            cm = analytics.confusion(
-                [r for r in fr.test_records if r.year_index == year],
-                dims.num_classes,
-            )
+        for year in np.unique(fr.test_records.year_index).tolist():
+            cm = analytics.confusion(fr.test_records[fr.test_records.year_index == year],
+                                     dims.num_classes)
             oa, _, miou = analytics.metrics(cm)
             per_year[str(year)] = {"oa": oa, "miou": miou}
         report["folds"][str(fr.fold)] = {
@@ -263,6 +265,7 @@ def cmd_train(args):
     return 0
 
 
+@_out_dir
 def cmd_eval(args):
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
@@ -276,13 +279,12 @@ def cmd_eval(args):
         p for p in dataset.parcels if folds.folds[p.parcel_id] == val_fold
     ]
     # one call: each parcel's records do not depend on the others in it
-    records = training.predict(model, val_parcels + test_parcels, seed=args.seed or 0)
+    preds = training.predict(model, val_parcels + test_parcels, seed=args.seed or 0)
     split = len(val_parcels) * dataset.num_years
-    val_records, test_records = records[:split], records[split:]
-    test_scored = [r for r in test_records if year is None or r.year_index == year]
+    val, test = preds[:split], preds[split:]
+    test_scored = test if year is None else test[test.year_index == year]
     cm = analytics.confusion(test_scored, model.dims.num_classes)
     oa, iou, miou = analytics.metrics(cm)
-    os.makedirs(args.out, exist_ok=True)
     meta = {
         "variant": model.variant,
         "fold": args.fold,
@@ -291,8 +293,8 @@ def cmd_eval(args):
         "num_classes": model.dims.num_classes,
         "year": args.year,
     }
-    _write_predictions(os.path.join(args.out, "predictions.json"), meta,
-                       val_records, test_records)
+    write_predictions(os.path.join(args.out, "predictions.json"), meta,
+                      {"val": (val, None), "test": (test, None)})
     write_json(
         os.path.join(args.out, "metrics.json"),
         {
@@ -307,60 +309,18 @@ def cmd_eval(args):
     return 0
 
 
-def _load_predictions(path):
-    """(meta, val records, test records) of an `eval` predictions file.
-    Both lists must be non-empty, and every record needs integer ids and
-    true label, and finite logits of the first record's length L, with
-    the true label in [0, L)."""
-    doc = read_json(path, "predictions file")
-    if not (isinstance(doc.get("meta"), dict)
-            and isinstance(doc.get("val"), list) and isinstance(doc.get("test"), list)):
-        raise DataFormatError(
-            f"predictions file {path} needs the keys meta (an object), val and test (lists)"
-        )
-    try:
-        val = [training.PredictionRecord.from_dict(d) for d in doc["val"]]
-        test = [training.PredictionRecord.from_dict(d) for d in doc["test"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"predictions file {path}: bad record ({exc!r})") from None
-    # temperature fitting needs val records; an empty test list would score
-    # nothing (an ECE of 0 before and after)
-    for name, records in (("val", val), ("test", test)):
-        if not records:
-            raise DataFormatError(f"predictions file {path}: no {name} records")
-    records = val + test
-    num_classes = val[0].logits.size
-    ids = [(r.parcel_id, r.year_index, r.true_label) for r in records]
-    labels = [t[2] for t in ids]
-    # checks over all the records at once; the loop only names the first
-    # bad record
-    if not ({type(v) for t in ids for v in t} == {int}
-            and {r.logits.shape for r in records} == {(num_classes,)}
-            and 0 <= min(labels) and max(labels) < num_classes):
-        for r, t in zip(records, ids):
-            if not (list(map(type, t)) == [int] * 3 and r.logits.shape == (num_classes,)
-                    and 0 <= r.true_label < num_classes):
-                raise DataFormatError(
-                    f"predictions file {path}: record {t!r} needs integer ids, "
-                    f"{num_classes} logits, a label in [0, {num_classes})")
-    if not np.isfinite(np.stack([r.logits for r in records])).all():
-        raise DataFormatError(f"predictions file {path}: non-finite logit")
-    return doc["meta"], val, test
-
-
+@_out_dir
 def cmd_calibrate(args):
-    meta, val_records, test_records = _load_predictions(args.predictions)
-    scaler = calibration.fit_temperature(val_records)
-    calibration.calibrate_records(test_records, 1.0)
-    ece_before = calibration.ece(test_records, args.bins)
-    calibration.calibrate_records(test_records, scaler.tau)
-    ece_after = calibration.ece(test_records, args.bins)
-    os.makedirs(args.out, exist_ok=True)
+    meta, val, test = read_predictions(args.predictions)
+    scaler = calibration.fit_temperature(val)
+    test_before = calibration.apply_temperature(test.logits, 1.0).astype(np.float32)
+    ece_before = calibration.ece(test, test_before, args.bins)
+    test_after = calibration.apply_temperature(test.logits, scaler.tau).astype(np.float32)
+    ece_after = calibration.ece(test, test_after, args.bins)
     calibration.write_reliability_csv(
         os.path.join(args.out, "reliability.csv"),
-        calibration.reliability(test_records, args.bins),
+        calibration.reliability(test, test_after, args.bins),
     )
-    calibration.calibrate_records(val_records, scaler.tau)
     write_json(
         os.path.join(args.out, "calibration.json"),
         {
@@ -370,41 +330,60 @@ def cmd_calibrate(args):
             "ece_after": ece_after,
         },
     )
-    _write_predictions(os.path.join(args.out, "predictions_calibrated.json"), meta,
-                       val_records, test_records)
+    val_after = calibration.apply_temperature(val.logits, scaler.tau).astype(np.float32)
+    write_predictions(os.path.join(args.out, "predictions_calibrated.json"), meta,
+                      {"val": (val, val_after), "test": (test, test_after)})
     print(f"tau {scaler.tau:.4f}  ECE {ece_before:.4f} -> {ece_after:.4f}")
     return 0
 
 
+@_out_dir
 def cmd_crf(args):
-    meta, val_records, test_records = _load_predictions(args.predictions)
+    meta, val, test = read_predictions(args.predictions)
     if not {"fold", "val_fold"} <= meta.keys():
         raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
-    if val_records[0].logits.size != dataset.num_classes:
-        raise DataFormatError(f"predictions file {args.predictions}: {val_records[0].logits.size} "
+    fold, val_fold = meta["fold"], meta["val_fold"]
+    # type() is not isinstance(): JSON true and false are not folds here
+    if not (type(fold) is int and 0 <= fold < folds.k):
+        raise DataFormatError(f"predictions file {args.predictions}: meta fold {fold!r} "
+                              f"is not an integer in [0, {folds.k})")
+    if not (type(val_fold) is int and val_fold == folds.val_fold(fold)):
+        raise DataFormatError(f"predictions file {args.predictions}: meta val_fold "
+                              f"{val_fold!r} is not fold {fold}'s validation fold "
+                              f"{folds.val_fold(fold)}")
+    num_classes = val.logits.shape[1]
+    if num_classes != dataset.num_classes:
+        raise DataFormatError(f"predictions file {args.predictions}: {num_classes} "
                               f"logits per record; the dataset has {dataset.num_classes} classes")
-    labels_by_parcel = {p.parcel_id: p.labels for p in dataset.parcels}
-    for r in test_records:
-        if r.parcel_id not in labels_by_parcel:
-            raise DataFormatError(
-                f"predictions file {args.predictions}: parcel {r.parcel_id} "
-                "is not in the dataset"
-            )
-        if not 1 <= r.year_index <= dataset.num_years:
-            raise DataFormatError(
-                f"predictions file {args.predictions}: parcel {r.parcel_id} year "
-                f"{r.year_index} outside 1..{dataset.num_years}"
-            )
+    # each test record's parcel among the dataset's, by binary search on the
+    # sorted ids; a parcel not in the dataset finds another id
+    ids = np.array([p.parcel_id for p in dataset.parcels], np.uint64)
+    order = np.argsort(ids)
+    rows = order[np.minimum(np.searchsorted(ids, test.parcel_id, sorter=order), len(ids) - 1)]
+    unknown = np.flatnonzero(ids[rows] != test.parcel_id)
+    if unknown.size:
+        raise DataFormatError(
+            f"predictions file {args.predictions}: parcel {test.parcel_id[unknown[0]]} "
+            "is not in the dataset"
+        )
+    outside = np.flatnonzero((test.year_index < 1) | (test.year_index > dataset.num_years))
+    if outside.size:
+        r = test[outside[0]]
+        raise DataFormatError(
+            f"predictions file {args.predictions}: parcel {r.parcel_id} year "
+            f"{r.year_index} outside 1..{dataset.num_years}"
+        )
     # the CRF applies to years with two known past labels
-    scored = [r for r in test_records if r.year_index >= 3]
-    if not scored:
+    later = test.year_index >= 3
+    scored, rows = test[later], rows[later]
+    if not len(scored):
         raise DataFormatError(
             f"predictions file {args.predictions}: no test record of year 3 or later "
             f"can be rescored (the dataset has {dataset.num_years} years)"
         )
-    held_out = {meta["fold"], meta["val_fold"]}
+    held_out = {fold, val_fold}
     triplets = [
         tuple(p.labels[i : i + 3])
         for p in dataset.parcels
@@ -414,26 +393,15 @@ def cmd_crf(args):
     transitions = crf_mod.estimate_transitions(
         triplets, dataset.num_classes, alpha=args.alpha
     )
-    scaler = calibration.fit_temperature(val_records)
-    calibration.calibrate_records(scored, scaler.tau)
-    rescored = []
-    for r in scored:
-        labels = labels_by_parcel[r.parcel_id]
-        a = labels[r.year_index - 3]
-        b = labels[r.year_index - 2]
-        scores, posterior = crf_mod.crf_score(r.posterior, a, b, transitions)
-        rescored.append(
-            training.PredictionRecord(
-                parcel_id=r.parcel_id,
-                year_index=r.year_index,
-                logits=scores.astype(np.float32),
-                true_label=r.true_label,
-                posterior=posterior.astype(np.float32),
-            )
-        )
+    scaler = calibration.fit_temperature(val)
+    posterior = calibration.apply_temperature(scored.logits, scaler.tau).astype(np.float32)
+    history = np.array([p.labels for p in dataset.parcels])[rows]
+    n = np.arange(len(scored))
+    a, b = history[n, scored.year_index - 3], history[n, scored.year_index - 2]
+    scores, _ = crf_mod.crf_score(posterior, a, b, transitions)
+    rescored = predictions(scored.parcel_id, scored.year_index, scored.true_label, scores)
     cm = analytics.confusion(rescored, dataset.num_classes)
     oa, iou, miou = analytics.metrics(cm)
-    os.makedirs(args.out, exist_ok=True)
     crf_mod.save_transitions(os.path.join(args.out, "transitions.bin"), transitions)
     write_json(
         os.path.join(args.out, "crf_metrics.json"),
@@ -449,12 +417,12 @@ def cmd_crf(args):
     return 0
 
 
+@_out_dir
 def cmd_rotations(args):
     dataset = load_dataset(args.dataset)
     seqs = [p.labels for p in dataset.parcels]
     rows, mean = analytics.rotation_table(seqs, dataset.num_classes)
     assignment = analytics.categorize(seqs, dataset.num_classes)
-    os.makedirs(args.out, exist_ok=True)
     class_names = (dataset.manifest or {}).get("class_names")
     analytics.write_rotation_table_csv(
         os.path.join(args.out, "rotation_table.csv"), rows, mean, class_names

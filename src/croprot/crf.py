@@ -46,18 +46,20 @@ def estimate_transitions(triplets, num_classes, alpha=1.0) -> TransitionTensor:
 def crf_score(p, a, b, transitions: TransitionTensor):
     """Hadamard product of the calibrated posterior with the transition row
     for past labels (a, b); returns (raw scores, normalized posterior).
+    `p` is one (L,) posterior with labels a and b, or (N, L) posteriors
+    with (N,) label arrays, each row scored as it would be alone.
 
     Applies to years i > 2 only; the caller is responsible for restricting
     the evaluation accordingly."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != transitions.num_classes:
+    if p.ndim not in (1, 2) or p.shape[-1] != transitions.num_classes:
         raise ContractError("posterior length must match the class count")
-    if abs(p.sum() - 1.0) > 1e-4:
+    if (np.abs(p.sum(axis=-1) - 1.0) > 1e-4).any():
         raise ContractError("crf_score expects a calibrated posterior summing to 1")
     row = transitions.t[a, b, :]
     scores = p * row
-    total = scores.sum()
-    if total <= 0:
+    total = scores.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ContractError("degenerate CRF score (all-zero product)")
     return scores, scores / total
 

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics, autodiff as ad, heads
+from .binio import predictions
 from .data import draw_keys, sample_pixels
 from .encoders import encode_batch
 from .errors import ContractError
@@ -36,46 +37,6 @@ class TrainConfig:
             raise ContractError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "specialized" and self.protocol_year is None:
             raise ContractError("specialized protocol needs a year")
-
-
-@dataclass
-class PredictionRecord:
-    parcel_id: int
-    year_index: int
-    logits: np.ndarray
-    true_label: int
-    posterior: np.ndarray | None = None
-
-    @property
-    def predicted(self):
-        # np.argmax breaks ties toward the lowest class index
-        return int(np.argmax(self.logits))
-
-    @property
-    def confidence(self):
-        p = self.posterior
-        if p is None:
-            raise ContractError("record has no calibrated posterior")
-        return float(p[self.predicted])
-
-    @classmethod
-    def from_dict(cls, d):
-        """The record of a JSON object; logits and posterior that are not
-        lists of numbers (strings, booleans, nulls) are a ValueError."""
-        return cls(
-            parcel_id=d["parcel_id"],
-            year_index=d["year_index"],
-            logits=_numbers(d["logits"], "logits"),
-            true_label=d["true_label"],
-            posterior=_numbers(d["posterior"], "posterior") if "posterior" in d else None,
-        )
-
-
-def _numbers(values, what):
-    # type() is not isinstance(): JSON true and false are not numbers here
-    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
-        raise ValueError(f"{what} must be a list of numbers")
-    return np.asarray(values, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +278,7 @@ def _training_items(parcels, cfg: TrainConfig, num_years):
 class FoldResult:
     fold: int
     model: CropModel
-    test_records: list
+    test_records: np.recarray  # `binio.predictions` of the test fold
     best_epoch: int
     epoch_log: list  # (epoch, mean train loss, val mIoU)
 
@@ -328,7 +289,7 @@ class TrainResult:
 
     @property
     def test_records(self):
-        return [r for f in self.folds for r in f.test_records]
+        return np.concatenate([f.test_records for f in self.folds]).view(np.recarray)
 
 
 def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
@@ -438,10 +399,11 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 
 
 def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
-    """One PredictionRecord per requested parcel-year, parcel by parcel and
-    each parcel's years in the requested order.  Pixel draws are fixed by
-    (seed, parcel, year), so repeated calls are identical and a parcel's
-    records do not depend, bit for bit, on the other parcels in the call:
+    """The `binio.predictions` array of the requested parcel-years, one row
+    each, parcel by parcel and each parcel's years in the requested order;
+    no parcel-year gives 0 rows.  Pixel draws are fixed by (seed, parcel,
+    year), so repeated calls are identical and a parcel's rows do not
+    depend, bit for bit, on the other parcels in the call:
     `batch_size` only cuts the encoder's batches, and the head decodes
     every item in one call, one row independent of the others.
 
@@ -453,7 +415,7 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
     pairs = [(p, y) for p in parcels for y in wanted]
     if not pairs:
-        return []
+        return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
     outside = [y for y in wanted if not 1 <= y <= num_years]
     if outside:
         raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
@@ -462,13 +424,4 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     z = np.asarray(heads.decode(table[rows], model.head, features).data)
     asked = items.take(rows)
     _refuse_non_finite(z, asked, "logits")
-    return [
-        PredictionRecord(
-            parcel_id=pid,
-            year_index=y,
-            logits=np.array(logits),
-            true_label=label,
-        )
-        for pid, y, label, logits in zip(
-            asked.ids.tolist(), asked.years.tolist(), asked.labels.tolist(), z)
-    ]
+    return predictions(asked.ids, asked.years, asked.labels, z)

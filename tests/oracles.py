@@ -3,9 +3,9 @@ per-sample encoders built from the unfused autodiff primitives (matmul,
 add_bias, relu), one (C, S) pixel set and one date sequence at a time,
 against the batched `encode_batch`; Adam one parameter array at a time,
 against `optimizer_step` over the flat parameter vector; and temperature
-fitting, calibration, reliability bins and the confusion matrix one
-prediction record at a time, against the library's stacked arrays; and
-the JSON object of one prediction record, against the predictions-file
+fitting, calibration, reliability bins and the confusion matrix one row
+of a `binio.predictions` array at a time, against the library's column
+arithmetic; and the JSON object of one row, against the predictions-file
 writer's fixed layout."""
 
 import math
@@ -132,26 +132,33 @@ def posteriors(records, tau):
     return [apply_temperature(r.logits, tau).astype(np.float32) for r in records]
 
 
-def reliability(records, n_bins):
-    """(ReliabilityBins, per-bin confidence sums) with each record binned and
-    added in turn."""
+def predicted(r):
+    """The class a row predicts: the argmax of its logits, ties to the
+    lowest class."""
+    return int(np.argmax(r.logits))
+
+
+def reliability(records, posterior, n_bins):
+    """(ReliabilityBins, per-bin confidence sums) with each row and its
+    posterior binned and added in turn."""
     counts = np.zeros(n_bins, dtype=np.int64)
     conf_sum = np.zeros(n_bins)
     correct = np.zeros(n_bins)
-    for r in records:
+    for r, p in zip(records, posterior):
+        confidence = float(p[predicted(r)])
         # bins partition (0, 1]; a confidence exactly on an edge goes low
-        b = min(max(int(math.ceil(r.confidence * n_bins)) - 1, 0), n_bins - 1)
+        b = min(max(int(math.ceil(confidence * n_bins)) - 1, 0), n_bins - 1)
         counts[b] += 1
-        conf_sum[b] += r.confidence
-        correct[b] += r.predicted == r.true_label
+        conf_sum[b] += confidence
+        correct[b] += predicted(r) == r.true_label
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), 0.0)
         acc = np.where(counts > 0, correct / np.maximum(counts, 1), 0.0)
     return ReliabilityBins(n_bins, counts, mean_conf, acc), conf_sum
 
 
-def ece(records, n_bins):
-    bins, _ = reliability(records, n_bins)
+def ece(records, posterior, n_bins):
+    bins, _ = reliability(records, posterior, n_bins)
     n = bins.counts.sum()
     if n == 0:
         return 0.0
@@ -164,18 +171,19 @@ def confusion(records, num_classes):
     at a time."""
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     for r in records:
-        cm[r.true_label, r.predicted] += 1
+        cm[r.true_label, predicted(r)] += 1
     return cm
 
 
-def record_dict(r):
-    """The JSON object of one prediction record in a predictions file."""
+def record_dict(r, posterior=None):
+    """The JSON object of one row, with its posterior when given, in a
+    predictions file."""
     d = {
-        "parcel_id": r.parcel_id,
-        "year_index": r.year_index,
+        "parcel_id": int(r.parcel_id),
+        "year_index": int(r.year_index),
         "logits": r.logits.tolist(),
-        "true_label": r.true_label,
+        "true_label": int(r.true_label),
     }
-    if r.posterior is not None:
-        d["posterior"] = r.posterior.tolist()
+    if posterior is not None:
+        d["posterior"] = posterior.tolist()
     return d

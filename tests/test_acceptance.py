@@ -17,6 +17,7 @@ import pytest
 
 from croprot import analytics, autodiff as ad, calibration, heads
 from croprot.cli import main as cli_main
+from croprot.binio import predictions
 from croprot.crf import TransitionTensor, crf_score, estimate_transitions
 from croprot.data import (
     Dataset,
@@ -31,7 +32,6 @@ from croprot.data import (
 from croprot.encoders import EncoderDims, LtaeWeights, PseWeights, encode_batch
 from croprot.model import CropModel, ModelDims
 from croprot.training import (
-    PredictionRecord,
     TrainConfig,
     cross_entropy,
     predict,
@@ -146,10 +146,7 @@ def test_criterion_03_metric_oracle():
         n = int(rng.integers(1, 201))
         truth = rng.integers(0, L, n)
         pred = rng.integers(0, L, n)
-        records = [
-            PredictionRecord(0, 1, np.eye(L, dtype=np.float32)[p], int(t))
-            for t, p in zip(truth, pred)
-        ]
+        records = predictions(np.zeros(n), np.ones(n), truth, np.eye(L, dtype=np.float32)[pred])
         oa, iou, miou = analytics.metrics(analytics.confusion(records, L))
         if oa != np.mean(truth == pred):
             ok, detail = False, "OA mismatch"
@@ -215,30 +212,32 @@ def test_criterion_05_calibration():
         tau = float(rng.uniform(0.05, 20))
         if calibration.apply_temperature(z, tau).argmax() != z.argmax():
             ok, detail = False, "argmax not preserved"
-    records = [
-        PredictionRecord(i, 1, rng.normal(0, 2, 6).astype(np.float32),
-                         int(rng.integers(0, 6)))
-        for i in range(300)
-    ]
+    logits, labels = np.empty((300, 6), np.float32), np.empty(300, np.int64)
+    for i in range(300):
+        logits[i] = rng.normal(0, 2, 6)
+        labels[i] = rng.integers(0, 6)
+    records = predictions(np.arange(300), np.ones(300), labels, logits)
     scaler = calibration.fit_temperature(records)
     if calibration.nll(records, scaler.tau) > calibration.nll(records, 1.0) + 1e-12:
         ok, detail = False, "fitted tau worse than tau=1"
     if calibration.DEFAULT_BINS != 15:
         ok, detail = False, f"default bins {calibration.DEFAULT_BINS} != 15"
 
-    def rec(conf, correct):
-        z = np.array([conf, 1 - conf], dtype=np.float32)
-        r = PredictionRecord(0, 1, z, 0 if correct else 1)
-        r.posterior = z.copy()
-        return r
+    def ece(pairs, n_bins):
+        # two-class logits and posterior (conf, 1 - conf): predicts class 0
+        z = np.array([[conf, 1 - conf] for conf, _ in pairs], dtype=np.float32)
+        n = len(pairs)
+        records = predictions(np.zeros(n), np.ones(n),
+                              [0 if correct else 1 for _, correct in pairs], z)
+        return calibration.ece(records, z.copy(), n_bins=n_bins)
 
     # perfectly calibrated bin -> 0; fully wrong at high confidence -> ~conf
-    if abs(calibration.ece([rec(0.75, i < 3) for i in range(4)], n_bins=2)) > 1e-6:
+    if abs(ece([(0.75, i < 3) for i in range(4)], n_bins=2)) > 1e-6:
         ok, detail = False, "calibrated-bin ECE not 0"
-    if abs(calibration.ece([rec(0.999, False)] * 10, n_bins=5) - 0.999) > 1e-6:
+    if abs(ece([(0.999, False)] * 10, n_bins=5) - 0.999) > 1e-6:
         ok, detail = False, "overconfident ECE wrong"
-    mix = [rec(0.9, True), rec(0.9, True), rec(0.6, True), rec(0.6, False)]
-    if abs(calibration.ece(mix, n_bins=4) - 0.1) > 1e-6:
+    mix = [(0.9, True), (0.9, True), (0.6, True), (0.6, False)]
+    if abs(ece(mix, n_bins=4) - 0.1) > 1e-6:
         ok, detail = False, "mixed-bin ECE wrong"
     report(5, "calibration", ok, detail)
 
@@ -347,7 +346,7 @@ def test_criterion_08_directional_experiment():
 
     def miou(records, year=None):
         if year is not None:
-            records = [r for r in records if r.year_index == year]
+            records = records[records.year_index == year]
         return analytics.metrics(analytics.confusion(records, 8))
 
     rec_single = run("single")

@@ -7,30 +7,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from croprot import analytics
+from croprot.binio import predictions
 from croprot.data import SyntheticConfig, generate_synthetic
 from croprot.errors import ContractError
 from croprot.model import CropModel
-from croprot.training import PredictionRecord
 
 import oracles
 from conftest import descriptors_of, tiny_dims
 
 
-def rec(true, pred, L=4):
-    z = np.zeros(L, dtype=np.float32)
-    z[pred] = 1.0
-    return PredictionRecord(0, 1, z, true)
+def recs(true, pred, L=4):
+    """Predictions of parcel 0, year 1 with these true labels, each row's
+    logits one-hot at its predicted class."""
+    n = len(true)
+    return predictions(np.zeros(n), np.ones(n), true, np.eye(L, dtype=np.float32)[pred])
 
 
 class TestConfusion:
     def test_counts(self):
-        records = [rec(0, 0), rec(0, 1), rec(1, 1), rec(1, 1)]
-        cm = analytics.confusion(records, 4)
+        cm = analytics.confusion(recs([0, 0, 1, 1], [0, 1, 1, 1]), 4)
         assert cm[0, 0] == 1 and cm[0, 1] == 1 and cm[1, 1] == 2
         assert cm.sum() == 4
 
     def test_rows_are_truth(self):
-        cm = analytics.confusion([rec(2, 0)], 4)
+        cm = analytics.confusion(recs([2], [0]), 4)
         assert cm[2, 0] == 1 and cm[0, 2] == 0
 
     @pytest.mark.parametrize("num_classes", [2, 8, 20])
@@ -40,14 +40,13 @@ class TestConfusion:
         rng = np.random.default_rng(num_classes + n)
         logits = (rng.integers(-1, 2, (n, num_classes)) if tied
                   else rng.normal(0, 3, (n, num_classes))).astype(np.float32)
-        records = [PredictionRecord(i, 1, z, int(label)) for i, (z, label)
-                   in enumerate(zip(logits, rng.integers(0, num_classes, n)))]
+        records = predictions(np.arange(n), np.ones(n), rng.integers(0, num_classes, n), logits)
         cm = analytics.confusion(records, num_classes)
         assert np.array_equal(cm, oracles.confusion(records, num_classes))
         assert cm.dtype == np.int64 and cm.sum() == n
 
     def test_no_records(self):
-        assert not analytics.confusion([], 3).any()
+        assert not analytics.confusion(recs([], [], 3), 3).any()
 
 
 class TestMetrics:
@@ -83,7 +82,7 @@ class TestMetrics:
             n = int(rng.integers(1, 40))
             truth = rng.integers(0, L, n)
             pred = rng.integers(0, L, n)
-            records = [rec(t, p, L) for t, p in zip(truth, pred)]
+            records = recs(truth, pred, L)
             oa, iou, miou = analytics.metrics(analytics.confusion(records, L))
             assert oa == pytest.approx(np.mean(truth == pred))
             vals = []

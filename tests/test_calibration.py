@@ -7,24 +7,28 @@ from croprot.calibration import (
     TemperatureScaler,
     _bin_index,
     apply_temperature,
-    calibrate_records,
     ece,
     fit_temperature,
     nll,
     reliability,
     write_reliability_csv,
 )
+from croprot.binio import predictions
 from croprot.errors import ContractError
-from croprot.training import PredictionRecord
 
 import oracles
 
 
 def make_records(logits, labels):
-    return [
-        PredictionRecord(i, 1, np.asarray(z, dtype=np.float32), int(l))
-        for i, (z, l) in enumerate(zip(logits, labels))
-    ]
+    """The predictions array of year-1 parcels 0, 1, ... with these logits
+    and true labels."""
+    n = len(labels)
+    return predictions(np.arange(n), np.ones(n), labels, np.asarray(logits, np.float32))
+
+
+def posterior(records, tau):
+    """The float32 posteriors softmax(z / tau) of the records' logits."""
+    return apply_temperature(records.logits, tau).astype(np.float32)
 
 
 def synthetic_records(tau_true, n=2000, num_classes=6, seed=0):
@@ -84,16 +88,13 @@ class TestFit:
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            fit_temperature([])
+            fit_temperature(make_records(np.zeros((0, 2)), []))
 
-    def test_calibrate_records_attaches_posteriors(self):
+    def test_posteriors_of_the_logits_columns(self):
         records = make_records([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        out = calibrate_records(records, 2.0)
-        assert out is records
-        for r in records:
-            assert r.posterior is not None
-            assert r.posterior.sum() == pytest.approx(1.0, abs=1e-6)
-            assert np.allclose(r.posterior, apply_temperature(r.logits, 2.0))
+        for r, p in zip(records, posterior(records, 2.0)):
+            assert p.sum() == pytest.approx(1.0, abs=1e-6)
+            assert np.allclose(p, apply_temperature(r.logits, 2.0))
 
 
 class TestBinning:
@@ -106,65 +107,62 @@ class TestBinning:
 
     def test_default_bin_count(self):
         assert DEFAULT_BINS == 15
-        records = calibrate_records(make_records([[2.0, 0.0]], [0]), 1.0)
-        assert reliability(records).n_bins == 15
+        records = make_records([[2.0, 0.0]], [0])
+        assert reliability(records, posterior(records, 1.0)).n_bins == 15
 
     def test_counts_partition_records(self):
-        records = calibrate_records(
-            synthetic_records(1.0, n=500, seed=3), 1.0
-        )
-        bins = reliability(records, 10)
+        records = synthetic_records(1.0, n=500, seed=3)
+        bins = reliability(records, posterior(records, 1.0), 10)
         assert bins.counts.sum() == 500
 
     def test_requires_posteriors(self):
-        with pytest.raises(ContractError):
-            reliability(make_records([[1.0, 0.0]], [0]))
+        records = make_records([[1.0, 0.0]], [0])
+        for missing in (None, np.ones((1, 3), np.float32), np.ones(2, np.float32)):
+            with pytest.raises(ContractError):
+                reliability(records, missing)
 
     def test_bin_count_limits(self):
-        records = calibrate_records(synthetic_records(1.0, n=50, seed=3), 1.0)
-        assert reliability(records, MAX_BINS).counts.sum() == 50
+        records = synthetic_records(1.0, n=50, seed=3)
+        p = posterior(records, 1.0)
+        assert reliability(records, p, MAX_BINS).counts.sum() == 50
         for n_bins in (0, MAX_BINS + 1, 10**11):
             with pytest.raises(ContractError, match=f"got {n_bins}"):
-                reliability(records, n_bins)
+                reliability(records, p, n_bins)
 
 
 class TestEce:
-    def _record_with(self, confidence, correct):
-        # two-class posterior (confidence, 1-confidence); prediction is class 0
-        z = np.array([confidence, 1 - confidence], dtype=np.float32)
-        r = PredictionRecord(0, 1, z, 0 if correct else 1)
-        r.posterior = z.copy()
-        return r
+    def _ece_of(self, pairs, n_bins):
+        """ECE of records whose two-class logits and posterior are both
+        (confidence, 1 - confidence), so that the prediction is class 0,
+        with true label 0 when correct and 1 otherwise."""
+        z = np.array([[c, 1 - c] for c, _ in pairs], dtype=np.float32)
+        records = make_records(z, [0 if correct else 1 for _, correct in pairs])
+        return ece(records, z.copy(), n_bins=n_bins)
 
     def test_perfectly_calibrated_bin(self):
         # four records at confidence 0.75, three of four correct -> ECE 0
-        records = [self._record_with(0.75, i < 3) for i in range(4)]
-        assert ece(records, n_bins=2) == pytest.approx(0.0, abs=1e-9)
+        assert self._ece_of([(0.75, i < 3) for i in range(4)], 2) == pytest.approx(
+            0.0, abs=1e-9)
 
     def test_fully_overconfident(self):
         # always confidence ~1.0 but never correct -> ECE ~1
-        records = [self._record_with(0.999, False) for _ in range(10)]
-        assert ece(records, n_bins=5) == pytest.approx(0.999, abs=1e-6)
+        assert self._ece_of([(0.999, False)] * 10, 5) == pytest.approx(0.999, abs=1e-6)
 
     def test_hand_computed_mixture(self):
         # bin A: 2 records at conf 0.9, both correct  -> |1.0 - 0.9| = 0.1
         # bin B: 2 records at conf 0.6, one correct   -> |0.5 - 0.6| = 0.1
-        records = [
-            self._record_with(0.9, True),
-            self._record_with(0.9, True),
-            self._record_with(0.6, True),
-            self._record_with(0.6, False),
-        ]
-        assert ece(records, n_bins=4) == pytest.approx(0.1, abs=1e-6)
+        pairs = [(0.9, True), (0.9, True), (0.6, True), (0.6, False)]
+        assert self._ece_of(pairs, 4) == pytest.approx(0.1, abs=1e-6)
 
     def test_empty(self):
-        assert ece([]) == 0.0
+        records = make_records(np.zeros((0, 3)), [])
+        assert ece(records, np.zeros((0, 3), np.float32)) == 0.0
 
 
 def test_reliability_csv(tmp_path):
-    records = calibrate_records(synthetic_records(1.0, n=100, seed=4), 1.0)
+    records = synthetic_records(1.0, n=100, seed=4)
     path = tmp_path / "rel.csv"
-    write_reliability_csv(path, reliability(records, 10))
+    write_reliability_csv(path, reliability(records, posterior(records, 1.0), 10))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin,count,confidence,accuracy"
     assert len(lines) == 11
@@ -199,32 +197,30 @@ class TestStackedMatchesPerRecord:
 
     def test_posteriors(self, num_classes, n, tied):
         records = random_records(num_classes, n, seed=1, tied=tied)
-        want = oracles.posteriors(records, 0.7)
-        calibrate_records(records, 0.7)
-        for r, p in zip(records, want):
-            assert r.posterior.dtype == np.float32
-            assert r.posterior.tobytes() == p.tobytes()
+        got = posterior(records, 0.7)
+        assert got.dtype == np.float32
+        for p, want in zip(got, oracles.posteriors(records, 0.7)):
+            assert p.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_bins", [1, 4, 10, DEFAULT_BINS])
     def test_reliability_and_ece(self, num_classes, n, tied, n_bins):
-        records = calibrate_records(random_records(num_classes, n, seed=2, tied=tied), 1.3)
-        bins = reliability(records, n_bins)
-        want, _ = oracles.reliability(records, n_bins)
+        records = random_records(num_classes, n, seed=2, tied=tied)
+        p = posterior(records, 1.3)
+        bins = reliability(records, p, n_bins)
+        want, _ = oracles.reliability(records, p, n_bins)
         assert np.array_equal(bins.counts, want.counts)
         assert bins.mean_confidence.tobytes() == want.mean_confidence.tobytes()
         assert bins.accuracy.tobytes() == want.accuracy.tobytes()
-        assert ece(records, n_bins) == oracles.ece(records, n_bins)
+        assert ece(records, p, n_bins) == oracles.ece(records, p, n_bins)
 
 
 def test_confidence_on_a_bin_edge_goes_low():
     # tied two-class logits give confidence 0.5 exactly, and the posterior
     # (0.75, 0.25) gives 0.75: with 4 bins both lie on a top edge
     records = make_records([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [0, 0, 1])
-    calibrate_records(records[:1], 1.0)
-    for r in records[1:]:
-        r.posterior = np.array([0.75, 0.25], dtype=np.float32)
-    bins = reliability(records, 4)
-    want, sums = oracles.reliability(records, 4)
+    p = np.array([posterior(records[:1], 1.0)[0], [0.75, 0.25], [0.75, 0.25]], np.float32)
+    bins = reliability(records, p, 4)
+    want, sums = oracles.reliability(records, p, 4)
     assert bins.counts.tolist() == want.counts.tolist() == [0, 1, 2, 0]
     assert bins.mean_confidence.tobytes() == want.mean_confidence.tobytes()
     assert sums.tolist() == [0.0, 0.5, 1.5, 0.0]

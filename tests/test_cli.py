@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from croprot import training
 from croprot.cli import main
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
@@ -395,6 +396,13 @@ def _preds(**test_record):
     return json.dumps({"meta": _META, "val": [_RECORD], "test": [{**_RECORD, **test_record}]})
 
 
+def _preds_meta(**meta):
+    """Predictions file text whose test record `crf` can rescore (year 3),
+    `meta` replacing fields of the fold-0 meta."""
+    return json.dumps({"meta": {**_META, **meta}, "val": [_RECORD],
+                       "test": [{**_RECORD, "year_index": 3}]})
+
+
 @pytest.fixture(scope="module")
 def malformed(workdir, tmp_path_factory):
     """Placeholder -> path of the pipeline's files and of malformed inputs."""
@@ -431,6 +439,14 @@ def malformed(workdir, tmp_path_factory):
         "preds_logit_bool": _preds(logits=[True] + _RECORD["logits"][1:]),
         "preds_logit_null": _preds(logits=[None] + _RECORD["logits"][1:]),
         "preds_posterior_string": _preds(posterior=["0.5"] + [0.5 / 7] * 7),
+        "preds_parcel_2_64": _preds(parcel_id=2**64),
+        "preds_parcel_negative": _preds(parcel_id=-1),
+        "preds_logit_huge_int": _preds(logits=[10**400] + _RECORD["logits"][1:]),
+        "preds_fold_string": _preds_meta(fold="0"),
+        "preds_fold_list": _preds_meta(fold=[0]),
+        "preds_fold_7": _preds_meta(fold=7),
+        "preds_fold_bool": _preds_meta(fold=False),
+        "preds_val_fold_2": _preds_meta(val_fold=2),
         "config_protocol_year_5": json.dumps(
             {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "protocol": "specialized",
                                      "protocol_year": 5}}),
@@ -605,6 +621,14 @@ CLI_MATRIX = {
     "crf-logit-null": (_CRF.replace("{preds}", "{preds_logit_null}"), 3),
     "crf-logit-bool": (_CRF.replace("{preds}", "{preds_logit_bool}"), 3),
     "crf-posterior-string": (_CRF.replace("{preds}", "{preds_posterior_string}"), 3),
+    "calibrate-parcel-2-64": (_CALIBRATE.replace("{preds}", "{preds_parcel_2_64}"), 3),
+    "calibrate-parcel-negative": (_CALIBRATE.replace("{preds}", "{preds_parcel_negative}"), 3),
+    "calibrate-logit-huge-int": (_CALIBRATE.replace("{preds}", "{preds_logit_huge_int}"), 3),
+    "crf-meta-fold-string": (_CRF.replace("{preds}", "{preds_fold_string}"), 3),
+    "crf-meta-fold-list": (_CRF.replace("{preds}", "{preds_fold_list}"), 3),
+    "crf-meta-fold-7": (_CRF.replace("{preds}", "{preds_fold_7}"), 3),
+    "crf-meta-fold-bool": (_CRF.replace("{preds}", "{preds_fold_bool}"), 3),
+    "crf-meta-val-fold-mismatch": (_CRF.replace("{preds}", "{preds_val_fold_2}"), 3),
     "crf-two-years": (_CRF.replace("{preds}", "{preds_2_years}")
                       .replace("{dataset}", "{dataset_2_years}")
                       .replace("{folds}", "{folds_2_years}"), 3),
@@ -626,6 +650,7 @@ CLI_MATRIX = {
     "eval-year-foo": (_EVAL + " --year foo", 4),
     "eval-year-0": (_EVAL + " --year 0", 4),
     "eval-year-4": (_EVAL + " --year 4", 4),
+    "eval-year-superscript-2": (_EVAL + " --year \u00b2", 4),
     "calibrate-bins-0": (_CALIBRATE + " --bins 0", 4),
     "calibrate-bins-huge": (_CALIBRATE + " --bins 100000000000", 4),
     "crf-alpha-nan": (_CRF + " --alpha nan", 4),
@@ -653,6 +678,22 @@ def test_path_error_names_the_path(malformed, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("file error: ")
     assert malformed["existing_file" if "existing" in case else "directory"] in err
+
+
+@pytest.mark.parametrize("command, work", [(_TRAIN, "train_single_split"), (_EVAL, "predict")],
+                         ids=["train", "eval"])
+def test_out_refused_before_the_work(malformed, monkeypatch, capsys, command, work):
+    """An --out that names an existing file is refused (exit 3) before any
+    model is trained or any parcel predicted."""
+    calls = []
+    real = getattr(training, work)
+    monkeypatch.setattr(training, work, lambda *a, **k: calls.append(1) or real(*a, **k))
+    argv = [arg.format(**malformed) for arg in command.split()]
+    argv[argv.index("--out") + 1] = malformed["existing_file"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("file error: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", [_TRAIN, _EVAL], ids=["train", "eval"])

@@ -1,9 +1,9 @@
 """Fuzzing the three binary readers: a truncated `.rcds`, `RCWT` or `RCTT`
 file raises DataFormatError, and one with a single byte changed either
 loads or raises DataFormatError, never another exception.  The JSON reader
-and writers: `write_json`'s exact bytes, `read_json`'s refusals, and the
+and writers: `write_json`'s exact bytes, `read_json`'s refusals, the
 predictions-file writer's bytes against `json.dumps` of one object per
-record."""
+record, and the predictions-file reader's round trip."""
 
 import io
 import json
@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from croprot.binio import read_json, write_json, write_predictions
+from croprot.binio import (
+    predictions, read_json, read_predictions, write_json, write_predictions,
+)
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from croprot.errors import ConfigError, CropRotError, DataFormatError
 from croprot.model import CropModel, load_checkpoint, save_checkpoint
-from croprot.training import PredictionRecord
 
 import oracles
 from conftest import tiny_dims
@@ -130,29 +131,22 @@ def test_read_json_raises_the_callers_error(tmp_path, raw, error):
     assert type(exc.value) is error
 
 
-def _random_records(rng, n, num_classes, posterior):
-    """`n` records with ids up to 2**64 - 1 and float32 logits from 1e-40
-    to 1e30 in size."""
+def _random_split(rng, n, num_classes, posterior):
+    """A predictions array of `n` rows with ids up to 2**64 - 1 and float32
+    logits from 1e-40 to 1e30 in size, and its float32 posteriors or None."""
     ids = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
     ids[: n // 3] = 2**64 - 1
     logits = rng.standard_normal((n, num_classes)) * 10.0 ** rng.integers(-40, 31, (n, num_classes))
-    posteriors = rng.dirichlet(np.ones(num_classes), n).astype(np.float32)
-    return [PredictionRecord(int(pid), int(rng.integers(1, 4)), z, int(rng.integers(num_classes)),
-                             posterior=p if posterior else None)
-            for pid, z, p in zip(ids.tolist(), logits.astype(np.float32), posteriors)]
+    preds = predictions(ids, rng.integers(1, 4, n), rng.integers(0, num_classes, n),
+                        logits.astype(np.float32))
+    p = rng.dirichlet(np.ones(num_classes), n).astype(np.float32) if posterior else None
+    return preds, p
 
 
-def _columns(records, num_classes):
-    if not records:
-        return (np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.int64),
-                np.zeros((0, num_classes), np.float32), None)
-    posterior = None
-    if records[0].posterior is not None:
-        posterior = np.stack([r.posterior for r in records])
-    return (np.array([r.parcel_id for r in records], np.uint64),
-            np.array([r.year_index for r in records]),
-            np.array([r.true_label for r in records]),
-            np.stack([r.logits for r in records]), posterior)
+def _objects(preds, posterior):
+    """The JSON objects of a split's records."""
+    rows = posterior if posterior is not None else [None] * len(preds)
+    return [oracles.record_dict(r, p) for r, p in zip(preds, rows)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -164,24 +158,39 @@ def test_write_predictions_bytes(tmp_path, seed, posterior):
     num_classes = int(rng.integers(1, 9))
     meta = {"variant": "obs", "fold": seed, "seed": 7, "year": "all",
             "classes": ["a", "b"], "nested": {"x": None, "y": 0.5}}
-    splits = {name: _random_records(rng, int(rng.integers(0, 31)) if seed else 0,
-                                    num_classes, posterior)
+    splits = {name: _random_split(rng, int(rng.integers(0, 31)) if seed else 0,
+                                  num_classes, posterior)
               for name in ("val", "test")}
     path = tmp_path / "predictions.json"
-    write_predictions(path, meta, {name: _columns(records, num_classes)
-                                   for name, records in splits.items()})
-    doc = {"meta": meta, **{name: [oracles.record_dict(r) for r in records]
-                            for name, records in splits.items()}}
+    write_predictions(path, meta, splits)
+    doc = {"meta": meta, **{name: _objects(*split) for name, split in splits.items()}}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def test_write_predictions_non_finite_and_object_ids(tmp_path):
-    """NaN and infinite logits are written as json.dumps writes them, and
-    integer columns may be object arrays of ids outside the uint64 range."""
-    z = np.array([[np.nan, np.inf, -np.inf, 0.5]], np.float32)
-    ids = np.array([-(2**70)], dtype=object)
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("posterior", [False, True])
+def test_read_predictions_round_trip(tmp_path, seed, posterior):
+    """`read_predictions` gives back the meta and every column that
+    `write_predictions` wrote, bit for bit; splits of 1 to 30 records."""
+    rng = np.random.default_rng(100 + seed)
+    num_classes = int(rng.integers(1, 9))
+    meta = {"fold": seed, "val_fold": seed + 1, "nested": {"x": [1, 2.5]}}
+    splits = {name: _random_split(rng, int(rng.integers(1, 31)), num_classes, posterior)
+              for name in ("val", "test")}
     path = tmp_path / "predictions.json"
-    write_predictions(path, {}, {"test": (ids, np.array([1]), np.array([3]), z, None)})
-    doc = {"meta": {}, "test": [{"parcel_id": -(2**70), "year_index": 1, "true_label": 3,
+    write_predictions(path, meta, splits)
+    got_meta, *got = read_predictions(path)
+    assert got_meta == meta
+    for back, (preds, _) in zip(got, splits.values()):
+        assert back.dtype == preds.dtype
+        assert back.tobytes() == preds.tobytes()
+
+
+def test_write_predictions_non_finite(tmp_path):
+    """NaN and infinite logits are written as json.dumps writes them."""
+    z = np.array([[np.nan, np.inf, -np.inf, 0.5]], np.float32)
+    path = tmp_path / "predictions.json"
+    write_predictions(path, {}, {"test": (predictions([5], [1], [3], z), None)})
+    doc = {"meta": {}, "test": [{"parcel_id": 5, "year_index": 1, "true_label": 3,
                                  "logits": z[0].tolist()}]}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()

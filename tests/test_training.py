@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from croprot import analytics, autodiff as ad, encoders, heads, training
+from croprot.binio import predictions, read_predictions, write_predictions
+from croprot.calibration import reliability
 from croprot.data import (
     Dataset,
     MultiYearParcel,
@@ -19,7 +21,6 @@ from croprot.errors import ContractError
 from croprot.model import CropModel
 from croprot.training import (
     AdamState,
-    PredictionRecord,
     TrainConfig,
     _Items,
     _batches,
@@ -134,24 +135,27 @@ class TestConfigAndRecords:
             TrainConfig(protocol="specialized").validate()
         TrainConfig(protocol="specialized", protocol_year=2).validate()
 
-    def test_record_round_trip(self):
-        r = PredictionRecord(5, 2, np.array([0.1, 0.9], dtype=np.float32), 1,
-                             posterior=np.array([0.3, 0.7], dtype=np.float32))
-        back = PredictionRecord.from_dict(oracles.record_dict(r))
-        assert back.parcel_id == 5 and back.year_index == 2
+    def test_record_round_trip(self, tmp_path):
+        r = predictions([5], [2], [1], np.array([[0.1, 0.9]], dtype=np.float32))
+        posterior = np.array([[0.3, 0.7]], dtype=np.float32)
+        path = tmp_path / "predictions.json"
+        write_predictions(path, {}, {"val": (r, posterior), "test": (r, None)})
+        _, back, _ = read_predictions(path)
+        assert back.parcel_id.tolist() == [5] and back.year_index.tolist() == [2]
         assert np.allclose(back.logits, r.logits)
-        assert np.allclose(back.posterior, r.posterior)
-        assert back.predicted == 1
-        assert back.confidence == pytest.approx(0.7, abs=1e-6)
+        # predicted class 1, with confidence 0.7
+        assert analytics.confusion(back, 2).tolist() == [[0, 0], [0, 1]]
+        bins = reliability(back, posterior, 1)
+        assert bins.mean_confidence[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_ties_break_to_lowest_index(self):
-        r = PredictionRecord(0, 1, np.array([1.0, 1.0, 0.0]), 0)
-        assert r.predicted == 0
+        r = predictions([0], [1], [0], np.array([[1.0, 1.0, 0.0]]))
+        assert analytics.confusion(r, 3)[0].tolist() == [1, 0, 0]
 
     def test_confidence_requires_posterior(self):
-        r = PredictionRecord(0, 1, np.array([1.0, 0.0]), 0)
+        r = predictions([0], [1], [0], np.array([[1.0, 0.0]]))
         with pytest.raises(ContractError):
-            r.confidence
+            reliability(r, None)
 
 
 def _item_batches(items, batch_size, rng):
@@ -235,7 +239,20 @@ class TestPredict:
 
     def test_empty_parcel_list(self, trained):
         _, model = trained
-        assert predict(model, []) == []
+        empty = predict(model, [])
+        assert len(empty) == 0 and empty.logits.shape == (0, model.dims.num_classes)
+
+    def test_ties_break_to_lowest_class(self, small_dataset):
+        # equal logits for every class: each record predicts class 0
+        ds, cfg = small_dataset
+        model = CropModel(_dims(cfg), "single", seed=1)
+        model.head.w2.data[...] = 0
+        model.head.b2.data[...] = 0
+        records = predict(model, ds.parcels[:10])
+        cm = analytics.confusion(records, cfg.num_classes)
+        assert cm[:, 0].tolist() == np.bincount(records.true_label,
+                                                minlength=cfg.num_classes).tolist()
+        assert cm.sum() == cm[:, 0].sum() == 30
 
     @pytest.mark.parametrize("year", [0, 4])
     def test_year_outside_dataset_refused(self, trained, year):
@@ -759,5 +776,5 @@ class TestTraining:
             TrainConfig(epochs=100, learning_rate=3e-3, seed=0), small_dims()
         )
         records = predict(model, ds.parcels)
-        acc = np.mean([r.predicted == r.true_label for r in records])
+        acc = np.mean(records.logits.argmax(axis=1) == records.true_label)
         assert acc >= 0.95
