@@ -113,6 +113,24 @@ class TestScore:
         with pytest.raises(ContractError):
             crf_score([0.5, 0.5], 0, 0, t)
 
+    @pytest.mark.parametrize("L", [2, 3, 8, 20, 40])
+    def test_stacked_rows_equal_one_row_calls(self, L):
+        # (N, L) posteriors with (N,) past labels: each row bitwise as alone
+        rng = np.random.default_rng(L)
+        t = estimate_transitions(rng.integers(0, L, (200, 3)), L)
+        p = rng.dirichlet(np.ones(L), 50).astype(np.float32)
+        a, b = rng.integers(0, L, 50), rng.integers(0, L, 50)
+        scores, out = crf_score(p, a, b, t)
+        for i in range(50):
+            want_scores, want_out = crf_score(p[i], a[i], b[i], t)
+            assert scores[i].tobytes() == want_scores.tobytes()
+            assert out[i].tobytes() == want_out.tobytes()
+
+    def test_one_bad_row_rejects_the_stack(self):
+        t = self._uniformish()
+        with pytest.raises(ContractError):
+            crf_score([[0.5, 0.5], [0.9, 0.9]], [0, 0], [0, 1], t)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
