@@ -28,7 +28,13 @@ the head reads.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
 `croprot.cli.main` in-process on the saved data, a 5-fold split and the
 saved checkpoint, and hash every file the five commands write and their
-standard output.  A `default-dims single` line hashes the `predict`
+standard output.  `cli-train` lines run `synth` -> `split` -> `train
+--fold 0 --variant dec --seed 5` through `croprot.cli.main` with a
+2-epoch run config at the same dims, whose synthetic section sets
+`cycles`, `curve_groups` and float keys, and hash every file the three
+commands write (the `.rcds` file and its sidecar, `folds.json`, the
+checkpoint and its sidecar, `run_report.json`) and their standard
+output.  A `default-dims single` line hashes the `predict`
 logits and `export_embeddings` bytes of an untrained `single` model at
 default `ModelDims` on 100 parcels of 16 to 48 pixels, whose encoder
 batches hold several pixel-stage blocks each.  A last `default-dims
@@ -90,6 +96,18 @@ def _saved_sha(save):
             with open(name, "rb") as fh:
                 parts.append(fh.read())
     return _sha(*parts)
+
+
+def _tree_sha(root):
+    """(path relative to `root`, sha256) of every file under `root`, in
+    path order."""
+    written = sorted(os.path.relpath(os.path.join(d, name), root)
+                     for d, _, names in os.walk(root) for name in names)
+    result = []
+    for name in written:
+        with open(os.path.join(root, name), "rb") as fh:
+            result.append((name, _sha(fh.read())))
+    return result
 
 
 def _logits_sha(records):
@@ -220,15 +238,49 @@ def cli_files(model, dataset):
             codes = [cli.main(argv) for argv in commands]
         if codes != [0] * len(commands):
             raise SystemExit(f"cli pipeline exit codes {codes}")
-        written = sorted(os.path.relpath(os.path.join(root, name), out)
-                         for root, _, names in os.walk(out) for name in names)
-        result = []
-        for name in written:
-            with open(os.path.join(out, name), "rb") as fh:
-                result.append((name, _sha(fh.read())))
         # the summaries name output paths: hash them relative to `tmp`
-        result.append(("stdout", _sha(stdout.getvalue().replace(tmp, "."))))
-    return result
+        return _tree_sha(out) + [("stdout", _sha(stdout.getvalue().replace(tmp, ".")))]
+
+
+# the run config of the `cli-train` lines: `--variant` and `--seed`
+# override model.variant and train.seed
+TRAIN_RUN_CONFIG = {
+    "dataset": {"synthetic": {
+        "num_classes": 8, "channels": 4, "timesteps": 6, "parcels": 60,
+        "pixels_min": 2, "pixels_max": 10, "noise_std": 0.2, "year_shift": 0.1,
+        "area_size": 5000.0, "permanent_classes": [0, 1], "permanent_stay": 0.9,
+        "cycles": [[2, 3, 4], [5, 6]], "cycle_follow": 0.85, "other_within": 0.9,
+        "curve_groups": [[6, 7]], "seed": 11,
+    }},
+    "model": {"dims": DIMS, "variant": "single"},
+    "train": {"epochs": 2, "batch_size": 16, "learning_rate": 0.002, "seed": 1},
+}
+
+
+def cli_train():
+    """(file, sha256) pairs of every file that `synth` -> `split` ->
+    `train` write for TRAIN_RUN_CONFIG, in path order, then of their
+    standard output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.json")
+        write_json(config, TRAIN_RUN_CONFIG)
+        out = os.path.join(tmp, "out")
+        data_path = os.path.join(out, "data.rcds")
+        folds_path = os.path.join(out, "folds.json")
+        commands = [
+            ["synth", "--config", config, "--out", data_path],
+            ["split", "--dataset", data_path, "--k", "3", "--out", folds_path],
+            ["train", "--config", config, "--dataset", data_path, "--folds", folds_path,
+             "--fold", "0", "--variant", "dec", "--seed", "5",
+             "--out", os.path.join(out, "train")],
+        ]
+        os.makedirs(out)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            codes = [cli.main(argv) for argv in commands]
+        if codes != [0] * len(commands):
+            raise SystemExit(f"cli train exit codes {codes}")
+        return _tree_sha(out) + [("stdout", _sha(stdout.getvalue().replace(tmp, ".")))]
 
 
 def main():
@@ -245,6 +297,8 @@ def main():
             print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset)}")
             for name, digest in cli_files(model, dataset):
                 print(f"{'cli-' + variant:13s} {name:37s} {digest}")
+    for name, digest in cli_train():
+        print(f"{'cli-train':13s} {name:37s} {digest}")
     for kind, digest in default_dims():
         print(f"{'default-dims':13s} {kind:15s} {digest}")
 
