@@ -1,7 +1,8 @@
 """Little-endian reader shared by the three binary formats (`.rcds`
 datasets, `RCWT` checkpoints, `RCTT` transition tensors), the reader and
-writer of every JSON file, and the predictions record array with the
-reader and writer of its file.
+writer of every JSON file, the typed loader of the config objects read
+from JSON, and the predictions record array with the reader and writer of
+its file.
 
 The whole file is read into one writable buffer; fields are decoded with
 precompiled `struct.Struct`s and arrays come back as `np.frombuffer` views
@@ -12,13 +13,17 @@ naming the format and the offset.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import struct
+import types
+import typing
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import CropRotError, DataFormatError
 
 U8 = struct.Struct("<B")
 U16 = struct.Struct("<H")
@@ -94,6 +99,75 @@ def read_json(path, what, error=DataFormatError):
     return doc
 
 
+def json_object(value, what, keys, error):
+    """`value`, which must be a JSON object with no key outside `keys` (any
+    key when None); else raises `error` naming `what`."""
+    if type(value) is not dict:
+        raise error(f"{what} is not a JSON object")
+    unknown = [] if keys is None else sorted(value.keys() - set(keys))
+    if unknown:
+        raise error(f"{what}: unknown keys {', '.join(unknown)}")
+    return value
+
+
+def is_int(value):
+    """Whether `value` is a JSON integer.  type() is not isinstance(): JSON
+    true and false are not integers here, and neither is 2.0."""
+    return type(value) is int
+
+
+# annotation or its origin -> (the JSON types it takes, their name)
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), tuple: ((list,), "a list"), dict: ((dict,), "an object")}
+
+
+def _conform(tp, value):
+    """`value` as a value of the field annotation `tp`: int, float, str,
+    `X | None` (an X), `tuple[X, ...]` (a list of X, made a tuple) or
+    `dict[int, int]` (an object whose keys its caller made integers).  A
+    value that does not match raises TypeError naming it."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return _conform(args[0], value)
+    json_types, name = _JSON_TYPES[origin or tp]
+    if type(value) not in json_types:
+        raise TypeError(f"{json.dumps(value)} is not {name}")
+    if origin is tuple:
+        return tuple(_conform(args[0], v) for v in value)
+    if origin is dict:
+        return {_conform(args[0], k): _conform(args[1], v) for k, v in value.items()}
+    return value
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def from_json(cls, doc, what, error):
+    """The dataclass `cls` built from the JSON object `doc`, whose keys
+    must name fields, give each field without a default and match the
+    fields' annotations (an int field takes a JSON integer, a float field
+    any number), and checked by its `validate()`.  A violation, or a
+    CropRotError of `validate()`, raises `error` naming `what` and the key."""
+    hints = _type_hints(cls)
+    json_object(doc, what, hints, error)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"{what}: missing keys {', '.join(missing)}")
+    values = {}
+    for name, value in doc.items():
+        try:
+            values[name] = _conform(hints[name], value)
+        except TypeError as exc:
+            raise error(f"{what}: {name}: {exc}") from None
+    obj = cls(**values)
+    try:
+        obj.validate()
+    except CropRotError as exc:
+        raise error(f"{what}: {exc}") from None
+    return obj
+
+
 def write_json(path, doc):
     """Write `doc` to `path` as indented JSON with sorted keys and a final
     newline, in one write."""
@@ -163,8 +237,7 @@ def _record_ok(ints, logits, num_classes):
     the id in [0, 2^64), the year in the int64 range and the label in
     [0, num_classes), and its logits list has num_classes entries."""
     pid, year, label = ints
-    # type() is not isinstance(): JSON true and false are not numbers here
-    return (list(map(type, ints)) == [int] * 3 and len(logits) == num_classes
+    return (all(map(is_int, ints)) and len(logits) == num_classes
             and 0 <= pid < 2**64 and -2**63 <= year < 2**63 and 0 <= label < num_classes)
 
 

@@ -8,12 +8,14 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import analytics, calibration, crf as crf_mod, training
-from .binio import predictions, read_json, read_predictions, write_json, write_predictions
+from .binio import (
+    from_json, is_int, json_object, predictions, read_json, read_predictions, write_json,
+    write_predictions,
+)
 from .data import (
     FoldAssignment,
     SyntheticConfig,
@@ -24,121 +26,51 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError
-from .heads import VARIANTS
-from .model import CropModel, ModelDims, load_checkpoint, save_checkpoint
+from .model import ModelDims, load_checkpoint, save_checkpoint
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CONTRACT = 4
 
-_SYNTH_PROPS = {
-    "num_classes": {"type": "integer", "minimum": 2},
-    "num_years": {"type": "integer", "minimum": 1},
-    "channels": {"type": "integer", "minimum": 1},
-    "timesteps": {"type": "integer", "minimum": 4},
-    "parcels": {"type": "integer", "minimum": 1},
-    "pixels_min": {"type": "integer", "minimum": 1},
-    "pixels_max": {"type": "integer", "minimum": 1},
-    "noise_std": {"type": "number", "minimum": 0},
-    "year_shift": {"type": "number", "minimum": 0},
-    "area_size": {"type": "number", "exclusiveMinimum": 0},
-    "permanent_classes": {"type": "array", "items": {"type": "integer"}},
-    "permanent_stay": {"type": "number", "minimum": 0, "maximum": 1},
-    "cycles": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
-    "cycle_follow": {"type": "number", "minimum": 0, "maximum": 1},
-    "other_within": {"type": "number", "minimum": 0, "maximum": 1},
-    "curve_groups": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
-    "seed": {"type": "integer", "minimum": 0},
-}
 
-_DIMS_PROPS = {
-    name: {"type": "integer", "minimum": 1}
-    for name in (
-        "channels", "sample_pixels", "d1", "d2", "heads", "d_k",
-        "out_hidden", "descriptor", "num_classes", "head_hidden",
-    )
-}
-
-RUN_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "dataset": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "synthetic": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": _SYNTH_PROPS,
-                },
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dims": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": _DIMS_PROPS,
-                },
-                "variant": {"enum": list(VARIANTS)},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "epochs": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "protocol": {"enum": ["mixed", "specialized"]},
-                "protocol_year": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
-}
-
-
-def load_run_config(path):
-    import jsonschema
-
-    doc = read_json(path, "run config", ConfigError)
-    try:
-        jsonschema.validate(doc, RUN_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid run config {path}: {exc.message}")
-    return doc
+def load_run_config(args):
+    """(document, synthetic config or None, model dims, train config) of
+    the run config `args.config`, whose sections are dataset.synthetic,
+    model.dims, model.variant and train.  `args.seed`, when given, replaces
+    the seed of the command's config (synth: dataset.synthetic, train:
+    train) and `args.variant` (train) model.variant; every section is
+    checked, whichever the command uses."""
+    what = f"run config {args.config}"
+    doc = json_object(read_json(args.config, "run config", ConfigError), what,
+                      ("dataset", "model", "train"), ConfigError)
+    dataset = json_object(doc.get("dataset", {}), f"{what} dataset", ("synthetic",), ConfigError)
+    model = json_object(doc.get("model", {}), f"{what} model", ("dims", "variant"), ConfigError)
+    train = json_object(doc.get("train", {}), f"{what} train", None, ConfigError)
+    if "variant" in train:  # it is model.variant
+        raise ConfigError(f"{what} train: unknown keys variant")
+    seed = {} if args.seed is None else {args.command: {"seed": args.seed}}
+    synth = dataset.get("synthetic")
+    if synth is not None:
+        section = f"{what} dataset.synthetic"
+        synth = from_json(SyntheticConfig, {**json_object(synth, section, None, ConfigError),
+                                            **seed.get("synth", {})}, section, ConfigError)
+    dims = from_json(ModelDims, model.get("dims", {}), f"{what} model.dims", ConfigError)
+    variant = getattr(args, "variant", None) or model.get("variant", "single")
+    cfg = from_json(training.TrainConfig, {**train, "variant": variant, **seed.get("train", {})},
+                    f"{what} train", ConfigError)
+    return doc, synth, dims, cfg
 
 
 def _load_folds(path, dataset):
-    """The fold assignment in `path`: an integer k >= 2, a positive finite
-    block_size and an integer fold in [0, k) for each parcel listed; it
-    must list every dataset parcel."""
+    """The fold assignment in `path`; it must give every dataset parcel a
+    fold."""
     doc = read_json(path, "folds file")
-    if not (isinstance(doc.get("folds"), dict) and "k" in doc and "block_size" in doc):
-        raise DataFormatError(
-            f"folds file {path} needs the keys k, folds (an object) and block_size"
-        )
-    k, block_size = doc["k"], doc["block_size"]
-    # type() is not isinstance(): JSON true and false are not numbers here
-    if not (type(k) is int and k >= 2):
-        raise DataFormatError(f"folds file {path}: k {k!r} is not an integer >= 2")
-    if not (type(block_size) in (int, float) and 0 < block_size < np.inf):
-        raise DataFormatError(
-            f"folds file {path}: block_size {block_size!r} is not a positive finite number"
-        )
-    try:
-        folds = FoldAssignment(k, {int(pid): f for pid, f in doc["folds"].items()}, block_size)
-    except ValueError as exc:
-        raise DataFormatError(f"folds file {path}: bad parcel id ({exc})") from None
-    for pid, f in folds.folds.items():
-        if not (type(f) is int and 0 <= f < k):
-            raise DataFormatError(
-                f"folds file {path}: parcel {pid} has fold {f!r}, not an integer in [0, {k})"
-            )
+    if type(doc.get("folds")) is dict:
+        try:
+            doc["folds"] = {int(pid): f for pid, f in doc["folds"].items()}
+        except ValueError as exc:
+            raise DataFormatError(f"folds file {path}: bad parcel id ({exc})") from None
+    folds = from_json(FoldAssignment, doc, f"folds file {path}", DataFormatError)
     missing = [p.parcel_id for p in dataset.parcels if p.parcel_id not in folds.folds]
     if missing:
         raise DataFormatError(
@@ -146,16 +78,6 @@ def _load_folds(path, dataset):
             f"parcel(s), first {missing[0]}"
         )
     return folds
-
-
-def _model_dims(config, dataset):
-    dims_cfg = config.get("model", {}).get("dims", {})
-    dims = ModelDims(**dims_cfg)
-    if "channels" not in dims_cfg:
-        dims.channels = dataset.num_channels
-    if "num_classes" not in dims_cfg:
-        dims.num_classes = dataset.num_classes
-    return dims
 
 
 def _eval_year(year, num_years):
@@ -194,13 +116,9 @@ def _out_dir(cmd):
 
 
 def cmd_synth(args):
-    config = load_run_config(args.config)
-    section = config.get("dataset", {}).get("synthetic")
-    if section is None:
+    _, synth, _, _ = load_run_config(args)
+    if synth is None:
         raise ConfigError("run config has no dataset.synthetic section")
-    synth = SyntheticConfig(**section)
-    if args.seed is not None:
-        synth.seed = args.seed
     parcels = generate_synthetic(synth)
     save_dataset(args.out, parcels, synth.num_classes, config_to_manifest(synth))
     print(f"wrote {len(parcels)} parcels to {args.out}")
@@ -224,22 +142,15 @@ def cmd_split(args):
     return 0
 
 
-def _train_config(config, args):
-    section = dict(config.get("train", {}))
-    variant = args.variant or config.get("model", {}).get("variant", "single")
-    cfg = training.TrainConfig(variant=variant, **section)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
-
-
 @_out_dir
 def cmd_train(args):
-    config = load_run_config(args.config)
+    config, _, dims, cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
-    cfg = _train_config(config, args)
-    dims = _model_dims(config, dataset)
+    # the dataset's channels and classes where model.dims gives none
+    given = config.get("model", {}).get("dims", {})
+    dims.channels = given.get("channels", dataset.num_channels)
+    dims.num_classes = given.get("num_classes", dataset.num_classes)
     folds_to_run = [args.fold] if args.fold is not None else None
     result = training.train(dataset, folds, cfg, dims, folds_to_run=folds_to_run)
     report = {"config": config, "seed": cfg.seed, "variant": cfg.variant, "folds": {}}
@@ -345,11 +256,10 @@ def cmd_crf(args):
     dataset = load_dataset(args.dataset)
     folds = _load_folds(args.folds, dataset)
     fold, val_fold = meta["fold"], meta["val_fold"]
-    # type() is not isinstance(): JSON true and false are not folds here
-    if not (type(fold) is int and 0 <= fold < folds.k):
+    if not (is_int(fold) and 0 <= fold < folds.k):
         raise DataFormatError(f"predictions file {args.predictions}: meta fold {fold!r} "
                               f"is not an integer in [0, {folds.k})")
-    if not (type(val_fold) is int and val_fold == folds.val_fold(fold)):
+    if not (is_int(val_fold) and val_fold == folds.val_fold(fold)):
         raise DataFormatError(f"predictions file {args.predictions}: meta val_fold "
                               f"{val_fold!r} is not fold {fold}'s validation fold "
                               f"{folds.val_fold(fold)}")
@@ -383,6 +293,14 @@ def cmd_crf(args):
             f"predictions file {args.predictions}: no test record of year 3 or later "
             f"can be rescored (the dataset has {dataset.num_years} years)"
         )
+    # the records must be those of the folds the meta names: the tensor is
+    # estimated on the other folds' labels
+    for name, records, key in (("test", test, "fold"), ("val", val, "val_fold")):
+        pid = next((p for p in records.parcel_id.tolist() if folds.folds.get(p) != meta[key]),
+                   None)
+        if pid is not None:
+            raise DataFormatError(f"predictions file {args.predictions}: {name} record of "
+                                  f"parcel {pid} lies outside meta.{key} {meta[key]}")
     held_out = {fold, val_fold}
     triplets = [
         tuple(p.labels[i : i + 3])

@@ -67,8 +67,17 @@ class Dataset:
 @dataclass
 class FoldAssignment:
     k: int
-    folds: dict  # parcel_id -> fold index
+    folds: dict[int, int]  # parcel_id -> fold index
     block_size: float
+
+    def validate(self):
+        if self.k < 2:
+            raise ContractError(f"k must be >= 2, got {self.k}")
+        if not 0 < self.block_size < math.inf:
+            raise ContractError(f"block_size must be positive and finite, got {self.block_size}")
+        for pid, f in self.folds.items():
+            if not 0 <= f < self.k:
+                raise ContractError(f"parcel {pid} has fold {f}, not one in [0, {self.k})")
 
     def val_fold(self, fold):
         """The validation fold paired with test fold `fold`: the next one,
@@ -94,19 +103,22 @@ class SyntheticConfig:
     noise_std: float = 0.1
     year_shift: float = 0.15
     area_size: float = 10000.0  # side of the square region, meters
-    permanent_classes: tuple = (0, 1)
+    permanent_classes: tuple[int, ...] = (0, 1)
     permanent_stay: float = 0.97
-    cycles: tuple = ((2, 3, 4),)
+    cycles: tuple[tuple[int, ...], ...] = ((2, 3, 4),)
     cycle_follow: float = 0.9
     other_within: float = 0.95
-    curve_groups: tuple = ()  # groups of classes sharing a phenology curve
+    curve_groups: tuple[tuple[int, ...], ...] = ()  # classes sharing a phenology curve
     seed: int = 0
 
     def validate(self):
-        if self.num_classes < 2:
-            raise ConfigError("need at least 2 classes")
-        if self.timesteps < 4:
-            raise ConfigError("need at least 4 timesteps")
+        for name, low in (("num_classes", 2), ("timesteps", 4), ("num_years", 1),
+                          ("channels", 1), ("parcels", 1), ("pixels_min", 1),
+                          ("noise_std", 0), ("year_shift", 0), ("seed", 0)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.area_size > 0:
+            raise ConfigError(f"area_size must be positive, got {self.area_size}")
         for p in (self.permanent_stay, self.cycle_follow, self.other_within):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")
@@ -317,10 +329,7 @@ def distinct_columns(drawn):
 def make_folds(parcels, k, block_size, salt=0):
     """Partition parcels into k folds by centroid grid block; a block is
     never split across folds."""
-    if k < 2:
-        raise ContractError("need k >= 2 folds")
-    if not block_size > 0:
-        raise ContractError(f"block size must be positive, got {block_size}")
+    FoldAssignment(k, {}, block_size).validate()
     blocks = {}
     for p in parcels:
         bx = int(np.floor(p.centroid[0] / block_size))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class EncoderDims:
     descriptor: int = 128
 
     def validate(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.d2 % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d2 ({self.d2})")
 
@@ -60,6 +63,7 @@ class PseWeights(ad.Parameters):
     NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
     def __init__(self, dims: EncoderDims, rng, dtype=np.float32):
+        dims.validate()
         self.dims = dims
         self.w1, self.b1 = _affine(rng, dims.channels, dims.d1, dtype)
         self.w2, self.b2 = _affine(rng, dims.d1, dims.d1, dtype)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .binio import U8, U16, Reader, read_json, write_json
+from .binio import U8, U16, Reader, from_json, read_json, write_json
 from .encoders import EncoderDims, LtaeWeights, PseWeights
 from .errors import ConfigError, DataFormatError
 from .heads import HeadWeights
@@ -99,23 +99,10 @@ def save_checkpoint(path, model: CropModel):
 def load_checkpoint(path):
     path = str(path)
     sidecar = read_json(path + ".json", "checkpoint sidecar")
-    if not (isinstance(sidecar.get("dims"), dict) and "variant" in sidecar):
-        raise DataFormatError(
-            f"checkpoint sidecar {path}.json needs the keys dims (an object) and variant"
-        )
-    unknown = sorted(set(sidecar["dims"]) - {f.name for f in fields(ModelDims)})
-    if unknown:
-        raise DataFormatError(
-            f"checkpoint sidecar {path}.json: unknown dims keys {', '.join(unknown)}"
-        )
-    # type() is not isinstance(): JSON true and false are not integers here
-    bad = sorted(k for k, v in sidecar["dims"].items() if not (type(v) is int and v >= 1))
-    if bad:
-        raise DataFormatError(
-            f"checkpoint sidecar {path}.json: dims {', '.join(bad)} must be integers >= 1"
-        )
+    dims = from_json(ModelDims, sidecar.get("dims"), f"checkpoint sidecar {path}.json dims",
+                     DataFormatError)
     try:
-        model = CropModel(ModelDims(**sidecar["dims"]), sidecar["variant"])
+        model = CropModel(dims, sidecar.get("variant"))
     except ConfigError as exc:
         # a sidecar that describes no model is a malformed data file
         raise DataFormatError(f"checkpoint sidecar {path}.json: {exc}") from None

@@ -12,7 +12,7 @@ from . import analytics, autodiff as ad, heads
 from .binio import predictions
 from .data import draw_keys, sample_pixels
 from .encoders import encode_batch
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import CropModel, ModelDims
 
 
@@ -27,14 +27,18 @@ class TrainConfig:
     protocol_year: int | None = None  # 1-based, for "specialized"
 
     def validate(self):
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ContractError("batch size must be >= 1")
-        if self.learning_rate <= 0:
+        for name, value, low in (("epochs", self.epochs, 1), ("batch size", self.batch_size, 1),
+                                 ("seed", self.seed, 0)):
+            if value < low:
+                raise ContractError(f"{name} must be >= {low}, got {value}")
+        if not self.learning_rate > 0:
             raise ContractError("learning rate must be positive")
+        if self.variant not in heads.VARIANTS:
+            raise ConfigError(f"unknown head variant {self.variant!r}")
         if self.protocol not in ("mixed", "specialized"):
             raise ContractError(f"unknown protocol {self.protocol!r}")
+        if self.protocol_year is not None and self.protocol_year < 1:
+            raise ContractError(f"protocol year {self.protocol_year} outside the years >= 1")
         if self.protocol == "specialized" and self.protocol_year is None:
             raise ContractError("specialized protocol needs a year")
 

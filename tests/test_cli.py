@@ -453,9 +453,24 @@ def malformed(workdir, tmp_path_factory):
         "preds_2_classes": json.dumps({"meta": _META, "val": [{**_RECORD, "logits": [0.5, -0.5]}],
                                        "test": [{**_RECORD, "logits": [0.5, -0.5]}]}),
         "config_not_utf8": b'{"train": {"\xff": 1}}',
+        # integral floats where an integer belongs
+        "config_parcels_float": json.dumps({"dataset": {"synthetic": {
+            **RUN_CONFIG["dataset"]["synthetic"], "parcels": 30.0}}}),
+        "config_cycles_float": json.dumps({"dataset": {"synthetic": {
+            **RUN_CONFIG["dataset"]["synthetic"], "cycles": [[2, 3, 4.0]]}}}),
+        "config_epochs_float": json.dumps({**RUN_CONFIG, "train": {**RUN_CONFIG["train"],
+                                                                   "epochs": 2.0}}),
+        "config_dims_float": json.dumps({**RUN_CONFIG, "model": {
+            **RUN_CONFIG["model"], "dims": {**RUN_CONFIG["model"]["dims"], "sample_pixels": 4.0}}}),
         "folds_not_utf8": b'{"k": 3, "\xff": 1}',
         "preds_not_utf8": b'{"meta": "\xff"}',
     }
+    # the pipeline's fold-0 predictions under the meta of fold 1, and with
+    # its test records given as val records too
+    fold0 = json.loads((eval_out / "predictions.json").read_text())
+    files["preds_meta_fold_1"] = json.dumps({**fold0, "meta": {**fold0["meta"], "fold": 1,
+                                                               "val_fold": 2}})
+    files["preds_val_from_fold_0"] = json.dumps({**fold0, "val": fold0["test"]})
     # the pipeline's folds file with one value replaced
     pipeline_folds = json.loads(folds.read_text())
     for name, edit in {
@@ -487,6 +502,7 @@ def malformed(workdir, tmp_path_factory):
         "ckpt_d1_string": {"dims": {**ckpt_sidecar["dims"], "d1": "x"}},
         "ckpt_d1_bool": {"dims": {**ckpt_sidecar["dims"], "d1": True}},
         "ckpt_d1_0": {"dims": {**ckpt_sidecar["dims"], "d1": 0}},
+        "ckpt_d1_float": {"dims": {**ckpt_sidecar["dims"], "d1": 4.0}},
         "ckpt_heads_3": {"dims": {**ckpt_sidecar["dims"], "heads": 3}},  # d2 is 8
         "ckpt_variant_bogus": {"variant": "bogus"},
     }.items():
@@ -551,6 +567,12 @@ CLI_MATRIX = {
     "synth-pixels-min-above-max": ("synth --config {config_pixels_min_above_max} --out {out}", 2),
     "synth-curve-group-class-8": ("synth --config {config_curve_group_class_8} --out {out}", 2),
     "train-config-not-utf8": (_TRAIN.replace("{cfg}", "{config_not_utf8}"), 2),
+    "synth-parcels-float": ("synth --config {config_parcels_float} --out {out}", 2),
+    "synth-cycles-float": ("synth --config {config_cycles_float} --out {out}", 2),
+    "train-epochs-float": (_TRAIN.replace("{cfg}", "{config_epochs_float}"), 2),
+    "train-dims-float": (_TRAIN.replace("{cfg}", "{config_dims_float}"), 2),
+    "synth-seed-negative": ("synth --config {cfg} --out {out} --seed -1", 2),
+    "train-seed-negative": (_TRAIN + " --seed -1", 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
     "train-dataset": (_TRAIN.replace("{dataset}", "{dataset_nan}"), 3),
@@ -614,6 +636,7 @@ CLI_MATRIX = {
     "eval-checkpoint-d1-string": (_EVAL.replace("{ckpt}", "{ckpt_d1_string}"), 3),
     "embed-checkpoint-d1-bool": (_EMBED.replace("{ckpt}", "{ckpt_d1_bool}"), 3),
     "embed-checkpoint-d1-0": (_EMBED.replace("{ckpt}", "{ckpt_d1_0}"), 3),
+    "eval-checkpoint-d1-float": (_EVAL.replace("{ckpt}", "{ckpt_d1_float}"), 3),
     "eval-checkpoint-heads-3": (_EVAL.replace("{ckpt}", "{ckpt_heads_3}"), 3),
     "embed-checkpoint-variant-bogus": (_EMBED.replace("{ckpt}", "{ckpt_variant_bogus}"), 3),
     "calibrate-logit-string": (_CALIBRATE.replace("{preds}", "{preds_logit_string}"), 3),
@@ -629,6 +652,9 @@ CLI_MATRIX = {
     "crf-meta-fold-7": (_CRF.replace("{preds}", "{preds_fold_7}"), 3),
     "crf-meta-fold-bool": (_CRF.replace("{preds}", "{preds_fold_bool}"), 3),
     "crf-meta-val-fold-mismatch": (_CRF.replace("{preds}", "{preds_val_fold_2}"), 3),
+    "crf-records-outside-meta-fold": (_CRF.replace("{preds}", "{preds_meta_fold_1}"), 3),
+    "crf-val-records-outside-meta-val-fold":
+        (_CRF.replace("{preds}", "{preds_val_from_fold_0}"), 3),
     "crf-two-years": (_CRF.replace("{preds}", "{preds_2_years}")
                       .replace("{dataset}", "{dataset_2_years}")
                       .replace("{folds}", "{folds_2_years}"), 3),

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from croprot.data import (
+    FoldAssignment,
     MultiYearParcel,
     PixelSetSample,
     SyntheticConfig,
@@ -73,6 +74,15 @@ class TestGenerator:
     def test_pixel_range_and_curve_groups_checked(self, change):
         with pytest.raises(ConfigError):
             generate_synthetic(SyntheticConfig(parcels=5, **change))
+
+    @pytest.mark.parametrize("change", [
+        {"pixels_min": 0, "pixels_max": 0}, {"num_years": 0}, {"channels": 0}, {"parcels": 0},
+        {"seed": -1}, {"noise_std": -0.1}, {"year_shift": float("nan")}, {"area_size": 0.0},
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_ranges_checked(self, change):
+        # pixels_min = pixels_max = 0 used to generate parcels with no pixels
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            generate_synthetic(SyntheticConfig(**change))
 
     def test_kernel_rows_normalized(self):
         m = SyntheticConfig(seed=1).transition_matrix()
@@ -309,6 +319,15 @@ class TestFolds:
         parcels = fold_parcels
         with pytest.raises(ContractError):
             make_folds(parcels, 1, 1000)
+
+    @pytest.mark.parametrize("k, folds, block_size", [
+        (1, {}, 10.0), (3, {}, 0.0), (3, {}, float("inf")), (3, {}, float("nan")),
+        (3, {5: 3}, 10.0), (3, {5: -1}, 10.0),
+    ])
+    def test_validate(self, k, folds, block_size):
+        FoldAssignment(3, {5: 2}, 10.0).validate()
+        with pytest.raises(ContractError):
+            FoldAssignment(k, folds, block_size).validate()
 
 
 class TestFileFormat:

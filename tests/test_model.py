@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from croprot.errors import DataFormatError
-from croprot.model import CropModel, load_checkpoint, save_checkpoint
+from croprot.errors import ConfigError, DataFormatError
+from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 
 from conftest import assert_parameter_views, tiny_dims
 
@@ -157,3 +158,13 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model)
         with pytest.raises(DataFormatError, match="RCWT parameter head.b2 holds non-finite"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)])
+def test_zero_dims_refused(name):
+    # heads = 0 used to raise ZeroDivisionError, d_k = 0 or channels = 0 as well
+    dims = replace(tiny_dims(), **{name: 0})
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got 0"):
+        dims.validate()
+    with pytest.raises(ConfigError, match=name):
+        CropModel(dims, "single")

@@ -3,23 +3,29 @@ file raises DataFormatError, and one with a single byte changed either
 loads or raises DataFormatError, never another exception.  The JSON reader
 and writers: `write_json`'s exact bytes, `read_json`'s refusals, the
 predictions-file writer's bytes against `json.dumps` of one object per
-record, and the predictions-file reader's round trip."""
+record, the predictions-file reader's round trip, and the typed loader
+of the config objects read from JSON."""
 
+import dataclasses
 import io
 import json
 import shutil
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from croprot.binio import (
-    predictions, read_json, read_predictions, write_json, write_predictions,
+    from_json, predictions, read_json, read_predictions, write_json, write_predictions,
 )
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
-from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
+from croprot.data import (
+    FoldAssignment, SyntheticConfig, generate_synthetic, load_dataset, save_dataset,
+)
 from croprot.errors import ConfigError, CropRotError, DataFormatError
-from croprot.model import CropModel, load_checkpoint, save_checkpoint
+from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
+from croprot.training import TrainConfig
 
 import oracles
 from conftest import tiny_dims
@@ -194,3 +200,66 @@ def test_write_predictions_non_finite(tmp_path):
     doc = {"meta": {}, "test": [{"parcel_id": 5, "year_index": 1, "true_label": 3,
                                  "logits": z[0].tolist()}]}
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+# each config class, the error its callers load it with, and a valid
+# document of it
+_LOADED = [
+    (SyntheticConfig, ConfigError, {}),
+    (ModelDims, DataFormatError, {}),
+    (TrainConfig, ConfigError, {}),
+    (FoldAssignment, DataFormatError, {"k": 3, "folds": {7: 0, 8: 2}, "block_size": 100.0}),
+]
+
+
+def _wrong_values():
+    """(class, error, valid document, field, value) for every field of the
+    loaded classes: true, a string, null and, for an integer field, an
+    integral float."""
+    for cls, error, doc in _LOADED:
+        for field in dataclasses.fields(cls):
+            values = [True, "1", None]
+            if typing.get_type_hints(cls)[field.name] in (int, int | None):
+                values.append(2.0)
+            for value in values:
+                yield pytest.param(cls, error, doc, field.name, value,
+                                   id=f"{cls.__name__}-{field.name}-{json.dumps(value)}")
+
+
+@pytest.mark.parametrize("cls, error, doc, name, value", _wrong_values())
+def test_from_json_refuses_a_wrong_value(cls, error, doc, name, value):
+    with pytest.raises(error, match=name):
+        from_json(cls, {**doc, name: value}, "config", error)
+
+
+@pytest.mark.parametrize("cls, error, doc", _LOADED, ids=[cls.__name__ for cls, _, _ in _LOADED])
+def test_from_json_refuses_unknown_keys_and_non_objects(cls, error, doc):
+    assert from_json(cls, doc, "config", error) == cls(**doc)
+    with pytest.raises(error, match="unknown keys bogus"):
+        from_json(cls, {**doc, "bogus": 1}, "config", error)
+    for value in ([doc], None, "x"):
+        with pytest.raises(error, match="config is not a JSON object"):
+            from_json(cls, value, "config", error)
+
+
+def test_from_json_makes_lists_tuples():
+    doc = {"permanent_classes": [0], "cycles": [[2, 3], [4, 5, 6]], "curve_groups": [],
+           "noise_std": 1, "area_size": 500.0}
+    cfg = from_json(SyntheticConfig, doc, "config", ConfigError)
+    assert cfg == SyntheticConfig(permanent_classes=(0,), cycles=((2, 3), (4, 5, 6)),
+                                  curve_groups=(), noise_std=1, area_size=500.0)
+    with pytest.raises(ConfigError, match="cycles: 4.0 is not an integer"):
+        from_json(SyntheticConfig, {"cycles": [[2, 3, 4.0]]}, "config", ConfigError)
+    with pytest.raises(ConfigError, match="cycles: 2 is not a list"):
+        from_json(SyntheticConfig, {"cycles": [2, 3]}, "config", ConfigError)
+
+
+def test_from_json_reports_validate_as_the_callers_error():
+    # validate() raises ContractError; the loader's caller gets its own class
+    with pytest.raises(ConfigError, match="^run config x train: epochs must be >= 1"):
+        from_json(TrainConfig, {"epochs": 0}, "run config x train", ConfigError)
+    with pytest.raises(DataFormatError, match="^folds file f: missing keys folds"):
+        from_json(FoldAssignment, {"k": 3, "block_size": 1.0}, "folds file f", DataFormatError)
+    with pytest.raises(DataFormatError, match="parcel 8 has fold 3"):
+        from_json(FoldAssignment, {"k": 3, "folds": {8: 3}, "block_size": 1.0}, "f",
+                  DataFormatError)

@@ -17,7 +17,7 @@ from croprot.data import (
     sample_pixels,
 )
 from croprot.encoders import encode_batch
-from croprot.errors import ContractError
+from croprot.errors import ConfigError, ContractError
 from croprot.model import CropModel
 from croprot.training import (
     AdamState,
@@ -134,6 +134,12 @@ class TestConfigAndRecords:
         with pytest.raises(ContractError):
             TrainConfig(protocol="specialized").validate()
         TrainConfig(protocol="specialized", protocol_year=2).validate()
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            TrainConfig(seed=-1).validate()
+        with pytest.raises(ContractError, match="protocol year 0"):
+            TrainConfig(protocol_year=0).validate()
+        with pytest.raises(ConfigError, match="unknown head variant 'crf'"):
+            TrainConfig(variant="crf").validate()
 
     def test_record_round_trip(self, tmp_path):
         r = predictions([5], [2], [1], np.array([[0.1, 0.9]], dtype=np.float32))
