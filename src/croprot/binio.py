@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import struct
 import types
@@ -124,7 +125,8 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 def _conform(tp, value):
     """`value` as a value of the field annotation `tp`: int, float, str,
     `X | None` (an X), `tuple[X, ...]` (a list of X, made a tuple) or
-    `dict[int, int]` (an object whose keys its caller made integers).  A
+    `dict[int, int]` (an object whose keys its caller made integers); a
+    float is a JSON number that a float holds finitely, kept as given.  A
     value that does not match raises TypeError naming it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
@@ -136,6 +138,13 @@ def _conform(tp, value):
         return tuple(_conform(args[0], v) for v in value)
     if origin is dict:
         return {_conform(args[0], k): _conform(args[1], v) for k, v in value.items()}
+    if tp is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise TypeError(f"{json.dumps(value)} is not a finite float")
     return value
 
 

@@ -17,13 +17,14 @@ from .binio import (
     write_predictions,
 )
 from .data import (
-    FoldAssignment,
     SyntheticConfig,
     config_to_manifest,
     generate_synthetic,
     load_dataset,
+    load_folds,
     make_folds,
     save_dataset,
+    save_folds,
 )
 from .errors import ConfigError, ContractError, DataFormatError
 from .model import ModelDims, load_checkpoint, save_checkpoint
@@ -59,25 +60,6 @@ def load_run_config(args):
     cfg = from_json(training.TrainConfig, {**train, "variant": variant, **seed.get("train", {})},
                     f"{what} train", ConfigError)
     return doc, synth, dims, cfg
-
-
-def _load_folds(path, dataset):
-    """The fold assignment in `path`; it must give every dataset parcel a
-    fold."""
-    doc = read_json(path, "folds file")
-    if type(doc.get("folds")) is dict:
-        try:
-            doc["folds"] = {int(pid): f for pid, f in doc["folds"].items()}
-        except ValueError as exc:
-            raise DataFormatError(f"folds file {path}: bad parcel id ({exc})") from None
-    folds = from_json(FoldAssignment, doc, f"folds file {path}", DataFormatError)
-    missing = [p.parcel_id for p in dataset.parcels if p.parcel_id not in folds.folds]
-    if missing:
-        raise DataFormatError(
-            f"folds file {path} assigns no fold to {len(missing)} dataset "
-            f"parcel(s), first {missing[0]}"
-        )
-    return folds
 
 
 def _eval_year(year, num_years):
@@ -130,14 +112,7 @@ def cmd_split(args):
     assignment = make_folds(
         dataset.parcels, args.k, args.block_size, salt=args.seed or 0
     )
-    write_json(
-        args.out,
-        {
-            "k": assignment.k,
-            "block_size": assignment.block_size,
-            "folds": {str(pid): f for pid, f in assignment.folds.items()},
-        },
-    )
+    save_folds(args.out, assignment)
     print(f"assigned {len(assignment.folds)} parcels to {assignment.k} folds")
     return 0
 
@@ -146,7 +121,7 @@ def cmd_split(args):
 def cmd_train(args):
     config, _, dims, cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds, dataset)
+    folds = load_folds(args.folds, dataset.parcels)
     # the dataset's channels and classes where model.dims gives none
     given = config.get("model", {}).get("dims", {})
     dims.channels = given.get("channels", dataset.num_channels)
@@ -179,16 +154,13 @@ def cmd_train(args):
 @_out_dir
 def cmd_eval(args):
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds, dataset)
-    val_fold = folds.val_fold(args.fold)
+    folds = load_folds(args.folds, dataset.parcels)
+    _, val_parcels, test_parcels = folds.split(dataset.parcels, args.fold)
     year = _eval_year(args.year, dataset.num_years)
     model = load_checkpoint(args.checkpoint)
-    test_parcels = [
-        p for p in dataset.parcels if folds.folds[p.parcel_id] == args.fold
-    ]
-    val_parcels = [
-        p for p in dataset.parcels if folds.folds[p.parcel_id] == val_fold
-    ]
+    if model.dims.num_classes != dataset.num_classes:
+        raise DataFormatError(f"checkpoint {args.checkpoint}: {model.dims.num_classes} "
+                              f"classes; the dataset has {dataset.num_classes}")
     # one call: each parcel's records do not depend on the others in it
     preds = training.predict(model, val_parcels + test_parcels, seed=args.seed or 0)
     split = len(val_parcels) * dataset.num_years
@@ -199,7 +171,7 @@ def cmd_eval(args):
     meta = {
         "variant": model.variant,
         "fold": args.fold,
-        "val_fold": val_fold,
+        "val_fold": folds.val_fold(args.fold),
         "seed": args.seed or 0,
         "num_classes": model.dims.num_classes,
         "year": args.year,
@@ -254,7 +226,7 @@ def cmd_crf(args):
     if not {"fold", "val_fold"} <= meta.keys():
         raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
     dataset = load_dataset(args.dataset)
-    folds = _load_folds(args.folds, dataset)
+    folds = load_folds(args.folds, dataset.parcels)
     fold, val_fold = meta["fold"], meta["val_fold"]
     if not (is_int(fold) and 0 <= fold < folds.k):
         raise DataFormatError(f"predictions file {args.predictions}: meta fold {fold!r} "
@@ -301,15 +273,9 @@ def cmd_crf(args):
         if pid is not None:
             raise DataFormatError(f"predictions file {args.predictions}: {name} record of "
                                   f"parcel {pid} lies outside meta.{key} {meta[key]}")
-    held_out = {fold, val_fold}
-    triplets = [
-        tuple(p.labels[i : i + 3])
-        for p in dataset.parcels
-        if folds.folds[p.parcel_id] not in held_out
-        for i in range(len(p.labels) - 2)
-    ]
+    train, _, _ = folds.split(dataset.parcels, fold)
     transitions = crf_mod.estimate_transitions(
-        triplets, dataset.num_classes, alpha=args.alpha
+        [p.labels for p in train], dataset.num_classes, alpha=args.alpha
     )
     scaler = calibration.fit_temperature(val)
     posterior = calibration.apply_temperature(scored.logits, scaler.tau).astype(np.float32)

@@ -27,20 +27,23 @@ class TransitionTensor:
         return self.t.shape[0]
 
 
-def estimate_transitions(triplets, num_classes, alpha=1.0) -> TransitionTensor:
-    """Add-alpha estimate of the transition tensor from (a, b, c) label
-    triplets; unseen (a, b) contexts fall back to the uniform prior."""
+def estimate_transitions(histories, num_classes, alpha=1.0) -> TransitionTensor:
+    """Add-alpha estimate of the transition tensor from the label triplets
+    (a, b, c) of N label histories, an (N, Y) array-like: every run of
+    three consecutive labels of a row counts once, N * (Y - 2) in all, so
+    a triplet list is the Y = 3 case.  Unseen (a, b) contexts fall back to
+    the uniform prior."""
     if not (np.isfinite(alpha) and alpha > 0):
         raise ContractError(f"Laplace constant alpha must be finite and positive, not {alpha}")
     L = num_classes
+    h = np.array(histories, dtype=np.int64, ndmin=2)  # no histories: shape (1, 0)
+    if h.ndim != 2:
+        raise ContractError(f"label histories must be an (N, Y) array, not {h.shape}")
     counts = np.zeros((L, L, L), dtype=np.float64)
-    n = 0
-    for a, b, c in triplets:
-        counts[a, b, c] += 1
-        n += 1
+    np.add.at(counts, (h[:, :-2], h[:, 1:-1], h[:, 2:]), 1)
     totals = counts.sum(axis=2, keepdims=True)
     t = (counts + alpha) / (totals + alpha * L)
-    return TransitionTensor(t=t, alpha=float(alpha), triplet_count=n)
+    return TransitionTensor(t=t, alpha=float(alpha), triplet_count=h[:, 2:].size)
 
 
 def crf_score(p, a, b, transitions: TransitionTensor):

@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .binio import U16, U32, Reader, read_json, write_json
+from .binio import U16, U32, Reader, from_json, read_json, write_json
 from .errors import ConfigError, ContractError, DataFormatError
 
 MAGIC = b"RCDS"
@@ -86,9 +87,56 @@ class FoldAssignment:
             raise ContractError(f"fold {fold} outside [0, {self.k})")
         return (fold + 1) % self.k
 
+    def split(self, parcels, fold):
+        """(train, val, test) parcel lists of test fold `fold`: val is fold
+        `val_fold(fold)`, train every other fold in fold order, each fold's
+        parcels in `parcels` order.  A fold outside [0, k) is a
+        ContractError."""
+        val = self.val_fold(fold)
+        groups = [[] for _ in range(self.k)]
+        for p in parcels:
+            groups[self.folds[p.parcel_id]].append(p)
+        train = [p for f, group in enumerate(groups) if f not in (fold, val) for p in group]
+        return train, groups[val], groups[fold]
+
+
+# a folds-file key: the decimal text of a parcel id, as `str(pid)` writes it
+_ID_TEXT = re.compile("0|[1-9][0-9]{0,19}")
+
+
+def save_folds(path, folds):
+    """Write the fold assignment `folds` to the JSON folds file `path`."""
+    write_json(path, {"k": folds.k, "block_size": folds.block_size,
+                      "folds": {str(pid): f for pid, f in folds.folds.items()}})
+
+
+def load_folds(path, parcels):
+    """The fold assignment in the folds file `path`; it must give each of
+    `parcels` a fold.  A key that is not the decimal text of an id in
+    [0, 2^64) is a DataFormatError."""
+    doc = read_json(path, "folds file")
+    if type(doc.get("folds")) is dict:
+        for key in doc["folds"]:
+            if not (_ID_TEXT.fullmatch(key) and int(key) < 2**64):
+                raise DataFormatError(f"folds file {path}: key {key!r} is not a parcel id")
+        doc["folds"] = {int(pid): f for pid, f in doc["folds"].items()}
+    folds = from_json(FoldAssignment, doc, f"folds file {path}", DataFormatError)
+    missing = [p.parcel_id for p in parcels if p.parcel_id not in folds.folds]
+    if missing:
+        raise DataFormatError(
+            f"folds file {path} assigns no fold to {len(missing)} dataset "
+            f"parcel(s), first {missing[0]}"
+        )
+    return folds
+
 
 # ---------------------------------------------------------------------------
 # synthetic generation
+
+
+# the most dates `_acquisition_days` always places in [1, 366]: the first
+# can fall on day 19, and each later date at least one day after the last
+MAX_TIMESTEPS = 366 - 19 + 1
 
 
 @dataclass
@@ -117,6 +165,11 @@ class SyntheticConfig:
                           ("noise_std", 0), ("year_shift", 0), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # the `.rcds` header's u8 and u16 fields, and the dates a year can hold
+        for name, high in (("num_years", 255), ("channels", 65535), ("num_classes", 65535),
+                           ("timesteps", MAX_TIMESTEPS)):
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must be <= {high}, got {getattr(self, name)}")
         if not self.area_size > 0:
             raise ConfigError(f"area_size must be positive, got {self.area_size}")
         for p in (self.permanent_stay, self.cycle_follow, self.other_within):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -368,24 +367,15 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
     """5-fold style rotation: test fold f, validation fold (f+1) % k, train
     on the rest; mixed protocol pools every parcel-year of the train folds."""
     cfg.validate()
-    by_fold = defaultdict(list)
-    for p in dataset.parcels:
-        by_fold[folds.folds[p.parcel_id]].append(p)
     # every requested fold is checked before any is trained
-    runs = [(f, folds.val_fold(f))
+    runs = [(f, folds.split(dataset.parcels, f))
             for f in (folds_to_run if folds_to_run is not None else range(folds.k))]
     results = []
-    for f, val_f in runs:
-        train_parcels = [
-            p
-            for ff in range(folds.k)
-            if ff not in (f, val_f)
-            for p in by_fold[ff]
-        ]
+    for f, (train_parcels, val_parcels, test_parcels) in runs:
         model, best_epoch, epoch_log = train_single_split(
-            dataset, train_parcels, by_fold[val_f], cfg, dims, fold=f
+            dataset, train_parcels, val_parcels, cfg, dims, fold=f
         )
-        test_records = predict(model, by_fold[f], seed=cfg.seed)
+        test_records = predict(model, test_parcels, seed=cfg.seed)
         results.append(
             FoldResult(
                 fold=f,

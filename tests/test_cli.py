@@ -8,7 +8,7 @@ import pytest
 from croprot import training
 from croprot.cli import main
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
-from croprot.model import CropModel, load_checkpoint, save_checkpoint
+from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 from croprot.training import predict
 
 import oracles
@@ -463,8 +463,21 @@ def malformed(workdir, tmp_path_factory):
         "config_dims_float": json.dumps({**RUN_CONFIG, "model": {
             **RUN_CONFIG["model"], "dims": {**RUN_CONFIG["model"]["dims"], "sample_pixels": 4.0}}}),
         "folds_not_utf8": b'{"k": 3, "\xff": 1}',
+        # a float field given a number that no float holds finitely
+        "config_area_size_1e400": '{"dataset": {"synthetic": {"area_size": 1e400}}}',
+        "config_area_size_huge_int": json.dumps({"dataset": {"synthetic": {"area_size": 10**400}}}),
+        "config_noise_std_1e400": '{"dataset": {"synthetic": {"noise_std": 1e400}}}',
+        "config_learning_rate_1e400": json.dumps(
+            {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "learning_rate": "LR"}}
+        ).replace('"LR"', "1e400"),
         "preds_not_utf8": b'{"meta": "\xff"}',
     }
+    # a synthetic config above what the .rcds header holds or a year's
+    # dates can place
+    for key, value in {"timesteps": 349, "num_years": 256, "channels": 65536,
+                       "num_classes": 65536}.items():
+        files[f"config_{key}_{value}"] = json.dumps({"dataset": {"synthetic": {
+            **RUN_CONFIG["dataset"]["synthetic"], key: value}}})
     # the pipeline's fold-0 predictions under the meta of fold 1, and with
     # its test records given as val records too
     fold0 = json.loads((eval_out / "predictions.json").read_text())
@@ -483,6 +496,13 @@ def malformed(workdir, tmp_path_factory):
         "folds_fold_9": {"folds": {**pipeline_folds["folds"], "5": 9}},
         "folds_fold_negative": {"folds": {**pipeline_folds["folds"], "5": -1}},
         "folds_fold_float": {"folds": {**pipeline_folds["folds"], "5": 1.0}},
+        "folds_block_size_huge_int": {"block_size": 10**400},
+        # keys that are not the decimal text of a parcel id
+        "folds_key_leading_zero": {"folds": {**pipeline_folds["folds"], "05": 0}},
+        "folds_key_space": {"folds": {**pipeline_folds["folds"], " 6": 0}},
+        "folds_key_underscore": {"folds": {**pipeline_folds["folds"], "5_0": 0}},
+        "folds_key_negative": {"folds": {**pipeline_folds["folds"], "-3": 0}},
+        "folds_key_2_64": {"folds": {**pipeline_folds["folds"], str(2**64): 0}},
     }.items():
         files[name] = json.dumps({**pipeline_folds, **edit})
     paths = {name: bad / f"{name}.json" for name in files}
@@ -512,6 +532,11 @@ def malformed(workdir, tmp_path_factory):
         paths[name] = bad / f"{name}.bin"
         shutil.copy(source, paths[name])
         (bad / f"{name}.bin.json").write_bytes(sidecar)
+    # checkpoints of fewer and more classes than the dataset's 8
+    for classes in (4, 12):
+        paths[f"ckpt_{classes}_classes"] = bad / f"ckpt_{classes}_classes.bin"
+        dims = ModelDims(channels=4, num_classes=classes, **RUN_CONFIG["model"]["dims"])
+        save_checkpoint(paths[f"ckpt_{classes}_classes"], CropModel(dims, "dec", seed=1))
     paths["dataset_nan"] = bad / "nan.rcds"
     paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
     # two parcels with id 0: the one-sample file with its parcel record twice
@@ -572,6 +597,14 @@ CLI_MATRIX = {
     "train-epochs-float": (_TRAIN.replace("{cfg}", "{config_epochs_float}"), 2),
     "train-dims-float": (_TRAIN.replace("{cfg}", "{config_dims_float}"), 2),
     "synth-seed-negative": ("synth --config {cfg} --out {out} --seed -1", 2),
+    "synth-area-size-1e400": ("synth --config {config_area_size_1e400} --out {out}", 2),
+    "synth-area-size-huge-int": ("synth --config {config_area_size_huge_int} --out {out}", 2),
+    "synth-noise-std-1e400": ("synth --config {config_noise_std_1e400} --out {out}", 2),
+    "train-learning-rate-1e400": (_TRAIN.replace("{cfg}", "{config_learning_rate_1e400}"), 2),
+    "synth-timesteps-349": ("synth --config {config_timesteps_349} --out {out}", 2),
+    "synth-num-years-256": ("synth --config {config_num_years_256} --out {out}", 2),
+    "synth-channels-65536": ("synth --config {config_channels_65536} --out {out}", 2),
+    "synth-num-classes-65536": ("synth --config {config_num_classes_65536} --out {out}", 2),
     "train-seed-negative": (_TRAIN + " --seed -1", 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
@@ -633,6 +666,14 @@ CLI_MATRIX = {
     "eval-folds-fold-9": (_EVAL.replace("{folds}", "{folds_fold_9}"), 3),
     "eval-folds-fold-negative": (_EVAL.replace("{folds}", "{folds_fold_negative}"), 3),
     "train-folds-fold-float": (_TRAIN.replace("{folds}", "{folds_fold_float}"), 3),
+    "eval-folds-block-size-huge-int": (_EVAL.replace("{folds}", "{folds_block_size_huge_int}"), 3),
+    "eval-folds-key-leading-zero": (_EVAL.replace("{folds}", "{folds_key_leading_zero}"), 3),
+    "train-folds-key-space": (_TRAIN.replace("{folds}", "{folds_key_space}"), 3),
+    "crf-folds-key-underscore": (_CRF.replace("{folds}", "{folds_key_underscore}"), 3),
+    "eval-folds-key-negative": (_EVAL.replace("{folds}", "{folds_key_negative}"), 3),
+    "eval-folds-key-2-64": (_EVAL.replace("{folds}", "{folds_key_2_64}"), 3),
+    "eval-checkpoint-4-classes": (_EVAL.replace("{ckpt}", "{ckpt_4_classes}"), 3),
+    "eval-checkpoint-12-classes": (_EVAL.replace("{ckpt}", "{ckpt_12_classes}"), 3),
     "eval-checkpoint-d1-string": (_EVAL.replace("{ckpt}", "{ckpt_d1_string}"), 3),
     "embed-checkpoint-d1-bool": (_EMBED.replace("{ckpt}", "{ckpt_d1_bool}"), 3),
     "embed-checkpoint-d1-0": (_EMBED.replace("{ckpt}", "{ckpt_d1_0}"), 3),
@@ -730,3 +771,16 @@ def test_fold_outside_folds_file_refused(malformed, tmp_path, capsys, command):
     assert main(argv) == 4
     assert capsys.readouterr().err == "contract violation: fold 7 outside [0, 3)\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("classes", [4, 12])
+def test_eval_refuses_class_count_before_predicting(malformed, monkeypatch, tmp_path, capsys,
+                                                    classes):
+    calls = []
+    monkeypatch.setattr(training, "predict", lambda *a, **k: calls.append(1))
+    argv = [arg.format(**{**malformed, "out": str(tmp_path / "o")})
+            for arg in _EVAL.replace("{ckpt}", f"{{ckpt_{classes}_classes}}").split()]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"{classes} classes; the dataset has 8" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "o").exists()

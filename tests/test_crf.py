@@ -54,6 +54,24 @@ class TestEstimate:
                         want = (n + a_frac) / (total + a_frac * L)
                         assert t.t[a, b, c] == pytest.approx(float(want), abs=1e-12)
 
+    def test_histories_count_as_their_triplets(self):
+        histories = np.random.default_rng(2).integers(0, 4, (30, 5))
+        triplets = [tuple(h[i:i + 3]) for h in histories for i in range(3)]
+        for given in (histories, histories.tolist()):
+            t = estimate_transitions(given, 4, alpha=0.5)
+            u = estimate_transitions(triplets, 4, alpha=0.5)
+            assert t.t.tobytes() == u.t.tobytes()
+            assert t.triplet_count == u.triplet_count == 90
+
+    @pytest.mark.parametrize("years", [1, 2])
+    def test_histories_shorter_than_three_years_count_nothing(self, years):
+        t = estimate_transitions(np.zeros((4, years), np.int64), 2)
+        assert t.triplet_count == 0 and (t.t == 0.5).all()
+
+    def test_histories_must_be_two_dimensional(self):
+        with pytest.raises(ContractError, match=r"\(N, Y\)"):
+            estimate_transitions(np.zeros((2, 3, 3), np.int64), 2)
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ContractError):
             estimate_transitions([], 3, alpha=0.0)

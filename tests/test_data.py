@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,18 +12,22 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from croprot.data import (
+    MAX_TIMESTEPS,
     FoldAssignment,
     MultiYearParcel,
     PixelSetSample,
     SyntheticConfig,
+    _acquisition_days,
     _splitmix64,
     distinct_columns,
     draw_keys,
     generate_synthetic,
     load_dataset,
+    load_folds,
     make_folds,
     sample_pixels,
     save_dataset,
+    save_folds,
     config_to_manifest,
 )
 from croprot.errors import ConfigError, ContractError, DataFormatError
@@ -78,11 +84,27 @@ class TestGenerator:
     @pytest.mark.parametrize("change", [
         {"pixels_min": 0, "pixels_max": 0}, {"num_years": 0}, {"channels": 0}, {"parcels": 0},
         {"seed": -1}, {"noise_std": -0.1}, {"year_shift": float("nan")}, {"area_size": 0.0},
+        # above what the .rcds header holds or a year's dates can place
+        {"num_years": 256}, {"channels": 65536}, {"num_classes": 65536},
+        {"timesteps": MAX_TIMESTEPS + 1},
     ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
     def test_ranges_checked(self, change):
         # pixels_min = pixels_max = 0 used to generate parcels with no pixels
         with pytest.raises(ConfigError, match=next(iter(change))):
             generate_synthetic(SyntheticConfig(**change))
+
+    def test_max_timesteps_is_the_most_days_always_placed(self):
+        class Latest:  # every date drawn as late as its jitter allows
+            @staticmethod
+            def uniform(low, high, size):
+                return np.full(size, np.nextafter(high, low))
+
+        for t, fits in ((MAX_TIMESTEPS, True), (MAX_TIMESTEPS + 1, False)):
+            days = _acquisition_days(t, Latest)
+            assert (np.diff(days) > 0).all() == fits
+        for seed in range(200):
+            days = _acquisition_days(MAX_TIMESTEPS, np.random.default_rng(seed))
+            assert days[0] >= 1 and (np.diff(days) > 0).all() and days[-1] <= 366
 
     def test_kernel_rows_normalized(self):
         m = SyntheticConfig(seed=1).transition_matrix()
@@ -328,6 +350,48 @@ class TestFolds:
         FoldAssignment(3, {5: 2}, 10.0).validate()
         with pytest.raises(ContractError):
             FoldAssignment(k, folds, block_size).validate()
+
+    def test_split(self, fold_parcels):
+        fa = make_folds(fold_parcels, 5, 1000)
+        fold_of = [fa.folds[p.parcel_id] for p in fold_parcels]
+        for fold in range(5):
+            train, val, test = fa.split(fold_parcels, fold)
+            # train is fold-major, each fold's parcels in dataset order
+            in_order = [p for f in range(5) if f not in (fold, (fold + 1) % 5)
+                        for p, pf in zip(fold_parcels, fold_of) if pf == f]
+            assert [id(p) for p in train] == [id(p) for p in in_order]
+            assert val == [p for p, f in zip(fold_parcels, fold_of) if f == (fold + 1) % 5]
+            assert test == [p for p, f in zip(fold_parcels, fold_of) if f == fold]
+            assert sorted(p.parcel_id for p in train + val + test) == list(range(1000))
+
+    @pytest.mark.parametrize("fold", [-1, 5])
+    def test_split_refuses_fold_outside_k(self, fold_parcels, fold):
+        with pytest.raises(ContractError, match=f"fold {fold} outside"):
+            make_folds(fold_parcels, 5, 1000).split(fold_parcels, fold)
+
+
+class TestFoldsFile:
+    def test_round_trip(self, tmp_path, fold_parcels):
+        fa = make_folds(fold_parcels, 5, 1000)
+        save_folds(tmp_path / "folds.json", fa)
+        assert load_folds(tmp_path / "folds.json", fold_parcels) == fa
+        ends = FoldAssignment(3, {0: 1, 2**64 - 1: 2}, 7.5)
+        save_folds(tmp_path / "ends.json", ends)
+        assert load_folds(tmp_path / "ends.json", []) == ends
+
+    def test_compact_json_loads(self, tmp_path):
+        # `str(pid)` keys written by json.dump without indent
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"k": 2, "block_size": 1.0, "folds": {"5": 0, "60": 1}}))
+        assert load_folds(path, []) == FoldAssignment(2, {5: 0, 60: 1}, 1.0)
+
+    @pytest.mark.parametrize("key", ["05", " 6", "6 ", "5_0", "-3", "+5", "", "x",
+                                     "\u0665", str(2**64), "1" * 21])
+    def test_key_not_an_id_text_refused(self, tmp_path, key):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"k": 2, "block_size": 1.0, "folds": {"5": 0, key: 1}}))
+        with pytest.raises(DataFormatError, match=re.escape(f"key {key!r} is not")):
+            load_folds(path, [])
 
 
 class TestFileFormat:

@@ -254,6 +254,23 @@ def test_from_json_makes_lists_tuples():
         from_json(SyntheticConfig, {"cycles": [2, 3]}, "config", ConfigError)
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 10**400,
+                                   -(2**1024)], ids=["inf", "-inf", "nan", "10^400", "-2^1024"])
+def test_from_json_refuses_a_float_that_is_not_finite(value):
+    with pytest.raises(ConfigError, match="area_size: .* is not a finite float"):
+        from_json(SyntheticConfig, {"area_size": value}, "config", ConfigError)
+    with pytest.raises(DataFormatError, match="block_size: .* is not a finite float"):
+        from_json(FoldAssignment, {"k": 3, "folds": {}, "block_size": value}, "f",
+                  DataFormatError)
+
+
+def test_from_json_keeps_a_float_fields_value_as_given():
+    # an integer stays an integer, so the manifest writes it as given
+    cfg = from_json(SyntheticConfig, {"area_size": 10**308, "noise_std": 1}, "c", ConfigError)
+    assert type(cfg.area_size) is int and cfg.area_size == 10**308
+    assert type(cfg.noise_std) is int
+
+
 def test_from_json_reports_validate_as_the_callers_error():
     # validate() raises ContractError; the loader's caller gets its own class
     with pytest.raises(ConfigError, match="^run config x train: epochs must be >= 1"):

@@ -19,15 +19,16 @@ output for every parcel-year under an inference key (seed, parcel, year)
 and a training key (seed, fold, epoch, parcel, year), so a change of the
 pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
 `save_dataset` writes for the data (`.rcds` and sidecar) and that
-`save_transitions` writes for its label triplets; per variant, a
+`save_transitions` writes for the tensor `estimate_transitions` counts
+from every parcel's label history; per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
 trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
 run trained on year 3 alone, whose training items lack the past years
 the head reads.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
-`croprot.cli.main` in-process on the saved data, a 5-fold split and the
-saved checkpoint, and hash every file the five commands write and their
+`croprot.cli.main` in-process on the saved data, a 5-fold split written by
+`save_folds` and the saved checkpoint, and hash every file the five commands write and their
 standard output.  `cli-train` lines run `synth` -> `split` -> `train
 --fold 0 --variant dec --seed 5` through `croprot.cli.main` with a
 2-epoch run config at the same dims, whose synthetic section sets
@@ -61,7 +62,7 @@ from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
     Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
-    make_folds, sample_pixels, save_dataset,
+    make_folds, sample_pixels, save_dataset, save_folds,
 )
 from croprot.model import CropModel, ModelDims, save_checkpoint  # noqa: E402
 
@@ -194,9 +195,7 @@ def draws(dataset):
 def files(dataset):
     """(file kind, sha256) pairs of the dataset and transition-tensor files."""
     manifest = _manifest()
-    triplets = [tuple(p.labels[i:i + 3]) for p in dataset.parcels
-                for i in range(dataset.num_years - 2)]
-    transitions = estimate_transitions(triplets, dataset.num_classes)
+    transitions = estimate_transitions([p.labels for p in dataset.parcels], dataset.num_classes)
     return [
         ("dataset", _saved_sha(
             lambda path: save_dataset(path, dataset.parcels, dataset.num_classes, manifest))),
@@ -215,10 +214,8 @@ def cli_files(model, dataset):
     with tempfile.TemporaryDirectory() as tmp:
         data_path = os.path.join(tmp, "data.rcds")
         save_dataset(data_path, dataset.parcels, dataset.num_classes, _manifest())
-        folds = make_folds(dataset.parcels, 5, 1000.0)
         folds_path = os.path.join(tmp, "folds.json")
-        write_json(folds_path, {"k": folds.k, "block_size": folds.block_size,
-                                "folds": {str(pid): f for pid, f in folds.folds.items()}})
+        save_folds(folds_path, make_folds(dataset.parcels, 5, 1000.0))
         ckpt = os.path.join(tmp, "checkpoint.bin")
         save_checkpoint(ckpt, model)
         out = os.path.join(tmp, "out")
