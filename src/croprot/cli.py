@@ -151,13 +151,23 @@ def cmd_train(args):
     return 0
 
 
+def _load_checkpoint_for(path, dataset):
+    """The model in the checkpoint `path`, refused (DataFormatError) when
+    it encodes another number of channels than `dataset`'s parcels have."""
+    model = load_checkpoint(path)
+    if dataset.parcels and model.dims.channels != dataset.num_channels:
+        raise DataFormatError(f"checkpoint {path}: {model.dims.channels} channels; "
+                              f"the dataset has {dataset.num_channels}")
+    return model
+
+
 @_out_dir
 def cmd_eval(args):
     dataset = load_dataset(args.dataset)
     folds = load_folds(args.folds, dataset.parcels)
     _, val_parcels, test_parcels = folds.split(dataset.parcels, args.fold)
     year = _eval_year(args.year, dataset.num_years)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_checkpoint_for(args.checkpoint, dataset)
     if model.dims.num_classes != dataset.num_classes:
         raise DataFormatError(f"checkpoint {args.checkpoint}: {model.dims.num_classes} "
                               f"classes; the dataset has {dataset.num_classes}")
@@ -327,7 +337,7 @@ def cmd_rotations(args):
 
 def cmd_embed(args):
     dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_checkpoint_for(args.checkpoint, dataset)
     analytics.export_embeddings(model, dataset.parcels, args.out, seed=args.seed or 0)
     print(f"wrote embeddings for {len(dataset.parcels)} parcels to {args.out}")
     return 0

@@ -239,25 +239,29 @@ class SyntheticConfig:
 
 
 def double_logistic(params, days):
-    """Evaluate curves for one class: params (C, 6), days (T,) -> (C, T)."""
-    days = np.asarray(days, dtype=np.float64)[None, :]
-    base = params[:, 0:1]
-    amp = params[:, 1:2]
-    start = params[:, 2:3]
-    end = params[:, 3:4]
-    s1 = params[:, 4:5]
-    s2 = params[:, 5:6]
+    """Evaluate curves: params (..., C, 6), days (..., T) -> (..., C, T)."""
+    days = np.asarray(days, dtype=np.float64)[..., None, :]
+    base, amp, start, end, s1, s2 = (params[..., k:k + 1] for k in range(6))
     rise = 1.0 / (1.0 + np.exp(-s1 * (days - start)))
     fall = 1.0 / (1.0 + np.exp(-s2 * (days - end)))
     return base + amp * (rise - fall)
 
 
-def _acquisition_days(timesteps, rng):
-    days = np.linspace(15, 350, timesteps) + rng.uniform(-4, 4, timesteps)
-    days = np.round(days).astype(np.int64)
-    for i in range(1, timesteps):
-        days[i] = max(days[i], days[i - 1] + 1)
-    return np.clip(days, 1, 366)
+def _acquisition_days(jitter):
+    """(..., T) int64 acquisition days: T dates spread evenly over the
+    year, each moved by its (..., T) `jitter` in [-4, 4), rounded, pushed
+    to at least a day after the date before it and clipped to [1, 366]."""
+    t = jitter.shape[-1]
+    days = np.round(np.linspace(15, 350, t) + jitter).astype(np.int64)
+    # days[i] = max(days[i], days[i - 1] + 1), as a running max of days[i] - i
+    step = np.arange(t)
+    return np.clip(np.maximum.accumulate(days - step, axis=-1) + step, 1, 366)
+
+
+# parcels per chunk of `generate_synthetic`: the float64 curves and noise
+# behind the float32 pixels are built one chunk at a time, so their memory
+# does not grow with the parcel count
+SYNTH_CHUNK = 32
 
 
 def generate_synthetic(config: SyntheticConfig):
@@ -267,32 +271,40 @@ def generate_synthetic(config: SyntheticConfig):
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     kernel = config.transition_matrix()
     curves = config.phenology_curves()
-    L, I, C = config.num_classes, config.num_years, config.channels
+    L, I, C, T = config.num_classes, config.num_years, config.channels, config.timesteps
     # per-year global covariate shift, one offset per channel
     shift = config.year_shift * rng.uniform(-1, 1, (I, C))
     parcels = []
-    for pid in range(config.parcels):
-        centroid = tuple(rng.uniform(0, config.area_size, 2))
-        labels = [int(rng.integers(L))]
-        for _ in range(1, I):
-            labels.append(int(rng.choice(L, p=kernel[labels[-1]])))
-        samples = []
-        for i in range(I):
-            n_p = int(rng.integers(config.pixels_min, config.pixels_max + 1))
-            days = _acquisition_days(config.timesteps, rng)
-            clean = double_logistic(curves[labels[i]], days)  # (C, T)
-            pix = clean[:, None, :] + shift[i][:, None, None]
-            pix = pix + rng.normal(0, config.noise_std, (C, n_p, len(days)))
-            samples.append(
-                PixelSetSample(
-                    parcel_id=pid,
-                    year_index=i + 1,
-                    pixels=pix.astype(np.float32),
-                    days=days,
-                    label=labels[i],
-                )
-            )
-        parcels.append(MultiYearParcel(pid, centroid, samples))
+    for first in range(0, config.parcels, SYNTH_CHUNK):
+        ids = range(first, min(first + SYNTH_CHUNK, config.parcels))
+        # the chunk's draws, in the generator's order: per parcel its
+        # centroid and labels, then per year its pixel count, date jitter
+        # and (C, n_p, T) noise
+        centroids, labels, n_pixels, jitter, noise = [], [], [], [], []
+        for _ in ids:
+            centroids.append(tuple(rng.uniform(0, config.area_size, 2)))
+            labels.append(int(rng.integers(L)))
+            for _ in range(1, I):
+                labels.append(int(rng.choice(L, p=kernel[labels[-1]])))
+            for _ in range(I):
+                n_pixels.append(int(rng.integers(config.pixels_min, config.pixels_max + 1)))
+                jitter.append(rng.uniform(-4, 4, T))
+                noise.append(rng.normal(0, config.noise_std, (C, n_pixels[-1], T)))
+        days = _acquisition_days(np.array(jitter))  # one row per parcel-year
+        clean = double_logistic(curves[labels], days).reshape(-1, I, C, T) + shift[:, :, None]
+        # each sample's (C, n_p, T) pixels as consecutive rows of one table;
+        # float addition commutes exactly, so this is (curve + shift) + noise
+        noise = np.concatenate(noise, axis=None).reshape(-1, T)
+        noise += np.repeat(clean.reshape(-1, T), np.repeat(n_pixels, C), axis=0)
+        pixels = noise.astype(np.float32)
+        ends = (np.cumsum(n_pixels) * C).tolist()
+        samples = [
+            PixelSetSample(first + k // I, k % I + 1, pixels[end - n * C:end].reshape(C, n, T),
+                           days[k], labels[k])
+            for k, (n, end) in enumerate(zip(n_pixels, ends))
+        ]
+        parcels += [MultiYearParcel(pid, centroid, samples[j * I:(j + 1) * I])
+                    for j, (pid, centroid) in enumerate(zip(ids, centroids))]
     return parcels
 
 
@@ -477,27 +489,28 @@ def save_dataset(path, parcels, num_classes, manifest=None):
     except struct.error as exc:
         raise DataFormatError(f"dataset dimensions overflow the header fields: {exc}") from None
     heads, pixels, days, labels = [], [], [], []
-    for p in parcels:
-        try:
-            heads.append(_PARCEL.pack(p.parcel_id, *p.centroid))
-        except struct.error as exc:
-            raise DataFormatError(f"parcel {p.parcel_id}: id or centroid: {exc}") from None
-        if len(p.samples) != num_years or not all(map(math.isfinite, p.centroid)):
-            raise DataFormatError(f"parcel {p.parcel_id}: {len(p.samples)} years, centroid "
-                                  f"{p.centroid}; need {num_years} years, a finite centroid")
-        for i, s in enumerate(p.samples):
-            with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
+    with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
+        for p in parcels:
+            try:
+                heads.append(_PARCEL.pack(p.parcel_id, *p.centroid))
+            except struct.error as exc:
+                raise DataFormatError(f"parcel {p.parcel_id}: id or centroid: {exc}") from None
+            if len(p.samples) != num_years or not all(map(math.isfinite, p.centroid)):
+                raise DataFormatError(f"parcel {p.parcel_id}: {len(p.samples)} years, centroid "
+                                      f"{p.centroid}; need {num_years} years, a finite centroid")
+            for i, s in enumerate(p.samples):
                 pix = np.ascontiguousarray(s.pixels, dtype="<f4")
-            d = np.asarray(s.days)
-            if not (pix.ndim == 3 and pix.shape[0] == channels and pix.shape[1] >= 1
-                    and d.shape == pix.shape[2:] and d.dtype.kind in "iu"
-                    and isinstance(s.label, (int, np.integer))):
-                raise DataFormatError(f"parcel {p.parcel_id}, year {i + 1}: pixels {pix.shape}, "
-                                      f"{d.dtype} days {d.shape}, label {s.label!r}; need "
-                                      f"({channels}, N_p >= 1, T), T integers, an integer")
-            pixels.append(pix)
-            days.append(d)
-            labels.append(s.label)
+                d = np.asarray(s.days)
+                if not (pix.ndim == 3 and pix.shape[0] == channels and pix.shape[1] >= 1
+                        and d.shape == pix.shape[2:] and d.dtype.kind in "iu"
+                        and isinstance(s.label, (int, np.integer))):
+                    raise DataFormatError(
+                        f"parcel {p.parcel_id}, year {i + 1}: pixels {pix.shape}, {d.dtype} "
+                        f"days {d.shape}, label {s.label!r}; need ({channels}, N_p >= 1, T), "
+                        "T integers, an integer")
+                pixels.append(pix)
+                days.append(d)
+                labels.append(s.label)
     fault = _first_fault(pixels, days, labels, num_classes)
     if fault:
         k, msg = fault
@@ -508,15 +521,15 @@ def save_dataset(path, parcels, num_classes, manifest=None):
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
+    parts = [MAGIC, header]
+    records = zip(days, pixels, labels)
+    for head in heads:
+        parts.append(head)
+        for d, pix, label in itertools.islice(records, num_years):
+            parts += (U16.pack(d.size), d.astype("<u2"), U32.pack(pix.shape[1]), pix,
+                      U16.pack(label))
     with open(path, "wb") as fh:
-        fh.write(MAGIC + header)
-        records = zip(days, pixels, labels)
-        for head in heads:
-            fh.write(head)
-            for d, pix, label in itertools.islice(records, num_years):
-                fh.write(U16.pack(d.size) + d.astype("<u2").tobytes() + U32.pack(pix.shape[1]))
-                fh.write(pix.tobytes())
-                fh.write(U16.pack(label))
+        fh.write(b"".join(parts))
     write_json(path + ".json", sidecar)
 
 

@@ -6,7 +6,8 @@ against `optimizer_step` over the flat parameter vector; and temperature
 fitting, calibration, reliability bins and the confusion matrix one row
 of a `binio.predictions` array at a time, against the library's column
 arithmetic; and the JSON object of one row, against the predictions-file
-writer's fixed layout."""
+writer's fixed layout; and the synthetic generator one parcel-year at a
+time, against the chunked `generate_synthetic`."""
 
 import math
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ import numpy as np
 
 from croprot import autodiff as ad
 from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
+from croprot.data import MultiYearParcel, PixelSetSample
 from croprot.errors import ContractError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -187,3 +189,54 @@ def record_dict(r, posterior=None):
     if posterior is not None:
         d["posterior"] = posterior.tolist()
     return d
+
+
+def double_logistic(params, days):
+    """Evaluate curves for one class: params (C, 6), days (T,) -> (C, T)."""
+    days = np.asarray(days, dtype=np.float64)[None, :]
+    base = params[:, 0:1]
+    amp = params[:, 1:2]
+    start = params[:, 2:3]
+    end = params[:, 3:4]
+    s1 = params[:, 4:5]
+    s2 = params[:, 5:6]
+    rise = 1.0 / (1.0 + np.exp(-s1 * (days - start)))
+    fall = 1.0 / (1.0 + np.exp(-s2 * (days - end)))
+    return base + amp * (rise - fall)
+
+
+def acquisition_days(timesteps, rng):
+    days = np.linspace(15, 350, timesteps) + rng.uniform(-4, 4, timesteps)
+    days = np.round(days).astype(np.int64)
+    for i in range(1, timesteps):
+        days[i] = max(days[i], days[i - 1] + 1)
+    return np.clip(days, 1, 366)
+
+
+def generate_synthetic(config):
+    """The synthetic parcels of `config`, each parcel-year's days, curves
+    and pixels computed as it is drawn."""
+    config.validate()
+    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    kernel = config.transition_matrix()
+    curves = config.phenology_curves()
+    L, I, C = config.num_classes, config.num_years, config.channels
+    shift = config.year_shift * rng.uniform(-1, 1, (I, C))
+    parcels = []
+    for pid in range(config.parcels):
+        centroid = tuple(rng.uniform(0, config.area_size, 2))
+        labels = [int(rng.integers(L))]
+        for _ in range(1, I):
+            labels.append(int(rng.choice(L, p=kernel[labels[-1]])))
+        samples = []
+        for i in range(I):
+            n_p = int(rng.integers(config.pixels_min, config.pixels_max + 1))
+            days = acquisition_days(config.timesteps, rng)
+            clean = double_logistic(curves[labels[i]], days)  # (C, T)
+            pix = clean[:, None, :] + shift[i][:, None, None]
+            pix = pix + rng.normal(0, config.noise_std, (C, n_p, len(days)))
+            samples.append(PixelSetSample(parcel_id=pid, year_index=i + 1,
+                                          pixels=pix.astype(np.float32), days=days,
+                                          label=labels[i]))
+        parcels.append(MultiYearParcel(pid, centroid, samples))
+    return parcels

@@ -537,6 +537,10 @@ def malformed(workdir, tmp_path_factory):
         paths[f"ckpt_{classes}_classes"] = bad / f"ckpt_{classes}_classes.bin"
         dims = ModelDims(channels=4, num_classes=classes, **RUN_CONFIG["model"]["dims"])
         save_checkpoint(paths[f"ckpt_{classes}_classes"], CropModel(dims, "dec", seed=1))
+    # a checkpoint of 3 channels, against the dataset's 4
+    paths["ckpt_3_channels"] = bad / "ckpt_3_channels.bin"
+    dims = ModelDims(channels=3, num_classes=8, **RUN_CONFIG["model"]["dims"])
+    save_checkpoint(paths["ckpt_3_channels"], CropModel(dims, "dec", seed=1))
     paths["dataset_nan"] = bad / "nan.rcds"
     paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
     # two parcels with id 0: the one-sample file with its parcel record twice
@@ -674,6 +678,8 @@ CLI_MATRIX = {
     "eval-folds-key-2-64": (_EVAL.replace("{folds}", "{folds_key_2_64}"), 3),
     "eval-checkpoint-4-classes": (_EVAL.replace("{ckpt}", "{ckpt_4_classes}"), 3),
     "eval-checkpoint-12-classes": (_EVAL.replace("{ckpt}", "{ckpt_12_classes}"), 3),
+    "eval-checkpoint-3-channels": (_EVAL.replace("{ckpt}", "{ckpt_3_channels}"), 3),
+    "embed-checkpoint-3-channels": (_EMBED.replace("{ckpt}", "{ckpt_3_channels}"), 3),
     "eval-checkpoint-d1-string": (_EVAL.replace("{ckpt}", "{ckpt_d1_string}"), 3),
     "embed-checkpoint-d1-bool": (_EMBED.replace("{ckpt}", "{ckpt_d1_bool}"), 3),
     "embed-checkpoint-d1-0": (_EMBED.replace("{ckpt}", "{ckpt_d1_0}"), 3),
@@ -783,4 +789,19 @@ def test_eval_refuses_class_count_before_predicting(malformed, monkeypatch, tmp_
     capsys.readouterr()
     assert main(argv) == 3
     assert f"{classes} classes; the dataset has 8" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [_EVAL, _EMBED], ids=["eval", "embed"])
+def test_channel_count_refused_before_encoding(malformed, monkeypatch, tmp_path, capsys,
+                                               command):
+    calls = []
+    monkeypatch.setattr(training, "encode_batch", lambda *a, **k: calls.append(1))
+    argv = [arg.format(**{**malformed, "out": str(tmp_path / "o")})
+            for arg in command.replace("{ckpt}", "{ckpt_3_channels}").split()]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"data format error: checkpoint "
+                                       f"{malformed['ckpt_3_channels']}: 3 channels; "
+                                       "the dataset has 4\n")
     assert calls == [] and not (tmp_path / "o").exists()

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import stats
 
 from croprot.data import (
     MAX_TIMESTEPS,
+    SYNTH_CHUNK,
     FoldAssignment,
     MultiYearParcel,
     PixelSetSample,
@@ -30,7 +32,10 @@ from croprot.data import (
     save_folds,
     config_to_manifest,
 )
+from croprot import data
 from croprot.errors import ConfigError, ContractError, DataFormatError
+
+import oracles
 
 from conftest import expand_draws, one_sample_file
 
@@ -94,16 +99,12 @@ class TestGenerator:
             generate_synthetic(SyntheticConfig(**change))
 
     def test_max_timesteps_is_the_most_days_always_placed(self):
-        class Latest:  # every date drawn as late as its jitter allows
-            @staticmethod
-            def uniform(low, high, size):
-                return np.full(size, np.nextafter(high, low))
-
         for t, fits in ((MAX_TIMESTEPS, True), (MAX_TIMESTEPS + 1, False)):
-            days = _acquisition_days(t, Latest)
+            # every date as late as its jitter in [-4, 4) allows
+            days = _acquisition_days(np.full(t, np.nextafter(4.0, -4.0)))
             assert (np.diff(days) > 0).all() == fits
         for seed in range(200):
-            days = _acquisition_days(MAX_TIMESTEPS, np.random.default_rng(seed))
+            days = _acquisition_days(np.random.default_rng(seed).uniform(-4, 4, MAX_TIMESTEPS))
             assert days[0] >= 1 and (np.diff(days) > 0).all() and days[-1] <= 366
 
     def test_kernel_rows_normalized(self):
@@ -163,6 +164,56 @@ def _reference_draw(key, n_p, s):
     tally = collections.Counter((col_key[j] >> 32) * n_p >> 32 for j in range(s))
     kept = sorted(tally)
     return kept, [tally[c] for c in kept]
+
+
+def _same_parcels(got, want):
+    """Assert equal ids, centroids and labels, and per parcel-year equal
+    days and pixels of equal bytes, dtype and shape."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.parcel_id, p.centroid, p.labels) == (q.parcel_id, q.centroid, q.labels)
+        assert [s.year_index for s in p.samples] == [s.year_index for s in q.samples]
+        for s, t in zip(p.samples, q.samples):
+            assert s.days.dtype == t.days.dtype and np.array_equal(s.days, t.days)
+            assert (s.pixels.dtype, s.pixels.shape) == (t.pixels.dtype, t.pixels.shape)
+            assert s.pixels.tobytes() == t.pixels.tobytes()
+
+
+class TestChunkedGenerator:
+    """`generate_synthetic` builds days, curves and pixels a chunk of
+    parcels at a time; the reference builds them per parcel-year as it
+    draws.  Both make the same draws, so their parcels are equal."""
+
+    SMALL = dict(channels=2, timesteps=5, pixels_min=1, pixels_max=4)
+
+    @pytest.mark.parametrize("parcels", [SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1,
+                                         2 * SYNTH_CHUNK + 1])
+    def test_chunk_boundaries(self, parcels):
+        cfg = SyntheticConfig(parcels=parcels, seed=parcels, **self.SMALL)
+        _same_parcels(generate_synthetic(cfg), oracles.generate_synthetic(cfg))
+
+    @pytest.mark.parametrize("change", [
+        {"num_years": 1}, {"num_years": 5}, {"timesteps": 4}, {"timesteps": MAX_TIMESTEPS},
+        {"pixels_min": 3, "pixels_max": 3}, {"noise_std": 0.0}, {"year_shift": 0.0},
+        {"curve_groups": ((0, 1), (2, 3, 5))},
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_edge_configs(self, change):
+        cfg = SyntheticConfig(parcels=12, seed=7, **change)
+        _same_parcels(generate_synthetic(cfg), oracles.generate_synthetic(cfg))
+
+    @given(chunk=st.integers(1, 6), parcels=st.integers(1, 15), num_years=st.integers(1, 4),
+           num_classes=st.integers(2, 6), channels=st.integers(1, 3),
+           timesteps=st.integers(4, 9), pixels=st.tuples(st.integers(1, 5), st.integers(0, 3)),
+           noise_std=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32))
+    def test_small_configs(self, chunk, parcels, num_years, num_classes, channels, timesteps,
+                           pixels, noise_std, seed):
+        cfg = SyntheticConfig(num_classes=num_classes, num_years=num_years, channels=channels,
+                              timesteps=timesteps, parcels=parcels, pixels_min=pixels[0],
+                              pixels_max=sum(pixels), noise_std=noise_std,
+                              permanent_classes=(0,), cycles=((1,),), seed=seed)
+        with mock.patch.object(data, "SYNTH_CHUNK", chunk):
+            got = generate_synthetic(cfg)
+        _same_parcels(got, oracles.generate_synthetic(cfg))
 
 
 class TestSamplePixels:

@@ -20,7 +20,11 @@ and a training key (seed, fold, epoch, parcel, year), so a change of the
 pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
 `save_dataset` writes for the data (`.rcds` and sidecar) and that
 `save_transitions` writes for the tensor `estimate_transitions` counts
-from every parcel's label history; per variant, a
+from every parcel's label history.  A `synth` line hashes the files
+`save_dataset` writes for the generator's edge configs (SYNTH_EDGES): 31,
+32, 33 and 65 parcels, around the generator's 32-parcel chunks; one
+year and five; 4 and MAX_TIMESTEPS dates; one pixel count; no noise; no
+year shift; shared phenology curves.  Per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
 trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
@@ -61,7 +65,7 @@ from croprot import analytics, cli, heads, training  # noqa: E402
 from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
-    Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
+    MAX_TIMESTEPS, Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
     make_folds, sample_pixels, save_dataset, save_folds,
 )
 from croprot.model import CropModel, ModelDims, save_checkpoint  # noqa: E402
@@ -203,6 +207,22 @@ def files(dataset):
     ]
 
 
+SYNTH_EDGES = [SyntheticConfig(parcels=n, channels=2, pixels_max=6, seed=n)
+               for n in (31, 32, 33, 65)] + [
+    SyntheticConfig(parcels=20, seed=1, **change) for change in (
+        {"num_years": 1}, {"num_years": 5}, {"timesteps": 4}, {"timesteps": MAX_TIMESTEPS},
+        {"pixels_min": 5, "pixels_max": 5}, {"noise_std": 0.0}, {"year_shift": 0.0},
+        {"curve_groups": ((0, 1), (2, 3, 5))})]
+
+
+def synth():
+    """sha256 of the files `save_dataset` writes for each SYNTH_EDGES
+    config's parcels and manifest."""
+    return _sha(*[_saved_sha(lambda path: save_dataset(
+        path, generate_synthetic(cfg), cfg.num_classes, config_to_manifest(cfg)))
+        for cfg in SYNTH_EDGES])
+
+
 def _manifest():
     return config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
 
@@ -286,6 +306,7 @@ def main():
         print(f"{'draws':13s} {kind:15s} {digest}")
     for kind, digest in files(dataset):
         print(f"{'files':13s} {kind:15s} {digest}")
+    print(f"{'synth':13s} {'edges':15s} {synth()}")
     for variant in heads.VARIANTS:
         model, digests = fingerprint(variant, dataset)
         for artifact, digest in digests:
