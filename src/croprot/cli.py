@@ -122,10 +122,13 @@ def cmd_train(args):
     config, _, dims, cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
     folds = load_folds(args.folds, dataset.parcels)
-    # the dataset's channels and classes where model.dims gives none
+    # the dataset's channels and classes; model.dims may only repeat them
     given = config.get("model", {}).get("dims", {})
-    dims.channels = given.get("channels", dataset.num_channels)
-    dims.num_classes = given.get("num_classes", dataset.num_classes)
+    for key, have in (("channels", dataset.num_channels), ("num_classes", dataset.num_classes)):
+        if given.get(key, have) != have:
+            raise ConfigError(f"run config {args.config}: model.dims.{key} {given[key]}; "
+                              f"the dataset has {have}")
+        setattr(dims, key, have)
     folds_to_run = [args.fold] if args.fold is not None else None
     result = training.train(dataset, folds, cfg, dims, folds_to_run=folds_to_run)
     report = {"config": config, "seed": cfg.seed, "variant": cfg.variant, "folds": {}}

@@ -12,6 +12,7 @@ weighted sum to the final year descriptor.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -143,6 +144,20 @@ def _out_mlp(ctx: ad.Tensor, ltae: LtaeWeights) -> ad.Tensor:
 # 1 MB per (rows, d1) float32 buffer at the default d1 = 64.
 PIXEL_BLOCK_ROWS = 4096
 
+# glibc's malloc thresholds, fixed for the process where its dynamic rule
+# ends up on 64-bit: mmap above DEFAULT_MMAP_THRESHOLD_MAX (32 MiB), trim
+# above twice that.  The encoder's 1-3 MB block buffers then stay on the
+# heap and are reused from block to block and call to call, instead of
+# being mapped or trimmed away and faulted in again; left dynamic, the
+# thresholds and so the faults depend on what the process freed before.
+# A C library without mallopt is left as it is.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
 
 def _blocks(sizes, bound):
     """(segment slice, row slice) of consecutive blocks of whole segments,
@@ -217,11 +232,10 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
         # keeps the weight-gradient sums in one order
         pooled = pool(slice(None), slice(None))
     else:
-        # joined at the end: each block's small output, kept until then,
-        # stays above that block's freed buffers on the heap, so glibc
-        # reuses them rather than trimming the heap after every block
-        # (5 028 against 7 026 minor faults per predict-default unit
-        # with the rows written into one preallocated array)
+        # the blocks' pooled rows, joined once at the end; with malloc's
+        # thresholds fixed above, each block reuses the buffers the last
+        # one freed, so a warm predict-default unit takes no minor fault
+        # (nor does it with the rows written into one preallocated array)
         pooled = ad.Tensor(np.concatenate(
             [pool(segs, part).data for segs, part in _blocks(sizes, PIXEL_BLOCK_ROWS)]))
     e = ad.dense(pooled, pse.w3, pse.b3, relu=True)  # (B*T, d2)

@@ -80,19 +80,31 @@ class CropModel:
 
 
 def save_checkpoint(path, model: CropModel):
+    """Write `model`'s parameters to the RCWT file `path` and its
+    architecture to the sidecar `path`.json.  A parameter that is not
+    finite as float32, as `load_checkpoint` requires (a NaN or infinity,
+    or a float64 value beyond float32's range), raises DataFormatError
+    before either file is opened."""
     path = str(path)
-    named = model.named_parameters()
+    named = []
+    with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
+        for name, p in model.named_parameters():
+            values = np.ascontiguousarray(p.data, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise DataFormatError(f"checkpoint {path}: parameter {name} is not finite "
+                                      "as float32")
+            named.append((name, values))
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(named)))
-        for name, p in named:
+        for name, values in named:
             raw = name.encode()
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<B", p.data.ndim))
-            for d in p.data.shape:
+            fh.write(struct.pack("<B", values.ndim))
+            for d in values.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            fh.write(values.tobytes())
     write_json(path + ".json", {"dims": asdict(model.dims), "variant": model.variant})
 
 

@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -472,6 +473,11 @@ def malformed(workdir, tmp_path_factory):
         ).replace('"LR"', "1e400"),
         "preds_not_utf8": b'{"meta": "\xff"}',
     }
+    # model dims that repeat or contradict the dataset's 4 channels and 8 classes
+    for key, value in (("channels", 3), ("channels", 4), ("num_classes", 4),
+                       ("num_classes", 8), ("num_classes", 12)):
+        files[f"config_dims_{value}_{key}"] = json.dumps({**RUN_CONFIG, "model": {
+            **RUN_CONFIG["model"], "dims": {**RUN_CONFIG["model"]["dims"], key: value}}})
     # a synthetic config above what the .rcds header holds or a year's
     # dates can place
     for key, value in {"timesteps": 349, "num_years": 256, "channels": 65536,
@@ -600,6 +606,9 @@ CLI_MATRIX = {
     "synth-cycles-float": ("synth --config {config_cycles_float} --out {out}", 2),
     "train-epochs-float": (_TRAIN.replace("{cfg}", "{config_epochs_float}"), 2),
     "train-dims-float": (_TRAIN.replace("{cfg}", "{config_dims_float}"), 2),
+    "train-dims-3-channels": (_TRAIN.replace("{cfg}", "{config_dims_3_channels}"), 2),
+    "train-dims-4-classes": (_TRAIN.replace("{cfg}", "{config_dims_4_num_classes}"), 2),
+    "train-dims-12-classes": (_TRAIN.replace("{cfg}", "{config_dims_12_num_classes}"), 2),
     "synth-seed-negative": ("synth --config {cfg} --out {out} --seed -1", 2),
     "synth-area-size-1e400": ("synth --config {config_area_size_1e400} --out {out}", 2),
     "synth-area-size-huge-int": ("synth --config {config_area_size_huge_int} --out {out}", 2),
@@ -767,6 +776,29 @@ def test_out_refused_before_the_work(malformed, monkeypatch, capsys, command, wo
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("file error: ")
     assert calls == []
+
+
+@pytest.mark.parametrize("key, value, have", [("channels", 3, 4), ("channels", 4, 4),
+                                              ("num_classes", 4, 8), ("num_classes", 8, 8),
+                                              ("num_classes", 12, 8)])
+def test_train_dims_are_the_datasets(malformed, monkeypatch, tmp_path, capsys, key, value, have):
+    """model.dims may repeat the dataset's channel and class counts but not
+    change them: another value is refused (exit 2) before any training."""
+    trained = []
+    monkeypatch.setattr(training, "train", lambda dataset, folds, cfg, dims, **kw:
+                        trained.append(dims) or SimpleNamespace(folds=[]))
+    cfg = malformed[f"config_dims_{value}_{key}"]
+    argv = [arg.format(**{**malformed, "cfg": cfg, "out": str(tmp_path / "o")})
+            for arg in _TRAIN.split()]
+    capsys.readouterr()
+    if value == have:
+        assert main(argv) == 0
+        assert [getattr(dims, key) for dims in trained] == [have]
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: run config {cfg}: model.dims.{key} {value}; the dataset has {have}\n")
+        assert trained == []
 
 
 @pytest.mark.parametrize("command", [_TRAIN, _EVAL], ids=["train", "eval"])

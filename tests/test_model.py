@@ -154,10 +154,22 @@ class TestCheckpoint:
 
     def test_non_finite_weights_refused(self, tiny_model, tmp_path):
         path = tmp_path / "model.bin"
-        tiny_model.head.b2.data[0] = np.inf  # the last parameter
         save_checkpoint(path, tiny_model)
+        # the file's last value belongs to the last parameter
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.inf).tobytes())
         with pytest.raises(DataFormatError, match="RCWT parameter head.b2 holds non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype, value", [(np.float32, np.nan), (np.float32, -np.inf),
+                                              (np.float64, 1e300), (np.float64, -1e39)])
+    def test_save_refuses_what_load_refuses(self, tmp_path, dtype, value):
+        # a value float32 does not hold finitely: no checkpoint or sidecar
+        # is written, rather than one that load_checkpoint refuses
+        model = CropModel(tiny_dims(), "dec", seed=2, dtype=dtype)
+        model.ltae.wo1.data[1, 2] = value
+        with pytest.raises(DataFormatError, match="parameter ltae.wo1 is not finite as float32"):
+            save_checkpoint(tmp_path / "model.bin", model)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)])

@@ -1,4 +1,5 @@
 import dataclasses
+import resource
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from croprot.data import (
 )
 from croprot.encoders import encode_batch
 from croprot.errors import ConfigError, ContractError
-from croprot.model import CropModel
+from croprot.model import CropModel, ModelDims
 from croprot.training import (
     AdamState,
     TrainConfig,
@@ -562,6 +563,22 @@ def test_predict_in_pixel_blocks_equals_one_block(few_pixels, monkeypatch, varia
         (r.parcel_id, r.year_index) for r in want]
     assert np.stack([r.logits for r in got]).tobytes() == np.stack(
         [r.logits for r in want]).tobytes()
+
+
+@pytest.mark.skipif(encoders._mallopt is None, reason="the C library has no mallopt")
+def test_warm_predict_faults_no_pages_in():
+    # with malloc's thresholds fixed, a warm call at default dims takes its
+    # block buffers from the heap the earlier calls left, rather than
+    # mapping them again (about 5 000 minor faults per call when glibc's
+    # dynamic thresholds trim them away)
+    parcels = generate_synthetic(SyntheticConfig(num_classes=20, parcels=100, channels=10,
+                                                 timesteps=12, seed=51))
+    model = CropModel(ModelDims(), "single", seed=0)
+    for _ in range(2):
+        predict(model, parcels, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    predict(model, parcels, seed=1)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 @pytest.mark.parametrize("protocol, year", [("mixed", None), ("specialized", 3)])
