@@ -17,6 +17,7 @@ from .binio import (
     write_predictions,
 )
 from .data import (
+    MAX_SEED,
     SyntheticConfig,
     config_to_manifest,
     generate_synthetic,
@@ -60,6 +61,17 @@ def load_run_config(args):
     cfg = from_json(training.TrainConfig, {**train, "variant": variant, **seed.get("train", {})},
                     f"{what} train", ConfigError)
     return doc, synth, dims, cfg
+
+
+def _seed(args):
+    """`--seed` of split, eval and embed, 0 when not given; one outside
+    [0, MAX_SEED] is a ConfigError, as synth and train refuse it in their
+    config."""
+    if args.seed is None:
+        return 0
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {args.seed}")
+    return args.seed
 
 
 def _eval_year(year, num_years):
@@ -108,10 +120,9 @@ def cmd_synth(args):
 
 
 def cmd_split(args):
+    salt = _seed(args)
     dataset = load_dataset(args.dataset)
-    assignment = make_folds(
-        dataset.parcels, args.k, args.block_size, salt=args.seed or 0
-    )
+    assignment = make_folds(dataset.parcels, args.k, args.block_size, salt=salt)
     save_folds(args.out, assignment)
     print(f"assigned {len(assignment.folds)} parcels to {assignment.k} folds")
     return 0
@@ -166,6 +177,7 @@ def _load_checkpoint_for(path, dataset):
 
 @_out_dir
 def cmd_eval(args):
+    seed = _seed(args)
     dataset = load_dataset(args.dataset)
     folds = load_folds(args.folds, dataset.parcels)
     _, val_parcels, test_parcels = folds.split(dataset.parcels, args.fold)
@@ -175,7 +187,7 @@ def cmd_eval(args):
         raise DataFormatError(f"checkpoint {args.checkpoint}: {model.dims.num_classes} "
                               f"classes; the dataset has {dataset.num_classes}")
     # one call: each parcel's records do not depend on the others in it
-    preds = training.predict(model, val_parcels + test_parcels, seed=args.seed or 0)
+    preds = training.predict(model, val_parcels + test_parcels, seed=seed)
     split = len(val_parcels) * dataset.num_years
     val, test = preds[:split], preds[split:]
     test_scored = test if year is None else test[test.year_index == year]
@@ -185,7 +197,7 @@ def cmd_eval(args):
         "variant": model.variant,
         "fold": args.fold,
         "val_fold": folds.val_fold(args.fold),
-        "seed": args.seed or 0,
+        "seed": seed,
         "num_classes": model.dims.num_classes,
         "year": args.year,
     }
@@ -339,9 +351,10 @@ def cmd_rotations(args):
 
 
 def cmd_embed(args):
+    seed = _seed(args)
     dataset = load_dataset(args.dataset)
     model = _load_checkpoint_for(args.checkpoint, dataset)
-    analytics.export_embeddings(model, dataset.parcels, args.out, seed=args.seed or 0)
+    analytics.export_embeddings(model, dataset.parcels, args.out, seed=seed)
     print(f"wrote embeddings for {len(dataset.parcels)} parcels to {args.out}")
     return 0
 
@@ -361,7 +374,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="emit a spatial fold assignment")
     p.add_argument("--dataset", required=True)
@@ -369,7 +381,6 @@ def build_parser():
     p.add_argument("--block-size", type=float, default=1000.0)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train per-fold models")
     p.add_argument("--config", required=True)
@@ -379,7 +390,6 @@ def build_parser():
     p.add_argument("--fold", type=int)
     p.add_argument("--variant")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="predictions and metrics for one fold")
     p.add_argument("--checkpoint", required=True)
@@ -389,13 +399,11 @@ def build_parser():
     p.add_argument("--year", default="all")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("calibrate", help="fit temperature, report ECE")
     p.add_argument("--predictions", required=True)
     p.add_argument("--bins", type=int, default=calibration.DEFAULT_BINS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("crf", help="transition-tensor rescoring of year 3")
     p.add_argument("--predictions", required=True)
@@ -403,27 +411,32 @@ def build_parser():
     p.add_argument("--folds", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crf)
 
     p = sub.add_parser("rotations", help="rotation table and culture categories")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rotations)
 
     p = sub.add_parser("embed", help="export year descriptors to CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call of the process shares, built on the
+    first call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the subcommand's function as the module holds it now, so that a
+        # function replaced after the parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -134,6 +134,10 @@ def load_folds(path, parcels):
 # synthetic generation
 
 
+# the largest seed: `draw_keys` takes each word of a stream modulo 2^64,
+# so a larger seed would draw the pixels of a smaller one
+MAX_SEED = 2**64 - 1
+
 # the most dates `_acquisition_days` always places in [1, 366]: the first
 # can fall on day 19, and each later date at least one day after the last
 MAX_TIMESTEPS = 366 - 19 + 1
@@ -165,9 +169,10 @@ class SyntheticConfig:
                           ("noise_std", 0), ("year_shift", 0), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # the `.rcds` header's u8 and u16 fields, and the dates a year can hold
+        # the `.rcds` header's u8 and u16 fields, the dates a year can hold,
+        # and the seeds every command takes
         for name, high in (("num_years", 255), ("channels", 65535), ("num_classes", 65535),
-                           ("timesteps", MAX_TIMESTEPS)):
+                           ("timesteps", MAX_TIMESTEPS), ("seed", MAX_SEED)):
             if getattr(self, name) > high:
                 raise ConfigError(f"{name} must be <= {high}, got {getattr(self, name)}")
         if not self.area_size > 0:
@@ -533,6 +538,23 @@ def save_dataset(path, parcels, num_classes, manifest=None):
     write_json(path + ".json", sidecar)
 
 
+_U2, _F4 = np.dtype("<u2"), np.dtype("<f4")
+
+
+def _read_sample(r, channels, pid, days, pixels, labels):
+    """Read the sample record at `r.offset` field by field, appending its
+    days, (C, N_p, T) pixels and label; a record that runs past the end of
+    the file, or has no pixels, raises DataFormatError naming the field and
+    its offset."""
+    (t,) = r.unpack(U16, "timestep count")
+    days.append(r.array("<u2", t, "days"))
+    (n_p,) = r.unpack(U32, "pixel count")
+    if n_p < 1:
+        raise DataFormatError(f"degenerate parcel {pid} with no pixels at offset {r.offset}")
+    pixels.append(r.array("<f4", channels * n_p * t, "pixels").reshape(channels, n_p, t))
+    labels.append(r.unpack(U16, "label")[0])
+
+
 def load_dataset(path):
     """The dataset in the `.rcds` file `path`, with the manifest in its
     optional JSON sidecar.  A malformed file raises DataFormatError naming
@@ -546,25 +568,31 @@ def load_dataset(path):
     # One walk over the records collects the parcel headers and each
     # sample's offset, days, pixels and label; one vectorised pass then checks
     # the values.  When the walk stops on a malformed record, a fault in an
-    # earlier sample is still the one reported.
+    # earlier sample is still the one reported.  A sample record is located
+    # by its two counts, T and N_p: when it fits in the file and has pixels,
+    # its days and pixels are views of the buffer at offsets computed from
+    # them; any other record is read field by field, which names the fault.
+    buf, size = r.buf, r.size
     headers, starts, days, pixels, labels = [], [], [], [], []
     walk_fault = None
     try:
         for _ in range(n_parcels):
             headers.append(r.unpack(_PARCEL, "parcel header"))
             for _ in range(num_years):
-                starts.append(r.offset)
-                (t,) = r.unpack(U16, "timestep count")
-                days.append(r.array("<u2", t, "days"))
-                (n_p,) = r.unpack(U32, "pixel count")
-                if n_p < 1:
-                    raise DataFormatError(
-                        f"degenerate parcel {headers[-1][0]} with no pixels "
-                        f"at offset {r.offset}"
-                    )
-                pix = r.array("<f4", channels * n_p * t, "pixels")
-                pixels.append(pix.reshape(channels, n_p, t))
-                labels.append(r.unpack(U16, "label")[0])
+                o = r.offset
+                starts.append(o)
+                try:
+                    (t,) = U16.unpack_from(buf, o)
+                    (n_p,) = U32.unpack_from(buf, o + 2 + 2 * t)
+                except struct.error:  # the counts run past the end of the file
+                    n_p = 0
+                if n_p and (end := o + 8 + 2 * t + 4 * channels * n_p * t) <= size:
+                    days.append(np.ndarray((t,), _U2, buf, o + 2))
+                    pixels.append(np.ndarray((channels, n_p, t), _F4, buf, o + 6 + 2 * t))
+                    labels.append(U16.unpack_from(buf, end - 2)[0])
+                    r.offset = end
+                else:
+                    _read_sample(r, channels, headers[-1][0], days, pixels, labels)
     except DataFormatError as exc:
         walk_fault = exc
     fault = _first_fault(pixels, days, labels, num_classes)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analytics, autodiff as ad, heads
 from .binio import predictions
-from .data import draw_keys, sample_pixels
+from .data import MAX_SEED, draw_keys, sample_pixels
 from .encoders import encode_batch
 from .errors import ConfigError, ContractError
 from .model import CropModel, ModelDims
@@ -30,6 +30,8 @@ class TrainConfig:
                                  ("seed", self.seed, 0)):
             if value < low:
                 raise ContractError(f"{name} must be >= {low}, got {value}")
+        if self.seed > MAX_SEED:
+            raise ContractError(f"seed must be <= {MAX_SEED}, got {self.seed}")
         if not self.learning_rate > 0:
             raise ContractError("learning rate must be positive")
         if self.variant not in heads.VARIANTS:

@@ -7,17 +7,24 @@ fitting, calibration, reliability bins and the confusion matrix one row
 of a `binio.predictions` array at a time, against the library's column
 arithmetic; and the JSON object of one row, against the predictions-file
 writer's fixed layout; and the synthetic generator one parcel-year at a
-time, against the chunked `generate_synthetic`."""
+time, against the chunked `generate_synthetic`; and the `.rcds` loader
+reading every field of every record through the bounds-checked `Reader`,
+against `load_dataset`'s walk by the records' two counts."""
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 
 from croprot import autodiff as ad
+from croprot.binio import U16, U32, Reader, read_json
 from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
-from croprot.data import MultiYearParcel, PixelSetSample
-from croprot.errors import ContractError
+from croprot.data import (
+    _HEADER, _PARCEL, FORMAT_VERSION, MAGIC, Dataset, MultiYearParcel, PixelSetSample,
+    _check_class_names, _first_fault, _refuse_repeated_ids,
+)
+from croprot.errors import ContractError, DataFormatError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -240,3 +247,59 @@ def generate_synthetic(config):
                                           label=labels[i]))
         parcels.append(MultiYearParcel(pid, centroid, samples))
     return parcels
+
+
+def load_dataset(path):
+    """The dataset in the `.rcds` file `path`, every field of every record
+    read through the `Reader`; the same checks, in the same order, as
+    `croprot.data.load_dataset`."""
+    path = str(path)
+    r = Reader(path, "RCDS")
+    r.magic(MAGIC)
+    version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"unsupported format version {version}")
+    headers, starts, days, pixels, labels = [], [], [], [], []
+    walk_fault = None
+    try:
+        for _ in range(n_parcels):
+            headers.append(r.unpack(_PARCEL, "parcel header"))
+            for _ in range(num_years):
+                starts.append(r.offset)
+                (t,) = r.unpack(U16, "timestep count")
+                days.append(r.array("<u2", t, "days"))
+                (n_p,) = r.unpack(U32, "pixel count")
+                if n_p < 1:
+                    raise DataFormatError(
+                        f"degenerate parcel {headers[-1][0]} with no pixels "
+                        f"at offset {r.offset}"
+                    )
+                pix = r.array("<f4", channels * n_p * t, "pixels")
+                pixels.append(pix.reshape(channels, n_p, t))
+                labels.append(r.unpack(U16, "label")[0])
+    except DataFormatError as exc:
+        walk_fault = exc
+    fault = _first_fault(pixels, days, labels, num_classes)
+    if fault:
+        k, msg = fault
+        raise DataFormatError(
+            f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg} "
+            f"(sample record at offset {starts[k]})"
+        )
+    if walk_fault:
+        raise walk_fault
+    r.finish()
+    for pid, cx, cy in headers:
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
+    _refuse_repeated_ids(pid for pid, _, _ in headers)
+    parcels = []
+    for i, (pid, cx, cy) in enumerate(headers):
+        samples = [PixelSetSample(pid, y + 1, pixels[k], days[k].astype(np.int64), labels[k])
+                   for y, k in enumerate(range(i * num_years, (i + 1) * num_years))]
+        parcels.append(MultiYearParcel(pid, (cx, cy), samples))
+    manifest = None
+    if os.path.exists(path + ".json"):
+        manifest = read_json(path + ".json", "dataset sidecar")
+        _check_class_names(manifest, num_classes, path + ".json")
+    return Dataset(parcels=parcels, num_classes=int(num_classes), manifest=manifest)

@@ -396,10 +396,15 @@ def test_criterion_09_throughput():
     cfg = SyntheticConfig(parcels=200, channels=10, timesteps=12, seed=51)
     parcels = generate_synthetic(cfg)
     model = CropModel(ModelDims(), "single", seed=0)  # default dims, L=20
-    predict(model, parcels[:20])  # warm-up
-    t0 = time.perf_counter()
-    records = predict(model, parcels)
-    rate = len(records) / (time.perf_counter() - t0)
+    # the warm-up call has the timed size, so the timed calls find their
+    # buffers already grown; the median of three damps the host's noise
+    predict(model, parcels)
+    rates = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        records = predict(model, parcels)
+        rates.append(len(records) / (time.perf_counter() - t0))
+    rate = float(np.median(rates))
     if rate < 500:
         warnings.warn(f"throughput {rate:.0f} parcel-years/s below the "
                       "500/s soft goal")

@@ -1,3 +1,4 @@
+import functools
 import json
 import shutil
 import struct
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from croprot import training
+from croprot import cli, training
 from croprot.cli import main
 from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
@@ -73,6 +74,56 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "croprot" in capsys.readouterr().out
+
+
+def _recording(calls):
+    """A subcommand that records its arguments and succeeds."""
+    return lambda args: calls.append(args) or 0
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    missing = ["rotations", "--dataset", str(tmp_path / "nope.rcds"), "--out", str(tmp_path)]
+    assert main(missing) == 3
+    with pytest.raises(SystemExit):
+        main(["rotations"])
+    assert main(missing) == 3
+    assert built == [1]
+
+
+def test_reused_parser_gives_each_call_its_defaults(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", _recording(calls))
+    argv = ["eval", "--checkpoint", "c", "--dataset", "d", "--folds", "f", "--fold", "0",
+            "--out", "o"]
+    assert main(argv + ["--year", "2", "--seed", "5"]) == 0
+    assert main(argv) == 0
+    assert [(a.year, a.seed) for a in calls] == [("2", 5), ("all", None)]
+
+
+def test_usage_error_leaves_the_next_call_working(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_rotations", _recording(calls))
+    with pytest.raises(SystemExit) as exc:
+        main(["rotations", "--dataset", "d", "--bogus"])
+    assert exc.value.code == 2
+    assert main(["rotations", "--dataset", "d", "--out", "o"]) == 0
+    assert [(a.dataset, a.out) for a in calls] == [("d", "o")]
+
+
+def test_subcommand_replaced_after_a_call_is_the_one_that_runs(monkeypatch, tmp_path, capsys):
+    """`main` looks the subcommand up when it runs it, so a function a
+    caller replaces after the parser was built, such as a profiler's
+    wrapper, still runs."""
+    argv = ["rotations", "--dataset", str(tmp_path / "nope.rcds"), "--out", str(tmp_path)]
+    assert main(argv) == 3
+    calls = []
+    monkeypatch.setattr(cli, "cmd_rotations", _recording(calls))
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_missing_dataset_names_path(tmp_path, capsys):
@@ -619,6 +670,10 @@ CLI_MATRIX = {
     "synth-channels-65536": ("synth --config {config_channels_65536} --out {out}", 2),
     "synth-num-classes-65536": ("synth --config {config_num_classes_65536} --out {out}", 2),
     "train-seed-negative": (_TRAIN + " --seed -1", 2),
+    "train-seed-2-64": (_TRAIN + " --seed 18446744073709551616", 2),
+    "eval-seed-negative": (_EVAL + " --seed -1", 2),
+    "embed-seed-negative": (_EMBED + " --seed -1", 2),
+    "split-seed-negative": ("split --dataset {dataset} --out {out} --seed -1", 2),
     # malformed dataset, folds, checkpoint or predictions file: exit 3
     "split-dataset": ("split --dataset {dataset_nan} --out {out}", 3),
     "train-dataset": (_TRAIN.replace("{dataset}", "{dataset_nan}"), 3),

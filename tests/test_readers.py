@@ -1,6 +1,8 @@
 """Fuzzing the three binary readers: a truncated `.rcds`, `RCWT` or `RCTT`
 file raises DataFormatError, and one with a single byte changed either
-loads or raises DataFormatError, never another exception.  The JSON reader
+loads or raises DataFormatError, never another exception; `load_dataset`
+against its field-by-field oracle on every cut, extended and
+single-byte-xored copy of two tiny `.rcds` files.  The JSON reader
 and writers: `write_json`'s exact bytes, `read_json`'s refusals, the
 predictions-file writer's bytes against `json.dumps` of one object per
 record, the predictions-file reader's round trip, and the typed loader
@@ -92,6 +94,61 @@ def test_single_byte_change(saved, data):
         load(path)
     except DataFormatError:
         pass
+
+
+# two tiny `.rcds` files: several parcels of 2 channels and 2 years, and
+# one channel over 3 years with one or two pixels per sample
+SWEPT_DATASETS = [
+    SyntheticConfig(parcels=3, num_years=2, channels=2, timesteps=4, pixels_min=1,
+                    pixels_max=3, seed=4),
+    SyntheticConfig(parcels=2, num_years=3, channels=1, timesteps=4, pixels_min=1,
+                    pixels_max=2, seed=9),
+]
+
+
+def _variants(raw):
+    """`raw` cut at every length, with one byte appended, and with each of
+    its bytes xored by 0x01, 0x80 and 0xFF."""
+    yield from (raw[:n] for n in range(len(raw)))
+    yield raw + b"\0"
+    for i in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            changed = bytearray(raw)
+            changed[i] ^= mask
+            yield bytes(changed)
+
+
+def _outcome(load, path):
+    """What `load(path)` gives: the error message, or every field of the
+    dataset with the types, dtypes and contiguity of its values."""
+    try:
+        dataset = load(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return dataset.num_classes, dataset.manifest, [
+        (p.parcel_id, type(p.parcel_id), p.centroid, [
+            (s.parcel_id, s.year_index, s.label, type(s.label),
+             s.days.dtype, s.days.flags.c_contiguous, s.days.tolist(),
+             s.pixels.dtype, s.pixels.flags.c_contiguous, s.pixels.shape, s.pixels.tobytes())
+            for s in p.samples])
+        for p in dataset.parcels]
+
+
+@pytest.mark.parametrize("cfg", SWEPT_DATASETS, ids=["2-years", "3-years"])
+def test_load_dataset_matches_the_field_by_field_oracle(tmp_path, cfg):
+    """On every cut, extended and single-byte-xored copy of a tiny file,
+    `load_dataset` loads the dataset the oracle loads, or raises its
+    message."""
+    path = tmp_path / "swept.rcds"
+    save_dataset(path, generate_synthetic(cfg), cfg.num_classes)
+    raw = path.read_bytes()
+    loaded = 0
+    for changed in _variants(raw):
+        path.write_bytes(changed)
+        expected = _outcome(oracles.load_dataset, path)
+        assert _outcome(load_dataset, path) == expected, changed
+        loaded += not isinstance(expected, str)
+    assert loaded > 1  # the pristine file and some changes that keep it valid
 
 
 @given(doc=st.dictionaries(st.text(), st.recursive(

@@ -24,7 +24,9 @@ from every parcel's label history.  A `synth` line hashes the files
 `save_dataset` writes for the generator's edge configs (SYNTH_EDGES): 31,
 32, 33 and 65 parcels, around the generator's 32-parcel chunks; one
 year and five; 4 and MAX_TIMESTEPS dates; one pixel count; no noise; no
-year shift; shared phenology curves.  Per variant, a
+year shift; shared phenology curves.  A `load` line hashes what
+`load_dataset` returns for those files: each parcel's id, centroid and
+labels, each sample's days and pixel bytes, and the manifest.  Per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
 trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
@@ -66,7 +68,7 @@ from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
     MAX_TIMESTEPS, Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
-    make_folds, sample_pixels, save_dataset, save_folds,
+    load_dataset, make_folds, sample_pixels, save_dataset, save_folds,
 )
 from croprot.model import CropModel, ModelDims, save_checkpoint  # noqa: E402
 
@@ -223,6 +225,24 @@ def synth():
         for cfg in SYNTH_EDGES])
 
 
+def load_edges():
+    """sha256 of what `load_dataset` returns for the files `save_dataset`
+    writes for each SYNTH_EDGES config: ids, centroids, labels, days, pixel
+    bytes and manifest."""
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edge.rcds")
+        for cfg in SYNTH_EDGES:
+            save_dataset(path, generate_synthetic(cfg), cfg.num_classes, config_to_manifest(cfg))
+            dataset = load_dataset(path)
+            parts.append(dataset.manifest)
+            for p in dataset.parcels:
+                parts.append((p.parcel_id, p.centroid, p.labels))
+                parts += [part for s in p.samples for part in (
+                    (s.year_index, s.pixels.shape), s.days.tobytes(), s.pixels.tobytes())]
+    return _sha(*parts)
+
+
 def _manifest():
     return config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
 
@@ -307,6 +327,7 @@ def main():
     for kind, digest in files(dataset):
         print(f"{'files':13s} {kind:15s} {digest}")
     print(f"{'synth':13s} {'edges':15s} {synth()}")
+    print(f"{'load':13s} {'edges':15s} {load_edges()}")
     for variant in heads.VARIANTS:
         model, digests = fingerprint(variant, dataset)
         for artifact, digest in digests:
