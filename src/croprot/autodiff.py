@@ -129,6 +129,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data * b.data, [a, b], bwd)
 
 
+def _column_sum(g):
+    """Float64 column sums of a 2-d array, bitwise equal to
+    `g.sum(axis=0, dtype=np.float64)`.  On a row-major array of several
+    columns that sum adds the rows one by one in row order, as einsum does
+    in half the time; a single column or a column-major array it sums
+    pairwise, so those keep `sum`."""
+    if g.shape[1] > 1 and 0 < g.strides[1] < g.strides[0]:
+        return np.einsum("ij->j", g, dtype=np.float64)
+    return g.sum(axis=0, dtype=np.float64)
+
+
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Row-vector bias added to every row of a 2-d tensor."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
@@ -138,7 +149,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     dtype = x.data.dtype
 
     def bwd(g):
-        return [g, g.sum(axis=0, dtype=np.float64).astype(dtype)]
+        return [g, _column_sum(g).astype(dtype)]
 
     return _result(x.data + b.data[None, :], [x, b], bwd)
 
@@ -167,7 +178,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu=False) -> Tensor:
     """x @ w + b, then max(., 0) if `relu`, in one buffer.  A row's output
     does not depend on the other rows of x: a one-row x is multiplied as
     two rows.  Other inputs give relu(add_bias(matmul(x, w), b)) bitwise,
-    forward and backward."""
+    forward and backward.  An x on no tape gets no gradient (None)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
             f"dense: incompatible shapes {x.data.shape}, {w.data.shape}, {b.data.shape}"
@@ -184,11 +195,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu=False) -> Tensor:
     if relu:
         np.maximum(out, 0, out=out)
     dtype = out.dtype
+    taped = x.tape is not None
 
     def bwd(g):
         if relu:
             g = g * (out > 0)
-        return [g @ w.data.T, x.data.T @ g, g.sum(axis=0, dtype=np.float64).astype(dtype)]
+        gx = g @ w.data.T if taped else None
+        return [gx, x.data.T @ g, _column_sum(g).astype(dtype)]
 
     return _result(out, [x, w, b], bwd)
 
@@ -305,13 +318,12 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
         raise ContractError("mean_std_pool: row counts must be positive")
     dtype = data.dtype
     d = data.shape[1]
-    runs = list(_runs(sizes))
     weights = counts.astype(np.float64)
     n = np.add.reduceat(counts, np.cumsum(sizes) - sizes)[:, None]
     mean = np.empty((sizes.size, d))
     var = np.empty((sizes.size, d))
     centered = np.empty_like(data)
-    for segs, rows, k in runs:
+    for segs, rows, k in _runs(sizes):
         block = data[rows].reshape(-1, k, d)
         w = weights[rows].reshape(-1, k)
         if k == 1:
@@ -325,18 +337,15 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
         var[segs] = np.einsum("gkd,gk->gd", np.square(c), w) / n[segs]
     std = np.sqrt(var)
     out = np.concatenate([mean, std], axis=-1).astype(dtype)
-    safe = np.where(std > 0, std, 1.0).astype(dtype)
-    n = n.astype(dtype)
 
     def bwd(g):
         gm, gs = np.split(g, 2, axis=-1)
-        gm = gm / n
-        gs = gs / (n * safe)
-        gx = np.empty_like(centered)
-        for segs, rows, k in runs:
-            block = gx[rows].reshape(-1, k, d)
-            block[...] = gm[segs, None, :]
-            block += gs[segs, None, :] * centered[rows].reshape(-1, k, d)
+        nd = n.astype(dtype)
+        safe = np.where(std > 0, std, 1.0).astype(dtype)
+        # gs * centered + gm, each segment's gs and gm repeated for its rows
+        gx = np.repeat(gs / (nd * safe), sizes, axis=0)
+        gx *= centered
+        gx += np.repeat(gm / nd, sizes, axis=0)
         gx *= counts[:, None].astype(dtype)
         return [gx]
 
@@ -378,8 +387,10 @@ def recording(params):
 def backward(tape: Tape, loss: Tensor, params=None):
     """Reverse sweep over the tape; returns {tensor: gradient}.
 
-    Parameters not reachable from the loss get zero gradients when listed
-    in `params`.
+    A backward rule may give None for an input on no tape, whose gradient
+    nothing reads: `dense` does for its x, so a Tensor on no tape that was
+    only ever a `dense` input has no entry.  Parameters not reachable from
+    the loss get zero gradients when listed in `params`.
     """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be scalar")
@@ -390,6 +401,8 @@ def backward(tape: Tape, loss: Tensor, params=None):
         if g is None:
             continue
         for t, gi in zip(inputs, bwd(g)):
+            if gi is None:
+                continue
             key = id(t)
             if key in grads:
                 grads[key] = grads[key] + gi

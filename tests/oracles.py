@@ -9,7 +9,10 @@ arithmetic; and the JSON object of one row, against the predictions-file
 writer's fixed layout; and the synthetic generator one parcel-year at a
 time, against the chunked `generate_synthetic`; and the `.rcds` loader
 reading every field of every record through the bounds-checked `Reader`,
-against `load_dataset`'s walk by the records' two counts."""
+against `load_dataset`'s walk by the records' two counts; and `dense`
+and `mean_std_pool` with backward rules that compute every input's
+gradient, sum bias gradients with `sum(axis=0)` and fill the pool's
+gradient run by run of equal-size segments, against the library's."""
 
 import math
 import os
@@ -74,6 +77,70 @@ def ltae_forward(seq, days, ltae, return_attention=False):
     if return_attention:
         return out, attn
     return out
+
+
+def dense(x, w, b, relu=False):
+    """`ad.dense`, its backward rule giving x a gradient whether or not x
+    is on a tape, and each bias gradient a float64 `sum(axis=0)`."""
+    if x.data.shape[0] == 1:
+        out = (np.repeat(x.data, 2, axis=0) @ w.data)[:1]
+    else:
+        out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.maximum(out, 0, out=out)
+    dtype = out.dtype
+
+    def bwd(g):
+        if relu:
+            g = g * (out > 0)
+        return [g @ w.data.T, x.data.T @ g, g.sum(axis=0, dtype=np.float64).astype(dtype)]
+
+    return ad._result(out, [x, w, b], bwd)
+
+
+def mean_std_pool(x, sizes, counts):
+    """`ad.mean_std_pool`, its backward rule writing the gradient of each
+    run of equal-size segments into a (n, k, d) view of its rows."""
+    data = x.data
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    dtype = data.dtype
+    d = data.shape[1]
+    runs = list(ad._runs(sizes))
+    weights = counts.astype(np.float64)
+    n = np.add.reduceat(counts, np.cumsum(sizes) - sizes)[:, None]
+    mean = np.empty((sizes.size, d))
+    var = np.empty((sizes.size, d))
+    centered = np.empty_like(data)
+    for segs, rows, k in runs:
+        block = data[rows].reshape(-1, k, d)
+        w = weights[rows].reshape(-1, k)
+        if k == 1:
+            mean[segs] = block[:, 0]
+        else:
+            mean[segs] = np.einsum("gkd,gk->gd", block, w) / n[segs]
+        c = centered[rows].reshape(-1, k, d)
+        np.subtract(block, mean[segs].astype(dtype)[:, None, :], out=c)
+        var[segs] = np.einsum("gkd,gk->gd", np.square(c), w) / n[segs]
+    std = np.sqrt(var)
+    out = np.concatenate([mean, std], axis=-1).astype(dtype)
+    safe = np.where(std > 0, std, 1.0).astype(dtype)
+    n = n.astype(dtype)
+
+    def bwd(g):
+        gm, gs = np.split(g, 2, axis=-1)
+        gm = gm / n
+        gs = gs / (n * safe)
+        gx = np.empty_like(centered)
+        for segs, rows, k in runs:
+            block = gx[rows].reshape(-1, k, d)
+            block[...] = gm[segs, None, :]
+            block += gs[segs, None, :] * centered[rows].reshape(-1, k, d)
+        gx *= counts[:, None].astype(dtype)
+        return [gx]
+
+    return ad._result(out, [x], bwd)
 
 
 def adam_state():

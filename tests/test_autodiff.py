@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from croprot import autodiff as ad
 from croprot.errors import ContractError, DimensionError
 
+import oracles
+
 
 def params_on_tape(arrays, dtype=np.float64):
     return [ad.Tensor(a, dtype=dtype) for a in arrays]
@@ -198,10 +200,23 @@ def test_mean_std_pool_zero_variance_gradient_finite():
     assert np.all(np.isfinite(grads[x]))
 
 
-def _wide_rows(rng, shape):
-    """float32 rows spanning many binades, so that float64 sums round and
-    their order shows."""
-    return (rng.normal(0, 1, shape) * np.exp(rng.normal(0, 6, shape))).astype(np.float32)
+def _wide_rows(rng, shape, dtype=np.float32):
+    """Rows spanning many binades, so that float64 sums round and their
+    order shows."""
+    return (rng.normal(0, 1, shape) * np.exp(rng.normal(0, 6, shape))).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cols", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("rows", [1, 2, 37, 2772])
+def test_column_sum_bitwise_equal_to_axis_sum(rows, cols, dtype):
+    # bias gradients: numpy sums one column, or a column-major array,
+    # pairwise, and the rows of any other array in row order
+    g = _wide_rows(np.random.default_rng(rows * 100 + cols), (rows, 2 * cols), dtype)
+    for view in (np.ascontiguousarray(g[:, :cols]), g[:, ::2], np.asfortranarray(g[:, :cols])):
+        got = ad._column_sum(view)
+        want = view.sum(axis=0, dtype=np.float64)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestSegmentPool:
@@ -327,6 +342,28 @@ class TestDense:
         for i in range(len(batch)):
             one = ad.dense(ad.Tensor(x.data[i : i + 1]), w, b, relu=True).data
             assert one.shape == (1, 48) and one.tobytes() == batch[i].tobytes()
+
+    def test_untaped_input_gets_no_gradient(self):
+        # the first layer's x is on no tape: backward computes no gradient
+        # for it, and every other gradient is the oracle rule's
+        rng = np.random.default_rng(6)
+        x0 = rng.normal(0, 1, (7, 3))
+        arrays = [rng.normal(0, 1, s) for s in [(3, 4), (4,), (4, 2), (2,)]]
+
+        def run(dense):
+            x = ad.Tensor(x0)
+            w1, b1, w2, b2 = params_on_tape(arrays, dtype=np.float32)
+            with ad.recording([w1, b1, w2, b2]) as tape:
+                h = dense(x, w1, b1, relu=True)
+                loss = ad.mean_all(dense(h, w2, b2))
+            grads = ad.backward(tape, loss)
+            named = dict(zip(["x", "h", "w1", "b1", "w2", "b2"], [x, h, w1, b1, w2, b2]))
+            return {name: grads[t].tobytes() for name, t in named.items() if t in grads}
+
+        got, want = run(ad.dense), run(oracles.dense)
+        assert "x" in want and "h" in got
+        del want["x"]
+        assert got == want
 
     def test_one_tape_op(self):
         x, w, b = params_on_tape([np.ones((2, 3)), np.ones((3, 4)), np.zeros(4)])

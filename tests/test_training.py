@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import resource
 
 import numpy as np
@@ -660,6 +661,47 @@ def test_step_tapes_are_emptied(small_dataset, monkeypatch):
     train_single_split(ds, ds.parcels[:20], [],
                        TrainConfig(epochs=1, batch_size=16, seed=0, variant="dec"), _dims(cfg))
     assert tapes and not any(tape.ops for tape in tapes)
+
+
+class _FirstStep(Exception):
+    """Ends a training run after its first step's backward."""
+
+
+def _first_step_grads(monkeypatch, dataset, variant, dtype):
+    """Every parameter's gradient, in parameter order, from the first step
+    of a `variant` run at criterion 8's dims with `dtype` weights."""
+    grads = []
+    backward = ad.backward
+
+    def first_step(tape, loss, params=None):
+        result = backward(tape, loss, params=params)
+        grads.extend(result[p] for p in params)
+        raise _FirstStep
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "backward", first_step)
+        m.setattr(training, "CropModel", functools.partial(CropModel, dtype=dtype))
+        with pytest.raises(_FirstStep):
+            train_single_split(dataset, dataset.parcels, [],
+                               TrainConfig(epochs=1, seed=11, variant=variant), small_dims())
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["single", "dec", "obs"])
+def test_step_gradients_bitwise_equal_to_oracle_rules(monkeypatch, variant, dtype):
+    # skipping the gathered pixels' gradient, einsum bias sums and the
+    # loop-free pool backward give every parameter the oracle rules' bits
+    cfg = SyntheticConfig(num_classes=8, channels=4, timesteps=12, parcels=48,
+                          pixels_min=4, pixels_max=16, seed=101)
+    ds = Dataset(parcels=generate_synthetic(cfg), num_classes=8)
+    got = _first_step_grads(monkeypatch, ds, variant, dtype)
+    monkeypatch.setattr(ad, "dense", oracles.dense)
+    monkeypatch.setattr(ad, "mean_std_pool", oracles.mean_std_pool)
+    want = _first_step_grads(monkeypatch, ds, variant, dtype)
+    assert len(got) == len(CropModel(small_dims(), variant).parameters())
+    assert [g.dtype for g in got] == [dtype] * len(got)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
 
 class TestTraining:

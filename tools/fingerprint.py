@@ -26,7 +26,9 @@ from every parcel's label history.  A `synth` line hashes the files
 year and five; 4 and MAX_TIMESTEPS dates; one pixel count; no noise; no
 year shift; shared phenology curves.  A `load` line hashes what
 `load_dataset` returns for those files: each parcel's id, centroid and
-labels, each sample's days and pixel bytes, and the manifest.  Per variant, a
+labels, each sample's days and pixel bytes, and the manifest.  A `step`
+line hashes every parameter gradient of the first training step of each
+head variant.  Per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
 trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
@@ -63,7 +65,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from croprot import analytics, cli, heads, training  # noqa: E402
+from croprot import analytics, autodiff, cli, heads, training  # noqa: E402
 from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
@@ -243,6 +245,36 @@ def load_edges():
     return _sha(*parts)
 
 
+class _FirstStep(Exception):
+    """Ends a training run after its first step's backward."""
+
+
+def step_grads(dataset):
+    """sha256 of every parameter gradient, in parameter order, of the first
+    training step of each head variant."""
+    parts = []
+    backward = autodiff.backward
+
+    def first_step(tape, loss, params=None):
+        grads = backward(tape, loss, params=params)
+        parts.extend(grads[p].tobytes() for p in params)
+        raise _FirstStep
+
+    autodiff.backward = first_step
+    try:
+        for variant in heads.VARIANTS:
+            cfg = training.TrainConfig(epochs=1, batch_size=16, seed=5, variant=variant)
+            try:
+                training.train_single_split(dataset, dataset.parcels[::2], [], cfg,
+                                            ModelDims(**DIMS))
+            except _FirstStep:
+                continue
+            raise SystemExit(f"{variant}: training ran no step")
+    finally:
+        autodiff.backward = backward
+    return _sha(*parts)
+
+
 def _manifest():
     return config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
 
@@ -328,6 +360,7 @@ def main():
         print(f"{'files':13s} {kind:15s} {digest}")
     print(f"{'synth':13s} {'edges':15s} {synth()}")
     print(f"{'load':13s} {'edges':15s} {load_edges()}")
+    print(f"{'step':13s} {'grads':15s} {step_grads(dataset)}")
     for variant in heads.VARIANTS:
         model, digests = fingerprint(variant, dataset)
         for artifact, digest in digests:
