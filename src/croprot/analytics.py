@@ -277,15 +277,16 @@ def _csv_rows(prefixes, values):
 
 
 def export_embeddings(model, parcels, out_path, seed=0):
-    """One CSV row per parcel-year with the full descriptor, drawn with the
-    keyed (seed, parcel, year) pixel draws `predict` uses.  The bytes are
-    those `csv.writer` (excel dialect: "," between fields, "\r\n" after
-    each row) writes for the `%d` parcel id, year and label and each
-    descriptor value as printf's `%.6e`."""
-    from .training import encode_items
+    """One CSV row per parcel-year of `parcels`, a list of parcels or a
+    `data.Columns`, with the full descriptor, drawn with the keyed (seed,
+    parcel, year) pixel draws `predict` uses.  The bytes are those
+    `csv.writer` (excel dialect: "," between fields, "\r\n" after each row)
+    writes for the `%d` parcel id, year and label and each descriptor value
+    as printf's `%.6e`."""
+    from .training import encode_items, items_of
 
-    items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
-    unique, rows, table = encode_items(model, items, (seed,))
+    unique, rows = items_of(parcels)
+    table = encode_items(model, unique, rows, (seed,))
     d = model.dims.descriptor
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
     block = max(1, _CSV_BLOCK_CELLS // d)

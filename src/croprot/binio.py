@@ -43,7 +43,7 @@ class Reader:
         if got != self.size:
             raise DataFormatError(f"{kind} file {path} changed size while being read")
 
-    def _take(self, n, what):
+    def take(self, n, what):
         """Start offset of the next `n` bytes; moves past them."""
         start = self.offset
         if start + n > self.size:
@@ -55,7 +55,7 @@ class Reader:
         return start
 
     def raw(self, n, what):
-        start = self._take(n, what)
+        start = self.take(n, what)
         return bytes(self.buf[start:start + n])
 
     def magic(self, expected, what="magic"):
@@ -66,13 +66,13 @@ class Reader:
             )
 
     def unpack(self, st, what):
-        return st.unpack_from(self.buf, self._take(st.size, what))
+        return st.unpack_from(self.buf, self.take(st.size, what))
 
     def array(self, code, count, what):
         """`count` items of dtype `code` ("<u2", "<u4", "<f4", "<f8") as a
         view of the buffer."""
         dtype = _DTYPES[code]
-        return np.frombuffer(self.buf, dtype, count, self._take(dtype.itemsize * count, what))
+        return np.frombuffer(self.buf, dtype, count, self.take(dtype.itemsize * count, what))
 
     def finish(self):
         """Refuse bytes after the last record."""

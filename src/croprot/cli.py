@@ -132,7 +132,7 @@ def cmd_split(args):
 def cmd_train(args):
     config, _, dims, cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
-    folds = load_folds(args.folds, dataset.parcels)
+    folds = load_folds(args.folds, dataset.columns.ids)
     # the dataset's channels and classes; model.dims may only repeat them
     given = config.get("model", {}).get("dims", {})
     for key, have in (("channels", dataset.num_channels), ("num_classes", dataset.num_classes)):
@@ -167,9 +167,9 @@ def cmd_train(args):
 
 def _load_checkpoint_for(path, dataset):
     """The model in the checkpoint `path`, refused (DataFormatError) when
-    it encodes another number of channels than `dataset`'s parcels have."""
+    it encodes another number of channels than `dataset`'s samples have."""
     model = load_checkpoint(path)
-    if dataset.parcels and model.dims.channels != dataset.num_channels:
+    if dataset.num_years and model.dims.channels != dataset.num_channels:
         raise DataFormatError(f"checkpoint {path}: {model.dims.channels} channels; "
                               f"the dataset has {dataset.num_channels}")
     return model
@@ -179,16 +179,18 @@ def _load_checkpoint_for(path, dataset):
 def cmd_eval(args):
     seed = _seed(args)
     dataset = load_dataset(args.dataset)
-    folds = load_folds(args.folds, dataset.parcels)
-    _, val_parcels, test_parcels = folds.split(dataset.parcels, args.fold)
+    columns = dataset.columns
+    folds = load_folds(args.folds, columns.ids)
+    _, val_rows, test_rows = folds.split_rows(columns.ids.tolist(), args.fold)
     year = _eval_year(args.year, dataset.num_years)
     model = _load_checkpoint_for(args.checkpoint, dataset)
     if model.dims.num_classes != dataset.num_classes:
         raise DataFormatError(f"checkpoint {args.checkpoint}: {model.dims.num_classes} "
                               f"classes; the dataset has {dataset.num_classes}")
     # one call: each parcel's records do not depend on the others in it
-    preds = training.predict(model, val_parcels + test_parcels, seed=seed)
-    split = len(val_parcels) * dataset.num_years
+    preds = training.predict(model, columns.take(np.concatenate([val_rows, test_rows])),
+                             seed=seed)
+    split = len(val_rows) * dataset.num_years
     val, test = preds[:split], preds[split:]
     test_scored = test if year is None else test[test.year_index == year]
     cm = analytics.confusion(test_scored, model.dims.num_classes)
@@ -251,7 +253,8 @@ def cmd_crf(args):
     if not {"fold", "val_fold"} <= meta.keys():
         raise DataFormatError(f"predictions file {args.predictions}: meta lacks fold or val_fold")
     dataset = load_dataset(args.dataset)
-    folds = load_folds(args.folds, dataset.parcels)
+    columns = dataset.columns
+    folds = load_folds(args.folds, columns.ids)
     fold, val_fold = meta["fold"], meta["val_fold"]
     if not (is_int(fold) and 0 <= fold < folds.k):
         raise DataFormatError(f"predictions file {args.predictions}: meta fold {fold!r} "
@@ -266,7 +269,7 @@ def cmd_crf(args):
                               f"logits per record; the dataset has {dataset.num_classes} classes")
     # each test record's parcel among the dataset's, by binary search on the
     # sorted ids; a parcel not in the dataset finds another id
-    ids = np.array([p.parcel_id for p in dataset.parcels], np.uint64)
+    ids = columns.ids
     order = np.argsort(ids)
     rows = order[np.minimum(np.searchsorted(ids, test.parcel_id, sorter=order), len(ids) - 1)]
     unknown = np.flatnonzero(ids[rows] != test.parcel_id)
@@ -298,13 +301,13 @@ def cmd_crf(args):
         if pid is not None:
             raise DataFormatError(f"predictions file {args.predictions}: {name} record of "
                                   f"parcel {pid} lies outside meta.{key} {meta[key]}")
-    train, _, _ = folds.split(dataset.parcels, fold)
+    train, _, _ = folds.split_rows(ids.tolist(), fold)
     transitions = crf_mod.estimate_transitions(
-        [p.labels for p in train], dataset.num_classes, alpha=args.alpha
+        columns.labels[train], dataset.num_classes, alpha=args.alpha
     )
     scaler = calibration.fit_temperature(val)
     posterior = calibration.apply_temperature(scored.logits, scaler.tau).astype(np.float32)
-    history = np.array([p.labels for p in dataset.parcels])[rows]
+    history = columns.labels[rows]
     n = np.arange(len(scored))
     a, b = history[n, scored.year_index - 3], history[n, scored.year_index - 2]
     scores, _ = crf_mod.crf_score(posterior, a, b, transitions)
@@ -329,7 +332,7 @@ def cmd_crf(args):
 @_out_dir
 def cmd_rotations(args):
     dataset = load_dataset(args.dataset)
-    seqs = [p.labels for p in dataset.parcels]
+    seqs = dataset.columns.labels.tolist()
     rows, mean = analytics.rotation_table(seqs, dataset.num_classes)
     assignment = analytics.categorize(seqs, dataset.num_classes)
     class_names = (dataset.manifest or {}).get("class_names")
@@ -354,8 +357,8 @@ def cmd_embed(args):
     seed = _seed(args)
     dataset = load_dataset(args.dataset)
     model = _load_checkpoint_for(args.checkpoint, dataset)
-    analytics.export_embeddings(model, dataset.parcels, args.out, seed=seed)
-    print(f"wrote embeddings for {len(dataset.parcels)} parcels to {args.out}")
+    analytics.export_embeddings(model, dataset.columns, args.out, seed=seed)
+    print(f"wrote embeddings for {len(dataset.columns)} parcels to {args.out}")
     return 0
 
 

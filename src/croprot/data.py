@@ -8,6 +8,7 @@ plus a per-year global shift and i.i.d. noise.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -50,19 +51,141 @@ class MultiYearParcel:
         return [s.label for s in self.samples]
 
 
-@dataclass
-class Dataset:
-    parcels: list
-    num_classes: int
-    manifest: dict | None = None
+def _starts(sizes):
+    """Where each of `sizes`, laid end to end in flat order, starts: an
+    int64 array of their shape."""
+    sizes = np.asarray(sizes, np.int64)
+    return (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+
+
+def _ranges(starts, sizes):
+    """The int64 indexes starts[k], ..., starts[k] + sizes[k] - 1 of every
+    k in turn."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - sizes), sizes)
+
+
+@dataclass(eq=False)
+class Columns:
+    """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64 and
+    `centroids` (P, 2) float64.  Per sample, as (P, Y) int64 arrays: its
+    `labels`, `ts` (dates T), `n_pixels` (N_p), and `day_starts` and
+    `pixel_starts`, where its T dates begin in the int64 buffer `days` and
+    its (C, N_p, T) pixels in the float32 buffer `pixels`.  `take` selects
+    parcels and shares both buffers."""
+
+    ids: np.ndarray
+    centroids: np.ndarray
+    labels: np.ndarray
+    ts: np.ndarray
+    n_pixels: np.ndarray
+    day_starts: np.ndarray
+    pixel_starts: np.ndarray
+    days: np.ndarray
+    pixels: np.ndarray
+    channels: int
+
+    @classmethod
+    def of(cls, parcels):
+        """The columns of a list of parcels of equal year counts; their
+        dates and pixels are copied into the two buffers."""
+        samples = [s for p in parcels for s in p.samples]
+        shape = (len(parcels), len(parcels[0].samples) if parcels else 0)
+        channels = samples[0].pixels.shape[0] if samples else 0
+        ts = np.fromiter((s.days.size for s in samples), np.int64, len(samples)).reshape(shape)
+        n_pixels = np.fromiter((s.pixels.shape[1] for s in samples), np.int64,
+                               len(samples)).reshape(shape)
+        return cls(
+            np.fromiter((p.parcel_id for p in parcels), np.uint64, len(parcels)),
+            np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
+            np.fromiter((s.label for s in samples), np.int64, len(samples)).reshape(shape),
+            ts, n_pixels, _starts(ts), _starts(channels * n_pixels * ts),
+            np.concatenate([np.empty(0, np.int64)] + [s.days for s in samples]).astype(np.int64),
+            np.concatenate([np.empty(0, np.float32)] + [s.pixels for s in samples], axis=None,
+                           dtype=np.float32),
+            channels,
+        )
+
+    def __len__(self):
+        return len(self.ids)
 
     @property
     def num_years(self):
-        return len(self.parcels[0].samples) if self.parcels else 0
+        return self.labels.shape[1] if len(self.ids) else 0
 
     @property
     def num_channels(self):
-        return self.parcels[0].samples[0].pixels.shape[0] if self.parcels else 0
+        return self.channels if self.num_years else 0
+
+    def take(self, rows):
+        """The columns of the parcels at `rows`, an index array."""
+        return dataclasses.replace(self, **{name: getattr(self, name)[rows] for name in (
+            "ids", "centroids", "labels", "ts", "n_pixels", "day_starts", "pixel_starts")})
+
+    def dates(self, k):
+        """The dates of the samples at `k`, a (parcel rows, year indexes)
+        pair of arrays, sample after sample in one int64 array."""
+        return self.days[_ranges(self.day_starts[k], self.ts[k])]
+
+    def pixel_sets(self, k):
+        """Object array of the (C, N_p, T) pixel views of the samples at
+        `k`, a (parcel rows, year indexes) pair of arrays."""
+        c, n_pixels, ts = self.channels, self.n_pixels[k], self.ts[k]
+        return np.fromiter(
+            (self.pixels[s:s + c * n * t].reshape(c, n, t) for s, n, t in zip(
+                self.pixel_starts[k].tolist(), n_pixels.tolist(), ts.tolist())),
+            object, ts.size)
+
+    def parcels(self):
+        """The parcels as `MultiYearParcel` objects whose days and pixels
+        are views of the two buffers."""
+        years = self.labels.shape[1]
+        pixels = self.pixel_sets(np.unravel_index(np.arange(self.labels.size),
+                                                  self.labels.shape)).tolist()
+        day_at, ts = self.day_starts.ravel().tolist(), self.ts.ravel().tolist()
+        ids, labels = self.ids.tolist(), self.labels.ravel().tolist()
+        samples = [PixelSetSample(ids[j // years], j % years + 1, pixels[j],
+                                  self.days[day_at[j]:day_at[j] + ts[j]], labels[j])
+                   for j in range(len(labels))]
+        return [MultiYearParcel(pid, tuple(centroid), samples[i * years:(i + 1) * years])
+                for i, (pid, centroid) in enumerate(zip(ids, self.centroids.tolist()))]
+
+
+class Dataset:
+    """Parcels with one sample per year and the dataset's class count,
+    held as a list of `MultiYearParcel` objects, as `Columns`, or both:
+    `Dataset(parcels=...)` holds the objects and `load_dataset` the
+    columns, and each form is built from the other when first asked for."""
+
+    def __init__(self, parcels, num_classes, manifest=None, columns=None):
+        self._parcels, self._columns = parcels, columns
+        self.num_classes = num_classes
+        self.manifest = manifest
+
+    @property
+    def parcels(self):
+        if self._parcels is None:
+            self._parcels = self._columns.parcels()
+        return self._parcels
+
+    @property
+    def columns(self):
+        if self._columns is None:
+            self._columns = Columns.of(self._parcels)
+        return self._columns
+
+    @property
+    def num_years(self):
+        if self._columns is not None:
+            return self._columns.num_years
+        return len(self._parcels[0].samples) if self._parcels else 0
+
+    @property
+    def num_channels(self):
+        if self._columns is not None:
+            return self._columns.num_channels
+        samples = self._parcels[0].samples if self._parcels else []
+        return samples[0].pixels.shape[0] if samples else 0
 
 
 @dataclass
@@ -87,17 +210,22 @@ class FoldAssignment:
             raise ContractError(f"fold {fold} outside [0, {self.k})")
         return (fold + 1) % self.k
 
-    def split(self, parcels, fold):
-        """(train, val, test) parcel lists of test fold `fold`: val is fold
-        `val_fold(fold)`, train every other fold in fold order, each fold's
-        parcels in `parcels` order.  A fold outside [0, k) is a
-        ContractError."""
+    def split_rows(self, ids, fold):
+        """(train, val, test) index arrays into `ids`, a list of parcel ids
+        that each have a fold: val is fold `val_fold(fold)`, train every
+        other fold in fold order, each fold's rows in increasing order.  A
+        fold outside [0, k) is a ContractError."""
         val = self.val_fold(fold)
-        groups = [[] for _ in range(self.k)]
-        for p in parcels:
-            groups[self.folds[p.parcel_id]].append(p)
-        train = [p for f, group in enumerate(groups) if f not in (fold, val) for p in group]
-        return train, groups[val], groups[fold]
+        of = np.fromiter(map(self.folds.__getitem__, ids), np.int64, len(ids))
+        train = np.argsort(of, kind="stable")
+        train = train[(of[train] != fold) & (of[train] != val)]
+        return train, np.flatnonzero(of == val), np.flatnonzero(of == fold)
+
+    def split(self, parcels, fold):
+        """(train, val, test) parcel lists of test fold `fold`, as
+        `split_rows` selects them from `parcels`."""
+        return tuple([parcels[i] for i in rows.tolist()]
+                     for rows in self.split_rows([p.parcel_id for p in parcels], fold))
 
 
 # a folds-file key: the decimal text of a parcel id, as `str(pid)` writes it
@@ -110,10 +238,10 @@ def save_folds(path, folds):
                       "folds": {str(pid): f for pid, f in folds.folds.items()}})
 
 
-def load_folds(path, parcels):
+def load_folds(path, ids):
     """The fold assignment in the folds file `path`; it must give each of
-    `parcels` a fold.  A key that is not the decimal text of an id in
-    [0, 2^64) is a DataFormatError."""
+    the parcel ids `ids` a fold.  A key that is not the decimal text of an
+    id in [0, 2^64) is a DataFormatError."""
     doc = read_json(path, "folds file")
     if type(doc.get("folds")) is dict:
         for key in doc["folds"]:
@@ -121,8 +249,9 @@ def load_folds(path, parcels):
                 raise DataFormatError(f"folds file {path}: key {key!r} is not a parcel id")
         doc["folds"] = {int(pid): f for pid, f in doc["folds"].items()}
     folds = from_json(FoldAssignment, doc, f"folds file {path}", DataFormatError)
-    missing = [p.parcel_id for p in parcels if p.parcel_id not in folds.folds]
-    if missing:
+    ids = np.asarray(ids, np.uint64)
+    missing = ids[~np.isin(ids, np.fromiter(folds.folds, np.uint64, len(folds.folds)))]
+    if missing.size:
         raise DataFormatError(
             f"folds file {path} assigns no fold to {len(missing)} dataset "
             f"parcel(s), first {missing[0]}"
@@ -274,7 +403,10 @@ def generate_synthetic(config: SyntheticConfig):
     kernel and phenology curves."""
     config.validate()
     rng = np.random.default_rng(np.random.PCG64(config.seed))
-    kernel = config.transition_matrix()
+    # each row's CDF, as `Generator.choice(L, p=row)` computes it: a label
+    # is the CDF's searchsorted(random(), "right"), the same draw and label
+    cdf = config.transition_matrix().cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     curves = config.phenology_curves()
     L, I, C, T = config.num_classes, config.num_years, config.channels, config.timesteps
     # per-year global covariate shift, one offset per channel
@@ -290,7 +422,7 @@ def generate_synthetic(config: SyntheticConfig):
             centroids.append(tuple(rng.uniform(0, config.area_size, 2)))
             labels.append(int(rng.integers(L)))
             for _ in range(1, I):
-                labels.append(int(rng.choice(L, p=kernel[labels[-1]])))
+                labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
             for _ in range(I):
                 n_pixels.append(int(rng.integers(config.pixels_min, config.pixels_max + 1)))
                 jitter.append(rng.uniform(-4, 4, T))
@@ -427,36 +559,39 @@ def make_folds(parcels, k, block_size, salt=0):
 
 _HEADER = struct.Struct("<IIBHH")
 _PARCEL = struct.Struct("<Qdd")
+_U2, _F4 = np.dtype("<u2"), np.dtype("<f4")
+# a parcel header as a record of the file's bytes
+_PARCEL_FIELDS = np.dtype([("id", "<u8"), ("x", "<f8"), ("y", "<f8")])
 
 
-def _first_fault(pixels, days, labels, num_classes):
+def _first_fault(pixels, sizes, days, ts, labels, num_classes):
     """(index, message) of the first sample whose values a `.rcds` file may
-    not hold, or None.  The lists hold each sample's (C, N_p, T) pixels,
-    (T,) integer days and label; in a truncated file one may stop early.
-    Within a sample the checks run in the order: finite pixels, label in
-    [0, L), days in [1, 366], days strictly increasing."""
+    not hold, or None.  `pixels` holds the float32 pixels of the first
+    len(sizes) samples, sizes[k] values each; `days` the integer dates of
+    the first len(ts) samples, ts[k] each; `labels` the labels of the first
+    len(labels) samples.  In a truncated file the three may end at
+    different samples.  Within a sample the checks run in the order: finite
+    pixels, label in [0, L), at least one date, days in [1, 366], days
+    strictly increasing."""
     faults = []  # (sample index, rank of the check, message)
-    if pixels:
-        finite = np.isfinite(np.concatenate(pixels, axis=None))
-        if not finite.all():
-            sizes = np.cumsum([p.size for p in pixels])
-            k = int(np.searchsorted(sizes, np.argmin(finite), side="right"))
-            faults.append((k, 0, "non-finite pixel value"))
-    if labels:
-        out = np.array([not 0 <= label < num_classes for label in labels])
-        if out.any():
-            k = int(np.argmax(out))
-            faults.append((k, 1, f"label {labels[k]} outside [0, {num_classes})"))
-    if days:
-        flat = np.concatenate(days).astype(np.int64)
-        sample = np.repeat(np.arange(len(days)), [d.size for d in days])
-        out = (flat < 1) | (flat > 366)
-        if out.any():
-            faults.append((int(sample[np.argmax(out)]), 2, "days must lie in [1, 366]"))
-        steps = (np.diff(flat) <= 0) & (sample[1:] == sample[:-1])
-        if steps.any():
-            faults.append((int(sample[np.argmax(steps)]), 3,
-                           "days must be strictly increasing"))
+    finite = np.isfinite(pixels)
+    if not finite.all():
+        k = int(np.searchsorted(np.cumsum(sizes), np.argmin(finite), side="right"))
+        faults.append((k, 0, "non-finite pixel value"))
+    out = (labels < 0) | (labels >= num_classes)
+    if out.any():
+        k = int(np.argmax(out))
+        faults.append((k, 1, f"label {labels[k]} outside [0, {num_classes})"))
+    ts = np.asarray(ts, np.int64)
+    if (ts == 0).any():
+        faults.append((int(np.argmax(ts == 0)), 2, "no dates: a sample needs at least one"))
+    sample = np.repeat(np.arange(len(ts)), ts)
+    out = (days < 1) | (days > 366)
+    if out.any():
+        faults.append((int(sample[np.argmax(out)]), 2, "days must lie in [1, 366]"))
+    steps = (np.diff(days) <= 0) & (sample[1:] == sample[:-1])
+    if steps.any():
+        faults.append((int(sample[np.argmax(steps)]), 3, "days must be strictly increasing"))
     if not faults:
         return None
     k, _, msg = min(faults)
@@ -465,12 +600,13 @@ def _first_fault(pixels, days, labels, num_classes):
 
 def _refuse_repeated_ids(ids):
     """DataFormatError naming the first parcel id, in file order, that an
-    earlier parcel already has: a parcel-year is keyed by (id, year)."""
-    seen = set()
-    for pid in ids:
-        if pid in seen:
-            raise DataFormatError(f"parcel id {pid} appears more than once")
-        seen.add(pid)
+    earlier parcel already has: a parcel-year is keyed by (id, year).
+    `ids` is a uint64 array."""
+    order = np.argsort(ids, kind="stable")
+    # a stable sort puts each id's later parcels after its first
+    again = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if again.size:
+        raise DataFormatError(f"parcel id {ids[again.min()]} appears more than once")
 
 
 def _check_class_names(sidecar, num_classes, path):
@@ -516,13 +652,17 @@ def save_dataset(path, parcels, num_classes, manifest=None):
                 pixels.append(pix)
                 days.append(d)
                 labels.append(s.label)
-    fault = _first_fault(pixels, days, labels, num_classes)
+    # labels as Python objects: one beyond int64 is refused, not wrapped
+    fault = _first_fault(
+        np.concatenate([np.empty(0, _F4)] + pixels, axis=None), [p.size for p in pixels],
+        np.concatenate(days).astype(np.int64) if days else np.empty(0, np.int64),
+        [d.size for d in days], np.array(labels, dtype=object), num_classes)
     if fault:
         k, msg = fault
         raise DataFormatError(
             f"parcel {parcels[k // num_years].parcel_id}, year {k % num_years + 1}: {msg}"
         )
-    _refuse_repeated_ids(p.parcel_id for p in parcels)
+    _refuse_repeated_ids(np.fromiter((p.parcel_id for p in parcels), np.uint64, len(parcels)))
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
@@ -538,91 +678,110 @@ def save_dataset(path, parcels, num_classes, manifest=None):
     write_json(path + ".json", sidecar)
 
 
-_U2, _F4 = np.dtype("<u2"), np.dtype("<f4")
-
-
-def _read_sample(r, channels, pid, days, pixels, labels):
-    """Read the sample record at `r.offset` field by field, appending its
-    days, (C, N_p, T) pixels and label; a record that runs past the end of
-    the file, or has no pixels, raises DataFormatError naming the field and
-    its offset."""
+def _read_sample(r, channels, pid, ts, nps):
+    """Read the sample record at `r.offset` field by field, appending its T
+    to `ts` once its days are read and its N_p to `nps` once its pixels
+    are; a record that runs past the end of the file, or has no pixels,
+    raises DataFormatError naming the field and its offset."""
     (t,) = r.unpack(U16, "timestep count")
-    days.append(r.array("<u2", t, "days"))
+    r.take(2 * t, "days")
+    ts.append(t)
     (n_p,) = r.unpack(U32, "pixel count")
     if n_p < 1:
         raise DataFormatError(f"degenerate parcel {pid} with no pixels at offset {r.offset}")
-    pixels.append(r.array("<f4", channels * n_p * t, "pixels").reshape(channels, n_p, t))
-    labels.append(r.unpack(U16, "label")[0])
+    r.take(4 * channels * n_p * t, "pixels")
+    nps.append(n_p)
+    r.unpack(U16, "label")
+
+
+def _join(buf, starts, sizes):
+    """One bytearray of the sizes[k] bytes of `buf` from each starts[k], in
+    turn."""
+    view = memoryview(buf)
+    return bytearray().join([view[s:s + n] for s, n in zip(starts.tolist(), sizes.tolist())])
 
 
 def load_dataset(path):
-    """The dataset in the `.rcds` file `path`, with the manifest in its
-    optional JSON sidecar.  A malformed file raises DataFormatError naming
-    its first fault in file order."""
+    """The dataset in the `.rcds` file `path`, as `Columns`, with the
+    manifest in its optional JSON sidecar.  A malformed file raises
+    DataFormatError naming its first fault in file order."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
     version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"unsupported format version {version}")
-    # One walk over the records collects the parcel headers and each
-    # sample's offset, days, pixels and label; one vectorised pass then checks
-    # the values.  When the walk stops on a malformed record, a fault in an
-    # earlier sample is still the one reported.  A sample record is located
-    # by its two counts, T and N_p: when it fits in the file and has pixels,
-    # its days and pixels are views of the buffer at offsets computed from
-    # them; any other record is read field by field, which names the fault.
+    # One walk over the records reads each sample record's two counts, T and
+    # N_p, which give where the next record starts; numpy then gathers the
+    # columns from the buffer at the offsets they give, and one vectorised
+    # pass checks their values.  A record that runs past the end of the
+    # file, or has no pixels, is read field by field, which names the
+    # fault; a fault in an earlier sample, or in the fields of that record
+    # read before it, is still the one reported.
     buf, size = r.buf, r.size
-    headers, starts, days, pixels, labels = [], [], [], [], []
-    walk_fault = None
+    count, pixel_count, pixel_bytes = U16.unpack_from, U32.unpack_from, 4 * channels
+    heads, starts, ts, nps = [], [], [], []
+    walk_fault, in_record = None, False
     try:
         for _ in range(n_parcels):
-            headers.append(r.unpack(_PARCEL, "parcel header"))
+            heads.append(r.take(_PARCEL.size, "parcel header"))
+            o = r.offset
             for _ in range(num_years):
-                o = r.offset
                 starts.append(o)
                 try:
-                    (t,) = U16.unpack_from(buf, o)
-                    (n_p,) = U32.unpack_from(buf, o + 2 + 2 * t)
+                    (t,) = count(buf, o)
+                    (n_p,) = pixel_count(buf, o + 2 + 2 * t)
                 except struct.error:  # the counts run past the end of the file
                     n_p = 0
-                if n_p and (end := o + 8 + 2 * t + 4 * channels * n_p * t) <= size:
-                    days.append(np.ndarray((t,), _U2, buf, o + 2))
-                    pixels.append(np.ndarray((channels, n_p, t), _F4, buf, o + 6 + 2 * t))
-                    labels.append(U16.unpack_from(buf, end - 2)[0])
-                    r.offset = end
+                if n_p and (end := o + 8 + 2 * t + pixel_bytes * n_p * t) <= size:
+                    ts.append(t)
+                    nps.append(n_p)
+                    o = end
                 else:
-                    _read_sample(r, channels, headers[-1][0], days, pixels, labels)
+                    r.offset, in_record = o, True
+                    _read_sample(r, channels, _PARCEL.unpack_from(buf, heads[-1])[0], ts, nps)
+                    o, in_record = r.offset, False
+            r.offset = o
     except DataFormatError as exc:
         walk_fault = exc
-    fault = _first_fault(pixels, days, labels, num_classes)
+    u8 = np.frombuffer(buf, np.uint8)
+    starts, ts, nps = (np.array(v, np.int64) for v in (starts, ts, nps))
+    sizes = channels * nps * ts[:nps.size]
+    pixel_at = starts[:nps.size] + 6 + 2 * ts[:nps.size]
+    # the one copy of the pixels, and what they are checked on
+    pixels = np.frombuffer(_join(buf, pixel_at, 4 * sizes), _F4)
+    days = np.frombuffer(_join(buf, starts[:ts.size] + 2, 2 * ts), _U2).astype(np.int64)
+    label_at = (pixel_at + 4 * sizes)[:starts.size - in_record]
+    labels = u8[label_at[:, None] + np.arange(2)].view(_U2).ravel().astype(np.int64)
+    fault = _first_fault(pixels, sizes, days, ts, labels, num_classes)
     if fault:
         k, msg = fault
+        pid = _PARCEL.unpack_from(buf, heads[k // num_years])[0]
         raise DataFormatError(
-            f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg} "
-            f"(sample record at offset {starts[k]})"
+            f"parcel {pid}, year {k % num_years + 1}: {msg} (sample record at offset {starts[k]})"
         )
     if walk_fault:
         raise walk_fault
     r.finish()
-    for pid, cx, cy in headers:
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
-    _refuse_repeated_ids(pid for pid, _, _ in headers)
-    all_days = np.concatenate([np.empty(0, "<u2")] + days).astype(np.int64)
-    ends = np.cumsum([d.size for d in days], dtype=np.int64).tolist()
-    samples = [
-        PixelSetSample(headers[k // num_years][0], k % num_years + 1, pixels[k],
-                       all_days[end - days[k].size:end], labels[k])
-        for k, end in enumerate(ends)
-    ]
-    parcels = [MultiYearParcel(pid, (cx, cy), samples[i * num_years:(i + 1) * num_years])
-               for i, (pid, cx, cy) in enumerate(headers)]
+    head = u8[np.array(heads, np.int64)[:, None] + np.arange(_PARCEL.size)]
+    head = head.view(_PARCEL_FIELDS)[:, 0]
+    ids = head["id"].astype(np.uint64)
+    centroids = np.stack([head["x"], head["y"]], axis=1).astype(np.float64)
+    bad = ~np.isfinite(centroids).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataFormatError(f"parcel {ids[i]}: non-finite centroid "
+                              f"{tuple(centroids[i].tolist())}")
+    _refuse_repeated_ids(ids)
     manifest = None
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
-    return Dataset(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
+    shape = (n_parcels, num_years)
+    ts, nps, labels = ts.reshape(shape), nps.reshape(shape), labels.reshape(shape)
+    columns = Columns(ids, centroids, labels, ts, nps, _starts(ts), _starts(sizes.reshape(shape)),
+                      days, pixels, channels)
+    return Dataset(None, int(num_classes), manifest, columns)
 
 
 def config_to_manifest(config: SyntheticConfig):

@@ -187,8 +187,8 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     run over `_blocks` of whole (item, date) segments, so their buffers
     do not grow with the batch; no MLP row or pooled segment depends on
     the others, so the blocks do not change the result.  An empty batch,
-    a kept column outside [0, N_b) of its own set, or a set of another
-    channel or date count is a ContractError.
+    items with no dates (T = 0), a kept column outside [0, N_b) of its own
+    set, or a set of another channel or date count is a ContractError.
     """
     columns = np.asarray(columns)
     counts = np.asarray(counts)
@@ -202,6 +202,8 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     if counts.min(initial=0) < 0 or np.any(counts.sum(axis=1) != s):
         raise ContractError(f"encode_batch: counts must be >= 0 and sum to {s} per item")
     t = days.shape[1]
+    if t < 1:
+        raise ContractError("encode_batch: items with no dates")
     c = pse.dims.channels
     for x in sets:
         if x.ndim != 3 or x.shape[0] != c or x.shape[2] != t:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analytics, autodiff as ad, heads
 from .binio import predictions
-from .data import MAX_SEED, draw_keys, sample_pixels
+from .data import MAX_SEED, Columns, draw_keys, sample_pixels
 from .encoders import encode_batch
 from .errors import ConfigError, ContractError
 from .model import CropModel, ModelDims
@@ -91,11 +91,46 @@ def optimizer_step(vector, grad, state: AdamState, cfg: TrainConfig):
 # batched forward
 
 
+def _first_appearances(keys):
+    """The distinct `keys` in the order of their first appearance."""
+    _, first = np.unique(keys, return_index=True)
+    return keys[np.sort(first)]
+
+
+def _select(parcels, years):
+    """(parcel rows, years, past, row of each pair) of the items of the
+    (parcel row, year) pairs given as two int64 arrays, rows >= 0 and
+    years >= 1: the distinct pairs in the order of first appearance, then
+    the years i-1 and i-2 they lack, item by item, so that every distinct
+    pair's `past` is -1 only before year 1.  `past` holds the (items, 2)
+    rows of each item's years i-1 and i-2 among them, -1 where there is
+    none.  Items are found in a table of (largest row + 1) * (largest
+    year + 1) entries, so rows should be dense."""
+    if years.min(initial=1) < 1:
+        raise ContractError(f"year {years.min()} outside the years >= 1")
+    width = int(years.max(initial=0)) + 1
+    pairs = parcels * width + years  # one key per (parcel, year)
+    # the row of each key among the items, -1 for a key that is none
+    row = np.full(width * (int(parcels.max(initial=-1)) + 1), -1)
+    chosen = _first_appearances(pairs)
+    row[chosen] = np.arange(chosen.size)
+    back = np.arange(1, 3)
+    behind, has = chosen[:, None] - back, (chosen % width)[:, None] > back
+    lack = _first_appearances(behind[has & (row[np.where(has, behind, 0)] < 0)])
+    row[lack] = np.arange(chosen.size, chosen.size + lack.size)
+    keys = np.concatenate([chosen, lack])
+    behind, has = keys[:, None] - back, (keys % width)[:, None] > back
+    return keys // width, keys % width, np.where(has, row[np.where(has, behind, 0)], -1), row[pairs]
+
+
 class _Items(NamedTuple):
     """(parcel, year) items as arrays, built once per call and sliced per
     batch: parcel ids, years, labels, pixel counts, dates T, pixel sets,
     days padded to the longest T, and `past`, the (items, 2) rows of each
-    item's years i-1 and i-2 among them, -1 where there is none."""
+    item's years i-1 and i-2 among them, -1 where there is none.  `of`
+    builds them from parcel objects and `of_columns` from `data.Columns`;
+    both select the items with `_select` and assemble them with
+    `_assemble`."""
 
     ids: np.ndarray
     years: np.ndarray
@@ -107,45 +142,59 @@ class _Items(NamedTuple):
     past: np.ndarray
 
     @classmethod
+    def _assemble(cls, ids, years, labels, n_pixels, ts, pixels, days, past):
+        """The _Items of per-item columns, `days` holding every item's
+        dates item after item."""
+        padded = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < ts[:, None]] = days
+        return cls(ids, years, labels, n_pixels, ts, pixels, padded, past)
+
+    @classmethod
     def of(cls, pairs):
         """(_Items, the row of each pair in them) of a list of (parcel,
-        year) pairs: the distinct pairs in the order of first appearance,
-        then the years i-1 and i-2 they lack, so that every distinct pair's
-        `past` is -1 only before year 1.  Two parcels with one id, whose
-        rows would share a key, and an id outside [0, 2^64) are a
-        ContractError."""
-        chosen, owner = {}, {}
-        for p, y in pairs:
-            if owner.setdefault(p.parcel_id, p) is not p:
+        year) pairs, items selected as `_select` does.  Two parcels with
+        one id, whose rows would share a key, and an id outside [0, 2^64)
+        are a ContractError."""
+        owners = {}
+        for p, _ in pairs:
+            if owners.setdefault(p.parcel_id, p) is not p:
                 raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
-            chosen.setdefault((p.parcel_id, y), (p, y))
-        for pid in owner:
+        for pid in owners:
             if not 0 <= pid < 1 << 64:
                 raise ContractError(f"parcel id {pid} outside [0, 2^64)")
-        for p, y in list(chosen.values()):
-            for back in (1, 2):
-                if y > back:
-                    chosen.setdefault((p.parcel_id, y - back), (p, y - back))
-        row = {key: i for i, key in enumerate(chosen)}
-        n = len(row)
-        samples = [p.samples[y - 1] for p, y in chosen.values()]
-        ts = np.fromiter((s.days.size for s in samples), np.int64, n)
-        days = np.zeros((n, ts.max(initial=0)), dtype=np.int64)
-        days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
-            [np.empty(0, np.int64)] + [s.days for s in samples])
-        past = np.fromiter((row.get((pid, y - back), -1) for pid, y in row for back in (1, 2)),
-                           np.int64, 2 * n)
-        items = cls(
-            np.fromiter((pid for pid, _ in row), np.uint64, n),
-            np.fromiter((y for _, y in row), np.int64, n),
+        row = {pid: i for i, pid in enumerate(owners)}
+        parcel, years, past, rows = _select(
+            np.fromiter((row[p.parcel_id] for p, _ in pairs), np.int64, len(pairs)),
+            np.fromiter((y for _, y in pairs), np.int64, len(pairs)))
+        parcels = list(owners.values())
+        samples = [parcels[i].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
+        n = len(samples)
+        items = cls._assemble(
+            np.fromiter(owners, np.uint64, len(owners))[parcel],
+            years,
             np.fromiter((s.label for s in samples), np.int64, n),
             np.fromiter((s.pixels.shape[1] for s in samples), np.int64, n),
-            ts,
+            np.fromiter((s.days.size for s in samples), np.int64, n),
             np.fromiter((s.pixels for s in samples), object, n),
-            days,
-            past.reshape(n, 2),
+            np.concatenate([np.empty(0, np.int64)] + [s.days for s in samples]),
+            past,
         )
-        return items, np.fromiter((row[(p.parcel_id, y)] for p, y in pairs), np.int64, len(pairs))
+        return items, rows
+
+    @classmethod
+    def of_columns(cls, columns, years):
+        """(_Items, the row of each pair in them) of the pairs of each
+        parcel of the `data.Columns` with each of `years`, parcel by
+        parcel, items selected as `_select` does: slices of the columns,
+        each item's pixels a view of their buffer."""
+        years = np.fromiter(years, np.int64)
+        parcel, item_years, past, rows = _select(
+            np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
+        k = (parcel, item_years - 1)
+        items = cls._assemble(columns.ids[parcel], item_years, columns.labels[k],
+                              columns.n_pixels[k], columns.ts[k], columns.pixel_sets(k),
+                              columns.dates(k), past)
+        return items, rows
 
     def take(self, rows):
         """The items at `rows`, an index array or a slice."""
@@ -229,16 +278,25 @@ def _read(model, items, rows):
     return items if model.variant == "obs" else items.take(slice(0, rows.max(initial=-1) + 1))
 
 
-def encode_items(model, items, stream, batch_size=ENCODE_BATCH):
-    """(the _Items of the (parcel, year) items, the row of each item in
-    them, the descriptors of the first rows, those the model's head reads)
-    with each distinct item encoded once from the pixel draw keyed by
-    (*stream, parcel id, year).  Callers run it outside `ad.recording`, so
-    it records nothing on a tape."""
-    everything, rows = _Items.of(items)
-    read = _read(model, everything, rows)
+def items_of(parcels, years=None):
+    """(_Items, the row of each pair in them) of the (parcel, year) pairs
+    of `parcels`, a list of parcels or a `data.Columns`, parcel by parcel,
+    each with each of `years`, or with each of its own years when None."""
+    if isinstance(parcels, Columns):
+        return _Items.of_columns(parcels, range(1, parcels.num_years + 1)
+                                 if years is None else years)
+    return _Items.of([(p, y) for p in parcels
+                      for y in (range(1, len(p.samples) + 1) if years is None else years)])
+
+
+def encode_items(model, items, rows, stream, batch_size=ENCODE_BATCH):
+    """The descriptors of the leading rows of the _Items `items` that the
+    model's head reads for the items at `rows`, each encoded once from the
+    pixel draw keyed by (*stream, parcel id, year).  Callers run it outside
+    `ad.recording`, so it records nothing on a tape."""
+    read = _read(model, items, rows)
     columns, counts = _draw(read, stream, model.dims.sample_pixels)
-    return everything, rows, _descriptors(model, read, columns, counts, batch_size)
+    return _descriptors(model, read, columns, counts, batch_size)
 
 
 def _features(model, items, prev, descriptors=None):
@@ -406,16 +464,20 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
     encoded with the same keyed draws.  Non-finite descriptors or logits
-    are a ContractError."""
-    num_years = len(parcels[0].samples) if parcels else 0
+    are a ContractError.  `parcels` is a list of parcels or a
+    `data.Columns`, whose items are slices of its columns."""
+    if isinstance(parcels, Columns):
+        num_years = parcels.num_years
+    else:
+        num_years = len(parcels[0].samples) if parcels else 0
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
-    pairs = [(p, y) for p in parcels for y in wanted]
-    if not pairs:
+    if not (len(parcels) and wanted):
         return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
     outside = [y for y in wanted if not 1 <= y <= num_years]
     if outside:
         raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
-    items, rows, table = encode_items(model, pairs, (seed,), batch_size)
+    items, rows = items_of(parcels, wanted)
+    table = encode_items(model, items, rows, (seed,), batch_size)
     features = _features(model, items, items.past[rows], table)
     z = np.asarray(heads.decode(table[rows], model.head, features).data)
     asked = items.take(rows)

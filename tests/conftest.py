@@ -7,7 +7,7 @@ from hypothesis import settings
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
-from croprot.training import _features, encode_items
+from croprot.training import _Items, _features, encode_items
 
 
 # Property tests draw the same examples on every run; a test's own
@@ -16,17 +16,24 @@ settings.register_profile("croprot", derandomize=True, max_examples=100, deadlin
 settings.load_profile("croprot")
 
 
+def encode_pairs(model, pairs, stream, batch_size=256):
+    """(the _Items of the (parcel, year) pairs, the row of each pair in
+    them, their `encode_items` descriptors)."""
+    items, rows = _Items.of(pairs)
+    return items, rows, encode_items(model, items, rows, stream, batch_size)
+
+
 def descriptors_of(model, items, stream, batch_size=256):
     """{(parcel_id, year): descriptor} of the rows one `encode_items` call
     encodes for the (parcel, year) items."""
-    encoded, _, table = encode_items(model, items, stream, batch_size)
+    encoded, _, table = encode_pairs(model, items, stream, batch_size)
     return dict(zip(zip(encoded.ids.tolist(), encoded.years.tolist()), table))
 
 
 def features_of(model, items, stream=(7,)):
     """Head features of the (parcel, year) items, read from the rows of one
     `encode_items` call as `predict` reads them."""
-    encoded, rows, table = encode_items(model, items, stream)
+    encoded, rows, table = encode_pairs(model, items, stream)
     return _features(model, encoded, encoded.past[rows], table)
 
 
@@ -96,6 +103,17 @@ def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):
     raw += struct.pack("<H", len(days)) + np.array(days, dtype="<u2").tobytes()
     raw += struct.pack("<I", 1) + np.asarray(pixels, dtype="<f4").tobytes()
     return raw + struct.pack("<H", label)
+
+
+def without_dates(raw):
+    """The bytes of the `.rcds` file `raw` with its first sample record
+    (parcel 0's year 1) cut to T = 0 dates, its pixel count and label kept."""
+    at = 4 + struct.calcsize("<IIBHH") + struct.calcsize("<Qdd")
+    channels = struct.unpack_from("<H", raw, 13)[0]
+    (t,) = struct.unpack_from("<H", raw, at)
+    (n_p,) = struct.unpack_from("<I", raw, at + 2 + 2 * t)
+    end = at + 8 + 2 * t + 4 * channels * n_p * t
+    return raw[:at] + struct.pack("<HI", 0, n_p) + raw[end - 2:]
 
 
 @pytest.fixture(scope="session")

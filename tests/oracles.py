@@ -7,9 +7,11 @@ fitting, calibration, reliability bins and the confusion matrix one row
 of a `binio.predictions` array at a time, against the library's column
 arithmetic; and the JSON object of one row, against the predictions-file
 writer's fixed layout; and the synthetic generator one parcel-year at a
-time, against the chunked `generate_synthetic`; and the `.rcds` loader
-reading every field of every record through the bounds-checked `Reader`,
-against `load_dataset`'s walk by the records' two counts; and `dense`
+time, with `Generator.choice` drawing the labels, against the chunked
+`generate_synthetic`; and the `.rcds` loader reading every field of every
+record through the bounds-checked `Reader` and checking the values sample
+by sample, against `load_dataset`'s walk by the records' two counts and
+its checks on the gathered columns; and `dense`
 and `mean_std_pool` with backward rules that compute every input's
 gradient, sum bias gradients with `sum(axis=0)` and fill the pool's
 gradient run by run of equal-size segments, against the library's."""
@@ -25,7 +27,7 @@ from croprot.binio import U16, U32, Reader, read_json
 from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
 from croprot.data import (
     _HEADER, _PARCEL, FORMAT_VERSION, MAGIC, Dataset, MultiYearParcel, PixelSetSample,
-    _check_class_names, _first_fault, _refuse_repeated_ids,
+    _check_class_names,
 )
 from croprot.errors import ContractError, DataFormatError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -316,10 +318,40 @@ def generate_synthetic(config):
     return parcels
 
 
+def first_fault(pixels, days, labels, num_classes):
+    """(index, message) of the first sample whose values a `.rcds` file may
+    not hold, or None, from lists of each sample's (C, N_p, T) pixels, (T,)
+    days and label, which in a truncated file may end at different
+    samples: each check over its own list, the first fault in sample
+    order and, within a sample, in the order finite pixels, label, at
+    least one date, days in [1, 366], strictly increasing days."""
+    faults = []
+    for k, p in enumerate(pixels):
+        if not np.isfinite(p).all():
+            faults.append((k, 0, "non-finite pixel value"))
+            break
+    for k, label in enumerate(labels):
+        if not 0 <= label < num_classes:
+            faults.append((k, 1, f"label {label} outside [0, {num_classes})"))
+            break
+    for k, d in enumerate(days):
+        d = d.astype(np.int64)
+        if not d.size:
+            faults.append((k, 2, "no dates: a sample needs at least one"))
+        elif ((d < 1) | (d > 366)).any():
+            faults.append((k, 2, "days must lie in [1, 366]"))
+        elif (np.diff(d) <= 0).any():
+            faults.append((k, 3, "days must be strictly increasing"))
+    if not faults:
+        return None
+    k, _, msg = min(faults)
+    return k, msg
+
+
 def load_dataset(path):
     """The dataset in the `.rcds` file `path`, every field of every record
-    read through the `Reader`; the same checks, in the same order, as
-    `croprot.data.load_dataset`."""
+    read through the `Reader` and every value checked sample by sample;
+    the same checks, in the same order, as `croprot.data.load_dataset`."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
@@ -346,7 +378,7 @@ def load_dataset(path):
                 labels.append(r.unpack(U16, "label")[0])
     except DataFormatError as exc:
         walk_fault = exc
-    fault = _first_fault(pixels, days, labels, num_classes)
+    fault = first_fault(pixels, days, labels, num_classes)
     if fault:
         k, msg = fault
         raise DataFormatError(
@@ -359,7 +391,11 @@ def load_dataset(path):
     for pid, cx, cy in headers:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
-    _refuse_repeated_ids(pid for pid, _, _ in headers)
+    seen = set()
+    for pid, _, _ in headers:
+        if pid in seen:
+            raise DataFormatError(f"parcel id {pid} appears more than once")
+        seen.add(pid)
     parcels = []
     for i, (pid, cx, cy) in enumerate(headers):
         samples = [PixelSetSample(pid, y + 1, pixels[k], days[k].astype(np.int64), labels[k])

@@ -7,14 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from croprot import cli, training
+from croprot import cli, data, training
 from croprot.cli import main
-from croprot.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
+from croprot.data import (
+    SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset, save_folds,
+)
 from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 from croprot.training import predict
 
 import oracles
-from conftest import one_sample_file, tiny_dims
+from conftest import one_sample_file, tiny_dims, without_dates
 
 
 RUN_CONFIG = {
@@ -67,6 +69,51 @@ def test_eval_and_embed_take_ids_up_to_two_to_the_64(tmp_path, pid):
     assert main(["embed", "--checkpoint", ckpt, "--dataset", dataset, "--out", str(csv)]) == 0
     rows = csv.read_text().splitlines()[1:]
     assert [r.split(",")[:2] for r in rows[:3]] == [[str(pid), str(y)] for y in (1, 2, 3)]
+
+
+def test_no_dates_refused_with_the_sample_record(malformed, capsys):
+    capsys.readouterr()
+    assert main(["rotations", "--dataset", malformed["dataset_no_dates"],
+                 "--out", malformed["out"]]) == 3
+    assert capsys.readouterr().err == ("data format error: parcel 0, year 1: no dates: a "
+                                       "sample needs at least one (sample record at offset 41)\n")
+
+
+def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
+    """eval, calibrate, crf, rotations and embed read the dataset's columns:
+    none of them makes a MultiYearParcel or a PixelSetSample."""
+    parcels = generate_synthetic(SyntheticConfig(parcels=30, channels=3, timesteps=5, seed=3))
+    dataset, folds = str(tmp_path / "d.rcds"), str(tmp_path / "folds.json")
+    save_dataset(dataset, parcels, 8)
+    save_folds(folds, make_folds(parcels, 3, 2500))
+    ckpt = str(tmp_path / "c.bin")
+    save_checkpoint(ckpt, CropModel(tiny_dims(8), "obs", seed=1))
+    made = []
+
+    def counted(init):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in (data.MultiYearParcel, data.PixelSetSample):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    out = tmp_path / "out"
+    preds = str(out / "eval" / "predictions.json")
+    for argv in (
+        ["eval", "--checkpoint", ckpt, "--dataset", dataset, "--folds", folds, "--fold", "0",
+         "--out", str(out / "eval")],
+        ["calibrate", "--predictions", preds, "--out", str(out / "calibrate")],
+        ["crf", "--predictions", preds, "--dataset", dataset, "--folds", folds,
+         "--out", str(out / "crf")],
+        ["rotations", "--dataset", dataset, "--out", str(out / "rotations")],
+        ["embed", "--checkpoint", ckpt, "--dataset", dataset, "--out", str(out / "e.csv")],
+    ):
+        assert main(argv) == 0, argv
+    assert made == []
+    # the count sees a parcel list when one is built
+    load_dataset(dataset).parcels
+    assert len(made) == 30 * 4
 
 
 def test_help_exits_zero(capsys):
@@ -605,6 +652,9 @@ def malformed(workdir, tmp_path_factory):
     paths["dataset_repeated_id"] = bad / "repeated_id.rcds"
     paths["dataset_repeated_id"].write_bytes(
         one[:8] + struct.pack("<I", 2) + one[12:head] + one[head:] * 2)
+    # the pipeline's dataset with parcel 0's year-1 sample cut to no dates
+    paths["dataset_no_dates"] = bad / "no_dates.rcds"
+    paths["dataset_no_dates"].write_bytes(without_dates(dataset.read_bytes()))
     paths["ckpt_bad_sidecar"] = bad / "ckpt.bin"
     shutil.copy(train_out / "checkpoint_fold0.bin", paths["ckpt_bad_sidecar"])
     sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
@@ -699,6 +749,10 @@ CLI_MATRIX = {
     "crf-year-0": (_CRF.replace("{preds}", "{preds_year_0}"), 3),
     "crf-year-4": (_CRF.replace("{preds}", "{preds_year_4}"), 3),
     "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
+    "eval-dataset-no-dates": (_EVAL.replace("{dataset}", "{dataset_no_dates}"), 3),
+    "embed-dataset-no-dates": (_EMBED.replace("{dataset}", "{dataset_no_dates}"), 3),
+    "rotations-dataset-no-dates": ("rotations --dataset {dataset_no_dates} --out {out}", 3),
+    "crf-dataset-no-dates": (_CRF.replace("{dataset}", "{dataset_no_dates}"), 3),
     "split-dataset-repeated-id": ("split --dataset {dataset_repeated_id} --out {out}", 3),
     "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
     "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),

@@ -15,6 +15,7 @@ from scipy import stats
 from croprot.data import (
     MAX_TIMESTEPS,
     SYNTH_CHUNK,
+    Dataset,
     FoldAssignment,
     MultiYearParcel,
     PixelSetSample,
@@ -425,7 +426,7 @@ class TestFoldsFile:
     def test_round_trip(self, tmp_path, fold_parcels):
         fa = make_folds(fold_parcels, 5, 1000)
         save_folds(tmp_path / "folds.json", fa)
-        assert load_folds(tmp_path / "folds.json", fold_parcels) == fa
+        assert load_folds(tmp_path / "folds.json", [p.parcel_id for p in fold_parcels]) == fa
         ends = FoldAssignment(3, {0: 1, 2**64 - 1: 2}, 7.5)
         save_folds(tmp_path / "ends.json", ends)
         assert load_folds(tmp_path / "ends.json", []) == ends
@@ -668,6 +669,41 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     path.write_bytes(_encode(parcels, 8))
     with pytest.raises(DataFormatError, match="parcel id 0 appears more than once"):
         load_dataset(path)
+
+
+def test_sample_without_dates_refused_by_save_and_load(tmp_path):
+    # no descriptor can be encoded from no dates
+    parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
+    s = parcels[1].samples[0]
+    s.days, s.pixels = s.days[:0], s.pixels[:, :, :0]
+    path = tmp_path / "ds.rcds"
+    with pytest.raises(DataFormatError) as saved:
+        save_dataset(path, parcels, 8)
+    assert str(saved.value) == "parcel 1, year 1: no dates: a sample needs at least one"
+    assert not path.exists()
+    path.write_bytes(_encode(parcels, 8))
+    for load in (load_dataset, oracles.load_dataset):
+        with pytest.raises(DataFormatError) as loaded:
+            load(path)
+        assert str(loaded.value).startswith(f"{saved.value} (sample record at offset ")
+
+
+def test_dataset_of_parcels_builds_columns_only_when_asked(monkeypatch):
+    parcels = generate_synthetic(SyntheticConfig(parcels=5, seed=0))
+    built = []
+    of = data.Columns.of
+    monkeypatch.setattr(data.Columns, "of", lambda parcels: built.append(1) or of(parcels))
+    ds = Dataset(parcels=parcels, num_classes=8)
+    assert ds.parcels is parcels and (ds.num_years, ds.num_channels) == (3, 4)
+    assert built == []
+    columns = ds.columns
+    assert built == [1] and ds.columns is columns
+    assert columns.ids.tolist() == [p.parcel_id for p in parcels]
+    assert columns.labels.tolist() == [p.labels for p in parcels]
+    for p, back in zip(parcels, columns.parcels()):
+        assert (back.parcel_id, back.centroid, back.labels) == (p.parcel_id, p.centroid, p.labels)
+        for s, b in zip(p.samples, back.samples):
+            assert b.pixels.tobytes() == s.pixels.tobytes() and np.array_equal(b.days, s.days)
 
 
 @st.composite

@@ -227,6 +227,12 @@ class TestEncodeBatch:
             single = encode_drawn(pixels[i : i + 1], days[i], pse, ltae).data[0]
             assert np.allclose(batched[i], single, atol=1e-10)
 
+    def test_no_dates_rejected(self):
+        dims, pse, ltae = _weights()
+        pixels = np.zeros((2, dims.channels, 3, 0))
+        with pytest.raises(ContractError, match="no dates"):
+            encode_drawn(pixels, np.zeros((2, 0), np.int64), pse, ltae)
+
     def test_out_of_range_days_rejected(self):
         dims, pse, ltae = _weights()
         pixels = np.zeros((1, dims.channels, 2, 3))

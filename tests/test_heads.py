@@ -6,9 +6,9 @@ from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _Items, _features, cross_entropy, encode_items
+from croprot.training import _Items, _features, cross_entropy
 
-from conftest import descriptors_of, features_of, tiny_dims
+from conftest import descriptors_of, encode_pairs, features_of, tiny_dims
 
 L = 4
 IDENTITY = np.eye(L, dtype=np.float32)
@@ -225,10 +225,10 @@ def test_obs_features_read_only_the_rows_they_need():
     parcels = generate_synthetic(cfg)
     model = CropModel(tiny_dims(num_classes=L), "obs")
     pairs = [(p, 1 + i % 3) for i, p in enumerate(parcels[:32])]
-    every, rows, table = encode_items(model, pairs + [(p, y) for p in parcels for y in (1, 2, 3)],
+    every, rows, table = encode_pairs(model, pairs + [(p, y) for p in parcels for y in (1, 2, 3)],
                                       (7,))
     rows = rows[: len(pairs)]
-    needed, _, _ = encode_items(model, pairs, (7,))
+    needed, _, _ = encode_pairs(model, pairs, (7,))
     assert needed.ids.size < every.ids.size
     want = features_of(model, pairs)
     assert _features(model, every, every.past[rows], table).tobytes() == want.tobytes()

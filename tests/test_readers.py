@@ -2,7 +2,8 @@
 file raises DataFormatError, and one with a single byte changed either
 loads or raises DataFormatError, never another exception; `load_dataset`
 against its field-by-field oracle on every cut, extended and
-single-byte-xored copy of two tiny `.rcds` files.  The JSON reader
+single-byte-xored copy of two tiny `.rcds` files, and on files whose
+samples' date and pixel counts vary.  The JSON reader
 and writers: `write_json`'s exact bytes, `read_json`'s refusals, the
 predictions-file writer's bytes against `json.dumps` of one object per
 record, the predictions-file reader's round trip, and the typed loader
@@ -11,7 +12,10 @@ of the config objects read from JSON."""
 import dataclasses
 import io
 import json
+import os
 import shutil
+import struct
+import tempfile
 import typing
 
 import numpy as np
@@ -23,7 +27,8 @@ from croprot.binio import (
 )
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
 from croprot.data import (
-    FoldAssignment, SyntheticConfig, generate_synthetic, load_dataset, save_dataset,
+    FoldAssignment, MultiYearParcel, PixelSetSample, SyntheticConfig, generate_synthetic,
+    load_dataset, save_dataset,
 )
 from croprot.errors import ConfigError, CropRotError, DataFormatError
 from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
@@ -149,6 +154,67 @@ def test_load_dataset_matches_the_field_by_field_oracle(tmp_path, cfg):
         assert _outcome(load_dataset, path) == expected, changed
         loaded += not isinstance(expected, str)
     assert loaded > 1  # the pristine file and some changes that keep it valid
+
+
+@st.composite
+def _ragged_files(draw):
+    """Bytes of a `.rcds` file whose samples' T and N_p vary within and
+    across parcels, of 1 to 3 channels, with its sidecar's text or None:
+    0 to 3 parcels of 0 to 3 years, the header of an empty file naming
+    years and channels of its own."""
+    channels, years, classes = draw(st.integers(1, 3)), draw(st.integers(0, 3)), 5
+    ids = draw(st.lists(st.integers(0, 2**64 - 1), max_size=3, unique=True))
+    if not ids and draw(st.booleans()):
+        return b"RCDS" + struct.pack("<IIBHH", 1, 0, years, channels, classes), None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parcels = []
+    for pid in ids:
+        samples = []
+        for year in range(1, years + 1):
+            t = draw(st.integers(1, 6))
+            days = np.sort(rng.choice(np.arange(1, 367), t, replace=False))
+            pixels = rng.standard_normal((channels, draw(st.integers(1, 4)), t))
+            samples.append(PixelSetSample(pid, year, pixels.astype(np.float32), days,
+                                          draw(st.integers(0, classes - 1))))
+        parcels.append(MultiYearParcel(pid, tuple(rng.uniform(-1e6, 1e6, 2).tolist()), samples))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ragged.rcds")
+        save_dataset(path, parcels, classes, {"note": draw(st.text(max_size=3))})
+        with open(path, "rb") as fh, open(path + ".json") as sidecar:
+            return fh.read(), sidecar.read()
+
+
+@settings(max_examples=200)
+@given(file=_ragged_files())
+def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file):
+    """On files whose T and N_p vary per sample, and on empty ones, the
+    columns of `load_dataset` and the parcels built from them hold what
+    the field-by-field oracle loads."""
+    raw, sidecar = file
+    path = tmp_path_factory.getbasetemp() / "ragged.rcds"
+    path.write_bytes(raw)
+    if sidecar is None:
+        (tmp_path_factory.getbasetemp() / "ragged.rcds.json").unlink(missing_ok=True)
+    else:
+        (tmp_path_factory.getbasetemp() / "ragged.rcds.json").write_text(sidecar)
+    want = oracles.load_dataset(path)
+    got = load_dataset(path)
+    samples = [s for p in want.parcels for s in p.samples]
+    columns = got.columns
+    assert (got.num_classes, got.manifest) == (want.num_classes, want.manifest)
+    assert (got.num_years, got.num_channels) == (want.num_years, want.num_channels)
+    assert columns.ids.dtype == np.uint64
+    assert columns.ids.tolist() == [p.parcel_id for p in want.parcels]
+    assert columns.centroids.tolist() == [list(p.centroid) for p in want.parcels]
+    assert columns.labels.tolist() == [p.labels for p in want.parcels]
+    k = np.nonzero(np.ones(columns.labels.shape, bool))
+    assert columns.ts[k].tolist() == [s.days.size for s in samples]
+    assert columns.n_pixels[k].tolist() == [s.n_pixels for s in samples]
+    assert columns.dates(k).tobytes() == b"".join(s.days.tobytes() for s in samples)
+    assert columns.pixels.tobytes() == b"".join(s.pixels.tobytes() for s in samples)
+    assert [(a.shape, a.tobytes()) for a in columns.pixel_sets(k)] == [
+        (s.pixels.shape, s.pixels.tobytes()) for s in samples]
+    assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset, path)
 
 
 @given(doc=st.dictionaries(st.text(), st.recursive(

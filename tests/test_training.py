@@ -15,8 +15,10 @@ from croprot.data import (
     SyntheticConfig,
     generate_synthetic,
     draw_keys,
+    load_dataset,
     make_folds,
     sample_pixels,
+    save_dataset,
 )
 from croprot.encoders import encode_batch
 from croprot.errors import ConfigError, ContractError
@@ -28,7 +30,6 @@ from croprot.training import (
     _batches,
     _training_items,
     cross_entropy,
-    encode_items,
     optimizer_step,
     predict,
     train,
@@ -37,7 +38,8 @@ from croprot.training import (
 
 import oracles
 from conftest import (
-    assert_parameter_views, descriptors_of, expand_draws, features_of, small_dims, tiny_dims,
+    assert_parameter_views, descriptors_of, encode_pairs, expand_draws, features_of, small_dims,
+    tiny_dims,
 )
 
 
@@ -327,6 +329,58 @@ class TestPredict:
             predict(broken, ds.parcels[:4])
 
 
+@pytest.fixture(scope="module")
+def ragged(tmp_path_factory):
+    """A saved and loaded 12-parcel dataset whose samples' T differ within
+    and across parcels, and its generator config."""
+    cfg = SyntheticConfig(parcels=6, timesteps=5, seed=1)
+    parcels = generate_synthetic(cfg) + [
+        dataclasses.replace(p, parcel_id=p.parcel_id + 6)
+        for p in generate_synthetic(SyntheticConfig(parcels=6, timesteps=7, seed=2))]
+    for p in parcels[::3]:
+        s = p.samples[1]
+        s.days, s.pixels = s.days[:3], s.pixels[:, :, :3]
+    path = tmp_path_factory.mktemp("ragged") / "ds.rcds"
+    save_dataset(path, parcels, cfg.num_classes)
+    return load_dataset(path), cfg
+
+
+class TestColumnItems:
+    """`_Items.of_columns` slices the items `_Items.of` builds from the
+    same parcels' objects."""
+
+    @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 2], [1]])
+    def test_equal_to_items_of_parcels(self, ragged, years):
+        ds, _ = ragged
+        rows = np.array([5, 0, 7, 3, 11])
+        got, got_rows = _Items.of_columns(ds.columns.take(rows), years)
+        want, want_rows = _Items.of([(ds.parcels[i], y) for i in rows.tolist() for y in years])
+        assert got_rows.tolist() == want_rows.tolist()
+        for name, a, b in zip(_Items._fields, got, want):
+            if name == "pixels":
+                assert [(x.shape, x.tobytes()) for x in a] == [(x.shape, x.tobytes()) for x in b]
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
+    def test_predict_and_embed_equal_on_columns_and_parcels(self, ragged, tmp_path, variant):
+        ds, cfg = ragged
+        model = CropModel(_dims(cfg), variant, seed=4)
+        for years in (None, [3], [2, 1]):
+            a = predict(model, ds.columns, years=years, seed=3, batch_size=4)
+            b = predict(model, ds.parcels, years=years, seed=3, batch_size=4)
+            assert a.tobytes() == b.tobytes()
+        analytics.export_embeddings(model, ds.columns, tmp_path / "a.csv", seed=3)
+        analytics.export_embeddings(model, ds.parcels, tmp_path / "b.csv", seed=3)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_empty_selection(self, ragged):
+        ds, cfg = ragged
+        model = CropModel(_dims(cfg), "dec", seed=4)
+        empty = predict(model, ds.columns.take(np.array([], np.int64)))
+        assert len(empty) == 0 and empty.logits.shape == (0, cfg.num_classes)
+
+
 class TestEncodeItems:
     @pytest.fixture()
     def setup(self, small_dataset):
@@ -337,7 +391,7 @@ class TestEncodeItems:
 
     def test_keys_and_shape(self, setup):
         model, items = setup
-        unique, rows, table = encode_items(model, items + items[:2], (0,))
+        unique, rows, table = encode_pairs(model, items + items[:2], (0,))
         assert list(zip(unique.ids.tolist(), unique.years.tolist())) == [
             (p.parcel_id, y) for p, y in items]
         assert rows.tolist() == list(range(len(items))) + [0, 1]
@@ -351,7 +405,7 @@ class TestEncodeItems:
         ds, cfg = small_dataset
         model = CropModel(_dims(cfg), variant, seed=2)
         calls = _record_draws(monkeypatch)
-        items, rows, table = encode_items(model, [(p, 3) for p in ds.parcels[:6]], (0,))
+        items, rows, table = encode_pairs(model, [(p, 3) for p in ds.parcels[:6]], (0,))
         assert items.ids.size == 18 and rows.tolist() == list(range(6))
         assert len(table) == len(calls) == encoded
         assert np.isfinite(table).all()

@@ -26,7 +26,10 @@ from every parcel's label history.  A `synth` line hashes the files
 year and five; 4 and MAX_TIMESTEPS dates; one pixel count; no noise; no
 year shift; shared phenology curves.  A `load` line hashes what
 `load_dataset` returns for those files: each parcel's id, centroid and
-labels, each sample's days and pixel bytes, and the manifest.  A `step`
+labels, each sample's days and pixel bytes, and the manifest.  A second
+`load` line hashes the same through the parcels of hand-built files
+whose samples' date and pixel counts differ within and across parcels,
+and of files of no parcels and of parcels with no years.  A `step`
 line hashes every parameter gradient of the first training step of each
 head variant.  Per variant, a
 `checkpoint` line hashes the bytes `save_checkpoint` writes for the
@@ -69,8 +72,9 @@ from croprot import analytics, autodiff, cli, heads, training  # noqa: E402
 from croprot.binio import write_json  # noqa: E402
 from croprot.crf import estimate_transitions, save_transitions  # noqa: E402
 from croprot.data import (  # noqa: E402
-    MAX_TIMESTEPS, Dataset, SyntheticConfig, config_to_manifest, draw_keys, generate_synthetic,
-    load_dataset, make_folds, sample_pixels, save_dataset, save_folds,
+    MAX_TIMESTEPS, Dataset, MultiYearParcel, PixelSetSample, SyntheticConfig, config_to_manifest,
+    draw_keys, generate_synthetic, load_dataset, make_folds, sample_pixels, save_dataset,
+    save_folds,
 )
 from croprot.model import CropModel, ModelDims, save_checkpoint  # noqa: E402
 
@@ -245,6 +249,41 @@ def load_edges():
     return _sha(*parts)
 
 
+def _ragged_parcels(years):
+    """Four parcels of 2 channels and `years` years whose samples' date and
+    pixel counts differ within and across parcels, drawn from a fixed
+    seed."""
+    rng = np.random.default_rng(12)
+    parcels = []
+    for pid in (7, 3, 2**64 - 1, 40):
+        samples = []
+        for year in range(1, years + 1):
+            t, n_p = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            days = np.sort(rng.choice(np.arange(1, 367), t, replace=False))
+            pixels = rng.standard_normal((2, n_p, t)).astype(np.float32)
+            samples.append(PixelSetSample(pid, year, pixels, days, int(rng.integers(5))))
+        parcels.append(MultiYearParcel(pid, tuple(rng.uniform(0, 1000, 2).tolist()), samples))
+    return parcels
+
+
+def load_ragged():
+    """sha256 of what `load_dataset` returns, through its parcels, for the
+    files `save_dataset` writes for three years of `_ragged_parcels`, for
+    no parcels and for those parcels with no years."""
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ragged.rcds")
+        for parcels in (_ragged_parcels(3), [], _ragged_parcels(0)):
+            save_dataset(path, parcels, 5)
+            dataset = load_dataset(path)
+            parts += [dataset.num_classes, dataset.num_years, dataset.manifest]
+            for p in dataset.parcels:
+                parts.append((p.parcel_id, p.centroid, p.labels))
+                parts += [part for s in p.samples for part in (
+                    (s.year_index, s.pixels.shape), s.days.tobytes(), s.pixels.tobytes())]
+    return _sha(*parts)
+
+
 class _FirstStep(Exception):
     """Ends a training run after its first step's backward."""
 
@@ -360,6 +399,7 @@ def main():
         print(f"{'files':13s} {kind:15s} {digest}")
     print(f"{'synth':13s} {'edges':15s} {synth()}")
     print(f"{'load':13s} {'edges':15s} {load_edges()}")
+    print(f"{'load':13s} {'ragged':15s} {load_ragged()}")
     print(f"{'step':13s} {'grads':15s} {step_grads(dataset)}")
     for variant in heads.VARIANTS:
         model, digests = fingerprint(variant, dataset)
