@@ -19,11 +19,11 @@ from .binio import (
 from .data import (
     MAX_SEED,
     SyntheticConfig,
+    block_folds,
     config_to_manifest,
     generate_synthetic,
     load_dataset,
     load_folds,
-    make_folds,
     save_dataset,
     save_folds,
 )
@@ -121,8 +121,9 @@ def cmd_synth(args):
 
 def cmd_split(args):
     salt = _seed(args)
-    dataset = load_dataset(args.dataset)
-    assignment = make_folds(dataset.parcels, args.k, args.block_size, salt=salt)
+    columns = load_dataset(args.dataset).columns
+    assignment = block_folds(columns.ids.tolist(), columns.centroids.tolist(), args.k,
+                             args.block_size, salt=salt)
     save_folds(args.out, assignment)
     print(f"assigned {len(assignment.folds)} parcels to {assignment.k} folds")
     return 0

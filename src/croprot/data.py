@@ -52,58 +52,72 @@ class MultiYearParcel:
 
 
 def _starts(sizes):
-    """Where each of `sizes`, laid end to end in flat order, starts: an
-    int64 array of their shape."""
-    sizes = np.asarray(sizes, np.int64)
-    return (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-
-
-def _ranges(starts, sizes):
-    """The int64 indexes starts[k], ..., starts[k] + sizes[k] - 1 of every
-    k in turn."""
-    ends = np.cumsum(sizes, dtype=np.int64)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - sizes), sizes)
+    """Where each of the int64 `sizes`, laid end to end, starts."""
+    return np.cumsum(sizes) - sizes
 
 
 @dataclass(eq=False)
 class Columns:
     """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64 and
-    `centroids` (P, 2) float64.  Per sample, as (P, Y) int64 arrays: its
-    `labels`, `ts` (dates T), `n_pixels` (N_p), and `day_starts` and
-    `pixel_starts`, where its T dates begin in the int64 buffer `days` and
-    its (C, N_p, T) pixels in the float32 buffer `pixels`.  `take` selects
-    parcels and shares both buffers."""
+    `centroids` (P, 2) float64.  Per sample, as (P, Y) arrays: its int64
+    `labels`, `ts` (dates T) and `n_pixels` (N_p), and, in object arrays,
+    its own (T,) integer `days` and (C, N_p, T) `pixels` arrays.  `take`
+    selects parcels and shares the samples' arrays."""
 
     ids: np.ndarray
     centroids: np.ndarray
     labels: np.ndarray
     ts: np.ndarray
     n_pixels: np.ndarray
-    day_starts: np.ndarray
-    pixel_starts: np.ndarray
     days: np.ndarray
     pixels: np.ndarray
-    channels: int
 
     @classmethod
     def of(cls, parcels):
-        """The columns of a list of parcels of equal year counts; their
-        dates and pixels are copied into the two buffers."""
-        samples = [s for p in parcels for s in p.samples]
-        shape = (len(parcels), len(parcels[0].samples) if parcels else 0)
-        channels = samples[0].pixels.shape[0] if samples else 0
-        ts = np.fromiter((s.days.size for s in samples), np.int64, len(samples)).reshape(shape)
-        n_pixels = np.fromiter((s.pixels.shape[1] for s in samples), np.int64,
-                               len(samples)).reshape(shape)
+        """The columns of a list of parcels, one row per entry, sharing
+        their samples' day and pixel arrays.  Two parcel objects with one
+        id, an id outside [0, 2^64), a parcel with another year count than
+        the first, and a sample with another channel count than the first
+        sample's or with other than one date per pixel timestep are a
+        ContractError."""
+        owners = {}
+        for p in parcels:
+            if owners.setdefault(p.parcel_id, p) is not p:
+                raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
+        for pid in owners:
+            if not 0 <= pid < 1 << 64:
+                raise ContractError(f"parcel id {pid} outside [0, 2^64)")
+        years = len(parcels[0].samples) if parcels else 0
+        samples = []
+        for p in parcels:
+            if len(p.samples) != years:
+                raise ContractError(
+                    f"parcel {p.parcel_id}, year {min(len(p.samples), years) + 1}: the parcel "
+                    f"has {len(p.samples)} years where parcel {parcels[0].parcel_id} has {years}")
+            samples += p.samples
+        n = len(samples)
+        days, pixels = [s.days for s in samples], [s.pixels for s in samples]
+        # per sample: C, N_p, T of its pixels, and its number of dates
+        sizes = np.fromiter(itertools.chain.from_iterable(a.shape for a in pixels),
+                            np.int64).reshape(n, 3)
+        ts = np.fromiter(map(len, days), np.int64, n)
+        bad = (sizes[:, 0] != sizes[:1, 0]) | (sizes[:, 2] != ts)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ContractError(
+                f"parcel {parcels[j // years].parcel_id}, year {j % years + 1}: pixels "
+                f"{pixels[j].shape} and {ts[j]} dates; need {sizes[0, 0]} channels, as the "
+                "first sample has, and one date per timestep")
+        shape = (len(parcels), years)
         return cls(
             np.fromiter((p.parcel_id for p in parcels), np.uint64, len(parcels)),
             np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
-            np.fromiter((s.label for s in samples), np.int64, len(samples)).reshape(shape),
-            ts, n_pixels, _starts(ts), _starts(channels * n_pixels * ts),
-            np.concatenate([np.empty(0, np.int64)] + [s.days for s in samples]).astype(np.int64),
-            np.concatenate([np.empty(0, np.float32)] + [s.pixels for s in samples], axis=None,
-                           dtype=np.float32),
-            channels,
+            np.fromiter((s.label for s in samples), np.int64, n).reshape(shape),
+            ts.reshape(shape), sizes[:, 1].reshape(shape),
+            # fromiter keeps each array whole where np.array would stack
+            # arrays of one shape into a block
+            np.fromiter(days, object, n).reshape(shape),
+            np.fromiter(pixels, object, n).reshape(shape),
         )
 
     def __len__(self):
@@ -115,47 +129,39 @@ class Columns:
 
     @property
     def num_channels(self):
-        return self.channels if self.num_years else 0
+        return self.pixels.flat[0].shape[0] if self.pixels.size else 0
 
     def take(self, rows):
         """The columns of the parcels at `rows`, an index array."""
         return dataclasses.replace(self, **{name: getattr(self, name)[rows] for name in (
-            "ids", "centroids", "labels", "ts", "n_pixels", "day_starts", "pixel_starts")})
-
-    def dates(self, k):
-        """The dates of the samples at `k`, a (parcel rows, year indexes)
-        pair of arrays, sample after sample in one int64 array."""
-        return self.days[_ranges(self.day_starts[k], self.ts[k])]
-
-    def pixel_sets(self, k):
-        """Object array of the (C, N_p, T) pixel views of the samples at
-        `k`, a (parcel rows, year indexes) pair of arrays."""
-        c, n_pixels, ts = self.channels, self.n_pixels[k], self.ts[k]
-        return np.fromiter(
-            (self.pixels[s:s + c * n * t].reshape(c, n, t) for s, n, t in zip(
-                self.pixel_starts[k].tolist(), n_pixels.tolist(), ts.tolist())),
-            object, ts.size)
+            "ids", "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
 
     def parcels(self):
-        """The parcels as `MultiYearParcel` objects whose days and pixels
-        are views of the two buffers."""
+        """The parcels as `MultiYearParcel` objects holding the columns'
+        day and pixel arrays."""
         years = self.labels.shape[1]
-        pixels = self.pixel_sets(np.unravel_index(np.arange(self.labels.size),
-                                                  self.labels.shape)).tolist()
-        day_at, ts = self.day_starts.ravel().tolist(), self.ts.ravel().tolist()
+        days, pixels = self.days.ravel().tolist(), self.pixels.ravel().tolist()
         ids, labels = self.ids.tolist(), self.labels.ravel().tolist()
-        samples = [PixelSetSample(ids[j // years], j % years + 1, pixels[j],
-                                  self.days[day_at[j]:day_at[j] + ts[j]], labels[j])
+        samples = [PixelSetSample(ids[j // years], j % years + 1, pixels[j], days[j], labels[j])
                    for j in range(len(labels))]
         return [MultiYearParcel(pid, tuple(centroid), samples[i * years:(i + 1) * years])
                 for i, (pid, centroid) in enumerate(zip(ids, self.centroids.tolist()))]
 
 
+def as_columns(parcels_or_columns):
+    """`Columns` as they are, and a list of parcels as `Columns.of` gives
+    its columns."""
+    if isinstance(parcels_or_columns, Columns):
+        return parcels_or_columns
+    return Columns.of(parcels_or_columns)
+
+
 class Dataset:
-    """Parcels with one sample per year and the dataset's class count,
-    held as a list of `MultiYearParcel` objects, as `Columns`, or both:
-    `Dataset(parcels=...)` holds the objects and `load_dataset` the
-    columns, and each form is built from the other when first asked for."""
+    """Parcels with one sample per year and the dataset's class count, held
+    as `Columns`.  `Dataset(parcels=...)` builds them from its list of
+    parcels with `Columns.of` when first asked for, and `parcels` builds
+    parcel objects from the columns of `load_dataset` when first asked
+    for."""
 
     def __init__(self, parcels, num_classes, manifest=None, columns=None):
         self._parcels, self._columns = parcels, columns
@@ -174,6 +180,8 @@ class Dataset:
             self._columns = Columns.of(self._parcels)
         return self._columns
 
+    # a held parcel list answers these without building its columns, which
+    # takes a Python pass over every sample
     @property
     def num_years(self):
         if self._columns is not None:
@@ -220,12 +228,6 @@ class FoldAssignment:
         train = np.argsort(of, kind="stable")
         train = train[(of[train] != fold) & (of[train] != val)]
         return train, np.flatnonzero(of == val), np.flatnonzero(of == fold)
-
-    def split(self, parcels, fold):
-        """(train, val, test) parcel lists of test fold `fold`, as
-        `split_rows` selects them from `parcels`."""
-        return tuple([parcels[i] for i in rows.tolist()]
-                     for rows in self.split_rows([p.parcel_id for p in parcels], fold))
 
 
 # a folds-file key: the decimal text of a parcel id, as `str(pid)` writes it
@@ -529,14 +531,26 @@ def distinct_columns(drawn):
 
 
 def make_folds(parcels, k, block_size, salt=0):
-    """Partition parcels into k folds by centroid grid block; a block is
-    never split across folds."""
+    """`block_folds` of a list of parcels."""
+    return block_folds([p.parcel_id for p in parcels], [p.centroid for p in parcels],
+                       k, block_size, salt)
+
+
+def block_folds(ids, centroids, k, block_size, salt=0):
+    """Partition the parcels `ids`, whose (x, y) centroids are `centroids`,
+    into k folds by centroid grid block; a block is never split across
+    folds.  A centroid whose grid block has no finite index at
+    `block_size` is a DataFormatError."""
     FoldAssignment(k, {}, block_size).validate()
     blocks = {}
-    for p in parcels:
-        bx = int(np.floor(p.centroid[0] / block_size))
-        by = int(np.floor(p.centroid[1] / block_size))
-        blocks.setdefault((bx, by), []).append(p.parcel_id)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for pid, (x, y) in zip(ids, centroids):
+            try:
+                block = math.floor(x / block_size), math.floor(y / block_size)
+            except (OverflowError, ValueError):
+                raise DataFormatError(f"parcel {pid}: centroid {(x, y)} has no finite grid "
+                                      f"block at block size {block_size}") from None
+            blocks.setdefault(block, []).append(pid)
     if len(blocks) < k:
         raise ConfigError(
             f"only {len(blocks)} spatial blocks for {k} folds; "
@@ -777,10 +791,14 @@ def load_dataset(path):
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
+    # each sample's days and pixels as views of the two checked buffers
+    day_views = np.fromiter((days[s:s + t] for s, t in zip(_starts(ts).tolist(), ts.tolist())),
+                            object, ts.size)
+    pixel_views = np.fromiter((pixels[s:s + n].reshape(channels, n_p, t) for s, n, n_p, t in zip(
+        _starts(sizes).tolist(), sizes.tolist(), nps.tolist(), ts.tolist())), object, nps.size)
     shape = (n_parcels, num_years)
-    ts, nps, labels = ts.reshape(shape), nps.reshape(shape), labels.reshape(shape)
-    columns = Columns(ids, centroids, labels, ts, nps, _starts(ts), _starts(sizes.reshape(shape)),
-                      days, pixels, channels)
+    columns = Columns(ids, centroids, labels.reshape(shape), ts.reshape(shape), nps.reshape(shape),
+                      day_views.reshape(shape), pixel_views.reshape(shape))
     return Dataset(None, int(num_classes), manifest, columns)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analytics, autodiff as ad, heads
 from .binio import predictions
-from .data import MAX_SEED, Columns, draw_keys, sample_pixels
+from .data import MAX_SEED, as_columns, draw_keys, sample_pixels
 from .encoders import encode_batch
 from .errors import ConfigError, ContractError
 from .model import CropModel, ModelDims
@@ -124,13 +124,11 @@ def _select(parcels, years):
 
 
 class _Items(NamedTuple):
-    """(parcel, year) items as arrays, built once per call and sliced per
-    batch: parcel ids, years, labels, pixel counts, dates T, pixel sets,
-    days padded to the longest T, and `past`, the (items, 2) rows of each
-    item's years i-1 and i-2 among them, -1 where there is none.  `of`
-    builds them from parcel objects and `of_columns` from `data.Columns`;
-    both select the items with `_select` and assemble them with
-    `_assemble`."""
+    """(parcel, year) items as arrays, built once per call by `of_columns`
+    and sliced per batch: parcel ids, years, labels, pixel counts, dates T,
+    pixel sets, days padded to the longest T, and `past`, the (items, 2)
+    rows of each item's years i-1 and i-2 among them, -1 where there is
+    none."""
 
     ids: np.ndarray
     years: np.ndarray
@@ -142,58 +140,23 @@ class _Items(NamedTuple):
     past: np.ndarray
 
     @classmethod
-    def _assemble(cls, ids, years, labels, n_pixels, ts, pixels, days, past):
-        """The _Items of per-item columns, `days` holding every item's
-        dates item after item."""
-        padded = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < ts[:, None]] = days
-        return cls(ids, years, labels, n_pixels, ts, pixels, padded, past)
-
-    @classmethod
-    def of(cls, pairs):
-        """(_Items, the row of each pair in them) of a list of (parcel,
-        year) pairs, items selected as `_select` does.  Two parcels with
-        one id, whose rows would share a key, and an id outside [0, 2^64)
-        are a ContractError."""
-        owners = {}
-        for p, _ in pairs:
-            if owners.setdefault(p.parcel_id, p) is not p:
-                raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
-        for pid in owners:
-            if not 0 <= pid < 1 << 64:
-                raise ContractError(f"parcel id {pid} outside [0, 2^64)")
-        row = {pid: i for i, pid in enumerate(owners)}
-        parcel, years, past, rows = _select(
-            np.fromiter((row[p.parcel_id] for p, _ in pairs), np.int64, len(pairs)),
-            np.fromiter((y for _, y in pairs), np.int64, len(pairs)))
-        parcels = list(owners.values())
-        samples = [parcels[i].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
-        n = len(samples)
-        items = cls._assemble(
-            np.fromiter(owners, np.uint64, len(owners))[parcel],
-            years,
-            np.fromiter((s.label for s in samples), np.int64, n),
-            np.fromiter((s.pixels.shape[1] for s in samples), np.int64, n),
-            np.fromiter((s.days.size for s in samples), np.int64, n),
-            np.fromiter((s.pixels for s in samples), object, n),
-            np.concatenate([np.empty(0, np.int64)] + [s.days for s in samples]),
-            past,
-        )
-        return items, rows
-
-    @classmethod
     def of_columns(cls, columns, years):
         """(_Items, the row of each pair in them) of the pairs of each
         parcel of the `data.Columns` with each of `years`, parcel by
         parcel, items selected as `_select` does: slices of the columns,
-        each item's pixels a view of their buffer."""
+        each item's pixels its sample's array.  Rows with one id are one
+        parcel, whose items are built once."""
         years = np.fromiter(years, np.int64)
+        _, first, same = np.unique(columns.ids, return_index=True, return_inverse=True)
         parcel, item_years, past, rows = _select(
-            np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
+            np.repeat(first[same], years.size), np.tile(years, len(columns)))
         k = (parcel, item_years - 1)
-        items = cls._assemble(columns.ids[parcel], item_years, columns.labels[k],
-                              columns.n_pixels[k], columns.ts[k], columns.pixel_sets(k),
-                              columns.dates(k), past)
+        ts = columns.ts[k]
+        days = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
+        days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
+            [np.empty(0, np.int64), *columns.days[k]])
+        items = cls(columns.ids[parcel], item_years, columns.labels[k], columns.n_pixels[k], ts,
+                    columns.pixels[k], days, past)
         return items, rows
 
     def take(self, rows):
@@ -273,20 +236,17 @@ ENCODE_BATCH = 256
 
 def _read(model, items, rows):
     """The leading _Items that the model's head reads for the items at
-    `rows`: those items, which `_Items.of` puts first, and on "obs" also
-    the past years it appends after them."""
+    `rows`: those items, which come first, and on "obs" also the past
+    years after them."""
     return items if model.variant == "obs" else items.take(slice(0, rows.max(initial=-1) + 1))
 
 
 def items_of(parcels, years=None):
     """(_Items, the row of each pair in them) of the (parcel, year) pairs
     of `parcels`, a list of parcels or a `data.Columns`, parcel by parcel,
-    each with each of `years`, or with each of its own years when None."""
-    if isinstance(parcels, Columns):
-        return _Items.of_columns(parcels, range(1, parcels.num_years + 1)
-                                 if years is None else years)
-    return _Items.of([(p, y) for p in parcels
-                      for y in (range(1, len(p.samples) + 1) if years is None else years)])
+    each with each of `years`, or with each of its years when None."""
+    columns = as_columns(parcels)
+    return _Items.of_columns(columns, range(1, columns.num_years + 1) if years is None else years)
 
 
 def encode_items(model, items, rows, stream, batch_size=ENCODE_BATCH):
@@ -325,16 +285,15 @@ def batch_logits(model, items, columns, counts, features):
 # training
 
 
-def _training_items(parcels, cfg: TrainConfig, num_years):
+def _training_years(cfg: TrainConfig, num_years):
+    """The years each training parcel is trained on."""
     if cfg.protocol == "specialized":
         if not 1 <= cfg.protocol_year <= num_years:
             raise ContractError(
                 f"protocol year {cfg.protocol_year} outside the dataset's years [1, {num_years}]"
             )
-        years = [cfg.protocol_year]
-    else:
-        years = range(1, num_years + 1)
-    return [(p, y) for p in parcels for y in years]
+        return [cfg.protocol_year]
+    return range(1, num_years + 1)
 
 
 @dataclass
@@ -356,15 +315,16 @@ class TrainResult:
 
 
 def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
-    """Train one model on the given split; selects the best epoch by
-    validation mIoU."""
+    """Train one model on the given split, each part a list of parcels or
+    `data.Columns`; selects the best epoch by validation mIoU."""
     cfg.validate()
-    if not train_parcels:
+    train_columns, val = as_columns(train_parcels), as_columns(val_parcels)
+    if not len(train_columns):
         raise ContractError("empty training split")
     model = CropModel(dims, cfg.variant, seed=cfg.seed + fold)
     params = model.parameters()
     state = AdamState()
-    items, rows = _Items.of(_training_items(train_parcels, cfg, dataset.num_years))
+    items, rows = _Items.of_columns(train_columns, _training_years(cfg, dataset.num_years))
     if not rows.size:
         raise ContractError("no training samples under this protocol")
     # the trained rows come first; "obs" also draws the past years after them
@@ -409,8 +369,8 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
             grad = np.concatenate([grads[p].reshape(-1) for p in params])
             optimizer_step(model.vector, grad, state, cfg)
             losses.append(float(loss.data))
-        if val_parcels:
-            val_records = predict(model, val_parcels, seed=cfg.seed)
+        if len(val):
+            val_records = predict(model, val, seed=cfg.seed)
             miou = analytics.metrics(analytics.confusion(val_records, dims.num_classes))[2]
             if miou > best[0]:
                 best = (miou, epoch, model.vector.copy())
@@ -427,15 +387,17 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
     """5-fold style rotation: test fold f, validation fold (f+1) % k, train
     on the rest; mixed protocol pools every parcel-year of the train folds."""
     cfg.validate()
+    columns = dataset.columns
+    ids = columns.ids.tolist()
     # every requested fold is checked before any is trained
-    runs = [(f, folds.split(dataset.parcels, f))
+    runs = [(f, [columns.take(rows) for rows in folds.split_rows(ids, f)])
             for f in (folds_to_run if folds_to_run is not None else range(folds.k))]
     results = []
-    for f, (train_parcels, val_parcels, test_parcels) in runs:
+    for f, (train_columns, val_columns, test_columns) in runs:
         model, best_epoch, epoch_log = train_single_split(
-            dataset, train_parcels, val_parcels, cfg, dims, fold=f
+            dataset, train_columns, val_columns, cfg, dims, fold=f
         )
-        test_records = predict(model, test_parcels, seed=cfg.seed)
+        test_records = predict(model, test_columns, seed=cfg.seed)
         results.append(
             FoldResult(
                 fold=f,
@@ -466,17 +428,15 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     encoded with the same keyed draws.  Non-finite descriptors or logits
     are a ContractError.  `parcels` is a list of parcels or a
     `data.Columns`, whose items are slices of its columns."""
-    if isinstance(parcels, Columns):
-        num_years = parcels.num_years
-    else:
-        num_years = len(parcels[0].samples) if parcels else 0
+    columns = as_columns(parcels)
+    num_years = columns.num_years
     wanted = list(years) if years is not None else list(range(1, num_years + 1))
-    if not (len(parcels) and wanted):
+    if not (len(columns) and wanted):
         return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
     outside = [y for y in wanted if not 1 <= y <= num_years]
     if outside:
         raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
-    items, rows = items_of(parcels, wanted)
+    items, rows = _Items.of_columns(columns, wanted)
     table = encode_items(model, items, rows, (seed,), batch_size)
     features = _features(model, items, items.past[rows], table)
     z = np.asarray(heads.decode(table[rows], model.head, features).data)

@@ -7,7 +7,9 @@ from hypothesis import settings
 from croprot.data import Dataset, SyntheticConfig, generate_synthetic
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
-from croprot.training import _Items, _features, encode_items
+from croprot.training import _features, encode_items
+
+import oracles
 
 
 # Property tests draw the same examples on every run; a test's own
@@ -17,9 +19,10 @@ settings.load_profile("croprot")
 
 
 def encode_pairs(model, pairs, stream, batch_size=256):
-    """(the _Items of the (parcel, year) pairs, the row of each pair in
-    them, their `encode_items` descriptors)."""
-    items, rows = _Items.of(pairs)
+    """(the _Items of the (parcel, year) pairs, as `oracles.items_of`
+    builds them, the row of each pair in them, their `encode_items`
+    descriptors)."""
+    items, rows = oracles.items_of(pairs)
     return items, rows, encode_items(model, items, rows, stream, batch_size)
 
 

@@ -14,7 +14,9 @@ by sample, against `load_dataset`'s walk by the records' two counts and
 its checks on the gathered columns; and `dense`
 and `mean_std_pool` with backward rules that compute every input's
 gradient, sum bias gradients with `sum(axis=0)` and fill the pool's
-gradient run by run of equal-size segments, against the library's."""
+gradient run by run of equal-size segments, against the library's; and
+the `_Items` of a list of (parcel, year) pairs read from the parcel
+objects pair by pair, against `_Items.of_columns`."""
 
 import math
 import os
@@ -30,7 +32,7 @@ from croprot.data import (
     _check_class_names,
 )
 from croprot.errors import ContractError, DataFormatError
-from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Items, _select
 
 
 def _mlp_layer(x, w, b, relu=True):
@@ -406,3 +408,36 @@ def load_dataset(path):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
     return Dataset(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
+
+
+def items_of(pairs):
+    """(_Items, the row of each pair in them) of a list of (parcel, year)
+    pairs, items selected as `_select` does and read from the parcel
+    objects.  Two parcels with one id, whose rows would share a key, and
+    an id outside [0, 2^64) are a ContractError."""
+    owners = {}
+    for p, _ in pairs:
+        if owners.setdefault(p.parcel_id, p) is not p:
+            raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
+    for pid in owners:
+        if not 0 <= pid < 1 << 64:
+            raise ContractError(f"parcel id {pid} outside [0, 2^64)")
+    row = {pid: i for i, pid in enumerate(owners)}
+    parcel, years, past, rows = _select(
+        np.array([row[p.parcel_id] for p, _ in pairs], np.int64).reshape(-1),
+        np.array([y for _, y in pairs], np.int64).reshape(-1))
+    parcels = list(owners.values())
+    samples = [parcels[i].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
+    ts = np.array([s.days.size for s in samples], np.int64).reshape(-1)
+    days = np.zeros((len(samples), ts.max(initial=0)), np.int64)
+    for d, s in zip(days, samples):
+        d[:s.days.size] = s.days
+    pixels = np.empty(len(samples), object)
+    for i, s in enumerate(samples):
+        pixels[i] = s.pixels
+    items = _Items(np.array(list(owners), np.uint64).reshape(-1)[parcel], years,
+                   np.array([s.label for s in samples], np.int64).reshape(-1),
+                   np.array([s.pixels.shape[1] for s in samples], np.int64).reshape(-1),
+                   ts, pixels, days, past)
+    return items, rows
+

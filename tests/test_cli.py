@@ -80,14 +80,18 @@ def test_no_dates_refused_with_the_sample_record(malformed, capsys):
 
 
 def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
-    """eval, calibrate, crf, rotations and embed read the dataset's columns:
-    none of them makes a MultiYearParcel or a PixelSetSample."""
+    """split, train, eval, calibrate, crf, rotations and embed read the
+    dataset's columns: none of them makes a MultiYearParcel or a
+    PixelSetSample."""
     parcels = generate_synthetic(SyntheticConfig(parcels=30, channels=3, timesteps=5, seed=3))
     dataset, folds = str(tmp_path / "d.rcds"), str(tmp_path / "folds.json")
     save_dataset(dataset, parcels, 8)
     save_folds(folds, make_folds(parcels, 3, 2500))
     ckpt = str(tmp_path / "c.bin")
     save_checkpoint(ckpt, CropModel(tiny_dims(8), "obs", seed=1))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {**RUN_CONFIG["model"], "variant": "obs"},
+                                  "train": {"epochs": 1, "batch_size": 8, "seed": 0}}))
     made = []
 
     def counted(init):
@@ -101,6 +105,10 @@ def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
     out = tmp_path / "out"
     preds = str(out / "eval" / "predictions.json")
     for argv in (
+        ["split", "--dataset", dataset, "--k", "3", "--block-size", "2500",
+         "--out", str(tmp_path / "split.json")],
+        ["train", "--config", str(config), "--dataset", dataset, "--folds", folds, "--fold", "0",
+         "--out", str(out / "train")],
         ["eval", "--checkpoint", ckpt, "--dataset", dataset, "--folds", folds, "--fold", "0",
          "--out", str(out / "eval")],
         ["calibrate", "--predictions", preds, "--out", str(out / "calibrate")],
@@ -111,6 +119,8 @@ def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
     ):
         assert main(argv) == 0, argv
     assert made == []
+    # split's columns give the folds file of the parcel list
+    assert (tmp_path / "split.json").read_bytes() == (tmp_path / "folds.json").read_bytes()
     # the count sees a parcel list when one is built
     load_dataset(dataset).parcels
     assert len(made) == 30 * 4
@@ -835,6 +845,8 @@ CLI_MATRIX = {
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),
     "split-block-size-negative": ("split --dataset {dataset} --out {out} --block-size -5", 4),
+    # centroids / 1e-320 overflow: no finite grid block
+    "split-block-size-1e-320": ("split --dataset {dataset} --out {out} --block-size 1e-320", 3),
     "train-fold-7": (_TRAIN.replace("--fold 0", "--fold 7"), 4),
     "train-fold-negative": (_TRAIN.replace("--fold 0", "--fold -1"), 4),
     "eval-fold-7": (_EVAL.replace("--fold 0", "--fold 7"), 4),

@@ -15,6 +15,7 @@ from scipy import stats
 from croprot.data import (
     MAX_TIMESTEPS,
     SYNTH_CHUNK,
+    Columns,
     Dataset,
     FoldAssignment,
     MultiYearParcel,
@@ -22,6 +23,7 @@ from croprot.data import (
     SyntheticConfig,
     _acquisition_days,
     _splitmix64,
+    block_folds,
     distinct_columns,
     draw_keys,
     generate_synthetic,
@@ -405,21 +407,37 @@ class TestFolds:
 
     def test_split(self, fold_parcels):
         fa = make_folds(fold_parcels, 5, 1000)
-        fold_of = [fa.folds[p.parcel_id] for p in fold_parcels]
+        ids = [p.parcel_id for p in fold_parcels]
+        fold_of = [fa.folds[pid] for pid in ids]
         for fold in range(5):
-            train, val, test = fa.split(fold_parcels, fold)
-            # train is fold-major, each fold's parcels in dataset order
-            in_order = [p for f in range(5) if f not in (fold, (fold + 1) % 5)
-                        for p, pf in zip(fold_parcels, fold_of) if pf == f]
-            assert [id(p) for p in train] == [id(p) for p in in_order]
-            assert val == [p for p, f in zip(fold_parcels, fold_of) if f == (fold + 1) % 5]
-            assert test == [p for p, f in zip(fold_parcels, fold_of) if f == fold]
-            assert sorted(p.parcel_id for p in train + val + test) == list(range(1000))
+            train, val, test = fa.split_rows(ids, fold)
+            # train is fold-major, each fold's rows in dataset order
+            in_order = [i for f in range(5) if f not in (fold, (fold + 1) % 5)
+                        for i, pf in enumerate(fold_of) if pf == f]
+            assert train.tolist() == in_order
+            assert val.tolist() == [i for i, f in enumerate(fold_of) if f == (fold + 1) % 5]
+            assert test.tolist() == [i for i, f in enumerate(fold_of) if f == fold]
+            assert sorted(ids[i] for i in [*train, *val, *test]) == list(range(1000))
 
     @pytest.mark.parametrize("fold", [-1, 5])
     def test_split_refuses_fold_outside_k(self, fold_parcels, fold):
         with pytest.raises(ContractError, match=f"fold {fold} outside"):
-            make_folds(fold_parcels, 5, 1000).split(fold_parcels, fold)
+            make_folds(fold_parcels, 5, 1000).split_rows([p.parcel_id for p in fold_parcels], fold)
+
+    @pytest.mark.parametrize("centroid, block_size", [
+        ((1e300, 0.0), 1e-300), ((5.0, 5.0), 1e-320), ((float("nan"), 0.0), 1.0)])
+    def test_block_without_finite_index_refused(self, fold_parcels, centroid, block_size):
+        parcels = [MultiYearParcel(10**6, centroid, [])] + fold_parcels[:3]
+        with pytest.raises(DataFormatError, match=r"parcel 1000000: centroid .* no finite grid"):
+            make_folds(parcels, 2, block_size)
+
+    def test_block_folds_of_columns_equal_make_folds(self, fold_parcels):
+        # split's id and centroid columns give the folds, in order, of the
+        # parcel list
+        columns = Columns.of(fold_parcels)
+        got = block_folds(columns.ids.tolist(), columns.centroids.tolist(), 5, 1000, salt=3)
+        want = make_folds(fold_parcels, 5, 1000, salt=3)
+        assert list(got.folds.items()) == list(want.folds.items())
 
 
 class TestFoldsFile:
@@ -703,7 +721,23 @@ def test_dataset_of_parcels_builds_columns_only_when_asked(monkeypatch):
     for p, back in zip(parcels, columns.parcels()):
         assert (back.parcel_id, back.centroid, back.labels) == (p.parcel_id, p.centroid, p.labels)
         for s, b in zip(p.samples, back.samples):
-            assert b.pixels.tobytes() == s.pixels.tobytes() and np.array_equal(b.days, s.days)
+            # the columns share the parcels' day and pixel arrays
+            assert b.pixels is s.pixels and b.days is s.days
+
+
+@pytest.mark.parametrize("parcels, years", [(1, 1), (4, 3)])
+def test_columns_of_equal_shapes_keep_one_array_per_sample(parcels, years):
+    # samples of one (C, N_p, T) shape and one T, which np.array would
+    # stack into a block: the columns hold each sample's own arrays
+    cfg = SyntheticConfig(parcels=parcels, num_years=years, pixels_min=5, pixels_max=5, seed=2)
+    parcels = generate_synthetic(cfg)
+    columns = Columns.of(parcels)
+    for arrays in (columns.days, columns.pixels):
+        assert arrays.dtype == object and arrays.shape == (len(parcels), years)
+    for p, days, pixels in zip(parcels, columns.days, columns.pixels):
+        assert [d is s.days for d, s in zip(days, p.samples)] == [True] * years
+        assert [a is s.pixels for a, s in zip(pixels, p.samples)] == [True] * years
+    assert columns.take(np.array([0, 0])).pixels[1, 0] is parcels[0].samples[0].pixels
 
 
 @st.composite

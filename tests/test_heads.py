@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from croprot import autodiff as ad, heads
-from croprot.data import SyntheticConfig, draw_keys, generate_synthetic, sample_pixels
+from croprot.data import Columns, SyntheticConfig, draw_keys, generate_synthetic, sample_pixels
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _Items, _features, cross_entropy
+from croprot.training import _Items, _features, _select, cross_entropy
 
 from conftest import descriptors_of, encode_pairs, features_of, tiny_dims
 
@@ -122,18 +122,24 @@ class TestObsFeature:
             heads.history_features("obs", prev1, prev2, self.TABLE)
 
     def test_past_years_are_built_in(self):
-        """`_Items.of` appends the past years its pairs lack, so that every
-        asked pair's past row is -1 only before year 1."""
+        """`_select` appends the past years its pairs lack, so that every
+        asked pair's past row is -1 only before year 1, and `of_columns`
+        reads those items' labels from the columns."""
+        parcel, years, past, rows = _select(np.array([0, 1, 0, 0]), np.array([3, 2, 3, 1]))
+        assert rows.tolist() == [0, 1, 0, 2]
+        assert list(zip(parcel.tolist(), years.tolist())) == [(0, 3), (1, 2), (0, 1), (0, 2),
+                                                               (1, 1)]
+        assert past.tolist() == [[3, 2], [4, -1], [-1, -1], [2, -1], [-1, -1]]
         cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), parcels=2, seed=5)
         p, q = generate_synthetic(cfg)
-        items, rows = _Items.of([(p, 3), (q, 2), (p, 3), (p, 1)])
-        assert rows.tolist() == [0, 1, 0, 2]
+        items, rows = _Items.of_columns(Columns.of([p, q]), [3])
+        assert rows.tolist() == [0, 1]
         assert list(zip(items.ids.tolist(), items.years.tolist())) == [
-            (p.parcel_id, 3), (q.parcel_id, 2), (p.parcel_id, 1), (p.parcel_id, 2),
-            (q.parcel_id, 1)]
-        assert items.past.tolist() == [[3, 2], [4, -1], [-1, -1], [2, -1], [-1, -1]]
-        assert items.labels.tolist() == [p.labels[2], q.labels[1], p.labels[0], p.labels[1],
-                                         q.labels[0]]
+            (p.parcel_id, 3), (q.parcel_id, 3), (p.parcel_id, 2), (p.parcel_id, 1),
+            (q.parcel_id, 2), (q.parcel_id, 1)]
+        assert items.past.tolist() == [[2, 3], [4, 5], [3, -1], [-1, -1], [5, -1], [-1, -1]]
+        assert items.labels.tolist() == [p.labels[2], q.labels[2], p.labels[1], p.labels[0],
+                                         q.labels[1], q.labels[0]]
 
 
 class TestDecode:

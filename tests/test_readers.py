@@ -210,10 +210,14 @@ def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file)
     k = np.nonzero(np.ones(columns.labels.shape, bool))
     assert columns.ts[k].tolist() == [s.days.size for s in samples]
     assert columns.n_pixels[k].tolist() == [s.n_pixels for s in samples]
-    assert columns.dates(k).tobytes() == b"".join(s.days.tobytes() for s in samples)
-    assert columns.pixels.tobytes() == b"".join(s.pixels.tobytes() for s in samples)
-    assert [(a.shape, a.tobytes()) for a in columns.pixel_sets(k)] == [
+    assert [(a.dtype, a.tobytes()) for a in columns.days[k]] == [
+        (s.days.dtype, s.days.tobytes()) for s in samples]
+    assert [(a.shape, a.tobytes()) for a in columns.pixels[k]] == [
         (s.pixels.shape, s.pixels.tobytes()) for s in samples]
+    # every sample's days and pixels are views of one buffer each: a load
+    # copies no sample
+    for arrays in (columns.days[k].tolist(), columns.pixels[k].tolist()):
+        assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
     assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset, path)
 
 

@@ -28,7 +28,7 @@ from croprot.training import (
     TrainConfig,
     _Items,
     _batches,
-    _training_items,
+    _training_years,
     cross_entropy,
     optimizer_step,
     predict,
@@ -168,44 +168,39 @@ class TestConfigAndRecords:
             reliability(r, None)
 
 
-def _item_batches(items, batch_size, rng):
-    """`_batches` of a list of (parcel, year) items, as lists of items."""
-    return [[items[i] for i in rows] for rows in _batches(_Items.of(items)[0], batch_size, rng)]
+def _item_batches(columns, years, batch_size, rng):
+    """`_batches` of the items of the `Columns` with each of `years`, as
+    lists of (parcel id, year) pairs."""
+    items, _ = _Items.of_columns(columns, years)
+    pairs = list(zip(items.ids.tolist(), items.years.tolist()))
+    return [[pairs[i] for i in rows] for rows in _batches(items, batch_size, rng)]
 
 
 class TestItemSelection:
-    def test_mixed_pools_every_year(self, small_dataset):
-        ds, _ = small_dataset
-        items = _training_items(ds.parcels, TrainConfig(protocol="mixed"), 3)
-        assert len(items) == 3 * len(ds.parcels)
+    def test_mixed_pools_every_year(self):
+        assert list(_training_years(TrainConfig(protocol="mixed"), 3)) == [1, 2, 3]
 
-    def test_specialized_filters_one_year(self, small_dataset):
-        ds, _ = small_dataset
+    def test_specialized_filters_one_year(self):
         cfg = TrainConfig(protocol="specialized", protocol_year=2)
-        items = _training_items(ds.parcels, cfg, 3)
-        assert len(items) == len(ds.parcels)
-        assert all(y == 2 for _, y in items)
+        assert list(_training_years(cfg, 3)) == [2]
 
     def test_epoch_batches_partition_items(self, small_dataset):
         ds, _ = small_dataset
-        items = _training_items(ds.parcels, TrainConfig(), 3)
-        batches = _item_batches(items, 16, np.random.default_rng(0))
+        batches = _item_batches(ds.columns, _training_years(TrainConfig(), 3), 16,
+                                np.random.default_rng(0))
         flat = [it for b in batches for it in b]
-        assert len(flat) == len(items)
-        assert {(p.parcel_id, y) for p, y in flat} == {
-            (p.parcel_id, y) for p, y in items
-        }
+        assert len(flat) == 3 * len(ds.parcels)
+        assert set(flat) == {(p.parcel_id, y) for p in ds.parcels for y in (1, 2, 3)}
         for b in batches:
             assert 1 <= len(b) <= 16
             assert len({y for _, y in b}) == 1  # year-homogeneous
 
     def test_epoch_batches_reshuffled_per_epoch(self, small_dataset):
         ds, _ = small_dataset
-        items = _training_items(ds.parcels, TrainConfig(), 3)
-        a = _item_batches(items, 16, np.random.default_rng(1))
-        b = _item_batches(items, 16, np.random.default_rng(2))
-        key = lambda bs: [[(p.parcel_id, y) for p, y in batch] for batch in bs]
-        assert key(a) != key(b)
+        years = _training_years(TrainConfig(), 3)
+        a = _item_batches(ds.columns, years, 16, np.random.default_rng(1))
+        b = _item_batches(ds.columns, years, 16, np.random.default_rng(2))
+        assert a != b
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +285,9 @@ class TestPredict:
         ds, cfg = small_dataset
         model = CropModel(_dims(cfg), variant, seed=1)
         calls = []
-        of = _Items.of
-        monkeypatch.setattr(_Items, "of", lambda pairs: calls.append(len(pairs)) or of(pairs))
+        of = _Items.of_columns
+        monkeypatch.setattr(_Items, "of_columns",
+                            lambda columns, years: calls.append(len(columns)) or of(columns, years))
         records = predict(model, ds.parcels[:10], years=years)
         assert len(calls) == 1
         if years == [2, 2]:
@@ -346,15 +342,16 @@ def ragged(tmp_path_factory):
 
 
 class TestColumnItems:
-    """`_Items.of_columns` slices the items `_Items.of` builds from the
-    same parcels' objects."""
+    """`_Items.of_columns` slices the items that `oracles.items_of` reads
+    from the same parcels' objects."""
 
     @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 2], [1]])
     def test_equal_to_items_of_parcels(self, ragged, years):
         ds, _ = ragged
         rows = np.array([5, 0, 7, 3, 11])
         got, got_rows = _Items.of_columns(ds.columns.take(rows), years)
-        want, want_rows = _Items.of([(ds.parcels[i], y) for i in rows.tolist() for y in years])
+        want, want_rows = oracles.items_of([(ds.parcels[i], y) for i in rows.tolist()
+                                            for y in years])
         assert got_rows.tolist() == want_rows.tolist()
         for name, a, b in zip(_Items._fields, got, want):
             if name == "pixels":
@@ -441,8 +438,8 @@ class TestEncodeItems:
 
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, cfg = small_dataset
-        items = [(p, 1) for p in ds.parcels[:40]]
-        _, counts = training._draw(_Items.of(items)[0], (0,), 8)
+        items, _ = _Items.of_columns(ds.columns.take(np.arange(40)), [1])
+        _, counts = training._draw(items, (0,), 8)
         distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
@@ -594,6 +591,58 @@ def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
             train_single_split(ds, parcels, [], TrainConfig(epochs=1, variant="dec"), _dims(cfg))
         else:
             analytics.export_embeddings(model, parcels, tmp_path / "e.csv")
+
+
+def test_parcel_named_twice_trains_once(small_dataset):
+    # a training split's repeated parcel is one parcel: its items are built
+    # and trained on once
+    ds, cfg = small_dataset
+    runs = [train_single_split(ds, train, ds.parcels[20:26], TrainConfig(epochs=2, variant="obs"),
+                               _dims(cfg))
+            for train in (ds.parcels[:12], ds.parcels[:12] + ds.parcels[3:5])]
+    assert runs[0][0].vector.tobytes() == runs[1][0].vector.tobytes()
+    assert runs[0][1:] == runs[1][1:]
+
+
+def _with_sample(parcel, year, **fields):
+    """A copy of `parcel` whose sample of `year` has `fields` replaced."""
+    samples = list(parcel.samples)
+    samples[year - 1] = dataclasses.replace(samples[year - 1], **fields)
+    return dataclasses.replace(parcel, samples=samples)
+
+
+# a parcel changed so that it does not fit the others of a list, and the
+# refusal that names it
+MALFORMED = {
+    "fewer-years": (lambda p: dataclasses.replace(p, samples=p.samples[:2]),
+                    "year 3: the parcel has 2 years"),
+    "more-years": (lambda p: dataclasses.replace(p, samples=p.samples + p.samples[:1]),
+                   "year 4: the parcel has 4 years"),
+    "3-channels": (lambda p: _with_sample(p, 2, pixels=p.samples[1].pixels[:3]),
+                   r"year 2: pixels \(3, \d+, 12\) and 12 dates; need 4 channels"),
+    "dates-not-T": (lambda p: _with_sample(p, 3, days=p.samples[2].days[:-1]),
+                    r"year 3: pixels \(4, \d+, 12\) and 11 dates"),
+}
+
+
+@pytest.mark.parametrize("call", ["predict", "train_single_split", "export_embeddings",
+                                  "Dataset.columns"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_parcel_lists_refused(small_dataset, tmp_path, call, case):
+    ds, cfg = small_dataset
+    change, message = MALFORMED[case]
+    odd = ds.parcels[3]
+    parcels = ds.parcels[:3] + [change(odd)] + ds.parcels[4:6]
+    model = CropModel(_dims(cfg), "dec", seed=1)
+    with pytest.raises(ContractError, match=f"parcel {odd.parcel_id}, {message}"):
+        if call == "predict":
+            predict(model, parcels)
+        elif call == "train_single_split":
+            train_single_split(ds, parcels, [], TrainConfig(epochs=1, variant="dec"), _dims(cfg))
+        elif call == "export_embeddings":
+            analytics.export_embeddings(model, parcels, tmp_path / "e.csv")
+        else:
+            Dataset(parcels=parcels, num_classes=cfg.num_classes).columns
 
 
 @pytest.fixture(scope="module")
