@@ -29,7 +29,7 @@ from .errors import CropRotError, DataFormatError
 U8 = struct.Struct("<B")
 U16 = struct.Struct("<H")
 U32 = struct.Struct("<I")
-_DTYPES = {code: np.dtype(code) for code in ("<u2", "<u4", "<f4", "<f8")}
+_DTYPES = {code: np.dtype(code) for code in ("<u2", "<u4", "<u8", "<f4", "<f8")}
 
 
 class Reader:
@@ -69,7 +69,7 @@ class Reader:
         return st.unpack_from(self.buf, self.take(st.size, what))
 
     def array(self, code, count, what):
-        """`count` items of dtype `code` ("<u2", "<u4", "<f4", "<f8") as a
+        """`count` items of dtype `code` ("<u2", "<u4", "<u8", "<f4", "<f8") as a
         view of the buffer."""
         dtype = _DTYPES[code]
         return np.frombuffer(self.buf, dtype, count, self.take(dtype.itemsize * count, what))

@@ -8,9 +8,11 @@ plus a per-year global shift and i.i.d. noise.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import re
 import struct
@@ -18,11 +20,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .binio import U16, U32, Reader, from_json, read_json, write_json
+from .binio import Reader, from_json, read_json, write_json
 from .errors import ConfigError, ContractError, DataFormatError
 
 MAGIC = b"RCDS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -56,6 +58,17 @@ def _starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
+_NDIM, _DTYPE = operator.attrgetter("ndim"), operator.attrgetter("dtype")
+
+
+def _integer_days(days):
+    return isinstance(days, np.ndarray) and days.ndim == 1 and days.dtype.kind in "iu"
+
+
+def _is_label(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < 2**63
+
+
 @dataclass(eq=False)
 class Columns:
     """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64 and
@@ -77,9 +90,10 @@ class Columns:
         """The columns of a list of parcels, one row per entry, sharing
         their samples' day and pixel arrays.  Two parcel objects with one
         id, an id outside [0, 2^64), a parcel with another year count than
-        the first, and a sample with another channel count than the first
-        sample's or with other than one date per pixel timestep are a
-        ContractError."""
+        the first, and a sample whose pixels are not (C, N_p >= 1, T) with
+        the first sample's C, whose days are not a (T,) integer array, or whose
+        label is not an integer in [0, 2^63) are a ContractError naming the
+        parcel and the year."""
         owners = {}
         for p in parcels:
             if owners.setdefault(p.parcel_id, p) is not p:
@@ -96,24 +110,47 @@ class Columns:
                     f"has {len(p.samples)} years where parcel {parcels[0].parcel_id} has {years}")
             samples += p.samples
         n = len(samples)
+
+        def refuse(j, what):
+            raise ContractError(f"parcel {parcels[j // years].parcel_id}, year {j % years + 1}: "
+                                f"{what}")
+
         days, pixels = [s.days for s in samples], [s.pixels for s in samples]
-        # per sample: C, N_p, T of its pixels, and its number of dates
-        sizes = np.fromiter(itertools.chain.from_iterable(a.shape for a in pixels),
-                            np.int64).reshape(n, 3)
+        labels, shapes = [s.label for s in samples], [a.shape for a in pixels]
+        # the checks map builtins over these lists; a Python loop runs only
+        # to name the sample that fails one
+        if set(map(len, shapes)) - {3}:
+            j = next(k for k, s in enumerate(shapes) if len(s) != 3)
+            refuse(j, f"pixels of shape {shapes[j]}; need (C, N_p, T)")
+        try:
+            integer = (set(map(_NDIM, days)) <= {1}
+                       and all(t.kind in "iu" for t in set(map(_DTYPE, days))))
+        except AttributeError:  # days that are not an array
+            integer = False
+        if not integer:
+            j = next(k for k, d in enumerate(days) if not _integer_days(d))
+            d = np.asarray(days[j])
+            refuse(j, f"{d.dtype} days of shape {d.shape}; need a (T,) integer array")
+        sizes = np.fromiter(itertools.chain.from_iterable(shapes), np.int64, 3 * n).reshape(n, 3)
         ts = np.fromiter(map(len, days), np.int64, n)
-        bad = (sizes[:, 0] != sizes[:1, 0]) | (sizes[:, 2] != ts)
+        bad = (sizes[:, 0] != sizes[:1, 0]) | (sizes[:, 1] < 1) | (sizes[:, 2] != ts)
         if bad.any():
             j = int(np.argmax(bad))
-            raise ContractError(
-                f"parcel {parcels[j // years].parcel_id}, year {j % years + 1}: pixels "
-                f"{pixels[j].shape} and {ts[j]} dates; need {sizes[0, 0]} channels, as the "
-                "first sample has, and one date per timestep")
+            refuse(j, f"pixels {pixels[j].shape} and {ts[j]} dates; need {sizes[0, 0]} "
+                      "channels, as the first sample has, a pixel or more and one date per "
+                      "timestep")
+        label_column = None
+        if all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, labels))):
+            with contextlib.suppress(OverflowError):  # beyond int64
+                label_column = np.fromiter(labels, np.int64, n)
+        if label_column is None or label_column.min(initial=0) < 0:
+            j = next(k for k, x in enumerate(labels) if not _is_label(x))
+            refuse(j, f"label {labels[j]!r}; need an integer in [0, 2^63)")
         shape = (len(parcels), years)
         return cls(
-            np.fromiter((p.parcel_id for p in parcels), np.uint64, len(parcels)),
+            np.fromiter([p.parcel_id for p in parcels], np.uint64, len(parcels)),
             np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
-            np.fromiter((s.label for s in samples), np.int64, n).reshape(shape),
-            ts.reshape(shape), sizes[:, 1].reshape(shape),
+            label_column.reshape(shape), ts.reshape(shape), sizes[:, 1].reshape(shape),
             # fromiter keeps each array whole where np.array would stack
             # arrays of one shape into a block
             np.fromiter(days, object, n).reshape(shape),
@@ -572,55 +609,96 @@ def block_folds(ids, centroids, k, block_size, salt=0):
 
 
 _HEADER = struct.Struct("<IIBHH")
-_PARCEL = struct.Struct("<Qdd")
-_U2, _F4 = np.dtype("<u2"), np.dtype("<f4")
-# a parcel header as a record of the file's bytes
-_PARCEL_FIELDS = np.dtype([("id", "<u8"), ("x", "<f8"), ("y", "<f8")])
+# the columns after the header, in file order, each named as an error names
+# it, with its dtype: per parcel its id and (x, y) centroid; per sample,
+# parcel by parcel and year by year, its label, its date count T and its
+# pixel count N_p; then each sample's T days, and each sample's pixels in
+# their (C, N_p, T) C order
+_COLUMNS = (("parcel ids", "<u8"), ("centroids", "<f8"), ("labels", "<u2"),
+            ("date counts", "<u2"), ("pixel counts", "<u4"), ("days", "<u2"), ("pixels", "<f4"))
+_F4 = np.dtype("<f4")
 
 
-def _first_fault(pixels, sizes, days, ts, labels, num_classes):
-    """(index, message) of the first sample whose values a `.rcds` file may
-    not hold, or None.  `pixels` holds the float32 pixels of the first
-    len(sizes) samples, sizes[k] values each; `days` the integer dates of
-    the first len(ts) samples, ts[k] each; `labels` the labels of the first
-    len(labels) samples.  In a truncated file the three may end at
-    different samples.  Within a sample the checks run in the order: finite
-    pixels, label in [0, L), at least one date, days in [1, 366], days
-    strictly increasing."""
-    faults = []  # (sample index, rank of the check, message)
-    finite = np.isfinite(pixels)
-    if not finite.all():
-        k = int(np.searchsorted(np.cumsum(sizes), np.argmin(finite), side="right"))
-        faults.append((k, 0, "non-finite pixel value"))
-    out = (labels < 0) | (labels >= num_classes)
-    if out.any():
-        k = int(np.argmax(out))
-        faults.append((k, 1, f"label {labels[k]} outside [0, {num_classes})"))
-    ts = np.asarray(ts, np.int64)
-    if (ts == 0).any():
-        faults.append((int(np.argmax(ts == 0)), 2, "no dates: a sample needs at least one"))
-    sample = np.repeat(np.arange(len(ts)), ts)
-    out = (days < 1) | (days > 366)
-    if out.any():
-        faults.append((int(sample[np.argmax(out)]), 2, "days must lie in [1, 366]"))
-    steps = (np.diff(days) <= 0) & (sample[1:] == sample[:-1])
-    if steps.any():
-        faults.append((int(sample[np.argmax(steps)]), 3, "days must be strictly increasing"))
-    if not faults:
-        return None
-    k, _, msg = min(faults)
-    return k, msg
+def _total(sizes):
+    """The sum of the non-negative int64 `sizes` as a Python int, exact
+    also where an int64 sum would wrap."""
+    if sizes.max(initial=0) < 2**63 // max(sizes.size, 1):
+        return int(sizes.sum())
+    return sum(sizes.tolist())
 
 
-def _refuse_repeated_ids(ids):
-    """DataFormatError naming the first parcel id, in file order, that an
-    earlier parcel already has: a parcel-year is keyed by (id, year).
-    `ids` is a uint64 array."""
+def _checked_columns(take, n_parcels, num_years, channels, num_classes):
+    """The columns of a `.rcds` file whose header gives these sizes, in
+    file order, each fetched by `take(name, dtype, count)`, which returns
+    its values and its offset in the file (None before there is a file),
+    and checked before the next is fetched.  The first value, in file
+    order, that a file may not hold raises DataFormatError naming its
+    parcel, its year for a sample's value, the fault and, given the
+    offset, its column and offset: a repeated id, a non-finite centroid, a
+    label outside [0, L), T = 0, N_p = 0, a day outside [1, 366] or not
+    after the day before it in its sample, a non-finite pixel.  Returns the
+    (P,) ids, (P, 2) centroids, (P * Y,) int64 labels, T and N_p, and the
+    int64 days and float32 pixels of every sample, end to end."""
+    n = n_parcels * num_years
+    ids, at = take("parcel ids", "<u8", n_parcels)
+
+    def refuse(k, fault, column, at, offset, per_sample=True):
+        """Refuse sample k, or parcel k, for `fault`, found `offset` bytes
+        into `column`, which starts at `at`."""
+        where = (f"parcel {ids[k // num_years]}, year {k % num_years + 1}" if per_sample
+                 else f"parcel {ids[k]}")
+        suffix = "" if at is None else f" ({column} at offset {at + offset})"
+        raise DataFormatError(f"{where}: {fault}{suffix}")
+
     order = np.argsort(ids, kind="stable")
     # a stable sort puts each id's later parcels after its first
     again = order[1:][ids[order[1:]] == ids[order[:-1]]]
     if again.size:
-        raise DataFormatError(f"parcel id {ids[again.min()]} appears more than once")
+        i = int(again.min())
+        refuse(i, "id appears more than once", "parcel ids", at, 8 * i, per_sample=False)
+    centroids, at = take("centroids", "<f8", 2 * n_parcels)
+    finite = np.isfinite(centroids)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        i = j // 2
+        refuse(i, f"non-finite centroid {tuple(centroids[2 * i:2 * i + 2].tolist())}",
+               "centroids", at, 8 * j, per_sample=False)
+    labels, at = take("labels", "<u2", n)
+    labels = labels.astype(np.int64)
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        refuse(k, f"label {labels[k]} outside [0, {num_classes})", "labels", at, 2 * k)
+    ts, at = take("date counts", "<u2", n)
+    ts = ts.astype(np.int64)
+    if not ts.all():
+        k = int(np.argmin(ts))
+        refuse(k, "no dates: a sample needs at least one", "date counts", at, 2 * k)
+    nps, at = take("pixel counts", "<u4", n)
+    nps = nps.astype(np.int64)
+    if not nps.all():
+        k = int(np.argmin(nps))
+        refuse(k, "no pixels: a sample needs at least one", "pixel counts", at, 4 * k)
+    days, at = take("days", "<u2", int(ts.sum()))
+    days = days.astype(np.int64)
+    out = (days < 1) | (days > 366)
+    steps = np.zeros_like(out)
+    steps[1:] = days[1:] <= days[:-1]
+    steps[_starts(ts)] = False  # a sample's first day has none before it
+    if out.any() or steps.any():
+        j = int(np.argmax(out | steps))
+        refuse(int(np.searchsorted(np.cumsum(ts), j, side="right")),
+               "days must lie in [1, 366]" if out[j] else "days must be strictly increasing",
+               "days", at, 2 * j)
+    # below 2^57 each: T <= 366 now that every sample's days increase in [1, 366]
+    sizes = channels * nps * ts
+    pixels, at = take("pixels", "<f4", _total(sizes))
+    finite = np.isfinite(pixels)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        refuse(int(np.searchsorted(np.cumsum(sizes), j, side="right")), "non-finite pixel value",
+               "pixels", at, 4 * j)
+    return ids, centroids.reshape(n_parcels, 2), labels, ts, nps, days, pixels
 
 
 def _check_class_names(sidecar, num_classes, path):
@@ -632,166 +710,66 @@ def _check_class_names(sidecar, num_classes, path):
         )
 
 
-def save_dataset(path, parcels, num_classes, manifest=None):
-    """Write `parcels` to the `.rcds` file `path` and its JSON sidecar.
-    What `load_dataset` would refuse, or the header cannot describe, raises
-    DataFormatError before the file is opened: no partial file is left."""
+def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
+    """Write a list of parcels, or `Columns`, to the `.rcds` file `path` and
+    its JSON sidecar.  A list enters through `Columns.of`, whose refusal is
+    raised as a DataFormatError.  What `load_dataset` would refuse, or the
+    header cannot describe, raises DataFormatError before the file is
+    opened: no partial file is left."""
     path = str(path)
-    num_years = len(parcels[0].samples) if parcels else 0
-    channels = parcels[0].samples[0].pixels.shape[0] if num_years else 0
     try:
-        header = _HEADER.pack(FORMAT_VERSION, len(parcels), num_years, channels, num_classes)
+        columns = as_columns(parcels_or_columns)
+    except ContractError as exc:
+        raise DataFormatError(str(exc)) from None
+    num_years, channels = columns.num_years, columns.num_channels
+    try:
+        header = _HEADER.pack(FORMAT_VERSION, len(columns), num_years, channels, num_classes)
     except struct.error as exc:
         raise DataFormatError(f"dataset dimensions overflow the header fields: {exc}") from None
-    heads, pixels, days, labels = [], [], [], []
     with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
-        for p in parcels:
-            try:
-                heads.append(_PARCEL.pack(p.parcel_id, *p.centroid))
-            except struct.error as exc:
-                raise DataFormatError(f"parcel {p.parcel_id}: id or centroid: {exc}") from None
-            if len(p.samples) != num_years or not all(map(math.isfinite, p.centroid)):
-                raise DataFormatError(f"parcel {p.parcel_id}: {len(p.samples)} years, centroid "
-                                      f"{p.centroid}; need {num_years} years, a finite centroid")
-            for i, s in enumerate(p.samples):
-                pix = np.ascontiguousarray(s.pixels, dtype="<f4")
-                d = np.asarray(s.days)
-                if not (pix.ndim == 3 and pix.shape[0] == channels and pix.shape[1] >= 1
-                        and d.shape == pix.shape[2:] and d.dtype.kind in "iu"
-                        and isinstance(s.label, (int, np.integer))):
-                    raise DataFormatError(
-                        f"parcel {p.parcel_id}, year {i + 1}: pixels {pix.shape}, {d.dtype} "
-                        f"days {d.shape}, label {s.label!r}; need ({channels}, N_p >= 1, T), "
-                        "T integers, an integer")
-                pixels.append(pix)
-                days.append(d)
-                labels.append(s.label)
-    # labels as Python objects: one beyond int64 is refused, not wrapped
-    fault = _first_fault(
-        np.concatenate([np.empty(0, _F4)] + pixels, axis=None), [p.size for p in pixels],
-        np.concatenate(days).astype(np.int64) if days else np.empty(0, np.int64),
-        [d.size for d in days], np.array(labels, dtype=object), num_classes)
-    if fault:
-        k, msg = fault
-        raise DataFormatError(
-            f"parcel {parcels[k // num_years].parcel_id}, year {k % num_years + 1}: {msg}"
-        )
-    _refuse_repeated_ids(np.fromiter((p.parcel_id for p in parcels), np.uint64, len(parcels)))
+        pixels = np.concatenate([np.empty(0, _F4), *columns.pixels.ravel()], axis=None,
+                                dtype=_F4, casting="unsafe")
+    days = np.concatenate([np.empty(0, np.int64), *columns.days.ravel()], dtype=np.int64,
+                          casting="unsafe")
+    values = [columns.ids, columns.centroids.ravel(), columns.labels.ravel(),
+              columns.ts.ravel(), columns.n_pixels.ravel(), days, pixels]
+    by_name = {name: v for (name, _), v in zip(_COLUMNS, values)}
+    _checked_columns(lambda name, code, count: (by_name[name], None),
+                     len(columns), num_years, channels, num_classes)
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
-    parts = [MAGIC, header]
-    records = zip(days, pixels, labels)
-    for head in heads:
-        parts.append(head)
-        for d, pix, label in itertools.islice(records, num_years):
-            parts += (U16.pack(d.size), d.astype("<u2"), U32.pack(pix.shape[1]), pix,
-                      U16.pack(label))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join([MAGIC, header, *(np.ascontiguousarray(v, code)
+                                            for v, (_, code) in zip(values, _COLUMNS))]))
     write_json(path + ".json", sidecar)
 
 
-def _read_sample(r, channels, pid, ts, nps):
-    """Read the sample record at `r.offset` field by field, appending its T
-    to `ts` once its days are read and its N_p to `nps` once its pixels
-    are; a record that runs past the end of the file, or has no pixels,
-    raises DataFormatError naming the field and its offset."""
-    (t,) = r.unpack(U16, "timestep count")
-    r.take(2 * t, "days")
-    ts.append(t)
-    (n_p,) = r.unpack(U32, "pixel count")
-    if n_p < 1:
-        raise DataFormatError(f"degenerate parcel {pid} with no pixels at offset {r.offset}")
-    r.take(4 * channels * n_p * t, "pixels")
-    nps.append(n_p)
-    r.unpack(U16, "label")
-
-
-def _join(buf, starts, sizes):
-    """One bytearray of the sizes[k] bytes of `buf` from each starts[k], in
-    turn."""
-    view = memoryview(buf)
-    return bytearray().join([view[s:s + n] for s, n in zip(starts.tolist(), sizes.tolist())])
-
-
 def load_dataset(path):
-    """The dataset in the `.rcds` file `path`, as `Columns`, with the
-    manifest in its optional JSON sidecar.  A malformed file raises
-    DataFormatError naming its first fault in file order."""
+    """The dataset in the `.rcds` file `path`, as `Columns` whose samples'
+    pixels are views of the file's buffer, with the manifest in its
+    optional JSON sidecar.  A malformed file raises DataFormatError naming
+    its first fault in file order."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
     version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
     if version != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported format version {version}")
-    # One walk over the records reads each sample record's two counts, T and
-    # N_p, which give where the next record starts; numpy then gathers the
-    # columns from the buffer at the offsets they give, and one vectorised
-    # pass checks their values.  A record that runs past the end of the
-    # file, or has no pixels, is read field by field, which names the
-    # fault; a fault in an earlier sample, or in the fields of that record
-    # read before it, is still the one reported.
-    buf, size = r.buf, r.size
-    count, pixel_count, pixel_bytes = U16.unpack_from, U32.unpack_from, 4 * channels
-    heads, starts, ts, nps = [], [], [], []
-    walk_fault, in_record = None, False
-    try:
-        for _ in range(n_parcels):
-            heads.append(r.take(_PARCEL.size, "parcel header"))
-            o = r.offset
-            for _ in range(num_years):
-                starts.append(o)
-                try:
-                    (t,) = count(buf, o)
-                    (n_p,) = pixel_count(buf, o + 2 + 2 * t)
-                except struct.error:  # the counts run past the end of the file
-                    n_p = 0
-                if n_p and (end := o + 8 + 2 * t + pixel_bytes * n_p * t) <= size:
-                    ts.append(t)
-                    nps.append(n_p)
-                    o = end
-                else:
-                    r.offset, in_record = o, True
-                    _read_sample(r, channels, _PARCEL.unpack_from(buf, heads[-1])[0], ts, nps)
-                    o, in_record = r.offset, False
-            r.offset = o
-    except DataFormatError as exc:
-        walk_fault = exc
-    u8 = np.frombuffer(buf, np.uint8)
-    starts, ts, nps = (np.array(v, np.int64) for v in (starts, ts, nps))
-    sizes = channels * nps * ts[:nps.size]
-    pixel_at = starts[:nps.size] + 6 + 2 * ts[:nps.size]
-    # the one copy of the pixels, and what they are checked on
-    pixels = np.frombuffer(_join(buf, pixel_at, 4 * sizes), _F4)
-    days = np.frombuffer(_join(buf, starts[:ts.size] + 2, 2 * ts), _U2).astype(np.int64)
-    label_at = (pixel_at + 4 * sizes)[:starts.size - in_record]
-    labels = u8[label_at[:, None] + np.arange(2)].view(_U2).ravel().astype(np.int64)
-    fault = _first_fault(pixels, sizes, days, ts, labels, num_classes)
-    if fault:
-        k, msg = fault
-        pid = _PARCEL.unpack_from(buf, heads[k // num_years])[0]
-        raise DataFormatError(
-            f"parcel {pid}, year {k % num_years + 1}: {msg} (sample record at offset {starts[k]})"
-        )
-    if walk_fault:
-        raise walk_fault
+        raise DataFormatError(f"unsupported format version {version} (this reader reads version "
+                              f"{FORMAT_VERSION}; regenerate with croprot synth)")
+
+    def take(name, code, count):
+        at = r.offset
+        return r.array(code, count, name), at
+
+    ids, centroids, labels, ts, nps, days, pixels = _checked_columns(
+        take, n_parcels, num_years, channels, num_classes)
     r.finish()
-    head = u8[np.array(heads, np.int64)[:, None] + np.arange(_PARCEL.size)]
-    head = head.view(_PARCEL_FIELDS)[:, 0]
-    ids = head["id"].astype(np.uint64)
-    centroids = np.stack([head["x"], head["y"]], axis=1).astype(np.float64)
-    bad = ~np.isfinite(centroids).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataFormatError(f"parcel {ids[i]}: non-finite centroid "
-                              f"{tuple(centroids[i].tolist())}")
-    _refuse_repeated_ids(ids)
     manifest = None
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
-    # each sample's days and pixels as views of the two checked buffers
+    sizes = channels * nps * ts
     day_views = np.fromiter((days[s:s + t] for s, t in zip(_starts(ts).tolist(), ts.tolist())),
                             object, ts.size)
     pixel_views = np.fromiter((pixels[s:s + n].reshape(channels, n_p, t) for s, n, n_p, t in zip(

@@ -1,10 +1,10 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from croprot.data import Dataset, SyntheticConfig, generate_synthetic
+from croprot.data import (
+    Dataset, MultiYearParcel, PixelSetSample, SyntheticConfig, generate_synthetic,
+)
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
 from croprot.training import _features, encode_items
@@ -97,26 +97,27 @@ def assert_parameter_views(model):
     assert start == model.vector.size
 
 
-def one_sample_file(days=(10, 20, 30, 40), pixels=None, label=0):
-    """Bytes of a hand-written one-parcel, one-year, one-channel, 3-class
-    .rcds file with a single pixel."""
+def one_sample_parcel(days=(10, 20, 30, 40), pixels=None, label=0):
+    """A one-year, one-channel parcel 0 at (10, 20) with a single pixel,
+    whose values are `pixels` (zeros by default), one per date."""
     pixels = np.zeros(len(days)) if pixels is None else pixels
-    raw = b"RCDS" + struct.pack("<IIBHH", 1, 1, 1, 1, 3)
-    raw += struct.pack("<Qdd", 0, 10.0, 20.0)
-    raw += struct.pack("<H", len(days)) + np.array(days, dtype="<u2").tobytes()
-    raw += struct.pack("<I", 1) + np.asarray(pixels, dtype="<f4").tobytes()
-    return raw + struct.pack("<H", label)
+    sample = PixelSetSample(0, 1, np.asarray(pixels, np.float32).reshape(1, 1, -1),
+                            np.array(days), label)
+    return MultiYearParcel(0, (10.0, 20.0), [sample])
 
 
-def without_dates(raw):
-    """The bytes of the `.rcds` file `raw` with its first sample record
-    (parcel 0's year 1) cut to T = 0 dates, its pixel count and label kept."""
-    at = 4 + struct.calcsize("<IIBHH") + struct.calcsize("<Qdd")
-    channels = struct.unpack_from("<H", raw, 13)[0]
-    (t,) = struct.unpack_from("<H", raw, at)
-    (n_p,) = struct.unpack_from("<I", raw, at + 2 + 2 * t)
-    end = at + 8 + 2 * t + 4 * channels * n_p * t
-    return raw[:at] + struct.pack("<HI", 0, n_p) + raw[end - 2:]
+def one_sample_file(**kwargs):
+    """Bytes of a hand-written 3-class .rcds file of one `one_sample_parcel`."""
+    return oracles.encode_rcds([one_sample_parcel(**kwargs)], 3)
+
+
+def without_dates(path):
+    """The bytes of the `.rcds` file `path` with parcel 0's year-1 sample
+    cut to T = 0 dates, its pixel count and label kept."""
+    dataset = oracles.load_dataset(path)
+    s = dataset.parcels[0].samples[0]
+    s.days, s.pixels = s.days[:0], s.pixels[:, :, :0]
+    return oracles.encode_rcds(dataset.parcels, dataset.num_classes)
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,11 @@ of a `binio.predictions` array at a time, against the library's column
 arithmetic; and the JSON object of one row, against the predictions-file
 writer's fixed layout; and the synthetic generator one parcel-year at a
 time, with `Generator.choice` drawing the labels, against the chunked
-`generate_synthetic`; and the `.rcds` loader reading every field of every
-record through the bounds-checked `Reader` and checking the values sample
-by sample, against `load_dataset`'s walk by the records' two counts and
-its checks on the gathered columns; and `dense`
+`generate_synthetic`; and the `.rcds` loader reading every value of every
+column through the bounds-checked `Reader` and checking the values one
+at a time, against `load_dataset`'s array reads and checks of whole
+columns, with an encoder that writes a file's bytes value by value
+without any check; and `dense`
 and `mean_std_pool` with backward rules that compute every input's
 gradient, sum bias gradients with `sum(axis=0)` and fill the pool's
 gradient run by run of equal-size segments, against the library's; and
@@ -20,6 +21,7 @@ objects pair by pair, against `_Items.of_columns`."""
 
 import math
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,11 +30,12 @@ from croprot import autodiff as ad
 from croprot.binio import U16, U32, Reader, read_json
 from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
 from croprot.data import (
-    _HEADER, _PARCEL, FORMAT_VERSION, MAGIC, Dataset, MultiYearParcel, PixelSetSample,
-    _check_class_names,
+    _HEADER, FORMAT_VERSION, MAGIC, Dataset, MultiYearParcel, PixelSetSample, _check_class_names,
 )
 from croprot.errors import ContractError, DataFormatError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Items, _select
+
+_U64, _F64, _F32 = struct.Struct("<Q"), struct.Struct("<d"), struct.Struct("<f")
 
 
 def _mlp_layer(x, w, b, relu=True):
@@ -320,89 +323,109 @@ def generate_synthetic(config):
     return parcels
 
 
-def first_fault(pixels, days, labels, num_classes):
-    """(index, message) of the first sample whose values a `.rcds` file may
-    not hold, or None, from lists of each sample's (C, N_p, T) pixels, (T,)
-    days and label, which in a truncated file may end at different
-    samples: each check over its own list, the first fault in sample
-    order and, within a sample, in the order finite pixels, label, at
-    least one date, days in [1, 366], strictly increasing days."""
-    faults = []
-    for k, p in enumerate(pixels):
-        if not np.isfinite(p).all():
-            faults.append((k, 0, "non-finite pixel value"))
-            break
-    for k, label in enumerate(labels):
-        if not 0 <= label < num_classes:
-            faults.append((k, 1, f"label {label} outside [0, {num_classes})"))
-            break
-    for k, d in enumerate(days):
-        d = d.astype(np.int64)
-        if not d.size:
-            faults.append((k, 2, "no dates: a sample needs at least one"))
-        elif ((d < 1) | (d > 366)).any():
-            faults.append((k, 2, "days must lie in [1, 366]"))
-        elif (np.diff(d) <= 0).any():
-            faults.append((k, 3, "days must be strictly increasing"))
-    if not faults:
-        return None
-    k, _, msg = min(faults)
-    return k, msg
+def encode_rcds(parcels, num_classes, num_years=None, channels=None, version=FORMAT_VERSION,
+                pixels=True):
+    """Bytes of a `.rcds` file holding `parcels`, written value by value
+    without any check.  The header gives `version`, the parcel count,
+    `num_years` and `channels` (by default the first parcel's year count
+    and its first sample's channels) and `num_classes`.  A sample's T is
+    its number of days and its N_p the second size of its pixels.  Without
+    `pixels` the file ends before its pixels column."""
+    samples = [s for p in parcels for s in p.samples]
+    if num_years is None:
+        num_years = len(parcels[0].samples) if parcels else 0
+    if channels is None:
+        channels = samples[0].pixels.shape[0] if samples else 0
+    raw = [MAGIC, _HEADER.pack(version, len(parcels), num_years, channels, num_classes)]
+    raw += [_U64.pack(p.parcel_id) for p in parcels]
+    raw += [_F64.pack(v) for p in parcels for v in p.centroid]
+    raw += [U16.pack(s.label) for s in samples]
+    raw += [U16.pack(len(s.days)) for s in samples]
+    raw += [U32.pack(s.pixels.shape[1]) for s in samples]
+    raw += [U16.pack(d) for s in samples for d in s.days]
+    if pixels:
+        raw += [np.asarray(s.pixels, "<f4").tobytes() for s in samples]
+    return b"".join(raw)
 
 
 def load_dataset(path):
-    """The dataset in the `.rcds` file `path`, every field of every record
-    read through the `Reader` and every value checked sample by sample;
-    the same checks, in the same order, as `croprot.data.load_dataset`."""
+    """The dataset in the `.rcds` file `path`: each column's bounds checked
+    whole, as `Reader.array` checks them, then its values read one at a
+    time through `Reader.unpack` and checked in a Python loop before the
+    next column is read; the same checks, in the same order and with the
+    same messages, as `croprot.data.load_dataset`."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
     version, n_parcels, num_years, channels, num_classes = r.unpack(_HEADER, "header")
     if version != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported format version {version}")
-    headers, starts, days, pixels, labels = [], [], [], [], []
-    walk_fault = None
-    try:
-        for _ in range(n_parcels):
-            headers.append(r.unpack(_PARCEL, "parcel header"))
-            for _ in range(num_years):
-                starts.append(r.offset)
-                (t,) = r.unpack(U16, "timestep count")
-                days.append(r.array("<u2", t, "days"))
-                (n_p,) = r.unpack(U32, "pixel count")
-                if n_p < 1:
-                    raise DataFormatError(
-                        f"degenerate parcel {headers[-1][0]} with no pixels "
-                        f"at offset {r.offset}"
-                    )
-                pix = r.array("<f4", channels * n_p * t, "pixels")
-                pixels.append(pix.reshape(channels, n_p, t))
-                labels.append(r.unpack(U16, "label")[0])
-    except DataFormatError as exc:
-        walk_fault = exc
-    fault = first_fault(pixels, days, labels, num_classes)
-    if fault:
-        k, msg = fault
-        raise DataFormatError(
-            f"parcel {headers[k // num_years][0]}, year {k % num_years + 1}: {msg} "
-            f"(sample record at offset {starts[k]})"
-        )
-    if walk_fault:
-        raise walk_fault
-    r.finish()
-    for pid, cx, cy in headers:
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise DataFormatError(f"parcel {pid}: non-finite centroid {(cx, cy)}")
+        raise DataFormatError(f"unsupported format version {version} (this reader reads version "
+                              f"{FORMAT_VERSION}; regenerate with croprot synth)")
+    n = n_parcels * num_years
+
+    def column(name, st, count):
+        """(the column's `count` values, its offset)."""
+        start = r.offset
+        r.take(st.size * count, name)
+        r.offset = start
+        return [r.unpack(st, name)[0] for _ in range(count)], start
+
+    def refuse(where, fault, name, offset):
+        raise DataFormatError(f"{where}: {fault} ({name} at offset {offset})")
+
+    def sample(k):
+        return f"parcel {ids[k // num_years]}, year {k % num_years + 1}"
+
+    ids, at = column("parcel ids", _U64, n_parcels)
     seen = set()
-    for pid, _, _ in headers:
+    for i, pid in enumerate(ids):
         if pid in seen:
-            raise DataFormatError(f"parcel id {pid} appears more than once")
+            refuse(f"parcel {pid}", "id appears more than once", "parcel ids", at + 8 * i)
         seen.add(pid)
+    xy, at = column("centroids", _F64, 2 * n_parcels)
+    for j, v in enumerate(xy):
+        if not math.isfinite(v):
+            i = j // 2
+            refuse(f"parcel {ids[i]}", f"non-finite centroid {(xy[2 * i], xy[2 * i + 1])}",
+                   "centroids", at + 8 * j)
+    labels, at = column("labels", U16, n)
+    for k, label in enumerate(labels):
+        if label >= num_classes:
+            refuse(sample(k), f"label {label} outside [0, {num_classes})", "labels", at + 2 * k)
+    ts, at = column("date counts", U16, n)
+    for k, t in enumerate(ts):
+        if t == 0:
+            refuse(sample(k), "no dates: a sample needs at least one", "date counts", at + 2 * k)
+    nps, at = column("pixel counts", U32, n)
+    for k, n_p in enumerate(nps):
+        if n_p == 0:
+            refuse(sample(k), "no pixels: a sample needs at least one", "pixel counts",
+                   at + 4 * k)
+    flat, at = column("days", U16, sum(ts))
+    days, j = [], 0
+    for k, t in enumerate(ts):
+        for i in range(j, j + t):
+            if not 1 <= flat[i] <= 366:
+                refuse(sample(k), "days must lie in [1, 366]", "days", at + 2 * i)
+            if i > j and flat[i] <= flat[i - 1]:
+                refuse(sample(k), "days must be strictly increasing", "days", at + 2 * i)
+        days.append(np.array(flat[j:j + t], np.int64))
+        j += t
+    flat, at = column("pixels", _F32, sum(channels * n_p * t for n_p, t in zip(nps, ts)))
+    pixels, j = [], 0
+    for k, (n_p, t) in enumerate(zip(nps, ts)):
+        size = channels * n_p * t
+        for i in range(j, j + size):
+            if not math.isfinite(flat[i]):
+                refuse(sample(k), "non-finite pixel value", "pixels", at + 4 * i)
+        pixels.append(np.array(flat[j:j + size], np.float32).reshape(channels, n_p, t))
+        j += size
+    r.finish()
     parcels = []
-    for i, (pid, cx, cy) in enumerate(headers):
-        samples = [PixelSetSample(pid, y + 1, pixels[k], days[k].astype(np.int64), labels[k])
+    for i, pid in enumerate(ids):
+        samples = [PixelSetSample(pid, y + 1, pixels[k], days[k], labels[k])
                    for y, k in enumerate(range(i * num_years, (i + 1) * num_years))]
-        parcels.append(MultiYearParcel(pid, (cx, cy), samples))
+        parcels.append(MultiYearParcel(pid, (xy[2 * i], xy[2 * i + 1]), samples))
     manifest = None
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")

@@ -1,7 +1,6 @@
 import functools
 import json
 import shutil
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +15,7 @@ from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 from croprot.training import predict
 
 import oracles
-from conftest import one_sample_file, tiny_dims, without_dates
+from conftest import one_sample_file, one_sample_parcel, tiny_dims, without_dates
 
 
 RUN_CONFIG = {
@@ -72,11 +71,22 @@ def test_eval_and_embed_take_ids_up_to_two_to_the_64(tmp_path, pid):
 
 
 def test_no_dates_refused_with_the_sample_record(malformed, capsys):
+    # the date counts follow the magic and header (17 bytes), 120 ids (8
+    # bytes each), 120 centroids (16) and 360 labels (2)
     capsys.readouterr()
     assert main(["rotations", "--dataset", malformed["dataset_no_dates"],
                  "--out", malformed["out"]]) == 3
     assert capsys.readouterr().err == ("data format error: parcel 0, year 1: no dates: a "
-                                       "sample needs at least one (sample record at offset 41)\n")
+                                       "sample needs at least one (date counts at offset 3617)\n")
+
+
+def test_version_1_file_refused(malformed, capsys):
+    command, _ = CLI_MATRIX["rotations-dataset-v1"]
+    capsys.readouterr()
+    assert main([arg.format(**malformed) for arg in command.split()]) == 3
+    assert capsys.readouterr().err == (
+        "data format error: unsupported format version 1 (this reader reads version 2; "
+        "regenerate with croprot synth)\n")
 
 
 def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
@@ -657,14 +667,15 @@ def malformed(workdir, tmp_path_factory):
     save_checkpoint(paths["ckpt_3_channels"], CropModel(dims, "dec", seed=1))
     paths["dataset_nan"] = bad / "nan.rcds"
     paths["dataset_nan"].write_bytes(one_sample_file(pixels=[0.5, np.nan, 0.1, 0.2]))
-    # two parcels with id 0: the one-sample file with its parcel record twice
-    one, head = one_sample_file(), 4 + struct.calcsize("<IIBHH")
+    # two parcels with id 0: the one-sample file's parcel twice
     paths["dataset_repeated_id"] = bad / "repeated_id.rcds"
-    paths["dataset_repeated_id"].write_bytes(
-        one[:8] + struct.pack("<I", 2) + one[12:head] + one[head:] * 2)
+    paths["dataset_repeated_id"].write_bytes(oracles.encode_rcds([one_sample_parcel()] * 2, 3))
     # the pipeline's dataset with parcel 0's year-1 sample cut to no dates
     paths["dataset_no_dates"] = bad / "no_dates.rcds"
-    paths["dataset_no_dates"].write_bytes(without_dates(dataset.read_bytes()))
+    paths["dataset_no_dates"].write_bytes(without_dates(dataset))
+    # the one-sample file under a version-1 header
+    paths["dataset_v1"] = bad / "v1.rcds"
+    paths["dataset_v1"].write_bytes(oracles.encode_rcds([one_sample_parcel()], 3, version=1))
     paths["ckpt_bad_sidecar"] = bad / "ckpt.bin"
     shutil.copy(train_out / "checkpoint_fold0.bin", paths["ckpt_bad_sidecar"])
     sidecar = json.loads((train_out / "checkpoint_fold0.bin.json").read_text())
@@ -764,6 +775,7 @@ CLI_MATRIX = {
     "rotations-dataset-no-dates": ("rotations --dataset {dataset_no_dates} --out {out}", 3),
     "crf-dataset-no-dates": (_CRF.replace("{dataset}", "{dataset_no_dates}"), 3),
     "split-dataset-repeated-id": ("split --dataset {dataset_repeated_id} --out {out}", 3),
+    "rotations-dataset-v1": ("rotations --dataset {dataset_v1} --out {out}", 3),
     "embed-dataset": (_EMBED.replace("{dataset}", "{dataset_nan}"), 3),
     "embed-checkpoint": (_EMBED.replace("{ckpt}", "{ckpt_bad_sidecar}"), 3),
     "train-folds-not-utf8": (_TRAIN.replace("{folds}", "{folds_not_utf8}"), 3),

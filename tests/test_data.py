@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import re
-import struct
 from unittest import mock
 
 import numpy as np
@@ -40,7 +39,7 @@ from croprot.errors import ConfigError, ContractError, DataFormatError
 
 import oracles
 
-from conftest import expand_draws, one_sample_file
+from conftest import expand_draws, one_sample_file, one_sample_parcel
 
 
 class TestGenerator:
@@ -513,7 +512,7 @@ class TestFileFormat:
         with pytest.raises(DataFormatError, match="label 7"):
             load_dataset(path)
         # the same file with label 2 loads
-        path.write_bytes(raw[:-2] + struct.pack("<H", 2))
+        path.write_bytes(one_sample_file(label=2))
         assert load_dataset(path).parcels[0].labels == [2]
 
     def test_label_out_of_range_rejected_on_save(self, tmp_path):
@@ -569,11 +568,11 @@ class TestFileFormat:
             load_dataset(path)
 
     def test_non_finite_centroid_rejected(self, tmp_path):
-        raw = bytearray(one_sample_file())
-        raw[25:33] = struct.pack("<d", np.nan)  # the centroid's x
+        parcel = dataclasses.replace(one_sample_parcel(), centroid=(np.nan, 20.0))
         path = tmp_path / "ds.rcds"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match="centroid"):
+        path.write_bytes(oracles.encode_rcds([parcel], 3))
+        with pytest.raises(DataFormatError, match=r"^parcel 0: non-finite centroid \(nan, 20.0\) "
+                                                  r"\(centroids at offset 25\)$"):
             load_dataset(path)
         parcels = generate_synthetic(SyntheticConfig(parcels=2, seed=0))
         parcels[1].centroid = (np.inf, 3.0)
@@ -591,29 +590,81 @@ class TestFileFormat:
 
     @staticmethod
     def _two_samples(first, second):
-        """A one-parcel, two-year file from two one_sample_file records."""
-        head = 4 + struct.calcsize("<IIBHH") + struct.calcsize("<Qdd")
-        raw = bytearray(one_sample_file(**first))
-        raw[12] = 2  # num_years
-        return bytes(raw) + one_sample_file(**second)[head:]
+        """A one-parcel, two-year file of the samples of two
+        `one_sample_parcel` calls.  Its columns start at: ids 17, centroids
+        25, labels 41, date counts 45, pixel counts 49, days 57 and pixels
+        73; the file ends at 105."""
+        samples = [one_sample_parcel(**fields).samples[0] for fields in (first, second)]
+        samples[1].year_index = 2
+        return oracles.encode_rcds([MultiYearParcel(0, (10.0, 20.0), samples)], 3)
 
-    @pytest.mark.parametrize("first, cut, match", [
-        # a fault of the first year wins over a truncated second year
-        ({"days": (10, 30, 20, 40)}, 1, "year 1: days must be strictly increasing"),
-        ({"label": 5}, 3, "year 1: label 5"),
-        # within a year, non-finite pixels are reported before a truncated label
-        ({}, 1, "year 2: non-finite"),
-    ])
-    def test_first_fault_in_file_order(self, tmp_path, first, cut, match):
-        raw = self._two_samples(first, {"pixels": [0.0, np.nan, 0.0, 0.0]})
+    @pytest.mark.parametrize("first, second, cut, match", [
+        # a fault in a column wins over the truncation of a later column
+        ({"days": (10, 30, 20, 40)}, {"pixels": [0.0, np.nan, 0.0, 0.0]}, 1,
+         r"year 1: days must be strictly increasing \(days at offset 61\)"),
+        ({"label": 5}, {}, 1, r"year 1: label 5 outside \[0, 3\) \(labels at offset 41\)"),
+        ({}, {"label": 5}, 40, r"year 2: label 5 outside \[0, 3\) \(labels at offset 43\)"),
+        # a truncated column is refused before its values are checked
+        ({}, {"pixels": [0.0, np.nan, 0.0, 0.0]}, 1,
+         "truncated RCDS file while reading pixels at offset 73: 32 bytes needed, 31 left"),
+        ({}, {"days": (10, 30, 20, 40)}, 40,
+         "truncated RCDS file while reading days at offset 57: 16 bytes needed, 8 left"),
+    ], ids=["bad-days-then-cut-pixels", "bad-label-then-cut-pixels", "bad-label-then-cut-days",
+            "cut-pixels-before-a-nan", "cut-days-before-bad-days"])
+    def test_first_fault_in_file_order(self, tmp_path, first, second, cut, match):
+        raw = self._two_samples(first, second)
+        assert len(raw) == 105
         path = tmp_path / "ds.rcds"
         path.write_bytes(raw[:len(raw) - cut])
-        with pytest.raises(DataFormatError, match=match):
-            load_dataset(path)
+        for load in (load_dataset, oracles.load_dataset):
+            with pytest.raises(DataFormatError, match=match):
+                load(path)
         # without the other faults, the truncation is reported
         path.write_bytes(self._two_samples({}, {})[:-cut])
         with pytest.raises(DataFormatError, match="truncated RCDS file"):
             load_dataset(path)
+
+    def test_version_1_refused(self, tmp_path):
+        # the one-sample file under a version-1 header: a version-1 file
+        # is regenerated, not read
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(oracles.encode_rcds([one_sample_parcel()], 3, version=1))
+        for load in (load_dataset, oracles.load_dataset):
+            with pytest.raises(DataFormatError) as exc:
+                load(path)
+            assert str(exc.value) == ("unsupported format version 1 (this reader reads version "
+                                      "2; regenerate with croprot synth)")
+
+    @pytest.mark.parametrize("parcels, t", [(1, 1), (100, 366)])
+    def test_huge_pixel_counts_refused_as_a_truncated_pixels_column(self, tmp_path, parcels, t):
+        # 65 535 channels of 2^32 - 1 pixels per sample: C * N_p * T floats
+        # overflow no count, and at 100 samples of 366 dates their sum is
+        # beyond int64
+        pixels = np.broadcast_to(np.float32(0), (65535, 2**32 - 1, t))
+        days = np.arange(1, t + 1)
+        raw = oracles.encode_rcds([
+            MultiYearParcel(pid, (0.0, 0.0), [PixelSetSample(pid, 1, pixels, days, 0)])
+            for pid in range(parcels)], 3, pixels=False)
+        path = tmp_path / "ds.rcds"
+        path.write_bytes(raw)
+        want = (f"truncated RCDS file while reading pixels at offset {len(raw)}: "
+                f"{4 * 65535 * (2**32 - 1) * t * parcels} bytes needed, 0 left")
+        for load in (load_dataset, oracles.load_dataset):
+            with pytest.raises(DataFormatError) as exc:
+                load(path)
+            assert str(exc.value) == want
+
+    def test_loaded_columns_save_the_same_bytes(self, tmp_path):
+        # the columns of a loaded file write it again, and no parcel
+        # objects are built
+        cfg = SyntheticConfig(parcels=40, seed=5)
+        first, second = tmp_path / "a.rcds", tmp_path / "b.rcds"
+        save_dataset(first, generate_synthetic(cfg), cfg.num_classes, config_to_manifest(cfg))
+        loaded = load_dataset(first)
+        save_dataset(second, loaded.columns, loaded.num_classes, loaded.manifest)
+        assert loaded._parcels is None
+        assert second.read_bytes() == first.read_bytes()
+        assert (tmp_path / "b.rcds.json").read_bytes() == (tmp_path / "a.rcds.json").read_bytes()
 
 
 def _drop_year(parcels):
@@ -636,13 +687,38 @@ def _negative_id(parcels):
     parcels[2].parcel_id = -1
 
 
+def _flat_pixels(parcels):
+    parcels[0].samples[1].pixels = parcels[0].samples[1].pixels[0]
+
+
+def _float_days(parcels):
+    parcels[2].samples[0].days = parcels[2].samples[0].days.astype(float)
+
+
+def _float_label(parcels):
+    parcels[1].samples[2].label = 2.7
+
+
+def _huge_label(parcels):
+    parcels[1].samples[2].label = 2**70
+
+
+def _negative_label(parcels):
+    parcels[1].samples[2].label = -1
+
+
 @pytest.mark.parametrize("mutate, match", [
-    (_drop_year, "parcel 1: 2 years"),
+    (_drop_year, "parcel 1, year 3: the parcel has 2 years"),
     (_drop_channel, r"parcel 2, year 2: pixels \(3, "),
-    (_drop_day, "parcel 0, year 3: .* int64 days"),
+    (_drop_day, r"parcel 0, year 3: pixels \(4, \d+, 12\) and 11 dates"),
     (_drop_pixels, r"parcel 1, year 1: pixels \(4, 0, "),
-    (_negative_id, "parcel -1: id or centroid"),
-])
+    (_negative_id, r"parcel id -1 outside \[0, 2\^64\)"),
+    (_flat_pixels, r"parcel 0, year 2: pixels of shape \(\d+, 12\)"),
+    (_float_days, r"parcel 2, year 1: float64 days"),
+    (_float_label, r"parcel 1, year 3: label 2.7; need an integer"),
+    (_huge_label, r"parcel 1, year 3: label 1180591620717411303424; need an integer"),
+    (_negative_label, r"parcel 1, year 3: label -1; need an integer"),
+], ids=lambda v: getattr(v, "__name__", None))
 def test_save_refuses_what_the_header_cannot_describe(tmp_path, mutate, match):
     parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
     mutate(parcels)
@@ -660,33 +736,24 @@ def test_save_refuses_sidecar_class_names(tmp_path):
     assert not path.exists()
 
 
-def _encode(parcels, num_classes):
-    """Bytes of a `.rcds` file written field by field, without any check."""
-    num_years = len(parcels[0].samples) if parcels else 0
-    channels = parcels[0].samples[0].pixels.shape[0] if num_years else 0
-    raw = [b"RCDS", struct.pack("<IIBHH", 1, len(parcels), num_years, channels, num_classes)]
-    for p in parcels:
-        raw.append(struct.pack("<Qdd", p.parcel_id, *p.centroid))
-        for s in p.samples:
-            _, n_p, t = s.pixels.shape
-            raw += [struct.pack("<H", t), np.asarray(s.days, "<u2").tobytes(),
-                    struct.pack("<I", n_p), np.asarray(s.pixels, "<f4").tobytes(),
-                    struct.pack("<H", s.label)]
-    return b"".join(raw)
-
-
 def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     # a parcel-year is keyed by (id, year): a second parcel 0 would stand
     # in for the first in predict and embed
     path = tmp_path / "ds.rcds"
     parcels = generate_synthetic(SyntheticConfig(parcels=4, seed=0))
+    # one parcel object named twice is one parcel to `Columns.of`, and two
+    # to the file
+    with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
+        save_dataset(path, parcels + parcels[:1], 8)
     parcels[1] = dataclasses.replace(parcels[1], parcel_id=0)
-    with pytest.raises(DataFormatError, match="parcel id 0 appears more than once"):
+    with pytest.raises(DataFormatError, match="parcel id 0 names more than one parcel"):
         save_dataset(path, parcels, 8)
     assert not path.exists()
-    path.write_bytes(_encode(parcels, 8))
-    with pytest.raises(DataFormatError, match="parcel id 0 appears more than once"):
-        load_dataset(path)
+    path.write_bytes(oracles.encode_rcds(parcels, 8))
+    for load in (load_dataset, oracles.load_dataset):
+        with pytest.raises(DataFormatError) as exc:
+            load(path)
+        assert str(exc.value) == "parcel 0: id appears more than once (parcel ids at offset 25)"
 
 
 def test_sample_without_dates_refused_by_save_and_load(tmp_path):
@@ -699,11 +766,11 @@ def test_sample_without_dates_refused_by_save_and_load(tmp_path):
         save_dataset(path, parcels, 8)
     assert str(saved.value) == "parcel 1, year 1: no dates: a sample needs at least one"
     assert not path.exists()
-    path.write_bytes(_encode(parcels, 8))
+    path.write_bytes(oracles.encode_rcds(parcels, 8))
     for load in (load_dataset, oracles.load_dataset):
         with pytest.raises(DataFormatError) as loaded:
             load(path)
-        assert str(loaded.value).startswith(f"{saved.value} (sample record at offset ")
+        assert str(loaded.value).startswith(f"{saved.value} (date counts at offset ")
 
 
 def test_dataset_of_parcels_builds_columns_only_when_asked(monkeypatch):
@@ -771,7 +838,7 @@ def rcds_path(tmp_path_factory):
 def test_saved_datasets_load_back(rcds_path, dataset):
     parcels, num_classes = dataset
     save_dataset(rcds_path, parcels, num_classes)
-    assert rcds_path.read_bytes() == _encode(parcels, num_classes)
+    assert rcds_path.read_bytes() == oracles.encode_rcds(parcels, num_classes)
     loaded = load_dataset(rcds_path)
     assert loaded.num_classes == num_classes and len(loaded.parcels) == len(parcels)
     for orig, back in zip(parcels, loaded.parcels):
@@ -801,7 +868,9 @@ def test_one_bad_sample_refused_by_save_and_load(rcds_path, dataset, data):
         save_dataset(rcds_path, parcels, num_classes)
     assert not rcds_path.exists()
     assert str(saved.value).startswith(f"parcel {p.parcel_id}, year {s.year_index}: ")
-    rcds_path.write_bytes(_encode(parcels, num_classes))
-    with pytest.raises(DataFormatError) as loaded:
-        load_dataset(rcds_path)
-    assert str(loaded.value).startswith(f"{saved.value} (sample record at offset ")
+    rcds_path.write_bytes(oracles.encode_rcds(parcels, num_classes))
+    for load in (load_dataset, oracles.load_dataset):
+        with pytest.raises(DataFormatError) as loaded:
+            load(rcds_path)
+        suffix = r" \((labels|days|pixels) at offset \d+\)"
+        assert re.fullmatch(re.escape(str(saved.value)) + suffix, str(loaded.value))

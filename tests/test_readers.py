@@ -14,7 +14,6 @@ import io
 import json
 import os
 import shutil
-import struct
 import tempfile
 import typing
 
@@ -165,7 +164,7 @@ def _ragged_files(draw):
     channels, years, classes = draw(st.integers(1, 3)), draw(st.integers(0, 3)), 5
     ids = draw(st.lists(st.integers(0, 2**64 - 1), max_size=3, unique=True))
     if not ids and draw(st.booleans()):
-        return b"RCDS" + struct.pack("<IIBHH", 1, 0, years, channels, classes), None
+        return oracles.encode_rcds([], classes, num_years=years, channels=channels), None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parcels = []
     for pid in ids:

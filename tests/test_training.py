@@ -622,6 +622,16 @@ MALFORMED = {
                    r"year 2: pixels \(3, \d+, 12\) and 12 dates; need 4 channels"),
     "dates-not-T": (lambda p: _with_sample(p, 3, days=p.samples[2].days[:-1]),
                     r"year 3: pixels \(4, \d+, 12\) and 11 dates"),
+    "2-d-pixels": (lambda p: _with_sample(p, 2, pixels=p.samples[1].pixels[0]),
+                   r"year 2: pixels of shape \(\d+, 12\); need \(C, N_p, T\)"),
+    "float-days": (lambda p: _with_sample(p, 3, days=p.samples[2].days.astype(float)),
+                   r"year 3: float64 days of shape \(12,\); need a \(T,\) integer array"),
+    "float-label": (lambda p: _with_sample(p, 1, label=2.7),
+                    r"year 1: label 2.7; need an integer in \[0, 2\^63\)"),
+    "label-2-70": (lambda p: _with_sample(p, 2, label=2**70),
+                   r"year 2: label 1180591620717411303424; need an integer"),
+    "negative-label": (lambda p: _with_sample(p, 3, label=-1),
+                       r"year 3: label -1; need an integer"),
 }
 
 

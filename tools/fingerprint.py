@@ -54,6 +54,13 @@ wide-range` line hashes the `export_embeddings` bytes of that model with
 column j of the output layer (`ltae.wo2` and `ltae.bo2`) scaled by a
 power of ten that rises from 1e-44 to 1e30 across the columns, so the
 CSV's `%.6e` cells run from float32 subnormals to about 1e30.
+
+Three lines hash the bytes of `.rcds` files: `files dataset`, `synth
+edges` and `cli-train data.rcds`.  They move, and only they, on a
+documented change of the `.rcds` layout, as from format version 1 to 2.
+The `load` lines hash what `load_dataset` returns, and every other line
+what is computed from the data, so none of them may move with the
+layout.
 """
 
 import contextlib
