@@ -285,15 +285,15 @@ def export_embeddings(model, parcels, out_path, seed=0):
     as printf's `%.6e`."""
     from .training import encode_items, items_of
 
-    unique, rows = items_of(parcels)
-    table = encode_items(model, unique, rows, (seed,))
+    items = items_of(parcels)  # every parcel-year, so no past year is added
+    table = encode_items(model, items, items.ids.size, (seed,))
     d = model.dims.descriptor
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
     block = max(1, _CSV_BLOCK_CELLS // d)
     with open(out_path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(rows), block):
-            r = rows[start:start + block]
+        for start in range(0, items.ids.size, block):
+            r = slice(start, start + block)
             prefixes = [b"%d,%d,%d," % t for t in zip(
-                unique.ids[r].tolist(), unique.years[r].tolist(), unique.labels[r].tolist())]
+                items.ids[r].tolist(), items.years[r].tolist(), items.labels[r].tolist())]
             fh.write(_csv_rows(prefixes, table[r]))

@@ -65,17 +65,27 @@ def _integer_days(days):
     return isinstance(days, np.ndarray) and days.ndim == 1 and days.dtype.kind in "iu"
 
 
-def _is_label(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < 2**63
+def _is_integer_below(x, end):
+    """Whether `x` is an integer in [0, end); a bool is none."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < end
+
+
+def _first_repeat(values):
+    """The first position of the array `values` whose value an earlier
+    position holds, or None when they are distinct."""
+    order = np.argsort(values, kind="stable")
+    # a stable sort puts each value's later positions after its first
+    again = order[1:][values[order[1:]] == values[order[:-1]]]
+    return int(again.min()) if again.size else None
 
 
 @dataclass(eq=False)
 class Columns:
-    """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64 and
-    `centroids` (P, 2) float64.  Per sample, as (P, Y) arrays: its int64
-    `labels`, `ts` (dates T) and `n_pixels` (N_p), and, in object arrays,
-    its own (T,) integer `days` and (C, N_p, T) `pixels` arrays.  `take`
-    selects parcels and shares the samples' arrays."""
+    """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64, each
+    id once, and `centroids` (P, 2) float64.  Per sample, as (P, Y)
+    arrays: its int64 `labels`, `ts` (dates T) and `n_pixels` (N_p), and,
+    in object arrays, its own (T,) integer `days` and (C, N_p, T) `pixels`
+    arrays.  `take` selects parcels and shares the samples' arrays."""
 
     ids: np.ndarray
     centroids: np.ndarray
@@ -88,19 +98,20 @@ class Columns:
     @classmethod
     def of(cls, parcels):
         """The columns of a list of parcels, one row per entry, sharing
-        their samples' day and pixel arrays.  Two parcel objects with one
-        id, an id outside [0, 2^64), a parcel with another year count than
-        the first, and a sample whose pixels are not (C, N_p >= 1, T) with
-        the first sample's C, whose days are not a (T,) integer array, or whose
-        label is not an integer in [0, 2^63) are a ContractError naming the
-        parcel and the year."""
-        owners = {}
-        for p in parcels:
-            if owners.setdefault(p.parcel_id, p) is not p:
-                raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
-        for pid in owners:
-            if not 0 <= pid < 1 << 64:
-                raise ContractError(f"parcel id {pid} outside [0, 2^64)")
+        their samples' day and pixel arrays.  An id that is not an integer
+        in [0, 2^64) (a bool is none) or that an earlier entry has, a parcel
+        with another year count than the first, and a sample whose pixels
+        are not (C, N_p >= 1, T) with the first sample's C, whose days are
+        not a (T,) integer array, or whose label is not an integer in [0,
+        2^63) are a ContractError naming the parcel and the year."""
+        ids = [p.parcel_id for p in parcels]
+        bad = [pid for pid in ids if not _is_integer_below(pid, 2**64)]
+        if bad:
+            raise ContractError(f"parcel id {bad[0]!r} outside the integers in [0, 2^64)")
+        ids = np.fromiter(ids, np.uint64, len(ids))
+        i = _first_repeat(ids)
+        if i is not None:
+            raise ContractError(f"parcel {ids[i]}: id appears more than once")
         years = len(parcels[0].samples) if parcels else 0
         samples = []
         for p in parcels:
@@ -144,12 +155,11 @@ class Columns:
             with contextlib.suppress(OverflowError):  # beyond int64
                 label_column = np.fromiter(labels, np.int64, n)
         if label_column is None or label_column.min(initial=0) < 0:
-            j = next(k for k, x in enumerate(labels) if not _is_label(x))
+            j = next(k for k, x in enumerate(labels) if not _is_integer_below(x, 2**63))
             refuse(j, f"label {labels[j]!r}; need an integer in [0, 2^63)")
         shape = (len(parcels), years)
         return cls(
-            np.fromiter([p.parcel_id for p in parcels], np.uint64, len(parcels)),
-            np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
+            ids, np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
             label_column.reshape(shape), ts.reshape(shape), sizes[:, 1].reshape(shape),
             # fromiter keeps each array whole where np.array would stack
             # arrays of one shape into a block
@@ -169,7 +179,7 @@ class Columns:
         return self.pixels.flat[0].shape[0] if self.pixels.size else 0
 
     def take(self, rows):
-        """The columns of the parcels at `rows`, an index array."""
+        """The columns of the parcels at `rows`, an index array of distinct rows."""
         return dataclasses.replace(self, **{name: getattr(self, name)[rows] for name in (
             "ids", "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
 
@@ -650,11 +660,8 @@ def _checked_columns(take, n_parcels, num_years, channels, num_classes):
         suffix = "" if at is None else f" ({column} at offset {at + offset})"
         raise DataFormatError(f"{where}: {fault}{suffix}")
 
-    order = np.argsort(ids, kind="stable")
-    # a stable sort puts each id's later parcels after its first
-    again = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if again.size:
-        i = int(again.min())
+    i = _first_repeat(ids)
+    if i is not None:
         refuse(i, "id appears more than once", "parcel ids", at, 8 * i, per_sample=False)
     centroids, at = take("centroids", "<f8", 2 * n_parcels)
     finite = np.isfinite(centroids)
@@ -739,9 +746,10 @@ def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
+    # one write per column, so the file's bytes are never held a second time
     with open(path, "wb") as fh:
-        fh.write(b"".join([MAGIC, header, *(np.ascontiguousarray(v, code)
-                                            for v, (_, code) in zip(values, _COLUMNS))]))
+        fh.writelines([MAGIC, header, *(np.ascontiguousarray(v, code)
+                                        for v, (_, code) in zip(values, _COLUMNS))])
     write_json(path + ".json", sidecar)
 
 

@@ -23,7 +23,7 @@ class TrainConfig:
     seed: int = 0
     variant: str = "single"
     protocol: str = "mixed"  # "mixed" | "specialized"
-    protocol_year: int | None = None  # 1-based, for "specialized"
+    protocol_year: int | None = None  # 1-based, for "specialized" only
 
     def validate(self):
         for name, value, low in (("epochs", self.epochs, 1), ("batch size", self.batch_size, 1),
@@ -42,6 +42,9 @@ class TrainConfig:
             raise ContractError(f"protocol year {self.protocol_year} outside the years >= 1")
         if self.protocol == "specialized" and self.protocol_year is None:
             raise ContractError("specialized protocol needs a year")
+        if self.protocol == "mixed" and self.protocol_year is not None:
+            raise ContractError(f"protocol year {self.protocol_year} given to the mixed protocol, "
+                                "which trains on every year")
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +94,32 @@ def optimizer_step(vector, grad, state: AdamState, cfg: TrainConfig):
 # batched forward
 
 
-def _first_appearances(keys):
-    """The distinct `keys` in the order of their first appearance."""
-    _, first = np.unique(keys, return_index=True)
-    return keys[np.sort(first)]
-
-
 def _select(parcels, years):
-    """(parcel rows, years, past, row of each pair) of the items of the
-    (parcel row, year) pairs given as two int64 arrays, rows >= 0 and
-    years >= 1: the distinct pairs in the order of first appearance, then
-    the years i-1 and i-2 they lack, item by item, so that every distinct
-    pair's `past` is -1 only before year 1.  `past` holds the (items, 2)
-    rows of each item's years i-1 and i-2 among them, -1 where there is
-    none.  Items are found in a table of (largest row + 1) * (largest
-    year + 1) entries, so rows should be dense."""
-    if years.min(initial=1) < 1:
-        raise ContractError(f"year {years.min()} outside the years >= 1")
+    """(parcel rows, years, past) of the items of the (parcel row, year)
+    pairs given as two int64 arrays, rows >= 0 and years >= 1: the pairs in
+    order, then the years i-1 and i-2 they lack, each once, in the order
+    first lacked, so that a pair's `past`, the (items, 2) rows of its years
+    i-1 and i-2 among the items, is -1 only before year 1.  A pair given
+    twice is a ContractError naming its year.  Items are found in a table
+    of (largest row + 1) * (largest year + 1) entries, so rows should be
+    dense."""
     width = int(years.max(initial=0)) + 1
     pairs = parcels * width + years  # one key per (parcel, year)
     # the row of each key among the items, -1 for a key that is none
     row = np.full(width * (int(parcels.max(initial=-1)) + 1), -1)
-    chosen = _first_appearances(pairs)
-    row[chosen] = np.arange(chosen.size)
+    row[pairs] = np.arange(pairs.size)
+    twice = np.flatnonzero(row[pairs] != np.arange(pairs.size))
+    if twice.size:
+        raise ContractError(f"year {years[twice[0]]} asked for more than once")
     back = np.arange(1, 3)
-    behind, has = chosen[:, None] - back, (chosen % width)[:, None] > back
-    lack = _first_appearances(behind[has & (row[np.where(has, behind, 0)] < 0)])
-    row[lack] = np.arange(chosen.size, chosen.size + lack.size)
-    keys = np.concatenate([chosen, lack])
+    behind, has = pairs[:, None] - back, (pairs % width)[:, None] > back
+    lack = behind[has & (row[np.where(has, behind, 0)] < 0)]
+    _, first = np.unique(lack, return_index=True)
+    lack = lack[np.sort(first)]
+    row[lack] = np.arange(pairs.size, pairs.size + lack.size)
+    keys = np.concatenate([pairs, lack])
     behind, has = keys[:, None] - back, (keys % width)[:, None] > back
-    return keys // width, keys % width, np.where(has, row[np.where(has, behind, 0)], -1), row[pairs]
+    return keys // width, keys % width, np.where(has, row[np.where(has, behind, 0)], -1)
 
 
 class _Items(NamedTuple):
@@ -128,7 +127,7 @@ class _Items(NamedTuple):
     and sliced per batch: parcel ids, years, labels, pixel counts, dates T,
     pixel sets, days padded to the longest T, and `past`, the (items, 2)
     rows of each item's years i-1 and i-2 among them, -1 where there is
-    none."""
+    none.  Each (parcel id, year) is one item."""
 
     ids: np.ndarray
     years: np.ndarray
@@ -141,23 +140,24 @@ class _Items(NamedTuple):
 
     @classmethod
     def of_columns(cls, columns, years):
-        """(_Items, the row of each pair in them) of the pairs of each
-        parcel of the `data.Columns` with each of `years`, parcel by
-        parcel, items selected as `_select` does: slices of the columns,
-        each item's pixels its sample's array.  Rows with one id are one
-        parcel, whose items are built once."""
-        years = np.fromiter(years, np.int64)
-        _, first, same = np.unique(columns.ids, return_index=True, return_inverse=True)
-        parcel, item_years, past, rows = _select(
-            np.repeat(first[same], years.size), np.tile(years, len(columns)))
+        """The _Items of each parcel of the `data.Columns` with each of
+        `years`, parcel by parcel, first, then the past years they lack,
+        as `_select` orders them: slices of the columns, each item's pixels
+        its sample's array.  A year outside the columns' years, or given
+        twice, is a ContractError."""
+        years, num_years = np.fromiter(years, np.int64), columns.num_years
+        outside = years[(years < 1) | (years > num_years)]
+        if outside.size:
+            raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
+        parcel, item_years, past = _select(
+            np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
         k = (parcel, item_years - 1)
         ts = columns.ts[k]
         days = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
         days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
             [np.empty(0, np.int64), *columns.days[k]])
-        items = cls(columns.ids[parcel], item_years, columns.labels[k], columns.n_pixels[k], ts,
-                    columns.pixels[k], days, past)
-        return items, rows
+        return cls(columns.ids[parcel], item_years, columns.labels[k], columns.n_pixels[k], ts,
+                   columns.pixels[k], days, past)
 
     def take(self, rows):
         """The items at `rows`, an index array or a slice."""
@@ -234,27 +234,20 @@ def _descriptors(model, items, columns, counts, batch_size):
 ENCODE_BATCH = 256
 
 
-def _read(model, items, rows):
-    """The leading _Items that the model's head reads for the items at
-    `rows`: those items, which come first, and on "obs" also the past
-    years after them."""
-    return items if model.variant == "obs" else items.take(slice(0, rows.max(initial=-1) + 1))
-
-
 def items_of(parcels, years=None):
-    """(_Items, the row of each pair in them) of the (parcel, year) pairs
-    of `parcels`, a list of parcels or a `data.Columns`, parcel by parcel,
-    each with each of `years`, or with each of its years when None."""
+    """The _Items of `parcels`, a list of parcels or a `data.Columns`, as
+    `_Items.of_columns` builds them, each parcel with each of `years`, or
+    with each of its years when None."""
     columns = as_columns(parcels)
     return _Items.of_columns(columns, range(1, columns.num_years + 1) if years is None else years)
 
 
-def encode_items(model, items, rows, stream, batch_size=ENCODE_BATCH):
-    """The descriptors of the leading rows of the _Items `items` that the
-    model's head reads for the items at `rows`, each encoded once from the
-    pixel draw keyed by (*stream, parcel id, year).  Callers run it outside
-    `ad.recording`, so it records nothing on a tape."""
-    read = _read(model, items, rows)
+def encode_items(model, items, n, stream, batch_size=ENCODE_BATCH):
+    """Descriptors of the leading _Items that the head reads for the first
+    `n`, the requested ones, and on "obs" also the past years after them,
+    each encoded once from the pixel draw keyed by (*stream, parcel id,
+    year).  Run outside `ad.recording`, it records nothing on a tape."""
+    read = items if model.variant == "obs" else items.take(slice(0, n))
     columns, counts = _draw(read, stream, model.dims.sample_pixels)
     return _descriptors(model, read, columns, counts, batch_size)
 
@@ -319,17 +312,17 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     `data.Columns`; selects the best epoch by validation mIoU."""
     cfg.validate()
     train_columns, val = as_columns(train_parcels), as_columns(val_parcels)
-    if not len(train_columns):
-        raise ContractError("empty training split")
+    years = _training_years(cfg, dataset.num_years)
+    n = len(train_columns) * len(years)
+    if not n:
+        raise ContractError("no training samples: an empty split or a dataset of no years")
     model = CropModel(dims, cfg.variant, seed=cfg.seed + fold)
     params = model.parameters()
     state = AdamState()
-    items, rows = _Items.of_columns(train_columns, _training_years(cfg, dataset.num_years))
-    if not rows.size:
-        raise ContractError("no training samples under this protocol")
-    # the trained rows come first; "obs" also draws the past years after them
-    trained = items.take(slice(0, rows.max() + 1))
-    drawn = _read(model, items, rows)
+    items = _Items.of_columns(train_columns, years)
+    # the trained items come first; "obs" also draws the past years after them
+    trained = items.take(slice(0, n))
+    drawn = items if cfg.variant == "obs" else trained
     # the best epoch's weights: a copy, as the vector is updated in place
     best = (-1.0, 0, model.vector.copy())
     epoch_log = []
@@ -417,11 +410,12 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     """The `binio.predictions` array of the requested parcel-years, one row
     each, parcel by parcel and each parcel's years in the requested order;
-    no parcel-year gives 0 rows.  Pixel draws are fixed by (seed, parcel,
-    year), so repeated calls are identical and a parcel's rows do not
-    depend, bit for bit, on the other parcels in the call:
-    `batch_size` only cuts the encoder's batches, and the head decodes
-    every item in one call, one row independent of the others.
+    a parcel or year asked for twice is a ContractError naming it.  Pixel
+    draws are fixed by (seed, parcel, year), so repeated calls are
+    identical and a parcel's rows do not depend, bit for bit, on the other
+    parcels in the call: `batch_size` only cuts the encoder's batches, and
+    the head decodes every item in one call, one row independent of the
+    others.
 
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
@@ -429,17 +423,14 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
     are a ContractError.  `parcels` is a list of parcels or a
     `data.Columns`, whose items are slices of its columns."""
     columns = as_columns(parcels)
-    num_years = columns.num_years
-    wanted = list(years) if years is not None else list(range(1, num_years + 1))
+    wanted = list(years) if years is not None else list(range(1, columns.num_years + 1))
     if not (len(columns) and wanted):
         return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
-    outside = [y for y in wanted if not 1 <= y <= num_years]
-    if outside:
-        raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
-    items, rows = _Items.of_columns(columns, wanted)
-    table = encode_items(model, items, rows, (seed,), batch_size)
-    features = _features(model, items, items.past[rows], table)
-    z = np.asarray(heads.decode(table[rows], model.head, features).data)
-    asked = items.take(rows)
+    items = _Items.of_columns(columns, wanted)
+    n = len(columns) * len(wanted)
+    table = encode_items(model, items, n, (seed,), batch_size)
+    asked = items.take(slice(0, n))
+    features = _features(model, items, asked.past, table)
+    z = np.asarray(heads.decode(table[:n], model.head, features).data)
     _refuse_non_finite(z, asked, "logits")
     return predictions(asked.ids, asked.years, asked.labels, z)

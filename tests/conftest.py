@@ -19,25 +19,25 @@ settings.load_profile("croprot")
 
 
 def encode_pairs(model, pairs, stream, batch_size=256):
-    """(the _Items of the (parcel, year) pairs, as `oracles.items_of`
-    builds them, the row of each pair in them, their `encode_items`
-    descriptors)."""
-    items, rows = oracles.items_of(pairs)
-    return items, rows, encode_items(model, items, rows, stream, batch_size)
+    """(the _Items of the distinct (parcel, year) pairs, as
+    `oracles.items_of` builds them, the pairs first, and their
+    `encode_items` descriptors)."""
+    items = oracles.items_of(pairs)
+    return items, encode_items(model, items, len(pairs), stream, batch_size)
 
 
 def descriptors_of(model, items, stream, batch_size=256):
     """{(parcel_id, year): descriptor} of the rows one `encode_items` call
     encodes for the (parcel, year) items."""
-    encoded, _, table = encode_pairs(model, items, stream, batch_size)
+    encoded, table = encode_pairs(model, items, stream, batch_size)
     return dict(zip(zip(encoded.ids.tolist(), encoded.years.tolist()), table))
 
 
 def features_of(model, items, stream=(7,)):
     """Head features of the (parcel, year) items, read from the rows of one
     `encode_items` call as `predict` reads them."""
-    encoded, rows, table = encode_pairs(model, items, stream)
-    return _features(model, encoded, encoded.past[rows], table)
+    encoded, table = encode_pairs(model, items, stream)
+    return _features(model, encoded, encoded.past[:len(items)], table)
 
 
 def tiny_dims(num_classes=4, variant_descriptor=8):

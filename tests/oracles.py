@@ -434,23 +434,14 @@ def load_dataset(path):
 
 
 def items_of(pairs):
-    """(_Items, the row of each pair in them) of a list of (parcel, year)
-    pairs, items selected as `_select` does and read from the parcel
-    objects.  Two parcels with one id, whose rows would share a key, and
-    an id outside [0, 2^64) are a ContractError."""
-    owners = {}
-    for p, _ in pairs:
-        if owners.setdefault(p.parcel_id, p) is not p:
-            raise ContractError(f"parcel id {p.parcel_id} names more than one parcel")
-    for pid in owners:
-        if not 0 <= pid < 1 << 64:
-            raise ContractError(f"parcel id {pid} outside [0, 2^64)")
-    row = {pid: i for i, pid in enumerate(owners)}
-    parcel, years, past, rows = _select(
-        np.array([row[p.parcel_id] for p, _ in pairs], np.int64).reshape(-1),
-        np.array([y for _, y in pairs], np.int64).reshape(-1))
-    parcels = list(owners.values())
-    samples = [parcels[i].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
+    """The _Items of a list of distinct (parcel, year) pairs, items
+    selected as `_select` does and read from the parcel objects, each
+    parcel's samples from the first pair that names its id."""
+    ids = np.array([p.parcel_id for p, _ in pairs], np.uint64).reshape(-1)
+    distinct, first, row = np.unique(ids, return_index=True, return_inverse=True)
+    parcel, years, past = _select(row.reshape(-1).astype(np.int64),
+                                  np.array([y for _, y in pairs], np.int64).reshape(-1))
+    samples = [pairs[first[i]][0].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
     ts = np.array([s.days.size for s in samples], np.int64).reshape(-1)
     days = np.zeros((len(samples), ts.max(initial=0)), np.int64)
     for d, s in zip(days, samples):
@@ -458,9 +449,8 @@ def items_of(pairs):
     pixels = np.empty(len(samples), object)
     for i, s in enumerate(samples):
         pixels[i] = s.pixels
-    items = _Items(np.array(list(owners), np.uint64).reshape(-1)[parcel], years,
-                   np.array([s.label for s in samples], np.int64).reshape(-1),
-                   np.array([s.pixels.shape[1] for s in samples], np.int64).reshape(-1),
-                   ts, pixels, days, past)
-    return items, rows
+    return _Items(distinct[parcel], years,
+                  np.array([s.label for s in samples], np.int64).reshape(-1),
+                  np.array([s.pixels.shape[1] for s in samples], np.int64).reshape(-1),
+                  ts, pixels, days, past)
 

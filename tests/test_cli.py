@@ -569,6 +569,9 @@ def malformed(workdir, tmp_path_factory):
         "config_protocol_year_5": json.dumps(
             {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "protocol": "specialized",
                                      "protocol_year": 5}}),
+        "config_mixed_protocol_year": json.dumps(
+            {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "protocol": "mixed",
+                                     "protocol_year": 2}}),
         "preds_2_classes": json.dumps({"meta": _META, "val": [{**_RECORD, "logits": [0.5, -0.5]}],
                                        "test": [{**_RECORD, "logits": [0.5, -0.5]}]}),
         "config_not_utf8": b'{"train": {"\xff": 1}}',
@@ -854,6 +857,8 @@ CLI_MATRIX = {
     "eval-dataset-directory": (_EVAL.replace("{dataset}", "{directory}"), 3),
     # arguments out of range: exit 4
     "train-protocol-year-5": (_TRAIN.replace("{cfg}", "{config_protocol_year_5}"), 4),
+    # the mixed protocol trains every year: a protocol year would do nothing
+    "train-mixed-protocol-year": (_TRAIN.replace("{cfg}", "{config_mixed_protocol_year}"), 2),
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),
     "split-block-size-negative": ("split --dataset {dataset} --out {out} --block-size -5", 4),

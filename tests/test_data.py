@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -712,7 +713,7 @@ def _negative_label(parcels):
     (_drop_channel, r"parcel 2, year 2: pixels \(3, "),
     (_drop_day, r"parcel 0, year 3: pixels \(4, \d+, 12\) and 11 dates"),
     (_drop_pixels, r"parcel 1, year 1: pixels \(4, 0, "),
-    (_negative_id, r"parcel id -1 outside \[0, 2\^64\)"),
+    (_negative_id, r"parcel id -1 outside the integers in \[0, 2\^64\)"),
     (_flat_pixels, r"parcel 0, year 2: pixels of shape \(\d+, 12\)"),
     (_float_days, r"parcel 2, year 1: float64 days"),
     (_float_label, r"parcel 1, year 3: label 2.7; need an integer"),
@@ -741,12 +742,15 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     # in for the first in predict and embed
     path = tmp_path / "ds.rcds"
     parcels = generate_synthetic(SyntheticConfig(parcels=4, seed=0))
-    # one parcel object named twice is one parcel to `Columns.of`, and two
-    # to the file
+    # one parcel object named twice, and two objects with one id, meet one
+    # refusal, as does a `Columns` that holds the id twice
     with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, parcels + parcels[:1], 8)
+    twice = data.Columns.of(parcels[:2]).take(np.array([0, 1, 0]))
+    with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
+        save_dataset(path, twice, 8)
     parcels[1] = dataclasses.replace(parcels[1], parcel_id=0)
-    with pytest.raises(DataFormatError, match="parcel id 0 names more than one parcel"):
+    with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, parcels, 8)
     assert not path.exists()
     path.write_bytes(oracles.encode_rcds(parcels, 8))
@@ -754,6 +758,20 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
         with pytest.raises(DataFormatError) as exc:
             load(path)
         assert str(exc.value) == "parcel 0: id appears more than once (parcel ids at offset 25)"
+
+
+def test_save_holds_the_file_once(tmp_path):
+    # each column is written on its own: the traced peak holds the pixel
+    # column and its finiteness check, not a second copy of the whole file
+    parcels = generate_synthetic(SyntheticConfig(parcels=300, seed=0))
+    path = tmp_path / "ds.rcds"
+    tracemalloc.start()
+    try:
+        save_dataset(path, parcels, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_sample_without_dates_refused_by_save_and_load(tmp_path):

@@ -4,11 +4,13 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from croprot import analytics, autodiff as ad, encoders, heads, training
 from croprot.binio import predictions, read_predictions, write_predictions
 from croprot.calibration import reliability
 from croprot.data import (
+    Columns,
     Dataset,
     MultiYearParcel,
     PixelSetSample,
@@ -142,6 +144,9 @@ class TestConfigAndRecords:
             TrainConfig(seed=-1).validate()
         with pytest.raises(ContractError, match="protocol year 0"):
             TrainConfig(protocol_year=0).validate()
+        # the mixed protocol trains on every year: a year would do nothing
+        with pytest.raises(ContractError, match="protocol year 2 given to the mixed protocol"):
+            TrainConfig(protocol="mixed", protocol_year=2).validate()
         with pytest.raises(ConfigError, match="unknown head variant 'crf'"):
             TrainConfig(variant="crf").validate()
 
@@ -171,7 +176,7 @@ class TestConfigAndRecords:
 def _item_batches(columns, years, batch_size, rng):
     """`_batches` of the items of the `Columns` with each of `years`, as
     lists of (parcel id, year) pairs."""
-    items, _ = _Items.of_columns(columns, years)
+    items = _Items.of_columns(columns, years)
     pairs = list(zip(items.ids.tolist(), items.years.tolist()))
     return [[pairs[i] for i in rows] for rows in _batches(items, batch_size, rng)]
 
@@ -278,10 +283,10 @@ class TestPredict:
                 predict(model, ds.parcels[:3] + [huge])
 
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
-    @pytest.mark.parametrize("years", [None, [3], [2, 2]])
+    @pytest.mark.parametrize("years", [None, [3], [3, 1]])
     def test_items_built_once(self, small_dataset, monkeypatch, variant, years):
-        # requested and past-year items come from one _Items; a year asked
-        # twice gives two equal records
+        # requested and past-year items come from one _Items, year 2 of
+        # [3, 1] among the past years that "obs" reads
         ds, cfg = small_dataset
         model = CropModel(_dims(cfg), variant, seed=1)
         calls = []
@@ -289,9 +294,14 @@ class TestPredict:
         monkeypatch.setattr(_Items, "of_columns",
                             lambda columns, years: calls.append(len(columns)) or of(columns, years))
         records = predict(model, ds.parcels[:10], years=years)
-        assert len(calls) == 1
-        if years == [2, 2]:
-            assert all(np.array_equal(a.logits, b.logits) for a, b in zip(records[::2], records[1::2]))
+        assert len(calls) == 1 and len(records) == 10 * len(years or (1, 2, 3))
+
+    @pytest.mark.parametrize("years", [[2, 2], [1, 3, 1]])
+    def test_repeated_year_refused(self, trained, years):
+        # a parcel-year is one item, and one record
+        ds, model = trained
+        with pytest.raises(ContractError, match=f"^year {years[-1]} asked for more than once$"):
+            predict(model, ds.parcels[:3], years=years)
 
     @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
     def test_ids_up_to_two_to_the_64(self, trained, pid):
@@ -308,13 +318,15 @@ class TestPredict:
 
     def test_negative_id_refused(self, trained):
         ds, model = trained
-        with pytest.raises(ContractError, match=r"parcel id -1 outside \[0, 2\^64\)"):
+        with pytest.raises(ContractError, match=r"parcel id -1 outside the integers in \[0, 2\^"):
             predict(model, [dataclasses.replace(ds.parcels[0], parcel_id=-1)])
 
-    def test_same_parcel_twice_gives_equal_records(self, trained):
+    def test_same_parcel_twice_refused(self, trained):
+        # one parcel object named twice, as two objects with one id are
         ds, model = trained
-        a, b = predict(model, [ds.parcels[2]] * 2, years=[3])
-        assert a.parcel_id == b.parcel_id and np.array_equal(a.logits, b.logits)
+        p = ds.parcels[2]
+        with pytest.raises(ContractError, match=f"^parcel {p.parcel_id}: id appears more than"):
+            predict(model, [ds.parcels[1], p, ds.parcels[0], p], years=[3])
 
     def test_non_finite_logits_refused(self, trained):
         ds, model = trained
@@ -341,23 +353,45 @@ def ragged(tmp_path_factory):
     return load_dataset(path), cfg
 
 
+_FIVE_YEARS = Columns.of(generate_synthetic(SyntheticConfig(parcels=4, num_years=5, timesteps=5,
+                                                             seed=3)))
+
+
 class TestColumnItems:
     """`_Items.of_columns` slices the items that `oracles.items_of` reads
     from the same parcels' objects."""
 
-    @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 2], [1]])
+    @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 1], [1]])
     def test_equal_to_items_of_parcels(self, ragged, years):
         ds, _ = ragged
         rows = np.array([5, 0, 7, 3, 11])
-        got, got_rows = _Items.of_columns(ds.columns.take(rows), years)
-        want, want_rows = oracles.items_of([(ds.parcels[i], y) for i in rows.tolist()
-                                            for y in years])
-        assert got_rows.tolist() == want_rows.tolist()
+        got = _Items.of_columns(ds.columns.take(rows), years)
+        want = oracles.items_of([(ds.parcels[i], y) for i in rows.tolist() for y in years])
         for name, a, b in zip(_Items._fields, got, want):
             if name == "pixels":
                 assert [(x.shape, x.tobytes()) for x in a] == [(x.shape, x.tobytes()) for x in b]
             else:
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @given(years=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    @example(years=[3])
+    @settings(max_examples=40)
+    def test_asked_pairs_first_and_past_rows_point_back(self, years):
+        # the asked pairs in order, then the past years they lack; a past
+        # row is the item of its parcel's year i-1 or i-2, and an asked
+        # pair's is -1 only before year 1
+        columns = _FIVE_YEARS.take(np.array([2, 0, 3]))
+        items = _Items.of_columns(columns, years)
+        n = len(columns) * len(years)
+        keys = list(zip(items.ids.tolist(), items.years.tolist()))
+        assert keys[:n] == [(pid, y) for pid in columns.ids.tolist() for y in years]
+        assert len(set(keys)) == len(keys)
+        for i, ((pid, y), past) in enumerate(zip(keys, items.past.tolist())):
+            for back, row in zip((1, 2), past):
+                if row >= 0:
+                    assert keys[row] == (pid, y - back)
+                else:
+                    assert i >= n or y - back < 1
 
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
     def test_predict_and_embed_equal_on_columns_and_parcels(self, ragged, tmp_path, variant):
@@ -387,11 +421,12 @@ class TestEncodeItems:
         return model, items
 
     def test_keys_and_shape(self, setup):
+        # one row per pair, in the order asked
         model, items = setup
-        unique, rows, table = encode_pairs(model, items + items[:2], (0,))
-        assert list(zip(unique.ids.tolist(), unique.years.tolist())) == [
+        items = items[::-1]
+        encoded, table = encode_pairs(model, items, (0,))
+        assert list(zip(encoded.ids.tolist(), encoded.years.tolist())) == [
             (p.parcel_id, y) for p, y in items]
-        assert rows.tolist() == list(range(len(items))) + [0, 1]
         assert table.shape == (len(items), model.dims.descriptor)
 
     @pytest.mark.parametrize("variant, encoded", [("single", 6), ("dec", 6), ("obs", 18)])
@@ -402,8 +437,8 @@ class TestEncodeItems:
         ds, cfg = small_dataset
         model = CropModel(_dims(cfg), variant, seed=2)
         calls = _record_draws(monkeypatch)
-        items, rows, table = encode_pairs(model, [(p, 3) for p in ds.parcels[:6]], (0,))
-        assert items.ids.size == 18 and rows.tolist() == list(range(6))
+        items, table = encode_pairs(model, [(p, 3) for p in ds.parcels[:6]], (0,))
+        assert items.ids.size == 18 and items.years[:6].tolist() == [3] * 6
         assert len(table) == len(calls) == encoded
         assert np.isfinite(table).all()
 
@@ -438,7 +473,7 @@ class TestEncodeItems:
 
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, cfg = small_dataset
-        items, _ = _Items.of_columns(ds.columns.take(np.arange(40)), [1])
+        items = _Items.of_columns(ds.columns.take(np.arange(40)), [1])
         _, counts = training._draw(items, (0,), 8)
         distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
@@ -464,11 +499,17 @@ class TestEncodeItems:
             for (p, y), row in zip(batch, want):
                 assert got[(p.parcel_id, y)].tobytes() == row.tobytes()
 
-    def test_each_item_encoded_once(self, setup, monkeypatch):
-        model, items = setup
+    def test_each_item_encoded_once(self, small_dataset, monkeypatch):
+        # "obs" reads years 1 and 2 of each parcel for its year 3 and year
+        # 1 for its year 2, which is itself asked for: every parcel-year is
+        # drawn once
+        ds, cfg = small_dataset
+        model = CropModel(_dims(cfg), "obs", seed=2)
+        parcels = ds.parcels[:6]
         calls = _record_draws(monkeypatch)
-        descriptors_of(model, items + items[:5], (0,))
-        assert sorted(c[1:3] for c in calls) == sorted((p.parcel_id, y) for p, y in items)
+        descriptors_of(model, [(p, y) for p in parcels for y in (3, 2)], (0,))
+        assert sorted(c[1:3] for c in calls) == sorted(
+            (p.parcel_id, y) for p in parcels for y in (1, 2, 3))
 
 
 def _record_draws(monkeypatch):
@@ -584,7 +625,7 @@ def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
     first = ds.parcels[0]
     parcels = [first, dataclasses.replace(ds.parcels[1], parcel_id=first.parcel_id)]
     model = CropModel(_dims(cfg), "dec", seed=1)
-    with pytest.raises(ContractError, match=f"parcel id {first.parcel_id} names more than one"):
+    with pytest.raises(ContractError, match=f"^parcel {first.parcel_id}: id appears more than"):
         if call == "predict":
             predict(model, parcels)
         elif call == "train_single_split":
@@ -593,15 +634,12 @@ def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
             analytics.export_embeddings(model, parcels, tmp_path / "e.csv")
 
 
-def test_parcel_named_twice_trains_once(small_dataset):
-    # a training split's repeated parcel is one parcel: its items are built
-    # and trained on once
+def test_parcel_named_twice_in_a_training_split_refused(small_dataset):
+    # a repeated parcel would be trained on twice as often as the others
     ds, cfg = small_dataset
-    runs = [train_single_split(ds, train, ds.parcels[20:26], TrainConfig(epochs=2, variant="obs"),
-                               _dims(cfg))
-            for train in (ds.parcels[:12], ds.parcels[:12] + ds.parcels[3:5])]
-    assert runs[0][0].vector.tobytes() == runs[1][0].vector.tobytes()
-    assert runs[0][1:] == runs[1][1:]
+    with pytest.raises(ContractError, match="^parcel 3: id appears more than once$"):
+        train_single_split(ds, ds.parcels[:12] + ds.parcels[3:5], ds.parcels[20:26],
+                           TrainConfig(epochs=1, variant="obs"), _dims(cfg))
 
 
 def _with_sample(parcel, year, **fields):
@@ -611,27 +649,31 @@ def _with_sample(parcel, year, **fields):
     return dataclasses.replace(parcel, samples=samples)
 
 
-# a parcel changed so that it does not fit the others of a list, and the
+# a parcel 3 changed so that it does not fit the others of a list, and the
 # refusal that names it
 MALFORMED = {
     "fewer-years": (lambda p: dataclasses.replace(p, samples=p.samples[:2]),
-                    "year 3: the parcel has 2 years"),
+                    "parcel 3, year 3: the parcel has 2 years"),
     "more-years": (lambda p: dataclasses.replace(p, samples=p.samples + p.samples[:1]),
-                   "year 4: the parcel has 4 years"),
+                   "parcel 3, year 4: the parcel has 4 years"),
     "3-channels": (lambda p: _with_sample(p, 2, pixels=p.samples[1].pixels[:3]),
-                   r"year 2: pixels \(3, \d+, 12\) and 12 dates; need 4 channels"),
+                   r"parcel 3, year 2: pixels \(3, \d+, 12\) and 12 dates; need 4 channels"),
     "dates-not-T": (lambda p: _with_sample(p, 3, days=p.samples[2].days[:-1]),
-                    r"year 3: pixels \(4, \d+, 12\) and 11 dates"),
+                    r"parcel 3, year 3: pixels \(4, \d+, 12\) and 11 dates"),
     "2-d-pixels": (lambda p: _with_sample(p, 2, pixels=p.samples[1].pixels[0]),
-                   r"year 2: pixels of shape \(\d+, 12\); need \(C, N_p, T\)"),
+                   r"parcel 3, year 2: pixels of shape \(\d+, 12\); need \(C, N_p, T\)"),
     "float-days": (lambda p: _with_sample(p, 3, days=p.samples[2].days.astype(float)),
-                   r"year 3: float64 days of shape \(12,\); need a \(T,\) integer array"),
+                   r"parcel 3, year 3: float64 days of shape \(12,\); need a \(T,\) integer"),
     "float-label": (lambda p: _with_sample(p, 1, label=2.7),
-                    r"year 1: label 2.7; need an integer in \[0, 2\^63\)"),
+                    r"parcel 3, year 1: label 2.7; need an integer in \[0, 2\^63\)"),
     "label-2-70": (lambda p: _with_sample(p, 2, label=2**70),
-                   r"year 2: label 1180591620717411303424; need an integer"),
+                   r"parcel 3, year 2: label 1180591620717411303424; need an integer"),
     "negative-label": (lambda p: _with_sample(p, 3, label=-1),
-                       r"year 3: label -1; need an integer"),
+                       r"parcel 3, year 3: label -1; need an integer"),
+    "id-1.5": (lambda p: dataclasses.replace(p, parcel_id=1.5),
+               r"parcel id 1.5 outside the integers in \[0, 2\^64\)"),
+    "id-bool": (lambda p: dataclasses.replace(p, parcel_id=True),
+                r"parcel id True outside the integers in \[0, 2\^64\)"),
 }
 
 
@@ -644,7 +686,8 @@ def test_malformed_parcel_lists_refused(small_dataset, tmp_path, call, case):
     odd = ds.parcels[3]
     parcels = ds.parcels[:3] + [change(odd)] + ds.parcels[4:6]
     model = CropModel(_dims(cfg), "dec", seed=1)
-    with pytest.raises(ContractError, match=f"parcel {odd.parcel_id}, {message}"):
+    assert odd.parcel_id == 3
+    with pytest.raises(ContractError, match=message):
         if call == "predict":
             predict(model, parcels)
         elif call == "train_single_split":

@@ -61,6 +61,11 @@ documented change of the `.rcds` layout, as from format version 1 to 2.
 The `load` lines hash what `load_dataset` returns, and every other line
 what is computed from the data, so none of them may move with the
 layout.
+
+`tools/fingerprint.expected` holds the output, with OMP_NUM_THREADS=1,
+that the tree is meant to give; `tests/test_fingerprint.py` runs this
+script and names every line that differs from it.  A change that moves a
+line on purpose updates that file with it.
 """
 
 import contextlib
