@@ -125,9 +125,9 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 def _conform(tp, value):
     """`value` as a value of the field annotation `tp`: int, float, str,
     `X | None` (an X), `tuple[X, ...]` (a list of X, made a tuple) or
-    `dict[int, int]` (an object whose keys its caller made integers); a
-    float is a JSON number that a float holds finitely, kept as given.  A
-    value that does not match raises TypeError naming it."""
+    `dict[...]` (an object, whose entries the class's `validate()`
+    checks); a float is a JSON number that a float holds finitely, kept as
+    given.  A value that does not match raises TypeError naming it."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return _conform(args[0], value)
@@ -136,8 +136,6 @@ def _conform(tp, value):
         raise TypeError(f"{json.dumps(value)} is not {name}")
     if origin is tuple:
         return tuple(_conform(args[0], v) for v in value)
-    if origin is dict:
-        return {_conform(args[0], k): _conform(args[1], v) for k, v in value.items()}
     if tp is float:
         try:
             finite = math.isfinite(value)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import json
 import math
 import operator
 import os
@@ -179,9 +180,16 @@ class Columns:
         return self.pixels.flat[0].shape[0] if self.pixels.size else 0
 
     def take(self, rows):
-        """The columns of the parcels at `rows`, an index array of distinct rows."""
-        return dataclasses.replace(self, **{name: getattr(self, name)[rows] for name in (
-            "ids", "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
+        """The columns of the parcels at `rows`, an index array of distinct
+        rows; a row given twice is a ContractError naming its parcel."""
+        ids = self.ids[rows]
+        # the ids are distinct, so a repeated id is a repeated row, also
+        # where a negative index and a positive one name the same row
+        i = _first_repeat(ids)
+        if i is not None:
+            raise ContractError(f"parcel {ids[i]}: row given more than once")
+        return dataclasses.replace(self, ids=ids, **{name: getattr(self, name)[rows] for name in (
+            "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
 
     def parcels(self):
         """The parcels as `MultiYearParcel` objects holding the columns'
@@ -254,9 +262,17 @@ class FoldAssignment:
             raise ContractError(f"k must be >= 2, got {self.k}")
         if not 0 < self.block_size < math.inf:
             raise ContractError(f"block_size must be positive and finite, got {self.block_size}")
-        for pid, f in self.folds.items():
-            if not 0 <= f < self.k:
-                raise ContractError(f"parcel {pid} has fold {f}, not one in [0, {self.k})")
+        # whole-list checks of the ids and folds; a Python loop runs only
+        # to name the entry that fails one
+        folds = list(self.folds.values())
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, itertools.chain(self.folds, folds)))):
+            f = next(f for f in itertools.chain(self.folds, folds)
+                     if isinstance(f, bool) or not isinstance(f, (int, np.integer)))
+            raise ContractError(f"folds: {json.dumps(f, default=repr)} is not an integer")
+        if folds and not (min(folds) >= 0 and max(folds) < self.k):
+            pid, f = next((pid, f) for pid, f in self.folds.items() if not 0 <= f < self.k)
+            raise ContractError(f"parcel {pid} has fold {f}, not one in [0, {self.k})")
 
     def val_fold(self, fold):
         """The validation fold paired with test fold `fold`: the next one,
@@ -292,11 +308,20 @@ def load_folds(path, ids):
     the parcel ids `ids` a fold.  A key that is not the decimal text of an
     id in [0, 2^64) is a DataFormatError."""
     doc = read_json(path, "folds file")
-    if type(doc.get("folds")) is dict:
-        for key in doc["folds"]:
-            if not (_ID_TEXT.fullmatch(key) and int(key) < 2**64):
-                raise DataFormatError(f"folds file {path}: key {key!r} is not a parcel id")
-        doc["folds"] = {int(pid): f for pid, f in doc["folds"].items()}
+    folds = doc.get("folds")
+    if type(folds) is dict:
+        keys = list(folds)
+        try:
+            pids = list(map(int, keys))
+        except ValueError:
+            pids = None
+        # int() also reads signs, spaces, underscores and non-ASCII digits;
+        # a key is an id's text when str() gives it back
+        if pids is None or list(map(str, pids)) != keys or (
+                pids and not (min(pids) >= 0 and max(pids) < 2**64)):
+            key = next(key for key in keys if not (_ID_TEXT.fullmatch(key) and int(key) < 2**64))
+            raise DataFormatError(f"folds file {path}: key {key!r} is not a parcel id")
+        doc["folds"] = dict(zip(pids, folds.values()))
     folds = from_json(FoldAssignment, doc, f"folds file {path}", DataFormatError)
     ids = np.asarray(ids, np.uint64)
     missing = ids[~np.isin(ids, np.fromiter(folds.folds, np.uint64, len(folds.folds)))]
@@ -441,56 +466,81 @@ def _acquisition_days(jitter):
     return np.clip(np.maximum.accumulate(days - step, axis=-1) + step, 1, 366)
 
 
-# parcels per chunk of `generate_synthetic`: the float64 curves and noise
-# behind the float32 pixels are built one chunk at a time, so their memory
-# does not grow with the parcel count
+# parcels per chunk of `generate_synthetic`: the float64 draw tables,
+# curves and noise behind the float32 pixels are built one chunk at a time,
+# so their memory does not grow with the parcel count.  The chunk size
+# bounds that memory only: every size makes the same draws in the same
+# order and gives the same bytes
 SYNTH_CHUNK = 32
 
 
 def generate_synthetic(config: SyntheticConfig):
     """Deterministic synthetic dataset following the configured rotation
-    kernel and phenology curves."""
+    kernel and phenology curves.  Each draw is made by the cheapest
+    `Generator` call that consumes the same bits as the `uniform`,
+    `choice` or `normal` call it stands for, into per-chunk tables; the
+    two `integers` calls stay where they are, since PCG64 serves them from
+    a 32-bit half-word it keeps between calls."""
     config.validate()
     rng = np.random.default_rng(np.random.PCG64(config.seed))
+    random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
     # each row's CDF, as `Generator.choice(L, p=row)` computes it: a label
-    # is the CDF's searchsorted(random(), "right"), the same draw and label
+    # is the number of CDF entries <= random(), the same draw and label
     cdf = config.transition_matrix().cumsum(axis=1)
     cdf /= cdf[:, -1:]
     curves = config.phenology_curves()
     L, I, C, T = config.num_classes, config.num_years, config.channels, config.timesteps
+    low, high = config.pixels_min, config.pixels_max + 1
     # per-year global covariate shift, one offset per channel
     shift = config.year_shift * rng.uniform(-1, 1, (I, C))
     parcels = []
     for first in range(0, config.parcels, SYNTH_CHUNK):
-        ids = range(first, min(first + SYNTH_CHUNK, config.parcels))
+        K = min(SYNTH_CHUNK, config.parcels - first)
         # the chunk's draws, in the generator's order: per parcel its
-        # centroid and labels, then per year its pixel count, date jitter
-        # and (C, n_p, T) noise
-        centroids, labels, n_pixels, jitter, noise = [], [], [], [], []
-        for _ in ids:
-            centroids.append(tuple(rng.uniform(0, config.area_size, 2)))
-            labels.append(int(rng.integers(L)))
-            for _ in range(1, I):
-                labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
-            for _ in range(I):
-                n_pixels.append(int(rng.integers(config.pixels_min, config.pixels_max + 1)))
-                jitter.append(rng.uniform(-4, 4, T))
-                noise.append(rng.normal(0, config.noise_std, (C, n_pixels[-1], T)))
-        days = _acquisition_days(np.array(jitter))  # one row per parcel-year
+        # centroid, first label and I - 1 label draws, then per year its
+        # pixel count, date jitter and (C, n_p, T) noise, each sample's
+        # noise right after the one before it in `noise`
+        centroids, label_draws = np.empty((K, 2)), np.empty((K, I - 1))
+        jitter, noise = np.empty((K, I, T)), np.empty(K * I * C * config.pixels_max * T)
+        first_labels, n_pixels, filled = [], [], 0
+        for centroid, draws, rows in zip(centroids, label_draws, jitter):
+            random(out=centroid)
+            first_labels.append(integers(L))
+            random(out=draws)
+            for row in rows:
+                n = int(integers(low, high))
+                n_pixels.append(n)
+                random(out=row)
+                standard_normal(out=noise[filled:filled + C * n * T])
+                filled += C * n * T
+        # numpy's uniform(low, high) is low + (high - low) * random(), and
+        # its normal(0, s) is 0 + s * standard_normal(): the same values
+        # once noise is added to a curve, which turns a -0.0 into +0.0
+        centroids *= config.area_size
+        jitter *= 8
+        jitter -= 4
+        labels = np.empty((K, I), np.int64)
+        labels[:, 0] = first_labels
+        for i in range(1, I):
+            labels[:, i] = (cdf[labels[:, i - 1]] <= label_draws[:, i - 1:i]).sum(axis=1)
+        labels = labels.ravel()
+        days = _acquisition_days(jitter.reshape(-1, T))  # one row per parcel-year
         clean = double_logistic(curves[labels], days).reshape(-1, I, C, T) + shift[:, :, None]
         # each sample's (C, n_p, T) pixels as consecutive rows of one table;
         # float addition commutes exactly, so this is (curve + shift) + noise
-        noise = np.concatenate(noise, axis=None).reshape(-1, T)
+        noise = noise[:filled].reshape(-1, T)
+        noise *= config.noise_std
         noise += np.repeat(clean.reshape(-1, T), np.repeat(n_pixels, C), axis=0)
         pixels = noise.astype(np.float32)
+        labels = labels.tolist()
         ends = (np.cumsum(n_pixels) * C).tolist()
         samples = [
             PixelSetSample(first + k // I, k % I + 1, pixels[end - n * C:end].reshape(C, n, T),
                            days[k], labels[k])
             for k, (n, end) in enumerate(zip(n_pixels, ends))
         ]
-        parcels += [MultiYearParcel(pid, centroid, samples[j * I:(j + 1) * I])
-                    for j, (pid, centroid) in enumerate(zip(ids, centroids))]
+        parcels += [MultiYearParcel(first + j, centroid, samples[j * I:(j + 1) * I])
+                    for j, centroid in enumerate(zip(centroids[:, 0], centroids[:, 1]))]
     return parcels
 
 

@@ -143,12 +143,19 @@ class _Items(NamedTuple):
         """The _Items of each parcel of the `data.Columns` with each of
         `years`, parcel by parcel, first, then the past years they lack,
         as `_select` orders them: slices of the columns, each item's pixels
-        its sample's array.  A year outside the columns' years, or given
-        twice, is a ContractError."""
-        years, num_years = np.fromiter(years, np.int64), columns.num_years
-        outside = years[(years < 1) | (years > num_years)]
-        if outside.size:
+        its sample's array.  A year that is not an integer (a bool is
+        none), outside the columns' years, or given twice, is a
+        ContractError."""
+        years = list(years)
+        bad = [y for y in years if isinstance(y, bool) or not isinstance(y, (int, np.integer))]
+        if bad:
+            raise ContractError(f"year {bad[0]!r} is not an integer")
+        num_years = columns.num_years
+        # checked as Python ints, so that no year wraps into int64
+        outside = [y for y in years if not 1 <= y <= num_years]
+        if outside:
             raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
+        years = np.fromiter(years, np.int64, len(years))
         parcel, item_years, past = _select(
             np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
         k = (parcel, item_years - 1)

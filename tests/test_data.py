@@ -204,16 +204,31 @@ class TestChunkedGenerator:
         cfg = SyntheticConfig(parcels=12, seed=7, **change)
         _same_parcels(generate_synthetic(cfg), oracles.generate_synthetic(cfg))
 
-    @given(chunk=st.integers(1, 6), parcels=st.integers(1, 15), num_years=st.integers(1, 4),
-           num_classes=st.integers(2, 6), channels=st.integers(1, 3),
-           timesteps=st.integers(4, 9), pixels=st.tuples(st.integers(1, 5), st.integers(0, 3)),
-           noise_std=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32))
+    def test_default_chunk_experiment_shapes(self):
+        # criterion 8's shapes over two full chunks and a part one
+        cfg = SyntheticConfig(num_classes=8, channels=4, timesteps=12,
+                              parcels=2 * SYNTH_CHUNK + 5, pixels_min=4, pixels_max=16,
+                              year_shift=0.3, other_within=0.5,
+                              curve_groups=((0, 1), (2, 3)), seed=101)
+        _same_parcels(generate_synthetic(cfg), oracles.generate_synthetic(cfg))
+
+    # chunks of up to 1000 parcels whose few pixels fill little of the
+    # chunk's table, reserved for pixels_max per sample
+    @given(chunk=st.sampled_from([1, 2, 3, 4, 5, 6, 32, 1000]), parcels=st.integers(1, 40),
+           num_years=st.integers(1, 4), num_classes=st.integers(2, 6),
+           channels=st.integers(1, 3), timesteps=st.integers(4, 9),
+           pixels=st.integers(1, 16).flatmap(lambda low: st.tuples(st.just(low),
+                                                                   st.integers(low, 16))),
+           noise_std=st.sampled_from([0.0, 0.05, 1.0]),
+           area_size=st.floats(1e-6, 1e12) | st.sampled_from([1.0, 10000.0, 1e300]),
+           year_shift=st.floats(0.0, 2.0), seed=st.integers(0, 2**32))
     def test_small_configs(self, chunk, parcels, num_years, num_classes, channels, timesteps,
-                           pixels, noise_std, seed):
+                           pixels, noise_std, area_size, year_shift, seed):
         cfg = SyntheticConfig(num_classes=num_classes, num_years=num_years, channels=channels,
                               timesteps=timesteps, parcels=parcels, pixels_min=pixels[0],
-                              pixels_max=sum(pixels), noise_std=noise_std,
-                              permanent_classes=(0,), cycles=((1,),), seed=seed)
+                              pixels_max=pixels[1], noise_std=noise_std, year_shift=year_shift,
+                              area_size=area_size, permanent_classes=(0,), cycles=((1,),),
+                              seed=seed)
         with mock.patch.object(data, "SYNTH_CHUNK", chunk):
             got = generate_synthetic(cfg)
         _same_parcels(got, oracles.generate_synthetic(cfg))
@@ -461,6 +476,23 @@ class TestFoldsFile:
         path = tmp_path / "folds.json"
         path.write_text(json.dumps({"k": 2, "block_size": 1.0, "folds": {"5": 0, key: 1}}))
         with pytest.raises(DataFormatError, match=re.escape(f"key {key!r} is not")):
+            load_folds(path, [])
+
+
+    @pytest.mark.parametrize("fold, text", [(1.0, "1.0"), (True, "true"), ("1", '"1"'),
+                                            (None, "null"), ([1], "[1]")], ids=repr)
+    def test_fold_not_an_integer_refused(self, tmp_path, fold, text):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"k": 2, "block_size": 1.0, "folds": {"5": 0, "6": fold}}))
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"folds file {path}: folds: {text} is not an integer")):
+            load_folds(path, [])
+
+    @pytest.mark.parametrize("fold", [2, -1, 10**30, -(10**30)])
+    def test_fold_outside_k_refused(self, tmp_path, fold):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"k": 2, "block_size": 1.0, "folds": {"5": 0, "6": fold}}))
+        with pytest.raises(DataFormatError, match=f"parcel 6 has fold {fold}, not one in"):
             load_folds(path, [])
 
 
@@ -743,10 +775,12 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     path = tmp_path / "ds.rcds"
     parcels = generate_synthetic(SyntheticConfig(parcels=4, seed=0))
     # one parcel object named twice, and two objects with one id, meet one
-    # refusal, as does a `Columns` that holds the id twice
+    # refusal, as does a `Columns` that holds the id twice, built field by
+    # field since `take` refuses a repeated row
     with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, parcels + parcels[:1], 8)
-    twice = data.Columns.of(parcels[:2]).take(np.array([0, 1, 0]))
+    columns, rows = data.Columns.of(parcels[:2]), np.array([0, 1, 0])
+    twice = data.Columns(*(getattr(columns, f.name)[rows] for f in dataclasses.fields(columns)))
     with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, twice, 8)
     parcels[1] = dataclasses.replace(parcels[1], parcel_id=0)
@@ -822,7 +856,17 @@ def test_columns_of_equal_shapes_keep_one_array_per_sample(parcels, years):
     for p, days, pixels in zip(parcels, columns.days, columns.pixels):
         assert [d is s.days for d, s in zip(days, p.samples)] == [True] * years
         assert [a is s.pixels for a, s in zip(pixels, p.samples)] == [True] * years
-    assert columns.take(np.array([0, 0])).pixels[1, 0] is parcels[0].samples[0].pixels
+    assert columns.take(np.array([-1])).pixels[0, 0] is parcels[-1].samples[0].pixels
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [1, 2, 1], [0, -4]], ids=str)
+def test_take_refuses_a_repeated_row(rows):
+    # -4 is row 0 of four parcels; a repeated row would give its parcel's
+    # items twice to predict and embed
+    columns = Columns.of(generate_synthetic(SyntheticConfig(parcels=4, seed=3)))
+    with pytest.raises(ContractError, match=f"^parcel {columns.ids[rows[0]]}: row given more "
+                                            "than once$"):
+        columns.take(np.array(rows))
 
 
 @st.composite

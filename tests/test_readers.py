@@ -406,3 +406,7 @@ def test_from_json_reports_validate_as_the_callers_error():
     with pytest.raises(DataFormatError, match="parcel 8 has fold 3"):
         from_json(FoldAssignment, {"k": 3, "folds": {8: 3}, "block_size": 1.0}, "f",
                   DataFormatError)
+    # an id or a fold that is not an integer, as a JSON key is not
+    with pytest.raises(DataFormatError, match='^f: folds: "8" is not an integer$'):
+        from_json(FoldAssignment, {"k": 3, "folds": {"8": 1}, "block_size": 1.0}, "f",
+                  DataFormatError)

@@ -264,9 +264,10 @@ class TestPredict:
                                                 minlength=cfg.num_classes).tolist()
         assert cm.sum() == cm[:, 0].sum() == 30
 
-    @pytest.mark.parametrize("year", [0, 4])
+    @pytest.mark.parametrize("year", [0, 4, 2**64 + 1, -(2**70), np.uint64(2**64 - 1)])
     def test_year_outside_dataset_refused(self, trained, year):
-        # year 0 would read the last year's sample, year 4 none at all
+        # year 0 would read the last year's sample, year 4 none at all; a
+        # year beyond int64 is refused as outside, not wrapped
         ds, model = trained
         with pytest.raises(ContractError, match=f"year {year} outside the dataset's years"):
             predict(model, ds.parcels[:3], years=[2, year])
@@ -404,6 +405,27 @@ class TestColumnItems:
         analytics.export_embeddings(model, ds.columns, tmp_path / "a.csv", seed=3)
         analytics.export_embeddings(model, ds.parcels, tmp_path / "b.csv", seed=3)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_repeated_row_refused_before_predict(self, ragged):
+        ds, cfg = ragged
+        model = CropModel(_dims(cfg), "single", seed=4)
+        with pytest.raises(ContractError, match=f"^parcel {ds.columns.ids[0]}: row given more"):
+            predict(model, ds.columns.take(np.array([0, 0])), years=[1])
+
+    @pytest.mark.parametrize("year", [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None],
+                             ids=repr)
+    def test_year_that_is_not_an_integer_refused(self, ragged, year):
+        ds, cfg = ragged
+        model = CropModel(_dims(cfg), "single", seed=4)
+        with pytest.raises(ContractError, match=r"^year .* is not an integer$"):
+            predict(model, ds.columns, years=[1, year])
+
+    def test_numpy_integer_years_accepted(self, ragged):
+        ds, cfg = ragged
+        model = CropModel(_dims(cfg), "single", seed=4)
+        want = predict(model, ds.columns, years=[2, 1])
+        for years in ([np.int64(2), np.uint8(1)], np.array([2, 1], np.int32)):
+            assert predict(model, ds.columns, years=years).tobytes() == want.tobytes()
 
     def test_empty_selection(self, ragged):
         ds, cfg = ragged
