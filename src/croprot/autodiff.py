@@ -304,7 +304,9 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
 
     Sums accumulate in float64, each segment adding its weighted rows one
     by one in row order: a run of equal-size segments is one (n, k, d)
-    einsum, which reduces its middle axis in that order."""
+    einsum, which reduces its middle axis in that order.  Only an x on a
+    tape keeps its centred rows, which the backward reads; off the tape
+    each run's block is centred and squared in one buffer."""
     data = x.data
     sizes = np.asarray(sizes, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -320,9 +322,12 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
     d = data.shape[1]
     weights = counts.astype(np.float64)
     n = np.add.reduceat(counts, np.cumsum(sizes) - sizes)[:, None]
-    mean = np.empty((sizes.size, d))
+    # mean || std, each float64 result rounded once as it is written
+    out = np.empty((sizes.size, 2 * d), dtype)
+    mean = out[:, :d]
     var = np.empty((sizes.size, d))
-    centered = np.empty_like(data)
+    taped = x.tape is not None
+    centered = np.empty_like(data) if taped else None
     for segs, rows, k in _runs(sizes):
         block = data[rows].reshape(-1, k, d)
         w = weights[rows].reshape(-1, k)
@@ -332,11 +337,16 @@ def mean_std_pool(x: Tensor, sizes, counts) -> Tensor:
             mean[segs] = block[:, 0]
         else:
             mean[segs] = np.einsum("gkd,gk->gd", block, w) / n[segs]
-        c = centered[rows].reshape(-1, k, d)
-        np.subtract(block, mean[segs].astype(dtype)[:, None, :], out=c)
-        var[segs] = np.einsum("gkd,gk->gd", np.square(c), w) / n[segs]
+        if taped:
+            c = centered[rows].reshape(-1, k, d)
+            np.subtract(block, mean[segs, None, :], out=c)
+            c = np.square(c)
+        else:
+            c = np.subtract(block, mean[segs, None, :])
+            np.square(c, out=c)
+        var[segs] = np.einsum("gkd,gk->gd", c, w) / n[segs]
     std = np.sqrt(var)
-    out = np.concatenate([mean, std], axis=-1).astype(dtype)
+    out[:, d:] = std
 
     def bwd(g):
         gm, gs = np.split(g, 2, axis=-1)

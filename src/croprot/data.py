@@ -59,6 +59,13 @@ def _starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
+def _views(column, starts, shapes):
+    """Object array, shaped as `starts`, of the views of `column` of each
+    of `shapes` from each of `starts`."""
+    return np.fromiter((column[s:s + math.prod(shape)].reshape(shape) for s, shape in zip(
+        starts.ravel().tolist(), shapes)), object, starts.size).reshape(starts.shape)
+
+
 _NDIM, _DTYPE = operator.attrgetter("ndim"), operator.attrgetter("dtype")
 
 
@@ -86,7 +93,13 @@ class Columns:
     id once, and `centroids` (P, 2) float64.  Per sample, as (P, Y)
     arrays: its int64 `labels`, `ts` (dates T) and `n_pixels` (N_p), and,
     in object arrays, its own (T,) integer `days` and (C, N_p, T) `pixels`
-    arrays.  `take` selects parcels and shares the samples' arrays."""
+    arrays.  `take` selects parcels and shares the samples' arrays.
+
+    Columns that `load_dataset` gives hold the file's day and pixel
+    columns, each sample's start in them and the header's channel count.
+    They build `days` and `pixels`, arrays of views into those columns, on
+    first use and for the rows they hold only; their `take` carries the
+    starts and builds no view."""
 
     ids: np.ndarray
     centroids: np.ndarray
@@ -95,6 +108,38 @@ class Columns:
     n_pixels: np.ndarray
     days: np.ndarray
     pixels: np.ndarray
+
+    # (day column, pixel column, (P, Y) day starts, (P, Y) pixel starts)
+    # of columns over a file's columns; not a field
+    _joined = None
+
+    def __post_init__(self):
+        self._channels = self.pixels.flat[0].shape[0] if self.pixels.size else 0
+
+    @classmethod
+    def _over(cls, ids, centroids, labels, ts, n_pixels, channels, joined):
+        """Columns whose samples' days and pixels lie in the `joined`
+        columns, each of `channels` channels."""
+        columns = cls.__new__(cls)
+        columns.ids, columns.centroids, columns.labels = ids, centroids, labels
+        columns.ts, columns.n_pixels = ts, n_pixels
+        columns._channels, columns._joined = channels, joined
+        return columns
+
+    def __getattr__(self, name):
+        # reached for `days` or `pixels` of columns over a file's columns
+        # before its first use: its views are built and kept
+        if self._joined is None or name not in ("days", "pixels"):
+            raise AttributeError(f"'Columns' object has no attribute {name!r}")
+        days, pixels, day_starts, pixel_starts = self._joined
+        ts, c = self.ts.ravel().tolist(), self._channels
+        if name == "days":
+            views = _views(days, day_starts, [(t,) for t in ts])
+        else:
+            views = _views(pixels, pixel_starts,
+                           [(c, n, t) for n, t in zip(self.n_pixels.ravel().tolist(), ts)])
+        setattr(self, name, views)
+        return views
 
     @classmethod
     def of(cls, parcels):
@@ -177,7 +222,7 @@ class Columns:
 
     @property
     def num_channels(self):
-        return self.pixels.flat[0].shape[0] if self.pixels.size else 0
+        return self._channels if self.ts.size else 0
 
     def take(self, rows):
         """The columns of the parcels at `rows`, an index array of distinct
@@ -188,6 +233,11 @@ class Columns:
         i = _first_repeat(ids)
         if i is not None:
             raise ContractError(f"parcel {ids[i]}: row given more than once")
+        if self._joined is not None:
+            days, pixels, day_starts, pixel_starts = self._joined
+            return Columns._over(ids, self.centroids[rows], self.labels[rows], self.ts[rows],
+                                 self.n_pixels[rows], self._channels,
+                                 (days, pixels, day_starts[rows], pixel_starts[rows]))
         return dataclasses.replace(self, ids=ids, **{name: getattr(self, name)[rows] for name in (
             "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
 
@@ -805,9 +855,9 @@ def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
 
 def load_dataset(path):
     """The dataset in the `.rcds` file `path`, as `Columns` whose samples'
-    pixels are views of the file's buffer, with the manifest in its
-    optional JSON sidecar.  A malformed file raises DataFormatError naming
-    its first fault in file order."""
+    pixels are views of the file's buffer, built on first use, with the
+    manifest in its optional JSON sidecar.  A malformed file raises
+    DataFormatError naming its first fault in file order."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
@@ -827,14 +877,10 @@ def load_dataset(path):
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
-    sizes = channels * nps * ts
-    day_views = np.fromiter((days[s:s + t] for s, t in zip(_starts(ts).tolist(), ts.tolist())),
-                            object, ts.size)
-    pixel_views = np.fromiter((pixels[s:s + n].reshape(channels, n_p, t) for s, n, n_p, t in zip(
-        _starts(sizes).tolist(), sizes.tolist(), nps.tolist(), ts.tolist())), object, nps.size)
     shape = (n_parcels, num_years)
-    columns = Columns(ids, centroids, labels.reshape(shape), ts.reshape(shape), nps.reshape(shape),
-                      day_views.reshape(shape), pixel_views.reshape(shape))
+    starts = [_starts(sizes).reshape(shape) for sizes in (ts, channels * nps * ts)]
+    columns = Columns._over(ids, centroids, labels.reshape(shape), ts.reshape(shape),
+                            nps.reshape(shape), channels, (days, pixels, *starts))
     return Dataset(None, int(num_classes), manifest, columns)
 
 

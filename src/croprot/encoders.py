@@ -226,7 +226,7 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
     sizes = np.repeat(keep.sum(axis=1), t)
 
     def pool(segs, part):
-        flat = ad.Tensor(np.take(joined, rows[part], axis=1).T.astype(dtype, order="C"))
+        flat = ad.Tensor(np.take(joined.T, rows[part], axis=0).astype(dtype, copy=False))
         return ad.mean_std_pool(_pixel_mlp(flat, pse), sizes[segs], weights[part])
 
     if any(w.tape is not None for w in pse.parameters()):
@@ -241,7 +241,11 @@ def encode_batch(columns, counts, sets, days, pse: PseWeights, ltae: LtaeWeights
         pooled = ad.Tensor(np.concatenate(
             [pool(segs, part).data for segs, part in _blocks(sizes, PIXEL_BLOCK_ROWS)]))
     e = ad.dense(pooled, pse.w3, pse.b3, relu=True)  # (B*T, d2)
-    pe = positional_encoding_matrix(days.reshape(-1), pse.dims.d2).astype(dtype)
-    e = ad.add(e, ad.Tensor(pe))
+    pe = positional_encoding_matrix(days.reshape(-1), pse.dims.d2)
+    if e.tape is None:
+        # e's buffer is dense's own and no tape op reads it
+        e.data += pe
+    else:
+        e = ad.add(e, ad.Tensor(pe.astype(dtype)))
     ctx, _ = _attention(e, b, t, ltae)
     return _out_mlp(ctx, ltae)

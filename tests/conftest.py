@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from croprot import data
 from croprot.data import (
     Dataset, MultiYearParcel, PixelSetSample, SyntheticConfig, generate_synthetic,
 )
@@ -129,3 +130,14 @@ def small_dataset():
 @pytest.fixture
 def tiny_model():
     return CropModel(tiny_dims(), "single", seed=2)
+
+
+@pytest.fixture
+def views_built(monkeypatch):
+    """The number of sample views each `data._views` call builds, call by
+    call."""
+    built = []
+    views = data._views
+    monkeypatch.setattr(data, "_views", lambda column, starts, shapes: (
+        built.append(starts.size) or views(column, starts, shapes)))
+    return built

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from croprot import autodiff as ad
 from croprot.errors import ContractError, DimensionError
@@ -292,6 +292,33 @@ class TestSegmentPool:
         assert pooled.data[0, 2:].tolist() == [0.0, 0.0]
         assert np.all(g[:2] == 0.0)
         assert np.all(np.isfinite(g)) and np.any(g[2:] != 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+           constant=st.lists(st.booleans(), min_size=12, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(sizes=[1, 1, 3, 3, 1], constant=[False, True, True] + [False] * 9, seed=0)
+    def test_tape_free_equals_taped(self, dtype, sizes, constant, seed):
+        # off the tape the pool keeps no centred rows and squares them in
+        # place; its output is the taped one, bit for bit, and x is left
+        # as it was.  Runs of equal sizes, one-row segments with counts
+        # above 1, and segments of equal rows (zero variance).
+        rng = np.random.default_rng(seed)
+        sizes = np.array(sizes)
+        x0 = _wide_rows(rng, (sizes.sum(), 6), dtype)
+        for start, size, same in zip(np.cumsum(sizes) - sizes, sizes, constant):
+            if same:
+                x0[start:start + size] = x0[start]
+        counts = rng.integers(1, 6, sizes.sum())
+        free = ad.Tensor(x0.copy())
+        got = ad.mean_std_pool(free, sizes, counts)
+        assert got.tape is None and free.data.tobytes() == x0.tobytes()
+        (x,) = params_on_tape([x0], dtype)
+        with ad.recording([x]):
+            want = ad.mean_std_pool(x, sizes, counts)
+        assert want.tape is not None
+        assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("sizes, counts", [
         ([2, 2], [1, 1, 1]),      # counts do not match the rows

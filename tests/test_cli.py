@@ -9,7 +9,8 @@ import pytest
 from croprot import cli, data, training
 from croprot.cli import main
 from croprot.data import (
-    SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset, save_folds,
+    SyntheticConfig, generate_synthetic, load_dataset, load_folds, make_folds, save_dataset,
+    save_folds,
 )
 from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
 from croprot.training import predict
@@ -134,6 +135,30 @@ def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
     # the count sees a parcel list when one is built
     load_dataset(dataset).parcels
     assert len(made) == 30 * 4
+
+
+def test_views_built_only_for_the_rows_a_command_reads(workdir, views_built):
+    """split, crf and rotations read no sample's days or pixels and build
+    none of their views; eval builds them for its validation and test
+    rows."""
+    root, _, dataset, folds, train_out, eval_out = workdir
+    out = root / "views"
+    for argv in (
+        ["crf", "--predictions", str(eval_out / "predictions.json"), "--dataset", str(dataset),
+         "--folds", str(folds), "--out", str(out / "crf")],
+        ["split", "--dataset", str(dataset), "--k", "3", "--block-size", "2500",
+         "--out", str(out / "folds.json")],
+        ["rotations", "--dataset", str(dataset), "--out", str(out / "rotations")],
+    ):
+        assert main(argv) == 0, argv
+    assert views_built == []
+    assert main(["eval", "--checkpoint", str(train_out / "checkpoint_fold0.bin"),
+                 "--dataset", str(dataset), "--folds", str(folds), "--fold", "0",
+                 "--out", str(out / "eval")]) == 0
+    fold_of = load_folds(str(folds), load_dataset(str(dataset)).columns.ids).folds
+    val_and_test = sum(f in (0, 1) for f in fold_of.values())
+    # days and pixels, 3 years each
+    assert sum(views_built) == 2 * 3 * val_and_test < 2 * 3 * len(fold_of)
 
 
 def test_help_exits_zero(capsys):

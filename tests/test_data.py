@@ -859,6 +859,27 @@ def test_columns_of_equal_shapes_keep_one_array_per_sample(parcels, years):
     assert columns.take(np.array([-1])).pixels[0, 0] is parcels[-1].samples[0].pixels
 
 
+def test_loaded_columns_build_views_on_use(tmp_path, views_built):
+    # a load keeps the file's columns and each sample's start; `take`
+    # carries the starts, and its k rows' Y views of each kind are built
+    # on first use and kept
+    parcels = generate_synthetic(SyntheticConfig(parcels=6, seed=1))
+    path = tmp_path / "ds.rcds"
+    save_dataset(path, parcels, 8)
+    columns = load_dataset(path).columns
+    taken = columns.take(np.array([4, 1]))
+    assert (columns.num_channels, taken.num_channels, columns.take(np.array([], int)).num_channels,
+            views_built) == (4, 4, 0, [])
+    pixels = taken.pixels
+    assert views_built == [2 * 3] and taken.pixels is pixels
+    days = taken.days
+    assert views_built == [2 * 3, 2 * 3] and taken.days is days
+    for p, got_days, got_pixels in zip([parcels[4], parcels[1]], days, pixels):
+        assert [(a.shape, a.tobytes()) for a in got_pixels] == [
+            (s.pixels.shape, s.pixels.tobytes()) for s in p.samples]
+        assert [a.tolist() for a in got_days] == [s.days.tolist() for s in p.samples]
+
+
 @pytest.mark.parametrize("rows", [[0, 0], [1, 2, 1], [0, -4]], ids=str)
 def test_take_refuses_a_repeated_row(rows):
     # -4 is row 0 of four parcels; a repeated row would give its parcel's

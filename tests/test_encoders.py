@@ -287,13 +287,13 @@ DRAWN_DIMS = EncoderDims(channels=4, sample_pixels=16, d1=16, d2=32, heads=4, d_
                          out_hidden=32, descriptor=32)
 
 
-def _drawn_batch(pixel_counts, seed, dims=DRAWN_DIMS):
+def _drawn_batch(pixel_counts, seed, dims=DRAWN_DIMS, dtype=np.float32):
     """(pse, ltae, sets, days, columns, counts) of one encoder batch of
     6-date, 4-channel pixel sets of the given pixel counts, drawn by
-    `sample_pixels` with S = dims.sample_pixels."""
+    `sample_pixels` with S = dims.sample_pixels, and weights of `dtype`."""
     rng = np.random.default_rng(seed)
-    pse = PseWeights(dims, rng)
-    ltae = LtaeWeights(dims, rng)
+    pse = PseWeights(dims, rng, dtype)
+    ltae = LtaeWeights(dims, rng, dtype)
     days = np.array([20, 60, 100, 180, 250, 330])
     samples = [
         PixelSetSample(0, 1, rng.normal(0, 1, (4, n_p, 6)).astype(np.float32), days, 0)
@@ -427,3 +427,17 @@ class TestPixelBlocks:
             grads = [grads[p].tobytes() for p in pse.parameters()]
             recorded.append((ops, out.data.tobytes(), grads))
         assert recorded[0] == recorded[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_tape_free_equals_taped(self, dtype, seed):
+        # off the tape the pool keeps no centred rows and the day encoding
+        # is added into the pixel-set embeddings in place: the descriptors
+        # are the taped ones, bit for bit
+        pse, ltae, sets, days, columns, counts = _drawn_batch(self.PIXEL_COUNTS, seed, self.DIMS,
+                                                              dtype)
+        free = encode_batch(columns, counts, sets, days, pse, ltae)
+        with ad.recording(pse.parameters() + ltae.parameters()):
+            taped = encode_batch(columns, counts, sets, days, pse, ltae)
+        assert free.tape is None and taped.tape is not None
+        assert free.data.dtype == dtype and free.data.tobytes() == taped.data.tobytes()
