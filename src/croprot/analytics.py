@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_columns
 from .errors import ContractError
 
 COVERAGE_PERCENTAGES = (50, 75, 90, 100)
@@ -283,9 +284,11 @@ def export_embeddings(model, parcels, out_path, seed=0):
     `csv.writer` (excel dialect: "," between fields, "\r\n" after each row)
     writes for the `%d` parcel id, year and label and each descriptor value
     as printf's `%.6e`."""
-    from .training import encode_items, items_of
+    from .training import _Items, encode_items
 
-    items = items_of(parcels)  # every parcel-year, so no past year is added
+    columns = as_columns(parcels)
+    # every parcel-year, so no past year is added
+    items = _Items.of_columns(columns, range(1, columns.num_years + 1))
     table = encode_items(model, items, items.ids.size, (seed,))
     d = model.dims.descriptor
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]

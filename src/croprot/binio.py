@@ -175,12 +175,25 @@ def from_json(cls, doc, what, error):
     return obj
 
 
-def write_json(path, doc):
-    """Write `doc` to `path` as indented JSON with sorted keys and a final
-    newline, in one write."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def json_text(doc, what):
+    """`doc` as indented JSON with sorted keys and a final newline.  A
+    value JSON cannot encode raises DataFormatError naming `what`, so a
+    writer can refuse it before it opens any file."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what}: {exc}") from None
+
+
+def write_text(path, text):
+    """Write the str `text` to `path` as UTF-8, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(path, doc):
+    """Write `json_text(doc)` to `path`."""
+    write_text(path, json_text(doc, f"JSON file {path}"))
 
 
 def _number_lists(a):
@@ -235,8 +248,7 @@ def write_predictions(path, meta, splits):
         template += tail
         docs[name] = "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n  ]"
     text = ",\n".join(f"  {json.dumps(key)}: {docs[key]}" for key in sorted(docs))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n" + text + "\n}\n")
+    write_text(path, "{\n" + text + "\n}\n")
 
 
 def _record_ok(ints, logits, num_classes):

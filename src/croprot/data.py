@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .binio import Reader, from_json, read_json, write_json
+from .binio import Reader, from_json, json_text, read_json, write_json, write_text
 from .errors import ConfigError, ContractError, DataFormatError
 
 MAGIC = b"RCDS"
@@ -91,15 +91,16 @@ def _first_repeat(values):
 class Columns:
     """P parcels of Y years as arrays.  Per parcel: `ids` (P,) uint64, each
     id once, and `centroids` (P, 2) float64.  Per sample, as (P, Y)
-    arrays: its int64 `labels`, `ts` (dates T) and `n_pixels` (N_p), and,
-    in object arrays, its own (T,) integer `days` and (C, N_p, T) `pixels`
-    arrays.  `take` selects parcels and shares the samples' arrays.
+    arrays: its int64 `labels`, `ts` (dates T) and `n_pixels` (N_p), and
+    its starts in the `days` and `pixels` stores, whose samples have
+    `channels` channels.
 
-    Columns that `load_dataset` gives hold the file's day and pixel
-    columns, each sample's start in them and the header's channel count.
-    They build `days` and `pixels`, arrays of views into those columns, on
-    first use and for the rows they hold only; their `take` carries the
-    starts and builds no view."""
+    A store is what the input already is.  Columns that `load_dataset`
+    gives hold the file's int64 day and float32 pixel columns, and a
+    start is an element offset in them; columns that `of` gives hold 1-D
+    object arrays of each sample's own (T,) day and (C, N_p, T) pixel
+    arrays, and a start is a position in them.  `sample_arrays` reads
+    samples from either; `take` selects parcels and shares the stores."""
 
     ids: np.ndarray
     centroids: np.ndarray
@@ -108,38 +109,9 @@ class Columns:
     n_pixels: np.ndarray
     days: np.ndarray
     pixels: np.ndarray
-
-    # (day column, pixel column, (P, Y) day starts, (P, Y) pixel starts)
-    # of columns over a file's columns; not a field
-    _joined = None
-
-    def __post_init__(self):
-        self._channels = self.pixels.flat[0].shape[0] if self.pixels.size else 0
-
-    @classmethod
-    def _over(cls, ids, centroids, labels, ts, n_pixels, channels, joined):
-        """Columns whose samples' days and pixels lie in the `joined`
-        columns, each of `channels` channels."""
-        columns = cls.__new__(cls)
-        columns.ids, columns.centroids, columns.labels = ids, centroids, labels
-        columns.ts, columns.n_pixels = ts, n_pixels
-        columns._channels, columns._joined = channels, joined
-        return columns
-
-    def __getattr__(self, name):
-        # reached for `days` or `pixels` of columns over a file's columns
-        # before its first use: its views are built and kept
-        if self._joined is None or name not in ("days", "pixels"):
-            raise AttributeError(f"'Columns' object has no attribute {name!r}")
-        days, pixels, day_starts, pixel_starts = self._joined
-        ts, c = self.ts.ravel().tolist(), self._channels
-        if name == "days":
-            views = _views(days, day_starts, [(t,) for t in ts])
-        else:
-            views = _views(pixels, pixel_starts,
-                           [(c, n, t) for n, t in zip(self.n_pixels.ravel().tolist(), ts)])
-        setattr(self, name, views)
-        return views
+    day_starts: np.ndarray
+    pixel_starts: np.ndarray
+    channels: int
 
     @classmethod
     def of(cls, parcels):
@@ -204,13 +176,14 @@ class Columns:
             j = next(k for k, x in enumerate(labels) if not _is_integer_below(x, 2**63))
             refuse(j, f"label {labels[j]!r}; need an integer in [0, 2^63)")
         shape = (len(parcels), years)
+        positions = np.arange(n).reshape(shape)
         return cls(
             ids, np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
             label_column.reshape(shape), ts.reshape(shape), sizes[:, 1].reshape(shape),
             # fromiter keeps each array whole where np.array would stack
             # arrays of one shape into a block
-            np.fromiter(days, object, n).reshape(shape),
-            np.fromiter(pixels, object, n).reshape(shape),
+            np.fromiter(days, object, n), np.fromiter(pixels, object, n), positions, positions,
+            int(sizes[0, 0]) if n else 0,
         )
 
     def __len__(self):
@@ -222,35 +195,32 @@ class Columns:
 
     @property
     def num_channels(self):
-        return self._channels if self.ts.size else 0
+        return self.channels if self.ts.size else 0
+
+    def sample_arrays(self, k):
+        """(days, pixels) of the samples at the (P, Y) index `k`: object
+        arrays, shaped as `ts[k]`, of their (T,) days and (C, N_p, T)
+        pixels, the samples' own arrays from an object store and views
+        built now from a numeric one."""
+        if self.days.dtype == object:
+            return self.days[self.day_starts[k]], self.pixels[self.pixel_starts[k]]
+        ts, c = self.ts[k].ravel().tolist(), self.channels
+        return (_views(self.days, self.day_starts[k], [(t,) for t in ts]),
+                _views(self.pixels, self.pixel_starts[k],
+                       [(c, n, t) for n, t in zip(self.n_pixels[k].ravel().tolist(), ts)]))
 
     def take(self, rows):
         """The columns of the parcels at `rows`, an index array of distinct
-        rows; a row given twice is a ContractError naming its parcel."""
+        rows, sharing the stores; a row given twice is a ContractError
+        naming its parcel."""
         ids = self.ids[rows]
         # the ids are distinct, so a repeated id is a repeated row, also
         # where a negative index and a positive one name the same row
         i = _first_repeat(ids)
         if i is not None:
             raise ContractError(f"parcel {ids[i]}: row given more than once")
-        if self._joined is not None:
-            days, pixels, day_starts, pixel_starts = self._joined
-            return Columns._over(ids, self.centroids[rows], self.labels[rows], self.ts[rows],
-                                 self.n_pixels[rows], self._channels,
-                                 (days, pixels, day_starts[rows], pixel_starts[rows]))
         return dataclasses.replace(self, ids=ids, **{name: getattr(self, name)[rows] for name in (
-            "centroids", "labels", "ts", "n_pixels", "days", "pixels")})
-
-    def parcels(self):
-        """The parcels as `MultiYearParcel` objects holding the columns'
-        day and pixel arrays."""
-        years = self.labels.shape[1]
-        days, pixels = self.days.ravel().tolist(), self.pixels.ravel().tolist()
-        ids, labels = self.ids.tolist(), self.labels.ravel().tolist()
-        samples = [PixelSetSample(ids[j // years], j % years + 1, pixels[j], days[j], labels[j])
-                   for j in range(len(labels))]
-        return [MultiYearParcel(pid, tuple(centroid), samples[i * years:(i + 1) * years])
-                for i, (pid, centroid) in enumerate(zip(ids, self.centroids.tolist()))]
+            "centroids", "labels", "ts", "n_pixels", "day_starts", "pixel_starts")})
 
 
 def as_columns(parcels_or_columns):
@@ -264,9 +234,7 @@ def as_columns(parcels_or_columns):
 class Dataset:
     """Parcels with one sample per year and the dataset's class count, held
     as `Columns`.  `Dataset(parcels=...)` builds them from its list of
-    parcels with `Columns.of` when first asked for, and `parcels` builds
-    parcel objects from the columns of `load_dataset` when first asked
-    for."""
+    parcels with `Columns.of` when first asked for."""
 
     def __init__(self, parcels, num_classes, manifest=None, columns=None):
         self._parcels, self._columns = parcels, columns
@@ -274,18 +242,12 @@ class Dataset:
         self.manifest = manifest
 
     @property
-    def parcels(self):
-        if self._parcels is None:
-            self._parcels = self._columns.parcels()
-        return self._parcels
-
-    @property
     def columns(self):
         if self._columns is None:
             self._columns = Columns.of(self._parcels)
         return self._columns
 
-    # a held parcel list answers these without building its columns, which
+    # a held parcel list answers this without building its columns, which
     # takes a Python pass over every sample
     @property
     def num_years(self):
@@ -295,10 +257,7 @@ class Dataset:
 
     @property
     def num_channels(self):
-        if self._columns is not None:
-            return self._columns.num_channels
-        samples = self._parcels[0].samples if self._parcels else []
-        return samples[0].pixels.shape[0] if samples else 0
+        return self.columns.num_channels
 
 
 @dataclass
@@ -699,10 +658,8 @@ def block_folds(ids, centroids, k, block_size, salt=0):
                                       f"block at block size {block_size}") from None
             blocks.setdefault(block, []).append(pid)
     if len(blocks) < k:
-        raise ConfigError(
-            f"only {len(blocks)} spatial blocks for {k} folds; "
-            "decrease block_size"
-        )
+        raise ContractError(f"only {len(blocks)} spatial block{'s' * (len(blocks) != 1)} for "
+                            f"{k} folds; decrease block_size")
     hashed = sorted(
         blocks,
         key=lambda b: (_splitmix64((b[0] & 0xFFFFFFFF) << 32 | (b[1] & 0xFFFFFFFF) ^ salt), b),
@@ -833,10 +790,11 @@ def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
         header = _HEADER.pack(FORMAT_VERSION, len(columns), num_years, channels, num_classes)
     except struct.error as exc:
         raise DataFormatError(f"dataset dimensions overflow the header fields: {exc}") from None
+    days, pixels = columns.sample_arrays(...)
     with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
-        pixels = np.concatenate([np.empty(0, _F4), *columns.pixels.ravel()], axis=None,
-                                dtype=_F4, casting="unsafe")
-    days = np.concatenate([np.empty(0, np.int64), *columns.days.ravel()], dtype=np.int64,
+        pixels = np.concatenate([np.empty(0, _F4), *pixels.ravel()], axis=None, dtype=_F4,
+                                casting="unsafe")
+    days = np.concatenate([np.empty(0, np.int64), *days.ravel()], dtype=np.int64,
                           casting="unsafe")
     values = [columns.ids, columns.centroids.ravel(), columns.labels.ravel(),
               columns.ts.ravel(), columns.n_pixels.ravel(), days, pixels]
@@ -846,18 +804,19 @@ def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
     sidecar = {"class_names": [f"class_{i:02d}" for i in range(num_classes)],
                "year_labels": [f"year_{i}" for i in range(1, num_years + 1)], **(manifest or {})}
     _check_class_names(sidecar, num_classes, path + ".json")
+    sidecar = json_text(sidecar, f"dataset sidecar {path}.json")
     # one write per column, so the file's bytes are never held a second time
     with open(path, "wb") as fh:
         fh.writelines([MAGIC, header, *(np.ascontiguousarray(v, code)
                                         for v, (_, code) in zip(values, _COLUMNS))])
-    write_json(path + ".json", sidecar)
+    write_text(path + ".json", sidecar)
 
 
 def load_dataset(path):
-    """The dataset in the `.rcds` file `path`, as `Columns` whose samples'
-    pixels are views of the file's buffer, built on first use, with the
-    manifest in its optional JSON sidecar.  A malformed file raises
-    DataFormatError naming its first fault in file order."""
+    """The dataset in the `.rcds` file `path`, as `Columns` over the
+    file's day and pixel columns, with the manifest in its optional JSON
+    sidecar.  A malformed file raises DataFormatError naming its first
+    fault in file order."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
@@ -879,8 +838,8 @@ def load_dataset(path):
         _check_class_names(manifest, num_classes, path + ".json")
     shape = (n_parcels, num_years)
     starts = [_starts(sizes).reshape(shape) for sizes in (ts, channels * nps * ts)]
-    columns = Columns._over(ids, centroids, labels.reshape(shape), ts.reshape(shape),
-                            nps.reshape(shape), channels, (days, pixels, *starts))
+    columns = Columns(ids, centroids, labels.reshape(shape), ts.reshape(shape),
+                      nps.reshape(shape), days, pixels, *starts, channels)
     return Dataset(None, int(num_classes), manifest, columns)
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .binio import U8, U16, Reader, from_json, read_json, write_json
+from .binio import U8, U16, Reader, from_json, json_text, read_json, write_text
 from .encoders import EncoderDims, LtaeWeights, PseWeights
 from .errors import ConfigError, DataFormatError
 from .heads import HeadWeights
@@ -83,9 +83,11 @@ def save_checkpoint(path, model: CropModel):
     """Write `model`'s parameters to the RCWT file `path` and its
     architecture to the sidecar `path`.json.  A parameter that is not
     finite as float32, as `load_checkpoint` requires (a NaN or infinity,
-    or a float64 value beyond float32's range), raises DataFormatError
-    before either file is opened."""
+    or a float64 value beyond float32's range), or an architecture JSON
+    cannot encode, raises DataFormatError before either file is opened."""
     path = str(path)
+    sidecar = json_text({"dims": asdict(model.dims), "variant": model.variant},
+                        f"checkpoint sidecar {path}.json")
     named = []
     with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
         for name, p in model.named_parameters():
@@ -105,7 +107,7 @@ def save_checkpoint(path, model: CropModel):
             for d in values.shape:
                 fh.write(struct.pack("<I", d))
             fh.write(values.tobytes())
-    write_json(path + ".json", {"dims": asdict(model.dims), "variant": model.variant})
+    write_text(path + ".json", sidecar)
 
 
 def load_checkpoint(path):

@@ -142,10 +142,10 @@ class _Items(NamedTuple):
     def of_columns(cls, columns, years):
         """The _Items of each parcel of the `data.Columns` with each of
         `years`, parcel by parcel, first, then the past years they lack,
-        as `_select` orders them: slices of the columns, each item's pixels
-        its sample's array.  A year that is not an integer (a bool is
-        none), outside the columns' years, or given twice, is a
-        ContractError."""
+        as `_select` orders them: slices of the columns, each item's days
+        and pixels read through `sample_arrays`.  A year that is not an
+        integer (a bool is none), outside the columns' years, or given
+        twice, is a ContractError."""
         years = list(years)
         bad = [y for y in years if isinstance(y, bool) or not isinstance(y, (int, np.integer))]
         if bad:
@@ -160,11 +160,12 @@ class _Items(NamedTuple):
             np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
         k = (parcel, item_years - 1)
         ts = columns.ts[k]
+        sample_days, pixels = columns.sample_arrays(k)
         days = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
         days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
-            [np.empty(0, np.int64), *columns.days[k]])
+            [np.empty(0, np.int64), *sample_days])
         return cls(columns.ids[parcel], item_years, columns.labels[k], columns.n_pixels[k], ts,
-                   columns.pixels[k], days, past)
+                   pixels, days, past)
 
     def take(self, rows):
         """The items at `rows`, an index array or a slice."""
@@ -223,12 +224,13 @@ def _refuse_non_finite(rows, items, what):
         raise ContractError(f"non-finite {what} for parcel {items.ids[i]}, year {items.years[i]}")
 
 
-def _descriptors(model, items, columns, counts, batch_size):
+def _descriptors(model, items, columns, counts):
     """(items, descriptor) array of the _Items, each encoded from its row
-    of the (columns, counts) pixel draws, each distinct column once; a
-    non-finite descriptor is a ContractError."""
+    of the (columns, counts) pixel draws, each distinct column once, in
+    batches of at most ENCODE_BATCH; a non-finite descriptor is a
+    ContractError."""
     out = np.empty((items.ids.size, model.dims.descriptor), dtype=model.vector.dtype)
-    for rows in _batches(items, batch_size):
+    for rows in _batches(items, ENCODE_BATCH):
         rows = _by_distinct(counts, rows)
         batch = items.take(rows)
         e = _encode(model, batch, columns[rows], counts[rows]).data
@@ -241,22 +243,14 @@ def _descriptors(model, items, columns, counts, batch_size):
 ENCODE_BATCH = 256
 
 
-def items_of(parcels, years=None):
-    """The _Items of `parcels`, a list of parcels or a `data.Columns`, as
-    `_Items.of_columns` builds them, each parcel with each of `years`, or
-    with each of its years when None."""
-    columns = as_columns(parcels)
-    return _Items.of_columns(columns, range(1, columns.num_years + 1) if years is None else years)
-
-
-def encode_items(model, items, n, stream, batch_size=ENCODE_BATCH):
+def encode_items(model, items, n, stream):
     """Descriptors of the leading _Items that the head reads for the first
     `n`, the requested ones, and on "obs" also the past years after them,
     each encoded once from the pixel draw keyed by (*stream, parcel id,
     year).  Run outside `ad.recording`, it records nothing on a tape."""
     read = items if model.variant == "obs" else items.take(slice(0, n))
     columns, counts = _draw(read, stream, model.dims.sample_pixels)
-    return _descriptors(model, read, columns, counts, batch_size)
+    return _descriptors(model, read, columns, counts)
 
 
 def _features(model, items, prev, descriptors=None):
@@ -351,7 +345,7 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
                 # is attached, and their rows among them
                 needed = np.unique(prev[prev >= 0])
                 descriptors = _descriptors(model, items.take(needed), columns[needed],
-                                           counts[needed], ENCODE_BATCH)
+                                           counts[needed])
                 prev = np.where(prev >= 0, np.searchsorted(needed, prev), -1)
             features = _features(model, items, prev, descriptors)
             with ad.recording(params) as tape:
@@ -414,15 +408,15 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 # inference
 
 
-def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
+def predict(model, parcels, years=None, seed=0):
     """The `binio.predictions` array of the requested parcel-years, one row
     each, parcel by parcel and each parcel's years in the requested order;
     a parcel or year asked for twice is a ContractError naming it.  Pixel
     draws are fixed by (seed, parcel, year), so repeated calls are
     identical and a parcel's rows do not depend, bit for bit, on the other
-    parcels in the call: `batch_size` only cuts the encoder's batches, and
-    the head decodes every item in one call, one row independent of the
-    others.
+    parcels in the call: ENCODE_BATCH only cuts the encoder's batches,
+    and the head decodes every item in one call, one row independent of
+    the others.
 
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
@@ -435,7 +429,7 @@ def predict(model, parcels, years=None, seed=0, batch_size=ENCODE_BATCH):
         return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
     items = _Items.of_columns(columns, wanted)
     n = len(columns) * len(wanted)
-    table = encode_items(model, items, n, (seed,), batch_size)
+    table = encode_items(model, items, n, (seed,))
     asked = items.take(slice(0, n))
     features = _features(model, items, asked.past, table)
     z = np.asarray(heads.decode(table[:n], model.head, features).data)

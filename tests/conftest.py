@@ -19,18 +19,18 @@ settings.register_profile("croprot", derandomize=True, max_examples=100, deadlin
 settings.load_profile("croprot")
 
 
-def encode_pairs(model, pairs, stream, batch_size=256):
+def encode_pairs(model, pairs, stream):
     """(the _Items of the distinct (parcel, year) pairs, as
     `oracles.items_of` builds them, the pairs first, and their
     `encode_items` descriptors)."""
     items = oracles.items_of(pairs)
-    return items, encode_items(model, items, len(pairs), stream, batch_size)
+    return items, encode_items(model, items, len(pairs), stream)
 
 
-def descriptors_of(model, items, stream, batch_size=256):
+def descriptors_of(model, items, stream):
     """{(parcel_id, year): descriptor} of the rows one `encode_items` call
     encodes for the (parcel, year) items."""
-    encoded, table = encode_pairs(model, items, stream, batch_size)
+    encoded, table = encode_pairs(model, items, stream)
     return dict(zip(zip(encoded.ids.tolist(), encoded.years.tolist()), table))
 
 
@@ -123,8 +123,11 @@ def without_dates(path):
 
 @pytest.fixture(scope="session")
 def small_dataset():
+    """(Dataset, generator config, the dataset's parcel list) of 60
+    synthetic parcels."""
     cfg = SyntheticConfig(parcels=60, seed=7)
-    return Dataset(parcels=generate_synthetic(cfg), num_classes=cfg.num_classes), cfg
+    parcels = generate_synthetic(cfg)
+    return Dataset(parcels=parcels, num_classes=cfg.num_classes), cfg, parcels
 
 
 @pytest.fixture

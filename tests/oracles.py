@@ -30,7 +30,7 @@ from croprot import autodiff as ad
 from croprot.binio import U16, U32, Reader, read_json
 from croprot.calibration import _GOLDEN, ReliabilityBins, apply_temperature
 from croprot.data import (
-    _HEADER, FORMAT_VERSION, MAGIC, Dataset, MultiYearParcel, PixelSetSample, _check_class_names,
+    _HEADER, FORMAT_VERSION, MAGIC, MultiYearParcel, PixelSetSample, _check_class_names,
 )
 from croprot.errors import ContractError, DataFormatError
 from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Items, _select
@@ -349,11 +349,12 @@ def encode_rcds(parcels, num_classes, num_years=None, channels=None, version=FOR
 
 
 def load_dataset(path):
-    """The dataset in the `.rcds` file `path`: each column's bounds checked
-    whole, as `Reader.array` checks them, then its values read one at a
-    time through `Reader.unpack` and checked in a Python loop before the
-    next column is read; the same checks, in the same order and with the
-    same messages, as `croprot.data.load_dataset`."""
+    """The `parcels`, `num_classes` and `manifest` of the dataset in the
+    `.rcds` file `path`: each column's bounds checked whole, as
+    `Reader.array` checks them, then its values read one at a time through
+    `Reader.unpack` and checked in a Python loop before the next column is
+    read; the same checks, in the same order and with the same messages,
+    as `croprot.data.load_dataset`."""
     path = str(path)
     r = Reader(path, "RCDS")
     r.magic(MAGIC)
@@ -430,7 +431,7 @@ def load_dataset(path):
     if os.path.exists(path + ".json"):
         manifest = read_json(path + ".json", "dataset sidecar")
         _check_class_names(manifest, num_classes, path + ".json")
-    return Dataset(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
+    return SimpleNamespace(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
 
 
 def items_of(pairs):

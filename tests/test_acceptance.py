@@ -336,8 +336,9 @@ EXPERIMENT_SEED = 11
 
 def test_criterion_08_directional_experiment():
     t0 = time.time()
-    ds = Dataset(parcels=generate_synthetic(EXPERIMENT_CONFIG), num_classes=8)
-    folds = make_folds(ds.parcels, 5, 1000)
+    parcels = generate_synthetic(EXPERIMENT_CONFIG)
+    ds = Dataset(parcels=parcels, num_classes=8)
+    folds = make_folds(parcels, 5, 1000)
 
     def run(variant, protocol="mixed", year=None):
         cfg = TrainConfig(epochs=6, seed=EXPERIMENT_SEED, variant=variant,
@@ -371,7 +372,7 @@ def test_criterion_08_directional_experiment():
     # (c) mean per-class gain ordered Permanent >= Structured >= Other
     _, iou_single, _ = miou(rec_single)
     _, iou_dec, _ = miou(rec_dec)
-    assignment = analytics.categorize([p.labels for p in ds.parcels], 8)
+    assignment = analytics.categorize([p.labels for p in parcels], 8)
     groups = analytics.group_metrics(
         analytics.improvement(iou_dec, iou_single), assignment
     )
@@ -423,7 +424,7 @@ def test_criterion_10_determinism(tmp_path):
     parcels = generate_synthetic(cfg)
     p1, p2 = tmp_path / "a.rcds", tmp_path / "b.rcds"
     save_dataset(p1, parcels, cfg.num_classes)
-    save_dataset(p2, load_dataset(p1).parcels, cfg.num_classes)
+    save_dataset(p2, load_dataset(p1).columns, cfg.num_classes)
     if p1.read_bytes() != p2.read_bytes():
         ok, detail = False, "dataset round trip not bit-exact"
     # training through the CLI twice gives bitwise-identical checkpoints

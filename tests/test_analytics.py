@@ -234,11 +234,11 @@ class TestExports:
         assert lines[2] == ["class_01", "0", "3"]
 
     def test_embedding_export(self, tmp_path, small_dataset):
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         dims = tiny_dims(num_classes=cfg.num_classes)
         dims.channels = cfg.channels
         model = CropModel(dims, "single", seed=0)
-        parcels = ds.parcels[:5]
+        parcels = parcels[:5]
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         lines = list(csv.reader(open(path)))
@@ -273,11 +273,11 @@ class TestExports:
         )
 
     def test_embedding_rows_as_csv_writer_prints_them(self, tmp_path, small_dataset):
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         dims = tiny_dims(num_classes=cfg.num_classes)
         dims.channels = cfg.channels
         model = CropModel(dims, "single", seed=0)
-        parcels = ds.parcels[:10]
+        parcels = parcels[:10]
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
@@ -295,11 +295,11 @@ class TestExports:
         # the CSV rows are the descriptors `predict` decodes, up to the
         # 7 significant digits the CSV prints; 40 parcels split into
         # several export batches but one predict batch per year
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         dims = tiny_dims(num_classes=cfg.num_classes)
         dims.channels = cfg.channels
         model = CropModel(dims, "single", seed=0)
-        parcels = ds.parcels[:40]
+        parcels = parcels[:40]
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
@@ -388,12 +388,12 @@ class TestE6Format:
 
     def test_export_blocks(self, tmp_path, small_dataset, monkeypatch):
         # rows are formatted in blocks; a block of 2 rows writes the same bytes
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         dims = tiny_dims(num_classes=cfg.num_classes)
         dims.channels = cfg.channels
         model = CropModel(dims, "single", seed=0)
         whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
-        analytics.export_embeddings(model, ds.parcels[:5], whole, seed=3)
+        analytics.export_embeddings(model, parcels[:5], whole, seed=3)
         monkeypatch.setattr(analytics, "_CSV_BLOCK_CELLS", 2 * dims.descriptor)
-        analytics.export_embeddings(model, ds.parcels[:5], blocks, seed=3)
+        analytics.export_embeddings(model, parcels[:5], blocks, seed=3)
         assert blocks.read_bytes() == whole.read_bytes()

@@ -133,7 +133,7 @@ def test_reading_commands_build_no_parcel_objects(tmp_path, monkeypatch):
     # split's columns give the folds file of the parcel list
     assert (tmp_path / "split.json").read_bytes() == (tmp_path / "folds.json").read_bytes()
     # the count sees a parcel list when one is built
-    load_dataset(dataset).parcels
+    oracles.load_dataset(dataset)
     assert len(made) == 30 * 4
 
 
@@ -340,7 +340,7 @@ class TestPipeline:
                      "--out", str(tmp_path / "o")]) == 0
         doc = json.loads((tmp_path / "o" / "predictions.json").read_text())
         fold_of = json.loads(folds.read_text())["folds"]
-        parcels = load_dataset(dataset).parcels
+        parcels = oracles.load_dataset(dataset).parcels
         for name, fold in (("val", 1), ("test", 0)):
             records = predict(model, [p for p in parcels if fold_of[str(p.parcel_id)] == fold],
                               seed=5)
@@ -419,7 +419,7 @@ class TestPipeline:
             "split", "--dataset", str(dataset), "--k", "3",
             "--block-size", "1000000", "--out", str(tmp_path / "f.json"),
         ])
-        assert code == 2
+        assert code == 4
 
     @pytest.mark.parametrize("command", ["train", "eval", "crf"])
     def test_folds_missing_a_parcel(self, workdir, tmp_path, capsys, command):
@@ -491,7 +491,7 @@ class TestPipeline:
     def _huge_dataset(dataset, tmp_path):
         """The dataset with finite pixels large enough that the encoder
         overflows to inf/NaN."""
-        ds = load_dataset(dataset)
+        ds = oracles.load_dataset(dataset)
         for p in ds.parcels:
             for s in p.samples:
                 s.pixels = s.pixels * np.float32(1e37)
@@ -887,6 +887,9 @@ CLI_MATRIX = {
     "split-k-1": ("split --dataset {dataset} --out {out} --k 1", 4),
     "split-block-size-0": ("split --dataset {dataset} --out {out} --block-size 0", 4),
     "split-block-size-negative": ("split --dataset {dataset} --out {out} --block-size -5", 4),
+    # more folds than the centroids' grid blocks
+    "split-k-above-blocks": ("split --dataset {dataset} --out {out} --k 500", 4),
+    "split-block-size-huge": ("split --dataset {dataset} --out {out} --k 5 --block-size 1e300", 4),
     # centroids / 1e-320 overflow: no finite grid block
     "split-block-size-1e-320": ("split --dataset {dataset} --out {out} --block-size 1e-320", 3),
     "train-fold-7": (_TRAIN.replace("--fold 0", "--fold 7"), 4),

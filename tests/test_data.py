@@ -43,6 +43,15 @@ import oracles
 from conftest import expand_draws, one_sample_file, one_sample_parcel
 
 
+def _samples_of(parcels_or_columns):
+    """(days, pixels) of each sample, parcel by parcel and year by year: a
+    list's from its sample objects, `Columns`' through `sample_arrays`."""
+    if isinstance(parcels_or_columns, Columns):
+        days, pixels = parcels_or_columns.sample_arrays(...)
+        return list(zip(days.ravel().tolist(), pixels.ravel().tolist()))
+    return [(s.days, s.pixels) for p in parcels_or_columns for s in p.samples]
+
+
 class TestGenerator:
     def test_permanent_only_labels_constant(self):
         cfg = SyntheticConfig(
@@ -402,8 +411,9 @@ class TestFolds:
             assert 0.10 * len(parcels) <= sizes[f] <= 0.30 * len(parcels)
 
     def test_too_many_folds(self, fold_parcels):
+        # more folds than grid blocks is a k out of range for the data
         parcels = fold_parcels
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="^only 1 spatial block for 5 folds; decrease "):
             make_folds(parcels, 5, 1_000_000)
 
     def test_k_below_two(self, fold_parcels):
@@ -503,15 +513,13 @@ class TestFileFormat:
         path = tmp_path / "ds.rcds"
         save_dataset(path, parcels, cfg.num_classes, config_to_manifest(cfg))
         ds = load_dataset(path)
+        columns = ds.columns
         assert ds.num_classes == cfg.num_classes
-        assert len(ds.parcels) == len(parcels)
-        for orig, back in zip(parcels, ds.parcels):
-            assert back.parcel_id == orig.parcel_id
-            assert back.centroid == pytest.approx(orig.centroid)
-            for so, sb in zip(orig.samples, back.samples):
-                assert np.array_equal(so.pixels, sb.pixels)
-                assert np.array_equal(so.days, sb.days)
-                assert so.label == sb.label
+        assert columns.ids.tolist() == [p.parcel_id for p in parcels]
+        assert columns.centroids.tolist() == [list(p.centroid) for p in parcels]
+        assert columns.labels.tolist() == [p.labels for p in parcels]
+        for (days, pixels), s in zip(_samples_of(columns), _samples_of(parcels)):
+            assert np.array_equal(pixels, s[1]) and np.array_equal(days, s[0])
         assert ds.manifest["generator"]["seed"] == 21
 
     def test_corrupted_magic(self, tmp_path):
@@ -534,7 +542,8 @@ class TestFileFormat:
         path = tmp_path / "ds.rcds"
         save_dataset(path, [], 8)
         ds = load_dataset(path)
-        assert ds.parcels == []
+        assert (len(ds.columns), ds.num_years, ds.num_channels) == (0, 0, 0)
+        assert [a.size for a in ds.columns.sample_arrays(...)] == [0, 0]
 
     def test_label_out_of_range_rejected_on_load(self, tmp_path):
         # written by hand: a 3-class header with a label 7, which the
@@ -546,7 +555,7 @@ class TestFileFormat:
             load_dataset(path)
         # the same file with label 2 loads
         path.write_bytes(one_sample_file(label=2))
-        assert load_dataset(path).parcels[0].labels == [2]
+        assert load_dataset(path).columns.labels.tolist() == [[2]]
 
     def test_label_out_of_range_rejected_on_save(self, tmp_path):
         parcels = generate_synthetic(SyntheticConfig(parcels=3, seed=0))
@@ -615,11 +624,11 @@ class TestFileFormat:
     def test_loaded_arrays(self, tmp_path):
         path = tmp_path / "ds.rcds"
         save_dataset(path, generate_synthetic(SyntheticConfig(parcels=3, seed=2)), 8)
-        for p in load_dataset(path).parcels:
-            for s in p.samples:
-                assert s.pixels.dtype == np.float32 and s.pixels.flags.c_contiguous
-                assert s.days.dtype == np.int64
-                assert isinstance(s.label, int) and isinstance(s.parcel_id, int)
+        columns = load_dataset(path).columns
+        assert (columns.ids.dtype, columns.labels.dtype) == (np.uint64, np.int64)
+        for days, pixels in _samples_of(columns):
+            assert pixels.dtype == np.float32 and pixels.flags.c_contiguous
+            assert days.dtype == np.int64
 
     @staticmethod
     def _two_samples(first, second):
@@ -688,14 +697,12 @@ class TestFileFormat:
             assert str(exc.value) == want
 
     def test_loaded_columns_save_the_same_bytes(self, tmp_path):
-        # the columns of a loaded file write it again, and no parcel
-        # objects are built
+        # the columns of a loaded file write it again
         cfg = SyntheticConfig(parcels=40, seed=5)
         first, second = tmp_path / "a.rcds", tmp_path / "b.rcds"
         save_dataset(first, generate_synthetic(cfg), cfg.num_classes, config_to_manifest(cfg))
         loaded = load_dataset(first)
         save_dataset(second, loaded.columns, loaded.num_classes, loaded.manifest)
-        assert loaded._parcels is None
         assert second.read_bytes() == first.read_bytes()
         assert (tmp_path / "b.rcds.json").read_bytes() == (tmp_path / "a.rcds.json").read_bytes()
 
@@ -769,6 +776,17 @@ def test_save_refuses_sidecar_class_names(tmp_path):
     assert not path.exists()
 
 
+def test_save_refuses_a_manifest_json_cannot_encode(tmp_path):
+    # the sidecar's text is made before the binary file is opened: neither
+    # file is left
+    path = tmp_path / "ds.rcds"
+    parcels = generate_synthetic(SyntheticConfig(parcels=2, seed=0))
+    with pytest.raises(DataFormatError, match=f"^dataset sidecar {path}.json: Object of type "
+                                              "int64 is not JSON serializable$"):
+        save_dataset(path, parcels, 8, {"n": np.int64(3)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     # a parcel-year is keyed by (id, year): a second parcel 0 would stand
     # in for the first in predict and embed
@@ -780,7 +798,8 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
     with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, parcels + parcels[:1], 8)
     columns, rows = data.Columns.of(parcels[:2]), np.array([0, 1, 0])
-    twice = data.Columns(*(getattr(columns, f.name)[rows] for f in dataclasses.fields(columns)))
+    twice = dataclasses.replace(columns, **{name: getattr(columns, name)[rows] for name in (
+        "ids", "centroids", "labels", "ts", "n_pixels", "day_starts", "pixel_starts")})
     with pytest.raises(DataFormatError, match="^parcel 0: id appears more than once$"):
         save_dataset(path, twice, 8)
     parcels[1] = dataclasses.replace(parcels[1], parcel_id=0)
@@ -831,38 +850,42 @@ def test_dataset_of_parcels_builds_columns_only_when_asked(monkeypatch):
     of = data.Columns.of
     monkeypatch.setattr(data.Columns, "of", lambda parcels: built.append(1) or of(parcels))
     ds = Dataset(parcels=parcels, num_classes=8)
-    assert ds.parcels is parcels and (ds.num_years, ds.num_channels) == (3, 4)
+    assert ds.num_years == 3
     assert built == []
     columns = ds.columns
-    assert built == [1] and ds.columns is columns
+    assert built == [1] and ds.columns is columns and ds.num_channels == 4
     assert columns.ids.tolist() == [p.parcel_id for p in parcels]
+    assert columns.centroids.tolist() == [list(p.centroid) for p in parcels]
     assert columns.labels.tolist() == [p.labels for p in parcels]
-    for p, back in zip(parcels, columns.parcels()):
-        assert (back.parcel_id, back.centroid, back.labels) == (p.parcel_id, p.centroid, p.labels)
-        for s, b in zip(p.samples, back.samples):
-            # the columns share the parcels' day and pixel arrays
-            assert b.pixels is s.pixels and b.days is s.days
+    # the columns share the parcels' day and pixel arrays
+    assert all(d is s[0] and x is s[1]
+               for (d, x), s in zip(_samples_of(columns), _samples_of(parcels)))
 
 
 @pytest.mark.parametrize("parcels, years", [(1, 1), (4, 3)])
 def test_columns_of_equal_shapes_keep_one_array_per_sample(parcels, years):
     # samples of one (C, N_p, T) shape and one T, which np.array would
-    # stack into a block: the columns hold each sample's own arrays
+    # stack into a block: the stores hold each sample's own arrays, and
+    # the accessor hands them back
     cfg = SyntheticConfig(parcels=parcels, num_years=years, pixels_min=5, pixels_max=5, seed=2)
     parcels = generate_synthetic(cfg)
     columns = Columns.of(parcels)
-    for arrays in (columns.days, columns.pixels):
-        assert arrays.dtype == object and arrays.shape == (len(parcels), years)
-    for p, days, pixels in zip(parcels, columns.days, columns.pixels):
-        assert [d is s.days for d, s in zip(days, p.samples)] == [True] * years
-        assert [a is s.pixels for a, s in zip(pixels, p.samples)] == [True] * years
-    assert columns.take(np.array([-1])).pixels[0, 0] is parcels[-1].samples[0].pixels
+    for store in (columns.days, columns.pixels):
+        assert store.dtype == object and store.shape == (len(parcels) * years,)
+    days, pixels = columns.sample_arrays(...)
+    assert days.shape == pixels.shape == (len(parcels), years)
+    for p, row_days, row_pixels in zip(parcels, days, pixels):
+        assert [d is s.days for d, s in zip(row_days, p.samples)] == [True] * years
+        assert [a is s.pixels for a, s in zip(row_pixels, p.samples)] == [True] * years
+    taken = columns.take(np.array([-1]))
+    assert taken.days is columns.days and taken.pixels is columns.pixels
+    assert taken.sample_arrays((0, 0))[1] is parcels[-1].samples[0].pixels
 
 
 def test_loaded_columns_build_views_on_use(tmp_path, views_built):
     # a load keeps the file's columns and each sample's start; `take`
-    # carries the starts, and its k rows' Y views of each kind are built
-    # on first use and kept
+    # shares them and builds no view, and each `sample_arrays` call builds
+    # one view of each kind per sample it is asked for
     parcels = generate_synthetic(SyntheticConfig(parcels=6, seed=1))
     path = tmp_path / "ds.rcds"
     save_dataset(path, parcels, 8)
@@ -870,10 +893,11 @@ def test_loaded_columns_build_views_on_use(tmp_path, views_built):
     taken = columns.take(np.array([4, 1]))
     assert (columns.num_channels, taken.num_channels, columns.take(np.array([], int)).num_channels,
             views_built) == (4, 4, 0, [])
-    pixels = taken.pixels
-    assert views_built == [2 * 3] and taken.pixels is pixels
-    days = taken.days
-    assert views_built == [2 * 3, 2 * 3] and taken.days is days
+    assert taken.days is columns.days and taken.pixels is columns.pixels
+    days, pixels = taken.sample_arrays(...)
+    assert views_built == [2 * 3, 2 * 3]
+    taken.sample_arrays((np.array([1, 0, 1]), np.array([2, 0, 0])))
+    assert views_built == [2 * 3, 2 * 3, 3, 3]
     for p, got_days, got_pixels in zip([parcels[4], parcels[1]], days, pixels):
         assert [(a.shape, a.tobytes()) for a in got_pixels] == [
             (s.pixels.shape, s.pixels.tobytes()) for s in p.samples]
@@ -923,12 +947,39 @@ def test_saved_datasets_load_back(rcds_path, dataset):
     save_dataset(rcds_path, parcels, num_classes)
     assert rcds_path.read_bytes() == oracles.encode_rcds(parcels, num_classes)
     loaded = load_dataset(rcds_path)
-    assert loaded.num_classes == num_classes and len(loaded.parcels) == len(parcels)
-    for orig, back in zip(parcels, loaded.parcels):
-        assert (back.parcel_id, back.centroid) == (orig.parcel_id, orig.centroid)
-        for so, sb in zip(orig.samples, back.samples):
-            assert np.array_equal(so.pixels, sb.pixels) and np.array_equal(so.days, sb.days)
-            assert sb.label == so.label
+    columns = loaded.columns
+    assert loaded.num_classes == num_classes
+    assert columns.ids.tolist() == [p.parcel_id for p in parcels]
+    assert [tuple(c) for c in columns.centroids.tolist()] == [p.centroid for p in parcels]
+    assert columns.labels.tolist() == [p.labels for p in parcels]
+    for (days, pixels), s in zip(_samples_of(columns), _samples_of(parcels), strict=True):
+        assert np.array_equal(pixels, s[1]) and np.array_equal(days, s[0])
+
+
+@given(dataset=_datasets(), data=st.data())
+def test_every_form_reads_the_same_samples(rcds_path, dataset, data):
+    # a parcel list, its `Columns.of` and its saved-and-loaded file, and a
+    # `take` of each in a drawn row order: every form gives each sample's
+    # days and pixels, and each taken form saves the bytes the oracle
+    # encodes for those parcels in that order
+    parcels, num_classes = dataset
+    save_dataset(rcds_path, parcels, num_classes)
+    order = data.draw(st.permutations(range(len(parcels))), "order")
+    rows = np.array(order[:data.draw(st.integers(0, len(order)), "count")], np.int64)
+    chosen = [parcels[i] for i in rows.tolist()]
+    forms = [parcels, Columns.of(parcels), load_dataset(rcds_path).columns]
+    taken = [chosen] + [columns.take(rows) for columns in forms[1:]]
+
+    def arrays(form):
+        return [(a.shape, a.tobytes()) for sample in _samples_of(form) for a in sample]
+
+    assert [arrays(form) for form in forms] == [arrays(parcels)] * 3
+    assert [arrays(form) for form in taken] == [arrays(chosen)] * 3
+    want = oracles.encode_rcds(chosen, num_classes)
+    saved = rcds_path.with_name("taken.rcds")
+    for form in taken:
+        save_dataset(saved, form, num_classes)
+        assert saved.read_bytes() == want
 
 
 @given(dataset=_datasets(min_parcels=1), data=st.data())

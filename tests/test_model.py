@@ -171,6 +171,16 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "model.bin", model)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_dims_json_cannot_encode(self, tmp_path):
+        # a numpy integer in the dims builds a model, but no JSON sidecar:
+        # it is refused before the weights are written, so no file is left
+        model = CropModel(replace(tiny_dims(), channels=np.int64(3)), "single", seed=2)
+        path = tmp_path / "model.bin"
+        with pytest.raises(DataFormatError, match=f"^checkpoint sidecar {path}.json: Object of "
+                                                  "type int64 is not JSON serializable$"):
+            save_checkpoint(path, model)
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)])
 def test_zero_dims_refused(name):

@@ -26,8 +26,8 @@ from croprot.binio import (
 )
 from croprot.crf import estimate_transitions, load_transitions, save_transitions
 from croprot.data import (
-    FoldAssignment, MultiYearParcel, PixelSetSample, SyntheticConfig, generate_synthetic,
-    load_dataset, save_dataset,
+    Dataset, FoldAssignment, MultiYearParcel, PixelSetSample, SyntheticConfig,
+    generate_synthetic, load_dataset, save_dataset,
 )
 from croprot.errors import ConfigError, CropRotError, DataFormatError
 from croprot.model import CropModel, ModelDims, load_checkpoint, save_checkpoint
@@ -122,6 +122,25 @@ def _variants(raw):
             yield bytes(changed)
 
 
+def _samples(dataset):
+    """Per parcel of what a loader returns: its id and centroid, and per
+    sample its id, year, label, days and pixels; `load_dataset`'s columns
+    read through `Columns.sample_arrays`, the oracle's parcel objects as
+    they are."""
+    if isinstance(dataset, Dataset):
+        columns = dataset.columns
+        days, pixels = columns.sample_arrays(...)
+        return [(pid, tuple(centroid), [
+            (pid, year, label, d, x)
+            for year, (label, d, x) in enumerate(zip(labels, row_days, row_pixels), 1)])
+            for pid, centroid, labels, row_days, row_pixels in zip(
+                columns.ids.tolist(), columns.centroids.tolist(), columns.labels.tolist(), days,
+                pixels)]
+    return [(p.parcel_id, p.centroid, [
+        (s.parcel_id, s.year_index, s.label, s.days, s.pixels) for s in p.samples])
+        for p in dataset.parcels]
+
+
 def _outcome(load, path):
     """What `load(path)` gives: the error message, or every field of the
     dataset with the types, dtypes and contiguity of its values."""
@@ -130,12 +149,12 @@ def _outcome(load, path):
     except DataFormatError as exc:
         return str(exc)
     return dataset.num_classes, dataset.manifest, [
-        (p.parcel_id, type(p.parcel_id), p.centroid, [
-            (s.parcel_id, s.year_index, s.label, type(s.label),
-             s.days.dtype, s.days.flags.c_contiguous, s.days.tolist(),
-             s.pixels.dtype, s.pixels.flags.c_contiguous, s.pixels.shape, s.pixels.tobytes())
-            for s in p.samples])
-        for p in dataset.parcels]
+        (pid, type(pid), centroid, [
+            (sample_pid, year, label, type(label),
+             days.dtype, days.flags.c_contiguous, days.tolist(),
+             pixels.dtype, pixels.flags.c_contiguous, pixels.shape, pixels.tobytes())
+            for sample_pid, year, label, days, pixels in samples])
+        for pid, centroid, samples in _samples(dataset)]
 
 
 @pytest.mark.parametrize("cfg", SWEPT_DATASETS, ids=["2-years", "3-years"])
@@ -187,8 +206,8 @@ def _ragged_files(draw):
 @given(file=_ragged_files())
 def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file):
     """On files whose T and N_p vary per sample, and on empty ones, the
-    columns of `load_dataset` and the parcels built from them hold what
-    the field-by-field oracle loads."""
+    columns of `load_dataset`, their samples read through
+    `Columns.sample_arrays`, hold what the field-by-field oracle loads."""
     raw, sidecar = file
     path = tmp_path_factory.getbasetemp() / "ragged.rcds"
     path.write_bytes(raw)
@@ -197,11 +216,12 @@ def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file)
     else:
         (tmp_path_factory.getbasetemp() / "ragged.rcds.json").write_text(sidecar)
     want = oracles.load_dataset(path)
+    listed = Dataset(want.parcels, want.num_classes)
     got = load_dataset(path)
     samples = [s for p in want.parcels for s in p.samples]
     columns = got.columns
     assert (got.num_classes, got.manifest) == (want.num_classes, want.manifest)
-    assert (got.num_years, got.num_channels) == (want.num_years, want.num_channels)
+    assert (got.num_years, got.num_channels) == (listed.num_years, listed.num_channels)
     assert columns.ids.dtype == np.uint64
     assert columns.ids.tolist() == [p.parcel_id for p in want.parcels]
     assert columns.centroids.tolist() == [list(p.centroid) for p in want.parcels]
@@ -209,14 +229,15 @@ def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file)
     k = np.nonzero(np.ones(columns.labels.shape, bool))
     assert columns.ts[k].tolist() == [s.days.size for s in samples]
     assert columns.n_pixels[k].tolist() == [s.n_pixels for s in samples]
-    assert [(a.dtype, a.tobytes()) for a in columns.days[k]] == [
+    days, pixels = columns.sample_arrays(k)
+    assert [(a.dtype, a.tobytes()) for a in days] == [
         (s.days.dtype, s.days.tobytes()) for s in samples]
-    assert [(a.shape, a.tobytes()) for a in columns.pixels[k]] == [
+    assert [(a.shape, a.tobytes()) for a in pixels] == [
         (s.pixels.shape, s.pixels.tobytes()) for s in samples]
-    # every sample's days and pixels are views of one buffer each: a load
-    # copies no sample
-    for arrays in (columns.days[k].tolist(), columns.pixels[k].tolist()):
-        assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
+    # every sample's days and pixels are views of the file's columns: a
+    # load copies no sample
+    for arrays, store in ((days, columns.days), (pixels, columns.pixels)):
+        assert all(np.shares_memory(a, store) for a in arrays)
     assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset, path)
 
 

@@ -190,18 +190,18 @@ class TestItemSelection:
         assert list(_training_years(cfg, 3)) == [2]
 
     def test_epoch_batches_partition_items(self, small_dataset):
-        ds, _ = small_dataset
+        ds, _, parcels = small_dataset
         batches = _item_batches(ds.columns, _training_years(TrainConfig(), 3), 16,
                                 np.random.default_rng(0))
         flat = [it for b in batches for it in b]
-        assert len(flat) == 3 * len(ds.parcels)
-        assert set(flat) == {(p.parcel_id, y) for p in ds.parcels for y in (1, 2, 3)}
+        assert len(flat) == 3 * len(parcels)
+        assert set(flat) == {(p.parcel_id, y) for p in parcels for y in (1, 2, 3)}
         for b in batches:
             assert 1 <= len(b) <= 16
             assert len({y for _, y in b}) == 1  # year-homogeneous
 
     def test_epoch_batches_reshuffled_per_epoch(self, small_dataset):
-        ds, _ = small_dataset
+        ds, _, _ = small_dataset
         years = _training_years(TrainConfig(), 3)
         a = _item_batches(ds.columns, years, 16, np.random.default_rng(1))
         b = _item_batches(ds.columns, years, 16, np.random.default_rng(2))
@@ -210,39 +210,39 @@ class TestItemSelection:
 
 @pytest.fixture(scope="module")
 def trained(small_dataset):
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     dims = _dims(cfg)
     model, _, _ = train_single_split(
-        ds, ds.parcels[:40], ds.parcels[40:], TrainConfig(epochs=2, seed=1), dims
+        ds, parcels[:40], parcels[40:], TrainConfig(epochs=2, seed=1), dims
     )
-    return ds, model
+    return parcels, model
 
 
 class TestPredict:
 
     def test_one_record_per_parcel_year(self, trained):
-        ds, model = trained
-        records = predict(model, ds.parcels)
-        assert len(records) == 3 * len(ds.parcels)
+        parcels, model = trained
+        records = predict(model, parcels)
+        assert len(records) == 3 * len(parcels)
         keys = {(r.parcel_id, r.year_index) for r in records}
         assert len(keys) == len(records)
 
     def test_year_filter(self, trained):
-        ds, model = trained
-        records = predict(model, ds.parcels, years=[3])
-        assert len(records) == len(ds.parcels)
+        parcels, model = trained
+        records = predict(model, parcels, years=[3])
+        assert len(records) == len(parcels)
         assert all(r.year_index == 3 for r in records)
 
     def test_true_labels_copied(self, trained):
-        ds, model = trained
-        by_id = {p.parcel_id: p for p in ds.parcels}
-        for r in predict(model, ds.parcels, years=[2]):
+        parcels, model = trained
+        by_id = {p.parcel_id: p for p in parcels}
+        for r in predict(model, parcels, years=[2]):
             assert r.true_label == by_id[r.parcel_id].labels[1]
 
     def test_repeated_calls_bitwise_identical(self, trained):
-        ds, model = trained
-        a = predict(model, ds.parcels, seed=5)
-        b = predict(model, ds.parcels, seed=5)
+        parcels, model = trained
+        a = predict(model, parcels, seed=5)
+        b = predict(model, parcels, seed=5)
         for ra, rb in zip(a, b):
             assert ra.parcel_id == rb.parcel_id and ra.year_index == rb.year_index
             assert np.array_equal(ra.logits, rb.logits)
@@ -254,11 +254,11 @@ class TestPredict:
 
     def test_ties_break_to_lowest_class(self, small_dataset):
         # equal logits for every class: each record predicts class 0
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), "single", seed=1)
         model.head.w2.data[...] = 0
         model.head.b2.data[...] = 0
-        records = predict(model, ds.parcels[:10])
+        records = predict(model, parcels[:10])
         cm = analytics.confusion(records, cfg.num_classes)
         assert cm[:, 0].tolist() == np.bincount(records.true_label,
                                                 minlength=cfg.num_classes).tolist()
@@ -268,49 +268,49 @@ class TestPredict:
     def test_year_outside_dataset_refused(self, trained, year):
         # year 0 would read the last year's sample, year 4 none at all; a
         # year beyond int64 is refused as outside, not wrapped
-        ds, model = trained
+        parcels, model = trained
         with pytest.raises(ContractError, match=f"year {year} outside the dataset's years"):
-            predict(model, ds.parcels[:3], years=[2, year])
+            predict(model, parcels[:3], years=[2, year])
 
     def test_non_finite_descriptor_refused(self, trained):
         # finite pixels large enough that the pixel MLP overflows
-        ds, model = trained
-        p = ds.parcels[3]
+        parcels, model = trained
+        p = parcels[3]
         huge = MultiYearParcel(p.parcel_id, p.centroid, [
             PixelSetSample(s.parcel_id, s.year_index, s.pixels * np.float32(1e37),
                            s.days, s.label) for s in p.samples])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ContractError, match=f"non-finite descriptor for parcel {p.parcel_id}"):
-                predict(model, ds.parcels[:3] + [huge])
+                predict(model, parcels[:3] + [huge])
 
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
     @pytest.mark.parametrize("years", [None, [3], [3, 1]])
     def test_items_built_once(self, small_dataset, monkeypatch, variant, years):
         # requested and past-year items come from one _Items, year 2 of
         # [3, 1] among the past years that "obs" reads
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), variant, seed=1)
         calls = []
         of = _Items.of_columns
         monkeypatch.setattr(_Items, "of_columns",
                             lambda columns, years: calls.append(len(columns)) or of(columns, years))
-        records = predict(model, ds.parcels[:10], years=years)
+        records = predict(model, parcels[:10], years=years)
         assert len(calls) == 1 and len(records) == 10 * len(years or (1, 2, 3))
 
     @pytest.mark.parametrize("years", [[2, 2], [1, 3, 1]])
     def test_repeated_year_refused(self, trained, years):
         # a parcel-year is one item, and one record
-        ds, model = trained
+        parcels, model = trained
         with pytest.raises(ContractError, match=f"^year {years[-1]} asked for more than once$"):
-            predict(model, ds.parcels[:3], years=years)
+            predict(model, parcels[:3], years=years)
 
     @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
     def test_ids_up_to_two_to_the_64(self, trained, pid):
         # a .rcds id is a uint64: the largest ones reach the records, and
         # leave the other parcels' records as they are
-        ds, model = trained
-        big = dataclasses.replace(ds.parcels[0], parcel_id=pid)
-        other = ds.parcels[1]
+        parcels, model = trained
+        big = dataclasses.replace(parcels[0], parcel_id=pid)
+        other = parcels[1]
         records = predict(model, [big, other], seed=3)
         assert [r.parcel_id for r in records] == [pid] * 3 + [other.parcel_id] * 3
         assert all(np.isfinite(r.logits).all() for r in records)
@@ -318,30 +318,30 @@ class TestPredict:
         assert all(np.array_equal(a.logits, b.logits) for a, b in zip(records[3:], alone))
 
     def test_negative_id_refused(self, trained):
-        ds, model = trained
+        parcels, model = trained
         with pytest.raises(ContractError, match=r"parcel id -1 outside the integers in \[0, 2\^"):
-            predict(model, [dataclasses.replace(ds.parcels[0], parcel_id=-1)])
+            predict(model, [dataclasses.replace(parcels[0], parcel_id=-1)])
 
     def test_same_parcel_twice_refused(self, trained):
         # one parcel object named twice, as two objects with one id are
-        ds, model = trained
-        p = ds.parcels[2]
+        parcels, model = trained
+        p = parcels[2]
         with pytest.raises(ContractError, match=f"^parcel {p.parcel_id}: id appears more than"):
-            predict(model, [ds.parcels[1], p, ds.parcels[0], p], years=[3])
+            predict(model, [parcels[1], p, parcels[0], p], years=[3])
 
     def test_non_finite_logits_refused(self, trained):
-        ds, model = trained
+        parcels, model = trained
         broken = CropModel(model.dims, model.variant)
         broken.load_state_arrays(model.state_arrays())
         broken.head.b2.data[1] = np.nan
         with pytest.raises(ContractError, match="non-finite logits for parcel"):
-            predict(broken, ds.parcels[:4])
+            predict(broken, parcels[:4])
 
 
 @pytest.fixture(scope="module")
 def ragged(tmp_path_factory):
     """A saved and loaded 12-parcel dataset whose samples' T differ within
-    and across parcels, and its generator config."""
+    and across parcels, its generator config and the saved parcels."""
     cfg = SyntheticConfig(parcels=6, timesteps=5, seed=1)
     parcels = generate_synthetic(cfg) + [
         dataclasses.replace(p, parcel_id=p.parcel_id + 6)
@@ -351,7 +351,7 @@ def ragged(tmp_path_factory):
         s.days, s.pixels = s.days[:3], s.pixels[:, :, :3]
     path = tmp_path_factory.mktemp("ragged") / "ds.rcds"
     save_dataset(path, parcels, cfg.num_classes)
-    return load_dataset(path), cfg
+    return load_dataset(path), cfg, parcels
 
 
 _FIVE_YEARS = Columns.of(generate_synthetic(SyntheticConfig(parcels=4, num_years=5, timesteps=5,
@@ -364,10 +364,10 @@ class TestColumnItems:
 
     @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 1], [1]])
     def test_equal_to_items_of_parcels(self, ragged, years):
-        ds, _ = ragged
+        ds, _, parcels = ragged
         rows = np.array([5, 0, 7, 3, 11])
         got = _Items.of_columns(ds.columns.take(rows), years)
-        want = oracles.items_of([(ds.parcels[i], y) for i in rows.tolist() for y in years])
+        want = oracles.items_of([(parcels[i], y) for i in rows.tolist() for y in years])
         for name, a, b in zip(_Items._fields, got, want):
             if name == "pixels":
                 assert [(x.shape, x.tobytes()) for x in a] == [(x.shape, x.tobytes()) for x in b]
@@ -395,19 +395,21 @@ class TestColumnItems:
                     assert i >= n or y - back < 1
 
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
-    def test_predict_and_embed_equal_on_columns_and_parcels(self, ragged, tmp_path, variant):
-        ds, cfg = ragged
+    def test_predict_and_embed_equal_on_columns_and_parcels(self, ragged, tmp_path, monkeypatch,
+                                                            variant):
+        ds, cfg, parcels = ragged
         model = CropModel(_dims(cfg), variant, seed=4)
+        monkeypatch.setattr(training, "ENCODE_BATCH", 4)
         for years in (None, [3], [2, 1]):
-            a = predict(model, ds.columns, years=years, seed=3, batch_size=4)
-            b = predict(model, ds.parcels, years=years, seed=3, batch_size=4)
+            a = predict(model, ds.columns, years=years, seed=3)
+            b = predict(model, parcels, years=years, seed=3)
             assert a.tobytes() == b.tobytes()
         analytics.export_embeddings(model, ds.columns, tmp_path / "a.csv", seed=3)
-        analytics.export_embeddings(model, ds.parcels, tmp_path / "b.csv", seed=3)
+        analytics.export_embeddings(model, parcels, tmp_path / "b.csv", seed=3)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_repeated_row_refused_before_predict(self, ragged):
-        ds, cfg = ragged
+        ds, cfg, _ = ragged
         model = CropModel(_dims(cfg), "single", seed=4)
         with pytest.raises(ContractError, match=f"^parcel {ds.columns.ids[0]}: row given more"):
             predict(model, ds.columns.take(np.array([0, 0])), years=[1])
@@ -415,20 +417,20 @@ class TestColumnItems:
     @pytest.mark.parametrize("year", [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None],
                              ids=repr)
     def test_year_that_is_not_an_integer_refused(self, ragged, year):
-        ds, cfg = ragged
+        ds, cfg, _ = ragged
         model = CropModel(_dims(cfg), "single", seed=4)
         with pytest.raises(ContractError, match=r"^year .* is not an integer$"):
             predict(model, ds.columns, years=[1, year])
 
     def test_numpy_integer_years_accepted(self, ragged):
-        ds, cfg = ragged
+        ds, cfg, _ = ragged
         model = CropModel(_dims(cfg), "single", seed=4)
         want = predict(model, ds.columns, years=[2, 1])
         for years in ([np.int64(2), np.uint8(1)], np.array([2, 1], np.int32)):
             assert predict(model, ds.columns, years=years).tobytes() == want.tobytes()
 
     def test_empty_selection(self, ragged):
-        ds, cfg = ragged
+        ds, cfg, _ = ragged
         model = CropModel(_dims(cfg), "dec", seed=4)
         empty = predict(model, ds.columns.take(np.array([], np.int64)))
         assert len(empty) == 0 and empty.logits.shape == (0, cfg.num_classes)
@@ -437,9 +439,9 @@ class TestColumnItems:
 class TestEncodeItems:
     @pytest.fixture()
     def setup(self, small_dataset):
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), "single", seed=2)
-        items = [(p, y) for p in ds.parcels[:6] for y in (1, 2, 3)]
+        items = [(p, y) for p in parcels[:6] for y in (1, 2, 3)]
         return model, items
 
     def test_keys_and_shape(self, setup):
@@ -456,19 +458,20 @@ class TestEncodeItems:
                                                   encoded):
         # year 3 of 6 parcels appends their years 1 and 2, which only the
         # "obs" head reads; the dec family reads their labels alone
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), variant, seed=2)
         calls = _record_draws(monkeypatch)
-        items, table = encode_pairs(model, [(p, 3) for p in ds.parcels[:6]], (0,))
+        items, table = encode_pairs(model, [(p, 3) for p in parcels[:6]], (0,))
         assert items.ids.size == 18 and items.years[:6].tolist() == [3] * 6
         assert len(table) == len(calls) == encoded
         assert np.isfinite(table).all()
 
-    def test_keyed_draws_repeat_bitwise(self, setup):
+    def test_keyed_draws_repeat_bitwise(self, setup, monkeypatch):
         model, items = setup
         a = descriptors_of(model, items, (42,))
         # another call order and batch size give the same draws and rows
-        b = descriptors_of(model, items[::-1], (42,), batch_size=4)
+        monkeypatch.setattr(training, "ENCODE_BATCH", 4)
+        b = descriptors_of(model, items[::-1], (42,))
         for key in a:
             assert np.array_equal(a[key], b[key])
 
@@ -494,7 +497,7 @@ class TestEncodeItems:
             assert np.array_equal(got[0], columns[0]) and np.array_equal(got[1], counts[0])
 
     def test_rows_ordered_by_distinct_count(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, _, _ = small_dataset
         items = _Items.of_columns(ds.columns.take(np.arange(40)), [1])
         _, counts = training._draw(items, (0,), 8)
         distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
@@ -503,9 +506,9 @@ class TestEncodeItems:
     def test_equals_drawn_encode(self, small_dataset):
         # each distinct column encoded once, weighted by its count, gives the
         # descriptors of encoding every draw (parcels of 4 to 16 pixels, S = 8)
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(small_dims(cfg.num_classes), "single", seed=2)
-        items = [(p, y) for p in ds.parcels[:24] for y in (1, 2, 3)]
+        items = [(p, y) for p in parcels[:24] for y in (1, 2, 3)]
         got = descriptors_of(model, items, (5,))
         assert any(p.samples[y - 1].n_pixels < 8 for p, y in items)
         assert any(p.samples[y - 1].n_pixels >= 8 for p, y in items)
@@ -525,9 +528,9 @@ class TestEncodeItems:
         # "obs" reads years 1 and 2 of each parcel for its year 3 and year
         # 1 for its year 2, which is itself asked for: every parcel-year is
         # drawn once
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), "obs", seed=2)
-        parcels = ds.parcels[:6]
+        parcels = parcels[:6]
         calls = _record_draws(monkeypatch)
         descriptors_of(model, [(p, y) for p in parcels for y in (3, 2)], (0,))
         assert sorted(c[1:3] for c in calls) == sorted(
@@ -553,12 +556,14 @@ def _record_draws(monkeypatch):
 def test_inference_draws_shared_by_predict_obs_and_embed(small_dataset, monkeypatch, tmp_path):
     # a parcel-year's draw is the same in predict, in the obs head's
     # past-year features and in embed, whatever the batch size
-    ds, cfg = small_dataset
+    _, cfg, parcels = small_dataset
     dims = small_dims(cfg.num_classes)
-    parcels = ds.parcels[:30]
+    parcels = parcels[:30]
     calls = _record_draws(monkeypatch)
     predict(CropModel(dims, "single", seed=1), parcels, seed=4)
-    predict(CropModel(dims, "obs", seed=1), parcels, years=[3], seed=4, batch_size=7)
+    with monkeypatch.context() as m:
+        m.setattr(training, "ENCODE_BATCH", 7)
+        predict(CropModel(dims, "obs", seed=1), parcels, years=[3], seed=4)
     analytics.export_embeddings(CropModel(dims, "dec", seed=1), parcels,
                                 tmp_path / "e.csv", seed=4)
     seen = {}
@@ -574,7 +579,7 @@ def test_inference_draws_shared_by_predict_obs_and_embed(small_dataset, monkeypa
 def test_training_draws_do_not_depend_on_batches(small_dataset, monkeypatch, variant):
     # the epoch generator only orders the batches: another batch size and
     # the reversed batch order draw the same pixels for every epoch and item
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     batches = training._batches
     runs = []
     for batch_size, reverse in [(16, False), (5, True)]:
@@ -583,7 +588,7 @@ def test_training_draws_do_not_depend_on_batches(small_dataset, monkeypatch, var
             training, "_batches",
             lambda *a: batches(*a)[:: -1 if reverse else 1],
         )
-        train_single_split(ds, ds.parcels[:20], [],
+        train_single_split(ds, parcels[:20], [],
                            TrainConfig(epochs=2, batch_size=batch_size, seed=3,
                                        variant=variant), _dims(cfg))
         runs.append({(stream, pid, y): (c.tolist(), n.tolist())
@@ -604,9 +609,9 @@ class TestSubsetInvariance:
 
     @pytest.fixture()
     def full(self, small_dataset, variant):
-        ds, cfg = small_dataset
+        _, cfg, parcels = small_dataset
         model = CropModel(small_dims(cfg.num_classes), variant, seed=4)
-        return ds.parcels, model, _by_key(predict(model, ds.parcels, seed=9))
+        return parcels, model, _by_key(predict(model, parcels, seed=9))
 
     def test_every_fifth_parcel(self, full, variant):
         parcels, model, want = full
@@ -643,9 +648,9 @@ class TestSubsetInvariance:
 @pytest.mark.parametrize("call", ["predict", "train_single_split", "export_embeddings"])
 def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
     # their (id, year) rows would share labels and descriptors
-    ds, cfg = small_dataset
-    first = ds.parcels[0]
-    parcels = [first, dataclasses.replace(ds.parcels[1], parcel_id=first.parcel_id)]
+    ds, cfg, parcels = small_dataset
+    first = parcels[0]
+    parcels = [first, dataclasses.replace(parcels[1], parcel_id=first.parcel_id)]
     model = CropModel(_dims(cfg), "dec", seed=1)
     with pytest.raises(ContractError, match=f"^parcel {first.parcel_id}: id appears more than"):
         if call == "predict":
@@ -658,9 +663,9 @@ def test_two_parcels_with_one_id_refused(small_dataset, tmp_path, call):
 
 def test_parcel_named_twice_in_a_training_split_refused(small_dataset):
     # a repeated parcel would be trained on twice as often as the others
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     with pytest.raises(ContractError, match="^parcel 3: id appears more than once$"):
-        train_single_split(ds, ds.parcels[:12] + ds.parcels[3:5], ds.parcels[20:26],
+        train_single_split(ds, parcels[:12] + parcels[3:5], parcels[20:26],
                            TrainConfig(epochs=1, variant="obs"), _dims(cfg))
 
 
@@ -703,10 +708,10 @@ MALFORMED = {
                                   "Dataset.columns"])
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_parcel_lists_refused(small_dataset, tmp_path, call, case):
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     change, message = MALFORMED[case]
-    odd = ds.parcels[3]
-    parcels = ds.parcels[:3] + [change(odd)] + ds.parcels[4:6]
+    odd = parcels[3]
+    parcels = parcels[:3] + [change(odd)] + parcels[4:6]
     model = CropModel(_dims(cfg), "dec", seed=1)
     assert odd.parcel_id == 3
     with pytest.raises(ContractError, match=message):
@@ -764,7 +769,7 @@ def test_warm_predict_faults_no_pages_in():
 def test_obs_training_features_read_the_past_rows(small_dataset, monkeypatch, protocol, year):
     # a first step's features are the past-year descriptors of the initial
     # weights under the epoch's draw keys, as `predict` reads them
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     dims = _dims(cfg)
     seen = []
     logits = training.batch_logits
@@ -776,9 +781,9 @@ def test_obs_training_features_read_the_past_rows(small_dataset, monkeypatch, pr
     monkeypatch.setattr(training, "batch_logits", forwarding)
     tc = TrainConfig(epochs=1, batch_size=8, seed=3, variant="obs", protocol=protocol,
                      protocol_year=year)
-    train_single_split(ds, ds.parcels[:20], [], tc, dims)
+    train_single_split(ds, parcels[:20], [], tc, dims)
     ids, years, features = seen[0]
-    by_id = {p.parcel_id: p for p in ds.parcels}
+    by_id = {p.parcel_id: p for p in parcels}
     want = features_of(CropModel(dims, "obs", seed=3),
                        [(by_id[pid], y) for pid, y in zip(ids, years)],
                        (training.TRAIN_DRAWS, 3, 0, 0))
@@ -788,7 +793,7 @@ def test_obs_training_features_read_the_past_rows(small_dataset, monkeypatch, pr
 def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
     # "obs" encodes past years before the tape is attached, so its training
     # steps record only the head's extra feature input, like "dec"
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     ops = []
     backward = ad.backward
 
@@ -800,7 +805,7 @@ def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
     for variant in ("dec", "obs"):
         ops.append([])
         train_single_split(
-            ds, ds.parcels[:20], [],
+            ds, parcels[:20], [],
             TrainConfig(epochs=1, batch_size=16, seed=0, variant=variant), _dims(cfg),
         )
     assert len(ops[0]) > 0
@@ -810,7 +815,7 @@ def test_obs_step_records_as_many_tape_ops_as_dec(small_dataset, monkeypatch):
 def test_dec_step_tape_ops(small_dataset, monkeypatch):
     # fused dense layers and the flat segment pool: 22 ops per "dec" step
     # (37 with separate matmul, add_bias and relu ops and pool reshapes)
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     ops = []
     backward = ad.backward
 
@@ -819,7 +824,7 @@ def test_dec_step_tape_ops(small_dataset, monkeypatch):
         return backward(tape, loss, params=params)
 
     monkeypatch.setattr(ad, "backward", counting)
-    train_single_split(ds, ds.parcels[:20], [],
+    train_single_split(ds, parcels[:20], [],
                        TrainConfig(epochs=1, batch_size=16, seed=0, variant="dec"), _dims(cfg))
     assert ops and set(ops) == {22}
 
@@ -827,7 +832,7 @@ def test_dec_step_tape_ops(small_dataset, monkeypatch):
 def test_step_tapes_are_emptied(small_dataset, monkeypatch):
     # a step's tape and its activations reference each other; emptying the
     # tape after backward frees them without waiting for the cyclic collector
-    ds, cfg = small_dataset
+    ds, cfg, parcels = small_dataset
     tapes = []
     backward = ad.backward
 
@@ -836,7 +841,7 @@ def test_step_tapes_are_emptied(small_dataset, monkeypatch):
         return backward(tape, loss, params=params)
 
     monkeypatch.setattr(ad, "backward", keeping)
-    train_single_split(ds, ds.parcels[:20], [],
+    train_single_split(ds, parcels[:20], [],
                        TrainConfig(epochs=1, batch_size=16, seed=0, variant="dec"), _dims(cfg))
     assert tapes and not any(tape.ops for tape in tapes)
 
@@ -845,9 +850,10 @@ class _FirstStep(Exception):
     """Ends a training run after its first step's backward."""
 
 
-def _first_step_grads(monkeypatch, dataset, variant, dtype):
+def _first_step_grads(monkeypatch, parcels, variant, dtype):
     """Every parameter's gradient, in parameter order, from the first step
-    of a `variant` run at criterion 8's dims with `dtype` weights."""
+    of a `variant` run on `parcels` at criterion 8's dims with `dtype`
+    weights."""
     grads = []
     backward = ad.backward
 
@@ -860,7 +866,7 @@ def _first_step_grads(monkeypatch, dataset, variant, dtype):
         m.setattr(ad, "backward", first_step)
         m.setattr(training, "CropModel", functools.partial(CropModel, dtype=dtype))
         with pytest.raises(_FirstStep):
-            train_single_split(dataset, dataset.parcels, [],
+            train_single_split(Dataset(parcels=parcels, num_classes=8), parcels, [],
                                TrainConfig(epochs=1, seed=11, variant=variant), small_dims())
     return grads
 
@@ -872,11 +878,11 @@ def test_step_gradients_bitwise_equal_to_oracle_rules(monkeypatch, variant, dtyp
     # loop-free pool backward give every parameter the oracle rules' bits
     cfg = SyntheticConfig(num_classes=8, channels=4, timesteps=12, parcels=48,
                           pixels_min=4, pixels_max=16, seed=101)
-    ds = Dataset(parcels=generate_synthetic(cfg), num_classes=8)
-    got = _first_step_grads(monkeypatch, ds, variant, dtype)
+    parcels = generate_synthetic(cfg)
+    got = _first_step_grads(monkeypatch, parcels, variant, dtype)
     monkeypatch.setattr(ad, "dense", oracles.dense)
     monkeypatch.setattr(ad, "mean_std_pool", oracles.mean_std_pool)
-    want = _first_step_grads(monkeypatch, ds, variant, dtype)
+    want = _first_step_grads(monkeypatch, parcels, variant, dtype)
     assert len(got) == len(CropModel(small_dims(), variant).parameters())
     assert [g.dtype for g in got] == [dtype] * len(got)
     assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
@@ -884,13 +890,13 @@ def test_step_gradients_bitwise_equal_to_oracle_rules(monkeypatch, variant, dtyp
 
 class TestTraining:
     def test_deterministic_given_seed(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         dims = _dims(cfg)
         tc = TrainConfig(epochs=2, seed=3)
 
         def run():
             model, _, _ = train_single_split(
-                ds, ds.parcels[:40], ds.parcels[40:], tc, dims
+                ds, parcels[:40], parcels[40:], tc, dims
             )
             return model.state_arrays()
 
@@ -898,23 +904,23 @@ class TestTraining:
             assert np.array_equal(a, b)
 
     def test_parameters_stay_views_of_the_vector(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         model, _, _ = train_single_split(
-            ds, ds.parcels[:20], ds.parcels[40:], TrainConfig(epochs=2, seed=3), _dims(cfg)
+            ds, parcels[:20], parcels[40:], TrainConfig(epochs=2, seed=3), _dims(cfg)
         )
         assert_parameter_views(model)
 
     def test_selected_epoch_is_a_snapshot(self, small_dataset):
         # the best epoch's weights are copied, not a view of the vector that
         # later epochs update: they equal a run stopped after that epoch
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         dims = _dims(cfg)
         model, best, _ = train_single_split(
-            ds, ds.parcels[:40], ds.parcels[40:], TrainConfig(epochs=3, seed=3), dims
+            ds, parcels[:40], parcels[40:], TrainConfig(epochs=3, seed=3), dims
         )
         assert best < 2
         stopped, _, _ = train_single_split(
-            ds, ds.parcels[:40], [], TrainConfig(epochs=best + 1, seed=3), dims
+            ds, parcels[:40], [], TrainConfig(epochs=best + 1, seed=3), dims
         )
         assert model.vector.tobytes() == stopped.vector.tobytes()
 
@@ -922,13 +928,13 @@ class TestTraining:
         # an epoch's stream draws each distinct row once: a past year that
         # is also a training item, or that only the "obs" features read, is
         # not drawn again for each batch that reads it
-        ds, cfg = small_dataset
-        items = [(p.parcel_id, y) for p in ds.parcels[:20] for y in (1, 2, 3)]
+        ds, cfg, parcels = small_dataset
+        items = [(p.parcel_id, y) for p in parcels[:20] for y in (1, 2, 3)]
         for protocol, year in [("mixed", None), ("specialized", 3)]:
             calls = _record_draws(monkeypatch)
             tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant="obs",
                              protocol=protocol, protocol_year=year)
-            train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
+            train_single_split(ds, parcels[:20], [], tc, _dims(cfg))
             for epoch in range(2):
                 stream = (training.TRAIN_DRAWS, 3, 0, epoch)
                 assert sorted(c[1:3] for c in calls if c[0] == stream) == sorted(items)
@@ -939,7 +945,7 @@ class TestTraining:
         # year-3 training appends each parcel's years 1 and 2 after the
         # trained rows; the epoch's batches cover every trained row once
         # and never an appended past-year row
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         cut, forwarded = [], []
         batches, logits = training._batches, training.batch_logits
 
@@ -957,7 +963,7 @@ class TestTraining:
         monkeypatch.setattr(training, "batch_logits", forwarding)
         tc = TrainConfig(epochs=2, batch_size=8, seed=3, variant=variant,
                          protocol="specialized", protocol_year=3)
-        train_single_split(ds, ds.parcels[:20], [], tc, _dims(cfg))
+        train_single_split(ds, parcels[:20], [], tc, _dims(cfg))
         assert len(cut) == 2
         for years, rows in cut:
             assert years.tolist() == [3] * 20
@@ -965,36 +971,36 @@ class TestTraining:
         assert forwarded == [3] * 40
 
     def test_batch_size_below_one_refused(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         with pytest.raises(ContractError, match="batch size must be >= 1"):
-            train_single_split(ds, ds.parcels[:10], [], TrainConfig(epochs=1, batch_size=0),
+            train_single_split(ds, parcels[:10], [], TrainConfig(epochs=1, batch_size=0),
                                _dims(cfg))
 
     def test_protocol_year_outside_dataset_refused(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         for year in (0, 4):
             tc = TrainConfig(epochs=1, protocol="specialized", protocol_year=year)
             with pytest.raises(ContractError, match=f"protocol year {year} outside"):
-                train_single_split(ds, ds.parcels[:10], [], tc, _dims(cfg))
+                train_single_split(ds, parcels[:10], [], tc, _dims(cfg))
 
     def test_empty_train_split_rejected(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         with pytest.raises(ContractError):
-            train_single_split(ds, [], ds.parcels[:5], TrainConfig(epochs=1),
+            train_single_split(ds, [], parcels[:5], TrainConfig(epochs=1),
                                _dims(cfg))
 
     def test_loss_decreases(self, small_dataset):
-        ds, cfg = small_dataset
+        ds, cfg, parcels = small_dataset
         dims = _dims(cfg)
         _, _, log = train_single_split(
-            ds, ds.parcels, [], TrainConfig(epochs=8, seed=0), dims
+            ds, parcels, [], TrainConfig(epochs=8, seed=0), dims
         )
         losses = [row[1] for row in log]
         assert losses[-1] < losses[0]
 
     def test_cross_validation_structure(self, small_dataset):
-        ds, cfg = small_dataset
-        folds = make_folds(ds.parcels, 3, 2500)
+        ds, cfg, parcels = small_dataset
+        folds = make_folds(parcels, 3, 2500)
         dims = _dims(cfg)
         result = train(ds, folds, TrainConfig(epochs=1, seed=0), dims)
         assert [f.fold for f in result.folds] == [0, 1, 2]
@@ -1006,18 +1012,19 @@ class TestTraining:
                 pid for pid, f in folds.folds.items() if f == fr.fold
             }
         # pooled test records cover every parcel exactly once per year
-        assert len(result.test_records) == 3 * len(ds.parcels)
+        assert len(result.test_records) == 3 * len(parcels)
 
     def test_overfits_small_dataset(self):
         cfg = SyntheticConfig(
             parcels=30, channels=4, timesteps=8, pixels_min=4, pixels_max=8,
             noise_std=0.05, seed=31,
         )
-        ds = Dataset(parcels=generate_synthetic(cfg), num_classes=cfg.num_classes)
+        parcels = generate_synthetic(cfg)
+        ds = Dataset(parcels=parcels, num_classes=cfg.num_classes)
         model, _, _ = train_single_split(
-            ds, ds.parcels, [],
+            ds, parcels, [],
             TrainConfig(epochs=100, learning_rate=3e-3, seed=0), small_dims()
         )
-        records = predict(model, ds.parcels)
+        records = predict(model, parcels)
         acc = np.mean(records.logits.argmax(axis=1) == records.true_label)
         assert acc >= 0.95

@@ -12,28 +12,28 @@ are 80 synthetic parcels, half with 6 dates and half with 8, and the
 model dims are small (S = 8), so a run takes a few seconds.  Per variant
 it hashes the trained weights, the best epoch and the epoch log of a
 2-epoch training run, the `predict` logits for all years, for
-`years=[3]` and with `batch_size=16` (records sorted by parcel and year,
-so the digest does not depend on their order), and the bytes
-`export_embeddings` writes.  Two `draws` lines hash the `sample_pixels`
-output for every parcel-year under an inference key (seed, parcel, year)
-and a training key (seed, fold, epoch, parcel, year), so a change of the
-pixel-draw stream shows on its own line.  Two `files` lines hash the bytes
-`save_dataset` writes for the data (`.rcds` and sidecar) and that
-`save_transitions` writes for the tensor `estimate_transitions` counts
-from every parcel's label history.  A `synth` line hashes the files
-`save_dataset` writes for the generator's edge configs (SYNTH_EDGES): 31,
-32, 33 and 65 parcels, around the generator's 32-parcel chunks; one
+`years=[3]` and with `training.ENCODE_BATCH` set to 16 (records sorted
+by parcel and year, so the digest does not depend on their order), and
+the bytes `export_embeddings` writes.  Two `draws` lines hash the
+`sample_pixels` output for every parcel-year under an inference key
+(seed, parcel, year) and a training key (seed, fold, epoch, parcel,
+year), so a change of the pixel-draw stream shows on its own line.  Two
+`files` lines hash the bytes `save_dataset` writes for the data (`.rcds`
+and sidecar) and that `save_transitions` writes for the tensor
+`estimate_transitions` counts from every parcel's label history.  A
+`synth` line hashes the files `save_dataset` writes for the generator's
+edge configs (SYNTH_EDGES): 31, 32, 33 and 65 parcels, around the generator's 32-parcel chunks; one
 year and five; 4 and MAX_TIMESTEPS dates; one pixel count; no noise; no
 year shift; shared phenology curves.  A `load` line hashes what
 `load_dataset` returns for those files: each parcel's id, centroid and
-labels, each sample's days and pixel bytes, and the manifest.  A second
-`load` line hashes the same through the parcels of hand-built files
-whose samples' date and pixel counts differ within and across parcels,
-and of files of no parcels and of parcels with no years.  A `step`
-line hashes every parameter gradient of the first training step of each
-head variant.  Per variant, a
-`checkpoint` line hashes the bytes `save_checkpoint` writes for the
-trained model.  For `dec` and `obs`, a `specialized` line hashes the
+labels, each sample's days and pixel bytes, read through
+`Columns.sample_arrays`, and the manifest.  A second `load` line hashes
+the same for hand-built files whose samples' date and pixel counts
+differ within and across parcels, and for files of no parcels and of
+parcels with no years.  Every other line starts from the tool's own
+parcel lists.  A `step` line hashes every parameter gradient of the
+first training step of each head variant.  Per variant, a `checkpoint`
+line hashes the bytes `save_checkpoint` writes for the trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
 run trained on year 3 alone, whose training items lack the past years
 the head reads.  For the trained `dec` and `obs` models, `cli` lines run
@@ -97,11 +97,13 @@ DIMS = dict(channels=4, sample_pixels=8, d1=16, d2=32, heads=4, d_k=8,
             out_hidden=32, descriptor=32, num_classes=8, head_hidden=32)
 
 
-def _dataset():
+NUM_CLASSES = 8
+
+
+def _parcels():
     short = generate_synthetic(SyntheticConfig(parcels=40, timesteps=6, seed=3))
     long = generate_synthetic(SyntheticConfig(parcels=40, timesteps=8, seed=4))
-    long = [dataclasses.replace(p, parcel_id=p.parcel_id + 40) for p in long]
-    return Dataset(parcels=short + long, num_classes=8)
+    return short + [dataclasses.replace(p, parcel_id=p.parcel_id + 40) for p in long]
 
 
 def _sha(*parts):
@@ -143,10 +145,10 @@ def _logits_sha(records):
     return _sha(*[(int(r.parcel_id), int(r.year_index), r.logits.tobytes()) for r in records])
 
 
-def fingerprint(variant, dataset):
-    """(trained model, (artifact, sha256) pairs) of one variant."""
+def fingerprint(variant, dataset, parcels):
+    """(trained model, (artifact, sha256) pairs) of one variant trained on
+    `dataset`, whose parcels are `parcels`."""
     dims = ModelDims(**DIMS)
-    parcels = dataset.parcels
     train, val = parcels[::2], parcels[1::4]
     cfg = training.TrainConfig(epochs=2, batch_size=16, seed=5, variant=variant)
     model, best_epoch, epoch_log = training.train_single_split(dataset, train, val, cfg, dims)
@@ -156,8 +158,12 @@ def fingerprint(variant, dataset):
         ("epoch_log", _sha(epoch_log)),
         ("logits", _logits_sha(training.predict(model, parcels, seed=7))),
         ("logits_year3", _logits_sha(training.predict(model, parcels, years=[3], seed=7))),
-        ("logits_batch16", _logits_sha(training.predict(model, parcels, seed=7, batch_size=16))),
     ]
+    saved, training.ENCODE_BATCH = training.ENCODE_BATCH, 16
+    try:
+        out.append(("logits_batch16", _logits_sha(training.predict(model, parcels, seed=7))))
+    finally:
+        training.ENCODE_BATCH = saved
     out.append(("checkpoint", _saved_sha(lambda path: save_checkpoint(path, model))))
     out.append(("embeddings", _sha(_embeddings(model, parcels))))
     return model, out
@@ -172,10 +178,9 @@ def _embeddings(model, parcels):
             return fh.read()
 
 
-def specialized(variant, dataset):
+def specialized(variant, dataset, parcels):
     """sha256 of a run trained on year 3 alone: its weights, best epoch,
     epoch log and year-3 logits."""
-    parcels = dataset.parcels
     cfg = training.TrainConfig(epochs=2, batch_size=16, seed=5, variant=variant,
                                protocol="specialized", protocol_year=3)
     model, best_epoch, epoch_log = training.train_single_split(
@@ -202,9 +207,9 @@ def default_dims():
     return out
 
 
-def draws(dataset):
+def draws(parcels):
     """(key kind, sha256) pairs of the pixel draws of every parcel-year."""
-    items = [(p, y) for p in dataset.parcels for y in range(1, dataset.num_years + 1)]
+    items = [(p, y) for p in parcels for y in range(1, len(p.samples) + 1)]
     ids = [p.parcel_id for p, _ in items]
     years = [y for _, y in items]
     n_pixels = [p.samples[y - 1].n_pixels for p, y in items]
@@ -216,13 +221,13 @@ def draws(dataset):
     return out
 
 
-def files(dataset):
+def files(parcels):
     """(file kind, sha256) pairs of the dataset and transition-tensor files."""
     manifest = _manifest()
-    transitions = estimate_transitions([p.labels for p in dataset.parcels], dataset.num_classes)
+    transitions = estimate_transitions([p.labels for p in parcels], NUM_CLASSES)
     return [
         ("dataset", _saved_sha(
-            lambda path: save_dataset(path, dataset.parcels, dataset.num_classes, manifest))),
+            lambda path: save_dataset(path, parcels, NUM_CLASSES, manifest))),
         ("transitions", _saved_sha(lambda path: save_transitions(path, transitions))),
     ]
 
@@ -243,6 +248,21 @@ def synth():
         for cfg in SYNTH_EDGES])
 
 
+def _loaded_parts(columns):
+    """Per parcel of the loaded `columns`, its (id, centroid, labels), then
+    per year its (year, pixel shape), day bytes and pixel bytes, each
+    sample read through `Columns.sample_arrays`."""
+    days, pixels = columns.sample_arrays(...)
+    parts = []
+    for pid, centroid, labels, row_days, row_pixels in zip(
+            columns.ids.tolist(), columns.centroids.tolist(), columns.labels.tolist(), days,
+            pixels):
+        parts.append((pid, tuple(centroid), labels))
+        parts += [part for year, (d, x) in enumerate(zip(row_days, row_pixels), 1)
+                  for part in ((year, x.shape), d.tobytes(), x.tobytes())]
+    return parts
+
+
 def load_edges():
     """sha256 of what `load_dataset` returns for the files `save_dataset`
     writes for each SYNTH_EDGES config: ids, centroids, labels, days, pixel
@@ -253,11 +273,7 @@ def load_edges():
         for cfg in SYNTH_EDGES:
             save_dataset(path, generate_synthetic(cfg), cfg.num_classes, config_to_manifest(cfg))
             dataset = load_dataset(path)
-            parts.append(dataset.manifest)
-            for p in dataset.parcels:
-                parts.append((p.parcel_id, p.centroid, p.labels))
-                parts += [part for s in p.samples for part in (
-                    (s.year_index, s.pixels.shape), s.days.tobytes(), s.pixels.tobytes())]
+            parts += [dataset.manifest, *_loaded_parts(dataset.columns)]
     return _sha(*parts)
 
 
@@ -279,8 +295,7 @@ def _ragged_parcels(years):
 
 
 def load_ragged():
-    """sha256 of what `load_dataset` returns, through its parcels, for the
-    files `save_dataset` writes for three years of `_ragged_parcels`, for
+    """sha256 of what `load_dataset` returns for the files `save_dataset` writes for three years of `_ragged_parcels`, for
     no parcels and for those parcels with no years."""
     parts = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -288,11 +303,8 @@ def load_ragged():
         for parcels in (_ragged_parcels(3), [], _ragged_parcels(0)):
             save_dataset(path, parcels, 5)
             dataset = load_dataset(path)
-            parts += [dataset.num_classes, dataset.num_years, dataset.manifest]
-            for p in dataset.parcels:
-                parts.append((p.parcel_id, p.centroid, p.labels))
-                parts += [part for s in p.samples for part in (
-                    (s.year_index, s.pixels.shape), s.days.tobytes(), s.pixels.tobytes())]
+            parts += [dataset.num_classes, dataset.num_years, dataset.manifest,
+                      *_loaded_parts(dataset.columns)]
     return _sha(*parts)
 
 
@@ -300,9 +312,10 @@ class _FirstStep(Exception):
     """Ends a training run after its first step's backward."""
 
 
-def step_grads(dataset):
+def step_grads(dataset, parcels):
     """sha256 of every parameter gradient, in parameter order, of the first
-    training step of each head variant."""
+    training step of each head variant, trained on `dataset`, whose parcels
+    are `parcels`."""
     parts = []
     backward = autodiff.backward
 
@@ -316,7 +329,7 @@ def step_grads(dataset):
         for variant in heads.VARIANTS:
             cfg = training.TrainConfig(epochs=1, batch_size=16, seed=5, variant=variant)
             try:
-                training.train_single_split(dataset, dataset.parcels[::2], [], cfg,
+                training.train_single_split(dataset, parcels[::2], [], cfg,
                                             ModelDims(**DIMS))
             except _FirstStep:
                 continue
@@ -330,15 +343,15 @@ def _manifest():
     return config_to_manifest(SyntheticConfig(parcels=40, timesteps=6, seed=3))
 
 
-def cli_files(model, dataset):
+def cli_files(model, parcels):
     """(file, sha256) pairs of every file that `eval` -> `calibrate` ->
-    `crf` -> `rotations` -> `embed` write for `model`'s checkpoint, in path
-    order, then of their standard output."""
+    `crf` -> `rotations` -> `embed` write for `model`'s checkpoint and
+    `parcels`, in path order, then of their standard output."""
     with tempfile.TemporaryDirectory() as tmp:
         data_path = os.path.join(tmp, "data.rcds")
-        save_dataset(data_path, dataset.parcels, dataset.num_classes, _manifest())
+        save_dataset(data_path, parcels, NUM_CLASSES, _manifest())
         folds_path = os.path.join(tmp, "folds.json")
-        save_folds(folds_path, make_folds(dataset.parcels, 5, 1000.0))
+        save_folds(folds_path, make_folds(parcels, 5, 1000.0))
         ckpt = os.path.join(tmp, "checkpoint.bin")
         save_checkpoint(ckpt, model)
         out = os.path.join(tmp, "out")
@@ -404,22 +417,23 @@ def cli_train():
 
 
 def main():
-    dataset = _dataset()
-    for kind, digest in draws(dataset):
+    parcels = _parcels()
+    dataset = Dataset(parcels=parcels, num_classes=NUM_CLASSES)
+    for kind, digest in draws(parcels):
         print(f"{'draws':13s} {kind:15s} {digest}")
-    for kind, digest in files(dataset):
+    for kind, digest in files(parcels):
         print(f"{'files':13s} {kind:15s} {digest}")
     print(f"{'synth':13s} {'edges':15s} {synth()}")
     print(f"{'load':13s} {'edges':15s} {load_edges()}")
     print(f"{'load':13s} {'ragged':15s} {load_ragged()}")
-    print(f"{'step':13s} {'grads':15s} {step_grads(dataset)}")
+    print(f"{'step':13s} {'grads':15s} {step_grads(dataset, parcels)}")
     for variant in heads.VARIANTS:
-        model, digests = fingerprint(variant, dataset)
+        model, digests = fingerprint(variant, dataset, parcels)
         for artifact, digest in digests:
             print(f"{variant:13s} {artifact:15s} {digest}")
         if variant in CLI_VARIANTS:
-            print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset)}")
-            for name, digest in cli_files(model, dataset):
+            print(f"{variant:13s} {'specialized':15s} {specialized(variant, dataset, parcels)}")
+            for name, digest in cli_files(model, parcels):
                 print(f"{'cli-' + variant:13s} {name:37s} {digest}")
     for name, digest in cli_train():
         print(f"{'cli-train':13s} {name:37s} {digest}")
