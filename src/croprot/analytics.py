@@ -286,10 +286,8 @@ def export_embeddings(model, parcels, out_path, seed=0):
     as printf's `%.6e`."""
     from .training import _Items, encode_items
 
-    columns = as_columns(parcels)
-    # every parcel-year, so no past year is added
-    items = _Items.of_columns(columns, range(1, columns.num_years + 1))
-    table = encode_items(model, items, items.ids.size, (seed,))
+    items = _Items.of_columns(as_columns(parcels))
+    table = encode_items(model, items, (seed,))
     d = model.dims.descriptor
     header = ["parcel_id", "year", "label"] + [f"e{i}" for i in range(d)]
     block = max(1, _CSV_BLOCK_CELLS // d)

@@ -266,7 +266,8 @@ def read_predictions(path):
     needs integer ids and true label, the parcel id in [0, 2^64), and
     finite logits, as many as the first val record's L, with the true
     label in [0, L); a posterior, when present, must be a list of numbers
-    (it is checked, not returned)."""
+    (it is checked, not returned).  A (parcel id, year) may appear once
+    across val and test."""
     doc = read_json(path, "predictions file")
     if not (isinstance(doc.get("meta"), dict)
             and isinstance(doc.get("val"), list) and isinstance(doc.get("test"), list)):
@@ -295,6 +296,12 @@ def read_predictions(path):
             raise DataFormatError(
                 f"predictions file {path}: record {t!r} needs integer ids, a parcel id "
                 f"in [0, 2^64), {num_classes} logits, a label in [0, {num_classes})")
+    seen = set()
+    for key in (t[:2] for t in ints):
+        if key in seen:
+            raise DataFormatError(f"predictions file {path}: parcel {key[0]}, year {key[1]} "
+                                  "appears more than once")
+        seen.add(key)
     try:
         with np.errstate(over="ignore"):
             logits = np.array(lists, np.float32)

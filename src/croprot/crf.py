@@ -3,12 +3,13 @@ combined with calibrated posteriors for the current year."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import U32, Reader, read_json, write_json
+from .binio import U32, Reader, is_int, json_text, read_json, write_text
 from .errors import ContractError, DataFormatError
 
 TENSOR_MAGIC = b"RCTT"
@@ -68,34 +69,41 @@ def crf_score(p, a, b, transitions: TransitionTensor):
 
 
 def save_transitions(path, transitions: TransitionTensor):
+    """Write the tensor to `path` and its JSON sidecar; a sidecar that JSON
+    cannot encode raises DataFormatError before either file is opened."""
     path = str(path)
+    sidecar = json_text({
+        "num_classes": transitions.num_classes,
+        "alpha": transitions.alpha,
+        "triplet_count": transitions.triplet_count,
+    }, f"transition-tensor sidecar {path}.json")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", transitions.num_classes))
         fh.write(np.ascontiguousarray(transitions.t, dtype="<f8").tobytes())
-    write_json(path + ".json", {
-        "num_classes": transitions.num_classes,
-        "alpha": transitions.alpha,
-        "triplet_count": transitions.triplet_count,
-    })
+    write_text(path + ".json", sidecar)
 
 
 def load_transitions(path):
-    """Read a transition tensor and its sidecar; a sidecar that is not a
-    JSON object with alpha and triplet_count, or a tensor that is not a
-    probability table (finite, non-negative, each (a, b) row summing to 1
-    within 1e-9), is a DataFormatError."""
+    """Read a transition tensor and its sidecar.  A sidecar that is not a
+    JSON object whose alpha is a finite positive number, whose
+    triplet_count is a non-negative integer and whose num_classes is the
+    tensor's L, or a tensor that is not a probability table (finite,
+    non-negative, each (a, b) row summing to 1 within 1e-9), is a
+    DataFormatError."""
     path = str(path)
     meta = read_json(path + ".json", "transition-tensor sidecar")
-    if not ("alpha" in meta and "triplet_count" in meta):
-        raise DataFormatError(
-            f"transition-tensor sidecar {path}.json needs the keys alpha and triplet_count"
-        )
     r = Reader(path, "RCTT")
     r.magic(TENSOR_MAGIC, "transition-tensor magic")
     (L,) = r.unpack(U32, "class count")
     t = r.array("<f8", L * L * L, "transition tensor").reshape(L, L, L)
     r.finish()
+    alpha, count = meta.get("alpha"), meta.get("triplet_count")
+    if not (type(alpha) in (int, float) and 0 < alpha < math.inf and is_int(count)
+            and count >= 0 and is_int(meta.get("num_classes")) and meta["num_classes"] == L):
+        raise DataFormatError(
+            f"transition-tensor sidecar {path}.json needs alpha, a finite positive number, "
+            f"triplet_count, a non-negative integer, and num_classes, the tensor's {L}")
     if not np.isfinite(t).all() or (t < 0).any():
         raise DataFormatError(f"RCTT tensor {path} holds non-finite or negative entries")
     off = np.abs(t.sum(axis=2) - 1.0) > 1e-9
@@ -104,6 +112,4 @@ def load_transitions(path):
         raise DataFormatError(
             f"RCTT tensor {path}: row ({a}, {b}) sums to {t[a, b].sum()!r}, not 1"
         )
-    return TransitionTensor(
-        t=t, alpha=meta["alpha"], triplet_count=meta["triplet_count"]
-    )
+    return TransitionTensor(t=t, alpha=alpha, triplet_count=count)

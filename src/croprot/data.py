@@ -197,17 +197,16 @@ class Columns:
     def num_channels(self):
         return self.channels if self.ts.size else 0
 
-    def sample_arrays(self, k):
-        """(days, pixels) of the samples at the (P, Y) index `k`: object
-        arrays, shaped as `ts[k]`, of their (T,) days and (C, N_p, T)
-        pixels, the samples' own arrays from an object store and views
-        built now from a numeric one."""
+    def sample_arrays(self):
+        """(days, pixels) of every sample: (P, Y) object arrays of their
+        (T,) days and (C, N_p, T) pixels, the samples' own arrays from an
+        object store and views built now from a numeric one."""
         if self.days.dtype == object:
-            return self.days[self.day_starts[k]], self.pixels[self.pixel_starts[k]]
-        ts, c = self.ts[k].ravel().tolist(), self.channels
-        return (_views(self.days, self.day_starts[k], [(t,) for t in ts]),
-                _views(self.pixels, self.pixel_starts[k],
-                       [(c, n, t) for n, t in zip(self.n_pixels[k].ravel().tolist(), ts)]))
+            return self.days[self.day_starts], self.pixels[self.pixel_starts]
+        ts, c = self.ts.ravel().tolist(), self.channels
+        return (_views(self.days, self.day_starts, [(t,) for t in ts]),
+                _views(self.pixels, self.pixel_starts,
+                       [(c, n, t) for n, t in zip(self.n_pixels.ravel().tolist(), ts)]))
 
     def take(self, rows):
         """The columns of the parcels at `rows`, an index array of distinct
@@ -790,7 +789,7 @@ def save_dataset(path, parcels_or_columns, num_classes, manifest=None):
         header = _HEADER.pack(FORMAT_VERSION, len(columns), num_years, channels, num_classes)
     except struct.error as exc:
         raise DataFormatError(f"dataset dimensions overflow the header fields: {exc}") from None
-    days, pixels = columns.sample_arrays(...)
+    days, pixels = columns.sample_arrays()
     with np.errstate(over="ignore"):  # float32 overflow is refused as non-finite
         pixels = np.concatenate([np.empty(0, _F4), *pixels.ravel()], axis=None, dtype=_F4,
                                 casting="unsafe")

@@ -94,40 +94,13 @@ def optimizer_step(vector, grad, state: AdamState, cfg: TrainConfig):
 # batched forward
 
 
-def _select(parcels, years):
-    """(parcel rows, years, past) of the items of the (parcel row, year)
-    pairs given as two int64 arrays, rows >= 0 and years >= 1: the pairs in
-    order, then the years i-1 and i-2 they lack, each once, in the order
-    first lacked, so that a pair's `past`, the (items, 2) rows of its years
-    i-1 and i-2 among the items, is -1 only before year 1.  A pair given
-    twice is a ContractError naming its year.  Items are found in a table
-    of (largest row + 1) * (largest year + 1) entries, so rows should be
-    dense."""
-    width = int(years.max(initial=0)) + 1
-    pairs = parcels * width + years  # one key per (parcel, year)
-    # the row of each key among the items, -1 for a key that is none
-    row = np.full(width * (int(parcels.max(initial=-1)) + 1), -1)
-    row[pairs] = np.arange(pairs.size)
-    twice = np.flatnonzero(row[pairs] != np.arange(pairs.size))
-    if twice.size:
-        raise ContractError(f"year {years[twice[0]]} asked for more than once")
-    back = np.arange(1, 3)
-    behind, has = pairs[:, None] - back, (pairs % width)[:, None] > back
-    lack = behind[has & (row[np.where(has, behind, 0)] < 0)]
-    _, first = np.unique(lack, return_index=True)
-    lack = lack[np.sort(first)]
-    row[lack] = np.arange(pairs.size, pairs.size + lack.size)
-    keys = np.concatenate([pairs, lack])
-    behind, has = keys[:, None] - back, (keys % width)[:, None] > back
-    return keys // width, keys % width, np.where(has, row[np.where(has, behind, 0)], -1)
-
-
 class _Items(NamedTuple):
-    """(parcel, year) items as arrays, built once per call by `of_columns`
-    and sliced per batch: parcel ids, years, labels, pixel counts, dates T,
-    pixel sets, days padded to the longest T, and `past`, the (items, 2)
-    rows of each item's years i-1 and i-2 among them, -1 where there is
-    none.  Each (parcel id, year) is one item."""
+    """The (parcel, year) items of `data.Columns` as arrays, one per sample
+    of its (P, Y) grid, built once per call by `of_columns` and sliced per
+    batch: item r is parcel r // Y, year r % Y + 1.  Parcel ids, years,
+    labels, pixel counts, dates T, pixel sets, days padded to the longest
+    T, and `past`, the (items, 2) rows r - 1 and r - 2 of each item's years
+    i-1 and i-2, -1 before year 1."""
 
     ids: np.ndarray
     years: np.ndarray
@@ -139,47 +112,36 @@ class _Items(NamedTuple):
     past: np.ndarray
 
     @classmethod
-    def of_columns(cls, columns, years):
-        """The _Items of each parcel of the `data.Columns` with each of
-        `years`, parcel by parcel, first, then the past years they lack,
-        as `_select` orders them: slices of the columns, each item's days
-        and pixels read through `sample_arrays`.  A year that is not an
-        integer (a bool is none), outside the columns' years, or given
-        twice, is a ContractError."""
-        years = list(years)
-        bad = [y for y in years if isinstance(y, bool) or not isinstance(y, (int, np.integer))]
-        if bad:
-            raise ContractError(f"year {bad[0]!r} is not an integer")
-        num_years = columns.num_years
-        # checked as Python ints, so that no year wraps into int64
-        outside = [y for y in years if not 1 <= y <= num_years]
-        if outside:
-            raise ContractError(f"year {outside[0]} outside the dataset's years [1, {num_years}]")
-        years = np.fromiter(years, np.int64, len(years))
-        parcel, item_years, past = _select(
-            np.repeat(np.arange(len(columns)), years.size), np.tile(years, len(columns)))
-        k = (parcel, item_years - 1)
-        ts = columns.ts[k]
-        sample_days, pixels = columns.sample_arrays(k)
+    def of_columns(cls, columns):
+        """The _Items of every sample of the columns, each item's days and
+        pixels read through `sample_arrays`."""
+        num_parcels, num_years = columns.ts.shape
+        ts = columns.ts.ravel()
+        sample_days, pixels = columns.sample_arrays()
         days = np.zeros((ts.size, ts.max(initial=0)), dtype=np.int64)
         days[np.arange(days.shape[1]) < ts[:, None]] = np.concatenate(
-            [np.empty(0, np.int64), *sample_days])
-        return cls(columns.ids[parcel], item_years, columns.labels[k], columns.n_pixels[k], ts,
-                   pixels, days, past)
+            [np.empty(0, np.int64), *sample_days.ravel()])
+        years = np.tile(np.arange(1, num_years + 1), num_parcels)
+        back = np.arange(1, 3)
+        past = np.where(years[:, None] > back, np.arange(ts.size)[:, None] - back, -1)
+        return cls(np.repeat(columns.ids, num_years), years, columns.labels.ravel(),
+                   columns.n_pixels.ravel(), ts, pixels.ravel(), days, past)
 
     def take(self, rows):
-        """The items at `rows`, an index array or a slice."""
+        """The items at `rows`, an index array."""
         return _Items._make(column[rows] for column in self)
 
 
-def _batches(items, batch_size, rng=None):
-    """Row arrays of batches of at most `batch_size` of the _Items `items`
-    that share their year and their number of dates T, as one encoder
-    batch must, bucket by bucket in a fixed (year, T) key order.  With
-    `rng`, each bucket is shuffled and then the order of the batches."""
+def _batches(items, rows, batch_size, rng=None):
+    """Row arrays of batches of at most `batch_size` of the `rows` of the
+    _Items `items` that share their year and their number of dates T, as
+    one encoder batch must, bucket by bucket in a fixed (year, T) key
+    order.  With `rng`, each bucket is shuffled and then the order of the
+    batches."""
     batches = []
-    for year, t in sorted(set(zip(items.years.tolist(), items.ts.tolist())), key=str):
-        group = np.flatnonzero((items.years == year) & (items.ts == t))
+    years, ts = items.years[rows], items.ts[rows]
+    for year, t in sorted(set(zip(years.tolist(), ts.tolist())), key=str):
+        group = rows[(years == year) & (ts == t)]
         if rng is not None:
             group = group[rng.permutation(len(group))]
         batches += [group[i : i + batch_size] for i in range(0, len(group), batch_size)]
@@ -230,7 +192,7 @@ def _descriptors(model, items, columns, counts):
     batches of at most ENCODE_BATCH; a non-finite descriptor is a
     ContractError."""
     out = np.empty((items.ids.size, model.dims.descriptor), dtype=model.vector.dtype)
-    for rows in _batches(items, ENCODE_BATCH):
+    for rows in _batches(items, np.arange(items.ids.size), ENCODE_BATCH):
         rows = _by_distinct(counts, rows)
         batch = items.take(rows)
         e = _encode(model, batch, columns[rows], counts[rows]).data
@@ -243,14 +205,12 @@ def _descriptors(model, items, columns, counts):
 ENCODE_BATCH = 256
 
 
-def encode_items(model, items, n, stream):
-    """Descriptors of the leading _Items that the head reads for the first
-    `n`, the requested ones, and on "obs" also the past years after them,
-    each encoded once from the pixel draw keyed by (*stream, parcel id,
-    year).  Run outside `ad.recording`, it records nothing on a tape."""
-    read = items if model.variant == "obs" else items.take(slice(0, n))
-    columns, counts = _draw(read, stream, model.dims.sample_pixels)
-    return _descriptors(model, read, columns, counts)
+def encode_items(model, items, stream):
+    """Descriptors of the _Items, each encoded once from the pixel draw
+    keyed by (*stream, parcel id, year).  Run outside `ad.recording`, it
+    records nothing on a tape."""
+    columns, counts = _draw(items, stream, model.dims.sample_pixels)
+    return _descriptors(model, items, columns, counts)
 
 
 def _features(model, items, prev, descriptors=None):
@@ -313,17 +273,13 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
     `data.Columns`; selects the best epoch by validation mIoU."""
     cfg.validate()
     train_columns, val = as_columns(train_parcels), as_columns(val_parcels)
-    years = _training_years(cfg, dataset.num_years)
-    n = len(train_columns) * len(years)
-    if not n:
+    items = _Items.of_columns(train_columns)
+    trained = np.flatnonzero(np.isin(items.years, _training_years(cfg, dataset.num_years)))
+    if not trained.size:
         raise ContractError("no training samples: an empty split or a dataset of no years")
     model = CropModel(dims, cfg.variant, seed=cfg.seed + fold)
     params = model.parameters()
     state = AdamState()
-    items = _Items.of_columns(train_columns, years)
-    # the trained items come first; "obs" also draws the past years after them
-    trained = items.take(slice(0, n))
-    drawn = items if cfg.variant == "obs" else trained
     # the best epoch's weights: a copy, as the vector is updated in place
     best = (-1.0, 0, model.vector.copy())
     epoch_log = []
@@ -334,9 +290,9 @@ def train_single_split(dataset, train_parcels, val_parcels, cfg, dims, fold=0):
             np.random.SeedSequence([cfg.seed, fold, epoch, 0xE9])
         )
         stream = (TRAIN_DRAWS, cfg.seed, fold, epoch)
-        columns, counts = _draw(drawn, stream, dims.sample_pixels)
+        columns, counts = _draw(items, stream, dims.sample_pixels)
         losses = []
-        for rows in _batches(trained, cfg.batch_size, rng):
+        for rows in _batches(items, trained, cfg.batch_size, rng):
             rows = _by_distinct(counts, rows)
             batch = items.take(rows)
             prev, descriptors = items.past[rows], None
@@ -408,30 +364,22 @@ def train(dataset, folds, cfg: TrainConfig, dims: ModelDims, folds_to_run=None):
 # inference
 
 
-def predict(model, parcels, years=None, seed=0):
-    """The `binio.predictions` array of the requested parcel-years, one row
-    each, parcel by parcel and each parcel's years in the requested order;
-    a parcel or year asked for twice is a ContractError naming it.  Pixel
-    draws are fixed by (seed, parcel, year), so repeated calls are
-    identical and a parcel's rows do not depend, bit for bit, on the other
-    parcels in the call: ENCODE_BATCH only cuts the encoder's batches,
-    and the head decodes every item in one call, one row independent of
-    the others.
+def predict(model, parcels, seed=0):
+    """The `binio.predictions` array of every parcel-year, one row each,
+    parcel by parcel and year by year.  Pixel draws are fixed by (seed,
+    parcel, year), so repeated calls are identical and a parcel's rows do
+    not depend, bit for bit, on the other parcels in the call:
+    ENCODE_BATCH only cuts the encoder's batches, and the head decodes
+    every item in one call, one row independent of the others.
 
     Label-history variants consume the ground-truth declarations of the
     previous years.  "obs" averages the descriptors of the previous two years,
     encoded with the same keyed draws.  Non-finite descriptors or logits
     are a ContractError.  `parcels` is a list of parcels or a
     `data.Columns`, whose items are slices of its columns."""
-    columns = as_columns(parcels)
-    wanted = list(years) if years is not None else list(range(1, columns.num_years + 1))
-    if not (len(columns) and wanted):
-        return predictions([], [], [], np.zeros((0, model.dims.num_classes), np.float32))
-    items = _Items.of_columns(columns, wanted)
-    n = len(columns) * len(wanted)
-    table = encode_items(model, items, n, (seed,))
-    asked = items.take(slice(0, n))
-    features = _features(model, items, asked.past, table)
-    z = np.asarray(heads.decode(table[:n], model.head, features).data)
-    _refuse_non_finite(z, asked, "logits")
-    return predictions(asked.ids, asked.years, asked.labels, z)
+    items = _Items.of_columns(as_columns(parcels))
+    table = encode_items(model, items, (seed,))
+    features = _features(model, items, items.past, table)
+    z = np.asarray(heads.decode(table, model.head, features).data)
+    _refuse_non_finite(z, items, "logits")
+    return predictions(items.ids, items.years, items.labels, z)

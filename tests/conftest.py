@@ -8,7 +8,7 @@ from croprot.data import (
 )
 from croprot.encoders import encode_batch
 from croprot.model import CropModel, ModelDims
-from croprot.training import _features, encode_items
+from croprot.training import _Items, _features, encode_items
 
 import oracles
 
@@ -19,26 +19,39 @@ settings.register_profile("croprot", derandomize=True, max_examples=100, deadlin
 settings.load_profile("croprot")
 
 
-def encode_pairs(model, pairs, stream):
-    """(the _Items of the distinct (parcel, year) pairs, as
-    `oracles.items_of` builds them, the pairs first, and their
-    `encode_items` descriptors)."""
-    items = oracles.items_of(pairs)
-    return items, encode_items(model, items, len(pairs), stream)
+def encode_parcels(model, parcels, stream):
+    """(the _Items of every (parcel, year) of the parcels, as
+    `oracles.items_of` builds them, and their `encode_items`
+    descriptors)."""
+    items = oracles.items_of(parcels)
+    return items, encode_items(model, items, stream)
 
 
-def descriptors_of(model, items, stream):
-    """{(parcel_id, year): descriptor} of the rows one `encode_items` call
-    encodes for the (parcel, year) items."""
-    encoded, table = encode_pairs(model, items, stream)
+def descriptors_of(model, parcels, stream):
+    """{(parcel_id, year): descriptor} of every parcel-year of the parcels,
+    from one `encode_items` call."""
+    encoded, table = encode_parcels(model, parcels, stream)
     return dict(zip(zip(encoded.ids.tolist(), encoded.years.tolist()), table))
 
 
-def features_of(model, items, stream=(7,)):
-    """Head features of the (parcel, year) items, read from the rows of one
-    `encode_items` call as `predict` reads them."""
-    encoded, table = encode_pairs(model, items, stream)
-    return _features(model, encoded, encoded.past[:len(items)], table)
+def features_of(model, pairs, stream=(7,)):
+    """Head features of the (parcel, year) pairs, read as `predict` reads
+    them from one `encode_items` call over every year of their parcels."""
+    parcels = list({p.parcel_id: p for p, _ in pairs}.values())
+    encoded, table = encode_parcels(model, parcels, stream)
+    row = {key: i for i, key in enumerate(zip(encoded.ids.tolist(), encoded.years.tolist()))}
+    rows = [row[p.parcel_id, y] for p, y in pairs]
+    return _features(model, encoded, encoded.past[rows], table)
+
+
+def assert_items_equal(got, want):
+    """The two _Items hold equal fields of equal dtypes, and equal shapes
+    and bytes of each pixel set."""
+    for name, a, b in zip(_Items._fields, got, want):
+        if name == "pixels":
+            assert [(x.shape, x.tobytes()) for x in a] == [(x.shape, x.tobytes()) for x in b]
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def tiny_dims(num_classes=4, variant_descriptor=8):

@@ -16,8 +16,8 @@ without any check; and `dense`
 and `mean_std_pool` with backward rules that compute every input's
 gradient, sum bias gradients with `sum(axis=0)` and fill the pool's
 gradient run by run of equal-size segments, against the library's; and
-the `_Items` of a list of (parcel, year) pairs read from the parcel
-objects pair by pair, against `_Items.of_columns`."""
+the `_Items` of every (parcel, year) of a list of parcels read from the
+parcel objects sample by sample, against `_Items.of_columns`."""
 
 import math
 import os
@@ -33,7 +33,7 @@ from croprot.data import (
     _HEADER, FORMAT_VERSION, MAGIC, MultiYearParcel, PixelSetSample, _check_class_names,
 )
 from croprot.errors import ContractError, DataFormatError
-from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Items, _select
+from croprot.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _Items
 
 _U64, _F64, _F32 = struct.Struct("<Q"), struct.Struct("<d"), struct.Struct("<f")
 
@@ -434,15 +434,17 @@ def load_dataset(path):
     return SimpleNamespace(parcels=parcels, num_classes=int(num_classes), manifest=manifest)
 
 
-def items_of(pairs):
-    """The _Items of a list of distinct (parcel, year) pairs, items
-    selected as `_select` does and read from the parcel objects, each
-    parcel's samples from the first pair that names its id."""
-    ids = np.array([p.parcel_id for p, _ in pairs], np.uint64).reshape(-1)
-    distinct, first, row = np.unique(ids, return_index=True, return_inverse=True)
-    parcel, years, past = _select(row.reshape(-1).astype(np.int64),
-                                  np.array([y for _, y in pairs], np.int64).reshape(-1))
-    samples = [pairs[first[i]][0].samples[y - 1] for i, y in zip(parcel.tolist(), years.tolist())]
+def items_of(parcels):
+    """The _Items of every (parcel, year) of a list of parcels, parcel by
+    parcel and year by year, read from the parcel objects sample by
+    sample; each item's `past` is the rows of its parcel's years i-1 and
+    i-2, found by looking each (parcel id, year) up among the items, -1
+    where there is none."""
+    keys = [(p.parcel_id, y) for p in parcels for y in range(1, len(p.samples) + 1)]
+    samples = [s for p in parcels for s in p.samples]
+    row = {key: i for i, key in enumerate(keys)}
+    past = np.array([[row.get((pid, y - back), -1) for back in (1, 2)] for pid, y in keys],
+                    np.int64).reshape(-1, 2)
     ts = np.array([s.days.size for s in samples], np.int64).reshape(-1)
     days = np.zeros((len(samples), ts.max(initial=0)), np.int64)
     for d, s in zip(days, samples):
@@ -450,7 +452,8 @@ def items_of(pairs):
     pixels = np.empty(len(samples), object)
     for i, s in enumerate(samples):
         pixels[i] = s.pixels
-    return _Items(distinct[parcel], years,
+    return _Items(np.array([pid for pid, _ in keys], np.uint64).reshape(-1),
+                  np.array([y for _, y in keys], np.int64).reshape(-1),
                   np.array([s.label for s in samples], np.int64).reshape(-1),
                   np.array([s.pixels.shape[1] for s in samples], np.int64).reshape(-1),
                   ts, pixels, days, past)

@@ -281,7 +281,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = descriptors_of(model, items, (3,))
+        want = descriptors_of(model, parcels, (3,))
         oracle = tmp_path / "oracle.csv"
         with open(oracle, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -303,7 +303,7 @@ class TestExports:
         path = tmp_path / "emb.csv"
         analytics.export_embeddings(model, parcels, path, seed=3)
         items = [(p, y) for p in parcels for y in (1, 2, 3)]
-        want = descriptors_of(model, items, (3,))
+        want = descriptors_of(model, parcels, (3,))
         rows = list(csv.reader(open(path)))[1:]
         assert len(rows) == len(want)
         for row in rows:

@@ -528,22 +528,25 @@ class TestPipeline:
         assert not (tmp_path / "o").exists()
 
 
-# a well-formed predictions record of the 8-class pipeline dataset, and the
-# meta of a fold-0 eval
+# a well-formed predictions record of the 8-class pipeline dataset, the
+# same parcel's year-2 record for a val split, as a (parcel, year) may
+# appear once across val and test, and the meta of a fold-0 eval
 _RECORD = {"parcel_id": 0, "year_index": 1, "logits": [0.5, -0.5] * 4, "true_label": 0}
+_VAL_RECORD = {**_RECORD, "year_index": 2}
 _META = {"fold": 0, "val_fold": 1}
 
 
 def _preds(**test_record):
     """Predictions file text with one val record and one test record,
     `test_record` replacing fields of the well-formed one."""
-    return json.dumps({"meta": _META, "val": [_RECORD], "test": [{**_RECORD, **test_record}]})
+    return json.dumps({"meta": _META, "val": [_VAL_RECORD],
+                       "test": [{**_RECORD, **test_record}]})
 
 
 def _preds_meta(**meta):
     """Predictions file text whose test record `crf` can rescore (year 3),
     `meta` replacing fields of the fold-0 meta."""
-    return json.dumps({"meta": {**_META, **meta}, "val": [_RECORD],
+    return json.dumps({"meta": {**_META, **meta}, "val": [_VAL_RECORD],
                        "test": [{**_RECORD, "year_index": 3}]})
 
 
@@ -564,13 +567,16 @@ def malformed(workdir, tmp_path_factory):
         "preds_not_json": "{not json",
         "preds_not_object": "[]",
         "preds_no_test": json.dumps({"meta": {"fold": 0, "val_fold": 1}, "val": []}),
-        "preds_no_fold": json.dumps({"meta": {}, "val": [_RECORD], "test": [_RECORD]}),
+        "preds_no_fold": json.dumps({"meta": {}, "val": [_VAL_RECORD], "test": [_RECORD]}),
         "preds_bad_record": json.dumps({"meta": {}, "val": [{"logits": [0.0]}], "test": []}),
-        "preds_empty_test": json.dumps({"meta": _META, "val": [_RECORD], "test": []}),
+        "preds_empty_test": json.dumps({"meta": _META, "val": [_VAL_RECORD], "test": []}),
         "preds_empty_val": json.dumps({"meta": _META, "val": [], "test": [_RECORD]}),
         "preds_unknown_parcel": _preds(parcel_id=10**6),
         "preds_year_0": _preds(year_index=0),
         "preds_year_4": _preds(year_index=4),
+        # parcel 1, year 3 twice in val and twice in test
+        "preds_repeated_pair": json.dumps({"meta": _META, **{
+            name: [{**_RECORD, "parcel_id": 1, "year_index": 3}] * 2 for name in ("val", "test")}}),
         "preds_year_1": _preds(),
         "preds_year_string": _preds(year_index="3"),
         "preds_parcel_float": _preds(parcel_id=1.5),
@@ -597,7 +603,7 @@ def malformed(workdir, tmp_path_factory):
         "config_mixed_protocol_year": json.dumps(
             {**RUN_CONFIG, "train": {**RUN_CONFIG["train"], "protocol": "mixed",
                                      "protocol_year": 2}}),
-        "preds_2_classes": json.dumps({"meta": _META, "val": [{**_RECORD, "logits": [0.5, -0.5]}],
+        "preds_2_classes": json.dumps({"meta": _META, "val": [{**_VAL_RECORD, "logits": [0.5, -0.5]}],
                                        "test": [{**_RECORD, "logits": [0.5, -0.5]}]}),
         "config_not_utf8": b'{"train": {"\xff": 1}}',
         # integral floats where an integer belongs
@@ -797,6 +803,8 @@ CLI_MATRIX = {
     "crf-unknown-parcel": (_CRF.replace("{preds}", "{preds_unknown_parcel}"), 3),
     "crf-year-0": (_CRF.replace("{preds}", "{preds_year_0}"), 3),
     "crf-year-4": (_CRF.replace("{preds}", "{preds_year_4}"), 3),
+    "crf-repeated-pair": (_CRF.replace("{preds}", "{preds_repeated_pair}"), 3),
+    "calibrate-repeated-pair": (_CALIBRATE.replace("{preds}", "{preds_repeated_pair}"), 3),
     "rotations-dataset": ("rotations --dataset {dataset_nan} --out {out}", 3),
     "eval-dataset-no-dates": (_EVAL.replace("{dataset}", "{dataset_no_dates}"), 3),
     "embed-dataset-no-dates": (_EMBED.replace("{dataset}", "{dataset_no_dates}"), 3),
@@ -904,6 +912,15 @@ CLI_MATRIX = {
     "crf-alpha-nan": (_CRF + " --alpha nan", 4),
     "crf-alpha-inf": (_CRF + " --alpha inf", 4),
 }
+
+
+@pytest.mark.parametrize("case", ["calibrate-repeated-pair", "crf-repeated-pair"])
+def test_repeated_pair_named(malformed, capsys, case):
+    # a (parcel, year) listed twice would be fitted or scored twice
+    command, _ = CLI_MATRIX[case]
+    capsys.readouterr()
+    assert main([arg.format(**malformed) for arg in command.split()]) == 3
+    assert capsys.readouterr().err.endswith(": parcel 1, year 3 appears more than once\n")
 
 
 @pytest.mark.parametrize("case", sorted(CLI_MATRIX))

@@ -203,6 +203,46 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="sidecar"):
             load_transitions(path)
 
+    @staticmethod
+    def _with_sidecar(tmp_path, sidecar):
+        """Path of a saved 2-class tensor whose sidecar is the text
+        `sidecar`."""
+        path = tmp_path / "trans.bin"
+        save_transitions(path, estimate_transitions([], 2))
+        (tmp_path / "trans.bin.json").write_text(sidecar)
+        return path
+
+    @pytest.mark.parametrize("alpha", ['"x"', "null", "true", "[1]", "0", "-1.5", "1e400"])
+    def test_alpha_not_a_finite_positive_number_refused(self, tmp_path, alpha):
+        path = self._with_sidecar(
+            tmp_path, f'{{"num_classes": 2, "alpha": {alpha}, "triplet_count": 0}}')
+        with pytest.raises(DataFormatError, match="needs alpha, a finite positive number"):
+            load_transitions(path)
+
+    @pytest.mark.parametrize("count", ["-5", "null", '"3"', "2.0", "true"])
+    def test_triplet_count_not_a_non_negative_integer_refused(self, tmp_path, count):
+        path = self._with_sidecar(
+            tmp_path, f'{{"num_classes": 2, "alpha": 1, "triplet_count": {count}}}')
+        with pytest.raises(DataFormatError, match="triplet_count, a non-negative integer"):
+            load_transitions(path)
+
+    @pytest.mark.parametrize("num_classes", [None, "3", '"2"', "2.0", "true"])
+    def test_num_classes_not_the_tensors_refused(self, tmp_path, num_classes):
+        # None: the key is missing
+        entry = "" if num_classes is None else f'"num_classes": {num_classes}, '
+        path = self._with_sidecar(tmp_path, f'{{{entry}"alpha": 1.0, "triplet_count": 0}}')
+        with pytest.raises(DataFormatError, match="num_classes, the tensor's 2"):
+            load_transitions(path)
+
+    def test_save_refuses_a_sidecar_json_cannot_encode(self, tmp_path):
+        # the sidecar is encoded before the tensor file is opened
+        t = estimate_transitions([], 2)
+        t.triplet_count = np.int64(2)
+        with pytest.raises(DataFormatError, match=r"^transition-tensor sidecar .*trans\.bin\.json: "
+                                                  "Object of type int64 is not JSON serializable"):
+            save_transitions(tmp_path / "trans.bin", t)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
     def test_non_finite_or_negative_entry(self, tmp_path, value):
         t = estimate_transitions([(0, 1, 1)], 2)

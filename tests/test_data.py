@@ -37,17 +37,18 @@ from croprot.data import (
 )
 from croprot import data
 from croprot.errors import ConfigError, ContractError, DataFormatError
+from croprot.training import _Items
 
 import oracles
 
-from conftest import expand_draws, one_sample_file, one_sample_parcel
+from conftest import assert_items_equal, expand_draws, one_sample_file, one_sample_parcel
 
 
 def _samples_of(parcels_or_columns):
     """(days, pixels) of each sample, parcel by parcel and year by year: a
     list's from its sample objects, `Columns`' through `sample_arrays`."""
     if isinstance(parcels_or_columns, Columns):
-        days, pixels = parcels_or_columns.sample_arrays(...)
+        days, pixels = parcels_or_columns.sample_arrays()
         return list(zip(days.ravel().tolist(), pixels.ravel().tolist()))
     return [(s.days, s.pixels) for p in parcels_or_columns for s in p.samples]
 
@@ -543,7 +544,7 @@ class TestFileFormat:
         save_dataset(path, [], 8)
         ds = load_dataset(path)
         assert (len(ds.columns), ds.num_years, ds.num_channels) == (0, 0, 0)
-        assert [a.size for a in ds.columns.sample_arrays(...)] == [0, 0]
+        assert [a.size for a in ds.columns.sample_arrays()] == [0, 0]
 
     def test_label_out_of_range_rejected_on_load(self, tmp_path):
         # written by hand: a 3-class header with a label 7, which the
@@ -872,20 +873,20 @@ def test_columns_of_equal_shapes_keep_one_array_per_sample(parcels, years):
     columns = Columns.of(parcels)
     for store in (columns.days, columns.pixels):
         assert store.dtype == object and store.shape == (len(parcels) * years,)
-    days, pixels = columns.sample_arrays(...)
+    days, pixels = columns.sample_arrays()
     assert days.shape == pixels.shape == (len(parcels), years)
     for p, row_days, row_pixels in zip(parcels, days, pixels):
         assert [d is s.days for d, s in zip(row_days, p.samples)] == [True] * years
         assert [a is s.pixels for a, s in zip(row_pixels, p.samples)] == [True] * years
     taken = columns.take(np.array([-1]))
     assert taken.days is columns.days and taken.pixels is columns.pixels
-    assert taken.sample_arrays((0, 0))[1] is parcels[-1].samples[0].pixels
+    assert taken.sample_arrays()[1][0, 0] is parcels[-1].samples[0].pixels
 
 
 def test_loaded_columns_build_views_on_use(tmp_path, views_built):
     # a load keeps the file's columns and each sample's start; `take`
     # shares them and builds no view, and each `sample_arrays` call builds
-    # one view of each kind per sample it is asked for
+    # one view of each kind per sample of the columns it is called on
     parcels = generate_synthetic(SyntheticConfig(parcels=6, seed=1))
     path = tmp_path / "ds.rcds"
     save_dataset(path, parcels, 8)
@@ -894,9 +895,9 @@ def test_loaded_columns_build_views_on_use(tmp_path, views_built):
     assert (columns.num_channels, taken.num_channels, columns.take(np.array([], int)).num_channels,
             views_built) == (4, 4, 0, [])
     assert taken.days is columns.days and taken.pixels is columns.pixels
-    days, pixels = taken.sample_arrays(...)
+    days, pixels = taken.sample_arrays()
     assert views_built == [2 * 3, 2 * 3]
-    taken.sample_arrays((np.array([1, 0, 1]), np.array([2, 0, 0])))
+    taken.take(np.array([1])).sample_arrays()
     assert views_built == [2 * 3, 2 * 3, 3, 3]
     for p, got_days, got_pixels in zip([parcels[4], parcels[1]], days, pixels):
         assert [(a.shape, a.tobytes()) for a in got_pixels] == [
@@ -980,6 +981,21 @@ def test_every_form_reads_the_same_samples(rcds_path, dataset, data):
     for form in taken:
         save_dataset(saved, form, num_classes)
         assert saved.read_bytes() == want
+
+
+@given(dataset=_datasets(), data=st.data())
+def test_items_of_every_form_equal_the_oracle(rcds_path, dataset, data):
+    # the items of a parcel list's `Columns.of`, of its saved-and-loaded
+    # file and of a `take` of each in a drawn row order are, field by
+    # field, those the oracle reads from the parcel objects
+    parcels, num_classes = dataset
+    save_dataset(rcds_path, parcels, num_classes)
+    order = data.draw(st.permutations(range(len(parcels))), "order")
+    rows = np.array(order[:data.draw(st.integers(0, len(order)), "count")], np.int64)
+    chosen = [parcels[i] for i in rows.tolist()]
+    for columns in (Columns.of(parcels), load_dataset(rcds_path).columns):
+        assert_items_equal(_Items.of_columns(columns), oracles.items_of(parcels))
+        assert_items_equal(_Items.of_columns(columns.take(rows)), oracles.items_of(chosen))
 
 
 @given(dataset=_datasets(min_parcels=1), data=st.data())

@@ -6,9 +6,9 @@ from croprot.data import Columns, SyntheticConfig, draw_keys, generate_synthetic
 from croprot.errors import ConfigError, ContractError
 from croprot.encoders import encode_batch
 from croprot.model import CropModel
-from croprot.training import _Items, _features, _select, cross_entropy
+from croprot.training import _Items, _features, cross_entropy
 
-from conftest import descriptors_of, encode_pairs, features_of, tiny_dims
+from conftest import descriptors_of, encode_parcels, features_of, tiny_dims
 
 L = 4
 IDENTITY = np.eye(L, dtype=np.float32)
@@ -122,22 +122,17 @@ class TestObsFeature:
             heads.history_features("obs", prev1, prev2, self.TABLE)
 
     def test_past_years_are_built_in(self):
-        """`_select` appends the past years its pairs lack, so that every
-        asked pair's past row is -1 only before year 1, and `of_columns`
-        reads those items' labels from the columns."""
-        parcel, years, past = _select(np.array([0, 1, 0]), np.array([3, 2, 1]))
-        assert list(zip(parcel.tolist(), years.tolist())) == [(0, 3), (1, 2), (0, 1), (0, 2),
-                                                               (1, 1)]
-        assert past.tolist() == [[3, 2], [4, -1], [-1, -1], [2, -1], [-1, -1]]
+        """Every year of every parcel is an item, so that an item's past
+        row is -1 only before year 1, and `of_columns` reads the items'
+        labels from the columns."""
         cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), parcels=2, seed=5)
         p, q = generate_synthetic(cfg)
-        items = _Items.of_columns(Columns.of([p, q]), [3])
+        items = _Items.of_columns(Columns.of([p, q]))
         assert list(zip(items.ids.tolist(), items.years.tolist())) == [
-            (p.parcel_id, 3), (q.parcel_id, 3), (p.parcel_id, 2), (p.parcel_id, 1),
-            (q.parcel_id, 2), (q.parcel_id, 1)]
-        assert items.past.tolist() == [[2, 3], [4, 5], [3, -1], [-1, -1], [5, -1], [-1, -1]]
-        assert items.labels.tolist() == [p.labels[2], q.labels[2], p.labels[1], p.labels[0],
-                                         q.labels[1], q.labels[0]]
+            (p.parcel_id, 1), (p.parcel_id, 2), (p.parcel_id, 3),
+            (q.parcel_id, 1), (q.parcel_id, 2), (q.parcel_id, 3)]
+        assert items.past.tolist() == [[-1, -1], [0, -1], [1, 0], [-1, -1], [3, -1], [4, 3]]
+        assert items.labels.tolist() == p.labels + q.labels
 
 
 class TestDecode:
@@ -203,7 +198,7 @@ def test_batch_features_read_the_two_previous_labels(variant):
         # past years read the descriptors `encode_items` gives for the same
         # draw keys: zeros at year 1, the one past year at year 2 (mirror
         # padding), the average of the two after
-        e = descriptors_of(model, [(p, y) for p in parcels for y in range(1, 5)], (7,))
+        e = descriptors_of(model, parcels, (7,))
 
         def row(p, y):
             if y == 1:
@@ -224,18 +219,17 @@ def test_batch_features_read_the_two_previous_labels(variant):
 
 def test_obs_features_read_only_the_rows_they_need():
     # the rows of every parcel-year give the same features, bit for bit,
-    # as the items' own rows and their past years alone
+    # as the rows of the items' own parcels alone
     cfg = SyntheticConfig(num_classes=L, cycles=((2, 3),), channels=3, parcels=40, seed=5)
     parcels = generate_synthetic(cfg)
     model = CropModel(tiny_dims(num_classes=L), "obs")
     pairs = [(p, 1 + i % 3) for i, p in enumerate(parcels[:32])]
-    asked = {(p.parcel_id, y) for p, y in pairs}
-    rest = [(p, y) for p in parcels for y in (1, 2, 3) if (p.parcel_id, y) not in asked]
-    every, table = encode_pairs(model, pairs + rest, (7,))
-    needed, _ = encode_pairs(model, pairs, (7,))
+    every, table = encode_parcels(model, parcels, (7,))
+    needed, _ = encode_parcels(model, parcels[:32], (7,))
     assert needed.ids.size < every.ids.size
     want = features_of(model, pairs)
-    got = _features(model, every, every.past[: len(pairs)], table)
+    got = _features(model, every, every.past[[3 * i + y - 1 for i, (_, y) in enumerate(pairs)]],
+                    table)
     assert got.tobytes() == want.tobytes()
 
 

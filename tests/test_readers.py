@@ -129,7 +129,7 @@ def _samples(dataset):
     they are."""
     if isinstance(dataset, Dataset):
         columns = dataset.columns
-        days, pixels = columns.sample_arrays(...)
+        days, pixels = columns.sample_arrays()
         return [(pid, tuple(centroid), [
             (pid, year, label, d, x)
             for year, (label, d, x) in enumerate(zip(labels, row_days, row_pixels), 1)])
@@ -226,10 +226,9 @@ def test_load_dataset_matches_the_oracle_on_ragged_files(tmp_path_factory, file)
     assert columns.ids.tolist() == [p.parcel_id for p in want.parcels]
     assert columns.centroids.tolist() == [list(p.centroid) for p in want.parcels]
     assert columns.labels.tolist() == [p.labels for p in want.parcels]
-    k = np.nonzero(np.ones(columns.labels.shape, bool))
-    assert columns.ts[k].tolist() == [s.days.size for s in samples]
-    assert columns.n_pixels[k].tolist() == [s.n_pixels for s in samples]
-    days, pixels = columns.sample_arrays(k)
+    assert columns.ts.ravel().tolist() == [s.days.size for s in samples]
+    assert columns.n_pixels.ravel().tolist() == [s.n_pixels for s in samples]
+    days, pixels = (a.ravel() for a in columns.sample_arrays())
     assert [(a.dtype, a.tobytes()) for a in days] == [
         (s.days.dtype, s.days.tobytes()) for s in samples]
     assert [(a.shape, a.tobytes()) for a in pixels] == [
@@ -286,12 +285,15 @@ def test_read_json_raises_the_callers_error(tmp_path, raw, error):
 
 def _random_split(rng, n, num_classes, posterior):
     """A predictions array of `n` rows with ids up to 2**64 - 1 and float32
-    logits from 1e-40 to 1e30 in size, and its float32 posteriors or None."""
+    logits from 1e-40 to 1e30 in size, and its float32 posteriors or None.
+    A third of the rows have the id 2**64 - 1, each with a year drawn from
+    [4, 2**62), so that no (id, year) repeats within or across splits."""
     ids = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
     ids[: n // 3] = 2**64 - 1
+    years = rng.integers(1, 4, n)
+    years[: n // 3] = rng.integers(4, 2**62, n // 3)
     logits = rng.standard_normal((n, num_classes)) * 10.0 ** rng.integers(-40, 31, (n, num_classes))
-    preds = predictions(ids, rng.integers(1, 4, n), rng.integers(0, num_classes, n),
-                        logits.astype(np.float32))
+    preds = predictions(ids, years, rng.integers(0, num_classes, n), logits.astype(np.float32))
     p = rng.dirichlet(np.ones(num_classes), n).astype(np.float32) if posterior else None
     return preds, p
 

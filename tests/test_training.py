@@ -40,8 +40,8 @@ from croprot.training import (
 
 import oracles
 from conftest import (
-    assert_parameter_views, descriptors_of, encode_pairs, expand_draws, features_of, small_dims,
-    tiny_dims,
+    assert_items_equal, assert_parameter_views, descriptors_of, encode_parcels, expand_draws,
+    features_of, small_dims, tiny_dims,
 )
 
 
@@ -154,7 +154,9 @@ class TestConfigAndRecords:
         r = predictions([5], [2], [1], np.array([[0.1, 0.9]], dtype=np.float32))
         posterior = np.array([[0.3, 0.7]], dtype=np.float32)
         path = tmp_path / "predictions.json"
-        write_predictions(path, {}, {"val": (r, posterior), "test": (r, None)})
+        # a (parcel, year) appears once across val and test
+        test = predictions([5], [3], [1], r.logits)
+        write_predictions(path, {}, {"val": (r, posterior), "test": (test, None)})
         _, back, _ = read_predictions(path)
         assert back.parcel_id.tolist() == [5] and back.year_index.tolist() == [2]
         assert np.allclose(back.logits, r.logits)
@@ -174,11 +176,12 @@ class TestConfigAndRecords:
 
 
 def _item_batches(columns, years, batch_size, rng):
-    """`_batches` of the items of the `Columns` with each of `years`, as
+    """`_batches` of the items of the `Columns` of each of `years`, as
     lists of (parcel id, year) pairs."""
-    items = _Items.of_columns(columns, years)
+    items = _Items.of_columns(columns)
     pairs = list(zip(items.ids.tolist(), items.years.tolist()))
-    return [[pairs[i] for i in rows] for rows in _batches(items, batch_size, rng)]
+    rows = np.flatnonzero(np.isin(items.years, list(years)))
+    return [[pairs[i] for i in batch] for batch in _batches(items, rows, batch_size, rng)]
 
 
 class TestItemSelection:
@@ -227,17 +230,11 @@ class TestPredict:
         keys = {(r.parcel_id, r.year_index) for r in records}
         assert len(keys) == len(records)
 
-    def test_year_filter(self, trained):
-        parcels, model = trained
-        records = predict(model, parcels, years=[3])
-        assert len(records) == len(parcels)
-        assert all(r.year_index == 3 for r in records)
-
     def test_true_labels_copied(self, trained):
         parcels, model = trained
         by_id = {p.parcel_id: p for p in parcels}
-        for r in predict(model, parcels, years=[2]):
-            assert r.true_label == by_id[r.parcel_id].labels[1]
+        for r in predict(model, parcels):
+            assert r.true_label == by_id[r.parcel_id].labels[r.year_index - 1]
 
     def test_repeated_calls_bitwise_identical(self, trained):
         parcels, model = trained
@@ -264,14 +261,6 @@ class TestPredict:
                                                 minlength=cfg.num_classes).tolist()
         assert cm.sum() == cm[:, 0].sum() == 30
 
-    @pytest.mark.parametrize("year", [0, 4, 2**64 + 1, -(2**70), np.uint64(2**64 - 1)])
-    def test_year_outside_dataset_refused(self, trained, year):
-        # year 0 would read the last year's sample, year 4 none at all; a
-        # year beyond int64 is refused as outside, not wrapped
-        parcels, model = trained
-        with pytest.raises(ContractError, match=f"year {year} outside the dataset's years"):
-            predict(model, parcels[:3], years=[2, year])
-
     def test_non_finite_descriptor_refused(self, trained):
         # finite pixels large enough that the pixel MLP overflows
         parcels, model = trained
@@ -286,23 +275,17 @@ class TestPredict:
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
     @pytest.mark.parametrize("years", [None, [3], [3, 1]])
     def test_items_built_once(self, small_dataset, monkeypatch, variant, years):
-        # requested and past-year items come from one _Items, year 2 of
-        # [3, 1] among the past years that "obs" reads
+        # every year's items and the past years that "obs" reads come from
+        # one _Items, whichever years are then kept
         _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), variant, seed=1)
         calls = []
         of = _Items.of_columns
         monkeypatch.setattr(_Items, "of_columns",
-                            lambda columns, years: calls.append(len(columns)) or of(columns, years))
-        records = predict(model, parcels[:10], years=years)
+                            lambda columns: calls.append(len(columns)) or of(columns))
+        records = predict(model, parcels[:10])
+        records = records[np.isin(records.year_index, years or (1, 2, 3))]
         assert len(calls) == 1 and len(records) == 10 * len(years or (1, 2, 3))
-
-    @pytest.mark.parametrize("years", [[2, 2], [1, 3, 1]])
-    def test_repeated_year_refused(self, trained, years):
-        # a parcel-year is one item, and one record
-        parcels, model = trained
-        with pytest.raises(ContractError, match=f"^year {years[-1]} asked for more than once$"):
-            predict(model, parcels[:3], years=years)
 
     @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
     def test_ids_up_to_two_to_the_64(self, trained, pid):
@@ -327,7 +310,7 @@ class TestPredict:
         parcels, model = trained
         p = parcels[2]
         with pytest.raises(ContractError, match=f"^parcel {p.parcel_id}: id appears more than"):
-            predict(model, [parcels[1], p, parcels[0], p], years=[3])
+            predict(model, [parcels[1], p, parcels[0], p])
 
     def test_non_finite_logits_refused(self, trained):
         parcels, model = trained
@@ -359,40 +342,35 @@ _FIVE_YEARS = Columns.of(generate_synthetic(SyntheticConfig(parcels=4, num_years
 
 
 class TestColumnItems:
-    """`_Items.of_columns` slices the items that `oracles.items_of` reads
+    """`_Items.of_columns` gives the items that `oracles.items_of` reads
     from the same parcels' objects."""
 
     @pytest.mark.parametrize("years", [[1, 2, 3], [3], [2, 3, 1], [1]])
     def test_equal_to_items_of_parcels(self, ragged, years):
+        # the rows of `years`, field by field, of the items of a take
         ds, _, parcels = ragged
         rows = np.array([5, 0, 7, 3, 11])
-        got = _Items.of_columns(ds.columns.take(rows), years)
-        want = oracles.items_of([(parcels[i], y) for i in rows.tolist() for y in years])
-        for name, a, b in zip(_Items._fields, got, want):
-            if name == "pixels":
-                assert [(x.shape, x.tobytes()) for x in a] == [(x.shape, x.tobytes()) for x in b]
-            else:
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        got = _Items.of_columns(ds.columns.take(rows))
+        want = oracles.items_of([parcels[i] for i in rows.tolist()])
+        keep = np.flatnonzero(np.isin(want.years, years))
+        assert_items_equal(got.take(keep), want.take(keep))
 
-    @given(years=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
-    @example(years=[3])
+    @given(rows=st.lists(st.integers(0, 3), max_size=4, unique=True))
+    @example(rows=[2, 0, 3])
     @settings(max_examples=40)
-    def test_asked_pairs_first_and_past_rows_point_back(self, years):
-        # the asked pairs in order, then the past years they lack; a past
-        # row is the item of its parcel's year i-1 or i-2, and an asked
-        # pair's is -1 only before year 1
-        columns = _FIVE_YEARS.take(np.array([2, 0, 3]))
-        items = _Items.of_columns(columns, years)
-        n = len(columns) * len(years)
+    def test_grid_order_and_past_rows_point_back(self, rows):
+        # item r is parcel r // Y, year r % Y + 1; a past row is the item
+        # of its parcel's year i-1 or i-2, and -1 only before year 1
+        columns = _FIVE_YEARS.take(np.array(rows, np.int64))
+        items = _Items.of_columns(columns)
         keys = list(zip(items.ids.tolist(), items.years.tolist()))
-        assert keys[:n] == [(pid, y) for pid in columns.ids.tolist() for y in years]
-        assert len(set(keys)) == len(keys)
-        for i, ((pid, y), past) in enumerate(zip(keys, items.past.tolist())):
+        assert keys == [(pid, y) for pid in columns.ids.tolist() for y in range(1, 6)]
+        for (pid, y), past in zip(keys, items.past.tolist()):
             for back, row in zip((1, 2), past):
-                if row >= 0:
+                if y > back:
                     assert keys[row] == (pid, y - back)
                 else:
-                    assert i >= n or y - back < 1
+                    assert row == -1
 
     @pytest.mark.parametrize("variant", ["single", "dec", "obs"])
     def test_predict_and_embed_equal_on_columns_and_parcels(self, ragged, tmp_path, monkeypatch,
@@ -400,10 +378,9 @@ class TestColumnItems:
         ds, cfg, parcels = ragged
         model = CropModel(_dims(cfg), variant, seed=4)
         monkeypatch.setattr(training, "ENCODE_BATCH", 4)
-        for years in (None, [3], [2, 1]):
-            a = predict(model, ds.columns, years=years, seed=3)
-            b = predict(model, parcels, years=years, seed=3)
-            assert a.tobytes() == b.tobytes()
+        a = predict(model, ds.columns, seed=3)
+        b = predict(model, parcels, seed=3)
+        assert a.tobytes() == b.tobytes()
         analytics.export_embeddings(model, ds.columns, tmp_path / "a.csv", seed=3)
         analytics.export_embeddings(model, parcels, tmp_path / "b.csv", seed=3)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -412,22 +389,7 @@ class TestColumnItems:
         ds, cfg, _ = ragged
         model = CropModel(_dims(cfg), "single", seed=4)
         with pytest.raises(ContractError, match=f"^parcel {ds.columns.ids[0]}: row given more"):
-            predict(model, ds.columns.take(np.array([0, 0])), years=[1])
-
-    @pytest.mark.parametrize("year", [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None],
-                             ids=repr)
-    def test_year_that_is_not_an_integer_refused(self, ragged, year):
-        ds, cfg, _ = ragged
-        model = CropModel(_dims(cfg), "single", seed=4)
-        with pytest.raises(ContractError, match=r"^year .* is not an integer$"):
-            predict(model, ds.columns, years=[1, year])
-
-    def test_numpy_integer_years_accepted(self, ragged):
-        ds, cfg, _ = ragged
-        model = CropModel(_dims(cfg), "single", seed=4)
-        want = predict(model, ds.columns, years=[2, 1])
-        for years in ([np.int64(2), np.uint8(1)], np.array([2, 1], np.int32)):
-            assert predict(model, ds.columns, years=years).tobytes() == want.tobytes()
+            predict(model, ds.columns.take(np.array([0, 0])))
 
     def test_empty_selection(self, ragged):
         ds, cfg, _ = ragged
@@ -441,66 +403,73 @@ class TestEncodeItems:
     def setup(self, small_dataset):
         _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), "single", seed=2)
-        items = [(p, y) for p in parcels[:6] for y in (1, 2, 3)]
-        return model, items
+        return model, parcels[:6]
 
     def test_keys_and_shape(self, setup):
-        # one row per pair, in the order asked
-        model, items = setup
-        items = items[::-1]
-        encoded, table = encode_pairs(model, items, (0,))
+        # one row per parcel-year, parcel by parcel as given, year by year
+        model, parcels = setup
+        parcels = parcels[::-1]
+        encoded, table = encode_parcels(model, parcels, (0,))
         assert list(zip(encoded.ids.tolist(), encoded.years.tolist())) == [
-            (p.parcel_id, y) for p, y in items]
-        assert table.shape == (len(items), model.dims.descriptor)
+            (p.parcel_id, y) for p in parcels for y in (1, 2, 3)]
+        assert table.shape == (3 * len(parcels), model.dims.descriptor)
 
     @pytest.mark.parametrize("variant, encoded", [("single", 6), ("dec", 6), ("obs", 18)])
     def test_encodes_only_the_rows_the_head_reads(self, small_dataset, monkeypatch, variant,
                                                   encoded):
-        # year 3 of 6 parcels appends their years 1 and 2, which only the
-        # "obs" head reads; the dec family reads their labels alone
-        _, cfg, parcels = small_dataset
-        model = CropModel(_dims(cfg), variant, seed=2)
+        # trained on year 3 alone, 6 parcels' 18 items are all drawn, but
+        # an epoch encodes only their 6 year-3 rows and the years 1 and 2
+        # that the "obs" head reads; the dec family reads their labels alone
+        ds, cfg, parcels = small_dataset
         calls = _record_draws(monkeypatch)
-        items, table = encode_pairs(model, [(p, 3) for p in parcels[:6]], (0,))
-        assert items.ids.size == 18 and items.years[:6].tolist() == [3] * 6
-        assert len(table) == len(calls) == encoded
-        assert np.isfinite(table).all()
+        rows = []
+        encode = training._encode
+        monkeypatch.setattr(training, "_encode", lambda model, items, *drawn: rows.extend(
+            zip(items.ids.tolist(), items.years.tolist())) or encode(model, items, *drawn))
+        train_single_split(ds, parcels[:6], [],
+                           TrainConfig(epochs=1, batch_size=8, seed=2, variant=variant,
+                                       protocol="specialized", protocol_year=3), _dims(cfg))
+        assert len(calls) == 18
+        assert len(rows) == len(set(rows)) == encoded
+        assert {y for _, y in rows} == ({1, 2, 3} if variant == "obs" else {3})
 
     def test_keyed_draws_repeat_bitwise(self, setup, monkeypatch):
-        model, items = setup
-        a = descriptors_of(model, items, (42,))
+        model, parcels = setup
+        a = descriptors_of(model, parcels, (42,))
         # another call order and batch size give the same draws and rows
         monkeypatch.setattr(training, "ENCODE_BATCH", 4)
-        b = descriptors_of(model, items[::-1], (42,))
+        b = descriptors_of(model, parcels[::-1], (42,))
         for key in a:
             assert np.array_equal(a[key], b[key])
 
     def test_different_seeds_differ(self, setup):
-        model, items = setup
-        a = descriptors_of(model, items, (0,))
-        b = descriptors_of(model, items, (1,))
+        model, parcels = setup
+        a = descriptors_of(model, parcels, (0,))
+        b = descriptors_of(model, parcels, (1,))
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_draws_are_keyed_by_stream_parcel_year(self, setup, monkeypatch):
         # each chunk row is the item's own sample_pixels draw under the key
         # (*stream, parcel id, year), whatever else is in the chunk
-        model, items = setup
+        model, parcels = setup
         s = model.dims.sample_pixels
         calls = _record_draws(monkeypatch)
-        descriptors_of(model, items, (9,))
+        descriptors_of(model, parcels, (9,))
         rows = {(pid, y): (columns, counts) for _, pid, y, columns, counts in calls}
-        assert len(calls) == len(rows) == len(items)
-        for p, y in items:
-            key = draw_keys((9,), [p.parcel_id], [y])
-            columns, counts = sample_pixels(key, [p.samples[y - 1].n_pixels], s)
-            got = rows[(p.parcel_id, y)]
-            assert np.array_equal(got[0], columns[0]) and np.array_equal(got[1], counts[0])
+        assert len(calls) == len(rows) == 3 * len(parcels)
+        for p in parcels:
+            for y in (1, 2, 3):
+                key = draw_keys((9,), [p.parcel_id], [y])
+                columns, counts = sample_pixels(key, [p.samples[y - 1].n_pixels], s)
+                got = rows[(p.parcel_id, y)]
+                assert np.array_equal(got[0], columns[0]) and np.array_equal(got[1], counts[0])
 
     def test_rows_ordered_by_distinct_count(self, small_dataset):
         ds, _, _ = small_dataset
-        items = _Items.of_columns(ds.columns.take(np.arange(40)), [1])
+        items = _Items.of_columns(ds.columns.take(np.arange(40)))
         _, counts = training._draw(items, (0,), 8)
-        distinct = np.count_nonzero(counts[training._by_distinct(counts, np.arange(40))], axis=1)
+        rows = training._by_distinct(counts, np.flatnonzero(items.years == 1))
+        distinct = np.count_nonzero(counts[rows], axis=1)
         assert np.all(np.diff(distinct) <= 0) and distinct[0] > distinct[-1]
 
     def test_equals_drawn_encode(self, small_dataset):
@@ -508,8 +477,9 @@ class TestEncodeItems:
         # descriptors of encoding every draw (parcels of 4 to 16 pixels, S = 8)
         _, cfg, parcels = small_dataset
         model = CropModel(small_dims(cfg.num_classes), "single", seed=2)
-        items = [(p, y) for p in parcels[:24] for y in (1, 2, 3)]
-        got = descriptors_of(model, items, (5,))
+        parcels = parcels[:24]
+        items = [(p, y) for p in parcels for y in (1, 2, 3)]
+        got = descriptors_of(model, parcels, (5,))
         assert any(p.samples[y - 1].n_pixels < 8 for p, y in items)
         assert any(p.samples[y - 1].n_pixels >= 8 for p, y in items)
         for year in (1, 2, 3):
@@ -526,13 +496,13 @@ class TestEncodeItems:
 
     def test_each_item_encoded_once(self, small_dataset, monkeypatch):
         # "obs" reads years 1 and 2 of each parcel for its year 3 and year
-        # 1 for its year 2, which is itself asked for: every parcel-year is
-        # drawn once
+        # 1 for its year 2, which are items themselves: every parcel-year
+        # is drawn once
         _, cfg, parcels = small_dataset
         model = CropModel(_dims(cfg), "obs", seed=2)
         parcels = parcels[:6]
         calls = _record_draws(monkeypatch)
-        descriptors_of(model, [(p, y) for p in parcels for y in (3, 2)], (0,))
+        descriptors_of(model, parcels, (0,))
         assert sorted(c[1:3] for c in calls) == sorted(
             (p.parcel_id, y) for p in parcels for y in (1, 2, 3))
 
@@ -563,7 +533,7 @@ def test_inference_draws_shared_by_predict_obs_and_embed(small_dataset, monkeypa
     predict(CropModel(dims, "single", seed=1), parcels, seed=4)
     with monkeypatch.context() as m:
         m.setattr(training, "ENCODE_BATCH", 7)
-        predict(CropModel(dims, "obs", seed=1), parcels, years=[3], seed=4)
+        predict(CropModel(dims, "obs", seed=1), parcels, seed=4)
     analytics.export_embeddings(CropModel(dims, "dec", seed=1), parcels,
                                 tmp_path / "e.csv", seed=4)
     seen = {}
@@ -622,7 +592,8 @@ class TestSubsetInvariance:
 
     def test_one_year(self, full, variant):
         parcels, model, want = full
-        got = _by_key(predict(model, parcels, years=[3], seed=9))
+        records = predict(model, parcels, seed=9)
+        got = _by_key(records[records.year_index == 3])
         assert len(got) == len(parcels)
         for key, logits in got.items():
             assert np.array_equal(logits, want[key])
@@ -635,11 +606,11 @@ class TestSubsetInvariance:
             assert np.array_equal(logits, want[key])
 
     def test_records_in_request_order(self, full, variant):
-        # parcel by parcel as passed, each parcel's years as requested
+        # parcel by parcel as passed, each parcel's years in order
         parcels, model, want = full
-        records = predict(model, parcels[::-1], years=[3, 1], seed=9)
+        records = predict(model, parcels[::-1], seed=9)
         assert [(r.parcel_id, r.year_index) for r in records] == [
-            (p.parcel_id, y) for p in parcels[::-1] for y in (3, 1)
+            (p.parcel_id, y) for p in parcels[::-1] for y in (1, 2, 3)
         ]
         for r in records:
             assert np.array_equal(r.logits, want[(r.parcel_id, r.year_index)])
@@ -942,15 +913,15 @@ class TestTraining:
     @pytest.mark.parametrize("variant", ["dec", "obs"])
     def test_specialized_batches_partition_the_trained_rows(self, small_dataset, monkeypatch,
                                                            variant):
-        # year-3 training appends each parcel's years 1 and 2 after the
-        # trained rows; the epoch's batches cover every trained row once
-        # and never an appended past-year row
+        # year-3 training holds every year of each parcel as grid rows; the
+        # epoch's batches cover every year-3 row once and never a row of
+        # another year
         ds, cfg, parcels = small_dataset
         cut, forwarded = [], []
         batches, logits = training._batches, training.batch_logits
 
-        def cutting(items, batch_size, rng=None):
-            out = batches(items, batch_size, rng)
+        def cutting(items, rows, batch_size, rng=None):
+            out = batches(items, rows, batch_size, rng)
             if rng is not None:
                 cut.append((items.years, out))
             return out
@@ -966,8 +937,8 @@ class TestTraining:
         train_single_split(ds, parcels[:20], [], tc, _dims(cfg))
         assert len(cut) == 2
         for years, rows in cut:
-            assert years.tolist() == [3] * 20
-            assert sorted(np.concatenate(rows).tolist()) == list(range(20))
+            assert years.tolist() == [1, 2, 3] * 20
+            assert sorted(np.concatenate(rows).tolist()) == list(range(2, 60, 3))
         assert forwarded == [3] * 40
 
     def test_batch_size_below_one_refused(self, small_dataset):

@@ -11,9 +11,10 @@ It imports croprot from the `src` directory next to this file.  The data
 are 80 synthetic parcels, half with 6 dates and half with 8, and the
 model dims are small (S = 8), so a run takes a few seconds.  Per variant
 it hashes the trained weights, the best epoch and the epoch log of a
-2-epoch training run, the `predict` logits for all years, for
-`years=[3]` and with `training.ENCODE_BATCH` set to 16 (records sorted
-by parcel and year, so the digest does not depend on their order), and
+2-epoch training run, the `predict` logits for all years, those of
+year 3 alone (the full call's records filtered to year 3), and with
+`training.ENCODE_BATCH` set to 16 (records sorted by parcel and year,
+so the digest does not depend on their order), and
 the bytes `export_embeddings` writes.  Two `draws` lines hash the
 `sample_pixels` output for every parcel-year under an inference key
 (seed, parcel, year) and a training key (seed, fold, epoch, parcel,
@@ -35,8 +36,8 @@ parcel lists.  A `step` line hashes every parameter gradient of the
 first training step of each head variant.  Per variant, a `checkpoint`
 line hashes the bytes `save_checkpoint` writes for the trained model.  For `dec` and `obs`, a `specialized` line hashes the
 weights, best epoch, epoch log and year-3 `predict` logits of a 2-epoch
-run trained on year 3 alone, whose training items lack the past years
-the head reads.  For the trained `dec` and `obs` models, `cli` lines run
+run trained on year 3 alone, whose heads read the past years of its
+batches' parcels.  For the trained `dec` and `obs` models, `cli` lines run
 `eval` (fold 0), `calibrate`, `crf`, `rotations` and `embed` through
 `croprot.cli.main` in-process on the saved data, a 5-fold split written by
 `save_folds` and the saved checkpoint, and hash every file the five commands write and their
@@ -145,6 +146,11 @@ def _logits_sha(records):
     return _sha(*[(int(r.parcel_id), int(r.year_index), r.logits.tobytes()) for r in records])
 
 
+def _year3(records):
+    """The records of year 3."""
+    return records[records.year_index == 3]
+
+
 def fingerprint(variant, dataset, parcels):
     """(trained model, (artifact, sha256) pairs) of one variant trained on
     `dataset`, whose parcels are `parcels`."""
@@ -152,12 +158,13 @@ def fingerprint(variant, dataset, parcels):
     train, val = parcels[::2], parcels[1::4]
     cfg = training.TrainConfig(epochs=2, batch_size=16, seed=5, variant=variant)
     model, best_epoch, epoch_log = training.train_single_split(dataset, train, val, cfg, dims)
+    records = training.predict(model, parcels, seed=7)
     out = [
         ("weights", _sha(*[a.tobytes() for a in model.state_arrays()])),
         ("best_epoch", _sha(best_epoch)),
         ("epoch_log", _sha(epoch_log)),
-        ("logits", _logits_sha(training.predict(model, parcels, seed=7))),
-        ("logits_year3", _logits_sha(training.predict(model, parcels, years=[3], seed=7))),
+        ("logits", _logits_sha(records)),
+        ("logits_year3", _logits_sha(_year3(records))),
     ]
     saved, training.ENCODE_BATCH = training.ENCODE_BATCH, 16
     try:
@@ -185,7 +192,7 @@ def specialized(variant, dataset, parcels):
                                protocol="specialized", protocol_year=3)
     model, best_epoch, epoch_log = training.train_single_split(
         dataset, parcels[::2], parcels[1::4], cfg, ModelDims(**DIMS))
-    records = training.predict(model, parcels, years=[3], seed=7)
+    records = _year3(training.predict(model, parcels, seed=7))
     return _sha(*[a.tobytes() for a in model.state_arrays()], best_epoch, epoch_log,
                 _logits_sha(records))
 
@@ -252,7 +259,7 @@ def _loaded_parts(columns):
     """Per parcel of the loaded `columns`, its (id, centroid, labels), then
     per year its (year, pixel shape), day bytes and pixel bytes, each
     sample read through `Columns.sample_arrays`."""
-    days, pixels = columns.sample_arrays(...)
+    days, pixels = columns.sample_arrays()
     parts = []
     for pid, centroid, labels, row_days, row_pixels in zip(
             columns.ids.tolist(), columns.centroids.tolist(), columns.labels.tolist(), days,
