@@ -114,7 +114,10 @@ def possible_rotations(num_classes, num_years):
 
 def rotation_table(label_seqs, num_classes):
     """Per-class minimum rotation counts at each coverage percentage, plus
-    an unweighted mean row over observed classes."""
+    an unweighted mean row over observed classes.  Sequences of no parcels
+    or of no years hold no rotation: a ContractError."""
+    if not len(label_seqs) or not len(label_seqs[0]):
+        raise ContractError("no rotations: a dataset of no parcels or no years")
     rows = {}
     for k in range(num_classes):
         counts = [rotation_coverage(label_seqs, k, p) for p in COVERAGE_PERCENTAGES]

@@ -76,10 +76,11 @@ def _seed(args):
 
 def _eval_year(year, num_years):
     """`eval --year`: None for "all", else the year, which must lie in
-    1..num_years."""
+    1..num_years and be written as str() writes it: ASCII digits, no
+    leading zero."""
     if year == "all":
         return None
-    if not (year.isdecimal() and 1 <= int(year) <= num_years):
+    if year not in [str(y) for y in range(1, num_years + 1)]:
         raise ContractError(f"--year must be all or a year in 1..{num_years}, got {year!r}")
     return int(year)
 
@@ -336,6 +337,7 @@ def cmd_rotations(args):
     seqs = dataset.columns.labels.tolist()
     rows, mean = analytics.rotation_table(seqs, dataset.num_classes)
     assignment = analytics.categorize(seqs, dataset.num_classes)
+    observed = analytics.count_observed_rotations(seqs)
     class_names = (dataset.manifest or {}).get("class_names")
     analytics.write_rotation_table_csv(
         os.path.join(args.out, "rotation_table.csv"), rows, mean, class_names
@@ -343,14 +345,14 @@ def cmd_rotations(args):
     write_json(
         os.path.join(args.out, "rotations.json"),
         {
-            "observed_rotations": analytics.count_observed_rotations(seqs),
+            "observed_rotations": observed,
             "possible_rotations": analytics.possible_rotations(
                 dataset.num_classes, dataset.num_years
             ),
             "categories": {str(k): v for k, v in sorted(assignment.items())},
         },
     )
-    print(f"{analytics.count_observed_rotations(seqs)} observed rotations")
+    print(f"{observed} observed rotations")
     return 0
 
 

@@ -78,6 +78,13 @@ def _is_integer_below(x, end):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < end
 
 
+def _is_point(centroid):
+    """Whether `centroid` is two numbers."""
+    with contextlib.suppress(TypeError, ValueError):
+        return np.asarray(centroid, np.float64).shape == (2,)
+    return False
+
+
 def _first_repeat(values):
     """The first position of the array `values` whose value an earlier
     position holds, or None when they are distinct."""
@@ -117,11 +124,12 @@ class Columns:
     def of(cls, parcels):
         """The columns of a list of parcels, one row per entry, sharing
         their samples' day and pixel arrays.  An id that is not an integer
-        in [0, 2^64) (a bool is none) or that an earlier entry has, a parcel
-        with another year count than the first, and a sample whose pixels
-        are not (C, N_p >= 1, T) with the first sample's C, whose days are
-        not a (T,) integer array, or whose label is not an integer in [0,
-        2^63) are a ContractError naming the parcel and the year."""
+        in [0, 2^64) (a bool is none) or that an earlier entry has, a
+        centroid that is not two numbers, a parcel with another year count
+        than the first, and a sample whose pixels are not (C, N_p >= 1, T)
+        with the first sample's C, whose days are not a (T,) integer array,
+        or whose label is not an integer in [0, 2^63) are a ContractError
+        naming the parcel and the year."""
         ids = [p.parcel_id for p in parcels]
         bad = [pid for pid in ids if not _is_integer_below(pid, 2**64)]
         if bad:
@@ -130,6 +138,13 @@ class Columns:
         i = _first_repeat(ids)
         if i is not None:
             raise ContractError(f"parcel {ids[i]}: id appears more than once")
+        try:
+            centroids = np.array([p.centroid for p in parcels], np.float64)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            centroids = None
+        if centroids is None or (len(parcels) and centroids.shape != (len(parcels), 2)):
+            p = next(q for q in parcels if not _is_point(q.centroid))
+            raise ContractError(f"parcel {p.parcel_id}: centroid {p.centroid!r}; need two numbers")
         years = len(parcels[0].samples) if parcels else 0
         samples = []
         for p in parcels:
@@ -178,7 +193,7 @@ class Columns:
         shape = (len(parcels), years)
         positions = np.arange(n).reshape(shape)
         return cls(
-            ids, np.array([p.centroid for p in parcels], np.float64).reshape(-1, 2),
+            ids, centroids.reshape(-1, 2),
             label_column.reshape(shape), ts.reshape(shape), sizes[:, 1].reshape(shape),
             # fromiter keeps each array whole where np.array would stack
             # arrays of one shape into a block

@@ -215,11 +215,9 @@ def encode_items(model, items, stream):
 
 def _features(model, items, prev, descriptors=None):
     """Head features of a batch whose years i-1 and i-2 are at the (B, 2)
-    rows `prev`, -1 before year 1: None on "single", the one-hot labels
-    of those rows of the _Items on the dec family, the average of those
-    rows of the `descriptors` array on "obs"."""
-    if model.variant == "single":
-        return None
+    rows `prev`, -1 before year 1: `heads.history_features` of the one-hot
+    labels of those rows of the _Items, or on "obs" of those rows of the
+    `descriptors` array."""
     if model.variant == "obs":
         table = descriptors
     else:

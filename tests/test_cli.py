@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import shutil
@@ -707,6 +708,13 @@ def malformed(workdir, tmp_path_factory):
     # the pipeline's dataset with parcel 0's year-1 sample cut to no dates
     paths["dataset_no_dates"] = bad / "no_dates.rcds"
     paths["dataset_no_dates"].write_bytes(without_dates(dataset))
+    # a parcel of no years, and no parcels over three years: files that
+    # load but hold no rotation
+    paths["dataset_no_years"] = bad / "no_years.rcds"
+    paths["dataset_no_years"].write_bytes(oracles.encode_rcds(
+        [dataclasses.replace(one_sample_parcel(), samples=[])], 3, channels=1))
+    paths["dataset_no_parcels"] = bad / "no_parcels.rcds"
+    paths["dataset_no_parcels"].write_bytes(oracles.encode_rcds([], 3, num_years=3, channels=1))
     # the one-sample file under a version-1 header
     paths["dataset_v1"] = bad / "v1.rcds"
     paths["dataset_v1"].write_bytes(oracles.encode_rcds([one_sample_parcel()], 3, version=1))
@@ -907,6 +915,14 @@ CLI_MATRIX = {
     "eval-year-0": (_EVAL + " --year 0", 4),
     "eval-year-4": (_EVAL + " --year 4", 4),
     "eval-year-superscript-2": (_EVAL + " --year \u00b2", 4),
+    # int() reads these as 3; a year is written as str() writes it
+    "eval-year-arabic-indic-3": (_EVAL + " --year \u0663", 4),
+    "eval-year-fullwidth-3": (_EVAL + " --year \uff13", 4),
+    "eval-year-leading-zero": (_EVAL + " --year 03", 4),
+    # beyond int()'s 4300-digit limit for text
+    "eval-year-5000-digits": (_EVAL + " --year " + "9" * 5000, 4),
+    "rotations-no-years": ("rotations --dataset {dataset_no_years} --out {out}", 4),
+    "rotations-no-parcels": ("rotations --dataset {dataset_no_parcels} --out {out}", 4),
     "calibrate-bins-0": (_CALIBRATE + " --bins 0", 4),
     "calibrate-bins-huge": (_CALIBRATE + " --bins 100000000000", 4),
     "crf-alpha-nan": (_CRF + " --alpha nan", 4),

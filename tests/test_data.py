@@ -814,6 +814,26 @@ def test_repeated_parcel_id_refused_by_save_and_load(tmp_path):
         assert str(exc.value) == "parcel 0: id appears more than once (parcel ids at offset 25)"
 
 
+@pytest.mark.parametrize("first, second", [((1, 2, 3), (4, 5, 6)), ((1,), (2,)),
+                                           ((1, 2), (3, 4, 5))])
+def test_centroid_not_two_numbers_refused_by_of_and_save(tmp_path, first, second):
+    # centroids of three numbers, or of one, would fill the (P, 2) centroid
+    # column with other parcels' values; centroids of two lengths do not
+    # stack
+    parcels = generate_synthetic(SyntheticConfig(parcels=2, seed=0))
+    parcels = [dataclasses.replace(p, centroid=c) for p, c in zip(parcels, (first, second))]
+    bad = next(p for p in parcels if len(p.centroid) != 2)
+    want = f"parcel {bad.parcel_id}: centroid {bad.centroid!r}; need two numbers"
+    with pytest.raises(ContractError) as exc:
+        Columns.of(parcels)
+    assert str(exc.value) == want
+    path = tmp_path / "ds.rcds"
+    with pytest.raises(DataFormatError) as exc:
+        save_dataset(path, parcels, 8)
+    assert str(exc.value) == want
+    assert not path.exists()
+
+
 def test_save_holds_the_file_once(tmp_path):
     # each column is written on its own: the traced peak holds the pixel
     # column and its finiteness check, not a second copy of the whole file

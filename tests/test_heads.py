@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from croprot import autodiff as ad, heads
 from croprot.data import Columns, SyntheticConfig, draw_keys, generate_synthetic, sample_pixels
@@ -58,8 +59,10 @@ class TestHistoryFeatures:
         prev1, prev2 = [1, -1, 3], [2, -1, -1]
         batch = heads.history_features("dec", prev1, prev2, IDENTITY)
         assert np.array_equal(batch, np.stack([feats("dec", a, b) for a, b in zip(prev1, prev2)]))
-        with pytest.raises(ConfigError):
-            heads.history_features("single", prev1, prev2, IDENTITY)
+        single = heads.history_features("single", prev1, prev2, IDENTITY)
+        assert single.shape == (3, 0) and single.dtype == np.float32
+        with pytest.raises(ConfigError, match="unknown head variant 'bogus'"):
+            heads.history_features("bogus", prev1, prev2, IDENTITY)
 
     @pytest.mark.parametrize("variant", ["dec", "dec-concat", "dec-one-year"])
     def test_matches_one_hot_oracle(self, variant):
@@ -85,14 +88,23 @@ class TestHistoryFeatures:
         with pytest.raises(ContractError):
             heads.history_features("dec", prev1, prev2, IDENTITY)
 
-    def test_feature_dims(self):
-        assert heads.feature_dim("single", L, 16) == 0
-        assert heads.feature_dim("dec", L, 16) == L
-        assert heads.feature_dim("dec-concat", L, 16) == 2 * L
-        assert heads.feature_dim("dec-one-year", L, 16) == L
-        assert heads.feature_dim("obs", L, 16) == 16
+    @given(variant=st.sampled_from(heads.VARIANTS), num_classes=st.integers(1, 6),
+           descriptor_dim=st.integers(1, 9), data=st.data())
+    def test_feature_dims(self, variant, num_classes, descriptor_dim, data):
+        """`feature_dim` is the width `history_features` gives on any rows,
+        and the head's input is the descriptor followed by those features."""
+        width = descriptor_dim if variant == "obs" else num_classes
+        table = np.arange(3 * width, dtype=np.float32).reshape(3, width)
+        rows = data.draw(st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), max_size=5))
+        prev1, prev2 = [a for a, _ in rows], [b for _, b in rows]
+        got = heads.history_features(variant, prev1, prev2, table)
+        dim = heads.feature_dim(variant, num_classes, descriptor_dim)
+        assert got.shape == (len(rows), dim)
+        head = heads.HeadWeights(variant, num_classes, descriptor_dim, 3, np.random.default_rng(0))
+        assert head.input_dim == descriptor_dim + dim
+        assert dim == {"single": 0, "dec-concat": 2 * num_classes}.get(variant, width)
         with pytest.raises(ConfigError):
-            heads.feature_dim("bogus", L, 16)
+            heads.feature_dim("bogus", num_classes, descriptor_dim)
 
 
 class TestObsFeature:
@@ -146,9 +158,9 @@ class TestDecode:
     def test_single_output_shapes(self):
         head = self._head("single")
         e1 = np.random.default_rng(1).normal(0, 1, (1, 8)).astype(np.float32)
-        z1 = heads.decode(e1, head)
+        z1 = heads.decode(e1, head, np.zeros((1, 0), dtype=np.float32))
         assert z1.data.shape == (1, L)
-        z2 = heads.decode(np.concatenate([e1, e1]), head)
+        z2 = heads.decode(np.concatenate([e1, e1]), head, np.zeros((2, 0), dtype=np.float32))
         assert z2.data.shape == (2, L)
         assert np.allclose(z2.data[0], z1.data[0], atol=1e-6)
 
@@ -159,8 +171,9 @@ class TestDecode:
 
     def test_variant_requires_feature(self):
         head = self._head("dec")
-        with pytest.raises(ContractError):
-            heads.decode(np.zeros((1, 8), dtype=np.float32), head)
+        with pytest.raises(ContractError, match=r"feature shape \(1, 0\)"):
+            heads.decode(np.zeros((1, 8), dtype=np.float32), head,
+                         np.zeros((1, 0), dtype=np.float32))
 
     def test_feature_shape_checked(self):
         head = self._head("dec")
